@@ -1,6 +1,6 @@
 // Ablation: max-min fair sharing vs naive equal split (DESIGN.md §5.1).
 //
-// The flow-level simulator allocates bandwidth with progressive filling
+// The flow-level simulator allocates bandwidth by water-filling
 // (max-min fairness), the standard model of competing TCP flows. The
 // naive alternative — capacity/n per flow, no redistribution of the share
 // capped flows leave unclaimed — wastes capacity whenever flows have

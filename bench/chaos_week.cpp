@@ -318,7 +318,7 @@ int main(int argc, char** argv) {
   args.flag("json", "BENCH_chaos_week.json", "output JSON (empty to skip)");
   if (!args.parse(argc, argv)) return 1;
 
-  const double divisor = args.get_double("divisor");
+  const double divisor = args.get_double("divisor", 1.0);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
   // Bench-wide metrics registry, snapshotted into the JSON output. Fault

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
   analysis::ApReplayConfig config;
   config.experiment = analysis::make_scaled_config(
-      args.get_double("divisor"),
+      args.get_double("divisor", 1.0),
       static_cast<std::uint64_t>(args.get_int("seed")));
   config.sample_size = static_cast<std::size_t>(args.get_int("sample"));
   const auto ap = analysis::run_ap_replay(config);

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   auto run = [&](core::Strategy strategy) {
     analysis::StrategyReplayConfig cfg;
     cfg.experiment = analysis::make_scaled_config(
-        args.get_double("divisor"),
+        args.get_double("divisor", 1.0),
         static_cast<std::uint64_t>(args.get_int("seed")));
     cfg.strategy = strategy;
     const auto result = analysis::run_strategy_replay(cfg);
@@ -60,11 +60,11 @@ int main(int argc, char** argv) {
                    "% lower"},
               {"B2 peak burden: cloud -> ODR", "34 -> 22 Gbps (scaled)",
                TextTable::num(rate_to_gbps(cloud.peak_cloud_burden) *
-                                  args.get_double("divisor"),
+                                  args.get_double("divisor", 1.0),
                               1) +
                    " -> " +
                    TextTable::num(rate_to_gbps(odr.peak_cloud_burden) *
-                                      args.get_double("divisor"),
+                                      args.get_double("divisor", 1.0),
                                   1) +
                    " Gbps"},
               {"B2 rejected fetches: cloud -> ODR", "1.5% -> 0%",

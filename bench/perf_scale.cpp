@@ -1,14 +1,11 @@
 // Scale ladder: wall-clock throughput of the calibrated cloud week as the
 // divisor drops toward full paper scale (divisor 1).
 //
-// For each requested divisor the week is replayed twice: once exact
-// (net_rate_epsilon = 0, the bit-for-bit golden configuration) and once
-// with the opt-in rate-change cutoff enabled, which skips completion-event
-// reschedules whose rate moved less than epsilon relatively. The bench
-// reports tasks/second for both, the exact run's outcome fingerprint (so a
-// scale sweep doubles as a determinism check against the pinned goldens),
-// and the process peak RSS sampled after every rung of the ladder — the
-// per-rung deltas are what tools/check_perf_regression.py budgets.
+// Each requested divisor replays the exact week once. The bench reports
+// tasks/second, the run's outcome fingerprint (so a scale sweep doubles as
+// a determinism check against the pinned goldens), and the process peak
+// RSS sampled after every rung of the ladder — the per-rung deltas are
+// what tools/check_perf_regression.py budgets.
 //
 // Timing fidelity vs wall clock: with --workers=1 (the default) runs are
 // timed back to back on an otherwise idle process, so the per-run seconds
@@ -17,11 +14,9 @@
 // memory-bandwidth and scheduler contention, so the JSON flags the mode.
 //
 // Low divisors (the --full ladder extends to 10, and --divisors accepts 1
-// explicitly for the divisor-1 week) instead parallelize INSIDE the one
-// replicate: --shards partitions the event queue per user and
-// --solver-workers fans the flow solver's sweeps over a WorkPool. Both
-// are exact (see DESIGN.md §16 and bench/shard_determinism), so the
-// fingerprint column must not move with either knob.
+// explicitly for the divisor-1 week) can partition the event queue per
+// user with --shards. Sharding is exact (see DESIGN.md §16 and
+// bench/shard_determinism), so the fingerprint column must not move.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -45,7 +40,6 @@ using namespace odr;
 
 struct ScaleRun {
   double divisor = 0.0;
-  double epsilon = 0.0;        // 0 = exact replay
   double wall_seconds = 0.0;
   std::size_t tasks = 0;
   std::uint64_t fingerprint = 0;
@@ -55,17 +49,14 @@ struct ScaleRun {
   }
 };
 
-ScaleRun run_week(double divisor, std::uint64_t seed, double epsilon,
-                  std::size_t shards, std::size_t solver_workers) {
+ScaleRun run_week(double divisor, std::uint64_t seed, std::size_t shards) {
   obs::ObsConfig run_obs;
   run_obs.tracing = false;
   run_obs.dump_on_fault_fired = false;
   obs::ScopedObserver obs(run_obs);
 
   analysis::ExperimentConfig config = analysis::make_scaled_config(divisor, seed);
-  config.net_rate_epsilon = epsilon;
   config.engine_shards = shards;
-  config.solver_workers = solver_workers;
 
   const auto t0 = std::chrono::steady_clock::now();
   const analysis::CloudReplayResult result = analysis::run_cloud_replay(config);
@@ -73,7 +64,6 @@ ScaleRun run_week(double divisor, std::uint64_t seed, double epsilon,
 
   ScaleRun r;
   r.divisor = divisor;
-  r.epsilon = epsilon;
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   r.tasks = result.outcomes.size();
   r.fingerprint = analysis::outcome_fingerprint(result.outcomes);
@@ -130,16 +120,11 @@ int main(int argc, char** argv) {
             "(the nightly configuration; divisor 1 stays explicit opt-in "
             "via --divisors=...,1)");
   args.flag("seed", "20151028", "workload seed");
-  args.flag("epsilon", "1e-4",
-            "relative rate-change cutoff for the approximate runs");
   args.flag("workers", "1",
             "worker threads ACROSS runs (1 = sequential, honest per-run "
             "timings; 0 = hardware concurrency)");
   args.flag("shards", "1",
             "event-engine shards INSIDE each run (exact at any value)");
-  args.flag("solver-workers", "1",
-            "flow-solver lanes INSIDE each run (exact at any value; "
-            "0 = hardware concurrency)");
   args.flag("json", "BENCH_perf_scale.json", "output JSON (empty to skip)");
   if (!args.parse(argc, argv)) return 1;
 
@@ -162,21 +147,16 @@ int main(int argc, char** argv) {
     }
   }
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const double epsilon = args.get_double("epsilon");
   const auto shards = static_cast<std::size_t>(args.get_int("shards"));
-  const auto solver_workers =
-      static_cast<std::size_t>(args.get_int("solver-workers"));
   run::ParallelOptions popts;
   popts.workers = static_cast<std::size_t>(args.get_int("workers"));
   const bool sequential = popts.workers == 1;
 
-  // Two runs per divisor, exact first. Each job times itself with a steady
-  // clock so the measurement excludes runner scheduling overhead.
+  // One run per divisor. Each job times itself with a steady clock so the
+  // measurement excludes runner scheduling overhead.
   std::vector<std::function<ScaleRun()>> jobs;
   for (const double d : divisors) {
-    jobs.push_back([=] { return run_week(d, seed, 0.0, shards, solver_workers); });
-    jobs.push_back(
-        [=] { return run_week(d, seed, epsilon, shards, solver_workers); });
+    jobs.push_back([=] { return run_week(d, seed, shards); });
   }
   const auto batch0 = std::chrono::steady_clock::now();
   const std::vector<ScaleRun> runs = run::run_parallel(std::move(jobs), popts);
@@ -185,15 +165,13 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(batch1 - batch0).count();
   const std::uint64_t rss = run::peak_rss_bytes();
 
-  TextTable table({"divisor", "mode", "tasks", "wall s", "tasks/s",
+  TextTable table({"divisor", "tasks", "wall s", "tasks/s",
                    "peak RSS MiB", "fingerprint"});
   for (const ScaleRun& r : runs) {
     char fp[24];
     std::snprintf(fp, sizeof(fp), "%016llx",
                   static_cast<unsigned long long>(r.fingerprint));
-    table.add_row({TextTable::num(r.divisor, 0),
-                   r.epsilon == 0.0 ? "exact" : "epsilon",
-                   std::to_string(r.tasks), TextTable::num(r.wall_seconds, 2),
+    table.add_row({TextTable::num(r.divisor, 0), std::to_string(r.tasks), TextTable::num(r.wall_seconds, 2),
                    TextTable::num(r.tasks_per_second(), 0),
                    TextTable::num(static_cast<double>(r.peak_rss_bytes) /
                                       (1024.0 * 1024.0),
@@ -201,9 +179,7 @@ int main(int argc, char** argv) {
                    fp});
   }
   std::fputs(banner("Cloud-week throughput ladder (seed " + args.get("seed") +
-                    ", epsilon " + args.get("epsilon") + ", shards " +
-                    args.get("shards") + ", solver lanes " +
-                    args.get("solver-workers") + ")")
+                    ", shards " + args.get("shards") + ")")
                  .c_str(),
              stdout);
   std::fputs(table.render().c_str(), stdout);
@@ -218,9 +194,7 @@ int main(int argc, char** argv) {
     j.begin_object()
         .field("bench", "perf_scale")
         .field("seed", seed)
-        .field("epsilon", epsilon)
         .field("engine_shards", static_cast<std::uint64_t>(shards))
-        .field("solver_workers", static_cast<std::uint64_t>(solver_workers))
         .field("sequential_timings", sequential)
         .field("batch_wall_seconds", batch_seconds)
         .field("peak_rss_bytes", rss);
@@ -231,7 +205,9 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(r.fingerprint));
       j.begin_object()
           .field("divisor", r.divisor)
-          .field("mode", r.epsilon == 0.0 ? "exact" : "epsilon")
+          // Every run is exact; tools/check_perf_regression.py gates runs
+          // by this field.
+          .field("mode", "exact")
           .field("tasks", static_cast<std::uint64_t>(r.tasks))
           .field("wall_seconds", r.wall_seconds)
           .field("tasks_per_second", r.tasks_per_second())

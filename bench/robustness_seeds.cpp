@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
   // accumulate across both sweeps, merged from the per-run registries).
   obs::ScopedObserver bench(run_obs_config());
 
-  const double divisor = args.get_double("divisor");
+  const double divisor = args.get_double("divisor", 1.0);
   const int n = static_cast<int>(args.get_int("seeds"));
   run::ParallelOptions popts;
   popts.workers = static_cast<std::size_t>(args.get_int("workers"));

@@ -1,12 +1,10 @@
 // Sharded-engine determinism gate.
 //
-// The sharded event engine (sim::Simulator::set_shard_count) and the
-// parallel flow solver (net::Network::set_parallel_solver) both claim to
-// be EXACT: any shard count and any lane count must reproduce the
-// single-threaded run bit-for-bit. This harness proves it the hard way —
-// it replays the calibrated cloud week unsharded with in-run state
-// hashing on, then replays it at each requested shard/lane configuration
-// and demands
+// The sharded event engine (sim::Simulator::set_shard_count) claims to be
+// EXACT: any shard count must reproduce the single-shard run bit-for-bit.
+// This harness proves it the hard way — it replays the calibrated cloud
+// week unsharded with in-run state hashing on, then replays it at each
+// requested shard count and demands
 //
 //   1. the identical outcome fingerprint,
 //   2. the identical task count, and
@@ -37,14 +35,12 @@ using namespace odr;
 
 struct ShardRun {
   std::size_t shards = 1;
-  std::size_t solver_workers = 1;
   std::uint64_t fingerprint = 0;
   std::size_t tasks = 0;
   std::vector<snapshot::StateHash> hashes;
 };
 
 ShardRun run_week(double divisor, std::uint64_t seed, std::size_t shards,
-                  std::size_t solver_workers, std::size_t solver_min_flows,
                   std::uint64_t hash_every) {
   obs::ObsConfig run_obs;
   run_obs.tracing = false;
@@ -53,8 +49,6 @@ ShardRun run_week(double divisor, std::uint64_t seed, std::size_t shards,
 
   analysis::ExperimentConfig config = analysis::make_scaled_config(divisor, seed);
   config.engine_shards = shards;
-  config.solver_workers = solver_workers;
-  if (solver_min_flows > 0) config.solver_parallel_min_flows = solver_min_flows;
 
   snapshot::WorldOptions options;
   options.checkpoint_period = 0;  // no ticks: the hash cadence drives sampling
@@ -66,7 +60,6 @@ ShardRun run_week(double divisor, std::uint64_t seed, std::size_t shards,
 
   ShardRun r;
   r.shards = shards;
-  r.solver_workers = solver_workers;
   const analysis::CloudReplayResult result = world.finalize();
   r.fingerprint = analysis::outcome_fingerprint(result.outcomes);
   r.tasks = result.outcomes.size();
@@ -109,51 +102,37 @@ int main(int argc, char** argv) {
   args.flag("divisor", "400", "scale divisor vs the measured system");
   args.flag("seed", "20151028", "workload seed");
   args.flag("shards", "2,4", "comma-separated shard counts to verify");
-  args.flag("solver-workers", "1",
-            "solver lanes for the SHARDED runs (the baseline always runs "
-            "sequential, so this also gates the parallel solver's exactness)");
-  args.flag("solver-min-flows", "0",
-            "override solver_parallel_min_flows (0 keeps the config default; "
-            "set low to force the parallel solver on at small divisors, e.g. "
-            "for sanitizer runs)");
   args.flag("hash-every", "2000", "state-hash cadence in executed events");
   args.flag("json", "BENCH_shard_determinism.json", "output JSON (empty to skip)");
   if (!args.parse(argc, argv)) return 1;
 
-  const double divisor = args.get_double("divisor");
+  const double divisor = args.get_double("divisor", 1.0);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   const auto hash_every = static_cast<std::uint64_t>(args.get_int("hash-every"));
-  const auto solver_workers =
-      static_cast<std::size_t>(args.get_int("solver-workers"));
-  const auto solver_min_flows =
-      static_cast<std::size_t>(args.get_int("solver-min-flows"));
   const std::vector<std::size_t> shard_counts = parse_counts(args.get("shards"));
   if (divisor < 1.0 || hash_every == 0 || shard_counts.empty()) {
     std::fprintf(stderr, "need divisor >= 1, hash-every > 0, and shard counts\n");
     return 1;
   }
 
-  const ShardRun base = run_week(divisor, seed, 1, 1, solver_min_flows,
-                                 hash_every);
+  const ShardRun base = run_week(divisor, seed, 1, hash_every);
   std::printf("baseline: divisor %.0f, %zu tasks, fingerprint %016llx, "
               "%zu hash records\n",
               divisor, base.tasks,
               static_cast<unsigned long long>(base.fingerprint),
               base.hashes.size());
 
-  TextTable table({"shards", "lanes", "tasks", "fingerprint", "journal"});
+  TextTable table({"shards", "tasks", "fingerprint", "journal"});
   bool ok = true;
   std::vector<ShardRun> runs;
   for (const std::size_t shards : shard_counts) {
-    const ShardRun r = run_week(divisor, seed, shards, solver_workers,
-                                solver_min_flows, hash_every);
+    const ShardRun r = run_week(divisor, seed, shards, hash_every);
     const bool fp_ok = r.fingerprint == base.fingerprint && r.tasks == base.tasks;
     const long div_at = first_divergence(base.hashes, r.hashes);
     char fp[24];
     std::snprintf(fp, sizeof(fp), "%016llx",
                   static_cast<unsigned long long>(r.fingerprint));
-    table.add_row({std::to_string(r.shards), std::to_string(r.solver_workers),
-                   std::to_string(r.tasks), fp,
+    table.add_row({std::to_string(r.shards), std::to_string(r.tasks), fp,
                    div_at < 0 ? "identical"
                               : "DIVERGED@" + std::to_string(div_at)});
     if (!fp_ok || div_at >= 0) {
@@ -203,7 +182,6 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(r.fingerprint));
       j.begin_object()
           .field("shards", static_cast<std::uint64_t>(r.shards))
-          .field("solver_workers", static_cast<std::uint64_t>(r.solver_workers))
           .field("tasks", static_cast<std::uint64_t>(r.tasks))
           .field("fingerprint", std::string(fp))
           .field("identical", r.fingerprint == base.fingerprint &&

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   }
 
   const auto config = odr::analysis::make_scaled_config(
-      args.get_double("divisor"), static_cast<std::uint64_t>(args.get_int("seed")));
+      args.get_double("divisor", 1.0), static_cast<std::uint64_t>(args.get_int("seed")));
 
   std::printf("Replaying %zu requests over %zu files by %zu users...\n",
               config.requests.num_requests, config.catalog.num_files,

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   const auto config = analysis::make_scaled_config(
-      args.get_double("divisor"),
+      args.get_double("divisor", 1.0),
       static_cast<std::uint64_t>(args.get_int("seed")));
   const auto result = analysis::run_cloud_replay(config);
 

@@ -1,29 +1,22 @@
 #include "analysis/replay.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/obs_wiring.h"
 #include "ap/ap_models.h"
 #include "fault/injector.h"
 #include "net/network.h"
 #include "obs/observer.h"
-#include "run/parallel_runner.h"
-#include "run/work_pool.h"
 #include "sim/simulator.h"
 #include "util/md5.h"
 
 namespace odr::analysis {
 namespace {
-
-// 0 = hardware concurrency, mirroring run::ParallelOptions.
-std::size_t resolve_solver_workers(const ExperimentConfig& config) {
-  return config.solver_workers == 0 ? run::default_worker_count()
-                                    : config.solver_workers;
-}
 
 // Rough per-attempt pre-download success probability by popularity, used
 // only to warm the storage pool (the measurement week itself uses the real
@@ -72,7 +65,11 @@ void warm_cloud_for_replay(cloud::XuanfengCloud& cloud,
 }
 
 ExperimentConfig make_scaled_config(double divisor, std::uint64_t seed) {
-  assert(divisor >= 1.0);
+  if (!(divisor >= 1.0) || !std::isfinite(divisor)) {
+    throw std::invalid_argument("make_scaled_config: divisor " +
+                                std::to_string(divisor) +
+                                " out of range (need a finite value >= 1)");
+  }
   ExperimentConfig cfg;
   cfg.seed = seed;
   cfg.catalog.num_files = static_cast<std::size_t>(563517 / divisor);
@@ -89,14 +86,7 @@ ExperimentConfig make_scaled_config(double divisor, std::uint64_t seed) {
 CloudReplayResult run_cloud_replay(const ExperimentConfig& config) {
   sim::Simulator sim;
   sim.set_shard_count(config.engine_shards);
-  // Declared before the network so the solver pool outlives every solve.
-  std::optional<run::WorkPool> solver_pool;
   net::Network net(sim);
-  net.set_rate_epsilon(config.net_rate_epsilon);
-  if (const std::size_t lanes = resolve_solver_workers(config); lanes > 1) {
-    solver_pool.emplace(lanes);
-    net.set_parallel_solver(&*solver_pool, config.solver_parallel_min_flows);
-  }
   Rng rng(config.seed);
 
   auto catalog = std::make_shared<workload::Catalog>(config.catalog, rng);
@@ -194,13 +184,7 @@ CloudReplayResult run_cloud_replay_from_trace(
     const ExperimentConfig& config) {
   sim::Simulator sim;
   sim.set_shard_count(config.engine_shards);
-  std::optional<run::WorkPool> solver_pool;
   net::Network net(sim);
-  net.set_rate_epsilon(config.net_rate_epsilon);
-  if (const std::size_t lanes = resolve_solver_workers(config); lanes > 1) {
-    solver_pool.emplace(lanes);
-    net.set_parallel_solver(&*solver_pool, config.solver_parallel_min_flows);
-  }
   Rng rng(config.seed);
 
   // --- Reconstruct the file catalog from the trace. -------------------------
@@ -304,7 +288,6 @@ CloudReplayResult run_cloud_replay_from_trace(
 ApReplayResult run_ap_replay(const ApReplayConfig& config) {
   sim::Simulator sim;
   net::Network net(sim);
-  net.set_rate_epsilon(config.experiment.net_rate_epsilon);
   Rng rng(config.experiment.seed);
 
   workload::Catalog catalog(config.experiment.catalog, rng);
@@ -423,7 +406,6 @@ ApReplayResult run_ap_replay(const ApReplayConfig& config) {
 StrategyReplayResult run_strategy_replay(const StrategyReplayConfig& config) {
   sim::Simulator sim;
   net::Network net(sim);
-  net.set_rate_epsilon(config.experiment.net_rate_epsilon);
   Rng rng(config.experiment.seed);
 
   workload::Catalog catalog(config.experiment.catalog, rng);

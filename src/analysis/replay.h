@@ -41,13 +41,7 @@ struct ExperimentConfig {
   // plan (the default) adds zero RNG draws and zero events, so fault-free
   // replays are bit-identical with or without the fault layer linked in.
   fault::FaultPlan fault_plan;
-  // Relative rate-change cutoff below which the network keeps an already
-  // scheduled flow completion instead of rescheduling it (see
-  // net::Network::set_rate_epsilon). 0 = exact (the default); large-scale
-  // replays set e.g. 1e-4 to shed cancel/reschedule churn at the cost of
-  // completion times drifting by up to that relative error.
-  double net_rate_epsilon = 0.0;
-  // --- intra-run sharding and the parallel flow solver (DESIGN.md §16) ----
+  // --- intra-run sharding (DESIGN.md §16) ---------------------------------
   // Shard-local event heaps inside one replicate (1 = the classic single
   // heap). Users are pinned to shards by user_id % engine_shards at
   // submission and causal chains inherit their shard; dispatch merges
@@ -55,12 +49,6 @@ struct ExperimentConfig {
   // unsharded run's fingerprints and state-hash journals bit-for-bit
   // (bench/shard_determinism pins this in CI).
   std::size_t engine_shards = 1;
-  // Worker lanes for the flow solver's exact parallel sweeps (1 =
-  // sequential; 0 = hardware concurrency). Components smaller than
-  // solver_parallel_min_flows unfrozen flows stay sequential — the
-  // barrier costs more than the sweep below that.
-  std::size_t solver_workers = 1;
-  std::size_t solver_parallel_min_flows = 4096;
   // Divergence-triage test hook: when nonzero, the checkpointable
   // CloudWorld consumes ONE extra draw from the cloud's rng stream once
   // `debug_burn_rng_at_event` events have executed — a deliberate,
@@ -73,6 +61,7 @@ struct ExperimentConfig {
 
 // Scales workload size and cloud capacity together by 1/divisor relative
 // to the measured system (4.08M tasks, 563k files, 784k users, 30 Gbps).
+// Throws std::invalid_argument unless divisor is finite and >= 1.
 ExperimentConfig make_scaled_config(double divisor, std::uint64_t seed);
 
 struct CloudReplayResult {

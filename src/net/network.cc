@@ -1,12 +1,10 @@
 #include "net/network.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 
 #include "obs/observer.h"
-#include "run/work_pool.h"
 #include "snapshot/format.h"
 
 namespace odr::net {
@@ -15,6 +13,8 @@ namespace {
 // Rates below this (bytes/sec) are treated as zero: the flow is stalled and
 // no completion event is scheduled for it.
 constexpr Rate kMinRate = 1e-6;
+// Rate given to a flow nothing constrains (no cap, no finite link).
+constexpr Rate kUnboundedRate = 1e15;
 
 // Field tags for the network snapshot section.
 enum : std::uint16_t {
@@ -294,15 +294,6 @@ void Network::settle(FlowState& f) {
   }
 }
 
-void Network::set_parallel_solver(run::WorkPool* pool, std::size_t min_flows) {
-  solver_pool_ = pool;
-  solver_min_flows_ = std::max<std::size_t>(1, min_flows);
-  if (pool != nullptr) {
-    lane_min_.assign(pool->lanes(), 0.0);
-    lane_newly_.assign(pool->lanes(), 0);
-  }
-}
-
 void Network::reallocate() {
   component_scratch_.clear();
   flows_.for_each_slot(
@@ -372,9 +363,9 @@ void Network::collect_component(const std::vector<LinkId>& seed_links) {
 
 void Network::reallocate_flows(std::vector<std::uint32_t>& component) {
   if (component.empty()) return;
-  // The progressive-filling rounds below fold sums in iteration order, so
-  // the component must be visited in a canonical order for bit-identical
-  // allocations: ascending flow id, as always.
+  // Dense link indices (the heap's tie-break) and the completion-event
+  // order follow the component order, so visit it canonically: ascending
+  // flow id.
   std::sort(component.begin(), component.end(),
             [this](std::uint32_t a, std::uint32_t b) {
               return flows_[a].id < flows_[b].id;
@@ -415,7 +406,7 @@ void Network::reallocate_flows(std::vector<std::uint32_t>& component) {
     // its cap. No redistribution of unclaimed share (the ablation point).
     for (std::uint32_t slot : component) {
       FlowState& f = flows_[slot];
-      double r = std::isfinite(f.rate_cap) ? f.rate_cap : 1e15;
+      double r = std::isfinite(f.rate_cap) ? f.rate_cap : kUnboundedRate;
       for (LinkId l : f.path) {
         const double n = static_cast<double>(links_[l].flow_count);
         r = std::min(r, links_[l].capacity / std::max(1.0, n));
@@ -427,30 +418,38 @@ void Network::reallocate_flows(std::vector<std::uint32_t>& component) {
     return;
   }
 
-  // SoA solver state (DESIGN.md §16): flow-side arrays indexed by position
-  // in the id-sorted component, CSR paths holding dense link indices. The
-  // progressive-filling rounds touch only these contiguous arrays — never
-  // the flow slab — so each sweep is cache-linear.
+  // Water-filling (DESIGN.md §11) over SoA state: flow-side arrays indexed
+  // by position in the id-sorted component, CSR paths holding dense link
+  // indices, link->flow buckets, the finite caps in (cap, index) order and
+  // a min-heap of link fair shares (remaining / unfrozen) with lazy
+  // version stamps. Each step freezes either the smallest cap (at the cap)
+  // or every unfrozen flow on the min-share link (at that share), so every
+  // step freezes at least one flow and the levels never decrease.
   const std::size_t n_flows = component.size();
   sol_cap_.clear();
   sol_rate_.clear();
   sol_frozen_.clear();
   sol_path_off_.clear();
   sol_path_.clear();
-  sol_unfrozen_.clear();
+  sol_capped_.clear();
+  std::size_t active = 0;
   for (std::size_t i = 0; i < n_flows; ++i) {
     const FlowState& f = flows_[component[i]];
     sol_cap_.push_back(f.rate_cap);
     sol_rate_.push_back(0.0);
-    sol_frozen_.push_back(0);
+    sol_frozen_.push_back(1);
     sol_path_off_.push_back(static_cast<std::uint32_t>(sol_path_.size()));
     if (f.rate_cap <= kMinRate) continue;  // fully throttled
     if (f.path.empty()) {
       // No shared constraint: the cap alone determines the rate.
-      sol_rate_[i] = std::isfinite(f.rate_cap) ? f.rate_cap : 1e15;
+      sol_rate_[i] = std::isfinite(f.rate_cap) ? f.rate_cap : kUnboundedRate;
       continue;
     }
-    sol_unfrozen_.push_back(static_cast<std::uint32_t>(i));
+    sol_frozen_[i] = 0;
+    ++active;
+    if (std::isfinite(f.rate_cap)) {
+      sol_capped_.push_back(static_cast<std::uint32_t>(i));
+    }
     for (LinkId l : f.path) {
       const std::uint32_t d = link_dense_[l];
       sol_path_.push_back(d);
@@ -459,170 +458,113 @@ void Network::reallocate_flows(std::vector<std::uint32_t>& component) {
   }
   sol_path_off_.push_back(static_cast<std::uint32_t>(sol_path_.size()));
 
+  // Link->flow buckets: inclusive prefix sums of the per-link counts, then
+  // a reverse fill that leaves each bucket in ascending flow index and the
+  // offsets as CSR starts.
   const std::size_t n_links = sol_link_ids_.size();
-  // Parallel sweeps engage only on components big enough to amortize the
-  // barrier; every phase is exact (see file header), so this decision
-  // cannot change the allocation.
-  run::WorkPool* pool =
-      (solver_pool_ != nullptr && solver_pool_->lanes() > 1 &&
-       sol_unfrozen_.size() >= solver_min_flows_)
-          ? solver_pool_
-          : nullptr;
-  double inc = 0.0;
-
-  // Phase lambdas are hoisted out of the round loop so the std::function
-  // conversion happens once per solve, not once per round.
-  run::WorkPool::RangeFn min_phase, update_phase, freeze_phase;
-  if (pool != nullptr) {
-    // Min-reduction over dense links then unfrozen flows. Each lane folds
-    // its chunk into a partial min; min is exact in any grouping, so the
-    // merged value equals the sequential fold bit-for-bit.
-    min_phase = [&](std::size_t lane, std::size_t b, std::size_t e) {
-      double m = std::numeric_limits<double>::infinity();
-      for (std::size_t t = b; t < e; ++t) {
-        if (t < n_links) {
-          const std::int32_t n = link_unfrozen_[t];
-          if (n > 0) m = std::min(m, link_remaining_[t] / static_cast<double>(n));
-        } else {
-          const std::uint32_t i = sol_unfrozen_[t - n_links];
-          if (sol_frozen_[i]) continue;
-          if (std::isfinite(sol_cap_[i])) m = std::min(m, sol_cap_[i] - sol_rate_[i]);
-        }
-      }
-      lane_min_[lane] = m;
-    };
-    // Rate/headroom update. Link-centric: a link crossed by k unfrozen
-    // flows absorbs k subtractions of the SAME inc, so performing them
-    // locally is bit-identical to the flow-major order regardless of which
-    // lane owns which flow. All writes are disjoint (own links, own flows).
-    update_phase = [&](std::size_t lane, std::size_t b, std::size_t e) {
-      (void)lane;
-      for (std::size_t t = b; t < e; ++t) {
-        if (t < n_links) {
-          const std::int32_t k = link_unfrozen_[t];
-          if (k <= 0) continue;
-          double r = link_remaining_[t];
-          for (std::int32_t j = 0; j < k; ++j) r -= inc;
-          link_remaining_[t] = r;
-        } else {
-          const std::uint32_t i = sol_unfrozen_[t - n_links];
-          if (!sol_frozen_[i]) sol_rate_[i] += inc;
-        }
-      }
-    };
-    // Freeze scan. Each flow is owned by exactly one lane (disjoint
-    // sol_frozen_ writes); the per-link unfrozen counters take concurrent
-    // relaxed decrements, which commute exactly (integers).
-    freeze_phase = [&](std::size_t lane, std::size_t b, std::size_t e) {
-      std::uint32_t newly = 0;
-      for (std::size_t u = b; u < e; ++u) {
-        const std::uint32_t i = sol_unfrozen_[u];
-        if (sol_frozen_[i]) continue;
-        bool freeze =
-            std::isfinite(sol_cap_[i]) && sol_rate_[i] >= sol_cap_[i] - kMinRate;
-        if (!freeze) {
-          for (std::uint32_t p = sol_path_off_[i]; p < sol_path_off_[i + 1]; ++p) {
-            if (link_remaining_[sol_path_[p]] <= kMinRate) {
-              freeze = true;
-              break;
-            }
-          }
-        }
-        if (freeze) {
-          sol_frozen_[i] = 1;
-          ++newly;
-          for (std::uint32_t p = sol_path_off_[i]; p < sol_path_off_[i + 1]; ++p) {
-            std::atomic_ref<std::int32_t>(link_unfrozen_[sol_path_[p]])
-                .fetch_sub(1, std::memory_order_relaxed);
-          }
-        }
-      }
-      lane_newly_[lane] = newly;
-    };
+  link_flow_off_.resize(n_links + 1);
+  std::uint32_t total = 0;
+  for (std::size_t d = 0; d < n_links; ++d) {
+    total += static_cast<std::uint32_t>(link_unfrozen_[d]);
+    link_flow_off_[d] = total;
+  }
+  link_flow_off_[n_links] = total;
+  link_flows_.resize(total);
+  for (std::size_t i = n_flows; i-- > 0;) {
+    if (sol_frozen_[i]) continue;
+    for (std::uint32_t p = sol_path_off_[i]; p < sol_path_off_[i + 1]; ++p) {
+      link_flows_[--link_flow_off_[sol_path_[p]]] =
+          static_cast<std::uint32_t>(i);
+    }
   }
 
-  std::size_t active = sol_unfrozen_.size();
-  std::size_t guard = 2 * (sol_unfrozen_.size() + n_links) + 8;
+  std::sort(sol_capped_.begin(), sol_capped_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return sol_cap_[a] < sol_cap_[b] ||
+                     (sol_cap_[a] == sol_cap_[b] && a < b);
+            });
+  // Min-heap order on (share, dense link index).
+  const auto later = [](const ShareEntry& a, const ShareEntry& b) {
+    return a.share > b.share || (a.share == b.share && a.link > b.link);
+  };
+  link_version_.assign(n_links, 0);
+  share_heap_.clear();
+  for (std::uint32_t d = 0; d < n_links; ++d) {
+    const std::int32_t n = link_unfrozen_[d];
+    if (n > 0) {
+      share_heap_.push_back(
+          {link_remaining_[d] / static_cast<double>(n), d, 0});
+    }
+  }
+  std::make_heap(share_heap_.begin(), share_heap_.end(), later);
+
+  const auto freeze = [&](std::uint32_t i, double rate) {
+    sol_rate_[i] = rate;
+    sol_frozen_[i] = 1;
+    --active;
+    for (std::uint32_t p = sol_path_off_[i]; p < sol_path_off_[i + 1]; ++p) {
+      const std::uint32_t d = sol_path_[p];
+      link_remaining_[d] -= rate;
+      --link_unfrozen_[d];
+      // The version doubles as the touched-this-step mark: odd until the
+      // link's new share is pushed below.
+      if ((link_version_[d] & 1u) == 0) {
+        ++link_version_[d];
+        touched_.push_back(d);
+      }
+    }
+  };
+
+  double level = 0.0;
+  std::size_t next_cap = 0;
   [[maybe_unused]] std::uint64_t iterations = 0;
-  while (active > 0 && guard-- > 0) {
+  while (active > 0) {
     ODR_OBS(++iterations;)
-    inc = std::numeric_limits<double>::infinity();
-    if (pool != nullptr) {
-      std::fill(lane_min_.begin(), lane_min_.end(),
-                std::numeric_limits<double>::infinity());
-      pool->parallel_for(n_links + sol_unfrozen_.size(), min_phase);
-      for (double m : lane_min_) inc = std::min(inc, m);
+    while (next_cap < sol_capped_.size() &&
+           sol_frozen_[sol_capped_[next_cap]]) {
+      ++next_cap;
+    }
+    while (!share_heap_.empty()) {
+      const ShareEntry& top = share_heap_.front();
+      if (top.version == link_version_[top.link] &&
+          link_unfrozen_[top.link] > 0) {
+        break;
+      }
+      std::pop_heap(share_heap_.begin(), share_heap_.end(), later);
+      share_heap_.pop_back();
+    }
+    const double share = share_heap_.empty()
+                             ? std::numeric_limits<double>::infinity()
+                             : share_heap_.front().share;
+    if (next_cap < sol_capped_.size() &&
+        sol_cap_[sol_capped_[next_cap]] <= share) {
+      const std::uint32_t i = sol_capped_[next_cap++];
+      level = std::max(level, sol_cap_[i]);
+      freeze(i, sol_cap_[i]);
     } else {
-      for (std::size_t d = 0; d < n_links; ++d) {
-        const std::int32_t n = link_unfrozen_[d];
-        if (n == 0) continue;
-        inc = std::min(inc, link_remaining_[d] / static_cast<double>(n));
-      }
-      for (std::uint32_t i : sol_unfrozen_) {
-        if (sol_frozen_[i]) continue;
-        if (std::isfinite(sol_cap_[i])) {
-          inc = std::min(inc, sol_cap_[i] - sol_rate_[i]);
-        }
-      }
-    }
-    if (!std::isfinite(inc)) inc = 1e15;  // unconstrained flows: clamp
-    inc = std::max(inc, 0.0);
-
-    if (pool != nullptr) {
-      pool->parallel_for(n_links + sol_unfrozen_.size(), update_phase);
-    } else {
-      for (std::size_t d = 0; d < n_links; ++d) {
-        const std::int32_t k = link_unfrozen_[d];
-        if (k <= 0) continue;
-        // k subtractions of one value: bit-identical to the historical
-        // flow-major update, whichever flow they were attributed to.
-        double r = link_remaining_[d];
-        for (std::int32_t j = 0; j < k; ++j) r -= inc;
-        link_remaining_[d] = r;
-      }
-      for (std::uint32_t i : sol_unfrozen_) {
-        if (!sol_frozen_[i]) sol_rate_[i] += inc;
+      assert(!share_heap_.empty() && "unfrozen flows must cross a live link");
+      const std::uint32_t d = share_heap_.front().link;
+      std::pop_heap(share_heap_.begin(), share_heap_.end(), later);
+      share_heap_.pop_back();
+      // Rounding can leave a share a hair below the current level; levels
+      // never fall (every rate is >= 0). Only infinite-capacity links
+      // offer an infinite share: clamp it like an unlimited pathless flow.
+      level = std::max(level, std::isfinite(share) ? share : kUnboundedRate);
+      for (std::uint32_t k = link_flow_off_[d]; k < link_flow_off_[d + 1];
+           ++k) {
+        if (!sol_frozen_[link_flows_[k]]) freeze(link_flows_[k], level);
       }
     }
-
-    std::size_t newly_frozen = 0;
-    if (pool != nullptr) {
-      std::fill(lane_newly_.begin(), lane_newly_.end(), 0u);
-      pool->parallel_for(sol_unfrozen_.size(), freeze_phase);
-      for (std::uint32_t c : lane_newly_) newly_frozen += c;
-    } else {
-      for (std::uint32_t i : sol_unfrozen_) {
-        if (sol_frozen_[i]) continue;
-        bool freeze =
-            std::isfinite(sol_cap_[i]) && sol_rate_[i] >= sol_cap_[i] - kMinRate;
-        if (!freeze) {
-          for (std::uint32_t p = sol_path_off_[i]; p < sol_path_off_[i + 1]; ++p) {
-            if (link_remaining_[sol_path_[p]] <= kMinRate) {
-              freeze = true;
-              break;
-            }
-          }
-        }
-        if (freeze) {
-          sol_frozen_[i] = 1;
-          ++newly_frozen;
-          for (std::uint32_t p = sol_path_off_[i]; p < sol_path_off_[i + 1]; ++p) {
-            --link_unfrozen_[sol_path_[p]];
-          }
-        }
+    for (std::uint32_t d : touched_) {
+      const std::uint32_t version = ++link_version_[d];
+      const std::int32_t n = link_unfrozen_[d];
+      if (n > 0) {
+        share_heap_.push_back(
+            {link_remaining_[d] / static_cast<double>(n), d, version});
+        std::push_heap(share_heap_.begin(), share_heap_.end(), later);
       }
     }
-    active -= newly_frozen;
-    if (newly_frozen == 0) break;  // numerical guard; allocation converged
-    // Frozen flows contribute nothing to later rounds; drop them (stable,
-    // so the ascending-id iteration order is preserved) to keep long
-    // freeze chains O(still-active) per round.
-    if (newly_frozen * 2 > sol_unfrozen_.size()) {
-      sol_unfrozen_.erase(
-          std::remove_if(sol_unfrozen_.begin(), sol_unfrozen_.end(),
-                         [this](std::uint32_t i) { return sol_frozen_[i] != 0; }),
-          sol_unfrozen_.end());
-    }
+    touched_.clear();
   }
 
   for (std::size_t i = 0; i < n_flows; ++i) {
@@ -639,13 +581,13 @@ void Network::reallocate_flows(std::vector<std::uint32_t>& component) {
 
 void Network::schedule_completion(FlowId id, FlowState& f) {
   if (f.completion_event != sim::kInvalidEvent) {
-    // Epsilon cutoff (opt-in, see set_rate_epsilon): keep the pending
-    // completion when the rate barely moved. With the default eps of 0 this
-    // branch never fires and behavior is exact.
-    if (rate_epsilon_ > 0.0 && f.rate > kMinRate && f.sched_rate > kMinRate) {
-      const double rel = std::abs(f.rate - f.sched_rate) / f.sched_rate;
-      if (rel <= rate_epsilon_) return;
+    // Bytes accrue linearly at an unchanged rate, so the pending event
+    // already fires at the exact completion time.
+    if (f.rate == f.sched_rate) {
+      ODR_COUNT("net.completions.kept");
+      return;
     }
+    ODR_COUNT("net.completions.rescheduled");
     sim_.cancel(f.completion_event);
     f.completion_event = sim::kInvalidEvent;
   }

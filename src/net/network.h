@@ -4,10 +4,10 @@
 // and a set of flows, each following a path (a list of links) and carrying
 // a known number of bytes, optionally with a per-flow rate cap (e.g. an
 // application throttle or a degraded cross-ISP path). Whenever the flow
-// set or any capacity changes, rates are recomputed with the classic
-// progressive-filling algorithm, which yields the max-min fair allocation.
-// Flow completions are scheduled on the odr::sim::Simulator from the
-// allocated rates and rescheduled on every reallocation.
+// set or any capacity changes, rates are recomputed by bottleneck-ordered
+// water-filling, which yields the max-min fair allocation. Flow completions
+// are scheduled on the odr::sim::Simulator from the allocated rates; a solve
+// reschedules only the completions of flows whose rate actually changed.
 //
 // This level of abstraction — rates, not packets — reproduces every
 // bandwidth phenomenon the paper analyses (who is bottlenecked where, link
@@ -19,19 +19,15 @@
 // intrusive doubly-linked adjacency list of pooled nodes (append keeps
 // ascending flow id, detach is O(path) instead of O(flows-on-link)), so
 // completion-heavy steady state never scans a cluster link's whole
-// membership. The solver inner loop runs over per-solve SoA arrays —
-// rates, caps, frozen flags, CSR paths with component-local dense link
-// indices — so every progressive-filling round is a cache-linear sweep
-// with no pointer chasing into the flow slab. The sweeps can optionally
-// fan out over a run::WorkPool (set_parallel_solver); every parallel
-// phase is exact (min-reductions, disjoint writes, identical-value
-// subtraction counts, integer decrements), so allocations are
-// bit-identical to the sequential solver at any lane count. Link
-// connectivity is tracked by an incremental union-find with member rings;
-// removals can split components, which invalidates it and the exact
-// epoch-stamped BFS takes over until the amortized rebuild (see
-// kDsuRebuildAfter). Every path yields the exact same component set, so
-// allocations are bit-identical to the original implementation's.
+// membership. The solver runs over per-solve SoA arrays — rates, caps,
+// frozen flags, CSR flow→link paths and link→flow buckets with
+// component-local dense link indices, a cap order and a fair-share heap —
+// with no pointer chasing into the flow slab and no allocation once the
+// arrays have grown. Link connectivity is tracked by an incremental
+// union-find with member rings; removals can split components, which
+// invalidates it and the exact epoch-stamped BFS takes over until the
+// amortized rebuild (see kDsuRebuildAfter). Every path yields the exact
+// same component set.
 #pragma once
 
 #include <cstdint>
@@ -51,10 +47,6 @@ namespace odr::snapshot {
 class SnapshotWriter;
 class SnapshotReader;
 }  // namespace odr::snapshot
-
-namespace odr::run {
-class WorkPool;
-}  // namespace odr::run
 
 namespace odr::net {
 
@@ -76,7 +68,7 @@ struct FlowStats {
 using FlowCallback = std::function<void(FlowId)>;
 
 // Bandwidth allocation model (ablation knob; see DESIGN.md §5.1).
-//   kMaxMinFair  — progressive filling: unused share from capped flows is
+//   kMaxMinFair  — water-filling: unused share from capped flows is
 //                  redistributed to unconstrained ones (TCP-like).
 //   kEqualSplit  — naive: every flow on a link gets capacity/n, then its
 //                  own cap; share unclaimed by capped flows is WASTED.
@@ -140,24 +132,6 @@ class Network {
   FlowStats flow_stats(FlowId id);
 
   std::size_t active_flow_count() const { return live_flows_; }
-
-  // Completion-rescheduling cutoff: when > 0, a solve that changes a
-  // flow's rate by less than `eps` (relative) keeps the already-scheduled
-  // completion event instead of cancelling and rescheduling it. This is an
-  // APPROXIMATION — completion times can drift by up to eps relative to
-  // the exact schedule — so it defaults to 0 (exact, bit-identical to the
-  // historical engine). Large-scale replays enable it to shed the
-  // dominant cancel/reschedule churn; see bench/perf_scale.cpp.
-  void set_rate_epsilon(double eps) { rate_epsilon_ = eps; }
-  double rate_epsilon() const { return rate_epsilon_; }
-
-  // Fans the solver's per-round sweeps (min-reduction, rate/headroom
-  // update, freeze scan) across `pool` once a component has at least
-  // `min_flows` unfrozen members. Every phase is exact — allocations are
-  // bit-identical to the sequential solver at any lane count (see the
-  // file header and DESIGN.md §16) — so this changes wall-clock only.
-  // Pass nullptr to restore the sequential solver (the default).
-  void set_parallel_solver(run::WorkPool* pool, std::size_t min_flows = 4096);
 
   // Recomputes the max-min fair allocation immediately. Normally invoked
   // internally; exposed for tests.
@@ -254,8 +228,9 @@ class Network {
     Rate rate = 0.0;
     Rate rate_cap = kUnlimitedRate;
     Rate peak_rate = 0.0;
-    // Rate the pending completion event was computed from (the epsilon
-    // cutoff compares against it). Meaningful only while one is pending.
+    // Rate the pending completion event was computed from; a solve that
+    // leaves the rate bitwise unchanged keeps the event. Meaningful only
+    // while one is pending.
     Rate sched_rate = 0.0;
     SimTime started_at = 0;
     SimTime last_settled = 0;
@@ -270,10 +245,10 @@ class Network {
   void attach_to_links(std::uint32_t slot, FlowState& f);
 
   void settle(FlowState& f);
-  // Progressive filling over `component` (slab slots, any order; sorted by
-  // flow id internally). REQUIRES the set to be link-closed: every flow on
-  // every link touched by a member is itself a member (components are, by
-  // construction). Reschedules completions.
+  // Water-filling over `component` (slab slots, any order; sorted by flow
+  // id internally). REQUIRES the set to be link-closed: every flow on every
+  // link touched by a member is itself a member (components are, by
+  // construction). Reschedules the completions whose rate changed.
   void reallocate_flows(std::vector<std::uint32_t>& component);
   // Collects the exact component of `seed_links` into component_scratch_
   // (union-find fast path when clean, epoch-stamped BFS otherwise).
@@ -316,20 +291,32 @@ class Network {
   std::vector<LinkId> bfs_queue_;
   std::vector<LinkId> path_scratch_;  // detached flow's path during removal
 
-  // Per-solve SoA scratch, reused across solves (DESIGN.md §16). Flow-side
-  // arrays are indexed by the flow's position in the id-sorted component;
-  // link-side arrays by the component-local dense link index.
+  // One fair-share heap entry: link `link` (dense index) offered `share`
+  // per unfrozen flow when pushed; stale once `version` falls behind the
+  // link's (lazy deletion).
+  struct ShareEntry {
+    double share;
+    std::uint32_t link;
+    std::uint32_t version;
+  };
+
+  // Per-solve SoA scratch, reused across solves (DESIGN.md §11, §16).
+  // Flow-side arrays are indexed by the flow's position in the id-sorted
+  // component; link-side arrays by the component-local dense link index.
   std::vector<double> sol_cap_;            // rate_cap per component flow
-  std::vector<double> sol_rate_;           // progressive-filling rate
+  std::vector<double> sol_rate_;           // water-filling rate
   std::vector<std::uint8_t> sol_frozen_;
   std::vector<std::uint32_t> sol_path_off_;  // CSR offsets (n + 1)
   std::vector<std::uint32_t> sol_path_;      // dense link indices
-  std::vector<std::uint32_t> sol_unfrozen_;  // component flow indices
+  std::vector<std::uint32_t> sol_capped_;    // finite caps by (cap, index)
   std::vector<LinkId> sol_link_ids_;         // dense link -> global LinkId
   std::vector<double> link_remaining_;       // dense link: capacity left
   std::vector<std::int32_t> link_unfrozen_;  // dense link: unfrozen flows
-  std::vector<double> lane_min_;             // parallel min-reduction scratch
-  std::vector<std::uint32_t> lane_newly_;    // parallel freeze counts
+  std::vector<std::uint32_t> link_flow_off_;  // CSR link -> flow offsets
+  std::vector<std::uint32_t> link_flows_;     // component flow indices
+  std::vector<std::uint32_t> link_version_;   // dense link: heap stamp
+  std::vector<std::uint32_t> touched_;        // dense links changed this step
+  std::vector<ShareEntry> share_heap_;
 
   // Link union-find with circular member rings.
   std::vector<std::uint32_t> dsu_parent_;
@@ -342,9 +329,6 @@ class Network {
   std::set<FlowId> awaiting_callback_;
   FlowId next_flow_id_ = 1;
   AllocationModel model_ = AllocationModel::kMaxMinFair;
-  double rate_epsilon_ = 0.0;
-  run::WorkPool* solver_pool_ = nullptr;
-  std::size_t solver_min_flows_ = 4096;
 };
 
 }  // namespace odr::net

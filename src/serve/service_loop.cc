@@ -40,8 +40,6 @@ ServiceLoop::ServiceLoop(const ServeConfig& config)
       net_(sim_),
       rng_(config.experiment.seed),
       slo_(config.slo) {
-  net_.set_rate_epsilon(config_.experiment.net_rate_epsilon);
-
   catalog_ = std::make_unique<workload::Catalog>(config_.experiment.catalog,
                                                  rng_);
 

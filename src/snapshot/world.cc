@@ -7,7 +7,6 @@
 
 #include "analysis/obs_wiring.h"
 #include "obs/observer.h"
-#include "run/parallel_runner.h"
 #include "snapshot/audit.h"
 #include "snapshot/format.h"
 #include "workload/file.h"
@@ -95,17 +94,6 @@ CloudWorld::CloudWorld(const analysis::ExperimentConfig& config,
 // regenerates the same immutable tables the checkpoint was taken over.
 void CloudWorld::build() {
   sim_.set_shard_count(config_.engine_shards);
-  net_.set_rate_epsilon(config_.net_rate_epsilon);
-  if (config_.solver_workers != 1 && !solver_pool_) {
-    const std::size_t lanes = config_.solver_workers == 0
-                                  ? run::default_worker_count()
-                                  : config_.solver_workers;
-    if (lanes > 1) solver_pool_.emplace(lanes);
-  }
-  if (solver_pool_) {
-    net_.set_parallel_solver(&*solver_pool_,
-                             config_.solver_parallel_min_flows);
-  }
   Rng rng(config_.seed);
   catalog_ = std::make_shared<workload::Catalog>(config_.catalog, rng);
   users_ = std::make_shared<workload::UserPopulation>(config_.users, rng);
@@ -283,7 +271,6 @@ std::uint64_t CloudWorld::config_fingerprint() const {
   mix(config_.cloud.predownloader_count);
   mix_f(config_.cloud.total_upload_capacity);
   mix(static_cast<std::uint64_t>(config_.warmup_weeks));
-  mix_f(config_.net_rate_epsilon);
   mix(config_.debug_burn_rng_at_event);
   mix(config_.fault_plan.faults.size());
   for (const fault::FaultSpec& s : config_.fault_plan.faults) {

@@ -30,7 +30,6 @@
 #include "cloud/xuanfeng.h"
 #include "fault/injector.h"
 #include "net/network.h"
-#include "run/work_pool.h"
 #include "sim/simulator.h"
 #include "snapshot/state_hash.h"
 #include "util/units.h"
@@ -133,9 +132,6 @@ class CloudWorld {
   WorldOptions options_;
 
   sim::Simulator sim_;
-  // Before net_: the network keeps a raw pointer to the pool, so the pool
-  // must be destroyed after it.
-  std::optional<run::WorkPool> solver_pool_;
   net::Network net_;
   std::shared_ptr<workload::Catalog> catalog_;
   std::shared_ptr<workload::UserPopulation> users_;

@@ -1,5 +1,7 @@
 #include "util/args.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -64,12 +66,41 @@ std::string ArgParser::get(const std::string& name) const {
   return it->second.value.value_or(it->second.default_value);
 }
 
-std::int64_t ArgParser::get_int(const std::string& name) const {
-  return std::strtoll(get(name).c_str(), nullptr, 10);
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const std::string& need) {
+  std::fprintf(stderr, "bad --%s value '%s': need %s\n", name.c_str(),
+               value.c_str(), need.c_str());
+  std::exit(1);
 }
 
-double ArgParser::get_double(const std::string& name) const {
-  return std::strtod(get(name).c_str(), nullptr);
+}  // namespace
+
+std::int64_t ArgParser::get_int(const std::string& name) const {
+  const std::string v = get(name);
+  char* end = nullptr;
+  errno = 0;
+  const long long x = std::strtoll(v.c_str(), &end, 10);
+  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE) {
+    bad_value(name, v, "an integer");
+  }
+  return x;
+}
+
+double ArgParser::get_double(const std::string& name, double min_value) const {
+  const std::string v = get(name);
+  char* end = nullptr;
+  errno = 0;
+  const double x = std::strtod(v.c_str(), &end);
+  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE ||
+      !std::isfinite(x) || !(x >= min_value)) {
+    std::ostringstream need;
+    need << "a finite number";
+    if (min_value > -DBL_MAX) need << " >= " << min_value;
+    bad_value(name, v, need.str());
+  }
+  return x;
 }
 
 bool ArgParser::get_bool(const std::string& name) const {

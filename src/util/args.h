@@ -4,6 +4,7 @@
 // Unknown flags are an error so typos in experiment sweeps fail loudly.
 #pragma once
 
+#include <cfloat>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -24,8 +25,13 @@ class ArgParser {
   bool parse(int argc, char** argv);
 
   std::string get(const std::string& name) const;
+  // Numeric getters parse the whole token and accept only finite values
+  // (for get_double, of at least `min_value`); anything else (empty,
+  // "abc", "40x", "nan", out of range) prints the flag and its value and
+  // exits with status 1.
   std::int64_t get_int(const std::string& name) const;
-  double get_double(const std::string& name) const;
+  double get_double(const std::string& name,
+                    double min_value = -DBL_MAX) const;
   bool get_bool(const std::string& name) const;
 
   std::string usage() const;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <ostream>
 
 #include "ap/ap_models.h"
 #include "ap/smart_ap.h"
@@ -44,6 +45,12 @@ struct IowaitCase {
   double rate_mbps;    // achieved pre-download rate
   double iowait;       // Table 2 measurement
 };
+
+// Names each case after its Table 2 row; without it gtest names the case by
+// the struct's raw bytes, padding included, which differ from build to build.
+void PrintTo(const IowaitCase& c, std::ostream* os) {
+  *os << device_name(c.device) << " on " << filesystem_name(c.fs);
+}
 
 class IowaitTest : public ::testing::TestWithParam<IowaitCase> {};
 

@@ -79,8 +79,8 @@ TEST(DeterminismTest, SeverePlanWithHashingMatchesGoldenFingerprint) {
 TEST(DeterminismTest, SeverePlanKillAndResumeMatchesGoldenFingerprint) {
   // The same golden value must survive a mid-week kill + restore: the
   // checkpoint subsystem serializes the solver's flow state (including the
-  // scheduled-rate field behind the epsilon cutoff), so a resumed world
-  // replays the identical event stream.
+  // scheduled-rate field that decides whether a solve keeps a pending
+  // completion), so a resumed world replays the identical event stream.
   const auto cfg = chaos_config(3);
   snapshot::WorldOptions options;  // no file writes, default ticks
 

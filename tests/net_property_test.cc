@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "net/network.h"
+#include "progressive_filling.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -203,6 +205,182 @@ TEST_P(IncrementalSolverTest, MatchesFromScratchReallocation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSolverTest,
                          ::testing::Values(21u, 34u, 55u, 89u));
+
+// Random one-shot topologies for the oracle tests. They deliberately hit
+// every branch of the solver: zero-capacity and sub-kMinRate links, caps
+// at or below kMinRate, infinite caps, pathless flows, 1-3 hop paths that
+// may cross a link twice, and exact ties between caps and link shares
+// (values drawn from a small set).
+using reference::kMinRate;
+
+struct RandomTopology {
+  std::vector<double> capacity;
+  std::vector<reference::RefFlow> flows;
+};
+
+RandomTopology random_topology(Rng& rng, bool infinite_links) {
+  static constexpr double kTies[] = {100.0, 250.0, 500.0, 1000.0};
+  RandomTopology t;
+  const std::size_t n_links = 2 + rng.uniform_index(8);
+  for (std::size_t l = 0; l < n_links; ++l) {
+    const double kind = rng.uniform();
+    if (kind < 0.08) {
+      t.capacity.push_back(0.0);
+    } else if (kind < 0.12) {
+      t.capacity.push_back(0.5 * kMinRate);
+    } else if (kind < 0.4) {
+      t.capacity.push_back(kTies[rng.uniform_index(4)]);
+    } else if (infinite_links && kind < 0.5) {
+      t.capacity.push_back(kUnlimitedRate);
+    } else {
+      t.capacity.push_back(rng.uniform(50.0, 3000.0));
+    }
+  }
+  const std::size_t n_flows = 1 + rng.uniform_index(40);
+  for (std::size_t i = 0; i < n_flows; ++i) {
+    reference::RefFlow f;
+    if (!rng.bernoulli(0.1)) {
+      const std::size_t hops = 1 + rng.uniform_index(3);
+      for (std::size_t h = 0; h < hops; ++h) {
+        f.path.push_back(
+            static_cast<std::uint32_t>(rng.uniform_index(n_links)));
+      }
+    }
+    const double kind = rng.uniform();
+    if (kind < 0.25) {
+      f.cap = kUnlimitedRate;
+    } else if (kind < 0.3) {
+      f.cap = 0.0;
+    } else if (kind < 0.35) {
+      f.cap = kMinRate * rng.uniform(0.1, 1.0);
+    } else if (kind < 0.6) {
+      f.cap = kTies[rng.uniform_index(4)] /
+              static_cast<double>(1 + rng.uniform_index(4));
+    } else {
+      f.cap = rng.uniform(10.0, 3000.0);
+    }
+    t.flows.push_back(std::move(f));
+  }
+  return t;
+}
+
+// Solves `t` in a fresh network with one batched admission (one solve)
+// and returns each flow's rate.
+std::vector<double> network_rates(const RandomTopology& t, Network& net) {
+  std::vector<LinkId> links;
+  for (std::size_t l = 0; l < t.capacity.size(); ++l) {
+    links.push_back(net.add_link("l" + std::to_string(l), t.capacity[l]));
+  }
+  std::vector<Network::FlowSpec> specs;
+  for (const reference::RefFlow& f : t.flows) {
+    Network::FlowSpec spec;
+    for (std::uint32_t l : f.path) spec.path.push_back(links[l]);
+    spec.bytes = 1ull << 40;
+    spec.rate_cap = f.cap;
+    specs.push_back(std::move(spec));
+  }
+  std::vector<double> rates;
+  for (FlowId id : net.start_flows(std::move(specs))) {
+    rates.push_back(net.flow_stats(id).current_rate);
+  }
+  return rates;
+}
+
+// Utilization per link (a flow crossing a link twice counts twice).
+std::vector<double> link_load(const RandomTopology& t,
+                              const std::vector<double>& rates) {
+  std::vector<double> load(t.capacity.size(), 0.0);
+  for (std::size_t i = 0; i < t.flows.size(); ++i) {
+    for (std::uint32_t l : t.flows[i].path) load[l] += rates[i];
+  }
+  return load;
+}
+
+// Saturated: crossed by at least one flow and out of headroom. The slack
+// absorbs the oracle's kMinRate freeze thresholds.
+std::vector<bool> saturated_links(const RandomTopology& t,
+                                  const std::vector<double>& rates) {
+  const std::vector<double> load = link_load(t, rates);
+  std::vector<bool> crossed(t.capacity.size(), false);
+  for (const reference::RefFlow& f : t.flows) {
+    for (std::uint32_t l : f.path) crossed[l] = true;
+  }
+  std::vector<bool> out(t.capacity.size(), false);
+  for (std::size_t l = 0; l < t.capacity.size(); ++l) {
+    const double slack = 1e-9 * t.capacity[l] + 1e-5;
+    out[l] = crossed[l] && std::isfinite(t.capacity[l]) &&
+             t.capacity[l] - load[l] <= slack;
+  }
+  return out;
+}
+
+// Water-filling must reproduce the progressive-filling oracle's max-min
+// allocation on every random topology: each rate within max(1e-9 x rate,
+// kMinRate), and the same set of saturated links.
+class WaterFillingOracleTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WaterFillingOracleTest, MatchesProgressiveFilling) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 200; ++trial) {
+    const RandomTopology t = random_topology(rng, /*infinite_links=*/false);
+    sim::Simulator sim;
+    Network net(sim);
+    const std::vector<double> got = network_rates(t, net);
+    const std::vector<double> want =
+        reference::progressive_filling(t.capacity, t.flows);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_NEAR(got[i], want[i], std::max(1e-9 * want[i], kMinRate))
+          << "trial " << trial << " flow " << i;
+    }
+    EXPECT_EQ(saturated_links(t, got), saturated_links(t, want))
+        << "trial " << trial;
+    const std::vector<double> load = link_load(t, got);
+    for (std::size_t l = 0; l < t.capacity.size(); ++l) {
+      EXPECT_NEAR(net.link_utilization(static_cast<LinkId>(l)), load[l],
+                  1e-9 * std::max(1.0, load[l]));
+    }
+  }
+}
+
+// Every solve returns with every flow frozen: each flow that can move
+// (it has a path and a cap above kMinRate) sits at its cap, at the
+// unbounded-rate clamp, or on a saturated link where no flow is faster —
+// its bottleneck. Infinite-capacity links are included: they are where
+// the round loop used to stop with flows still unfrozen.
+TEST_P(WaterFillingOracleTest, NoFlowLeftUnfrozen) {
+  Rng rng(GetParam() ^ 0x5eedull);
+  for (int trial = 0; trial < 200; ++trial) {
+    const RandomTopology t = random_topology(rng, /*infinite_links=*/true);
+    sim::Simulator sim;
+    Network net(sim);
+    const std::vector<double> rates = network_rates(t, net);
+    const std::vector<double> load = link_load(t, rates);
+    std::vector<double> fastest(t.capacity.size(), 0.0);
+    for (std::size_t i = 0; i < t.flows.size(); ++i) {
+      for (std::uint32_t l : t.flows[i].path) {
+        fastest[l] = std::max(fastest[l], rates[i]);
+      }
+    }
+    for (std::size_t i = 0; i < t.flows.size(); ++i) {
+      const reference::RefFlow& f = t.flows[i];
+      if (f.path.empty() || f.cap <= kMinRate) continue;
+      const double tol = std::max(1e-9 * rates[i], kMinRate);
+      bool frozen = rates[i] >= f.cap - tol || rates[i] >= 1e15 - 1.0;
+      for (std::uint32_t l : f.path) {
+        const bool saturated =
+            t.capacity[l] - load[l] <= 1e-9 * t.capacity[l] + 1e-5;
+        frozen = frozen || (saturated && rates[i] >= fastest[l] - tol);
+      }
+      EXPECT_TRUE(frozen) << "trial " << trial << " flow " << i << " rate "
+                          << rates[i];
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WaterFillingOracleTest,
+                         ::testing::Values(3u, 17u, 2015u, 1028u));
 
 TEST(NetworkAccountingTest, BytesDeliveredMatchElapsedRates) {
   // A flow re-capped several times must deliver exactly its size, with

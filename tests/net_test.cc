@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/observer.h"
 #include "sim/simulator.h"
 
 namespace odr::net {
@@ -183,6 +184,49 @@ TEST_F(NetworkTest, ManyFlowsFairShareScales) {
   for (FlowId f : flows) {
     EXPECT_NEAR(net.flow_stats(f).current_rate, 10.0, 1e-6);
   }
+}
+
+// A solve keeps every pending completion whose rate did not change: one
+// re-cap inside a 50-flow component with spare capacity moves one flow's
+// rate, so exactly one completion is rescheduled (one cancel tombstone
+// plus one insert grows the queue by one entry, not 50).
+TEST_F(NetworkTest, SetFlowCapReschedulesOnlyTheChangedFlow) {
+  obs::ScopedObserver obs;
+  const LinkId link = net.add_link("l", 1e9);
+  std::vector<FlowId> flows;
+  for (int i = 0; i < 50; ++i) {
+    flows.push_back(net.start_flow({{link}, 1 << 20, 100.0, nullptr}));
+  }
+  ASSERT_EQ(sim.pending_count(), 50u);
+  const std::size_t heap_before = sim.heap_size();
+#if ODR_OBS_ENABLED
+  const std::uint64_t kept_before =
+      obs->metrics().counter("net.completions.kept").value();
+  const std::uint64_t moved_before =
+      obs->metrics().counter("net.completions.rescheduled").value();
+#endif
+
+  net.set_flow_cap(flows[17], 200.0);
+
+  EXPECT_EQ(sim.pending_count(), 50u);
+  EXPECT_EQ(sim.heap_size(), heap_before + 1);
+#if ODR_OBS_ENABLED
+  obs::Registry& m = obs->metrics();
+  EXPECT_EQ(m.counter("net.completions.kept").value() - kept_before, 49u);
+  EXPECT_EQ(m.counter("net.completions.rescheduled").value() - moved_before,
+            1u);
+#endif
+  // Re-capping to the same rate moves nothing; the re-capped flow still
+  // finishes at its new rate and the kept ones at their original times.
+  net.set_flow_cap(flows[0], 100.0);
+  EXPECT_EQ(sim.heap_size(), heap_before + 1);
+  sim.run_until(from_seconds(5243.0));  // (1 << 20) / 200 B/s = 5242.88 s
+  EXPECT_FALSE(net.flow_active(flows[17]));
+  EXPECT_EQ(net.active_flow_count(), 49u);
+  sim.run_until(from_seconds(10485.75));  // (1 << 20) / 100 B/s = 10485.76 s
+  EXPECT_EQ(net.active_flow_count(), 49u);
+  sim.run_until(from_seconds(10485.77));
+  EXPECT_EQ(net.active_flow_count(), 0u);
 }
 
 TEST(AllocationModelTest, EqualSplitWastesUnclaimedShare) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +15,13 @@ struct Rfc1321Case {
   std::string input;
   std::string digest;
 };
+
+// Names each case after its input length (unique across the suite); without
+// it gtest names the case by the struct's raw bytes, heap pointers included,
+// which differ from run to run.
+void PrintTo(const Rfc1321Case& c, std::ostream* os) {
+  *os << c.input.size() << "-byte input";
+}
 
 class Md5Rfc1321Test : public ::testing::TestWithParam<Rfc1321Case> {};
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "util/args.h"
 #include "util/csv.h"
@@ -165,6 +166,42 @@ TEST(ArgParserTest, UnknownFlagRejected) {
   args.flag("known", "1", "known");
   const char* argv[] = {"prog", "--unknown=5"};
   EXPECT_FALSE(args.parse(2, const_cast<char**>(argv)));
+}
+
+// Numeric getters take the whole token, finite values only, and exit 1
+// naming the flag and value instead of handing back a silent 0.
+TEST(ArgParserTest, MalformedNumbersExitWithMessage) {
+  for (const char* value :
+       {"abc", "", "40x", "nan", "inf", "1e999", "-5", "0"}) {
+    ArgParser args("test");
+    args.flag("divisor", "100", "scale");
+    const std::string flag = std::string("--divisor=") + value;
+    const char* argv[] = {"prog", flag.c_str()};
+    ASSERT_TRUE(args.parse(2, const_cast<char**>(argv)));
+    EXPECT_EXIT(args.get_double("divisor", 1.0), ::testing::ExitedWithCode(1),
+                "bad --divisor value")
+        << value;
+  }
+  for (const char* value : {"abc", "", "12x", "1.5", "99999999999999999999"}) {
+    ArgParser args("test");
+    args.flag("seed", "1", "seed");
+    const std::string flag = std::string("--seed=") + value;
+    const char* argv[] = {"prog", flag.c_str()};
+    ASSERT_TRUE(args.parse(2, const_cast<char**>(argv)));
+    EXPECT_EXIT(args.get_int("seed"), ::testing::ExitedWithCode(1),
+                "bad --seed value")
+        << value;
+  }
+}
+
+TEST(ArgParserTest, WellFormedNumbersParse) {
+  ArgParser args("test");
+  args.flag("divisor", "100", "scale");
+  args.flag("seed", "1", "seed");
+  const char* argv[] = {"prog", "--divisor=2.5e1", "--seed", "-7"};
+  ASSERT_TRUE(args.parse(4, const_cast<char**>(argv)));
+  EXPECT_DOUBLE_EQ(args.get_double("divisor", 1.0), 25.0);
+  EXPECT_EQ(args.get_int("seed"), -7);
 }
 
 }  // namespace
