@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   for (const auto& v : variants) {
     analysis::StrategyReplayConfig cfg;
     cfg.experiment = analysis::make_scaled_config(
-        args.get_double("divisor", 1.0),
+        args.get_double("divisor", 1.0, analysis::kMaxDivisor),
         static_cast<std::uint64_t>(args.get_int("seed")));
     cfg.strategy = v.strategy;
     cfg.redirector = v.params;

@@ -26,6 +26,7 @@
 #include "proto/protocol.h"
 #include "run/parallel_runner.h"
 #include "serve/service_loop.h"
+#include "snapshot/world.h"
 #include "util/args.h"
 #include "util/json.h"
 #include "util/table.h"
@@ -318,7 +319,7 @@ int main(int argc, char** argv) {
   args.flag("json", "BENCH_chaos_week.json", "output JSON (empty to skip)");
   if (!args.parse(argc, argv)) return 1;
 
-  const double divisor = args.get_double("divisor", 1.0);
+  const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
   // Bench-wide metrics registry, snapshotted into the JSON output. Fault

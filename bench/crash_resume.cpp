@@ -254,7 +254,7 @@ int main(int argc, char** argv) {
   args.flag("json", "BENCH_crash_resume.json", "output JSON (empty to skip)");
   if (!args.parse(argc, argv)) return 1;
 
-  const double divisor = args.get_double("divisor", 1.0);
+  const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   const int kills = static_cast<int>(args.get_int("kills"));
   const SimTime period = args.get_int("period-hours") * kHour;

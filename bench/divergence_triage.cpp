@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
             "output JSON (empty to skip)");
   if (!args.parse(argc, argv)) return 1;
 
-  const double divisor = args.get_double("divisor", 1.0);
+  const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   const double burn_frac = args.get_double("burn-frac");
   const auto hash_every = static_cast<std::uint64_t>(args.get_int("hash-every"));

@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   args.flag("seed", "20151028", "random seed");
   if (!args.parse(argc, argv)) return 1;
 
-  const double divisor = args.get_double("divisor", 1.0);
+  const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
   TextTable table({"mode", "cache hits", "pre-dl failures", "impeded",

@@ -8,6 +8,7 @@
 
 #include "analysis/replay.h"
 #include "cloud/prestage.h"
+#include "snapshot/world.h"
 #include "util/args.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -20,7 +21,7 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   const auto config = analysis::make_scaled_config(
-      args.get_double("divisor", 1.0),
+      args.get_double("divisor", 1.0, analysis::kMaxDivisor),
       static_cast<std::uint64_t>(args.get_int("seed")));
   const auto result = analysis::run_cloud_replay(config);
 
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
 
   TextTable table({"deferrable share", "patience", "peak before (Gbps)",
                    "peak after (Gbps)", "reduction"});
-  const double up = args.get_double("divisor", 1.0);
+  const double up = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
   for (const double share : {0.2, 0.5, 0.8}) {
     for (const SimTime patience : {4 * kHour, 12 * kHour}) {
       Rng rng(9);

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "analysis/replay.h"
 #include "analysis/report.h"
 #include "util/args.h"
 #include "util/fit.h"
@@ -25,11 +26,11 @@ int main(int argc, char** argv) {
   args.flag("seed", "20151028", "random seed");
   if (!args.parse(argc, argv)) return 1;
 
-  const double divisor = args.get_double("divisor", 1.0);
+  const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed")));
 
   workload::CatalogParams cp;
-  cp.num_files = static_cast<std::size_t>(563517 / divisor);
+  cp.num_files = static_cast<std::size_t>(analysis::kMeasuredFiles / divisor);
   cp.total_weekly_requests = 4084417 / divisor;
   const workload::Catalog catalog(cp, rng);
 

@@ -9,6 +9,7 @@
 #include "analysis/metrics.h"
 #include "analysis/replay.h"
 #include "analysis/report.h"
+#include "snapshot/world.h"
 #include "util/args.h"
 #include "util/table.h"
 
@@ -19,7 +20,7 @@ int main(int argc, char** argv) {
   args.flag("seed", "20151028", "random seed");
   if (!args.parse(argc, argv)) return 1;
 
-  const double divisor = args.get_double("divisor", 1.0);
+  const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
   const auto config = analysis::make_scaled_config(
       divisor, static_cast<std::uint64_t>(args.get_int("seed")));
   const auto result = analysis::run_cloud_replay(config);

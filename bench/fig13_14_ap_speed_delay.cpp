@@ -10,6 +10,7 @@
 #include "analysis/metrics.h"
 #include "analysis/replay.h"
 #include "analysis/report.h"
+#include "snapshot/world.h"
 #include "util/args.h"
 #include "util/table.h"
 
@@ -23,7 +24,7 @@ int main(int argc, char** argv) {
 
   analysis::ApReplayConfig config;
   config.experiment = analysis::make_scaled_config(
-      args.get_double("divisor", 1.0),
+      args.get_double("divisor", 1.0, analysis::kMaxDivisor),
       static_cast<std::uint64_t>(args.get_int("seed")));
   config.sample_size = static_cast<std::size_t>(args.get_int("sample"));
   const auto ap = analysis::run_ap_replay(config);

@@ -18,12 +18,12 @@ int main(int argc, char** argv) {
   args.flag("divisor", "200", "scale divisor vs the measured system");
   args.flag("seed", "20151028", "random seed");
   if (!args.parse(argc, argv)) return 1;
+  const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
 
   auto run = [&](core::Strategy strategy) {
     analysis::StrategyReplayConfig cfg;
     cfg.experiment = analysis::make_scaled_config(
-        args.get_double("divisor", 1.0),
-        static_cast<std::uint64_t>(args.get_int("seed")));
+        divisor, static_cast<std::uint64_t>(args.get_int("seed")));
     cfg.strategy = strategy;
     const auto result = analysis::run_strategy_replay(cfg);
     return analysis::strategy_metrics(
@@ -59,12 +59,10 @@ int main(int argc, char** argv) {
                    0) +
                    "% lower"},
               {"B2 peak burden: cloud -> ODR", "34 -> 22 Gbps (scaled)",
-               TextTable::num(rate_to_gbps(cloud.peak_cloud_burden) *
-                                  args.get_double("divisor", 1.0),
+               TextTable::num(rate_to_gbps(cloud.peak_cloud_burden) * divisor,
                               1) +
                    " -> " +
-                   TextTable::num(rate_to_gbps(odr.peak_cloud_burden) *
-                                      args.get_double("divisor", 1.0),
+                   TextTable::num(rate_to_gbps(odr.peak_cloud_burden) * divisor,
                                   1) +
                    " Gbps"},
               {"B2 rejected fetches: cloud -> ODR", "1.5% -> 0%",

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   auto run = [&](core::Strategy strategy) {
     analysis::StrategyReplayConfig cfg;
     cfg.experiment = analysis::make_scaled_config(
-        args.get_double("divisor", 1.0),
+        args.get_double("divisor", 1.0, analysis::kMaxDivisor),
         static_cast<std::uint64_t>(args.get_int("seed")));
     cfg.strategy = strategy;
     const auto result = analysis::run_strategy_replay(cfg);

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   args.flag("json", "BENCH_fig_cloning.json", "output JSON (empty to skip)");
   if (!args.parse(argc, argv)) return 1;
 
-  const double divisor = args.get_double("divisor", 1.0);
+  const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   const bool budget_on = args.get_int("budget") != 0;
 

@@ -251,9 +251,9 @@ int main(int argc, char** argv) {
   args.flag("json", "BENCH_obs_overhead.json", "output JSON (empty to skip)");
   if (!args.parse(argc, argv)) return 1;
 
-  const analysis::ExperimentConfig config =
-      analysis::make_scaled_config(args.get_double("divisor", 1.0),
-                                   static_cast<std::uint64_t>(args.get_int("seed")));
+  const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
+  const analysis::ExperimentConfig config = analysis::make_scaled_config(
+      divisor, static_cast<std::uint64_t>(args.get_int("seed")));
   const int reps = static_cast<int>(args.get_int("reps"));
 
   // One untimed warm-up per state (page cache, allocator arenas).
@@ -316,8 +316,7 @@ int main(int argc, char** argv) {
   // metrics-ts, sampler all off) allocates exactly as much as with no
   // observer at all.
   const std::uint64_t serve_off_allocs = serve_off_state_added_allocations(
-      args.get_double("divisor", 1.0),
-      static_cast<std::uint64_t>(args.get_int("seed")));
+      divisor, static_cast<std::uint64_t>(args.get_int("seed")));
   const bool serve_off_pass = serve_off_allocs == 0;
   const bool pass =
       time_pass && alloc_pass && flow_pass && hash_off_pass && serve_off_pass;
@@ -355,7 +354,7 @@ int main(int argc, char** argv) {
     JsonWriter j;
     j.begin_object()
         .field("bench", "obs_overhead")
-        .field("divisor", args.get_double("divisor", 1.0))
+        .field("divisor", divisor)
         .field("reps", static_cast<std::int64_t>(reps))
         .field("disabled_s", t_disabled)
         .field("enabled_s", t_enabled)

@@ -12,13 +12,9 @@
 // are honest. Higher worker counts fan the independent runs out over the
 // parallel runner — total wall time drops but per-run timings include
 // memory-bandwidth and scheduler contention, so the JSON flags the mode.
-//
-// Low divisors (the --full ladder extends to 10, and --divisors accepts 1
-// explicitly for the divisor-1 week) can partition the event queue per
-// user with --shards. Sharding is exact (see DESIGN.md §16 and
-// bench/shard_determinism), so the fingerprint column must not move.
+// The --full ladder extends to 10, and --divisors accepts 1 explicitly for
+// the divisor-1 week.
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -30,6 +26,7 @@
 #include "analysis/replay.h"
 #include "obs/observer.h"
 #include "run/parallel_runner.h"
+#include "snapshot/world.h"
 #include "util/args.h"
 #include "util/json.h"
 #include "util/table.h"
@@ -49,14 +46,14 @@ struct ScaleRun {
   }
 };
 
-ScaleRun run_week(double divisor, std::uint64_t seed, std::size_t shards) {
+ScaleRun run_week(double divisor, std::uint64_t seed) {
   obs::ObsConfig run_obs;
   run_obs.tracing = false;
   run_obs.dump_on_fault_fired = false;
   obs::ScopedObserver obs(run_obs);
 
-  analysis::ExperimentConfig config = analysis::make_scaled_config(divisor, seed);
-  config.engine_shards = shards;
+  const analysis::ExperimentConfig config =
+      analysis::make_scaled_config(divisor, seed);
 
   const auto t0 = std::chrono::steady_clock::now();
   const analysis::CloudReplayResult result = analysis::run_cloud_replay(config);
@@ -74,10 +71,11 @@ ScaleRun run_week(double divisor, std::uint64_t seed, std::size_t shards) {
   return r;
 }
 
-// Strict: every token must be a full, finite number >= 1 (the replay
-// scales the measured system DOWN; divisor 1 is full scale and anything
-// below — or empty, negative, zero, or trailing garbage like "40x" —
-// is a flag typo that previously produced a silent nonsense ladder).
+// Strict: every token must be a full number in [1, kMaxDivisor] (the
+// replay scales the measured system DOWN; divisor 1 is full scale and
+// anything below — or empty, negative, zero, trailing garbage like "40x",
+// or a divisor that leaves zero files — is a flag typo that previously
+// produced a silent nonsense ladder or a crash).
 std::vector<double> parse_divisors(const std::string& csv) {
   std::vector<double> out;
   std::size_t start = 0;
@@ -97,9 +95,10 @@ std::vector<double> parse_divisors(const std::string& csv) {
         throw std::invalid_argument("divisor '" + tok +
                                     "' has trailing characters");
       }
-      if (!(v >= 1.0) || !std::isfinite(v)) {
-        throw std::invalid_argument("divisor '" + tok +
-                                    "' out of range (need a finite value >= 1)");
+      if (!(v >= 1.0 && v <= analysis::kMaxDivisor)) {
+        throw std::invalid_argument(
+            "divisor '" + tok + "' out of range (need 1 <= divisor <= " +
+            std::to_string(analysis::kMeasuredFiles) + ")");
       }
       out.push_back(v);
     }
@@ -123,8 +122,6 @@ int main(int argc, char** argv) {
   args.flag("workers", "1",
             "worker threads ACROSS runs (1 = sequential, honest per-run "
             "timings; 0 = hardware concurrency)");
-  args.flag("shards", "1",
-            "event-engine shards INSIDE each run (exact at any value)");
   args.flag("json", "BENCH_perf_scale.json", "output JSON (empty to skip)");
   if (!args.parse(argc, argv)) return 1;
 
@@ -147,7 +144,6 @@ int main(int argc, char** argv) {
     }
   }
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const auto shards = static_cast<std::size_t>(args.get_int("shards"));
   run::ParallelOptions popts;
   popts.workers = static_cast<std::size_t>(args.get_int("workers"));
   const bool sequential = popts.workers == 1;
@@ -156,7 +152,7 @@ int main(int argc, char** argv) {
   // measurement excludes runner scheduling overhead.
   std::vector<std::function<ScaleRun()>> jobs;
   for (const double d : divisors) {
-    jobs.push_back([=] { return run_week(d, seed, shards); });
+    jobs.push_back([=] { return run_week(d, seed); });
   }
   const auto batch0 = std::chrono::steady_clock::now();
   const std::vector<ScaleRun> runs = run::run_parallel(std::move(jobs), popts);
@@ -178,10 +174,10 @@ int main(int argc, char** argv) {
                                   1),
                    fp});
   }
-  std::fputs(banner("Cloud-week throughput ladder (seed " + args.get("seed") +
-                    ", shards " + args.get("shards") + ")")
-                 .c_str(),
-             stdout);
+  std::fputs(
+      banner("Cloud-week throughput ladder (seed " + args.get("seed") + ")")
+          .c_str(),
+      stdout);
   std::fputs(table.render().c_str(), stdout);
   std::printf("\nbatch wall: %.2f s over %zu runs (%s), peak RSS %.1f MiB\n",
               batch_seconds, runs.size(),
@@ -194,7 +190,6 @@ int main(int argc, char** argv) {
     j.begin_object()
         .field("bench", "perf_scale")
         .field("seed", seed)
-        .field("engine_shards", static_cast<std::uint64_t>(shards))
         .field("sequential_timings", sequential)
         .field("batch_wall_seconds", batch_seconds)
         .field("peak_rss_bytes", rss);

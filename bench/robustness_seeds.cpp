@@ -31,6 +31,7 @@
 #include "fault/fault_plan.h"
 #include "obs/observer.h"
 #include "run/parallel_runner.h"
+#include "snapshot/world.h"
 #include "util/args.h"
 #include "util/json.h"
 #include "util/stats.h"
@@ -146,7 +147,7 @@ int main(int argc, char** argv) {
   // accumulate across both sweeps, merged from the per-run registries).
   obs::ScopedObserver bench(run_obs_config());
 
-  const double divisor = args.get_double("divisor", 1.0);
+  const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
   const int n = static_cast<int>(args.get_int("seeds"));
   run::ParallelOptions popts;
   popts.workers = static_cast<std::size_t>(args.get_int("workers"));

@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
             "odr.metrics.v1 JSON from the telemetry flash run");
   if (!args.parse(argc, argv)) return 1;
 
-  const double divisor = args.get_double("divisor", 1.0);
+  const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   const double base_rate = args.get_double("base-rate");
   const int steps = args.get_int("steps");

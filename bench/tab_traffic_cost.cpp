@@ -9,6 +9,7 @@
 #include "analysis/metrics.h"
 #include "analysis/replay.h"
 #include "analysis/report.h"
+#include "snapshot/world.h"
 #include "util/args.h"
 #include "util/table.h"
 
@@ -20,7 +21,7 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   const auto config = analysis::make_scaled_config(
-      args.get_double("divisor", 1.0),
+      args.get_double("divisor", 1.0, analysis::kMaxDivisor),
       static_cast<std::uint64_t>(args.get_int("seed")));
   const auto result = analysis::run_cloud_replay(config);
   const auto traffic = analysis::traffic_cost(result.outcomes, result.requests);

@@ -10,15 +10,16 @@
 // https://ui.perfetto.dev (or chrome://tracing) to see the week laid out
 // on per-subsystem lanes. `--trace-sample N` keeps 1-in-N flow events.
 // `--spans-out` writes the sampled per-task lifecycle spans (failed and
-// slowest tasks always kept) as odr.spans.v1 JSON. `--hashes-out` runs the
-// week through the checkpointable CloudWorld with in-run state hashing and
-// writes the odr.hashes.v1 journal — feed it to tools/odr_bisect to triage
-// a determinism failure (`--hash-every N` sets the event-count cadence). `--calibration-report`
+// slowest tasks always kept) as odr.spans.v1 JSON. `--hashes-out` turns on
+// in-run state hashing and writes the odr.hashes.v1 journal — feed it to
+// tools/odr_bisect to triage a determinism failure (`--hash-every N` sets
+// the event-count cadence). `--calibration-report`
 // streams every finished span through the calibration monitor, prints the
 // per-stage latency attribution and the PASS/DRIFT table vs the
 // EXPERIMENTS.md targets, and exits 2 if a gated statistic drifted.
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 #include "analysis/metrics.h"
 #include "analysis/replay.h"
@@ -65,22 +66,24 @@ int main(int argc, char** argv) {
   }
 
   const auto config = odr::analysis::make_scaled_config(
-      args.get_double("divisor", 1.0), static_cast<std::uint64_t>(args.get_int("seed")));
+      args.get_double("divisor", 1.0, odr::analysis::kMaxDivisor),
+      static_cast<std::uint64_t>(args.get_int("seed")));
 
   std::printf("Replaying %zu requests over %zu files by %zu users...\n",
               config.requests.num_requests, config.catalog.num_files,
               config.users.num_users);
-  odr::analysis::CloudReplayResult result;
+  // The week keeps the default checkpoint tick (no file, no audit) so a
+  // --hashes-out journal lines up event for event with the live runs
+  // tools/odr_bisect compares it against; ticks never change outcomes.
+  odr::snapshot::WorldOptions wopts;
+  wopts.audit_at_checkpoint = false;
   if (!hashes_out.empty()) {
-    // Hashing runs go through the checkpointable CloudWorld (its
-    // fault-free results are bit-identical to run_cloud_replay's).
-    odr::snapshot::WorldOptions wopts;
-    wopts.audit_at_checkpoint = false;
     wopts.hash_every_events =
         static_cast<std::uint64_t>(args.get_int("hash-every"));
-    odr::snapshot::CloudWorld world(config, wopts);
-    world.run();
-    result = world.finalize();
+  }
+  odr::snapshot::CloudWorld world(config, wopts);
+  world.run();
+  if (!hashes_out.empty()) {
     odr::obs::HashJournal journal;
     journal.cadence_events = wopts.hash_every_events;
     journal.seed = config.seed;
@@ -93,9 +96,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", e.what());
       return 1;
     }
-  } else {
-    result = odr::analysis::run_cloud_replay(config);
   }
+  const odr::analysis::CloudReplayResult result = std::move(world).finalize();
 
   const auto cdfs = odr::analysis::collect_speed_delay(result.outcomes);
   const auto pre_speed = cdfs.predownload_speed_kbps.summary();

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   for (const auto strategy : strategies) {
     odr::analysis::StrategyReplayConfig config;
     config.experiment = odr::analysis::make_scaled_config(
-        args.get_double("divisor", 1.0),
+        args.get_double("divisor", 1.0, odr::analysis::kMaxDivisor),
         static_cast<std::uint64_t>(args.get_int("seed")));
     config.strategy = strategy;
     const auto result = odr::analysis::run_strategy_replay(config);

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
   odr::analysis::ApReplayConfig config;
   config.experiment = odr::analysis::make_scaled_config(
-      args.get_double("divisor", 1.0),
+      args.get_double("divisor", 1.0, odr::analysis::kMaxDivisor),
       static_cast<std::uint64_t>(args.get_int("seed")));
   config.sample_size = static_cast<std::size_t>(args.get_int("sample"));
 

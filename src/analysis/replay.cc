@@ -13,7 +13,6 @@
 #include "net/network.h"
 #include "obs/observer.h"
 #include "sim/simulator.h"
-#include "util/md5.h"
 
 namespace odr::analysis {
 namespace {
@@ -26,11 +25,8 @@ double warm_success_probability(double weekly_popularity) {
   return 1.0 - std::min(0.95, fail);
 }
 
-// Warms the storage pool AND the content database with the request history
-// preceding the measurement week. The last warm week's requests are
-// recorded with (ascending) timestamps in [-week, 0), so popularity
-// queries at the start of the trace already see steady-state statistics —
-// just like the years-old production database ODR queries (§6.1).
+}  // namespace
+
 void warm_cloud(cloud::XuanfengCloud& cloud, const workload::Catalog& catalog,
                 std::size_t weekly_requests, int weeks, Rng& warm_rng) {
   for (int week = 0; week < weeks; ++week) {
@@ -55,24 +51,16 @@ void warm_cloud(cloud::XuanfengCloud& cloud, const workload::Catalog& catalog,
   }
 }
 
-}  // namespace
-
-void warm_cloud_for_replay(cloud::XuanfengCloud& cloud,
-                           const workload::Catalog& catalog,
-                           std::size_t weekly_requests, int weeks,
-                           Rng& warm_rng) {
-  warm_cloud(cloud, catalog, weekly_requests, weeks, warm_rng);
-}
-
 ExperimentConfig make_scaled_config(double divisor, std::uint64_t seed) {
-  if (!(divisor >= 1.0) || !std::isfinite(divisor)) {
-    throw std::invalid_argument("make_scaled_config: divisor " +
-                                std::to_string(divisor) +
-                                " out of range (need a finite value >= 1)");
+  if (!(divisor >= 1.0 && divisor <= kMaxDivisor)) {
+    throw std::invalid_argument(
+        "make_scaled_config: divisor " + std::to_string(divisor) +
+        " out of range (need 1 <= divisor <= " +
+        std::to_string(kMeasuredFiles) + "; a larger one leaves zero files)");
   }
   ExperimentConfig cfg;
   cfg.seed = seed;
-  cfg.catalog.num_files = static_cast<std::size_t>(563517 / divisor);
+  cfg.catalog.num_files = static_cast<std::size_t>(kMeasuredFiles / divisor);
   cfg.catalog.total_weekly_requests = 4084417 / divisor;
   cfg.requests.num_requests = static_cast<std::size_t>(4084417 / divisor);
   cfg.users.num_users = static_cast<std::size_t>(783944 / divisor);
@@ -81,208 +69,6 @@ ExperimentConfig make_scaled_config(double divisor, std::uint64_t seed) {
   cfg.cloud.predownloader_count =
       static_cast<std::size_t>(std::max(50.0, 30000 / divisor));
   return cfg;
-}
-
-CloudReplayResult run_cloud_replay(const ExperimentConfig& config) {
-  sim::Simulator sim;
-  sim.set_shard_count(config.engine_shards);
-  net::Network net(sim);
-  Rng rng(config.seed);
-
-  auto catalog = std::make_shared<workload::Catalog>(config.catalog, rng);
-  auto users = std::make_shared<workload::UserPopulation>(config.users, rng);
-  workload::RequestGenerator generator(config.requests);
-
-  cloud::XuanfengCloud cloud(sim, net, *catalog, config.sources, config.cloud,
-                             rng);
-
-  // Warm the pool and content DB with the preceding weeks' history.
-  Rng warm_rng = rng.fork();
-  warm_cloud(cloud, *catalog, config.requests.num_requests,
-             config.warmup_weeks, warm_rng);
-
-  CloudReplayResult result;
-  result.requests = generator.generate(*catalog, *users, rng);
-  result.outcomes.reserve(result.requests.size());
-  result.users = users;
-  result.catalog = catalog;
-
-  // Fault layer: constructed (and its Rng stream forked) only when the
-  // plan is non-empty, and only after the workload is generated — so the
-  // same seed yields the identical request stream under every plan, and
-  // fault-free replays keep their exact RNG sequence.
-  std::optional<fault::FaultInjector> injector;
-  if (!config.fault_plan.empty()) {
-    injector.emplace(sim, rng);
-    injector->attach_cloud(cloud, net);
-    injector->load(config.fault_plan);
-  }
-
-  // Arrivals capture an index into the (already final) request vector, not
-  // the ~120-byte record itself: the callback then fits the event engine's
-  // inline slot and scheduling the full week allocates nothing per event.
-  // The ShardGuard pins each arrival — and, by inheritance, the user's
-  // whole causal chain — to the user's shard (a no-op at 1 shard).
-  for (std::size_t i = 0; i < result.requests.size(); ++i) {
-    sim::Simulator::ShardGuard shard(
-        sim, static_cast<std::size_t>(result.requests[i].user_id));
-    sim.schedule_at(result.requests[i].request_time, [&result, &cloud, &users,
-                                                      i] {
-      const workload::WorkloadRecord& request = result.requests[i];
-      cloud.submit(request, users->user(request.user_id),
-                   [&result](const cloud::TaskOutcome& outcome) {
-                     finish_cloud_task_span(outcome);
-                     result.outcomes.push_back(outcome);
-                   });
-    });
-  }
-
-  SimTime horizon = 0;
-  for (const auto& request : result.requests) {
-    horizon = std::max(horizon, request.request_time);
-  }
-  wire_cloud_observability(sim, net, cloud, horizon + kDay);
-
-  sim.run();
-
-  // Reporting uses the paper's popularity definition — the file's request
-  // count over the measurement week — rather than the trailing count the
-  // content DB saw at decision time (which under-counts early requests).
-  {
-    std::unordered_map<workload::FileIndex, double> week_counts;
-    for (const auto& r : result.requests) week_counts[r.file] += 1.0;
-    for (auto& o : result.outcomes) {
-      if (o.task_id < 1 || o.task_id > result.requests.size()) continue;
-      o.weekly_popularity =
-          week_counts[result.requests[o.task_id - 1].file];
-      o.popularity = workload::classify_popularity(o.weekly_popularity);
-    }
-  }
-
-  result.cache_hit_ratio = cloud.storage().hit_ratio();
-  result.fetch_rejections = cloud.uploads().rejected_count();
-  result.fetch_admissions = cloud.uploads().admitted_count();
-  result.privileged_paths = cloud.uploads().privileged_count();
-  result.vm_crashes = cloud.predownloaders().crash_count();
-  result.vm_retries = cloud.predownloaders().retry_count();
-  result.vm_retries_exhausted = cloud.predownloaders().retries_exhausted();
-  result.shed_fetches = cloud.uploads().shed_count();
-  result.oversubscribed_fetches = cloud.uploads().oversubscribed_count();
-  result.storage_fault_evictions = cloud.storage().fault_evictions();
-  for (std::size_t c = 0; c < result.rejections_by_class.size(); ++c) {
-    result.rejections_by_class[c] = cloud.uploads().rejected_count(
-        static_cast<workload::PopularityClass>(c));
-  }
-  if (injector.has_value()) result.faults_fired = injector->total_fired();
-  result.duration = config.requests.duration;
-  result.cloud_capacity = config.cloud.total_upload_capacity;
-  return result;
-}
-
-CloudReplayResult run_cloud_replay_from_trace(
-    std::vector<workload::WorkloadRecord> requests,
-    const ExperimentConfig& config) {
-  sim::Simulator sim;
-  sim.set_shard_count(config.engine_shards);
-  net::Network net(sim);
-  Rng rng(config.seed);
-
-  // --- Reconstruct the file catalog from the trace. -------------------------
-  workload::FileIndex max_file = 0;
-  workload::UserId max_user = 0;
-  for (const auto& r : requests) {
-    max_file = std::max(max_file, r.file);
-    max_user = std::max(max_user, r.user_id);
-  }
-  std::vector<workload::FileInfo> files(max_file + 1);
-  std::vector<double> counts(max_file + 1, 0.0);
-  for (const auto& r : requests) {
-    counts[r.file] += 1.0;
-    workload::FileInfo& f = files[r.file];
-    if (f.index == workload::kInvalidFile) {
-      f.index = r.file;
-      f.rank = r.file + 1;
-      f.type = r.file_type;
-      f.size = std::max<Bytes>(1, r.file_size);
-      f.protocol = r.protocol;
-      f.source_link = r.source_link;
-      f.content_id = Md5::of(r.source_link);
-      // A trace carries no pre-trace history; treat every file as new so
-      // warming (below) relies on the measured counts only.
-      f.born_before_trace = rng.bernoulli(1.0 - 0.55);
-    }
-  }
-  for (workload::FileIndex i = 0; i <= max_file; ++i) {
-    if (files[i].index == workload::kInvalidFile) {
-      // Unreferenced index: fill a placeholder so indices stay dense.
-      files[i].index = i;
-      files[i].rank = i + 1;
-      files[i].size = 1;
-    }
-    files[i].expected_weekly_requests = counts[i];
-  }
-  auto catalog = std::make_shared<workload::Catalog>(std::move(files));
-
-  // --- Reconstruct the user population. -------------------------------------
-  workload::UserModelParams user_params = config.users;
-  user_params.num_users = static_cast<std::size_t>(max_user) + 1;
-  auto users = std::make_shared<workload::UserPopulation>(user_params, rng);
-  // Overlay recorded attributes on the sampled defaults.
-  for (const auto& r : requests) {
-    workload::User& u = users->mutable_user(r.user_id);
-    u.isp = r.isp;
-    u.ip = r.ip;
-    if (r.access_bandwidth > 0.0) {
-      u.access_bandwidth = r.access_bandwidth;
-      u.reports_bandwidth = true;
-    }
-  }
-
-  cloud::XuanfengCloud cloud(sim, net, *catalog, config.sources, config.cloud,
-                             rng);
-  Rng warm_rng = rng.fork();
-  warm_cloud(cloud, *catalog, requests.size(), config.warmup_weeks, warm_rng);
-
-  CloudReplayResult result;
-  result.requests = std::move(requests);
-  result.outcomes.reserve(result.requests.size());
-  result.users = users;
-  result.catalog = catalog;
-
-  SimTime horizon = 0;
-  for (const auto& request : result.requests) {
-    horizon = std::max(horizon, request.request_time);
-    sim::Simulator::ShardGuard shard(
-        sim, static_cast<std::size_t>(request.user_id));
-    sim.schedule_at(request.request_time, [&, request] {
-      cloud.submit(request, users->user(request.user_id),
-                   [&result](const cloud::TaskOutcome& outcome) {
-                     finish_cloud_task_span(outcome);
-                     result.outcomes.push_back(outcome);
-                   });
-    });
-  }
-  wire_cloud_observability(sim, net, cloud, horizon + kDay);
-  sim.run();
-
-  {
-    std::unordered_map<workload::FileIndex, double> week_counts;
-    for (const auto& r : result.requests) week_counts[r.file] += 1.0;
-    for (auto& o : result.outcomes) {
-      if (o.task_id < 1 || o.task_id > result.requests.size()) continue;
-      o.weekly_popularity =
-          week_counts[result.requests[o.task_id - 1].file];
-      o.popularity = workload::classify_popularity(o.weekly_popularity);
-    }
-  }
-
-  result.cache_hit_ratio = cloud.storage().hit_ratio();
-  result.fetch_rejections = cloud.uploads().rejected_count();
-  result.fetch_admissions = cloud.uploads().admitted_count();
-  result.privileged_paths = cloud.uploads().privileged_count();
-  result.duration = horizon + kDay;
-  result.cloud_capacity = config.cloud.total_upload_capacity;
-  return result;
 }
 
 ApReplayResult run_ap_replay(const ApReplayConfig& config) {
@@ -452,8 +238,9 @@ StrategyReplayResult run_strategy_replay(const StrategyReplayConfig& config) {
                           config.experiment.sources, exec_cfg, rng);
   core::Redirector redirector(config.redirector);
 
-  // Opt-in substrate circuit breakers and fault injection (see
-  // run_cloud_replay for the RNG-ordering rationale).
+  // Opt-in substrate circuit breakers and fault injection. The injector
+  // forks its rng only after the workload is generated, so the same seed
+  // yields the identical request stream under every plan.
   std::optional<core::CircuitBreaker> cloud_breaker;
   std::optional<core::CircuitBreaker> ap_breaker;
   if (config.use_circuit_breakers) {
@@ -522,7 +309,7 @@ StrategyReplayResult run_strategy_replay(const StrategyReplayConfig& config) {
 
   sim.run();
 
-  // Same reporting convention as run_cloud_replay: classify by the file's
+  // Same reporting convention as the §4 week: classify by the file's
   // full-week request count.
   {
     std::unordered_map<workload::FileIndex, double> week_counts;

@@ -1,14 +1,22 @@
 // Replay drivers: complete experiment environments in one call.
 //
 // Three drivers cover the paper's three experimental setups:
-//   - run_cloud_replay     — §4: the full week through the Xuanfeng cloud;
+//   - run_cloud_replay     — §4: the full week through the Xuanfeng cloud.
+//                            Declared in snapshot/world.h: the
+//                            checkpointable snapshot::CloudWorld is the
+//                            only §4 driver, and odr_snapshot sits above
+//                            this library;
 //   - run_ap_replay        — §5: a sampled Unicom workload replayed
 //                            sequentially on the three smart APs;
 //   - run_strategy_replay  — §6: a workload routed by ODR or a baseline
 //                            strategy through all systems.
+//
+// This header also holds what the drivers share: the experiment config and
+// its scaling, the §4 result, and the storage-pool warm-up.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -41,29 +49,31 @@ struct ExperimentConfig {
   // plan (the default) adds zero RNG draws and zero events, so fault-free
   // replays are bit-identical with or without the fault layer linked in.
   fault::FaultPlan fault_plan;
-  // --- intra-run sharding (DESIGN.md §16) ---------------------------------
-  // Shard-local event heaps inside one replicate (1 = the classic single
-  // heap). Users are pinned to shards by user_id % engine_shards at
-  // submission and causal chains inherit their shard; dispatch merges
-  // shards by exact (time, seq), so EVERY shard count reproduces the
-  // unsharded run's fingerprints and state-hash journals bit-for-bit
-  // (bench/shard_determinism pins this in CI).
-  std::size_t engine_shards = 1;
-  // Divergence-triage test hook: when nonzero, the checkpointable
-  // CloudWorld consumes ONE extra draw from the cloud's rng stream once
-  // `debug_burn_rng_at_event` events have executed — a deliberate,
-  // minimal, single-event divergence that bench/divergence_triage uses to
-  // prove tools/odr_bisect can localize a real one. 0 (the default) adds
-  // zero draws, zero branches on the hot path, and zero byte changes
-  // anywhere. Ignored by run_cloud_replay (which has no event-count hook).
+  // Divergence-triage test hook: when nonzero, the §4 week (CloudWorld,
+  // and so run_cloud_replay) consumes ONE extra draw from the cloud's rng
+  // stream once `debug_burn_rng_at_event` events have executed — a
+  // deliberate, minimal, single-event divergence that
+  // bench/divergence_triage uses to prove tools/odr_bisect can localize a
+  // real one. 0 (the default) adds zero draws, zero branches on the hot
+  // path, and zero byte changes anywhere. The §5/§6 drivers ignore it.
   std::uint64_t debug_burn_rng_at_event = 0;
 };
 
+// Files in the measured week's catalog, the smallest of the counts
+// make_scaled_config scales.
+inline constexpr std::size_t kMeasuredFiles = 563517;
+
+// The largest divisor make_scaled_config accepts: it scales the measured
+// files to one. Every `--divisor` flag takes it as its upper bound.
+inline constexpr double kMaxDivisor = static_cast<double>(kMeasuredFiles);
+
 // Scales workload size and cloud capacity together by 1/divisor relative
 // to the measured system (4.08M tasks, 563k files, 784k users, 30 Gbps).
-// Throws std::invalid_argument unless divisor is finite and >= 1.
+// Throws std::invalid_argument unless 1 <= divisor <= kMaxDivisor (a
+// larger one leaves zero files).
 ExperimentConfig make_scaled_config(double divisor, std::uint64_t seed);
 
+// The §4 week's result (snapshot::CloudWorld::finalize).
 struct CloudReplayResult {
   std::vector<workload::WorkloadRecord> requests;
   std::vector<cloud::TaskOutcome> outcomes;
@@ -88,27 +98,14 @@ struct CloudReplayResult {
   std::shared_ptr<workload::Catalog> catalog;
 };
 
-CloudReplayResult run_cloud_replay(const ExperimentConfig& config);
-
-// The pool/content-DB warm-up run_cloud_replay performs before the
-// measurement week, exposed so other drivers (e.g. the checkpointable
-// snapshot::CloudWorld) can reproduce its exact construction — including
-// the rng draw sequence — and stay bit-identical with run_cloud_replay.
-void warm_cloud_for_replay(cloud::XuanfengCloud& cloud,
-                           const workload::Catalog& catalog,
-                           std::size_t weekly_requests, int weeks,
-                           Rng& warm_rng);
-
-// Replays an externally supplied workload trace (e.g. loaded from the CSVs
-// `generate_traces` writes) through a fresh cloud. The catalog and user
-// population are reconstructed from the records themselves: file metadata
-// from the first record per file (popularity = measured weekly count),
-// users from their recorded ISP/bandwidth (unreported bandwidths are drawn
-// from the configured distribution). Cloud/source parameters come from
-// `config`; its workload-generation fields are ignored.
-CloudReplayResult run_cloud_replay_from_trace(
-    std::vector<workload::WorkloadRecord> requests,
-    const ExperimentConfig& config);
+// Warms the storage pool AND the content database with `weeks` weeks of
+// request history preceding the measurement week, drawing from `warm_rng`.
+// The last warm week's requests are recorded with (ascending) timestamps in
+// [-week, 0), so popularity queries at the start of the trace already see
+// steady-state statistics — just like the years-old production database
+// ODR queries (§6.1). Every driver that builds a Xuanfeng cloud calls it.
+void warm_cloud(cloud::XuanfengCloud& cloud, const workload::Catalog& catalog,
+                std::size_t weekly_requests, int weeks, Rng& warm_rng);
 
 // --- §5 smart-AP replay ------------------------------------------------------
 

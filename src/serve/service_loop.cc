@@ -56,9 +56,9 @@ ServiceLoop::ServiceLoop(const ServeConfig& config)
       config_.experiment.cloud, rng_);
 
   Rng warm_rng = rng_.fork();
-  analysis::warm_cloud_for_replay(*cloud_, *catalog_,
-                                  config_.experiment.requests.num_requests,
-                                  config_.experiment.warmup_weeks, warm_rng);
+  analysis::warm_cloud(*cloud_, *catalog_,
+                       config_.experiment.requests.num_requests,
+                       config_.experiment.warmup_weeks, warm_rng);
 
   if (config_.users_have_ap) {
     for (const auto& hw :

@@ -47,29 +47,11 @@ void Simulator::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-void Simulator::set_shard_count(std::size_t shards) {
-  shards = std::max<std::size_t>(1, shards);
-  if (shards == heaps_.size()) return;
-  // Merge every pending entry (tombstones included — the counters stay
-  // consistent) into shard 0 of the new partition. Dispatch order is a
-  // pure function of (time, seq), so this cannot change any outcome.
-  std::vector<Scheduled> all;
-  for (std::vector<Scheduled>& h : heaps_) {
-    all.insert(all.end(), h.begin(), h.end());
-    h.clear();
-  }
-  heaps_.assign(shards, {});
-  std::make_heap(all.begin(), all.end(), Later{});
-  heaps_[0] = std::move(all);
-  current_shard_ = 0;
-}
-
 EventId Simulator::insert(SimTime t, Callback&& fn) {
   const EventId id = next_id_++;
   const std::uint32_t slot = acquire_slot(id, std::move(fn));
-  std::vector<Scheduled>& heap = heaps_[current_shard_];
-  heap.push_back(Scheduled{t, next_seq_++, id, slot});
-  std::push_heap(heap.begin(), heap.end(), Later{});
+  heap_.push_back(Scheduled{t, next_seq_++, id, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   id_to_slot_.put(id, slot);
   ++live_events_;
   return id;
@@ -101,56 +83,31 @@ bool Simulator::cancel(EventId id) {
 }
 
 void Simulator::compact() {
-  for (std::vector<Scheduled>& heap : heaps_) {
-    heap.erase(std::remove_if(heap.begin(), heap.end(),
-                              [this](const Scheduled& e) {
-                                return slots_[e.slot].id != e.id;
-                              }),
-               heap.end());
-    std::make_heap(heap.begin(), heap.end(), Later{});
-  }
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                             [this](const Scheduled& e) {
+                               return slots_[e.slot].id != e.id;
+                             }),
+              heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
   tombstones_ = 0;
 }
 
-int Simulator::select_shard() {
-  int best = -1;
-  for (std::size_t s = 0; s < heaps_.size(); ++s) {
-    std::vector<Scheduled>& heap = heaps_[s];
-    while (!heap.empty() && slots_[heap.front().slot].id != heap.front().id) {
-      std::pop_heap(heap.begin(), heap.end(), Later{});
-      heap.pop_back();
-      if (tombstones_ > 0) --tombstones_;
-    }
-    if (heap.empty()) continue;
-    if (best < 0) {
-      best = static_cast<int>(s);
-      continue;
-    }
-    const Scheduled& a = heap.front();
-    const Scheduled& b = heaps_[static_cast<std::size_t>(best)].front();
-    // (time, seq) is a total order, so the merged pop sequence is exactly
-    // the single-heap engine's regardless of how events were sharded.
-    if (a.time < b.time || (a.time == b.time && a.seq < b.seq)) {
-      best = static_cast<int>(s);
-    }
+bool Simulator::prune_top() {
+  while (!heap_.empty() && slots_[heap_.front().slot].id != heap_.front().id) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    if (tombstones_ > 0) --tombstones_;
   }
-  return best;
+  return !heap_.empty();
 }
 
 bool Simulator::step() {
-  const int shard = select_shard();
-  if (shard < 0) return false;
-  std::vector<Scheduled>& heap = heaps_[static_cast<std::size_t>(shard)];
-  const Scheduled top = heap.front();
-  std::pop_heap(heap.begin(), heap.end(), Later{});
-  heap.pop_back();
+  if (!prune_top()) return false;
+  const Scheduled top = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
   assert(top.time >= now_);
   now_ = top.time;
-  // The dispatched event's causal descendants (anything its callback
-  // schedules) inherit its shard, so a user's chain stays put without the
-  // model threading shard ids around. ShardGuard re-pins at submission
-  // boundaries.
-  current_shard_ = static_cast<std::size_t>(shard);
   Callback fn = std::move(slots_[top.slot].fn);
   release_slot(top.slot);
   id_to_slot_.erase(top.id);
@@ -165,12 +122,7 @@ bool Simulator::step() {
 }
 
 void Simulator::run_until(SimTime t) {
-  for (;;) {
-    const int shard = select_shard();
-    if (shard < 0) break;
-    if (heaps_[static_cast<std::size_t>(shard)].front().time > t) break;
-    step();
-  }
+  while (prune_top() && heap_.front().time <= t) step();
   if (now_ < t) now_ = t;
 }
 
@@ -187,14 +139,11 @@ void Simulator::save(snapshot::SnapshotWriter& w) const {
   w.u64(kTagExecuted, executed_);
 
   // Emit live events in (time, seq) order — deterministic regardless of
-  // heap layout OR shard assignment, and identical to the pop order of the
-  // original engine. Shards are deliberately not recorded (see header).
+  // heap layout, and identical to the pop order of the original engine.
   std::vector<Scheduled> live;
   live.reserve(live_events_);
-  for (const std::vector<Scheduled>& heap : heaps_) {
-    for (const Scheduled& e : heap) {
-      if (slots_[e.slot].id == e.id) live.push_back(e);
-    }
+  for (const Scheduled& e : heap_) {
+    if (slots_[e.slot].id == e.id) live.push_back(e);
   }
   std::sort(live.begin(), live.end(),
             [](const Scheduled& a, const Scheduled& b) {
@@ -215,8 +164,7 @@ void Simulator::load(snapshot::SnapshotReader& r) {
   next_id_ = r.u64(kTagNextId);
   executed_ = r.u64(kTagExecuted);
 
-  for (std::vector<Scheduled>& heap : heaps_) heap.clear();
-  current_shard_ = 0;
+  heap_.clear();
   slots_.clear();
   free_head_ = kNoSlot;
   id_to_slot_.clear();
@@ -246,9 +194,8 @@ void Simulator::rearm(EventId id, Callback fn) {
         snapshot::SnapshotErrorKind::kUsage);
   }
   const std::uint32_t slot = acquire_slot(id, std::move(fn));
-  std::vector<Scheduled>& heap = heaps_[current_shard_];
-  heap.push_back(Scheduled{it->second.first, it->second.second, id, slot});
-  std::push_heap(heap.begin(), heap.end(), Later{});
+  heap_.push_back(Scheduled{it->second.first, it->second.second, id, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   id_to_slot_.put(id, slot);
   ++live_events_;
   rearm_.erase(it);

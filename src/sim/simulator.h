@@ -17,22 +17,6 @@
 // of this changes observable behavior: the (time, seq) order, the id
 // sequence, and the snapshot format are identical to the original
 // map-of-std::function engine.
-//
-// Intra-run sharding (DESIGN.md §16): the pending set can be partitioned
-// into S shard-local heaps. Submission routes to the current shard
-// (ShardGuard pins it — replays pin user_id % S around each user's
-// activity; events scheduled during dispatch inherit the popped event's
-// shard, so a user's causal chain stays in the user's shard). Dispatch
-// pops the global minimum (time, seq) across shard tops — an EXACT merge:
-// ids, seq numbers, pop order, and therefore every downstream fingerprint
-// are bit-identical to the single-heap engine at any shard count. The
-// win is mechanical, not semantic: each heap holds ~1/S of the pending
-// set, so push/pop sift depth drops by log2(S) on the millions-deep
-// queues of low-divisor replays, and shard tops stay cache-resident.
-// Snapshots never record shard assignment (save() already canonicalizes
-// to (time, seq) order); a restored queue rearms into shard 0, which is
-// correct because no observable result depends on which shard held an
-// event.
 #pragma once
 
 #include <cstdint>
@@ -57,37 +41,7 @@ class Simulator {
  public:
   using Callback = util::SmallFunc<void()>;
 
-  Simulator() : heaps_(1) {}
-
   SimTime now() const { return now_; }
-
-  // --- shard routing ------------------------------------------------------
-  //
-  // Repartitions the pending set into `shards` shard-local heaps (clamped
-  // to >= 1; 1 == the classic single-heap engine). Existing entries are
-  // merged into shard 0 — exact, since dispatch order never depends on
-  // shard assignment. O(pending); call it at world setup, not per event.
-  void set_shard_count(std::size_t shards);
-  std::size_t shard_count() const { return heaps_.size(); }
-  std::size_t current_shard() const { return current_shard_; }
-
-  // Pins the submission shard for a scope: events scheduled while the
-  // guard is alive land in shard `shard % shard_count()` (callers pass raw
-  // user ids). Dispatch overrides the pin per event (see file header).
-  class ShardGuard {
-   public:
-    ShardGuard(Simulator& sim, std::size_t shard)
-        : sim_(sim), prev_(sim.current_shard_) {
-      sim_.current_shard_ = shard % sim_.heaps_.size();
-    }
-    ~ShardGuard() { sim_.current_shard_ = prev_; }
-    ShardGuard(const ShardGuard&) = delete;
-    ShardGuard& operator=(const ShardGuard&) = delete;
-
-   private:
-    Simulator& sim_;
-    std::size_t prev_;
-  };
 
   // Schedules `fn` at absolute simulated time `t` (>= now). Returns an id
   // usable with cancel().
@@ -102,8 +56,7 @@ class Simulator {
 
   bool has_pending() const { return live_events_ > 0; }
   std::size_t pending_count() const { return live_events_; }
-  // Heap entries across all shards (live + tombstones); exposed for the
-  // compaction tests.
+  // Heap entries (live + tombstones); exposed for the compaction tests.
   std::size_t heap_size() const { return live_events_ + tombstones_; }
 
   // Runs exactly one event; false if none pending.
@@ -183,12 +136,11 @@ class Simulator {
   std::uint32_t acquire_slot(EventId id, Callback&& fn);
   void release_slot(std::uint32_t slot);
   EventId insert(SimTime t, Callback&& fn);
-  // Drops tombstoned heap entries and re-heapifies every shard. Total
-  // (time, seq) order makes the rebuilt heaps pop identically.
+  // Drops tombstoned heap entries and re-heapifies. Total (time, seq)
+  // order makes the rebuilt heap pop identically.
   void compact();
-  // Prunes stale tops from every shard heap and returns the shard whose
-  // top is the global (time, seq) minimum, or -1 if all heaps drained.
-  int select_shard();
+  // Pops stale tops; false once the heap holds no live event.
+  bool prune_top();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
@@ -199,8 +151,7 @@ class Simulator {
   SimTime last_time_ = 0;       // refreshed by the first post-restore step.
   std::size_t live_events_ = 0;
   std::size_t tombstones_ = 0;  // stale heap entries awaiting skip/compact
-  std::vector<std::vector<Scheduled>> heaps_;  // one min-heap per shard
-  std::size_t current_shard_ = 0;              // submission target
+  std::vector<Scheduled> heap_;  // min-heap by (time, seq)
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   util::FlatMap64<std::uint32_t> id_to_slot_;

@@ -9,6 +9,7 @@
 #include "obs/observer.h"
 #include "snapshot/audit.h"
 #include "snapshot/format.h"
+#include "util/md5.h"
 #include "workload/file.h"
 #include "workload/request_gen.h"
 #include "workload/snapshot.h"
@@ -73,10 +74,69 @@ CloudWorld::CloudWorld(const analysis::ExperimentConfig& config,
                        WorldOptions options)
     : config_(config), options_(std::move(options)), net_(sim_) {
   build();
-  if (options_.checkpoint_period > 0) {
-    checkpoint_event_ = sim_.schedule_after(options_.checkpoint_period,
-                                            [this] { checkpoint_tick(); });
+  arm_checkpoint_tick();
+}
+
+CloudWorld::CloudWorld(const analysis::ExperimentConfig& config,
+                       std::vector<workload::WorkloadRecord> trace)
+    : config_(config), net_(sim_) {
+  options_.checkpoint_period = 0;
+  Rng rng(config_.seed);
+
+  // --- Reconstruct the file catalog from the trace. -------------------------
+  workload::FileIndex max_file = 0;
+  workload::UserId max_user = 0;
+  for (const auto& r : trace) {
+    max_file = std::max(max_file, r.file);
+    max_user = std::max(max_user, r.user_id);
   }
+  std::vector<workload::FileInfo> files(max_file + 1);
+  std::vector<double> counts(max_file + 1, 0.0);
+  for (const auto& r : trace) {
+    counts[r.file] += 1.0;
+    workload::FileInfo& f = files[r.file];
+    if (f.index == workload::kInvalidFile) {
+      f.index = r.file;
+      f.rank = r.file + 1;
+      f.type = r.file_type;
+      f.size = std::max<Bytes>(1, r.file_size);
+      f.protocol = r.protocol;
+      f.source_link = r.source_link;
+      f.content_id = Md5::of(r.source_link);
+      // A trace carries no pre-trace history: guess which files predate it
+      // so warming (below) relies on the measured counts only.
+      f.born_before_trace = rng.bernoulli(1.0 - 0.55);
+    }
+  }
+  for (workload::FileIndex i = 0; i <= max_file; ++i) {
+    if (files[i].index == workload::kInvalidFile) {
+      // Unreferenced index: fill a placeholder so indices stay dense.
+      files[i].index = i;
+      files[i].rank = i + 1;
+      files[i].size = 1;
+    }
+    files[i].expected_weekly_requests = counts[i];
+  }
+  catalog_ = std::make_shared<workload::Catalog>(std::move(files));
+
+  // --- Reconstruct the user population. -------------------------------------
+  workload::UserModelParams user_params = config_.users;
+  user_params.num_users = static_cast<std::size_t>(max_user) + 1;
+  users_ = std::make_shared<workload::UserPopulation>(user_params, rng);
+  // Overlay recorded attributes on the sampled defaults.
+  for (const auto& r : trace) {
+    workload::User& u = users_->mutable_user(r.user_id);
+    u.isp = r.isp;
+    u.ip = r.ip;
+    if (r.access_bandwidth > 0.0) {
+      u.access_bandwidth = r.access_bandwidth;
+      u.reports_bandwidth = true;
+    }
+  }
+
+  start_cloud(rng, trace.size());
+  requests_ = std::move(trace);
+  duration_ = schedule_week(rng) + kDay;
 }
 
 CloudWorld::CloudWorld(const analysis::ExperimentConfig& config,
@@ -88,39 +148,49 @@ CloudWorld::CloudWorld(const analysis::ExperimentConfig& config,
   load_from(buffer);
 }
 
-// Mirrors analysis::run_cloud_replay construction EXACTLY — every rng
-// draw and every schedule call in the same order — so a fault-free
-// CloudWorld produces run_cloud_replay's results and a restored CloudWorld
-// regenerates the same immutable tables the checkpoint was taken over.
+// Every rng draw and every schedule call happens in a fixed order, so a
+// restored CloudWorld regenerates the same immutable tables (and event
+// ids) the checkpoint was taken over.
 void CloudWorld::build() {
-  sim_.set_shard_count(config_.engine_shards);
   Rng rng(config_.seed);
   catalog_ = std::make_shared<workload::Catalog>(config_.catalog, rng);
   users_ = std::make_shared<workload::UserPopulation>(config_.users, rng);
-  workload::RequestGenerator generator(config_.requests);
+  start_cloud(rng, config_.requests.num_requests);
+  requests_ = workload::RequestGenerator(config_.requests)
+                  .generate(*catalog_, *users_, rng);
+  duration_ = config_.requests.duration;
+  schedule_week(rng);
+}
+
+void CloudWorld::start_cloud(Rng& rng, std::size_t warm_requests) {
   cloud_.emplace(sim_, net_, *catalog_, config_.sources, config_.cloud, rng);
-
+  // Warm the pool and content DB with the preceding weeks' history.
   Rng warm_rng = rng.fork();
-  analysis::warm_cloud_for_replay(*cloud_, *catalog_,
-                                  config_.requests.num_requests,
-                                  config_.warmup_weeks, warm_rng);
+  analysis::warm_cloud(*cloud_, *catalog_, warm_requests,
+                       config_.warmup_weeks, warm_rng);
+}
 
-  requests_ = generator.generate(*catalog_, *users_, rng);
+SimTime CloudWorld::schedule_week(Rng& rng) {
   outcomes_.clear();
   outcomes_.reserve(requests_.size());
 
+  // Fault layer: constructed (and its rng stream forked) only when the
+  // plan is non-empty, and only after the workload is final — so the same
+  // seed yields the identical request stream under every plan, and
+  // fault-free replays keep their exact rng sequence.
   if (!config_.fault_plan.empty()) {
     injector_.emplace(sim_, rng);
     injector_->attach_cloud(*cloud_, net_);
     injector_->load(config_.fault_plan);
   }
 
+  // Arrivals capture an index into the (already final) request vector, so
+  // the callback fits the event engine's inline slot and scheduling the
+  // full week allocates nothing per event.
   arrival_events_.assign(requests_.size(), sim::kInvalidEvent);
+  SimTime horizon = 0;
   for (std::size_t i = 0; i < requests_.size(); ++i) {
-    // Pin each user's arrival (and causal chain) to its shard, exactly as
-    // analysis::run_cloud_replay does; a no-op at 1 shard.
-    sim::Simulator::ShardGuard shard(
-        sim_, static_cast<std::size_t>(requests_[i].user_id));
+    horizon = std::max(horizon, requests_[i].request_time);
     arrival_events_[i] =
         sim_.schedule_at(requests_[i].request_time, [this, i] { on_arrival(i); });
   }
@@ -129,11 +199,15 @@ void CloudWorld::build() {
   // of its own into the checkpoint: metrics/traces are derived, and the
   // sampler polls from the after-event hook instead of scheduling events,
   // so checkpoints stay byte-identical with or without an observer.
-  SimTime horizon = 0;
-  for (const auto& request : requests_) {
-    horizon = std::max(horizon, request.request_time);
-  }
   analysis::wire_cloud_observability(sim_, net_, *cloud_, horizon + kDay);
+  return horizon;
+}
+
+void CloudWorld::arm_checkpoint_tick() {
+  if (options_.checkpoint_period > 0) {
+    checkpoint_event_ = sim_.schedule_after(options_.checkpoint_period,
+                                            [this] { checkpoint_tick(); });
+  }
 }
 
 cloud::XuanfengCloud::OutcomeFn CloudWorld::outcome_sink() {
@@ -438,16 +512,26 @@ void CloudWorld::load_from(const std::string& buffer) {
   ODR_FLIGHT(kSnapshot, kInfo, "world.restored", to_seconds(sim_.now()));
 }
 
-analysis::CloudReplayResult CloudWorld::finalize() const {
+analysis::CloudReplayResult CloudWorld::finalize() const& {
+  return harvest(requests_, outcomes_);
+}
+
+analysis::CloudReplayResult CloudWorld::finalize() && {
+  return harvest(std::move(requests_), std::move(outcomes_));
+}
+
+analysis::CloudReplayResult CloudWorld::harvest(
+    std::vector<workload::WorkloadRecord> requests,
+    std::vector<cloud::TaskOutcome> outcomes) const {
   analysis::CloudReplayResult result;
-  result.requests = requests_;
-  result.outcomes = outcomes_;
+  result.requests = std::move(requests);
+  result.outcomes = std::move(outcomes);
   result.users = users_;
   result.catalog = catalog_;
 
-  // Identical to run_cloud_replay's epilogue: report the paper's
-  // popularity (full-week request count), not the trailing count the
-  // content DB saw at decision time.
+  // Report the paper's popularity (full-week request count), not the
+  // trailing count the content DB saw at decision time (which under-counts
+  // early requests).
   {
     std::unordered_map<workload::FileIndex, double> week_counts;
     for (const auto& req : result.requests) week_counts[req.file] += 1.0;
@@ -473,9 +557,29 @@ analysis::CloudReplayResult CloudWorld::finalize() const {
         static_cast<workload::PopularityClass>(c));
   }
   if (injector_) result.faults_fired = injector_->total_fired();
-  result.duration = config_.requests.duration;
+  result.duration = duration_;
   result.cloud_capacity = config_.cloud.total_upload_capacity;
   return result;
 }
 
 }  // namespace odr::snapshot
+
+namespace odr::analysis {
+CloudReplayResult run_cloud_replay(const ExperimentConfig& config) {
+  // A fresh run has no use for checkpoint ticks (or the audit they drive).
+  snapshot::WorldOptions options;
+  options.checkpoint_period = 0;
+  snapshot::CloudWorld world(config, std::move(options));
+  world.run();
+  return std::move(world).finalize();
+}
+
+CloudReplayResult run_cloud_replay_from_trace(
+    std::vector<workload::WorkloadRecord> requests,
+    const ExperimentConfig& config) {
+  snapshot::CloudWorld world(config, std::move(requests));
+  world.run();
+  return std::move(world).finalize();
+}
+
+}  // namespace odr::analysis

@@ -1,11 +1,10 @@
-// CloudWorld: a checkpointable variant of analysis::run_cloud_replay.
+// CloudWorld: the §4 cloud week, the only driver that builds one.
 //
-// run_cloud_replay owns all experiment state in stack locals and lambda
-// captures, so it cannot be interrupted. CloudWorld holds the identical
-// state as inspectable members and drives the identical construction
-// sequence (same rng draw order, same event scheduling order), which makes
-// its fault-free results equal to run_cloud_replay's — a property the test
-// suite asserts — while adding the ability to
+// analysis::run_cloud_replay and run_cloud_replay_from_trace (declared at
+// the bottom of this header) are thin wrappers: build a world with no
+// checkpoint tick, run it, finalize it. The world holds every piece of
+// experiment state as an inspectable member rather than in stack locals
+// and lambda captures, which adds the ability to
 //
 //   - write a CRC-protected checkpoint of the ENTIRE mutable world
 //     (simulator queue, network flows, cloud, fault injector, pending
@@ -15,9 +14,11 @@
 //
 // Restore works by replaying the deterministic build (catalog, users,
 // workload, topology — all pure functions of the config) and then loading
-// only the mutable state over it. The simulator parks every checkpointed
-// event in a rearm table; each component reclaims its own events, and any
-// unclaimed event fails the restore loudly (see sim::Simulator::rearm).
+// only the mutable state over it, so only a world over the generated
+// workload restores; a trace-built world serves fresh runs. The simulator
+// parks every checkpointed event in a rearm table; each component reclaims
+// its own events, and any unclaimed event fails the restore loudly (see
+// sim::Simulator::rearm).
 #pragma once
 
 #include <cstdint>
@@ -32,6 +33,7 @@
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "snapshot/state_hash.h"
+#include "util/rng.h"
 #include "util/units.h"
 #include "workload/catalog.h"
 #include "workload/trace.h"
@@ -46,7 +48,9 @@ struct WorldOptions {
   // still fire so the event stream is identical either way).
   std::string checkpoint_path;
   // Simulated time between checkpoints; 0 disables the periodic tick
-  // entirely (then a run is NOT comparable to one that had ticks).
+  // entirely. Ticks never change outcomes, but they take event ids, so
+  // event counts and state-hash journals are only comparable between runs
+  // with the same period.
   SimTime checkpoint_period = 12 * kHour;
   // Run the invariant auditor at every checkpoint boundary and throw
   // SnapshotError on any violation.
@@ -68,9 +72,24 @@ class CloudWorld {
   // Fresh world: deterministic build + arrival schedule + checkpoint tick.
   CloudWorld(const analysis::ExperimentConfig& config, WorldOptions options);
 
-  // Restored world: deterministic build, then the checkpoint buffer is
-  // loaded over it. Throws SnapshotError (leaving no half-loaded object —
-  // construction fails) on any corruption, version, or config mismatch.
+  // Fresh world over an external workload trace (e.g. loaded from the CSVs
+  // `generate_traces` writes). The catalog and user population are
+  // reconstructed from the records themselves: file metadata from the
+  // first record per file (popularity = measured weekly count), users from
+  // their recorded ISP/bandwidth (unreported bandwidths are drawn from the
+  // configured distribution). Cloud, source and fault parameters come from
+  // `config`; its workload-generation fields are ignored. finalize()
+  // reports the last arrival + 1 day as the duration. Such a world takes no
+  // WorldOptions: it never ticks, checkpoints, audits or hashes, because a
+  // checkpoint of it could not be restored (the restore constructor rebuilds
+  // the generated workload, and config_fingerprint does not cover a trace).
+  CloudWorld(const analysis::ExperimentConfig& config,
+             std::vector<workload::WorkloadRecord> trace);
+
+  // Restored world (generated workload only): deterministic build, then
+  // the checkpoint buffer is loaded over it. Throws SnapshotError (leaving
+  // no half-loaded object — construction fails) on any corruption,
+  // version, or config mismatch.
   CloudWorld(const analysis::ExperimentConfig& config, WorldOptions options,
              const std::string& buffer);
 
@@ -81,9 +100,11 @@ class CloudWorld {
   // by the kill harness to stop mid-week). Returns events executed.
   std::uint64_t run(std::uint64_t max_events = UINT64_MAX);
 
-  // Post-run popularity reclassification + counter harvest, mirroring
-  // run_cloud_replay's epilogue field for field.
-  analysis::CloudReplayResult finalize() const;
+  // Post-run popularity reclassification + counter harvest. The rvalue
+  // overload moves the request and outcome tables out instead of copying
+  // them, for callers done with the world.
+  analysis::CloudReplayResult finalize() const&;
+  analysis::CloudReplayResult finalize() &&;
 
   // Serializes the full mutable world state. Read-only: a checkpoint never
   // perturbs the run it observes.
@@ -118,9 +139,19 @@ class CloudWorld {
   std::uint64_t checkpoints_written() const { return checkpoints_written_; }
 
  private:
-  // The shared deterministic build: identical between fresh construction,
-  // restore, and analysis::run_cloud_replay.
+  // The deterministic build over the generated workload: identical between
+  // fresh construction and restore.
   void build();
+  // The build steps both workload sources share, in rng draw order: the
+  // cloud and its warm-up over `warm_requests` weekly requests, then (once
+  // requests_ is final) the fault injector, the arrivals and the
+  // observability wiring. schedule_week returns the last arrival time.
+  void start_cloud(Rng& rng, std::size_t warm_requests);
+  SimTime schedule_week(Rng& rng);
+  void arm_checkpoint_tick();
+  analysis::CloudReplayResult harvest(
+      std::vector<workload::WorkloadRecord> requests,
+      std::vector<cloud::TaskOutcome> outcomes) const;
   void on_arrival(std::size_t index);
   void checkpoint_tick();
   void record_hash();
@@ -139,6 +170,8 @@ class CloudWorld {
   std::optional<fault::FaultInjector> injector_;
 
   std::vector<workload::WorkloadRecord> requests_;
+  // The week's length as finalize() reports it.
+  SimTime duration_ = 0;
   // arrival_events_[i] is the pending arrival event for requests_[i], or
   // kInvalidEvent once it fired. Indexed identity (not closures) is what
   // lets arrivals survive a restore.
@@ -157,3 +190,19 @@ class CloudWorld {
 };
 
 }  // namespace odr::snapshot
+
+namespace odr::analysis {
+
+// The §4 drivers. They live beside CloudWorld, not in analysis/replay.h,
+// because the world runs them and odr_snapshot sits above odr_analysis.
+
+// The generated week: a CloudWorld with no checkpoint tick, run to the
+// end and finalized.
+CloudReplayResult run_cloud_replay(const ExperimentConfig& config);
+
+// The same over an external trace (see CloudWorld's trace constructor).
+CloudReplayResult run_cloud_replay_from_trace(
+    std::vector<workload::WorkloadRecord> requests,
+    const ExperimentConfig& config);
+
+}  // namespace odr::analysis

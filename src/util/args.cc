@@ -88,16 +88,20 @@ std::int64_t ArgParser::get_int(const std::string& name) const {
   return x;
 }
 
-double ArgParser::get_double(const std::string& name, double min_value) const {
+double ArgParser::get_double(const std::string& name, double min_value,
+                             double max_value) const {
   const std::string v = get(name);
   char* end = nullptr;
   errno = 0;
   const double x = std::strtod(v.c_str(), &end);
   if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE ||
-      !std::isfinite(x) || !(x >= min_value)) {
+      !std::isfinite(x) || !(x >= min_value) || !(x <= max_value)) {
     std::ostringstream need;
     need << "a finite number";
     if (min_value > -DBL_MAX) need << " >= " << min_value;
+    if (max_value < DBL_MAX) {
+      need << (min_value > -DBL_MAX ? " and <= " : " <= ") << max_value;
+    }
     bad_value(name, v, need.str());
   }
   return x;

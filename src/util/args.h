@@ -26,12 +26,12 @@ class ArgParser {
 
   std::string get(const std::string& name) const;
   // Numeric getters parse the whole token and accept only finite values
-  // (for get_double, of at least `min_value`); anything else (empty,
+  // (for get_double, within [min_value, max_value]); anything else (empty,
   // "abc", "40x", "nan", out of range) prints the flag and its value and
   // exits with status 1.
   std::int64_t get_int(const std::string& name) const;
-  double get_double(const std::string& name,
-                    double min_value = -DBL_MAX) const;
+  double get_double(const std::string& name, double min_value = -DBL_MAX,
+                    double max_value = DBL_MAX) const;
   bool get_bool(const std::string& name) const;
 
   std::string usage() const;

@@ -1,9 +1,13 @@
 // Tests for the metric collectors and (small-scale) replay drivers.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "analysis/metrics.h"
 #include "analysis/replay.h"
 #include "analysis/report.h"
+#include "snapshot/world.h"
 
 namespace odr::analysis {
 namespace {
@@ -119,6 +123,20 @@ TEST(ReportTest, ComparisonTableRenders) {
   EXPECT_EQ(fmt_minutes(81.9), "82 min");
 }
 
+TEST(ScaledConfigTest, RejectsDivisorsThatLeaveAnEmptyWorkload) {
+  const ExperimentConfig edge = make_scaled_config(kMaxDivisor, 1);
+  EXPECT_EQ(edge.catalog.num_files, 1u);
+  EXPECT_GT(edge.users.num_users, 0u);
+  EXPECT_GT(edge.requests.num_requests, 0u);
+  for (const double divisor :
+       {0.0, 0.5, -5.0, kMaxDivisor + 0.5, 600000.0,
+        std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(make_scaled_config(divisor, 1), std::invalid_argument)
+        << divisor;
+  }
+}
+
 // --- small-scale replay smoke tests ------------------------------------------
 
 ExperimentConfig tiny_config() {
@@ -203,6 +221,30 @@ TEST(TraceReplayTest, RecoversRecordedUserAttributes) {
       EXPECT_DOUBLE_EQ(u.access_bandwidth, r.access_bandwidth);
     }
   }
+}
+
+TEST(TraceReplayTest, MatchesPinnedFingerprint) {
+  // The trace replay's exact result, recorded before the trace path became
+  // a CloudWorld constructor: it must make the same rng draws and schedule
+  // the same events in the same order.
+  const CloudReplayResult original = run_cloud_replay(tiny_config());
+  const CloudReplayResult replayed =
+      run_cloud_replay_from_trace(original.requests, tiny_config());
+  EXPECT_EQ(outcome_fingerprint(replayed.outcomes), 0x2793e1e797a6acddull);
+  EXPECT_DOUBLE_EQ(replayed.cache_hit_ratio, 0.89764936336924583);
+  EXPECT_EQ(replayed.duration, 691098266632);
+}
+
+TEST(TraceReplayTest, HonoursFaultPlan) {
+  // The trace world shares the generated world's fault wiring: a non-empty
+  // plan fires during the replayed week and leaves the outcome count alone.
+  const CloudReplayResult original = run_cloud_replay(tiny_config());
+  ExperimentConfig faulted = tiny_config();
+  faulted.fault_plan = fault::make_chaos_plan(3);
+  const CloudReplayResult replayed =
+      run_cloud_replay_from_trace(original.requests, faulted);
+  EXPECT_GT(replayed.faults_fired, 0u);
+  EXPECT_EQ(replayed.outcomes.size(), original.requests.size());
 }
 
 TEST(StrategyReplayTest, OdrBeatsCloudOnlyOnImpediment) {

@@ -6,6 +6,7 @@
 
 #include "analysis/metrics.h"
 #include "analysis/replay.h"
+#include "snapshot/world.h"
 
 namespace odr::analysis {
 namespace {

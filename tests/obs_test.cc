@@ -18,6 +18,7 @@
 #include "obs/sampler.h"
 #include "obs/task_span.h"
 #include "obs/trace.h"
+#include "snapshot/world.h"
 #include "util/json.h"
 #include "util/units.h"
 

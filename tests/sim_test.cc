@@ -226,108 +226,5 @@ TEST(SimulatorEngineTest, SlotReuseKeepsIdsUniqueAcrossChurn) {
   EXPECT_EQ(fired, 50 * 10);
 }
 
-// --- sharded event queues (DESIGN.md §16) -----------------------------------
-
-// Records (time, tag) pairs from a scripted schedule so shard layouts can
-// be compared against the single-queue reference.
-std::vector<std::pair<SimTime, int>> run_scripted(std::size_t shards) {
-  Simulator sim;
-  sim.set_shard_count(shards);
-  std::vector<std::pair<SimTime, int>> fired;
-  // A mix of same-time ties and distinct times scattered over shards by a
-  // fake "user id" (the tag), exactly how the replay pins arrivals.
-  for (int i = 0; i < 40; ++i) {
-    const SimTime t = ((i * 13) % 7) * kSec;
-    Simulator::ShardGuard guard(sim, static_cast<std::size_t>(i));
-    sim.schedule_at(t, [&fired, t, i] { fired.push_back({t, i}); });
-  }
-  sim.run();
-  return fired;
-}
-
-TEST(ShardedSimulatorTest, AnyShardCountReproducesSingleQueueOrder) {
-  const auto reference = run_scripted(1);
-  for (std::size_t shards : {2u, 3u, 4u, 8u}) {
-    EXPECT_EQ(run_scripted(shards), reference) << shards << " shards";
-  }
-}
-
-TEST(ShardedSimulatorTest, TiesBreakBySeqAcrossShards) {
-  // Events at the identical time, deliberately scheduled into different
-  // shards in a scrambled shard order: the merge must fire them in
-  // scheduling (seq) order, not shard order.
-  Simulator sim;
-  sim.set_shard_count(4);
-  std::vector<int> order;
-  const std::size_t scrambled[] = {3, 0, 2, 1, 3, 2, 0, 1};
-  for (int i = 0; i < 8; ++i) {
-    Simulator::ShardGuard guard(sim, scrambled[i]);
-    sim.schedule_at(kSec, [&order, i] { order.push_back(i); });
-  }
-  sim.run();
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(ShardedSimulatorTest, DescendantsInheritTheCurrentShard) {
-  // An event scheduled from inside a callback (no explicit guard) lands in
-  // the shard of the event being executed — causal chains stay local.
-  Simulator sim;
-  sim.set_shard_count(2);
-  std::vector<std::size_t> shard_at_fire;
-  {
-    Simulator::ShardGuard guard(sim, 1);
-    sim.schedule_at(kSec, [&] {
-      shard_at_fire.push_back(sim.current_shard());
-      sim.schedule_after(kSec, [&] {
-        shard_at_fire.push_back(sim.current_shard());
-      });
-    });
-  }
-  sim.run();
-  EXPECT_EQ(shard_at_fire, (std::vector<std::size_t>{1, 1}));
-}
-
-TEST(ShardedSimulatorTest, ShardGuardRestoresAndWraps) {
-  Simulator sim;
-  sim.set_shard_count(2);
-  EXPECT_EQ(sim.current_shard(), 0u);
-  {
-    Simulator::ShardGuard guard(sim, 7);  // 7 % 2 == 1
-    EXPECT_EQ(sim.current_shard(), 1u);
-  }
-  EXPECT_EQ(sim.current_shard(), 0u);
-}
-
-TEST(ShardedSimulatorTest, CancelWorksAcrossShards) {
-  Simulator sim;
-  sim.set_shard_count(4);
-  int fired = 0;
-  EventId doomed;
-  {
-    Simulator::ShardGuard guard(sim, 2);
-    doomed = sim.schedule_at(kSec, [&] { ++fired; });
-  }
-  {
-    Simulator::ShardGuard guard(sim, 3);
-    sim.schedule_at(kSec, [&] { ++fired; });
-  }
-  EXPECT_TRUE(sim.cancel(doomed));
-  sim.run();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(ShardedSimulatorTest, ReshardingMidstreamPreservesPendingEvents) {
-  // set_shard_count merges whatever is queued into the new partition; all
-  // pending events must survive and still fire in (time, seq) order.
-  Simulator sim;
-  std::vector<int> order;
-  for (int i = 0; i < 6; ++i) {
-    sim.schedule_at((6 - i) * kSec, [&order, i] { order.push_back(i); });
-  }
-  sim.set_shard_count(3);
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{5, 4, 3, 2, 1, 0}));
-}
-
 }  // namespace
 }  // namespace odr::sim

@@ -722,31 +722,6 @@ class WorldTest : public ::testing::Test {
   }
 };
 
-TEST_F(WorldTest, MatchesRunCloudReplay) {
-  const auto cfg = small_config(20151028);
-  const auto expect = analysis::run_cloud_replay(cfg);
-
-  snapshot::CloudWorld world(cfg, options());
-  world.run();
-  const auto got = world.finalize();
-
-  ASSERT_EQ(got.requests.size(), expect.requests.size());
-  ASSERT_EQ(got.outcomes.size(), expect.outcomes.size());
-  for (std::size_t i = 0; i < expect.outcomes.size(); ++i) {
-    EXPECT_EQ(got.outcomes[i].task_id, expect.outcomes[i].task_id);
-    EXPECT_EQ(got.outcomes[i].fetched, expect.outcomes[i].fetched);
-    EXPECT_EQ(got.outcomes[i].privileged_path,
-              expect.outcomes[i].privileged_path);
-    EXPECT_EQ(got.outcomes[i].weekly_popularity,
-              expect.outcomes[i].weekly_popularity);
-  }
-  EXPECT_EQ(got.cache_hit_ratio, expect.cache_hit_ratio);
-  EXPECT_EQ(got.fetch_rejections, expect.fetch_rejections);
-  EXPECT_EQ(got.fetch_admissions, expect.fetch_admissions);
-  EXPECT_EQ(got.privileged_paths, expect.privileged_paths);
-  EXPECT_EQ(got.vm_retries, expect.vm_retries);
-}
-
 // Kill the world mid-week, restore from the checkpoint buffer, run to
 // completion: the final world state must be BYTE-identical to the
 // uninterrupted run's.

@@ -172,14 +172,14 @@ TEST(ArgParserTest, UnknownFlagRejected) {
 // naming the flag and value instead of handing back a silent 0.
 TEST(ArgParserTest, MalformedNumbersExitWithMessage) {
   for (const char* value :
-       {"abc", "", "40x", "nan", "inf", "1e999", "-5", "0"}) {
+       {"abc", "", "40x", "nan", "inf", "1e999", "-5", "0", "1000.5"}) {
     ArgParser args("test");
     args.flag("divisor", "100", "scale");
     const std::string flag = std::string("--divisor=") + value;
     const char* argv[] = {"prog", flag.c_str()};
     ASSERT_TRUE(args.parse(2, const_cast<char**>(argv)));
-    EXPECT_EXIT(args.get_double("divisor", 1.0), ::testing::ExitedWithCode(1),
-                "bad --divisor value")
+    EXPECT_EXIT(args.get_double("divisor", 1.0, 1000.0),
+                ::testing::ExitedWithCode(1), "bad --divisor value")
         << value;
   }
   for (const char* value : {"abc", "", "12x", "1.5", "99999999999999999999"}) {
@@ -201,6 +201,8 @@ TEST(ArgParserTest, WellFormedNumbersParse) {
   const char* argv[] = {"prog", "--divisor=2.5e1", "--seed", "-7"};
   ASSERT_TRUE(args.parse(4, const_cast<char**>(argv)));
   EXPECT_DOUBLE_EQ(args.get_double("divisor", 1.0), 25.0);
+  // Both bounds are inclusive.
+  EXPECT_DOUBLE_EQ(args.get_double("divisor", 25.0, 25.0), 25.0);
   EXPECT_EQ(args.get_int("seed"), -7);
 }
 

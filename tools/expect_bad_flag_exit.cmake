@@ -3,7 +3,7 @@
 # a message naming the flag on stderr.
 #
 #   cmake -DBINARY=<path> -DFLAG=divisor -P expect_bad_flag_exit.cmake
-foreach(value 0 abc -5)
+foreach(value 0 abc -5 600000)
   execute_process(COMMAND ${BINARY} --${FLAG} ${value}
                   RESULT_VARIABLE rc
                   OUTPUT_QUIET

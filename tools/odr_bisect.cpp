@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
 
   auto config_for = [&](const char* seed_flag) {
     return odr::analysis::make_scaled_config(
-        args.get_double("divisor", 1.0),
+        args.get_double("divisor", 1.0, odr::analysis::kMaxDivisor),
         static_cast<std::uint64_t>(args.get_int(seed_flag)));
   };
 
