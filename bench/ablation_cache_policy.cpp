@@ -5,6 +5,7 @@
 // LRU / LFU / FIFO / GDSF at several pool capacities and reports hit
 // ratios — showing where the production choice sits.
 #include <cstdio>
+#include <limits>
 
 #include "analysis/replay.h"
 #include "cloud/cache_policy.h"
@@ -36,7 +37,8 @@ int main(int argc, char** argv) {
 
   // Access stream: several weeks of requests (older weeks are the warmup
   // the production pool has seen).
-  const int weeks = static_cast<int>(args.get_int("weeks"));
+  const int weeks = static_cast<int>(
+      args.get_int("weeks", 1, std::numeric_limits<int>::max()));
   std::vector<workload::FileIndex> stream;
   workload::RequestGenParams gp;
   gp.num_requests = static_cast<std::size_t>(cp.total_weekly_requests);

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
 
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed")));
   workload::CatalogParams cp;
-  cp.num_files = static_cast<std::size_t>(args.get_int("files"));
+  cp.num_files = static_cast<std::size_t>(args.get_int("files", 1));
   cp.total_weekly_requests = 7.25 * static_cast<double>(cp.num_files);
   const workload::Catalog catalog(cp, rng);
 

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed")));
   workload::CatalogParams params;
-  params.num_files = static_cast<std::size_t>(args.get_int("files"));
+  params.num_files = static_cast<std::size_t>(args.get_int("files", 1));
   params.total_weekly_requests = 7.25 * static_cast<double>(params.num_files);
   const workload::Catalog catalog(params, rng);
 

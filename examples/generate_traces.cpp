@@ -25,6 +25,18 @@ int main(int argc, char** argv) {
   const auto config = analysis::make_scaled_config(
       args.get_double("divisor", 1.0, analysis::kMaxDivisor),
       static_cast<std::uint64_t>(args.get_int("seed")));
+
+  // Create the output directory before the replay, so a bad --out fails
+  // fast with a message instead of an uncaught exception.
+  const std::filesystem::path dir = args.get("out");
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "bad --out value '%s': %s\n", dir.string().c_str(),
+                 ec.message().c_str());
+    return 1;
+  }
+
   const auto result = analysis::run_cloud_replay(config);
 
   std::vector<workload::PreDownloadRecord> pre;
@@ -35,8 +47,6 @@ int main(int argc, char** argv) {
     if (o.pre.success) fetch.push_back(o.fetch);
   }
 
-  const std::filesystem::path dir = args.get("out");
-  std::filesystem::create_directories(dir);
   {
     std::ofstream f(dir / "workload.csv");
     workload::write_workload_csv(f, result.requests);

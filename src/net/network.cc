@@ -16,6 +16,42 @@ constexpr Rate kMinRate = 1e-6;
 // Rate given to a flow nothing constrains (no cap, no finite link).
 constexpr Rate kUnboundedRate = 1e15;
 
+// The rate a flow runs at when its cap is what binds it: zero at or below
+// kMinRate, the unbounded clamp for an infinite cap.
+Rate cap_rate(Rate cap) {
+  if (cap <= kMinRate) return 0.0;
+  return std::isfinite(cap) ? cap : kUnboundedRate;
+}
+
+// Fast-path link load (see network.h): rates in quanta of 2^-20 B/s, each
+// rounded up, so a load never understates the real sum and, being an
+// integer sum, does not depend on the order flows came and went.
+constexpr double kQuantaPerRate = 0x1p20;
+// Links wider than this are not tracked, so no load can overflow 64 bits.
+// A finite one never passes its bound (updates through it take the full
+// solve); an infinite one can never bind and always passes.
+constexpr Rate kMaxTrackedCapacity = 0x1p40;
+// Headroom below capacity that the solver's rounding cannot cross: a link
+// loaded at or below capacity·(1−kBoundSlack) is not anyone's bottleneck.
+constexpr double kBoundSlack = 1e-9;
+constexpr std::int64_t kNeverBinds = std::numeric_limits<std::int64_t>::max();
+
+std::int64_t load_bound(Rate capacity) {
+  if (capacity == kUnlimitedRate) return kNeverBinds;
+  if (!(capacity <= kMaxTrackedCapacity)) return -1;
+  return static_cast<std::int64_t>(
+      std::floor(capacity * (1.0 - kBoundSlack) * kQuantaPerRate));
+}
+
+bool tracked(std::int64_t bound) { return bound >= 0 && bound != kNeverBinds; }
+
+// Clamped just above every tracked bound, so a huge tentative rate fails
+// the check instead of overflowing.
+std::int64_t rate_quanta(Rate rate) {
+  return static_cast<std::int64_t>(
+      std::ceil(std::min(rate, kMaxTrackedCapacity + 1.0) * kQuantaPerRate));
+}
+
 // Field tags for the network snapshot section.
 enum : std::uint16_t {
   kTagModel = 1,
@@ -47,19 +83,19 @@ NodeId Network::add_node(std::string name, Isp isp) {
 LinkId Network::add_link(std::string name, Rate capacity) {
   assert(capacity >= 0.0);
   links_.push_back(LinkState{std::move(name), capacity});
+  links_.back().bound = load_bound(capacity);
   link_epoch_.push_back(0);
   link_dense_.push_back(0);
-  const auto l = static_cast<std::uint32_t>(links_.size() - 1);
-  dsu_parent_.push_back(l);
-  dsu_size_.push_back(1);
-  dsu_next_.push_back(l);
-  return l;
+  return static_cast<LinkId>(links_.size() - 1);
 }
 
 void Network::set_link_capacity(LinkId link, Rate capacity) {
   assert(link < links_.size());
   assert(capacity >= 0.0);
   links_[link].capacity = capacity;
+  links_[link].bound = load_bound(capacity);
+  // The component re-solve recounts this link's load if any flow crosses
+  // it; with none, its load is already 0 whether tracked or not.
   reallocate_component({link});
 }
 
@@ -177,15 +213,16 @@ FlowId Network::start_flow(FlowSpec spec) {
   f.on_complete = std::move(spec.on_complete);
   f.id = id;
   attach_to_links(slot, f);
-  dsu_union_path(f.path);
   id_to_slot_.put(id, slot);
   ++live_flows_;
-  if (f.path.empty()) {
-    component_scratch_.clear();
-    component_scratch_.push_back(slot);
-    reallocate_flows(component_scratch_);
-  } else {
-    reallocate_component(f.path);
+  if (!try_fast_start(f)) {
+    if (f.path.empty()) {
+      component_scratch_.clear();
+      component_scratch_.push_back(slot);
+      reallocate_flows(component_scratch_);
+    } else {
+      reallocate_component(f.path);
+    }
   }
   ODR_COUNT("net.flows.started");
   ODR_TRACE_INSTANT(kNet, "flow.start");
@@ -196,6 +233,7 @@ std::vector<FlowId> Network::start_flows(std::vector<FlowSpec> specs) {
   std::vector<FlowId> ids;
   ids.reserve(specs.size());
   std::vector<LinkId> seeds;
+  std::vector<std::uint32_t> pathless;  // slow pathless flows (kEqualSplit)
   for (FlowSpec& spec : specs) {
     assert(spec.bytes > 0);
     const FlowId id = next_flow_id_++;
@@ -213,11 +251,17 @@ std::vector<FlowId> Network::start_flows(std::vector<FlowSpec> specs) {
     f.on_complete = std::move(spec.on_complete);
     f.id = id;
     attach_to_links(slot, f);
-    for (LinkId l : f.path) seeds.push_back(l);
-    dsu_union_path(f.path);
     id_to_slot_.put(id, slot);
     ++live_flows_;
     ids.push_back(id);
+    // A slow flow's tentative load stays on its links until the joint
+    // solve recounts them, which only makes later checks in the batch more
+    // conservative; a fast flow that shares a link with a slow one is in
+    // the joint solve's component and is re-solved with it.
+    if (!try_fast_start(f)) {
+      if (f.path.empty()) pathless.push_back(slot);
+      for (LinkId l : f.path) seeds.push_back(l);
+    }
     ODR_COUNT("net.flows.started");
     ODR_TRACE_INSTANT(kNet, "flow.start");
   }
@@ -229,10 +273,8 @@ std::vector<FlowId> Network::start_flows(std::vector<FlowSpec> specs) {
   // Pathless flows sit on no link, so the closure walk cannot reach them;
   // they also never constrain the joint solve (cap-only), so appending is
   // exactly equivalent to solving them alone.
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const std::uint32_t* slot = id_to_slot_.find(ids[i]);
-    if (flows_[*slot].path.empty()) component_scratch_.push_back(*slot);
-  }
+  component_scratch_.insert(component_scratch_.end(), pathless.begin(),
+                            pathless.end());
   if (!component_scratch_.empty()) reallocate_flows(component_scratch_);
   return ids;
 }
@@ -245,13 +287,7 @@ bool Network::cancel_flow(FlowId id) {
   if (f.completion_event != sim::kInvalidEvent) {
     sim_.cancel(f.completion_event);
   }
-  detach_from_links(slot, f);
-  note_removed(f);
-  path_scratch_ = std::move(f.path);
-  release_slot(slot);
-  id_to_slot_.erase(id);
-  --live_flows_;
-  reallocate_component(path_scratch_);
+  remove_flow(slot, f);
   ODR_COUNT("net.flows.cancelled");
   return true;
 }
@@ -260,37 +296,106 @@ bool Network::set_flow_cap(FlowId id, Rate cap) {
   const std::uint32_t* ps = id_to_slot_.find(id);
   if (ps == nullptr) return false;
   const std::uint32_t slot = *ps;
-  flows_[slot].rate_cap = cap;
-  if (flows_[slot].path.empty()) {
+  FlowState& f = flows_[slot];
+  f.rate_cap = cap;
+  if (try_fast_recap(f)) return true;
+  if (f.path.empty()) {
     component_scratch_.clear();
     component_scratch_.push_back(slot);
     reallocate_flows(component_scratch_);
   } else {
-    reallocate_component(flows_[slot].path);
+    reallocate_component(f.path);
   }
   return true;
 }
 
-FlowStats Network::flow_stats(FlowId id) {
+FlowStats Network::flow_stats(FlowId id) const {
   FlowStats s;
   const std::uint32_t* ps = id_to_slot_.find(id);
   if (ps == nullptr) return s;
-  FlowState& f = flows_[*ps];
-  settle(f);
+  const FlowState& f = flows_[*ps];
   s.bytes_total = f.bytes_total;
   s.bytes_done = static_cast<Bytes>(std::min<double>(
-      f.bytes_done, static_cast<double>(f.bytes_total)));
+      progress(f), static_cast<double>(f.bytes_total)));
   s.current_rate = f.rate;
   s.started_at = f.started_at;
   s.peak_rate = f.peak_rate;
   return s;
 }
 
-void Network::settle(FlowState& f) {
-  const SimTime now = sim_.now();
-  if (now > f.last_settled) {
-    f.bytes_done += f.rate * to_seconds(now - f.last_settled);
-    f.last_settled = now;
+double Network::progress(const FlowState& f) const {
+  return f.bytes_done + f.rate * to_seconds(sim_.now() - f.last_settled);
+}
+
+void Network::set_rate(FlowState& f, Rate r) {
+  if (r != f.rate) {
+    // Re-anchor at the old rate before switching to the new one.
+    f.bytes_done = progress(f);
+    f.last_settled = sim_.now();
+    f.rate = r;
+    f.peak_rate = std::max(f.peak_rate, r);
+  }
+  schedule_completion(f.id, f);
+}
+
+bool Network::path_below_bound(const std::vector<LinkId>& path) const {
+  for (LinkId l : path) {
+    if (links_[l].load > links_[l].bound) return false;
+  }
+  return true;
+}
+
+void Network::add_load(const std::vector<LinkId>& path, Rate rate,
+                       std::int64_t sign) {
+  const std::int64_t q = sign * rate_quanta(rate);
+  for (LinkId l : path) {
+    if (tracked(links_[l].bound)) links_[l].load += q;
+  }
+}
+
+bool Network::try_fast_start(FlowState& f) {
+  if (model_ != AllocationModel::kMaxMinFair) return false;
+  if (!f.path.empty()) {
+    if (!std::isfinite(f.rate_cap)) return false;
+    // Tentative: on failure the full solve recounts every link of f's path.
+    add_load(f.path, cap_rate(f.rate_cap), 1);
+    if (!path_below_bound(f.path)) return false;
+  }
+  set_rate(f, cap_rate(f.rate_cap));
+  ODR_COUNT("net.flows.fast_path");
+  return true;
+}
+
+bool Network::try_fast_recap(FlowState& f) {
+  if (model_ != AllocationModel::kMaxMinFair) return false;
+  if (!f.path.empty()) {
+    // Below the bound before, the flow was at its old cap and no neighbour
+    // was bottlenecked on its path; below it after, none becomes so.
+    if (!std::isfinite(f.rate_cap) || !path_below_bound(f.path)) return false;
+    add_load(f.path, f.rate, -1);
+    add_load(f.path, cap_rate(f.rate_cap), 1);
+    if (!path_below_bound(f.path)) return false;
+  }
+  set_rate(f, cap_rate(f.rate_cap));
+  ODR_COUNT("net.flows.fast_path");
+  return true;
+}
+
+void Network::remove_flow(std::uint32_t slot, FlowState& f) {
+  // A hop below its bound bottlenecks no flow, so freeing it moves no one.
+  const bool fast = model_ == AllocationModel::kMaxMinFair &&
+                    path_below_bound(f.path);
+  add_load(f.path, f.rate, -1);
+  detach_from_links(slot, f);
+  const FlowId id = f.id;
+  path_scratch_ = std::move(f.path);
+  release_slot(slot);
+  id_to_slot_.erase(id);
+  --live_flows_;
+  if (fast) {
+    ODR_COUNT("net.flows.fast_path");
+  } else {
+    reallocate_component(path_scratch_);
   }
 }
 
@@ -310,32 +415,8 @@ void Network::reallocate_component(const std::vector<LinkId>& seed_links) {
 
 void Network::collect_component(const std::vector<LinkId>& seed_links) {
   component_scratch_.clear();
-  if (dsu_pending_splits_ > 0 && ++dsu_dirty_solves_ >= kDsuRebuildAfter) {
-    dsu_rebuild();
-  }
   const std::uint32_t ep = next_epoch();
-  if (dsu_pending_splits_ == 0) {
-    // Fast path: the union-find is exact (every recorded union is justified
-    // by a live flow), so each seed's component is its member ring.
-    for (LinkId l : seed_links) {
-      if (l >= links_.size() || link_epoch_[l] == ep) continue;
-      std::uint32_t cur = l;
-      do {
-        link_epoch_[cur] = ep;
-        for (std::uint32_t a = links_[cur].head; a != kNoAdj; a = adj_[a].next) {
-          FlowState& f = flows_[adj_[a].flow_slot];
-          if (f.epoch != ep) {
-            f.epoch = ep;
-            component_scratch_.push_back(adj_[a].flow_slot);
-          }
-        }
-        cur = dsu_next_[cur];
-      } while (cur != l);
-    }
-    return;
-  }
-  // Fallback after a multi-link flow departed (the union-find cannot track
-  // splits): exact breadth-first expansion over the shares-a-link relation.
+  // Exact breadth-first expansion over the shares-a-link relation.
   bfs_queue_.clear();
   for (LinkId l : seed_links) {
     if (l < links_.size() && link_epoch_[l] != ep) {
@@ -398,8 +479,8 @@ void Network::reallocate_flows(std::vector<std::uint32_t>& component) {
     }
   }
 
-  // Settle progress at the old rates before assigning new ones.
-  for (std::uint32_t slot : component) settle(flows_[slot]);
+  // Every touched link's load is recounted from the new rates below.
+  for (LinkId l : sol_link_ids_) links_[l].load = 0;
 
   if (model_ == AllocationModel::kEqualSplit) {
     // Naive split: each flow gets min over its links of capacity/n, then
@@ -411,10 +492,10 @@ void Network::reallocate_flows(std::vector<std::uint32_t>& component) {
         const double n = static_cast<double>(links_[l].flow_count);
         r = std::min(r, links_[l].capacity / std::max(1.0, n));
       }
-      f.rate = std::max(0.0, r);
-      f.peak_rate = std::max(f.peak_rate, f.rate);
-      schedule_completion(f.id, f);
+      set_rate(f, std::max(0.0, r));
+      add_load(f.path, f.rate, 1);
     }
+    ODR_COUNT("net.solver.runs");
     return;
   }
 
@@ -442,7 +523,7 @@ void Network::reallocate_flows(std::vector<std::uint32_t>& component) {
     if (f.rate_cap <= kMinRate) continue;  // fully throttled
     if (f.path.empty()) {
       // No shared constraint: the cap alone determines the rate.
-      sol_rate_[i] = std::isfinite(f.rate_cap) ? f.rate_cap : kUnboundedRate;
+      sol_rate_[i] = cap_rate(f.rate_cap);
       continue;
     }
     sol_frozen_[i] = 0;
@@ -569,9 +650,8 @@ void Network::reallocate_flows(std::vector<std::uint32_t>& component) {
 
   for (std::size_t i = 0; i < n_flows; ++i) {
     FlowState& f = flows_[component[i]];
-    f.rate = sol_rate_[i];
-    f.peak_rate = std::max(f.peak_rate, f.rate);
-    schedule_completion(f.id, f);
+    set_rate(f, sol_rate_[i]);
+    add_load(f.path, f.rate, 1);
   }
   ODR_COUNT("net.solver.runs");
   ODR_COUNT_N("net.solver.iterations", iterations);
@@ -591,7 +671,8 @@ void Network::schedule_completion(FlowId id, FlowState& f) {
     sim_.cancel(f.completion_event);
     f.completion_event = sim::kInvalidEvent;
   }
-  const double remaining = static_cast<double>(f.bytes_total) - f.bytes_done;
+  const double remaining =
+      static_cast<double>(f.bytes_total) - progress(f);
   if (remaining <= 0.0) {
     f.sched_rate = f.rate;
     f.completion_event = sim_.schedule_after(0, [this, id] { complete_flow(id); });
@@ -609,67 +690,15 @@ void Network::complete_flow(FlowId id) {
   if (ps == nullptr) return;
   const std::uint32_t slot = *ps;
   FlowState& f = flows_[slot];
-  settle(f);
   f.completion_event = sim::kInvalidEvent;
-  f.bytes_done = static_cast<double>(f.bytes_total);
   [[maybe_unused]] const SimTime started_at = f.started_at;
   ODR_COUNT("net.flows.completed");
   ODR_HIST("net.flow.duration_s", 0.0, 3600.0, 48,
            to_seconds(sim_.now() - started_at));
   ODR_TRACE_COMPLETE(kNet, "flow", started_at, sim_.now());
   FlowCallback cb = std::move(f.on_complete);
-  detach_from_links(slot, f);
-  note_removed(f);
-  path_scratch_ = std::move(f.path);
-  release_slot(slot);
-  id_to_slot_.erase(id);
-  --live_flows_;
-  reallocate_component(path_scratch_);
+  remove_flow(slot, f);
   if (cb) cb(id);
-}
-
-void Network::note_removed(const FlowState& f) {
-  // Only a multi-link flow can have been the sole connection between two
-  // links; its departure may split a component, which the union-find cannot
-  // express. Mark it stale; collect_component falls back to the exact BFS
-  // until the next rebuild.
-  if (f.path.size() > 1) ++dsu_pending_splits_;
-}
-
-std::uint32_t Network::dsu_find(std::uint32_t l) {
-  while (dsu_parent_[l] != l) {
-    dsu_parent_[l] = dsu_parent_[dsu_parent_[l]];  // path halving
-    l = dsu_parent_[l];
-  }
-  return l;
-}
-
-void Network::dsu_union(std::uint32_t a, std::uint32_t b) {
-  a = dsu_find(a);
-  b = dsu_find(b);
-  if (a == b) return;
-  if (dsu_size_[a] < dsu_size_[b]) std::swap(a, b);
-  dsu_parent_[b] = a;
-  dsu_size_[a] += dsu_size_[b];
-  // Splice the circular member rings: swapping successors of any two
-  // members of disjoint rings concatenates them.
-  std::swap(dsu_next_[a], dsu_next_[b]);
-}
-
-void Network::dsu_union_path(const std::vector<LinkId>& path) {
-  for (std::size_t i = 1; i < path.size(); ++i) dsu_union(path[0], path[i]);
-}
-
-void Network::dsu_rebuild() {
-  for (std::uint32_t l = 0; l < links_.size(); ++l) {
-    dsu_parent_[l] = l;
-    dsu_size_[l] = 1;
-    dsu_next_[l] = l;
-  }
-  flows_.for_each_slot(
-      [this](std::uint32_t, FlowState& f) { dsu_union_path(f.path); });
-  dsu_pending_splits_ = 0;
-  dsu_dirty_solves_ = 0;
 }
 
 void Network::save(snapshot::SnapshotWriter& w) const {
@@ -720,6 +749,8 @@ void Network::load(snapshot::SnapshotReader& r) {
     l.head = kNoAdj;
     l.tail = kNoAdj;
     l.flow_count = 0;
+    l.load = 0;
+    l.bound = load_bound(l.capacity);
   }
   next_flow_id_ = r.u64(kTagNextFlowId);
 
@@ -761,6 +792,9 @@ void Network::load(snapshot::SnapshotReader& r) {
     const bool has_callback = r.b(kTagFlowHasCallback);
     f.id = id;
     attach_to_links(slot, f);
+    // The load is a pure function of the restored rates, so the restored
+    // network makes the same fast-path decisions as the saved one.
+    add_load(f.path, f.rate, 1);
     if (completion != sim::kInvalidEvent) {
       sim_.rearm(completion, [this, id] { complete_flow(id); });
       f.completion_event = completion;
@@ -769,7 +803,6 @@ void Network::load(snapshot::SnapshotReader& r) {
     id_to_slot_.put(id, slot);
     ++live_flows_;
   }
-  dsu_rebuild();
 }
 
 void Network::reattach_on_complete(FlowId id, FlowCallback cb) {

@@ -3,11 +3,31 @@
 // The model: a set of directed links, each with a capacity in bytes/sec,
 // and a set of flows, each following a path (a list of links) and carrying
 // a known number of bytes, optionally with a per-flow rate cap (e.g. an
-// application throttle or a degraded cross-ISP path). Whenever the flow
-// set or any capacity changes, rates are recomputed by bottleneck-ordered
-// water-filling, which yields the max-min fair allocation. Flow completions
-// are scheduled on the odr::sim::Simulator from the allocated rates; a solve
-// reschedules only the completions of flows whose rate actually changed.
+// application throttle or a degraded cross-ISP path). Rates are the max-min
+// fair allocation. Flow completions are scheduled on the odr::sim::Simulator
+// from the allocated rates, and only a flow whose rate changed has its
+// completion rescheduled.
+//
+// Two update paths keep the allocation exact (see DESIGN.md §11):
+//   * Fast path (kMaxMinFair only). Each link keeps its load — the sum of
+//     its flows' rates, one term per hop — in integer rate quanta rounded
+//     up, so the load is an order-independent function of the live rates.
+//     A link is a possible bottleneck once that load exceeds
+//     capacity·(1−1e-9). A start or re-cap to a finite cap whose path stays
+//     below that bound, and a completion or cancel whose path was below it,
+//     change no other flow's bottleneck: the flow simply runs at its cap
+//     (0 at or below kMinRate). Max-min rates are unique, so this is the
+//     allocation a full solve would return. Pathless flows (P2P swarms)
+//     always take it.
+//   * Full solve. Everything else — infinite caps, saturated hops, link
+//     capacity changes, and every kEqualSplit update — re-solves the
+//     affected component (found by an epoch-stamped BFS over shared links)
+//     with bottleneck-ordered water-filling and recounts its links' loads.
+//
+// Progress is anchor-based: a flow's bytes are its bytes at the last rate
+// change plus rate × elapsed. A flow's anchor moves only when its own rate
+// changes, never at a neighbour's event, and reading stats does not move
+// it, so the floating-point schedule depends on the rate history alone.
 //
 // This level of abstraction — rates, not packets — reproduces every
 // bandwidth phenomenon the paper analyses (who is bottlenecked where, link
@@ -23,11 +43,7 @@
 // frozen flags, CSR flow→link paths and link→flow buckets with
 // component-local dense link indices, a cap order and a fair-share heap —
 // with no pointer chasing into the flow slab and no allocation once the
-// arrays have grown. Link connectivity is tracked by an incremental
-// union-find with member rings; removals can split components, which
-// invalidates it and the exact epoch-stamped BFS takes over until the
-// amortized rebuild (see kDsuRebuildAfter). Every path yields the exact
-// same component set.
+// arrays have grown.
 #pragma once
 
 #include <cstdint>
@@ -128,13 +144,13 @@ class Network {
   bool set_flow_cap(FlowId id, Rate cap);
 
   bool flow_active(FlowId id) const { return id_to_slot_.contains(id); }
-  // Stats are settled to `now` before being returned.
-  FlowStats flow_stats(FlowId id);
+  // Progress is read at `now` without moving the flow's anchor.
+  FlowStats flow_stats(FlowId id) const;
 
   std::size_t active_flow_count() const { return live_flows_; }
 
-  // Recomputes the max-min fair allocation immediately. Normally invoked
-  // internally; exposed for tests.
+  // Recomputes the max-min fair allocation of every flow with a full solve.
+  // Normally never needed; exposed for tests.
   void reallocate();
 
   // Re-solves only the flows transitively sharing links with `seed_links`
@@ -151,7 +167,9 @@ class Network {
   // flow records whether it had one and the owner must re-attach it via
   // reattach_on_complete() before the simulation resumes. Rates are NOT
   // recomputed on load — they are restored exactly, so completion events
-  // keep their original times and ids.
+  // keep their original times and ids — and the per-link loads are
+  // recounted from them, so the restored network takes the same fast-path
+  // or full-solve decision at every later update.
   static constexpr std::uint32_t kSnapshotVersion = 1;
   void save(snapshot::SnapshotWriter& w) const;
   void load(snapshot::SnapshotReader& r);
@@ -160,10 +178,10 @@ class Network {
   // yet; must be zero before resuming (audited).
   std::size_t flows_awaiting_callback() const { return awaiting_callback_.size(); }
 
-  // Read-only view for the invariant auditor. Deliberately does NOT settle
-  // flows: settling at audit time would change the floating-point summation
-  // schedule and break bit-identical resume. The `path` pointers alias the
-  // flow slab; views are invalidated by the next flow mutation.
+  // Read-only view for the invariant auditor. `bytes_done` and
+  // `last_settled` are the flow's progress anchor (see file header). The
+  // `path` pointers alias the flow slab; views are invalidated by the next
+  // flow mutation.
   struct FlowView {
     FlowId id = kInvalidFlow;
     const std::vector<LinkId>* path = nullptr;
@@ -178,9 +196,6 @@ class Network {
   std::size_t pending_completion_count() const;
   std::size_t link_count() const { return links_.size(); }
 
-  // Union-find health, exposed for the benchmarks and property tests.
-  bool component_index_clean() const { return dsu_pending_splits_ == 0; }
-
   // Pool high-water marks (RSS accounting and the pool property tests).
   std::size_t flow_slab_capacity() const { return flows_.capacity(); }
   std::size_t adjacency_pool_capacity() const { return adj_.capacity(); }
@@ -188,11 +203,6 @@ class Network {
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   static constexpr std::uint32_t kNoAdj = 0xffffffffu;
-  // Rebuild the union-find after this many BFS-fallback solves. Rebuilding
-  // costs one pass over every live flow's path; spreading it over 16
-  // fallback solves keeps the amortized overhead a few percent while
-  // start/cap-churn bursts (which never dirty the structure) stay O(1).
-  static constexpr std::uint32_t kDsuRebuildAfter = 16;
 
   // One hop of the link→flow adjacency: flow `flow_slot` crosses the
   // owning link. Nodes are pooled (util::SlabPool) and chained per link in
@@ -212,6 +222,11 @@ class Network {
     std::uint32_t head = kNoAdj;
     std::uint32_t tail = kNoAdj;
     std::uint32_t flow_count = 0;
+    // Fast-path state (see file header): the load in rate quanta and the
+    // largest load that leaves the link clearly unsaturated. Links too wide
+    // for the quanta to fit in 64 bits keep load 0; see load_bound().
+    std::int64_t load = 0;
+    std::int64_t bound = 0;
   };
 
   struct NodeState {
@@ -224,7 +239,7 @@ class Network {
     // Adjacency node per path hop (parallel to `path`), for O(1) detach.
     std::vector<std::uint32_t> adj;
     Bytes bytes_total = 0;
-    double bytes_done = 0.0;  // double: avoids rounding drift on resettles
+    double bytes_done = 0.0;  // progress anchor: bytes at last_settled
     Rate rate = 0.0;
     Rate rate_cap = kUnlimitedRate;
     Rate peak_rate = 0.0;
@@ -233,7 +248,7 @@ class Network {
     // while one is pending.
     Rate sched_rate = 0.0;
     SimTime started_at = 0;
-    SimTime last_settled = 0;
+    SimTime last_settled = 0;  // anchor time: the last change of `rate`
     FlowCallback on_complete;
     sim::EventId completion_event = sim::kInvalidEvent;
     FlowId id = kInvalidFlow;  // owning id; kInvalidFlow when the slot is free
@@ -244,25 +259,37 @@ class Network {
   void release_slot(std::uint32_t slot);
   void attach_to_links(std::uint32_t slot, FlowState& f);
 
-  void settle(FlowState& f);
+  // Bytes done at `now`: the anchor plus rate × elapsed.
+  double progress(const FlowState& f) const;
+  // Gives `f` rate `r` (moving its anchor to `now` if the rate changes)
+  // and keeps or reschedules its completion.
+  void set_rate(FlowState& f, Rate r);
   // Water-filling over `component` (slab slots, any order; sorted by flow
   // id internally). REQUIRES the set to be link-closed: every flow on every
   // link touched by a member is itself a member (components are, by
-  // construction). Reschedules the completions whose rate changed.
+  // construction). Reschedules the completions whose rate changed and
+  // recounts the load of every link it touched.
   void reallocate_flows(std::vector<std::uint32_t>& component);
   // Collects the exact component of `seed_links` into component_scratch_
-  // (union-find fast path when clean, epoch-stamped BFS otherwise).
+  // by an epoch-stamped BFS over the shares-a-link relation.
   void collect_component(const std::vector<LinkId>& seed_links);
   void schedule_completion(FlowId id, FlowState& f);
   void complete_flow(FlowId id);
   void detach_from_links(std::uint32_t slot, FlowState& f);
-  void note_removed(const FlowState& f);
+  // Removes a departing flow: the fast path when every hop was below its
+  // bound, the component re-solve otherwise. `f` is released on return.
+  void remove_flow(std::uint32_t slot, FlowState& f);
 
-  // --- link union-find (incremental unions; removals invalidate) ----------
-  std::uint32_t dsu_find(std::uint32_t l);
-  void dsu_union(std::uint32_t a, std::uint32_t b);
-  void dsu_union_path(const std::vector<LinkId>& path);
-  void dsu_rebuild();
+  // --- fast path (see file header) ----------------------------------------
+  // Applies the fast path to a just-attached flow, or returns false and
+  // leaves the flow for a full solve of its component.
+  bool try_fast_start(FlowState& f);
+  // The fast path for a re-cap of `f` to its (already stored) rate_cap.
+  bool try_fast_recap(FlowState& f);
+  // True when every hop of `path` is at or below its bound.
+  bool path_below_bound(const std::vector<LinkId>& path) const;
+  // Adds `sign` × quanta(rate) to the load of every tracked hop of `path`.
+  void add_load(const std::vector<LinkId>& path, Rate rate, std::int64_t sign);
 
   std::uint32_t next_epoch() {
     if (++epoch_ == 0) {  // wrapped: invalidate every stale stamp
@@ -317,13 +344,6 @@ class Network {
   std::vector<std::uint32_t> link_version_;   // dense link: heap stamp
   std::vector<std::uint32_t> touched_;        // dense links changed this step
   std::vector<ShareEntry> share_heap_;
-
-  // Link union-find with circular member rings.
-  std::vector<std::uint32_t> dsu_parent_;
-  std::vector<std::uint32_t> dsu_size_;
-  std::vector<std::uint32_t> dsu_next_;        // circular list per component
-  std::uint64_t dsu_pending_splits_ = 0;       // multi-link removals since rebuild
-  std::uint32_t dsu_dirty_solves_ = 0;         // BFS fallbacks since rebuild
 
   // Restored flows whose completion callback has not been re-attached yet.
   std::set<FlowId> awaiting_callback_;

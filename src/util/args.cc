@@ -77,13 +77,27 @@ namespace {
 
 }  // namespace
 
-std::int64_t ArgParser::get_int(const std::string& name) const {
+std::int64_t ArgParser::get_int(const std::string& name,
+                                std::int64_t min_value,
+                                std::int64_t max_value) const {
   const std::string v = get(name);
   char* end = nullptr;
   errno = 0;
   const long long x = std::strtoll(v.c_str(), &end, 10);
-  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE) {
-    bad_value(name, v, "an integer");
+  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE ||
+      x < min_value || x > max_value) {
+    std::ostringstream need;
+    need << "an integer";
+    if (min_value > std::numeric_limits<std::int64_t>::min()) {
+      need << " >= " << min_value;
+    }
+    if (max_value < std::numeric_limits<std::int64_t>::max()) {
+      need << (min_value > std::numeric_limits<std::int64_t>::min()
+                   ? " and <= "
+                   : " <= ")
+           << max_value;
+    }
+    bad_value(name, v, need.str());
   }
   return x;
 }

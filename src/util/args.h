@@ -6,6 +6,7 @@
 
 #include <cfloat>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -26,10 +27,13 @@ class ArgParser {
 
   std::string get(const std::string& name) const;
   // Numeric getters parse the whole token and accept only finite values
-  // (for get_double, within [min_value, max_value]); anything else (empty,
-  // "abc", "40x", "nan", out of range) prints the flag and its value and
-  // exits with status 1.
-  std::int64_t get_int(const std::string& name) const;
+  // within [min_value, max_value]; anything else (empty, "abc", "40x",
+  // "nan", out of range) prints the flag and its value and exits with
+  // status 1. Count flags pass their lower bound (e.g. 1 for --files).
+  std::int64_t get_int(
+      const std::string& name,
+      std::int64_t min_value = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t max_value = std::numeric_limits<std::int64_t>::max()) const;
   double get_double(const std::string& name, double min_value = -DBL_MAX,
                     double max_value = DBL_MAX) const;
   bool get_bool(const std::string& name) const;

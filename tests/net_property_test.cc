@@ -8,6 +8,7 @@
 #include <map>
 
 #include "net/network.h"
+#include "obs/observer.h"
 #include "progressive_filling.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -381,6 +382,166 @@ TEST_P(WaterFillingOracleTest, NoFlowLeftUnfrozen) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WaterFillingOracleTest,
                          ::testing::Values(3u, 17u, 2015u, 1028u));
+
+// The fast path (one flow touched when no hop can be a bottleneck) must
+// leave exactly the allocation a full solve would. Random starts, cancels,
+// completions, re-caps and link resizes run on mostly under-subscribed
+// links plus two narrow ones that saturate, with pathless flows, caps at or
+// below kMinRate, infinite caps and paths that cross a link twice. After
+// every operation the live set is rebuilt in a fresh network and re-solved
+// with reallocate(): flows at their cap must match bitwise, link-bound
+// flows within 1e-6.
+struct FastPathFlow {
+  FlowId id;
+  std::vector<LinkId> path;
+  Rate cap;
+};
+
+// Rate of a flow whose cap binds it (mirrors net/network.cc).
+double cap_bound_rate(double cap) {
+  if (cap <= kMinRate) return 0.0;
+  return std::isfinite(cap) ? cap : 1e15;
+}
+
+class FastPathOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FastPathOracleTest, MatchesFullSolveAfterEveryOperation) {
+  obs::ScopedObserver obs;
+  const auto fast_count = [&obs] {
+    return obs->metrics().counter("net.flows.fast_path").value();
+  };
+  sim::Simulator sim;
+  Network net(sim);
+  Rng rng(GetParam());
+
+  std::vector<LinkId> links;
+  std::vector<Rate> capacities;
+  for (int i = 0; i < 8; ++i) {
+    capacities.push_back(i < 2 ? rng.uniform(200.0, 600.0)
+                               : rng.uniform(2e4, 8e4));
+    links.push_back(net.add_link("l" + std::to_string(i), capacities.back()));
+  }
+  std::vector<FastPathFlow> live;
+  const auto forget = [&live](FlowId id) {
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (live[i].id == id) {
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        return;
+      }
+    }
+  };
+  const auto random_cap = [&rng] {
+    const double kind = rng.uniform();
+    if (kind < 0.05) return kUnlimitedRate;
+    if (kind < 0.1) return kMinRate * rng.uniform(0.0, 1.0);
+    return rng.uniform(10.0, 300.0);
+  };
+
+  std::uint64_t flow_ops = 0;  // starts, cancels and re-caps
+  std::uint64_t fast_ops = 0;  // of those, the ones that took the fast path
+  for (int step = 0; step < 400; ++step) {
+    const double action = rng.uniform();
+    const std::uint64_t fast_before = fast_count();
+    bool flow_op = true;
+    if (action < 0.45 || live.empty()) {
+      std::vector<LinkId> path;
+      const double shape = rng.uniform();
+      if (shape < 0.1) {
+        // pathless: a P2P swarm flow
+      } else if (shape < 0.2) {
+        const LinkId l = links[rng.uniform_index(links.size())];
+        path = {l, l};
+      } else {
+        const int hops = 1 + static_cast<int>(rng.uniform_index(2));
+        for (int h = 0; h < hops; ++h) {
+          path.push_back(links[rng.uniform_index(links.size())]);
+        }
+      }
+      const Rate cap = random_cap();
+      const Bytes size = 1000 + rng.uniform_index(200000);
+      const FlowId id = net.start_flow({path, size, cap, forget});
+      live.push_back({id, path, cap});
+    } else if (action < 0.65) {
+      const std::size_t victim = rng.uniform_index(live.size());
+      EXPECT_TRUE(net.cancel_flow(live[victim].id));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    } else if (action < 0.85) {
+      const std::size_t victim = rng.uniform_index(live.size());
+      live[victim].cap = random_cap();
+      net.set_flow_cap(live[victim].id, live[victim].cap);
+    } else if (action < 0.9) {
+      flow_op = false;
+      const std::size_t l = rng.uniform_index(links.size());
+      capacities[l] = l < 2 ? rng.uniform(200.0, 600.0) : rng.uniform(2e4, 8e4);
+      net.set_link_capacity(links[l], capacities[l]);
+    } else {
+      // Completions fire here; their callbacks drop the flow from `live`.
+      flow_op = false;
+      sim.run_until(sim.now() + from_seconds(rng.uniform(0.5, 30.0)));
+    }
+    if (flow_op) {
+      ++flow_ops;
+      fast_ops += fast_count() - fast_before;
+    }
+
+    sim::Simulator ref_sim;
+    Network ref(ref_sim);
+    for (std::size_t l = 0; l < links.size(); ++l) {
+      ref.add_link("r" + std::to_string(l), capacities[l]);
+    }
+    std::vector<FlowId> ref_ids;
+    for (const FastPathFlow& f : live) {
+      ref_ids.push_back(ref.start_flow({f.path, 1ull << 40, f.cap, nullptr}));
+    }
+    ref.reallocate();
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      const Rate got = net.flow_stats(live[i].id).current_rate;
+      const Rate want = ref.flow_stats(ref_ids[i]).current_rate;
+      if (want == cap_bound_rate(live[i].cap)) {
+        EXPECT_EQ(got, want) << "cap-bound flow " << live[i].id << " after step "
+                             << step;
+      } else {
+        EXPECT_NEAR(got, want, 1e-6 * std::max(1.0, want))
+            << "link-bound flow " << live[i].id << " after step " << step;
+      }
+    }
+    for (LinkId l : links) {
+      EXPECT_LE(net.link_utilization(l), net.link_capacity(l) * (1 + 1e-9));
+    }
+  }
+#if ODR_OBS_ENABLED
+  // Most updates must have taken the fast path, or the comparison above
+  // would only have exercised the full solve.
+  EXPECT_GT(fast_ops, flow_ops / 2)
+      << fast_ops << " fast-path updates over " << flow_ops << " operations";
+#else
+  (void)flow_ops;
+  (void)fast_ops;
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FastPathOracleTest,
+                         ::testing::Values(4u, 9u, 16u, 25u));
+
+// kEqualSplit has no unused share to reason about: every update re-solves.
+TEST(FastPathTest, EqualSplitNeverTakesTheFastPath) {
+  obs::ScopedObserver obs;
+  sim::Simulator sim;
+  Network net(sim, AllocationModel::kEqualSplit);
+  const LinkId wide = net.add_link("wide", 1e6);
+  std::vector<FlowId> flows;
+  for (int i = 0; i < 20; ++i) {
+    std::vector<LinkId> path;
+    if (i % 4 != 0) path.push_back(wide);
+    flows.push_back(net.start_flow({path, 1ull << 30, 10.0 + i, nullptr}));
+  }
+  for (int i = 0; i < 20; i += 2) net.set_flow_cap(flows[i], 5.0);
+  for (int i = 1; i < 20; i += 3) net.cancel_flow(flows[i]);
+  EXPECT_EQ(obs->metrics().counter("net.flows.fast_path").value(), 0u);
+#if ODR_OBS_ENABLED
+  EXPECT_GT(obs->metrics().counter("net.solver.runs").value(), 0u);
+#endif
+}
 
 TEST(NetworkAccountingTest, BytesDeliveredMatchElapsedRates) {
   // A flow re-capped several times must deliver exactly its size, with

@@ -186,10 +186,10 @@ TEST_F(NetworkTest, ManyFlowsFairShareScales) {
   }
 }
 
-// A solve keeps every pending completion whose rate did not change: one
-// re-cap inside a 50-flow component with spare capacity moves one flow's
-// rate, so exactly one completion is rescheduled (one cancel tombstone
-// plus one insert grows the queue by one entry, not 50).
+// A re-cap inside a 50-flow link with spare capacity takes the fast path:
+// only the re-capped flow is touched, so exactly one completion is
+// rescheduled (one cancel tombstone plus one insert grows the queue by one
+// entry, not 50) and no solver runs.
 TEST_F(NetworkTest, SetFlowCapReschedulesOnlyTheChangedFlow) {
   obs::ScopedObserver obs;
   const LinkId link = net.add_link("l", 1e9);
@@ -200,10 +200,10 @@ TEST_F(NetworkTest, SetFlowCapReschedulesOnlyTheChangedFlow) {
   ASSERT_EQ(sim.pending_count(), 50u);
   const std::size_t heap_before = sim.heap_size();
 #if ODR_OBS_ENABLED
-  const std::uint64_t kept_before =
-      obs->metrics().counter("net.completions.kept").value();
-  const std::uint64_t moved_before =
-      obs->metrics().counter("net.completions.rescheduled").value();
+  const std::uint64_t fast_before =
+      obs->metrics().counter("net.flows.fast_path").value();
+  const std::uint64_t solves_before =
+      obs->metrics().counter("net.solver.runs").value();
 #endif
 
   net.set_flow_cap(flows[17], 200.0);
@@ -212,9 +212,8 @@ TEST_F(NetworkTest, SetFlowCapReschedulesOnlyTheChangedFlow) {
   EXPECT_EQ(sim.heap_size(), heap_before + 1);
 #if ODR_OBS_ENABLED
   obs::Registry& m = obs->metrics();
-  EXPECT_EQ(m.counter("net.completions.kept").value() - kept_before, 49u);
-  EXPECT_EQ(m.counter("net.completions.rescheduled").value() - moved_before,
-            1u);
+  EXPECT_EQ(m.counter("net.flows.fast_path").value() - fast_before, 1u);
+  EXPECT_EQ(m.counter("net.solver.runs").value() - solves_before, 0u);
 #endif
   // Re-capping to the same rate moves nothing; the re-capped flow still
   // finishes at its new rate and the kept ones at their original times.

@@ -363,6 +363,113 @@ TEST(SnapshotNetTest, ChurnedPoolRoundTripAfterSlotReuse) {
   EXPECT_LE(net_c->flow_slab_capacity(), 3u);
 }
 
+// A network restored from a checkpoint taken after fast-path updates must
+// recount its link loads from the restored rates. Driven with the same
+// operations as the uninterrupted network, it must take the same fast-path
+// or full-solve choice at every step, hold bitwise-equal flows, and
+// complete them at the same times.
+TEST(SnapshotNetTest, RestoreReproducesFastPathDecisions) {
+  obs::ScopedObserver obs;
+  struct Side {
+    sim::Simulator sim;
+    net::Network net{sim};
+    std::vector<std::pair<net::FlowId, SimTime>> done;
+    Side() {
+      net.add_link("narrow", 400.0);  // saturates: forces full solves
+      net.add_link("wide-a", 5e4);
+      net.add_link("wide-b", 8e4);
+    }
+    net::FlowCallback record() {
+      return [this](net::FlowId id) { done.push_back({id, sim.now()}); };
+    }
+  };
+  const std::vector<std::vector<net::LinkId>> paths = {
+      {}, {1}, {2}, {1, 2}, {0}, {0, 1}, {2, 2}};
+  const auto op = [&paths](Side& s, Rng& rng) {
+    const std::vector<net::Network::FlowView> views = s.net.flow_views();
+    const double action = rng.uniform();
+    const Rate cap =
+        rng.bernoulli(0.05) ? net::kUnlimitedRate : rng.uniform(10.0, 300.0);
+    if (action < 0.5 || views.empty()) {
+      const Bytes size = 1000 + rng.uniform_index(100000);
+      s.net.start_flow(
+          {paths[rng.uniform_index(paths.size())], size, cap, s.record()});
+    } else if (action < 0.65) {
+      s.net.cancel_flow(views[rng.uniform_index(views.size())].id);
+    } else if (action < 0.85) {
+      s.net.set_flow_cap(views[rng.uniform_index(views.size())].id, cap);
+    } else {
+      s.sim.run_until(s.sim.now() + from_seconds(rng.uniform(0.5, 20.0)));
+    }
+  };
+  const auto counters = [&obs] {
+    obs::Registry& m = obs->metrics();
+    return std::pair{m.counter("net.flows.fast_path").value(),
+                     m.counter("net.solver.runs").value()};
+  };
+
+  Side a;
+  Rng warm(77);
+  for (int i = 0; i < 150; ++i) op(a, warm);
+  SnapshotWriter w;
+  w.begin_section(1, 1);
+  a.sim.save(w);
+  a.net.save(w);
+  w.end_section();
+
+  Side b;
+  SnapshotReader r(w.take());
+  r.require_section(1, 1);
+  b.sim.load(r);
+  b.net.load(r);
+  r.end_section();
+  for (const net::Network::FlowView& v : a.net.flow_views()) {
+    if (v.has_callback) b.net.reattach_on_complete(v.id, b.record());
+  }
+  ASSERT_EQ(b.net.flows_awaiting_callback(), 0u);
+  const std::size_t done_before = a.done.size();
+
+  Rng ra(2015), rb(2015);
+  std::uint64_t fast = 0, solves = 0;
+  for (int step = 0; step < 300; ++step) {
+    const auto a0 = counters();
+    op(a, ra);
+    const auto a1 = counters();
+    op(b, rb);
+    const auto b1 = counters();
+    ASSERT_EQ(b1.first - a1.first, a1.first - a0.first) << "step " << step;
+    ASSERT_EQ(b1.second - a1.second, a1.second - a0.second) << "step " << step;
+    fast += a1.first - a0.first;
+    solves += a1.second - a0.second;
+
+    const std::vector<net::Network::FlowView> va = a.net.flow_views();
+    const std::vector<net::Network::FlowView> vb = b.net.flow_views();
+    ASSERT_EQ(va.size(), vb.size()) << "step " << step;
+    for (std::size_t i = 0; i < va.size(); ++i) {
+      EXPECT_EQ(va[i].id, vb[i].id);
+      EXPECT_EQ(*va[i].path, *vb[i].path);
+      EXPECT_EQ(va[i].bytes_total, vb[i].bytes_total);
+      EXPECT_EQ(va[i].bytes_done, vb[i].bytes_done);
+      EXPECT_EQ(va[i].rate, vb[i].rate);
+      EXPECT_EQ(va[i].last_settled, vb[i].last_settled);
+      EXPECT_EQ(va[i].completion_pending, vb[i].completion_pending);
+      EXPECT_EQ(va[i].has_callback, vb[i].has_callback);
+    }
+    ASSERT_EQ(a.done.size() - done_before, b.done.size()) << "step " << step;
+  }
+  for (std::size_t i = 0; i < b.done.size(); ++i) {
+    EXPECT_EQ(b.done[i], a.done[done_before + i]) << i;
+  }
+#if ODR_OBS_ENABLED
+  // Both decisions were exercised after the restore.
+  EXPECT_GT(fast, 0u);
+  EXPECT_GT(solves, 0u);
+#else
+  (void)fast;
+  (void)solves;
+#endif
+}
+
 // --- ledbat ----------------------------------------------------------------
 
 TEST(SnapshotLedbatTest, ControllerResumesItsControlLoop) {

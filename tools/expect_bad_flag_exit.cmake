@@ -2,8 +2,14 @@
 # rejection: exit status exactly 1 (a crash reports a signal instead) and
 # a message naming the flag on stderr.
 #
-#   cmake -DBINARY=<path> -DFLAG=divisor -P expect_bad_flag_exit.cmake
-foreach(value 0 abc -5 600000)
+#   cmake -DBINARY=<path> -DFLAG=divisor [-DVALUES=0,abc] -P expect_bad_flag_exit.cmake
+#
+# VALUES is a comma-separated list; the default suits --divisor flags.
+if(NOT DEFINED VALUES)
+  set(VALUES "0,abc,-5,600000")
+endif()
+string(REPLACE "," ";" values "${VALUES}")
+foreach(value IN LISTS values)
   execute_process(COMMAND ${BINARY} --${FLAG} ${value}
                   RESULT_VARIABLE rc
                   OUTPUT_QUIET
