@@ -6,7 +6,7 @@
 // SIGKILL would leave it — and brought back from the latest on-disk
 // checkpoint. Because checkpoints capture the ENTIRE mutable world
 // (simulator queue, RNG streams, network flows, cloud caches, VM tasks,
-// fault machinery, pending arrivals), the resumed run must reach a final
+// fault machinery, the next arrival), the resumed run must reach a final
 // state that is BIT-IDENTICAL to the uninterrupted one: same outcome
 // stream, same final serialized world. Plan 0 is the fault-free week; plan
 // 3 keeps the severe chaos plan (10%/h VM crashes all week + a 6-hour

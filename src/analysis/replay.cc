@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -273,36 +274,42 @@ StrategyReplayResult run_strategy_replay(const StrategyReplayConfig& config) {
   StrategyReplayResult result;
   result.outcomes.reserve(requests.size());
 
+  // The §4 world's arrival scheme: request i arrives as reserved event
+  // first_arrival + i, and each arrival queues only its successor.
   std::size_t ap_writes = 0, ap_throttled = 0;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
+  const sim::EventId first_arrival = sim.reserve(requests.size());
+  std::function<void(std::size_t)> arrive;
+  const auto queue = [&](std::size_t i) {
+    if (i >= requests.size()) return;
+    sim.schedule_reserved(first_arrival + i, requests[i].request_time,
+                          [&arrive, i] { arrive(i); });
+  };
+  arrive = [&](std::size_t i) {
+    queue(i + 1);
     const workload::WorkloadRecord& request = requests[i];
     odr::ap::SmartAp* ap =
         aps.empty() ? nullptr : aps[i % aps.size()].get();
-    sim.schedule_at(request.request_time, [&, request, ap] {
-      const workload::User& user = users.user(request.user_id);
-      const core::DecisionInput input = executor.make_input(request, user, ap);
-      const core::Decision decision =
-          core::decide_with(config.strategy, redirector, input);
-      // Bottleneck-4 accounting: the AP's storage throttles whenever the
-      // route writes through it faster than its ceiling.
-      if (ap != nullptr && (decision.route == core::Route::kSmartAp ||
-                            decision.route == core::Route::kCloudThenSmartAp)) {
-        ++ap_writes;
-        const Rate inbound = std::min(user.access_bandwidth,
-                                      config.premises_line_rate);
-        if (ap->storage_write_ceiling() < inbound) ++ap_throttled;
-      }
-      executor.execute(decision, request, user, ap,
-                       [&result](const core::ExecOutcome& outcome) {
-                         result.outcomes.push_back(outcome);
-                       });
-    });
-  }
+    const workload::User& user = users.user(request.user_id);
+    const core::DecisionInput input = executor.make_input(request, user, ap);
+    const core::Decision decision =
+        core::decide_with(config.strategy, redirector, input);
+    // Bottleneck-4 accounting: the AP's storage throttles whenever the
+    // route writes through it faster than its ceiling.
+    if (ap != nullptr && (decision.route == core::Route::kSmartAp ||
+                          decision.route == core::Route::kCloudThenSmartAp)) {
+      ++ap_writes;
+      const Rate inbound = std::min(user.access_bandwidth,
+                                    config.premises_line_rate);
+      if (ap->storage_write_ceiling() < inbound) ++ap_throttled;
+    }
+    executor.execute(decision, request, user, ap,
+                     [&result](const core::ExecOutcome& outcome) {
+                       result.outcomes.push_back(outcome);
+                     });
+  };
+  queue(0);
 
-  SimTime horizon = 0;
-  for (const auto& request : requests) {
-    horizon = std::max(horizon, request.request_time);
-  }
+  const SimTime horizon = requests.empty() ? 0 : requests.back().request_time;
   wire_cloud_observability(sim, net, cloud, horizon + kDay);
   if (cloud_breaker) wire_breaker_probe("core.breaker.cloud", *cloud_breaker);
   if (ap_breaker) wire_breaker_probe("core.breaker.ap", *ap_breaker);

@@ -47,13 +47,18 @@ void Simulator::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-EventId Simulator::insert(SimTime t, Callback&& fn) {
-  const EventId id = next_id_++;
+void Simulator::push(SimTime t, std::uint64_t seq, EventId id,
+                     Callback&& fn) {
   const std::uint32_t slot = acquire_slot(id, std::move(fn));
-  heap_.push_back(Scheduled{t, next_seq_++, id, slot});
+  heap_.push_back(Scheduled{t, seq, id, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   id_to_slot_.put(id, slot);
   ++live_events_;
+}
+
+EventId Simulator::insert(SimTime t, Callback&& fn) {
+  const EventId id = next_id_++;
+  push(t, id, id, std::move(fn));
   return id;
 }
 
@@ -65,6 +70,17 @@ EventId Simulator::schedule_at(SimTime t, Callback fn) {
 EventId Simulator::schedule_after(SimTime delay, Callback fn) {
   if (delay < 0) delay = 0;
   return insert(now_ + delay, std::move(fn));
+}
+
+EventId Simulator::reserve(std::uint64_t n) {
+  const EventId first = next_id_;
+  next_id_ += n;
+  return first;
+}
+
+void Simulator::schedule_reserved(EventId id, SimTime t, Callback fn) {
+  assert(id < next_id_ && id_to_slot_.find(id) == nullptr);
+  push(std::max(t, now_), id, id, std::move(fn));
 }
 
 bool Simulator::cancel(EventId id) {
@@ -134,7 +150,7 @@ std::uint64_t Simulator::run(std::uint64_t max_events) {
 
 void Simulator::save(snapshot::SnapshotWriter& w) const {
   w.i64(kTagNow, now_);
-  w.u64(kTagNextSeq, next_seq_);
+  w.u64(kTagNextSeq, next_id_);  // seq == id; the field keeps the format
   w.u64(kTagNextId, next_id_);
   w.u64(kTagExecuted, executed_);
 
@@ -160,7 +176,7 @@ void Simulator::save(snapshot::SnapshotWriter& w) const {
 
 void Simulator::load(snapshot::SnapshotReader& r) {
   now_ = r.i64(kTagNow);
-  next_seq_ = r.u64(kTagNextSeq);
+  (void)r.u64(kTagNextSeq);  // always the next id
   next_id_ = r.u64(kTagNextId);
   executed_ = r.u64(kTagExecuted);
 
@@ -193,11 +209,7 @@ void Simulator::rearm(EventId id, Callback fn) {
             " — component state disagrees with the checkpointed event queue",
         snapshot::SnapshotErrorKind::kUsage);
   }
-  const std::uint32_t slot = acquire_slot(id, std::move(fn));
-  heap_.push_back(Scheduled{it->second.first, it->second.second, id, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  id_to_slot_.put(id, slot);
-  ++live_events_;
+  push(it->second.first, it->second.second, id, std::move(fn));
   rearm_.erase(it);
 }
 

@@ -50,6 +50,13 @@ class Simulator {
   // Schedules `fn` `delay` after now. Negative delays clamp to now.
   EventId schedule_after(SimTime delay, Callback fn);
 
+  // Reserves `n` consecutive ids (an event's seq is its id) for
+  // schedule_reserved(); returns the first.
+  EventId reserve(std::uint64_t n);
+  // Schedules `fn` at `t` (>= now) into a reserved id, so it pops exactly
+  // where it would have if scheduled at reserve() time.
+  void schedule_reserved(EventId id, SimTime t, Callback fn);
+
   // Cancels a pending event. Returns false if it already ran, was already
   // cancelled, or never existed.
   bool cancel(EventId id);
@@ -135,6 +142,8 @@ class Simulator {
 
   std::uint32_t acquire_slot(EventId id, Callback&& fn);
   void release_slot(std::uint32_t slot);
+  // The one insertion path: schedule, schedule_reserved and rearm.
+  void push(SimTime t, std::uint64_t seq, EventId id, Callback&& fn);
   EventId insert(SimTime t, Callback&& fn);
   // Drops tombstoned heap entries and re-heapifies. Total (time, seq)
   // order makes the rebuilt heap pop identically.
@@ -143,8 +152,7 @@ class Simulator {
   bool prune_top();
 
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 1;
-  EventId next_id_ = 1;
+  EventId next_id_ = 1;  // also the next seq: every event's seq is its id
   std::uint64_t executed_ = 0;
   EventId last_id_ = 0;         // most recently executed event (0 = none);
   std::uint64_t last_seq_ = 0;  // not snapshotted — purely diagnostic, and

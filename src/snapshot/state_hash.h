@@ -42,7 +42,7 @@ enum class Subsystem : std::uint8_t {
   kVm = 5,        // pre-downloader VM pool
   kTasks = 6,     // in-flight waiter queues + active user fetches
   kFault = 7,     // fault injector
-  kWorld = 8,     // outcomes, pending arrivals, checkpoint tick
+  kWorld = 8,     // outcomes, next arrival, checkpoint tick
   kAp = 9,        // reserved: smart-AP replay world
   kBreakers = 10, // reserved: circuit breakers in the strategy world
 };

@@ -27,7 +27,8 @@ enum : std::uint32_t {
 inline constexpr std::uint32_t kMetaVersion = 1;
 inline constexpr std::uint32_t kCloudVersion = 1;
 inline constexpr std::uint32_t kFaultVersion = 1;
-inline constexpr std::uint32_t kWorldVersion = 1;
+// v2: the next arrival's index replaces v1's list of every pending arrival.
+inline constexpr std::uint32_t kWorldVersion = 2;
 
 enum : std::uint16_t {
   kTagFingerprint = 1,
@@ -40,9 +41,7 @@ enum : std::uint16_t {
   kTagOutcomePopularity = 23,
   kTagOutcomeClass = 24,
   kTagOutcomePrivileged = 25,
-  kTagPendingArrivalCount = 30,
-  kTagArrivalIndex = 31,
-  kTagArrivalEvent = 32,
+  kTagNextArrival = 33,
   kTagCheckpointEvent = 40,
 };
 
@@ -82,6 +81,9 @@ CloudWorld::CloudWorld(const analysis::ExperimentConfig& config,
     : config_(config), net_(sim_) {
   options_.checkpoint_period = 0;
   Rng rng(config_.seed);
+  // Arrivals replay in time order, and a fixed order keeps the rebuild below
+  // (and finalize()'s task-id lookup) independent of the listing order.
+  workload::sort_by_arrival(trace);
 
   // --- Reconstruct the file catalog from the trace. -------------------------
   workload::FileIndex max_file = 0;
@@ -184,16 +186,15 @@ SimTime CloudWorld::schedule_week(Rng& rng) {
     injector_->load(config_.fault_plan);
   }
 
-  // Arrivals capture an index into the (already final) request vector, so
-  // the callback fits the event engine's inline slot and scheduling the
-  // full week allocates nothing per event.
-  arrival_events_.assign(requests_.size(), sim::kInvalidEvent);
-  SimTime horizon = 0;
-  for (std::size_t i = 0; i < requests_.size(); ++i) {
-    horizon = std::max(horizon, requests_[i].request_time);
-    arrival_events_[i] =
-        sim_.schedule_at(requests_[i].request_time, [this, i] { on_arrival(i); });
+  // Each arrival keeps the id it would have had if the whole (time-ordered)
+  // week were scheduled here, but only queues its successor when it fires.
+  first_arrival_ = sim_.reserve(requests_.size());
+  next_arrival_ = 0;
+  if (!requests_.empty()) {
+    sim_.schedule_reserved(first_arrival_, requests_.front().request_time,
+                           [this] { on_arrival(); });
   }
+  const SimTime horizon = requests_.empty() ? 0 : requests_.back().request_time;
 
   // Observability is wired against the rebuilt world but carries no state
   // of its own into the checkpoint: metrics/traces are derived, and the
@@ -217,22 +218,21 @@ cloud::XuanfengCloud::OutcomeFn CloudWorld::outcome_sink() {
   };
 }
 
-void CloudWorld::on_arrival(std::size_t index) {
-  arrival_events_[index] = sim::kInvalidEvent;
-  const workload::WorkloadRecord& request = requests_[index];
+void CloudWorld::on_arrival() {
+  const workload::WorkloadRecord& request = requests_[next_arrival_++];
+  if (next_arrival_ < requests_.size()) {
+    sim_.schedule_reserved(first_arrival_ + next_arrival_,
+                           requests_[next_arrival_].request_time,
+                           [this] { on_arrival(); });
+  }
   cloud_->submit(request, users_->user(request.user_id), outcome_sink());
 }
 
 std::uint64_t CloudWorld::run(std::uint64_t max_events) {
   const std::uint64_t burn_at = config_.debug_burn_rng_at_event;
   const std::uint64_t cadence = options_.hash_every_events;
-  if (cadence == 0 && burn_at == 0) {
-    // The default path is the raw engine loop — no chunking, no division,
-    // no allocation. bench/obs_overhead pins this at zero added
-    // allocations relative to the engine itself.
-    return sim_.run(max_events);
-  }
-
+  // With neither hashing nor a burn this is one sim_.run(max_events) call
+  // with zero added allocations (pinned by bench/obs_overhead).
   std::uint64_t done = 0;
   while (done < max_events) {
     if (burn_at != 0 && !rng_burned_ && sim_.executed_count() >= burn_at) {
@@ -274,14 +274,6 @@ void CloudWorld::record_hash() {
 }
 
 StateHash CloudWorld::hash_now() const { return StateHasher::hash(*this); }
-
-std::size_t CloudWorld::pending_arrival_count() const {
-  std::size_t n = 0;
-  for (sim::EventId id : arrival_events_) {
-    if (id != sim::kInvalidEvent) ++n;
-  }
-  return n;
-}
 
 void CloudWorld::checkpoint_tick() {
   checkpoint_event_ = sim::kInvalidEvent;
@@ -394,12 +386,7 @@ void CloudWorld::save_fault_state(SnapshotWriter& w) const {
 void CloudWorld::save_world_state(SnapshotWriter& w) const {
   w.u64(kTagOutcomeCount, outcomes_.size());
   for (const cloud::TaskOutcome& o : outcomes_) save_outcome(w, o);
-  w.u64(kTagPendingArrivalCount, pending_arrival_count());
-  for (std::size_t i = 0; i < arrival_events_.size(); ++i) {
-    if (arrival_events_[i] == sim::kInvalidEvent) continue;
-    w.u64(kTagArrivalIndex, i);
-    w.u64(kTagArrivalEvent, arrival_events_[i]);
-  }
+  w.u64(kTagNextArrival, next_arrival_);
   w.u64(kTagCheckpointEvent, checkpoint_event_);
 }
 
@@ -449,27 +436,14 @@ void CloudWorld::load_from(const std::string& buffer) {
     outcomes_.push_back(load_outcome(r));
   }
 
-  // build() scheduled every arrival with ids that — by determinism — must
-  // equal the checkpointed ids of the arrivals still pending. Verifying
-  // that equality catches any divergence between the checkpointing and
-  // restoring builds before the simulation resumes.
-  const std::vector<sim::EventId> built = std::move(arrival_events_);
-  arrival_events_.assign(requests_.size(), sim::kInvalidEvent);
-  const std::uint64_t pending = r.u64(kTagPendingArrivalCount);
-  for (std::uint64_t k = 0; k < pending; ++k) {
-    const std::uint64_t raw_index = r.u64(kTagArrivalIndex);
-    const sim::EventId event = r.u64(kTagArrivalEvent);
-    if (raw_index >= requests_.size()) {
-      throw SnapshotError("world: arrival index out of range");
-    }
-    const std::size_t i = static_cast<std::size_t>(raw_index);
-    if (built[i] != event) {
-      throw SnapshotError(
-          "world: arrival event id mismatch between checkpoint and rebuilt "
-          "schedule — the builds diverged");
-    }
-    sim_.rearm(event, [this, i] { on_arrival(i); });
-    arrival_events_[i] = event;
+  // build() reserved the checkpointed run's arrival ids; a build that
+  // diverged fails this rearm() or leaves an unclaimed event below.
+  next_arrival_ = static_cast<std::size_t>(r.u64(kTagNextArrival));
+  if (next_arrival_ > requests_.size()) {
+    throw SnapshotError("world: next arrival index out of range");
+  }
+  if (next_arrival_ < requests_.size()) {
+    sim_.rearm(first_arrival_ + next_arrival_, [this] { on_arrival(); });
   }
 
   checkpoint_event_ = r.u64(kTagCheckpointEvent);

@@ -7,8 +7,8 @@
 // and lambda captures, which adds the ability to
 //
 //   - write a CRC-protected checkpoint of the ENTIRE mutable world
-//     (simulator queue, network flows, cloud, fault injector, pending
-//     arrivals, accumulated outcomes) at any event boundary, and
+//     (simulator queue, network flows, cloud, fault injector, the next
+//     arrival, accumulated outcomes) at any event boundary, and
 //   - reconstruct a world from such a checkpoint and resume it to a final
 //     state bit-identical to the uninterrupted run.
 //
@@ -57,8 +57,8 @@ struct WorldOptions {
   bool audit_at_checkpoint = true;
   // Event-count cadence for in-run state hashing (see state_hash.h):
   // record a StateHash after every N executed events. 0 (the default)
-  // disables hashing entirely — run() then takes the direct engine path
-  // with zero added allocations and zero behavior change (gated by
+  // disables hashing entirely — run() then makes one engine call with zero
+  // added allocations and zero behavior change (gated by
   // bench/obs_overhead).
   std::uint64_t hash_every_events = 0;
   // Also record a StateHash at every checkpoint tick (sim-time cadence).
@@ -73,8 +73,9 @@ class CloudWorld {
   CloudWorld(const analysis::ExperimentConfig& config, WorldOptions options);
 
   // Fresh world over an external workload trace (e.g. loaded from the CSVs
-  // `generate_traces` writes). The catalog and user population are
-  // reconstructed from the records themselves: file metadata from the
+  // `generate_traces` writes), in any record order: it is replayed sorted
+  // by (request_time, task_id). The catalog and user population are
+  // reconstructed from the sorted records: file metadata from the
   // first record per file (popularity = measured weekly count), users from
   // their recorded ISP/bandwidth (unreported bandwidths are drawn from the
   // configured distribution). Cloud, source and fault parameters come from
@@ -112,7 +113,7 @@ class CloudWorld {
 
   // Granular savers for StateHasher (the full checkpoint composes the
   // same bytes): the fault-injector state and the world-level state
-  // (outcomes, pending arrivals, checkpoint tick).
+  // (outcomes, next arrival, checkpoint tick).
   void save_fault_state(SnapshotWriter& w) const;
   void save_world_state(SnapshotWriter& w) const;
 
@@ -134,7 +135,9 @@ class CloudWorld {
     return requests_;
   }
   const std::vector<cloud::TaskOutcome>& outcomes() const { return outcomes_; }
-  std::size_t pending_arrival_count() const;
+  std::size_t pending_arrival_count() const {
+    return next_arrival_ < requests_.size() ? 1 : 0;
+  }
   bool checkpoint_armed() const { return checkpoint_event_ != sim::kInvalidEvent; }
   std::uint64_t checkpoints_written() const { return checkpoints_written_; }
 
@@ -152,7 +155,7 @@ class CloudWorld {
   analysis::CloudReplayResult harvest(
       std::vector<workload::WorkloadRecord> requests,
       std::vector<cloud::TaskOutcome> outcomes) const;
-  void on_arrival(std::size_t index);
+  void on_arrival();
   void checkpoint_tick();
   void record_hash();
   void load_from(const std::string& buffer);
@@ -172,10 +175,10 @@ class CloudWorld {
   std::vector<workload::WorkloadRecord> requests_;
   // The week's length as finalize() reports it.
   SimTime duration_ = 0;
-  // arrival_events_[i] is the pending arrival event for requests_[i], or
-  // kInvalidEvent once it fired. Indexed identity (not closures) is what
-  // lets arrivals survive a restore.
-  std::vector<sim::EventId> arrival_events_;
+  // requests_[i] arrives as reserved event first_arrival_ + i; only
+  // requests_[next_arrival_] is queued, and that index survives a restore.
+  sim::EventId first_arrival_ = sim::kInvalidEvent;
+  std::size_t next_arrival_ = 0;
   std::vector<cloud::TaskOutcome> outcomes_;
 
   sim::EventId checkpoint_event_ = sim::kInvalidEvent;

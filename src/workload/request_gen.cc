@@ -80,13 +80,7 @@ std::vector<WorkloadRecord> RequestGenerator::generate(
     out.push_back(std::move(r));
   }
 
-  std::sort(out.begin(), out.end(),
-            [](const WorkloadRecord& a, const WorkloadRecord& b) {
-              if (a.request_time != b.request_time) {
-                return a.request_time < b.request_time;
-              }
-              return a.task_id < b.task_id;
-            });
+  sort_by_arrival(out);
   // Reassign task ids in time order so ids are chronological.
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i].task_id = static_cast<TaskId>(i + 1);

@@ -1,5 +1,6 @@
 #include "workload/trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 #include <istream>
@@ -44,6 +45,16 @@ const std::vector<std::string> kFetchHeader = {
     "acquired", "traffic", "avg_rate", "peak_rate", "rejected"};
 
 }  // namespace
+
+void sort_by_arrival(std::vector<WorkloadRecord>& records) {
+  std::sort(records.begin(), records.end(),
+            [](const WorkloadRecord& a, const WorkloadRecord& b) {
+              if (a.request_time != b.request_time) {
+                return a.request_time < b.request_time;
+              }
+              return a.task_id < b.task_id;
+            });
+}
 
 void write_workload_csv(std::ostream& out,
                         const std::vector<WorkloadRecord>& records) {

@@ -63,6 +63,10 @@ struct FetchRecord {
   bool rejected = false;  // cloud admission control refused the request
 };
 
+// Sorts by (request_time, task_id): the order every replay driver's
+// arrival cursor walks.
+void sort_by_arrival(std::vector<WorkloadRecord>& records);
+
 // CSV round-trip. Writers emit a header row; readers validate it.
 void write_workload_csv(std::ostream& out,
                         const std::vector<WorkloadRecord>& records);

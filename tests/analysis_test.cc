@@ -3,11 +3,14 @@
 
 #include <limits>
 #include <stdexcept>
+#include <unordered_map>
+#include <vector>
 
 #include "analysis/metrics.h"
 #include "analysis/replay.h"
 #include "analysis/report.h"
 #include "snapshot/world.h"
+#include "util/rng.h"
 
 namespace odr::analysis {
 namespace {
@@ -245,6 +248,29 @@ TEST(TraceReplayTest, HonoursFaultPlan) {
       run_cloud_replay_from_trace(original.requests, faulted);
   EXPECT_GT(replayed.faults_fired, 0u);
   EXPECT_EQ(replayed.outcomes.size(), original.requests.size());
+}
+
+TEST(TraceReplayTest, RecordOrderDoesNotMatter) {
+  // A trace listed in any order replays as the time-ordered one: same
+  // pinned fingerprint, and every outcome reports its own file's count.
+  std::vector<workload::WorkloadRecord> trace =
+      run_cloud_replay(tiny_config()).requests;
+  Rng rng(17);
+  rng.shuffle(trace);
+  std::unordered_map<workload::TaskId, workload::FileIndex> file_of;
+  std::unordered_map<workload::FileIndex, double> count_of;
+  for (const auto& r : trace) {
+    file_of[r.task_id] = r.file;
+    count_of[r.file] += 1.0;
+  }
+  const CloudReplayResult replayed =
+      run_cloud_replay_from_trace(trace, tiny_config());
+  EXPECT_EQ(outcome_fingerprint(replayed.outcomes), 0x2793e1e797a6acddull);
+  ASSERT_EQ(replayed.outcomes.size(), trace.size());
+  for (const auto& o : replayed.outcomes) {
+    ASSERT_EQ(o.weekly_popularity, count_of[file_of.at(o.task_id)])
+        << "task " << o.task_id;
+  }
 }
 
 TEST(StrategyReplayTest, OdrBeatsCloudOnlyOnImpediment) {

@@ -1,6 +1,7 @@
 // Checkpoint/restore tests: the wire format's loud-failure guarantees,
 // per-component round-trips, and whole-world kill/resume bit-identity.
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -180,6 +181,66 @@ TEST(SnapshotSimTest, RearmRestoresExactEventOrder) {
   EXPECT_EQ(b.now(), a.now() + 200);
 
   EXPECT_THROW(b.rearm(9999, [] {}), SnapshotError);
+
+  // Reserved ids: a block of three arrivals filled lazily, each from inside
+  // its predecessor, interleaved with ordinary events at the same times,
+  // pops exactly as if every arrival had been scheduled up front.
+  const SimTime arrival_at[] = {100, 200, 300};
+  const SimTime ordinary_at[] = {200, 100, 300};
+  std::vector<int> upfront;
+  sim::Simulator u;
+  for (int k = 0; k < 3; ++k) {
+    u.schedule_at(arrival_at[k], [&upfront, k] { upfront.push_back(10 + k); });
+  }
+  for (int k = 0; k < 3; ++k) {
+    u.schedule_at(ordinary_at[k], [&upfront, k] { upfront.push_back(20 + k); });
+  }
+  u.run();
+  ASSERT_EQ(upfront, std::vector<int>({10, 21, 11, 20, 12, 22}));
+
+  std::vector<int> lazy;
+  sim::Simulator l;
+  const sim::EventId first = l.reserve(3);
+  EXPECT_EQ(first, 1u);
+  std::function<void(int)> arrive = [&](int k) {
+    if (k + 1 < 3) {
+      l.schedule_reserved(first + k + 1, arrival_at[k + 1],
+                          [&arrive, k] { arrive(k + 1); });
+    }
+    lazy.push_back(10 + k);
+  };
+  for (int k = 0; k < 3; ++k) {
+    // Ordinary ids continue after the reserved block, as in `u`.
+    EXPECT_EQ(l.schedule_at(ordinary_at[k],
+                            [&lazy, k] { lazy.push_back(20 + k); }),
+              first + 3 + k);
+  }
+  l.schedule_reserved(first, arrival_at[0], [&arrive] { arrive(0); });
+  EXPECT_EQ(l.pending_count(), 4u);  // one arrival queued, not three
+
+  // Checkpoint with the last arrival pending in its reserved id; it must
+  // resume in the same position.
+  l.run(3);
+  ASSERT_EQ(lazy, std::vector<int>({10, 21, 11}));
+  SnapshotWriter lw;
+  lw.begin_section(1, 1);
+  l.save(lw);
+  lw.end_section();
+  l.run();
+  EXPECT_EQ(lazy, upfront);
+
+  sim::Simulator m;
+  SnapshotReader lr(lw.take());
+  lr.require_section(1, 1);
+  m.load(lr);
+  lr.end_section();
+  std::vector<int> resumed(lazy.begin(), lazy.begin() + 3);
+  m.rearm(first + 3 + 2, [&resumed] { resumed.push_back(22); });
+  m.rearm(first + 2, [&resumed] { resumed.push_back(12); });
+  m.rearm(first + 3, [&resumed] { resumed.push_back(20); });
+  EXPECT_EQ(m.unclaimed_rearm_count(), 0u);
+  m.run();
+  EXPECT_EQ(resumed, upfront);
 }
 
 // --- network ---------------------------------------------------------------
@@ -840,15 +901,44 @@ TEST_F(WorldTest, KillAndResumeIsBitIdentical) {
   const std::string final_expected = baseline.save_to_buffer();
   ASSERT_GT(total_events, 100u);
 
-  for (const double frac : {0.25, 0.8}) {
+  // A fresh world queues one arrival, not one per request, so its queue is
+  // as long at four times the requests.
+  {
+    const snapshot::CloudWorld fresh(cfg, options());
+    const snapshot::CloudWorld larger(
+        analysis::make_scaled_config(5000, 424242), options());
+    ASSERT_GT(larger.requests().size(), 3 * fresh.requests().size());
+    EXPECT_EQ(fresh.pending_arrival_count(), 1u);
+    EXPECT_EQ(larger.sim().pending_count(), fresh.sim().pending_count());
+  }
+
+  // The event at which the last arrival fires; flows still run after it.
+  std::uint64_t last_arrival = 0;
+  {
+    snapshot::CloudWorld probe(cfg, options());
+    while (probe.pending_arrival_count() > 0) last_arrival += probe.run(1);
+  }
+  ASSERT_LT(last_arrival, total_events);
+
+  // Kill points: before the first arrival fires, mid-week, and just after
+  // the last arrival fired.
+  for (const std::uint64_t kill_at :
+       {std::uint64_t{0}, total_events / 4, total_events * 4 / 5,
+        last_arrival}) {
     snapshot::CloudWorld victim(cfg, options());
-    victim.run(static_cast<std::uint64_t>(total_events * frac));
+    victim.run(kill_at);
+    ASSERT_EQ(victim.sim().executed_count(), kill_at);
+    if (kill_at == last_arrival) {
+      EXPECT_EQ(victim.pending_arrival_count(), 0u);
+      EXPECT_GT(victim.net().pending_completion_count(), 0u);
+    }
     const std::string ckpt = victim.save_to_buffer();
 
     snapshot::CloudWorld resumed(cfg, options(), ckpt);
     resumed.run();
     EXPECT_EQ(resumed.save_to_buffer(), final_expected)
-        << "divergence after kill at " << frac << " of the event stream";
+        << "divergence after kill at event " << kill_at << " of "
+        << total_events;
     const auto a = baseline.finalize();
     const auto b = resumed.finalize();
     EXPECT_EQ(b.outcomes.size(), a.outcomes.size());
