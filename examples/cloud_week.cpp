@@ -167,7 +167,8 @@ int main(int argc, char** argv) {
       stdout);
 
   const auto traffic =
-      odr::analysis::traffic_cost(result.outcomes, result.requests);
+      odr::analysis::traffic_cost(result.outcomes, result.requests,
+                                  *result.catalog);
   std::printf("\nP2P pre-download traffic: %.0f%% of file size (paper: 196%%)\n",
               traffic.p2p_overhead() * 100.0);
   std::printf("HTTP/FTP pre-download traffic: %.0f%% (paper: 107-110%%)\n",

@@ -8,6 +8,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
+#include <string>
 
 #include "analysis/replay.h"
 #include "snapshot/world.h"
@@ -49,7 +52,8 @@ int main(int argc, char** argv) {
 
   {
     std::ofstream f(dir / "workload.csv");
-    workload::write_workload_csv(f, result.requests);
+    workload::write_workload_csv(f, result.requests, *result.catalog,
+                                 *result.users);
   }
   {
     std::ofstream f(dir / "predownload.csv");
@@ -64,11 +68,20 @@ int main(int argc, char** argv) {
               result.requests.size(), pre.size(), fetch.size(),
               dir.string().c_str());
 
-  // Round-trip check so the artifact is provably loadable.
+  // Round-trip check: the workload CSV must parse, and the parsed trace
+  // must render back to the same bytes.
   std::ifstream check(dir / "workload.csv");
-  const auto parsed = workload::read_workload_csv(check);
-  std::printf("round-trip check: re-read %zu workload records (%s)\n",
-              parsed.size(),
-              parsed.size() == result.requests.size() ? "OK" : "MISMATCH");
-  return parsed.size() == result.requests.size() ? 0 : 1;
+  const std::string written{std::istreambuf_iterator<char>(check), {}};
+  std::istringstream in(written);
+  const workload::Trace parsed = workload::read_workload_csv(in);
+  std::ostringstream rendered;
+  workload::write_workload_csv(rendered, parsed.requests,
+                               workload::Catalog(parsed.files),
+                               workload::UserPopulation(parsed.users));
+  const bool same = rendered.str() == written;
+  std::printf("round-trip check: re-read %zu workload records, re-rendered "
+              "%s\n",
+              parsed.requests.size(),
+              same ? "byte-identical (OK)" : "MISMATCH");
+  return same ? 0 : 1;
 }

@@ -58,13 +58,14 @@ int main() {
   const auto trace = generator.generate(catalog, users, rng);
   const workload::WorkloadRecord& request = trace.front();
   const workload::User& user = users.user(request.user_id);
+  const workload::FileInfo& file = catalog.file(request.file);
 
   std::printf("Request: file rank %u (%s, %.0f MB, %s), user in %s at %.0f "
               "KBps\n",
-              catalog.file(request.file).rank,
-              std::string(workload::file_type_name(request.file_type)).c_str(),
-              static_cast<double>(request.file_size) / kMB,
-              std::string(proto::protocol_name(request.protocol)).c_str(),
+              file.rank,
+              std::string(workload::file_type_name(file.type)).c_str(),
+              static_cast<double>(file.size) / kMB,
+              std::string(proto::protocol_name(file.protocol)).c_str(),
               std::string(net::isp_name(user.isp)).c_str(),
               rate_to_kbps(user.access_bandwidth));
 

@@ -236,7 +236,8 @@ double TrafficCost::user_overhead() const {
 }
 
 TrafficCost traffic_cost(const std::vector<cloud::TaskOutcome>& outcomes,
-                         const std::vector<workload::WorkloadRecord>& requests) {
+                         const std::vector<workload::WorkloadRecord>& requests,
+                         const workload::Catalog& catalog) {
   TrafficCost out;
   for (const auto& o : outcomes) {
     if (o.task_id < 1 || o.task_id > requests.size()) continue;
@@ -245,7 +246,7 @@ TrafficCost traffic_cost(const std::vector<cloud::TaskOutcome>& outcomes,
     // the first waiter of an in-flight-deduplicated download, so the ratio
     // is traffic over *unique* downloaded bytes as in §4.1.
     if (!o.pre.cache_hit && o.pre.success && o.pre.traffic_bytes > 0) {
-      if (proto::is_p2p(req.protocol)) {
+      if (proto::is_p2p(catalog.file(req.file).protocol)) {
         out.p2p_file_bytes += o.pre.acquired_bytes;
         out.p2p_traffic_bytes += o.pre.traffic_bytes;
       } else {

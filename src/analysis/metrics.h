@@ -139,7 +139,8 @@ struct TrafficCost {
 };
 
 TrafficCost traffic_cost(const std::vector<cloud::TaskOutcome>& outcomes,
-                         const std::vector<workload::WorkloadRecord>& requests);
+                         const std::vector<workload::WorkloadRecord>& requests,
+                         const workload::Catalog& catalog);
 
 // --- §6.2 / Fig 16: strategy-level bottleneck metrics ------------------------
 

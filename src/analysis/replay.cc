@@ -86,7 +86,8 @@ ApReplayResult run_ap_replay(const ApReplayConfig& config) {
   // replay can throttle to the user's real network conditions.
   std::vector<workload::WorkloadRecord> sampled;
   for (const auto& r : all) {
-    if (r.isp == net::Isp::kUnicom && r.access_bandwidth > 0.0) {
+    const workload::User& u = users.user(r.user_id);
+    if (u.isp == net::Isp::kUnicom && u.reported_bandwidth() > 0.0) {
       sampled.push_back(r);
     }
   }
@@ -136,7 +137,7 @@ ApReplayResult run_ap_replay(const ApReplayConfig& config) {
     const workload::FileInfo& file = catalog.file(request.file);
     const Rate restriction = config.unrestricted_rate
                                  ? net::kUnlimitedRate
-                                 : request.access_bandwidth;
+                                 : users.user(request.user_id).access_bandwidth;
     ODR_SPAN(on_submit(request.task_id, sim.now(), obs::SpanOrigin::kAp));
     aps[ap_idx].ap->predownload(
         file, restriction,

@@ -102,7 +102,7 @@ workload::PreDownloadRecord XuanfengCloud::make_cache_hit_record(
   pre.task_id = request.task_id;
   pre.start_time = sim_.now();
   pre.finish_time = sim_.now();
-  pre.acquired_bytes = request.file_size;
+  pre.acquired_bytes = catalog_.file(request.file).size;
   pre.traffic_bytes = 0;  // dedup: no pre-download traffic on a hit
   pre.cache_hit = true;
   pre.success = true;
@@ -338,8 +338,8 @@ void XuanfengCloud::begin_fetch(const workload::WorkloadRecord& request,
       uploads_.plan_fetch(user.isp, desired, outcome.popularity);
   outcome.fetch.task_id = request.task_id;
   outcome.fetch.user_id = request.user_id;
-  outcome.fetch.ip = request.ip;
-  outcome.fetch.access_bandwidth = request.access_bandwidth;
+  outcome.fetch.ip = user.ip;
+  outcome.fetch.access_bandwidth = user.reported_bandwidth();
   outcome.fetch.start_time = sim_.now();
 
   if (!plan.admitted) {
@@ -352,7 +352,7 @@ void XuanfengCloud::begin_fetch(const workload::WorkloadRecord& request,
   }
   outcome.privileged_path = plan.privileged;
 
-  const Bytes size = request.file_size;
+  const Bytes size = catalog_.file(request.file).size;
   const double overhead = rng_.uniform(1.07, 1.10);  // §4.2 user-side cost
 
   net::Network::FlowSpec spec;

@@ -25,14 +25,13 @@ DecisionInput Executor::make_input(const workload::WorkloadRecord& request,
   DecisionInput in;
   in.weekly_popularity =
       cloud_.content_db().weekly_popularity(request.file, sim_.now());
-  in.cached_in_cloud =
-      cloud_.storage().contains(catalog_.file(request.file).content_id);
-  in.protocol = request.protocol;
-  // ODR sees the user-reported bandwidth; fall back to the true value as
-  // the paper does via the peak-fetch-speed approximation.
-  in.user_access_bandwidth = request.access_bandwidth > 0.0
-                                 ? request.access_bandwidth
-                                 : user.access_bandwidth;
+  const workload::FileInfo& file = catalog_.file(request.file);
+  in.cached_in_cloud = cloud_.storage().contains(file.content_id);
+  in.protocol = file.protocol;
+  // ODR sees the user-reported bandwidth, which is the true one; for a
+  // user who does not report it, the paper's peak-fetch-speed
+  // approximation recovers the true value too.
+  in.user_access_bandwidth = user.access_bandwidth;
   in.user_isp = user.isp;
   in.has_smart_ap = ap != nullptr;
   if (ap != nullptr) {
@@ -211,7 +210,7 @@ ExecOutcome Executor::from_cloud_outcome(
   e.task_id = request.task_id;
   e.route = Route::kCloud;
   e.request_time = request.request_time;
-  e.file_size = request.file_size;
+  e.file_size = catalog_.file(request.file).size;
   e.popularity = outcome.popularity;
   e.pre_delay = outcome.pre.finish_time - outcome.pre.start_time;
   if (outcome.aborted) {
@@ -302,7 +301,7 @@ std::uint64_t Executor::run_user_device(const workload::WorkloadRecord& request,
         e.task_id = request.task_id;
         e.route = Route::kUserDevice;
         e.request_time = request.request_time;
-        e.file_size = request.file_size;
+        e.file_size = catalog_.file(request.file).size;
         e.popularity = cloud_.content_db().classify(request.file, sim_.now());
         e.success = result.success;
         e.cause = result.cause;
@@ -363,7 +362,7 @@ std::uint64_t Executor::run_smart_ap(const workload::WorkloadRecord& request,
         e.task_id = request.task_id;
         e.route = Route::kSmartAp;
         e.request_time = request.request_time;
-        e.file_size = request.file_size;
+        e.file_size = catalog_.file(request.file).size;
         e.popularity = cloud_.content_db().classify(request.file, sim_.now());
         e.success = result.success;
         e.cause = result.cause;
@@ -420,7 +419,7 @@ void Executor::run_predownload_first(const workload::WorkloadRecord& request,
           e.task_id = request.task_id;
           e.route = Route::kCloudPreDownloadFirst;
           e.request_time = request.request_time;
-          e.file_size = request.file_size;
+          e.file_size = catalog_.file(request.file).size;
           e.popularity =
               cloud_.content_db().classify(request.file, sim_.now());
           e.success = false;

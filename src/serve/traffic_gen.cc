@@ -74,20 +74,8 @@ bool TrafficGen::next(workload::WorkloadRecord& out) {
       const std::uint64_t key =
           (static_cast<std::uint64_t>(user) << 32) | flash.hot_file;
       if (seen_.insert(key).second) {
-        const workload::User& u = users_.user(user);
-        const workload::FileInfo& f = catalog_.file(flash.hot_file);
-        out.task_id = static_cast<workload::TaskId>(++generated_);
-        out.user_id = user;
-        out.ip = u.ip;
-        out.isp = u.isp;
-        out.access_bandwidth =
-            u.reports_bandwidth ? u.access_bandwidth : 0.0;
-        out.request_time = clock_;
-        out.file = flash.hot_file;
-        out.file_type = f.type;
-        out.file_size = f.size;
-        out.source_link = f.source_link;
-        out.protocol = f.protocol;
+        out = {static_cast<workload::TaskId>(++generated_), user,
+               flash.hot_file, clock_};
         return true;
       }
     }

@@ -220,33 +220,4 @@ std::vector<EventId> Simulator::unclaimed_rearm_ids() const {
   return ids;
 }
 
-PeriodicTask::PeriodicTask(Simulator& sim, SimTime period,
-                           Simulator::Callback fn)
-    : sim_(sim), period_(period), fn_(std::move(fn)) {
-  assert(period_ > 0);
-}
-
-void PeriodicTask::start() {
-  stop_requested_ = false;
-  if (running()) return;
-  event_ = sim_.schedule_after(period_, [this] { tick(); });
-}
-
-void PeriodicTask::stop() {
-  stop_requested_ = true;
-  if (event_ != kInvalidEvent) {
-    sim_.cancel(event_);
-    event_ = kInvalidEvent;
-  }
-}
-
-void PeriodicTask::tick() {
-  event_ = kInvalidEvent;
-  fn_();
-  // fn_ may have called stop(); in that case do not reschedule.
-  if (!stop_requested_) {
-    event_ = sim_.schedule_after(period_, [this] { tick(); });
-  }
-}
-
 }  // namespace odr::sim

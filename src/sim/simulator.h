@@ -169,28 +169,4 @@ class Simulator {
   std::map<EventId, std::pair<SimTime, std::uint64_t>> rearm_;
 };
 
-// Repeats a callback at a fixed period until stopped; used for watchdogs
-// (stagnation timeouts) and periodic model updates (swarm population churn).
-class PeriodicTask {
- public:
-  PeriodicTask(Simulator& sim, SimTime period, Simulator::Callback fn);
-  ~PeriodicTask() { stop(); }
-
-  PeriodicTask(const PeriodicTask&) = delete;
-  PeriodicTask& operator=(const PeriodicTask&) = delete;
-
-  void start();
-  void stop();
-  bool running() const { return event_ != kInvalidEvent; }
-
- private:
-  void tick();
-
-  Simulator& sim_;
-  SimTime period_;
-  Simulator::Callback fn_;
-  EventId event_ = kInvalidEvent;
-  bool stop_requested_ = false;
-};
-
 }  // namespace odr::sim

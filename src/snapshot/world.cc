@@ -25,7 +25,8 @@ enum : std::uint32_t {
   kSectionWorld = 4,
 };
 inline constexpr std::uint32_t kMetaVersion = 1;
-inline constexpr std::uint32_t kCloudVersion = 1;
+// v2: a waiter stores its request as {task, user, file, time} only.
+inline constexpr std::uint32_t kCloudVersion = 2;
 inline constexpr std::uint32_t kFaultVersion = 1;
 // v2: the next arrival's index replaces v1's list of every pending arrival.
 inline constexpr std::uint32_t kWorldVersion = 2;
@@ -77,34 +78,36 @@ CloudWorld::CloudWorld(const analysis::ExperimentConfig& config,
 }
 
 CloudWorld::CloudWorld(const analysis::ExperimentConfig& config,
-                       std::vector<workload::WorkloadRecord> trace)
+                       workload::Trace trace)
     : config_(config), net_(sim_) {
   options_.checkpoint_period = 0;
   Rng rng(config_.seed);
   // Arrivals replay in time order, and a fixed order keeps the rebuild below
   // (and finalize()'s task-id lookup) independent of the listing order.
-  workload::sort_by_arrival(trace);
+  std::vector<workload::WorkloadRecord>& requests = trace.requests;
+  workload::sort_by_arrival(requests);
 
-  // --- Reconstruct the file catalog from the trace. -------------------------
+  // --- Rebuild the catalog from the files the requests name. ---------------
   workload::FileIndex max_file = 0;
   workload::UserId max_user = 0;
-  for (const auto& r : trace) {
+  for (const auto& r : requests) {
     max_file = std::max(max_file, r.file);
     max_user = std::max(max_user, r.user_id);
   }
   std::vector<workload::FileInfo> files(max_file + 1);
   std::vector<double> counts(max_file + 1, 0.0);
-  for (const auto& r : trace) {
+  for (const auto& r : requests) {
     counts[r.file] += 1.0;
     workload::FileInfo& f = files[r.file];
     if (f.index == workload::kInvalidFile) {
+      workload::FileInfo& recorded = trace.files.at(r.file);
       f.index = r.file;
       f.rank = r.file + 1;
-      f.type = r.file_type;
-      f.size = std::max<Bytes>(1, r.file_size);
-      f.protocol = r.protocol;
-      f.source_link = r.source_link;
-      f.content_id = Md5::of(r.source_link);
+      f.type = recorded.type;
+      f.size = std::max<Bytes>(1, recorded.size);
+      f.protocol = recorded.protocol;
+      f.source_link = std::move(recorded.source_link);
+      f.content_id = Md5::of(f.source_link);
       // A trace carries no pre-trace history: guess which files predate it
       // so warming (below) relies on the measured counts only.
       f.born_before_trace = rng.bernoulli(1.0 - 0.55);
@@ -121,23 +124,23 @@ CloudWorld::CloudWorld(const analysis::ExperimentConfig& config,
   }
   catalog_ = std::make_shared<workload::Catalog>(std::move(files));
 
-  // --- Reconstruct the user population. -------------------------------------
+  // --- Sample a population, then overlay the users the requests name. ------
   workload::UserModelParams user_params = config_.users;
   user_params.num_users = static_cast<std::size_t>(max_user) + 1;
   users_ = std::make_shared<workload::UserPopulation>(user_params, rng);
-  // Overlay recorded attributes on the sampled defaults.
-  for (const auto& r : trace) {
+  for (const auto& r : requests) {
+    const workload::User& recorded = trace.users.at(r.user_id);
     workload::User& u = users_->mutable_user(r.user_id);
-    u.isp = r.isp;
-    u.ip = r.ip;
-    if (r.access_bandwidth > 0.0) {
-      u.access_bandwidth = r.access_bandwidth;
-      u.reports_bandwidth = true;
-    }
+    u.isp = recorded.isp;
+    u.ip = recorded.ip;
+    // An unreported bandwidth keeps the sampled one, and stays unreported.
+    const Rate bandwidth = recorded.reported_bandwidth();
+    u.reports_bandwidth = bandwidth > 0.0;
+    if (u.reports_bandwidth) u.access_bandwidth = bandwidth;
   }
 
-  start_cloud(rng, trace.size());
-  requests_ = std::move(trace);
+  start_cloud(rng, requests.size());
+  requests_ = std::move(requests);
   duration_ = schedule_week(rng) + kDay;
 }
 
@@ -548,10 +551,9 @@ CloudReplayResult run_cloud_replay(const ExperimentConfig& config) {
   return std::move(world).finalize();
 }
 
-CloudReplayResult run_cloud_replay_from_trace(
-    std::vector<workload::WorkloadRecord> requests,
-    const ExperimentConfig& config) {
-  snapshot::CloudWorld world(config, std::move(requests));
+CloudReplayResult run_cloud_replay_from_trace(workload::Trace trace,
+                                              const ExperimentConfig& config) {
+  snapshot::CloudWorld world(config, std::move(trace));
   world.run();
   return std::move(world).finalize();
 }

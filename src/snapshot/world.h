@@ -72,20 +72,20 @@ class CloudWorld {
   // Fresh world: deterministic build + arrival schedule + checkpoint tick.
   CloudWorld(const analysis::ExperimentConfig& config, WorldOptions options);
 
-  // Fresh world over an external workload trace (e.g. loaded from the CSVs
-  // `generate_traces` writes), in any record order: it is replayed sorted
+  // Fresh world over an external workload trace (e.g. read from the CSVs
+  // `generate_traces` writes), in any request order: it is replayed sorted
   // by (request_time, task_id). The catalog and user population are
-  // reconstructed from the sorted records: file metadata from the
-  // first record per file (popularity = measured weekly count), users from
-  // their recorded ISP/bandwidth (unreported bandwidths are drawn from the
-  // configured distribution). Cloud, source and fault parameters come from
-  // `config`; its workload-generation fields are ignored. finalize()
-  // reports the last arrival + 1 day as the duration. Such a world takes no
-  // WorldOptions: it never ticks, checkpoints, audits or hashes, because a
-  // checkpoint of it could not be restored (the restore constructor rebuilds
-  // the generated workload, and config_fingerprint does not cover a trace).
-  CloudWorld(const analysis::ExperimentConfig& config,
-             std::vector<workload::WorkloadRecord> trace);
+  // rebuilt for the files and users the requests name: file metadata from
+  // `trace.files` (popularity = measured weekly count), users from their
+  // recorded ISP, ip and bandwidth (an unreported bandwidth is drawn from
+  // the configured distribution and stays unreported). Cloud, source and
+  // fault parameters come from `config`; its workload-generation fields are
+  // ignored. finalize() reports the last arrival + 1 day as the duration.
+  // Such a world takes no WorldOptions: it never ticks, checkpoints, audits
+  // or hashes, because a checkpoint of it could not be restored (the
+  // restore constructor rebuilds the generated workload, and
+  // config_fingerprint does not cover a trace).
+  CloudWorld(const analysis::ExperimentConfig& config, workload::Trace trace);
 
   // Restored world (generated workload only): deterministic build, then
   // the checkpoint buffer is loaded over it. Throws SnapshotError (leaving
@@ -204,8 +204,7 @@ namespace odr::analysis {
 CloudReplayResult run_cloud_replay(const ExperimentConfig& config);
 
 // The same over an external trace (see CloudWorld's trace constructor).
-CloudReplayResult run_cloud_replay_from_trace(
-    std::vector<workload::WorkloadRecord> requests,
-    const ExperimentConfig& config);
+CloudReplayResult run_cloud_replay_from_trace(workload::Trace trace,
+                                              const ExperimentConfig& config);
 
 }  // namespace odr::analysis

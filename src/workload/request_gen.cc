@@ -37,19 +37,7 @@ bool RequestGenerator::sample_arrival(const Catalog& catalog,
   }
   if (file == kInvalidFile) return false;  // pathological collision streak
 
-  const User& u = users.user(user);
-  const FileInfo& f = catalog.file(file);
-  out.task_id = task_id;
-  out.user_id = user;
-  out.ip = u.ip;
-  out.isp = u.isp;
-  out.access_bandwidth = u.reports_bandwidth ? u.access_bandwidth : 0.0;
-  out.request_time = t;
-  out.file = file;
-  out.file_type = f.type;
-  out.file_size = f.size;
-  out.source_link = f.source_link;
-  out.protocol = f.protocol;
+  out = {task_id, user, file, t};
   return true;
 }
 
@@ -77,7 +65,7 @@ std::vector<WorkloadRecord> RequestGenerator::generate(
                         static_cast<TaskId>(out.size() + 1), seen, r)) {
       continue;  // pathological collision streak
     }
-    out.push_back(std::move(r));
+    out.push_back(r);
   }
 
   sort_by_arrival(out);

@@ -46,8 +46,8 @@ class RequestGenerator {
   // Single-arrival sampling hook shared with the open-loop serving path
   // (serve::TrafficGen): draws a (user, file) pair for an arrival at time
   // `t`, honoring the same fetch-at-most-once dedup set generate() uses,
-  // and fills `out` from the catalog/user metadata. Draw order is exactly
-  // two Rng draws per attempt (user, then file), at most 16 attempts.
+  // and fills `out` with it. Draw order is exactly two Rng draws per
+  // attempt (user, then file), at most 16 attempts.
   // Returns false when every attempt collided (out is left untouched).
   static bool sample_arrival(const Catalog& catalog,
                              const UserPopulation& users, Rng& rng, SimTime t,

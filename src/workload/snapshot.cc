@@ -25,15 +25,8 @@ enum : std::uint16_t {
   // WorkloadRecord
   kTagWrTask = 140,
   kTagWrUser = 141,
-  kTagWrIp = 142,
-  kTagWrIsp = 143,
-  kTagWrBandwidth = 144,
   kTagWrTime = 145,
   kTagWrFile = 146,
-  kTagWrFileType = 147,
-  kTagWrFileSize = 148,
-  kTagWrSourceLink = 149,
-  kTagWrProtocol = 150,
   // PreDownloadRecord
   kTagPreTask = 160,
   kTagPreStart = 161,
@@ -109,30 +102,16 @@ void save_workload_record(snapshot::SnapshotWriter& w,
                           const WorkloadRecord& rec) {
   w.u64(kTagWrTask, rec.task_id);
   w.u32(kTagWrUser, rec.user_id);
-  w.str(kTagWrIp, rec.ip);
-  w.u8(kTagWrIsp, static_cast<std::uint8_t>(rec.isp));
-  w.f64(kTagWrBandwidth, rec.access_bandwidth);
   w.i64(kTagWrTime, rec.request_time);
   w.u32(kTagWrFile, rec.file);
-  w.u8(kTagWrFileType, static_cast<std::uint8_t>(rec.file_type));
-  w.u64(kTagWrFileSize, rec.file_size);
-  w.str(kTagWrSourceLink, rec.source_link);
-  w.u8(kTagWrProtocol, static_cast<std::uint8_t>(rec.protocol));
 }
 
 WorkloadRecord load_workload_record(snapshot::SnapshotReader& r) {
   WorkloadRecord rec;
   rec.task_id = r.u64(kTagWrTask);
   rec.user_id = r.u32(kTagWrUser);
-  rec.ip = r.str(kTagWrIp);
-  rec.isp = static_cast<net::Isp>(r.u8(kTagWrIsp));
-  rec.access_bandwidth = r.f64(kTagWrBandwidth);
   rec.request_time = r.i64(kTagWrTime);
   rec.file = r.u32(kTagWrFile);
-  rec.file_type = static_cast<FileType>(r.u8(kTagWrFileType));
-  rec.file_size = r.u64(kTagWrFileSize);
-  rec.source_link = r.str(kTagWrSourceLink);
-  rec.protocol = static_cast<proto::Protocol>(r.u8(kTagWrProtocol));
   return rec;
 }
 

@@ -1,13 +1,14 @@
 #include "workload/trace.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
 #include "util/csv.h"
+#include "workload/catalog.h"
 
 namespace odr::workload {
 namespace {
@@ -20,10 +21,6 @@ std::string fmt_f(double v) {
   return buf;
 }
 
-std::uint64_t to_u64(const std::string& s) { return std::strtoull(s.c_str(), nullptr, 10); }
-std::int64_t to_i64(const std::string& s) { return std::strtoll(s.c_str(), nullptr, 10); }
-double to_f(const std::string& s) { return std::strtod(s.c_str(), nullptr); }
-
 void expect_header(std::istream& in, const std::vector<std::string>& expected) {
   CsvReader reader(in);
   std::vector<std::string> header;
@@ -31,6 +28,78 @@ void expect_header(std::istream& in, const std::vector<std::string>& expected) {
     throw std::runtime_error("trace CSV: unexpected or missing header");
   }
 }
+
+// Walks the data rows after a validated header. Every error names the
+// trace, the 1-based data row and the column.
+class Rows {
+ public:
+  Rows(std::istream& in, const char* trace,
+       const std::vector<std::string>& header)
+      : reader_(in), trace_(trace), header_(header) {}
+
+  bool next() {
+    if (!reader_.read_row(fields_)) return false;
+    ++row_;
+    if (fields_.size() != header_.size()) {
+      throw std::runtime_error(where() + ": bad field count " +
+                               std::to_string(fields_.size()) + ", expected " +
+                               std::to_string(header_.size()));
+    }
+    return true;
+  }
+
+  std::size_t row() const { return row_; }
+  const std::string& text(std::size_t col) const { return fields_[col]; }
+
+  // The whole field as a T: no sign an unsigned T cannot hold, no
+  // whitespace, no trailing characters, and within T's range.
+  template <typename T>
+  T number(std::size_t col) const {
+    const std::string& s = fields_[col];
+    T v{};
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec == std::errc::result_out_of_range) fail(col, "is out of range");
+    if (ec != std::errc() || end != s.data() + s.size()) {
+      fail(col, "is not a number");
+    }
+    return v;
+  }
+
+  // An enum stored as its integer value; `name` maps values outside the
+  // enum to "?".
+  template <typename E>
+  E choice(std::size_t col, std::string_view (*name)(E)) const {
+    const auto v = number<std::uint8_t>(col);
+    if (name(static_cast<E>(v)) == "?") fail(col, "is not a valid value");
+    return static_cast<E>(v);
+  }
+
+  [[noreturn]] void fail(std::size_t col, const std::string& why) const {
+    throw std::runtime_error(where() + ", column '" + header_[col] + "': '" +
+                             fields_[col] + "' " + why);
+  }
+
+  // A file's or user's attribute must read the same on every row that
+  // names it as on `first_row`, the first.
+  void agree(bool same, std::size_t col, std::size_t first_row,
+             const char* what) const {
+    if (!same) {
+      fail(col, "differs from data row " + std::to_string(first_row) +
+                    ", which names the same " + what);
+    }
+  }
+
+ private:
+  std::string where() const {
+    return std::string(trace_) + " CSV: data row " + std::to_string(row_);
+  }
+
+  CsvReader reader_;
+  const char* trace_;
+  const std::vector<std::string>& header_;
+  std::vector<std::string> fields_;
+  std::size_t row_ = 0;
+};
 
 const std::vector<std::string> kWorkloadHeader = {
     "task_id", "user_id", "ip", "isp", "access_bw", "request_time",
@@ -43,6 +112,28 @@ const std::vector<std::string> kPreDownloadHeader = {
 const std::vector<std::string> kFetchHeader = {
     "task_id", "user_id", "ip", "access_bw", "start", "finish",
     "acquired", "traffic", "avg_rate", "peak_rate", "rejected"};
+
+// Workload columns that carry a file's or a user's attributes.
+enum : std::size_t {
+  kColIp = 2, kColIsp = 3, kColBandwidth = 4,
+  kColType = 7, kColSize = 8, kColLink = 9, kColProtocol = 10,
+};
+
+// Records `row` as the first to name `id` and returns 0, or returns the
+// row that named `id` first.
+std::size_t first_naming(std::vector<std::size_t>& first_row, std::size_t id,
+                         std::size_t row) {
+  if (id >= first_row.size()) first_row.resize(id + 1, 0);
+  if (first_row[id] != 0) return first_row[id];
+  first_row[id] = row;
+  return 0;
+}
+
+template <typename T>
+void store_at(std::vector<T>& table, std::size_t id, T entry) {
+  if (id >= table.size()) table.resize(id + 1);
+  table[id] = std::move(entry);
+}
 
 }  // namespace
 
@@ -57,43 +148,78 @@ void sort_by_arrival(std::vector<WorkloadRecord>& records) {
 }
 
 void write_workload_csv(std::ostream& out,
-                        const std::vector<WorkloadRecord>& records) {
+                        const std::vector<WorkloadRecord>& records,
+                        const Catalog& catalog, const UserPopulation& users) {
   CsvWriter w(out);
   w.write_row(kWorkloadHeader);
   for (const auto& r : records) {
-    w.write_row({fmt_u64(r.task_id), fmt_u64(r.user_id), r.ip,
-                 fmt_u64(static_cast<std::uint64_t>(r.isp)),
-                 fmt_f(r.access_bandwidth), fmt_i64(r.request_time),
-                 fmt_u64(r.file), fmt_u64(static_cast<std::uint64_t>(r.file_type)),
-                 fmt_u64(r.file_size), r.source_link,
-                 fmt_u64(static_cast<std::uint64_t>(r.protocol))});
+    const User& u = users.user(r.user_id);
+    const FileInfo& f = catalog.file(r.file);
+    w.write_row({fmt_u64(r.task_id), fmt_u64(r.user_id), u.ip,
+                 fmt_u64(static_cast<std::uint64_t>(u.isp)),
+                 fmt_f(u.reported_bandwidth()), fmt_i64(r.request_time),
+                 fmt_u64(r.file), fmt_u64(static_cast<std::uint64_t>(f.type)),
+                 fmt_u64(f.size), f.source_link,
+                 fmt_u64(static_cast<std::uint64_t>(f.protocol))});
   }
 }
 
-std::vector<WorkloadRecord> read_workload_csv(std::istream& in) {
+Trace read_workload_csv(std::istream& in) {
   expect_header(in, kWorkloadHeader);
-  CsvReader reader(in);
-  std::vector<WorkloadRecord> out;
-  std::vector<std::string> row;
-  while (reader.read_row(row)) {
-    if (row.size() != kWorkloadHeader.size()) {
-      throw std::runtime_error("workload CSV: bad field count");
-    }
+  Rows rows(in, "workload", kWorkloadHeader);
+  Trace trace;
+  std::vector<std::size_t> file_row, user_row;
+  while (rows.next()) {
     WorkloadRecord r;
-    r.task_id = to_u64(row[0]);
-    r.user_id = static_cast<UserId>(to_u64(row[1]));
-    r.ip = row[2];
-    r.isp = static_cast<net::Isp>(to_u64(row[3]));
-    r.access_bandwidth = to_f(row[4]);
-    r.request_time = to_i64(row[5]);
-    r.file = static_cast<FileIndex>(to_u64(row[6]));
-    r.file_type = static_cast<FileType>(to_u64(row[7]));
-    r.file_size = to_u64(row[8]);
-    r.source_link = row[9];
-    r.protocol = static_cast<proto::Protocol>(to_u64(row[10]));
-    out.push_back(std::move(r));
+    r.task_id = rows.number<TaskId>(0);
+    r.user_id = rows.number<UserId>(1);
+    r.request_time = rows.number<SimTime>(5);
+    r.file = rows.number<FileIndex>(6);
+    if (r.file == kInvalidFile) rows.fail(6, "is out of range");
+
+    User u;
+    u.ip = rows.text(kColIp);
+    u.isp = rows.choice(kColIsp, &net::isp_name);
+    u.access_bandwidth = rows.number<Rate>(kColBandwidth);
+    if (!(u.access_bandwidth >= 0.0 && std::isfinite(u.access_bandwidth))) {
+      rows.fail(kColBandwidth, "is not a finite bandwidth >= 0");
+    }
+    u.reports_bandwidth = u.access_bandwidth > 0.0;
+    if (const std::size_t first =
+            first_naming(user_row, r.user_id, rows.row())) {
+      const User& seen = trace.users[r.user_id];
+      rows.agree(seen.ip == u.ip, kColIp, first, "user");
+      rows.agree(seen.isp == u.isp, kColIsp, first, "user");
+      rows.agree(seen.access_bandwidth == u.access_bandwidth, kColBandwidth,
+                 first, "user");
+    } else {
+      store_at(trace.users, r.user_id, std::move(u));
+    }
+
+    FileInfo f;
+    f.type = rows.choice(kColType, &file_type_name);
+    f.size = rows.number<Bytes>(kColSize);
+    f.source_link = rows.text(kColLink);
+    f.protocol = rows.choice(kColProtocol, &proto::protocol_name);
+    if (const std::size_t first = first_naming(file_row, r.file, rows.row())) {
+      const FileInfo& seen = trace.files[r.file];
+      rows.agree(seen.type == f.type, kColType, first, "file");
+      rows.agree(seen.size == f.size, kColSize, first, "file");
+      rows.agree(seen.source_link == f.source_link, kColLink, first, "file");
+      rows.agree(seen.protocol == f.protocol, kColProtocol, first, "file");
+    } else {
+      store_at(trace.files, r.file, std::move(f));
+    }
+    trace.requests.push_back(r);
   }
-  return out;
+  // Ids for every entry, named or not.
+  for (std::size_t i = 0; i < trace.files.size(); ++i) {
+    trace.files[i].index = static_cast<FileIndex>(i);
+  }
+  for (std::size_t i = 0; i < trace.users.size(); ++i) {
+    trace.users[i].id = static_cast<UserId>(i);
+  }
+  return trace;
 }
 
 void write_predownload_csv(std::ostream& out,
@@ -112,24 +238,20 @@ void write_predownload_csv(std::ostream& out,
 
 std::vector<PreDownloadRecord> read_predownload_csv(std::istream& in) {
   expect_header(in, kPreDownloadHeader);
-  CsvReader reader(in);
+  Rows rows(in, "predownload", kPreDownloadHeader);
   std::vector<PreDownloadRecord> out;
-  std::vector<std::string> row;
-  while (reader.read_row(row)) {
-    if (row.size() != kPreDownloadHeader.size()) {
-      throw std::runtime_error("predownload CSV: bad field count");
-    }
+  while (rows.next()) {
     PreDownloadRecord r;
-    r.task_id = to_u64(row[0]);
-    r.start_time = to_i64(row[1]);
-    r.finish_time = to_i64(row[2]);
-    r.acquired_bytes = to_u64(row[3]);
-    r.traffic_bytes = to_u64(row[4]);
-    r.cache_hit = row[5] == "1";
-    r.average_rate = to_f(row[6]);
-    r.peak_rate = to_f(row[7]);
-    r.success = row[8] == "1";
-    r.failure_cause = static_cast<proto::FailureCause>(to_u64(row[9]));
+    r.task_id = rows.number<TaskId>(0);
+    r.start_time = rows.number<SimTime>(1);
+    r.finish_time = rows.number<SimTime>(2);
+    r.acquired_bytes = rows.number<Bytes>(3);
+    r.traffic_bytes = rows.number<Bytes>(4);
+    r.cache_hit = rows.text(5) == "1";
+    r.average_rate = rows.number<Rate>(6);
+    r.peak_rate = rows.number<Rate>(7);
+    r.success = rows.text(8) == "1";
+    r.failure_cause = rows.choice(9, &proto::failure_cause_name);
     out.push_back(r);
   }
   return out;
@@ -150,25 +272,21 @@ void write_fetch_csv(std::ostream& out,
 
 std::vector<FetchRecord> read_fetch_csv(std::istream& in) {
   expect_header(in, kFetchHeader);
-  CsvReader reader(in);
+  Rows rows(in, "fetch", kFetchHeader);
   std::vector<FetchRecord> out;
-  std::vector<std::string> row;
-  while (reader.read_row(row)) {
-    if (row.size() != kFetchHeader.size()) {
-      throw std::runtime_error("fetch CSV: bad field count");
-    }
+  while (rows.next()) {
     FetchRecord r;
-    r.task_id = to_u64(row[0]);
-    r.user_id = static_cast<UserId>(to_u64(row[1]));
-    r.ip = row[2];
-    r.access_bandwidth = to_f(row[3]);
-    r.start_time = to_i64(row[4]);
-    r.finish_time = to_i64(row[5]);
-    r.acquired_bytes = to_u64(row[6]);
-    r.traffic_bytes = to_u64(row[7]);
-    r.average_rate = to_f(row[8]);
-    r.peak_rate = to_f(row[9]);
-    r.rejected = row[10] == "1";
+    r.task_id = rows.number<TaskId>(0);
+    r.user_id = rows.number<UserId>(1);
+    r.ip = rows.text(2);
+    r.access_bandwidth = rows.number<Rate>(3);
+    r.start_time = rows.number<SimTime>(4);
+    r.finish_time = rows.number<SimTime>(5);
+    r.acquired_bytes = rows.number<Bytes>(6);
+    r.traffic_bytes = rows.number<Bytes>(7);
+    r.average_rate = rows.number<Rate>(8);
+    r.peak_rate = rows.number<Rate>(9);
+    r.rejected = rows.text(10) == "1";
     out.push_back(std::move(r));
   }
   return out;

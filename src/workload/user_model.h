@@ -31,6 +31,11 @@ struct User {
   // analysis then falls back to the peak observed fetch speed.
   bool reports_bandwidth = true;
   std::string ip;  // synthetic dotted quad, stable per user
+
+  // The bandwidth the traces record: 0 when the user does not report it.
+  Rate reported_bandwidth() const {
+    return reports_bandwidth ? access_bandwidth : 0.0;
+  }
 };
 
 struct UserModelParams {

@@ -187,13 +187,32 @@ TEST(ApReplayTest, ReplaysSampledUnicomWorkload) {
   cfg.sample_size = 150;
   const ApReplayResult result = run_ap_replay(cfg);
   EXPECT_GT(result.tasks.size(), 100u);
+  // The replay's population, rebuilt through the same draws.
+  Rng rng(cfg.experiment.seed);
+  const workload::Catalog catalog(cfg.experiment.catalog, rng);
+  const workload::UserPopulation users(cfg.experiment.users, rng);
   for (const auto& t : result.tasks) {
-    EXPECT_EQ(t.request.isp, net::Isp::kUnicom);
-    EXPECT_GT(t.request.access_bandwidth, 0.0);
+    const workload::User& u = users.user(t.request.user_id);
+    EXPECT_EQ(u.isp, net::Isp::kUnicom);
+    EXPECT_GT(u.reported_bandwidth(), 0.0);
   }
   // Failures exist and are dominated by insufficient seeds (§5.2).
   EXPECT_GT(result.failures, 0u);
   EXPECT_GE(result.insufficient_seed_failures, result.http_failures);
+}
+
+// A generated week as an in-memory trace: its requests plus the catalog's
+// and population's attributes, bandwidth as recorded (0 = unreported).
+// Not through CSV, which prints bandwidth to 6 significant digits.
+workload::Trace trace_of(const CloudReplayResult& week) {
+  workload::Trace trace;
+  trace.requests = week.requests;
+  trace.files = week.catalog->files();
+  trace.users = week.users->users();
+  for (workload::User& u : trace.users) {
+    u.access_bandwidth = u.reported_bandwidth();
+  }
+  return trace;
 }
 
 TEST(TraceReplayTest, ReplaysGeneratedTraceWithSameShape) {
@@ -203,7 +222,7 @@ TEST(TraceReplayTest, ReplaysGeneratedTraceWithSameShape) {
   // rebuilt from the records).
   const CloudReplayResult original = run_cloud_replay(tiny_config());
   const CloudReplayResult replayed =
-      run_cloud_replay_from_trace(original.requests, tiny_config());
+      run_cloud_replay_from_trace(trace_of(original), tiny_config());
   EXPECT_EQ(replayed.outcomes.size(), original.requests.size());
   EXPECT_GT(replayed.cache_hit_ratio, 0.5);
   const SpeedDelayCdfs a = collect_speed_delay(original.outcomes);
@@ -216,13 +235,13 @@ TEST(TraceReplayTest, ReplaysGeneratedTraceWithSameShape) {
 TEST(TraceReplayTest, RecoversRecordedUserAttributes) {
   const CloudReplayResult original = run_cloud_replay(tiny_config());
   const CloudReplayResult replayed =
-      run_cloud_replay_from_trace(original.requests, tiny_config());
+      run_cloud_replay_from_trace(trace_of(original), tiny_config());
   for (const auto& r : original.requests) {
+    const workload::User& recorded = original.users->user(r.user_id);
     const workload::User& u = replayed.users->user(r.user_id);
-    EXPECT_EQ(u.isp, r.isp);
-    if (r.access_bandwidth > 0.0) {
-      EXPECT_DOUBLE_EQ(u.access_bandwidth, r.access_bandwidth);
-    }
+    EXPECT_EQ(u.isp, recorded.isp);
+    EXPECT_EQ(u.ip, recorded.ip);
+    EXPECT_EQ(u.reported_bandwidth(), recorded.reported_bandwidth());
   }
 }
 
@@ -232,7 +251,7 @@ TEST(TraceReplayTest, MatchesPinnedFingerprint) {
   // the same events in the same order.
   const CloudReplayResult original = run_cloud_replay(tiny_config());
   const CloudReplayResult replayed =
-      run_cloud_replay_from_trace(original.requests, tiny_config());
+      run_cloud_replay_from_trace(trace_of(original), tiny_config());
   EXPECT_EQ(outcome_fingerprint(replayed.outcomes), 0x2793e1e797a6acddull);
   EXPECT_DOUBLE_EQ(replayed.cache_hit_ratio, 0.89764936336924583);
   EXPECT_EQ(replayed.duration, 691098266632);
@@ -245,7 +264,7 @@ TEST(TraceReplayTest, HonoursFaultPlan) {
   ExperimentConfig faulted = tiny_config();
   faulted.fault_plan = fault::make_chaos_plan(3);
   const CloudReplayResult replayed =
-      run_cloud_replay_from_trace(original.requests, faulted);
+      run_cloud_replay_from_trace(trace_of(original), faulted);
   EXPECT_GT(replayed.faults_fired, 0u);
   EXPECT_EQ(replayed.outcomes.size(), original.requests.size());
 }
@@ -253,20 +272,19 @@ TEST(TraceReplayTest, HonoursFaultPlan) {
 TEST(TraceReplayTest, RecordOrderDoesNotMatter) {
   // A trace listed in any order replays as the time-ordered one: same
   // pinned fingerprint, and every outcome reports its own file's count.
-  std::vector<workload::WorkloadRecord> trace =
-      run_cloud_replay(tiny_config()).requests;
+  workload::Trace trace = trace_of(run_cloud_replay(tiny_config()));
   Rng rng(17);
-  rng.shuffle(trace);
+  rng.shuffle(trace.requests);
   std::unordered_map<workload::TaskId, workload::FileIndex> file_of;
   std::unordered_map<workload::FileIndex, double> count_of;
-  for (const auto& r : trace) {
+  for (const auto& r : trace.requests) {
     file_of[r.task_id] = r.file;
     count_of[r.file] += 1.0;
   }
   const CloudReplayResult replayed =
       run_cloud_replay_from_trace(trace, tiny_config());
   EXPECT_EQ(outcome_fingerprint(replayed.outcomes), 0x2793e1e797a6acddull);
-  ASSERT_EQ(replayed.outcomes.size(), trace.size());
+  ASSERT_EQ(replayed.outcomes.size(), trace.requests.size());
   for (const auto& o : replayed.outcomes) {
     ASSERT_EQ(o.weekly_popularity, count_of[file_of.at(o.task_id)])
         << "task " << o.task_id;

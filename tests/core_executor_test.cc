@@ -37,19 +37,7 @@ class ExecutorTest : public ::testing::Test {
 
   workload::WorkloadRecord request_for(workload::FileIndex file,
                                        const workload::User& user) {
-    workload::WorkloadRecord r;
-    r.task_id = ++next_task_;
-    r.user_id = user.id;
-    r.ip = user.ip;
-    r.isp = user.isp;
-    r.access_bandwidth = user.access_bandwidth;
-    r.request_time = sim.now();
-    r.file = file;
-    const auto& f = catalog->file(file);
-    r.file_type = f.type;
-    r.file_size = f.size;
-    r.protocol = f.protocol;
-    return r;
+    return {++next_task_, user.id, file, sim.now()};
   }
 
   workload::User make_user(net::Isp isp, Rate bw) {
@@ -257,9 +245,9 @@ TEST_F(ExecutorTest, MakeInputReflectsWorldState) {
 
 TEST_F(ExecutorTest, MakeInputFallsBackToTrueBandwidthWhenUnreported) {
   workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(333));
-  workload::WorkloadRecord r = request_for(0, user);
-  r.access_bandwidth = 0.0;  // user did not report (§4.2 footnote)
-  const DecisionInput in = executor->make_input(r, user, nullptr);
+  user.reports_bandwidth = false;  // §4.2 footnote
+  const DecisionInput in =
+      executor->make_input(request_for(0, user), user, nullptr);
   EXPECT_DOUBLE_EQ(in.user_access_bandwidth, kbps_to_rate(333));
   EXPECT_FALSE(in.has_smart_ap);
 }

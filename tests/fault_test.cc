@@ -872,19 +872,7 @@ class ExecutorBreakerTest : public ::testing::Test {
 
   workload::WorkloadRecord request_for(workload::FileIndex file,
                                        const workload::User& user) {
-    workload::WorkloadRecord r;
-    r.task_id = ++next_task_;
-    r.user_id = user.id;
-    r.ip = user.ip;
-    r.isp = user.isp;
-    r.access_bandwidth = user.access_bandwidth;
-    r.request_time = sim.now();
-    r.file = file;
-    const auto& f = catalog->file(file);
-    r.file_type = f.type;
-    r.file_size = f.size;
-    r.protocol = f.protocol;
-    return r;
+    return {++next_task_, user.id, file, sim.now()};
   }
 
   workload::User make_user(net::Isp isp, Rate bw) {

@@ -85,7 +85,8 @@ TEST_F(CloudCalibration, UnpopularFilesFailMost) {
 }
 
 TEST_F(CloudCalibration, TrafficCostAnchors) {
-  const TrafficCost t = traffic_cost(result().outcomes, result().requests);
+  const TrafficCost t = traffic_cost(result().outcomes, result().requests,
+                                     *result().catalog);
   EXPECT_NEAR(t.p2p_overhead(), 1.96, 0.25);       // §4.1
   EXPECT_NEAR(t.http_overhead(), 1.085, 0.02);     // §4.1
   EXPECT_NEAR(t.user_overhead(), 1.085, 0.02);     // §4.2

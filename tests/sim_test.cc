@@ -111,58 +111,6 @@ TEST(SimulatorTest, PendingCountTracksLiveEvents) {
   EXPECT_EQ(sim.pending_count(), 0u);
 }
 
-TEST(PeriodicTaskTest, FiresAtFixedPeriod) {
-  Simulator sim;
-  std::vector<SimTime> fires;
-  PeriodicTask task(sim, kMinute, [&] { fires.push_back(sim.now()); });
-  task.start();
-  sim.run_until(5 * kMinute + kSec);
-  ASSERT_EQ(fires.size(), 5u);
-  for (std::size_t i = 0; i < fires.size(); ++i) {
-    EXPECT_EQ(fires[i], static_cast<SimTime>(i + 1) * kMinute);
-  }
-  task.stop();
-  sim.run();
-  EXPECT_EQ(fires.size(), 5u);
-}
-
-TEST(PeriodicTaskTest, StopFromInsideCallback) {
-  Simulator sim;
-  int count = 0;
-  PeriodicTask task(sim, kSec, [&] {
-    if (++count == 3) task.stop();
-  });
-  task.start();
-  sim.run();
-  EXPECT_EQ(count, 3);
-}
-
-TEST(PeriodicTaskTest, DestructorCancels) {
-  Simulator sim;
-  int count = 0;
-  {
-    PeriodicTask task(sim, kSec, [&] { ++count; });
-    task.start();
-    sim.run_until(2 * kSec);
-  }
-  sim.run();
-  EXPECT_EQ(count, 2);
-}
-
-TEST(PeriodicTaskTest, RestartAfterStop) {
-  Simulator sim;
-  int count = 0;
-  PeriodicTask task(sim, kSec, [&] { ++count; });
-  task.start();
-  sim.run_until(2 * kSec);
-  task.stop();
-  sim.run_until(5 * kSec);
-  EXPECT_EQ(count, 2);
-  task.start();
-  sim.run_until(7 * kSec);
-  EXPECT_EQ(count, 4);
-}
-
 TEST(SimulatorEngineTest, CancelHeavyQueueCompactsTombstones) {
   // Cancelling most of a large queue must shrink the heap (lazy deletion
   // plus wholesale compaction), not leave it full of dead entries; the

@@ -3,12 +3,15 @@
 
 #include <set>
 #include <array>
-
-#include "util/stats.h"
+#include <sstream>
+#include <string>
 #include <unordered_set>
 
+#include "util/csv.h"
+#include "util/stats.h"
 #include "workload/catalog.h"
 #include "workload/request_gen.h"
+#include "workload/trace.h"
 #include "workload/user_model.h"
 
 namespace odr::workload {
@@ -122,21 +125,35 @@ TEST_F(RequestGeneratorTest, FetchAtMostOncePerUserAndFile) {
 }
 
 TEST_F(RequestGeneratorTest, RecordsCarryConsistentFileMetadata) {
+  // A record names its file and user; the workload CSV renders their
+  // attributes, so every rendered row must match the catalog and users.
   const auto trace = generator.generate(catalog, users, rng);
+  std::ostringstream out;
+  write_workload_csv(out, trace, catalog, users);
+  std::istringstream in(out.str());
+  CsvReader reader(in);
+  std::vector<std::string> row;
+  ASSERT_TRUE(reader.read_row(row));  // header
   for (const auto& r : trace) {
-    const FileInfo& f = catalog.file(r.file);
-    EXPECT_EQ(r.file_size, f.size);
-    EXPECT_EQ(r.file_type, f.type);
-    EXPECT_EQ(r.protocol, f.protocol);
-    EXPECT_EQ(r.source_link, f.source_link);
+    ASSERT_TRUE(reader.read_row(row));
+    ASSERT_EQ(row.size(), 11u);
+    EXPECT_EQ(row[0], std::to_string(r.task_id));
+    EXPECT_EQ(row[1], std::to_string(r.user_id));
+    EXPECT_EQ(row[5], std::to_string(r.request_time));
+    EXPECT_EQ(row[6], std::to_string(r.file));
     const User& u = users.user(r.user_id);
-    EXPECT_EQ(r.isp, u.isp);
-    if (u.reports_bandwidth) {
-      EXPECT_DOUBLE_EQ(r.access_bandwidth, u.access_bandwidth);
-    } else {
-      EXPECT_DOUBLE_EQ(r.access_bandwidth, 0.0);
-    }
+    EXPECT_EQ(row[2], u.ip);
+    EXPECT_EQ(row[3], std::to_string(static_cast<int>(u.isp)));
+    // Printed with 6 significant digits; 0 when the user does not report.
+    const double bw = u.reports_bandwidth ? u.access_bandwidth : 0.0;
+    EXPECT_NEAR(std::stod(row[4]), bw, bw * 1e-5);
+    const FileInfo& f = catalog.file(r.file);
+    EXPECT_EQ(row[7], std::to_string(static_cast<int>(f.type)));
+    EXPECT_EQ(row[8], std::to_string(f.size));
+    EXPECT_EQ(row[9], f.source_link);
+    EXPECT_EQ(row[10], std::to_string(static_cast<int>(f.protocol)));
   }
+  EXPECT_FALSE(reader.read_row(row));
 }
 
 TEST_F(RequestGeneratorTest, DiurnalIntensityPeaksInTheEvening) {
