@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "analysis/failure_kind.h"
+#include "analysis/metrics.h"
 #include "analysis/replay.h"
 #include "fault/fault_plan.h"
 #include "obs/observer.h"
@@ -33,26 +34,6 @@
 namespace {
 
 using namespace odr;
-
-// FNV-1a over the outcome stream; byte-identical runs hash equal.
-void mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v;
-  h *= 1099511628211ull;
-}
-
-std::uint64_t outcome_fingerprint(const std::vector<cloud::TaskOutcome>& outcomes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const auto& o : outcomes) {
-    mix(h, o.task_id);
-    mix(h, static_cast<std::uint64_t>(o.pre.success));
-    mix(h, static_cast<std::uint64_t>(o.pre.finish_time));
-    mix(h, o.pre.traffic_bytes);
-    mix(h, static_cast<std::uint64_t>(o.fetched));
-    mix(h, static_cast<std::uint64_t>(o.fetch.rejected));
-    mix(h, static_cast<std::uint64_t>(o.fetch.finish_time));
-  }
-  return h;
-}
 
 bool file_exists(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -107,7 +88,8 @@ PlanResult run_plan(int plan, const std::string& label, double divisor,
   snapshot::CloudWorld reference(config, opts);
   pr.baseline_events = reference.run();
   const std::string final_state = reference.save_to_buffer();
-  pr.baseline_fingerprint = outcome_fingerprint(reference.finalize().outcomes);
+  pr.baseline_fingerprint =
+      analysis::outcome_fingerprint(reference.finalize().outcomes);
 
   snapshot::WorldOptions victim_opts = opts;
   victim_opts.checkpoint_path = ckpt_path;
@@ -140,7 +122,7 @@ PlanResult run_plan(int plan, const std::string& label, double divisor,
       rec.events_after_resume = revived->run();
       rec.bit_identical = revived->save_to_buffer() == final_state;
       rec.outcomes_match =
-          outcome_fingerprint(revived->finalize().outcomes) ==
+          analysis::outcome_fingerprint(revived->finalize().outcomes) ==
           pr.baseline_fingerprint;
       if (!rec.bit_identical || !rec.outcomes_match) {
         rec.kind = analysis::ReplayFailureKind::kFingerprintMismatch;
@@ -195,7 +177,8 @@ ObsGuardResult run_obs_guard(double divisor, std::uint64_t seed, SimTime period,
     snapshot::CloudWorld reference(config, opts);
     plain_events = reference.run();
     plain_state = reference.save_to_buffer();
-    plain_fingerprint = outcome_fingerprint(reference.finalize().outcomes);
+    plain_fingerprint =
+        analysis::outcome_fingerprint(reference.finalize().outcomes);
     obs::set_current(prev);
   }
 
@@ -234,7 +217,8 @@ ObsGuardResult run_obs_guard(double divisor, std::uint64_t seed, SimTime period,
   revived->run();
   g.resume_bit_identical = revived->save_to_buffer() == plain_state;
   g.outcomes_match =
-      outcome_fingerprint(revived->finalize().outcomes) == plain_fingerprint;
+      analysis::outcome_fingerprint(revived->finalize().outcomes) ==
+      plain_fingerprint;
   std::remove(ckpt_path.c_str());
   return g;
 }

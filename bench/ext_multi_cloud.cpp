@@ -26,7 +26,7 @@ using namespace odr;
 namespace {
 
 struct RunResult {
-  std::vector<cloud::TaskOutcome> outcomes;
+  std::vector<workload::TaskOutcome> outcomes;
   double union_hit_ratio = 0.0;
   std::uint64_t rejections = 0;
 };
@@ -92,7 +92,7 @@ RunResult run_case(double divisor, std::uint64_t seed, bool multi) {
       }
       if (selector.cached_anywhere(file.content_id)) ++union_hits;
       clouds[target]->submit(request, users.user(request.user_id),
-                             [&result](const cloud::TaskOutcome& o) {
+                             [&result](const workload::TaskOutcome& o) {
                                result.outcomes.push_back(o);
                              });
     });

@@ -81,7 +81,7 @@ SweepRun run_clean(double divisor, std::uint64_t seed) {
   const auto cdfs = analysis::collect_speed_delay(result.outcomes);
   const auto by_class = analysis::failure_by_class(result.outcomes);
   const auto breakdown = analysis::impeded_breakdown(
-      result.outcomes, *result.users, result.requests, kbps_to_rate(125.0));
+      result.outcomes, *result.users, kbps_to_rate(125.0));
   std::size_t failures = 0;
   for (const auto& o : result.outcomes) {
     if (!o.pre.success) ++failures;

@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
       args.get_double("divisor", 1.0, analysis::kMaxDivisor),
       static_cast<std::uint64_t>(args.get_int("seed")));
   const auto result = analysis::run_cloud_replay(config);
-  const auto traffic = analysis::traffic_cost(result.outcomes, result.requests,
-                                              *result.catalog);
+  const auto traffic = analysis::traffic_cost(result.outcomes, *result.catalog);
 
   const double saving = traffic.p2p_overhead() - traffic.user_overhead();
   using analysis::ComparisonRow;

@@ -113,8 +113,7 @@ int main(int argc, char** argv) {
   }
   const auto by_class = odr::analysis::failure_by_class(result.outcomes);
   const auto impeded = odr::analysis::impeded_breakdown(
-      result.outcomes, *result.users, result.requests,
-      odr::kbps_to_rate(125.0));
+      result.outcomes, *result.users, odr::kbps_to_rate(125.0));
 
   using odr::analysis::ComparisonRow;
   std::fputs(
@@ -167,8 +166,7 @@ int main(int argc, char** argv) {
       stdout);
 
   const auto traffic =
-      odr::analysis::traffic_cost(result.outcomes, result.requests,
-                                  *result.catalog);
+      odr::analysis::traffic_cost(result.outcomes, *result.catalog);
   std::printf("\nP2P pre-download traffic: %.0f%% of file size (paper: 196%%)\n",
               traffic.p2p_overhead() * 100.0);
   std::printf("HTTP/FTP pre-download traffic: %.0f%% (paper: 107-110%%)\n",

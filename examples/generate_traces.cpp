@@ -5,6 +5,7 @@
 // describes, ready for external analysis tooling.
 //
 // Usage: generate_traces [--divisor 400] [--out /tmp/odr-traces]
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -42,14 +43,6 @@ int main(int argc, char** argv) {
 
   const auto result = analysis::run_cloud_replay(config);
 
-  std::vector<workload::PreDownloadRecord> pre;
-  std::vector<workload::FetchRecord> fetch;
-  pre.reserve(result.outcomes.size());
-  for (const auto& o : result.outcomes) {
-    pre.push_back(o.pre);
-    if (o.pre.success) fetch.push_back(o.fetch);
-  }
-
   {
     std::ofstream f(dir / "workload.csv");
     workload::write_workload_csv(f, result.requests, *result.catalog,
@@ -57,16 +50,19 @@ int main(int argc, char** argv) {
   }
   {
     std::ofstream f(dir / "predownload.csv");
-    workload::write_predownload_csv(f, pre);
+    workload::write_predownload_csv(f, result.outcomes);
   }
   {
     std::ofstream f(dir / "fetch.csv");
-    workload::write_fetch_csv(f, fetch);
+    workload::write_fetch_csv(f, result.outcomes, *result.users);
   }
+  const auto fetches = std::count_if(
+      result.outcomes.begin(), result.outcomes.end(),
+      [](const workload::TaskOutcome& o) { return o.pre.success; });
   std::printf("wrote %zu workload, %zu pre-download, %zu fetch records to "
               "%s/\n",
-              result.requests.size(), pre.size(), fetch.size(),
-              dir.string().c_str());
+              result.requests.size(), result.outcomes.size(),
+              static_cast<std::size_t>(fetches), dir.string().c_str());
 
   // Round-trip check: the workload CSV must parse, and the parsed trace
   // must render back to the same bytes.

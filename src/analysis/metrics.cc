@@ -8,7 +8,7 @@
 namespace odr::analysis {
 
 std::uint64_t outcome_fingerprint(
-    const std::vector<cloud::TaskOutcome>& outcomes) {
+    const std::vector<workload::TaskOutcome>& outcomes) {
   std::uint64_t h = 1469598103934665603ull;
   auto mix = [&h](std::uint64_t v) {
     h ^= v;
@@ -48,7 +48,7 @@ std::uint64_t exec_outcome_fingerprint(
 }
 
 SpeedDelayCdfs collect_speed_delay(
-    const std::vector<cloud::TaskOutcome>& outcomes) {
+    const std::vector<workload::TaskOutcome>& outcomes) {
   SpeedDelayCdfs out;
   for (const auto& o : outcomes) {
     // Pre-download CDFs exclude cache hits (their delay is zero by
@@ -77,7 +77,7 @@ SpeedDelayCdfs collect_speed_delay(
 }
 
 std::vector<FailureBucket> failure_by_popularity(
-    const std::vector<cloud::TaskOutcome>& outcomes,
+    const std::vector<workload::TaskOutcome>& outcomes,
     const std::vector<double>& bucket_bounds) {
   assert(bucket_bounds.size() >= 2);
   std::vector<FailureBucket> buckets(bucket_bounds.size() - 1);
@@ -113,7 +113,8 @@ double ClassFailure::share_of_requests(workload::PopularityClass c) const {
                           static_cast<double>(total);
 }
 
-ClassFailure failure_by_class(const std::vector<cloud::TaskOutcome>& outcomes) {
+ClassFailure failure_by_class(
+    const std::vector<workload::TaskOutcome>& outcomes) {
   ClassFailure out;
   for (const auto& o : outcomes) {
     const auto i = static_cast<std::size_t>(o.popularity);
@@ -124,7 +125,7 @@ ClassFailure failure_by_class(const std::vector<cloud::TaskOutcome>& outcomes) {
 }
 
 obs::FailureTaxonomy taxonomy_from_outcomes(
-    const std::vector<cloud::TaskOutcome>& outcomes) {
+    const std::vector<workload::TaskOutcome>& outcomes) {
   obs::FailureTaxonomy taxonomy;
   for (const auto& o : outcomes) {
     const std::string_view pop = workload::popularity_class_name(o.popularity);
@@ -155,7 +156,7 @@ obs::FailureTaxonomy taxonomy_from_ap_tasks(
   return taxonomy;
 }
 
-BurdenSeries burden_series(const std::vector<cloud::TaskOutcome>& outcomes,
+BurdenSeries burden_series(const std::vector<workload::TaskOutcome>& outcomes,
                            SimTime duration, SimTime bin, Rate capacity,
                            Rate rejected_estimate_rate) {
   BurdenSeries series{TimeSeries(0, duration, bin),
@@ -186,10 +187,8 @@ BurdenSeries burden_series(const std::vector<cloud::TaskOutcome>& outcomes,
 }
 
 ImpededBreakdown impeded_breakdown(
-    const std::vector<cloud::TaskOutcome>& outcomes,
-    const workload::UserPopulation& users,
-    const std::vector<workload::WorkloadRecord>& requests,
-    Rate playback_rate) {
+    const std::vector<workload::TaskOutcome>& outcomes,
+    const workload::UserPopulation& users, Rate playback_rate) {
   ImpededBreakdown out;
   for (const auto& o : outcomes) {
     if (!o.pre.success) continue;
@@ -204,9 +203,7 @@ ImpededBreakdown impeded_breakdown(
       ++out.by_rejection;
       continue;
     }
-    assert(o.task_id >= 1 && o.task_id <= requests.size());
-    const auto& req = requests[o.task_id - 1];
-    const workload::User& user = users.user(req.user_id);
+    const workload::User& user = users.user(o.user_id);
     if (!net::is_major_isp(user.isp)) {
       ++out.by_isp_barrier;
     } else if (user.access_bandwidth < playback_rate) {
@@ -235,18 +232,15 @@ double TrafficCost::user_overhead() const {
                    static_cast<double>(user_fetch_file_bytes);
 }
 
-TrafficCost traffic_cost(const std::vector<cloud::TaskOutcome>& outcomes,
-                         const std::vector<workload::WorkloadRecord>& requests,
+TrafficCost traffic_cost(const std::vector<workload::TaskOutcome>& outcomes,
                          const workload::Catalog& catalog) {
   TrafficCost out;
   for (const auto& o : outcomes) {
-    if (o.task_id < 1 || o.task_id > requests.size()) continue;
-    const auto& req = requests[o.task_id - 1];
     // Pre-download traffic: only actual downloads (no cache hits), and only
     // the first waiter of an in-flight-deduplicated download, so the ratio
     // is traffic over *unique* downloaded bytes as in §4.1.
     if (!o.pre.cache_hit && o.pre.success && o.pre.traffic_bytes > 0) {
-      if (proto::is_p2p(catalog.file(req.file).protocol)) {
+      if (proto::is_p2p(catalog.file(o.file).protocol)) {
         out.p2p_file_bytes += o.pre.acquired_bytes;
         out.p2p_traffic_bytes += o.pre.traffic_bytes;
       } else {

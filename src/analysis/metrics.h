@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "cloud/xuanfeng.h"
 #include "core/executor.h"
 #include "obs/attribution.h"
 #include "util/histogram.h"
@@ -24,7 +23,7 @@ namespace odr::analysis {
 // harnesses and the determinism tests share this exact definition — golden
 // values are pinned against it, so any change is a format break.
 std::uint64_t outcome_fingerprint(
-    const std::vector<cloud::TaskOutcome>& outcomes);
+    const std::vector<workload::TaskOutcome>& outcomes);
 
 // The same FNV-1a idiom over executor outcomes (strategy replays): task
 // id, success/cause/rejection, ready time, fetch bytes/route, and the
@@ -43,7 +42,8 @@ struct SpeedDelayCdfs {
   EmpiricalCdf e2e_delay_min;
 };
 
-SpeedDelayCdfs collect_speed_delay(const std::vector<cloud::TaskOutcome>& outcomes);
+SpeedDelayCdfs collect_speed_delay(
+    const std::vector<workload::TaskOutcome>& outcomes);
 
 // --- Fig 10: popularity vs pre-download failure ratio -----------------------
 
@@ -61,7 +61,7 @@ struct FailureBucket {
 
 // Buckets pre-download failure by measured weekly popularity.
 std::vector<FailureBucket> failure_by_popularity(
-    const std::vector<cloud::TaskOutcome>& outcomes,
+    const std::vector<workload::TaskOutcome>& outcomes,
     const std::vector<double>& bucket_bounds);
 
 // Failure ratio per popularity class {unpopular, popular, highly popular}.
@@ -71,7 +71,8 @@ struct ClassFailure {
   double ratio(workload::PopularityClass c) const;
   double share_of_requests(workload::PopularityClass c) const;
 };
-ClassFailure failure_by_class(const std::vector<cloud::TaskOutcome>& outcomes);
+ClassFailure failure_by_class(
+    const std::vector<workload::TaskOutcome>& outcomes);
 
 // --- shared failure taxonomy -------------------------------------------------
 
@@ -84,7 +85,7 @@ struct ApTaskResult;  // analysis/replay.h
 // "upload_fetch". Benches that ran without a live observer get the exact
 // breakdown (and renderer) the attribution engine would have produced.
 obs::FailureTaxonomy taxonomy_from_outcomes(
-    const std::vector<cloud::TaskOutcome>& outcomes);
+    const std::vector<workload::TaskOutcome>& outcomes);
 
 // Same, for AP testbed replay tasks (every failure is an "ap_fetch").
 obs::FailureTaxonomy taxonomy_from_ap_tasks(
@@ -98,7 +99,7 @@ struct BurdenSeries {
   Rate purchased_capacity = 0.0;
 };
 
-BurdenSeries burden_series(const std::vector<cloud::TaskOutcome>& outcomes,
+BurdenSeries burden_series(const std::vector<workload::TaskOutcome>& outcomes,
                            SimTime duration, SimTime bin, Rate capacity,
                            Rate rejected_estimate_rate);
 
@@ -119,10 +120,8 @@ struct ImpededBreakdown {
 };
 
 ImpededBreakdown impeded_breakdown(
-    const std::vector<cloud::TaskOutcome>& outcomes,
-    const workload::UserPopulation& users,
-    const std::vector<workload::WorkloadRecord>& requests,
-    Rate playback_rate);
+    const std::vector<workload::TaskOutcome>& outcomes,
+    const workload::UserPopulation& users, Rate playback_rate);
 
 // --- traffic cost (§4.1/§4.2) ------------------------------------------------
 
@@ -138,8 +137,7 @@ struct TrafficCost {
   double user_overhead() const;
 };
 
-TrafficCost traffic_cost(const std::vector<cloud::TaskOutcome>& outcomes,
-                         const std::vector<workload::WorkloadRecord>& requests,
+TrafficCost traffic_cost(const std::vector<workload::TaskOutcome>& outcomes,
                          const workload::Catalog& catalog);
 
 // --- §6.2 / Fig 16: strategy-level bottleneck metrics ------------------------

@@ -89,7 +89,7 @@ void wire_breaker_probe(const char* name,
   });
 }
 
-void finish_cloud_task_span(const cloud::TaskOutcome& o) {
+void finish_cloud_task_span(const workload::TaskOutcome& o) {
   obs::Observer* obs = obs::current();
   if (obs == nullptr) return;
   obs::TaskJournal* journal = obs->journal();
@@ -127,7 +127,7 @@ void wire_sim_observability(sim::Simulator&, SimTime) {}
 void wire_cloud_observability(sim::Simulator&, net::Network&,
                               cloud::XuanfengCloud&, SimTime) {}
 void wire_breaker_probe(const char*, const core::CircuitBreaker&) {}
-void finish_cloud_task_span(const cloud::TaskOutcome&) {}
+void finish_cloud_task_span(const workload::TaskOutcome&) {}
 
 #endif  // ODR_OBS_ENABLED
 

@@ -19,6 +19,8 @@ class Network;
 }
 namespace odr::cloud {
 class XuanfengCloud;
+}
+namespace odr::workload {
 struct TaskOutcome;
 }
 namespace odr::core {
@@ -48,6 +50,6 @@ void wire_breaker_probe(const char* name, const core::CircuitBreaker& breaker);
 // no observer with spans is installed. Replay drivers and the snapshot
 // world call this from their outcome sinks — the one place a task's
 // outcome is final across every route shape.
-void finish_cloud_task_span(const cloud::TaskOutcome& outcome);
+void finish_cloud_task_span(const workload::TaskOutcome& outcome);
 
 }  // namespace odr::analysis

@@ -76,7 +76,7 @@ ExperimentConfig make_scaled_config(double divisor, std::uint64_t seed);
 // The §4 week's result (snapshot::CloudWorld::finalize).
 struct CloudReplayResult {
   std::vector<workload::WorkloadRecord> requests;
-  std::vector<cloud::TaskOutcome> outcomes;
+  std::vector<workload::TaskOutcome> outcomes;
   double cache_hit_ratio = 0.0;
   std::uint64_t fetch_rejections = 0;
   std::uint64_t fetch_admissions = 0;

@@ -18,15 +18,11 @@ enum : std::uint16_t {
   kTagInflightFile = 11,
   kTagWaiterCount = 12,
   kTagWaiterEnqueuedAt = 13,
+  kTagWaiterIsp = 14,
+  kTagWaiterBandwidth = 15,
   kTagFetchCount = 20,
   kTagFetchFlow = 21,
-  kTagFetchSize = 22,
   kTagFetchOverhead = 23,
-  kTagOutcomeTaskId = 30,
-  kTagOutcomeFetched = 31,
-  kTagOutcomePopularity = 32,
-  kTagOutcomeClass = 33,
-  kTagOutcomePrivileged = 34,
   kTagPlanAdmitted = 50,
   kTagPlanCluster = 51,
   kTagPlanPrivileged = 52,
@@ -34,28 +30,6 @@ enum : std::uint16_t {
   kTagPlanLink = 54,
   kTagPlanOversubscribed = 55,
 };
-
-void save_outcome(snapshot::SnapshotWriter& w, const TaskOutcome& o) {
-  w.u64(kTagOutcomeTaskId, o.task_id);
-  workload::save_predownload_record(w, o.pre);
-  workload::save_fetch_record(w, o.fetch);
-  w.b(kTagOutcomeFetched, o.fetched);
-  w.f64(kTagOutcomePopularity, o.weekly_popularity);
-  w.u8(kTagOutcomeClass, static_cast<std::uint8_t>(o.popularity));
-  w.b(kTagOutcomePrivileged, o.privileged_path);
-}
-
-TaskOutcome load_outcome(snapshot::SnapshotReader& r) {
-  TaskOutcome o;
-  o.task_id = r.u64(kTagOutcomeTaskId);
-  o.pre = workload::load_predownload_record(r);
-  o.fetch = workload::load_fetch_record(r);
-  o.fetched = r.b(kTagOutcomeFetched);
-  o.weekly_popularity = r.f64(kTagOutcomePopularity);
-  o.popularity = static_cast<workload::PopularityClass>(r.u8(kTagOutcomeClass));
-  o.privileged_path = r.b(kTagOutcomePrivileged);
-  return o;
-}
 
 void save_plan(snapshot::SnapshotWriter& w, const FetchPlan& p) {
   w.b(kTagPlanAdmitted, p.admitted);
@@ -99,7 +73,6 @@ void XuanfengCloud::warm_cache(const workload::FileInfo& file) {
 workload::PreDownloadRecord XuanfengCloud::make_cache_hit_record(
     const workload::WorkloadRecord& request) const {
   workload::PreDownloadRecord pre;
-  pre.task_id = request.task_id;
   pre.start_time = sim_.now();
   pre.finish_time = sim_.now();
   pre.acquired_bytes = catalog_.file(request.file).size;
@@ -107,6 +80,20 @@ workload::PreDownloadRecord XuanfengCloud::make_cache_hit_record(
   pre.cache_hit = true;
   pre.success = true;
   return pre;
+}
+
+workload::TaskOutcome XuanfengCloud::make_outcome(
+    const workload::WorkloadRecord& request,
+    const workload::PreDownloadRecord& pre) const {
+  workload::TaskOutcome outcome;
+  outcome.task_id = request.task_id;
+  outcome.user_id = request.user_id;
+  outcome.file = request.file;
+  outcome.pre = pre;
+  outcome.weekly_popularity =
+      content_db_.weekly_popularity(request.file, sim_.now());
+  outcome.popularity = workload::classify_popularity(outcome.weekly_popularity);
+  return outcome;
 }
 
 PreDownloaderPool::DoneFn XuanfengCloud::predownload_callback(
@@ -143,14 +130,15 @@ void XuanfengCloud::submit_impl(const workload::WorkloadRecord& request,
   if (storage_.lookup(file.content_id)) {
     ODR_COUNT("cloud.tasks.cache_hits");
     ODR_SPAN(on_cache_hit(request.task_id));
-    begin_fetch(request, user, make_cache_hit_record(request),
-                std::move(on_done));
+    begin_fetch(request, user.isp, user.access_bandwidth,
+                make_cache_hit_record(request), std::move(on_done));
     return;
   }
 
   Waiter w;
   w.request = request;
-  w.user = user;
+  w.isp = user.isp;
+  w.access_bandwidth = user.access_bandwidth;
   w.on_done = std::move(on_done);
   w.enqueued_at = sim_.now();
 
@@ -174,7 +162,7 @@ Bytes XuanfengCloud::cancel_task(workload::TaskId id) {
     net_.cancel_flow(flow);
     uploads_.release(fetch.plan);
     ODR_COUNT("cloud.fetches.cancelled");
-    TaskOutcome& outcome = fetch.outcome;
+    workload::TaskOutcome& outcome = fetch.outcome;
     outcome.fetch.finish_time = sim_.now();
     outcome.fetch.acquired_bytes = stats.bytes_done;
     outcome.fetched = false;
@@ -193,7 +181,6 @@ Bytes XuanfengCloud::cancel_task(workload::TaskId id) {
       waiters.erase(wit);
       ODR_COUNT("cloud.waiters.cancelled");
       workload::PreDownloadRecord pre;
-      pre.task_id = id;
       pre.start_time = w.enqueued_at;
       pre.finish_time = sim_.now();
       pre.success = false;
@@ -202,15 +189,8 @@ Bytes XuanfengCloud::cancel_task(workload::TaskId id) {
         w.pre_only(pre);
         return 0;
       }
-      TaskOutcome outcome;
-      outcome.task_id = id;
-      outcome.pre = pre;
-      outcome.fetched = false;
+      workload::TaskOutcome outcome = make_outcome(w.request, pre);
       outcome.aborted = true;
-      outcome.weekly_popularity =
-          content_db_.weekly_popularity(w.request.file, sim_.now());
-      outcome.popularity =
-          workload::classify_popularity(outcome.weekly_popularity);
       if (w.on_done) w.on_done(outcome);
       return 0;
     }
@@ -248,7 +228,8 @@ void XuanfengCloud::fetch_only(const workload::WorkloadRecord& request,
                                const workload::User& user,
                                workload::PreDownloadRecord pre,
                                OutcomeFn on_done) {
-  begin_fetch(request, user, std::move(pre), std::move(on_done));
+  begin_fetch(request, user.isp, user.access_bandwidth, std::move(pre),
+              std::move(on_done));
 }
 
 void XuanfengCloud::on_predownload_done(workload::FileIndex file,
@@ -280,7 +261,6 @@ void XuanfengCloud::on_predownload_done(workload::FileIndex file,
     ODR_OBS(if (span_file_retries > 0)
                 ODR_SPAN(on_retry(w.request.task_id, span_file_retries));)
     workload::PreDownloadRecord pre;
-    pre.task_id = w.request.task_id;
     pre.start_time = result.started_at;
     pre.finish_time = result.finished_at;
     pre.acquired_bytes = result.bytes_downloaded;
@@ -299,69 +279,48 @@ void XuanfengCloud::on_predownload_done(workload::FileIndex file,
       continue;
     }
     if (!result.success) {
-      TaskOutcome outcome;
-      outcome.task_id = w.request.task_id;
-      outcome.pre = pre;
-      outcome.fetched = false;
-      outcome.weekly_popularity =
-          content_db_.weekly_popularity(w.request.file, sim_.now());
-      outcome.popularity =
-          workload::classify_popularity(outcome.weekly_popularity);
-      if (w.on_done) w.on_done(outcome);
+      if (w.on_done) w.on_done(make_outcome(w.request, pre));
       continue;
     }
-    begin_fetch(w.request, w.user, pre, std::move(w.on_done));
+    begin_fetch(w.request, w.isp, w.access_bandwidth, pre,
+                std::move(w.on_done));
   }
 }
 
 void XuanfengCloud::begin_fetch(const workload::WorkloadRecord& request,
-                                const workload::User& user,
+                                net::Isp isp, Rate access_bandwidth,
                                 workload::PreDownloadRecord pre,
                                 OutcomeFn on_done) {
   // Desired rate: the user's true access bandwidth, occasionally degraded
   // by residual network dynamics (the §4.2 "unknown" bucket).
-  Rate desired = std::min(user.access_bandwidth, config_.max_fetch_rate);
+  Rate desired = std::min(access_bandwidth, config_.max_fetch_rate);
   if (rng_.bernoulli(config_.dynamics_prob)) {
     desired *= rng_.uniform(config_.dynamics_slowdown_lo,
                             config_.dynamics_slowdown_hi);
   }
 
-  TaskOutcome outcome;
-  outcome.task_id = request.task_id;
-  outcome.pre = pre;
-  outcome.weekly_popularity =
-      content_db_.weekly_popularity(request.file, sim_.now());
-  outcome.popularity =
-      workload::classify_popularity(outcome.weekly_popularity);
-
-  const FetchPlan plan =
-      uploads_.plan_fetch(user.isp, desired, outcome.popularity);
-  outcome.fetch.task_id = request.task_id;
-  outcome.fetch.user_id = request.user_id;
-  outcome.fetch.ip = user.ip;
-  outcome.fetch.access_bandwidth = user.reported_bandwidth();
+  workload::TaskOutcome outcome = make_outcome(request, pre);
+  const FetchPlan plan = uploads_.plan_fetch(isp, desired, outcome.popularity);
   outcome.fetch.start_time = sim_.now();
 
   if (!plan.admitted) {
     // Rejected: the fetch never starts (observed speed 0, §4.2).
     outcome.fetch.finish_time = sim_.now();
     outcome.fetch.rejected = true;
-    outcome.fetched = false;
     if (on_done) on_done(outcome);
     return;
   }
   outcome.privileged_path = plan.privileged;
 
-  const Bytes size = catalog_.file(request.file).size;
   const double overhead = rng_.uniform(1.07, 1.10);  // §4.2 user-side cost
 
   net::Network::FlowSpec spec;
   spec.path = {plan.cluster_link};
-  spec.bytes = size;
+  spec.bytes = catalog_.file(request.file).size;
   spec.rate_cap = plan.rate;
   spec.on_complete = [this](net::FlowId id) { on_fetch_complete(id); };
   const net::FlowId flow = net_.start_flow(std::move(spec));
-  fetches_.emplace(flow, ActiveFetch{std::move(outcome), plan, size, overhead,
+  fetches_.emplace(flow, ActiveFetch{std::move(outcome), plan, overhead,
                                      std::move(on_done)});
 }
 
@@ -373,16 +332,17 @@ void XuanfengCloud::on_fetch_complete(net::FlowId id) {
 
   uploads_.release(fetch.plan);
   ODR_COUNT("cloud.fetches.completed");
-  TaskOutcome& outcome = fetch.outcome;
+  workload::TaskOutcome& outcome = fetch.outcome;
   outcome.fetch.finish_time = sim_.now();
   ODR_TRACE_COMPLETE(kCloud, "fetch", outcome.fetch.start_time, sim_.now());
   ODR_SPAN(on_stage(outcome.task_id, obs::Stage::kUploadFetch,
                     outcome.fetch.start_time, sim_.now()));
-  outcome.fetch.acquired_bytes = fetch.size;
-  outcome.fetch.traffic_bytes = static_cast<Bytes>(std::llround(
-      static_cast<double>(fetch.size) * fetch.overhead));
+  const Bytes size = catalog_.file(outcome.file).size;
+  outcome.fetch.acquired_bytes = size;
+  outcome.fetch.traffic_bytes = static_cast<Bytes>(
+      std::llround(static_cast<double>(size) * fetch.overhead));
   outcome.fetch.average_rate = average_rate(
-      fetch.size, outcome.fetch.finish_time - outcome.fetch.start_time);
+      size, outcome.fetch.finish_time - outcome.fetch.start_time);
   outcome.fetch.peak_rate = fetch.plan.rate;
   outcome.fetched = true;
   if (fetch.on_done) fetch.on_done(outcome);
@@ -443,7 +403,8 @@ void XuanfengCloud::save_tasks(snapshot::SnapshotWriter& w) const {
             snapshot::SnapshotErrorKind::kUsage);
       }
       workload::save_workload_record(w, waiter.request);
-      workload::save_user(w, waiter.user);
+      w.u8(kTagWaiterIsp, static_cast<std::uint8_t>(waiter.isp));
+      w.f64(kTagWaiterBandwidth, waiter.access_bandwidth);
       w.i64(kTagWaiterEnqueuedAt, waiter.enqueued_at);
     }
   }
@@ -456,9 +417,8 @@ void XuanfengCloud::save_tasks(snapshot::SnapshotWriter& w) const {
   for (net::FlowId flow : flows) {
     const ActiveFetch& fetch = fetches_.at(flow);
     w.u64(kTagFetchFlow, flow);
-    save_outcome(w, fetch.outcome);
+    workload::save_task_outcome(w, fetch.outcome);
     save_plan(w, fetch.plan);
-    w.u64(kTagFetchSize, fetch.size);
     w.f64(kTagFetchOverhead, fetch.overhead);
   }
 }
@@ -484,7 +444,8 @@ void XuanfengCloud::load(snapshot::SnapshotReader& r, OutcomeFn sink) {
     for (std::uint64_t j = 0; j < count; ++j) {
       Waiter waiter;
       waiter.request = workload::load_workload_record(r);
-      waiter.user = workload::load_user(r);
+      waiter.isp = static_cast<net::Isp>(r.u8(kTagWaiterIsp));
+      waiter.access_bandwidth = r.f64(kTagWaiterBandwidth);
       waiter.enqueued_at = r.i64(kTagWaiterEnqueuedAt);
       waiter.on_done = sink;
       waiters.push_back(std::move(waiter));
@@ -496,9 +457,8 @@ void XuanfengCloud::load(snapshot::SnapshotReader& r, OutcomeFn sink) {
   for (std::uint64_t i = 0; i < fetch_count; ++i) {
     const net::FlowId flow = r.u64(kTagFetchFlow);
     ActiveFetch fetch;
-    fetch.outcome = load_outcome(r);
+    fetch.outcome = workload::load_task_outcome(r);
     fetch.plan = load_plan(r);
-    fetch.size = r.u64(kTagFetchSize);
     fetch.overhead = r.f64(kTagFetchOverhead);
     fetch.on_done = sink;
     net_.reattach_on_complete(flow,

@@ -41,25 +41,9 @@ class SnapshotReader;
 
 namespace odr::cloud {
 
-struct TaskOutcome {
-  workload::TaskId task_id = 0;
-  workload::PreDownloadRecord pre;
-  workload::FetchRecord fetch;
-  bool fetched = false;  // a fetch completed (not rejected / not pre-failed)
-  // Measured popularity at completion time (what ODR would have seen).
-  double weekly_popularity = 0.0;
-  workload::PopularityClass popularity = workload::PopularityClass::kUnpopular;
-  // True when the fetch ran on a privileged (same-ISP) path.
-  bool privileged_path = false;
-  // Cancelled by the caller (hedged loser-cancel). Transient: aborted
-  // outcomes fire synchronously from cancel_task() and never rest in the
-  // active-fetch table, so the flag is not serialized.
-  bool aborted = false;
-};
-
 class XuanfengCloud {
  public:
-  using OutcomeFn = std::function<void(const TaskOutcome&)>;
+  using OutcomeFn = std::function<void(const workload::TaskOutcome&)>;
 
   XuanfengCloud(sim::Simulator& sim, net::Network& net,
                 const workload::Catalog& catalog,
@@ -157,9 +141,12 @@ class XuanfengCloud {
   void debug_burn_rng_draw();
 
  private:
+  // A request attached to an in-flight pre-download, with the two user
+  // attributes its fetch needs.
   struct Waiter {
     workload::WorkloadRecord request;
-    workload::User user;
+    net::Isp isp = net::Isp::kTelecom;
+    Rate access_bandwidth = 0.0;
     OutcomeFn on_done;
     PreDownloadFn pre_only;  // set for predownload_only waiters
     SimTime enqueued_at = 0;
@@ -167,9 +154,8 @@ class XuanfengCloud {
   // A user fetch in flight: everything the completion handler needs to
   // finalize the record, keyed by the flow id.
   struct ActiveFetch {
-    TaskOutcome outcome;
+    workload::TaskOutcome outcome;
     FetchPlan plan;
-    Bytes size = 0;
     double overhead = 1.0;
     OutcomeFn on_done;
   };
@@ -178,12 +164,16 @@ class XuanfengCloud {
                    const workload::User& user, OutcomeFn on_done);
   void on_predownload_done(workload::FileIndex file,
                            const proto::DownloadResult& result);
-  void begin_fetch(const workload::WorkloadRecord& request,
-                   const workload::User& user,
-                   workload::PreDownloadRecord pre, OutcomeFn on_done);
+  void begin_fetch(const workload::WorkloadRecord& request, net::Isp isp,
+                   Rate access_bandwidth, workload::PreDownloadRecord pre,
+                   OutcomeFn on_done);
   void on_fetch_complete(net::FlowId id);
   workload::PreDownloadRecord make_cache_hit_record(
       const workload::WorkloadRecord& request) const;
+  // The outcome of `request` after `pre`, with the file's popularity now.
+  workload::TaskOutcome make_outcome(
+      const workload::WorkloadRecord& request,
+      const workload::PreDownloadRecord& pre) const;
   PreDownloaderPool::DoneFn predownload_callback(workload::FileIndex file);
 
   sim::Simulator& sim_;

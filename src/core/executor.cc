@@ -204,7 +204,7 @@ void Executor::execute(const Decision& decision,
 }
 
 ExecOutcome Executor::from_cloud_outcome(
-    const cloud::TaskOutcome& outcome,
+    const workload::TaskOutcome& outcome,
     const workload::WorkloadRecord& request) const {
   ExecOutcome e;
   e.task_id = request.task_id;
@@ -252,7 +252,7 @@ void Executor::run_cloud(const workload::WorkloadRecord& request,
                          const workload::User& user, DoneFn done,
                          bool record) {
   auto cb = [this, request, done = std::move(done)](
-                const cloud::TaskOutcome& outcome) {
+                const workload::TaskOutcome& outcome) {
     if (done) done(from_cloud_outcome(outcome, request));
   };
   if (record) {
@@ -392,7 +392,7 @@ void Executor::run_cloud_then_ap(const workload::WorkloadRecord& request,
   cloud_.submit(
       request, user,
       [this, request, ap, done = std::move(done)](
-          const cloud::TaskOutcome& outcome) {
+          const workload::TaskOutcome& outcome) {
         ExecOutcome e = from_cloud_outcome(outcome, request);
         e.route = Route::kCloudThenSmartAp;
         if (!e.success) {
@@ -438,7 +438,7 @@ void Executor::run_predownload_first(const workload::WorkloadRecord& request,
         cloud_.fetch_only(
             request, user, pre,
             [this, request, ap, bottleneck1, done = std::move(done)](
-                const cloud::TaskOutcome& outcome) {
+                const workload::TaskOutcome& outcome) {
               ExecOutcome e = from_cloud_outcome(outcome, request);
               e.route = bottleneck1 ? Route::kCloudThenSmartAp : Route::kCloud;
               if (e.success && bottleneck1) {

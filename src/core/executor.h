@@ -147,7 +147,7 @@ class Executor {
   // Aborts an in-flight direct download; returns the bytes it had moved.
   Bytes cancel_direct(std::uint64_t id);
 
-  ExecOutcome from_cloud_outcome(const cloud::TaskOutcome& outcome,
+  ExecOutcome from_cloud_outcome(const workload::TaskOutcome& outcome,
                                  const workload::WorkloadRecord& request) const;
   void finalize_lan_stage(ExecOutcome outcome, odr::ap::SmartAp* ap,
                           DoneFn done);

@@ -25,11 +25,13 @@ enum : std::uint32_t {
   kSectionWorld = 4,
 };
 inline constexpr std::uint32_t kMetaVersion = 1;
-// v2: a waiter stores its request as {task, user, file, time} only.
-inline constexpr std::uint32_t kCloudVersion = 2;
+// v3: an outcome names its task, user and file and copies no user
+// attribute; a waiter stores its request plus the user's isp and bandwidth.
+inline constexpr std::uint32_t kCloudVersion = 3;
 inline constexpr std::uint32_t kFaultVersion = 1;
 // v2: the next arrival's index replaces v1's list of every pending arrival.
-inline constexpr std::uint32_t kWorldVersion = 2;
+// v3: outcomes in the cloud section's v3 form.
+inline constexpr std::uint32_t kWorldVersion = 3;
 
 enum : std::uint16_t {
   kTagFingerprint = 1,
@@ -37,36 +39,9 @@ enum : std::uint16_t {
   kTagNow = 3,
   kTagHasInjector = 10,
   kTagOutcomeCount = 20,
-  kTagOutcomeTaskId = 21,
-  kTagOutcomeFetched = 22,
-  kTagOutcomePopularity = 23,
-  kTagOutcomeClass = 24,
-  kTagOutcomePrivileged = 25,
   kTagNextArrival = 33,
   kTagCheckpointEvent = 40,
 };
-
-void save_outcome(SnapshotWriter& w, const cloud::TaskOutcome& o) {
-  w.u64(kTagOutcomeTaskId, o.task_id);
-  workload::save_predownload_record(w, o.pre);
-  workload::save_fetch_record(w, o.fetch);
-  w.b(kTagOutcomeFetched, o.fetched);
-  w.f64(kTagOutcomePopularity, o.weekly_popularity);
-  w.u8(kTagOutcomeClass, static_cast<std::uint8_t>(o.popularity));
-  w.b(kTagOutcomePrivileged, o.privileged_path);
-}
-
-cloud::TaskOutcome load_outcome(SnapshotReader& r) {
-  cloud::TaskOutcome o;
-  o.task_id = r.u64(kTagOutcomeTaskId);
-  o.pre = workload::load_predownload_record(r);
-  o.fetch = workload::load_fetch_record(r);
-  o.fetched = r.b(kTagOutcomeFetched);
-  o.weekly_popularity = r.f64(kTagOutcomePopularity);
-  o.popularity = static_cast<workload::PopularityClass>(r.u8(kTagOutcomeClass));
-  o.privileged_path = r.b(kTagOutcomePrivileged);
-  return o;
-}
 
 }  // namespace
 
@@ -83,7 +58,7 @@ CloudWorld::CloudWorld(const analysis::ExperimentConfig& config,
   options_.checkpoint_period = 0;
   Rng rng(config_.seed);
   // Arrivals replay in time order, and a fixed order keeps the rebuild below
-  // (and finalize()'s task-id lookup) independent of the listing order.
+  // independent of the listing order.
   std::vector<workload::WorkloadRecord>& requests = trace.requests;
   workload::sort_by_arrival(requests);
 
@@ -215,7 +190,7 @@ void CloudWorld::arm_checkpoint_tick() {
 }
 
 cloud::XuanfengCloud::OutcomeFn CloudWorld::outcome_sink() {
-  return [this](const cloud::TaskOutcome& outcome) {
+  return [this](const workload::TaskOutcome& outcome) {
     analysis::finish_cloud_task_span(outcome);
     outcomes_.push_back(outcome);
   };
@@ -388,7 +363,9 @@ void CloudWorld::save_fault_state(SnapshotWriter& w) const {
 
 void CloudWorld::save_world_state(SnapshotWriter& w) const {
   w.u64(kTagOutcomeCount, outcomes_.size());
-  for (const cloud::TaskOutcome& o : outcomes_) save_outcome(w, o);
+  for (const workload::TaskOutcome& o : outcomes_) {
+    workload::save_task_outcome(w, o);
+  }
   w.u64(kTagNextArrival, next_arrival_);
   w.u64(kTagCheckpointEvent, checkpoint_event_);
 }
@@ -436,7 +413,7 @@ void CloudWorld::load_from(const std::string& buffer) {
   const std::uint64_t outcome_count = r.u64(kTagOutcomeCount);
   outcomes_.reserve(requests_.size());
   for (std::uint64_t i = 0; i < outcome_count; ++i) {
-    outcomes_.push_back(load_outcome(r));
+    outcomes_.push_back(workload::load_task_outcome(r));
   }
 
   // build() reserved the checkpointed run's arrival ids; a build that
@@ -499,7 +476,7 @@ analysis::CloudReplayResult CloudWorld::finalize() && {
 
 analysis::CloudReplayResult CloudWorld::harvest(
     std::vector<workload::WorkloadRecord> requests,
-    std::vector<cloud::TaskOutcome> outcomes) const {
+    std::vector<workload::TaskOutcome> outcomes) const {
   analysis::CloudReplayResult result;
   result.requests = std::move(requests);
   result.outcomes = std::move(outcomes);
@@ -513,8 +490,7 @@ analysis::CloudReplayResult CloudWorld::harvest(
     std::unordered_map<workload::FileIndex, double> week_counts;
     for (const auto& req : result.requests) week_counts[req.file] += 1.0;
     for (auto& o : result.outcomes) {
-      if (o.task_id < 1 || o.task_id > result.requests.size()) continue;
-      o.weekly_popularity = week_counts[result.requests[o.task_id - 1].file];
+      o.weekly_popularity = week_counts[o.file];
       o.popularity = workload::classify_popularity(o.weekly_popularity);
     }
   }

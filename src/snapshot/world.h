@@ -134,7 +134,9 @@ class CloudWorld {
   const std::vector<workload::WorkloadRecord>& requests() const {
     return requests_;
   }
-  const std::vector<cloud::TaskOutcome>& outcomes() const { return outcomes_; }
+  const std::vector<workload::TaskOutcome>& outcomes() const {
+    return outcomes_;
+  }
   std::size_t pending_arrival_count() const {
     return next_arrival_ < requests_.size() ? 1 : 0;
   }
@@ -154,7 +156,7 @@ class CloudWorld {
   void arm_checkpoint_tick();
   analysis::CloudReplayResult harvest(
       std::vector<workload::WorkloadRecord> requests,
-      std::vector<cloud::TaskOutcome> outcomes) const;
+      std::vector<workload::TaskOutcome> outcomes) const;
   void on_arrival();
   void checkpoint_tick();
   void record_hash();
@@ -179,7 +181,7 @@ class CloudWorld {
   // requests_[next_arrival_] is queued, and that index survives a restore.
   sim::EventId first_arrival_ = sim::kInvalidEvent;
   std::size_t next_arrival_ = 0;
-  std::vector<cloud::TaskOutcome> outcomes_;
+  std::vector<workload::TaskOutcome> outcomes_;
 
   sim::EventId checkpoint_event_ = sim::kInvalidEvent;
   // Deliberately NOT serialized: a resumed run re-counts from zero, and

@@ -16,19 +16,12 @@ enum : std::uint16_t {
   kTagFileWeekly = 106,
   kTagFileBornBefore = 107,
   kTagFileSourceLink = 108,
-  // User
-  kTagUserId = 120,
-  kTagUserIsp = 121,
-  kTagUserBandwidth = 122,
-  kTagUserReports = 123,
-  kTagUserIp = 124,
   // WorkloadRecord
   kTagWrTask = 140,
   kTagWrUser = 141,
   kTagWrTime = 145,
   kTagWrFile = 146,
   // PreDownloadRecord
-  kTagPreTask = 160,
   kTagPreStart = 161,
   kTagPreFinish = 162,
   kTagPreAcquired = 163,
@@ -39,10 +32,6 @@ enum : std::uint16_t {
   kTagPreSuccess = 168,
   kTagPreCause = 169,
   // FetchRecord
-  kTagFetTask = 180,
-  kTagFetUser = 181,
-  kTagFetIp = 182,
-  kTagFetBandwidth = 183,
   kTagFetStart = 184,
   kTagFetFinish = 185,
   kTagFetAcquired = 186,
@@ -50,6 +39,14 @@ enum : std::uint16_t {
   kTagFetAvgRate = 188,
   kTagFetPeakRate = 189,
   kTagFetRejected = 190,
+  // TaskOutcome
+  kTagOutTask = 200,
+  kTagOutUser = 201,
+  kTagOutFile = 202,
+  kTagOutFetched = 203,
+  kTagOutPopularity = 204,
+  kTagOutClass = 205,
+  kTagOutPrivileged = 206,
 };
 
 }  // namespace
@@ -80,24 +77,6 @@ FileInfo load_file_info(snapshot::SnapshotReader& r) {
   return f;
 }
 
-void save_user(snapshot::SnapshotWriter& w, const User& u) {
-  w.u32(kTagUserId, u.id);
-  w.u8(kTagUserIsp, static_cast<std::uint8_t>(u.isp));
-  w.f64(kTagUserBandwidth, u.access_bandwidth);
-  w.b(kTagUserReports, u.reports_bandwidth);
-  w.str(kTagUserIp, u.ip);
-}
-
-User load_user(snapshot::SnapshotReader& r) {
-  User u;
-  u.id = r.u32(kTagUserId);
-  u.isp = static_cast<net::Isp>(r.u8(kTagUserIsp));
-  u.access_bandwidth = r.f64(kTagUserBandwidth);
-  u.reports_bandwidth = r.b(kTagUserReports);
-  u.ip = r.str(kTagUserIp);
-  return u;
-}
-
 void save_workload_record(snapshot::SnapshotWriter& w,
                           const WorkloadRecord& rec) {
   w.u64(kTagWrTask, rec.task_id);
@@ -115,9 +94,10 @@ WorkloadRecord load_workload_record(snapshot::SnapshotReader& r) {
   return rec;
 }
 
+namespace {
+
 void save_predownload_record(snapshot::SnapshotWriter& w,
                              const PreDownloadRecord& rec) {
-  w.u64(kTagPreTask, rec.task_id);
   w.i64(kTagPreStart, rec.start_time);
   w.i64(kTagPreFinish, rec.finish_time);
   w.u64(kTagPreAcquired, rec.acquired_bytes);
@@ -131,7 +111,6 @@ void save_predownload_record(snapshot::SnapshotWriter& w,
 
 PreDownloadRecord load_predownload_record(snapshot::SnapshotReader& r) {
   PreDownloadRecord rec;
-  rec.task_id = r.u64(kTagPreTask);
   rec.start_time = r.i64(kTagPreStart);
   rec.finish_time = r.i64(kTagPreFinish);
   rec.acquired_bytes = r.u64(kTagPreAcquired);
@@ -145,10 +124,6 @@ PreDownloadRecord load_predownload_record(snapshot::SnapshotReader& r) {
 }
 
 void save_fetch_record(snapshot::SnapshotWriter& w, const FetchRecord& rec) {
-  w.u64(kTagFetTask, rec.task_id);
-  w.u32(kTagFetUser, rec.user_id);
-  w.str(kTagFetIp, rec.ip);
-  w.f64(kTagFetBandwidth, rec.access_bandwidth);
   w.i64(kTagFetStart, rec.start_time);
   w.i64(kTagFetFinish, rec.finish_time);
   w.u64(kTagFetAcquired, rec.acquired_bytes);
@@ -160,10 +135,6 @@ void save_fetch_record(snapshot::SnapshotWriter& w, const FetchRecord& rec) {
 
 FetchRecord load_fetch_record(snapshot::SnapshotReader& r) {
   FetchRecord rec;
-  rec.task_id = r.u64(kTagFetTask);
-  rec.user_id = r.u32(kTagFetUser);
-  rec.ip = r.str(kTagFetIp);
-  rec.access_bandwidth = r.f64(kTagFetBandwidth);
   rec.start_time = r.i64(kTagFetStart);
   rec.finish_time = r.i64(kTagFetFinish);
   rec.acquired_bytes = r.u64(kTagFetAcquired);
@@ -172,6 +143,34 @@ FetchRecord load_fetch_record(snapshot::SnapshotReader& r) {
   rec.peak_rate = r.f64(kTagFetPeakRate);
   rec.rejected = r.b(kTagFetRejected);
   return rec;
+}
+
+}  // namespace
+
+void save_task_outcome(snapshot::SnapshotWriter& w, const TaskOutcome& o) {
+  w.u64(kTagOutTask, o.task_id);
+  w.u32(kTagOutUser, o.user_id);
+  w.u32(kTagOutFile, o.file);
+  save_predownload_record(w, o.pre);
+  save_fetch_record(w, o.fetch);
+  w.b(kTagOutFetched, o.fetched);
+  w.f64(kTagOutPopularity, o.weekly_popularity);
+  w.u8(kTagOutClass, static_cast<std::uint8_t>(o.popularity));
+  w.b(kTagOutPrivileged, o.privileged_path);
+}
+
+TaskOutcome load_task_outcome(snapshot::SnapshotReader& r) {
+  TaskOutcome o;
+  o.task_id = r.u64(kTagOutTask);
+  o.user_id = r.u32(kTagOutUser);
+  o.file = r.u32(kTagOutFile);
+  o.pre = load_predownload_record(r);
+  o.fetch = load_fetch_record(r);
+  o.fetched = r.b(kTagOutFetched);
+  o.weekly_popularity = r.f64(kTagOutPopularity);
+  o.popularity = static_cast<PopularityClass>(r.u8(kTagOutClass));
+  o.privileged_path = r.b(kTagOutPrivileged);
+  return o;
 }
 
 }  // namespace odr::workload

@@ -9,25 +9,18 @@
 #include "snapshot/format.h"
 #include "workload/file.h"
 #include "workload/trace.h"
-#include "workload/user_model.h"
 
 namespace odr::workload {
 
 void save_file_info(snapshot::SnapshotWriter& w, const FileInfo& f);
 FileInfo load_file_info(snapshot::SnapshotReader& r);
 
-void save_user(snapshot::SnapshotWriter& w, const User& u);
-User load_user(snapshot::SnapshotReader& r);
-
 void save_workload_record(snapshot::SnapshotWriter& w,
                           const WorkloadRecord& rec);
 WorkloadRecord load_workload_record(snapshot::SnapshotReader& r);
 
-void save_predownload_record(snapshot::SnapshotWriter& w,
-                             const PreDownloadRecord& rec);
-PreDownloadRecord load_predownload_record(snapshot::SnapshotReader& r);
-
-void save_fetch_record(snapshot::SnapshotWriter& w, const FetchRecord& rec);
-FetchRecord load_fetch_record(snapshot::SnapshotReader& r);
+// An outcome with its pre-download and fetch records.
+void save_task_outcome(snapshot::SnapshotWriter& w, const TaskOutcome& o);
+TaskOutcome load_task_outcome(snapshot::SnapshotReader& r);
 
 }  // namespace odr::workload

@@ -30,12 +30,11 @@ void expect_header(std::istream& in, const std::vector<std::string>& expected) {
 }
 
 // Walks the data rows after a validated header. Every error names the
-// trace, the 1-based data row and the column.
+// 1-based data row and the column.
 class Rows {
  public:
-  Rows(std::istream& in, const char* trace,
-       const std::vector<std::string>& header)
-      : reader_(in), trace_(trace), header_(header) {}
+  Rows(std::istream& in, const std::vector<std::string>& header)
+      : reader_(in), header_(header) {}
 
   bool next() {
     if (!reader_.read_row(fields_)) return false;
@@ -91,11 +90,10 @@ class Rows {
 
  private:
   std::string where() const {
-    return std::string(trace_) + " CSV: data row " + std::to_string(row_);
+    return "workload CSV: data row " + std::to_string(row_);
   }
 
   CsvReader reader_;
-  const char* trace_;
   const std::vector<std::string>& header_;
   std::vector<std::string> fields_;
   std::size_t row_ = 0;
@@ -166,7 +164,7 @@ void write_workload_csv(std::ostream& out,
 
 Trace read_workload_csv(std::istream& in) {
   expect_header(in, kWorkloadHeader);
-  Rows rows(in, "workload", kWorkloadHeader);
+  Rows rows(in, kWorkloadHeader);
   Trace trace;
   std::vector<std::size_t> file_row, user_row;
   while (rows.next()) {
@@ -223,11 +221,12 @@ Trace read_workload_csv(std::istream& in) {
 }
 
 void write_predownload_csv(std::ostream& out,
-                           const std::vector<PreDownloadRecord>& records) {
+                           const std::vector<TaskOutcome>& outcomes) {
   CsvWriter w(out);
   w.write_row(kPreDownloadHeader);
-  for (const auto& r : records) {
-    w.write_row({fmt_u64(r.task_id), fmt_i64(r.start_time),
+  for (const auto& o : outcomes) {
+    const PreDownloadRecord& r = o.pre;
+    w.write_row({fmt_u64(o.task_id), fmt_i64(r.start_time),
                  fmt_i64(r.finish_time), fmt_u64(r.acquired_bytes),
                  fmt_u64(r.traffic_bytes), r.cache_hit ? "1" : "0",
                  fmt_f(r.average_rate), fmt_f(r.peak_rate),
@@ -236,60 +235,21 @@ void write_predownload_csv(std::ostream& out,
   }
 }
 
-std::vector<PreDownloadRecord> read_predownload_csv(std::istream& in) {
-  expect_header(in, kPreDownloadHeader);
-  Rows rows(in, "predownload", kPreDownloadHeader);
-  std::vector<PreDownloadRecord> out;
-  while (rows.next()) {
-    PreDownloadRecord r;
-    r.task_id = rows.number<TaskId>(0);
-    r.start_time = rows.number<SimTime>(1);
-    r.finish_time = rows.number<SimTime>(2);
-    r.acquired_bytes = rows.number<Bytes>(3);
-    r.traffic_bytes = rows.number<Bytes>(4);
-    r.cache_hit = rows.text(5) == "1";
-    r.average_rate = rows.number<Rate>(6);
-    r.peak_rate = rows.number<Rate>(7);
-    r.success = rows.text(8) == "1";
-    r.failure_cause = rows.choice(9, &proto::failure_cause_name);
-    out.push_back(r);
-  }
-  return out;
-}
-
 void write_fetch_csv(std::ostream& out,
-                     const std::vector<FetchRecord>& records) {
+                     const std::vector<TaskOutcome>& outcomes,
+                     const UserPopulation& users) {
   CsvWriter w(out);
   w.write_row(kFetchHeader);
-  for (const auto& r : records) {
-    w.write_row({fmt_u64(r.task_id), fmt_u64(r.user_id), r.ip,
-                 fmt_f(r.access_bandwidth), fmt_i64(r.start_time),
+  for (const auto& o : outcomes) {
+    if (!o.pre.success) continue;
+    const FetchRecord& r = o.fetch;
+    const User& u = users.user(o.user_id);
+    w.write_row({fmt_u64(o.task_id), fmt_u64(o.user_id), u.ip,
+                 fmt_f(u.reported_bandwidth()), fmt_i64(r.start_time),
                  fmt_i64(r.finish_time), fmt_u64(r.acquired_bytes),
                  fmt_u64(r.traffic_bytes), fmt_f(r.average_rate),
                  fmt_f(r.peak_rate), r.rejected ? "1" : "0"});
   }
-}
-
-std::vector<FetchRecord> read_fetch_csv(std::istream& in) {
-  expect_header(in, kFetchHeader);
-  Rows rows(in, "fetch", kFetchHeader);
-  std::vector<FetchRecord> out;
-  while (rows.next()) {
-    FetchRecord r;
-    r.task_id = rows.number<TaskId>(0);
-    r.user_id = rows.number<UserId>(1);
-    r.ip = rows.text(2);
-    r.access_bandwidth = rows.number<Rate>(3);
-    r.start_time = rows.number<SimTime>(4);
-    r.finish_time = rows.number<SimTime>(5);
-    r.acquired_bytes = rows.number<Bytes>(6);
-    r.traffic_bytes = rows.number<Bytes>(7);
-    r.average_rate = rows.number<Rate>(8);
-    r.peak_rate = rows.number<Rate>(9);
-    r.rejected = rows.text(10) == "1";
-    out.push_back(std::move(r));
-  }
-  return out;
 }
 
 }  // namespace odr::workload

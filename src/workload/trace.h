@@ -45,26 +45,24 @@ struct Trace {
   std::vector<User> users;      // isp, ip, access_bandwidth
 };
 
-// Part 2: the pre-downloading trace (proxy-side performance).
+// Part 2: the pre-downloading trace (proxy-side performance). Its task is
+// the TaskOutcome's.
 struct PreDownloadRecord {
-  TaskId task_id = 0;
   SimTime start_time = 0;
   SimTime finish_time = 0;
   Bytes acquired_bytes = 0;
   Bytes traffic_bytes = 0;
-  bool cache_hit = false;
   Rate average_rate = 0.0;
   Rate peak_rate = 0.0;
+  bool cache_hit = false;
   bool success = false;
   proto::FailureCause failure_cause = proto::FailureCause::kNone;
 };
 
-// Part 3: the fetching trace (user-side performance).
+// Part 3: the fetching trace (user-side performance). Its task and user
+// are the TaskOutcome's; the user's ip and bandwidth live in the
+// UserPopulation.
 struct FetchRecord {
-  TaskId task_id = 0;
-  UserId user_id = 0;
-  std::string ip;
-  Rate access_bandwidth = 0.0;
   SimTime start_time = 0;
   SimTime finish_time = 0;
   Bytes acquired_bytes = 0;
@@ -74,11 +72,32 @@ struct FetchRecord {
   bool rejected = false;  // cloud admission control refused the request
 };
 
+// One task's terminal state: the request it answers (by task, user and
+// file) and its pre-download and fetch records.
+struct TaskOutcome {
+  TaskId task_id = 0;
+  UserId user_id = 0;
+  FileIndex file = kInvalidFile;
+  PreDownloadRecord pre;
+  FetchRecord fetch;
+  // Measured popularity at completion time (what ODR would have seen).
+  double weekly_popularity = 0.0;
+  PopularityClass popularity = PopularityClass::kUnpopular;
+  bool fetched = false;  // a fetch completed (not rejected / not pre-failed)
+  // True when the fetch ran on a privileged (same-ISP) path.
+  bool privileged_path = false;
+  // Cancelled by the caller (hedged loser-cancel). Transient: aborted
+  // outcomes fire synchronously from cancel_task() and never rest in the
+  // active-fetch table, so the flag is not serialized.
+  bool aborted = false;
+};
+static_assert(sizeof(TaskOutcome) <= 144);
+
 // Sorts by (request_time, task_id): the order every replay driver's
 // arrival cursor walks.
 void sort_by_arrival(std::vector<WorkloadRecord>& records);
 
-// CSV round-trip. Writers emit a header row; readers validate it.
+// CSV output. Writers emit a header row; the workload reader validates it.
 // The workload CSV renders each request's file and user attributes from
 // `catalog` and `users` (bandwidth as reported: 0 when unreported). The
 // reader throws std::runtime_error naming the data row and column on a
@@ -89,11 +108,13 @@ void write_workload_csv(std::ostream& out,
                         const Catalog& catalog, const UserPopulation& users);
 Trace read_workload_csv(std::istream& in);
 
+// The pre-download CSV has one row per outcome. The fetch CSV has one row
+// per outcome whose pre-download succeeded, with the user's ip and
+// reported bandwidth from `users`.
 void write_predownload_csv(std::ostream& out,
-                           const std::vector<PreDownloadRecord>& records);
-std::vector<PreDownloadRecord> read_predownload_csv(std::istream& in);
-
-void write_fetch_csv(std::ostream& out, const std::vector<FetchRecord>& records);
-std::vector<FetchRecord> read_fetch_csv(std::istream& in);
+                           const std::vector<TaskOutcome>& outcomes);
+void write_fetch_csv(std::ostream& out,
+                     const std::vector<TaskOutcome>& outcomes,
+                     const UserPopulation& users);
 
 }  // namespace odr::workload

@@ -3,6 +3,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -15,10 +16,10 @@
 namespace odr::analysis {
 namespace {
 
-cloud::TaskOutcome make_outcome(bool cache_hit, bool pre_success,
+workload::TaskOutcome make_outcome(bool cache_hit, bool pre_success,
                                 bool fetched, Rate fetch_rate,
                                 double popularity = 3.0) {
-  cloud::TaskOutcome o;
+  workload::TaskOutcome o;
   o.task_id = 1;
   o.pre.cache_hit = cache_hit;
   o.pre.success = pre_success;
@@ -38,7 +39,7 @@ cloud::TaskOutcome make_outcome(bool cache_hit, bool pre_success,
 }
 
 TEST(CollectSpeedDelayTest, ExcludesCacheHitsFromPreDownloadCdfs) {
-  std::vector<cloud::TaskOutcome> outcomes = {
+  std::vector<workload::TaskOutcome> outcomes = {
       make_outcome(true, true, true, kbps_to_rate(300)),
       make_outcome(false, true, true, kbps_to_rate(200)),
   };
@@ -50,7 +51,7 @@ TEST(CollectSpeedDelayTest, ExcludesCacheHitsFromPreDownloadCdfs) {
 }
 
 TEST(CollectSpeedDelayTest, RejectedFetchCountsAsZeroSpeed) {
-  std::vector<cloud::TaskOutcome> outcomes = {
+  std::vector<workload::TaskOutcome> outcomes = {
       make_outcome(true, true, false, 0.0),
   };
   const SpeedDelayCdfs cdfs = collect_speed_delay(outcomes);
@@ -61,7 +62,7 @@ TEST(CollectSpeedDelayTest, RejectedFetchCountsAsZeroSpeed) {
 }
 
 TEST(FailureByClassTest, CountsPerClass) {
-  std::vector<cloud::TaskOutcome> outcomes = {
+  std::vector<workload::TaskOutcome> outcomes = {
       make_outcome(false, false, false, 0.0, 2.0),   // unpopular failure
       make_outcome(false, true, true, 1000.0, 2.0),  // unpopular success
       make_outcome(false, true, true, 1000.0, 50.0),
@@ -76,7 +77,7 @@ TEST(FailureByClassTest, CountsPerClass) {
 }
 
 TEST(FailureByPopularityTest, BucketsByMeasuredPopularity) {
-  std::vector<cloud::TaskOutcome> outcomes;
+  std::vector<workload::TaskOutcome> outcomes;
   for (int i = 0; i < 10; ++i) {
     outcomes.push_back(make_outcome(false, i >= 5, i >= 5, 1000.0, 2.0));
   }
@@ -92,7 +93,7 @@ TEST(FailureByPopularityTest, BucketsByMeasuredPopularity) {
 }
 
 TEST(BurdenSeriesTest, SeparatesHighlyPopularShare) {
-  std::vector<cloud::TaskOutcome> outcomes = {
+  std::vector<workload::TaskOutcome> outcomes = {
       make_outcome(true, true, true, kbps_to_rate(300), 2.0),
       make_outcome(true, true, true, kbps_to_rate(300), 200.0),
   };
@@ -104,7 +105,7 @@ TEST(BurdenSeriesTest, SeparatesHighlyPopularShare) {
 
 TEST(BurdenSeriesTest, EstimatesRejectedBurden) {
   // Fig 11 adds the burden rejected fetches would have caused.
-  std::vector<cloud::TaskOutcome> outcomes = {
+  std::vector<workload::TaskOutcome> outcomes = {
       make_outcome(true, true, false, 0.0),
   };
   const BurdenSeries with_estimate =
@@ -289,6 +290,60 @@ TEST(TraceReplayTest, RecordOrderDoesNotMatter) {
     ASSERT_EQ(o.weekly_popularity, count_of[file_of.at(o.task_id)])
         << "task " << o.task_id;
   }
+}
+
+// Every field of an outcome but its task id.
+auto fields_but_task(const workload::TaskOutcome& o) {
+  return std::tie(o.user_id, o.file, o.pre.start_time, o.pre.finish_time,
+                  o.pre.acquired_bytes, o.pre.traffic_bytes,
+                  o.pre.average_rate, o.pre.peak_rate, o.pre.cache_hit,
+                  o.pre.success, o.pre.failure_cause, o.fetch.start_time,
+                  o.fetch.finish_time, o.fetch.acquired_bytes,
+                  o.fetch.traffic_bytes, o.fetch.average_rate,
+                  o.fetch.peak_rate, o.fetch.rejected, o.weekly_popularity,
+                  o.popularity, o.fetched, o.privileged_path, o.aborted);
+}
+
+TEST(TraceReplayTest, TaskIdsNeedNotBeArrivalPositions) {
+  // Raising every task id keeps the arrival order, so the replay is the
+  // same apart from the ids; no result may join an outcome to its request
+  // by position.
+  const workload::Trace trace = trace_of(run_cloud_replay(tiny_config()));
+  workload::Trace raised = trace;
+  for (auto& r : raised.requests) r.task_id += 1000;
+  const CloudReplayResult a = run_cloud_replay_from_trace(trace, tiny_config());
+  const CloudReplayResult b =
+      run_cloud_replay_from_trace(raised, tiny_config());
+
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+    const workload::TaskOutcome& x = a.outcomes[i];
+    const workload::TaskOutcome& y = b.outcomes[i];
+    ASSERT_EQ(y.task_id, x.task_id + 1000) << "outcome " << i;
+    ASSERT_TRUE(fields_but_task(x) == fields_but_task(y))
+        << "task " << x.task_id;
+  }
+
+  const TrafficCost ta = traffic_cost(a.outcomes, *a.catalog);
+  const TrafficCost tb = traffic_cost(b.outcomes, *b.catalog);
+  EXPECT_GT(ta.p2p_file_bytes, 0u);
+  EXPECT_EQ(ta.p2p_file_bytes, tb.p2p_file_bytes);
+  EXPECT_EQ(ta.p2p_traffic_bytes, tb.p2p_traffic_bytes);
+  EXPECT_EQ(ta.http_file_bytes, tb.http_file_bytes);
+  EXPECT_EQ(ta.http_traffic_bytes, tb.http_traffic_bytes);
+  EXPECT_EQ(ta.user_fetch_file_bytes, tb.user_fetch_file_bytes);
+  EXPECT_EQ(ta.user_fetch_traffic_bytes, tb.user_fetch_traffic_bytes);
+
+  const Rate playback = kbps_to_rate(125.0);
+  const ImpededBreakdown ia = impeded_breakdown(a.outcomes, *a.users, playback);
+  const ImpededBreakdown ib = impeded_breakdown(b.outcomes, *b.users, playback);
+  EXPECT_GT(ia.impeded, 0u);
+  EXPECT_EQ(ia.fetch_attempts, ib.fetch_attempts);
+  EXPECT_EQ(ia.impeded, ib.impeded);
+  EXPECT_EQ(ia.by_isp_barrier, ib.by_isp_barrier);
+  EXPECT_EQ(ia.by_low_bandwidth, ib.by_low_bandwidth);
+  EXPECT_EQ(ia.by_rejection, ib.by_rejection);
+  EXPECT_EQ(ia.by_unknown, ib.by_unknown);
 }
 
 TEST(StrategyReplayTest, OdrBeatsCloudOnlyOnImpediment) {

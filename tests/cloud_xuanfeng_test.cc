@@ -54,9 +54,9 @@ TEST_F(XuanfengTest, CacheHitFetchesImmediately) {
   cloud->warm_cache(file);
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(500));
 
-  std::optional<TaskOutcome> outcome;
+  std::optional<workload::TaskOutcome> outcome;
   cloud->submit(request_for(0, user), user,
-                [&](const TaskOutcome& o) { outcome = o; });
+                [&](const workload::TaskOutcome& o) { outcome = o; });
   sim.run();
 
   ASSERT_TRUE(outcome.has_value());
@@ -77,9 +77,9 @@ TEST_F(XuanfengTest, CacheHitFetchesImmediately) {
 TEST_F(XuanfengTest, MissPreDownloadsThenFetches) {
   // Rank-0 file: hot swarm, pre-download will succeed.
   const workload::User user = make_user(net::Isp::kTelecom, kbps_to_rate(400));
-  std::optional<TaskOutcome> outcome;
+  std::optional<workload::TaskOutcome> outcome;
   cloud->submit(request_for(0, user), user,
-                [&](const TaskOutcome& o) { outcome = o; });
+                [&](const workload::TaskOutcome& o) { outcome = o; });
   sim.run();
 
   ASSERT_TRUE(outcome.has_value());
@@ -90,9 +90,9 @@ TEST_F(XuanfengTest, MissPreDownloadsThenFetches) {
   EXPECT_TRUE(outcome->fetched);
   // The file is now cached: a second user hits.
   const workload::User user2 = make_user(net::Isp::kMobile, kbps_to_rate(300));
-  std::optional<TaskOutcome> second;
+  std::optional<workload::TaskOutcome> second;
   cloud->submit(request_for(0, user2, 2), user2,
-                [&](const TaskOutcome& o) { second = o; });
+                [&](const workload::TaskOutcome& o) { second = o; });
   sim.run();
   ASSERT_TRUE(second.has_value());
   EXPECT_TRUE(second->pre.cache_hit);
@@ -100,11 +100,11 @@ TEST_F(XuanfengTest, MissPreDownloadsThenFetches) {
 
 TEST_F(XuanfengTest, ConcurrentRequestsShareOnePreDownload) {
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(400));
-  std::vector<TaskOutcome> outcomes;
+  std::vector<workload::TaskOutcome> outcomes;
   cloud->submit(request_for(0, user, 1), user,
-                [&](const TaskOutcome& o) { outcomes.push_back(o); });
+                [&](const workload::TaskOutcome& o) { outcomes.push_back(o); });
   cloud->submit(request_for(0, user, 2), user,
-                [&](const TaskOutcome& o) { outcomes.push_back(o); });
+                [&](const workload::TaskOutcome& o) { outcomes.push_back(o); });
   sim.run();
 
   ASSERT_EQ(outcomes.size(), 2u);
@@ -134,9 +134,9 @@ TEST_F(XuanfengTest, StarvedSwarmFailsAndReportsCause) {
     }
   }
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(400));
-  std::optional<TaskOutcome> outcome;
+  std::optional<workload::TaskOutcome> outcome;
   cloud->submit(request_for(tail, user), user,
-                [&](const TaskOutcome& o) { outcome = o; });
+                [&](const workload::TaskOutcome& o) { outcome = o; });
   sim.run();
 
   ASSERT_TRUE(outcome.has_value());
@@ -160,10 +160,11 @@ TEST_F(XuanfengTest, RejectsWhenCloudHasNoUploadBandwidth) {
   const workload::User user = make_user(net::Isp::kUnicom, mbps_to_rate(10));
   int rejected = 0, fetched = 0;
   for (int i = 0; i < 6; ++i) {
-    cloud->submit(request_for(0, user, i + 1), user, [&](const TaskOutcome& o) {
-      if (o.fetch.rejected) ++rejected;
-      if (o.fetched) ++fetched;
-    });
+    cloud->submit(request_for(0, user, i + 1), user,
+                  [&](const workload::TaskOutcome& o) {
+                    if (o.fetch.rejected) ++rejected;
+                    if (o.fetched) ++fetched;
+                  });
   }
   sim.run_until(kMinute);
   EXPECT_GT(rejected, 0);
@@ -187,16 +188,19 @@ TEST_F(XuanfengTest, FetchOnlyUsesSuppliedPreRecord) {
   cloud->warm_cache(catalog->file(0));
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(500));
   workload::PreDownloadRecord pre;
-  pre.task_id = 9;
+  pre.start_time = 9;
   pre.success = true;
   pre.cache_hit = true;
-  std::optional<TaskOutcome> outcome;
+  std::optional<workload::TaskOutcome> outcome;
   cloud->fetch_only(request_for(0, user, 9), user, pre,
-                    [&](const TaskOutcome& o) { outcome = o; });
+                    [&](const workload::TaskOutcome& o) { outcome = o; });
   sim.run();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(outcome->fetched);
-  EXPECT_EQ(outcome->pre.task_id, 9u);
+  EXPECT_EQ(outcome->pre.start_time, 9);
+  EXPECT_EQ(outcome->task_id, 9u);
+  EXPECT_EQ(outcome->user_id, user.id);
+  EXPECT_EQ(outcome->file, 0u);
 }
 
 TEST_F(XuanfengTest, ContentDbSeesEverySubmission) {

@@ -59,7 +59,7 @@ TEST_F(CloudCalibration, DelayAnchors) {
 
 TEST_F(CloudCalibration, ImpededFetchDecomposition) {
   const ImpededBreakdown d =
-      impeded_breakdown(result().outcomes, *result().users, result().requests,
+      impeded_breakdown(result().outcomes, *result().users,
                         kbps_to_rate(125.0));
   // §4.2: 28% impeded = 9.6% barrier + 10.8% slow lines + 1.5% rejected
   // + 6.1% unknown.
@@ -85,8 +85,7 @@ TEST_F(CloudCalibration, UnpopularFilesFailMost) {
 }
 
 TEST_F(CloudCalibration, TrafficCostAnchors) {
-  const TrafficCost t = traffic_cost(result().outcomes, result().requests,
-                                     *result().catalog);
+  const TrafficCost t = traffic_cost(result().outcomes, *result().catalog);
   EXPECT_NEAR(t.p2p_overhead(), 1.96, 0.25);       // §4.1
   EXPECT_NEAR(t.http_overhead(), 1.085, 0.02);     // §4.1
   EXPECT_NEAR(t.user_overhead(), 1.085, 0.02);     // §4.2

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/metrics.h"
 #include "analysis/replay.h"
 #include "gtest/gtest.h"
 #include "obs/attribution.h"
@@ -788,25 +789,6 @@ TEST(ObserverSpanTest, SpansDisabledMeansNoJournal) {
 
 #endif  // ODR_OBS_ENABLED
 
-// --- determinism contract --------------------------------------------------
-
-std::uint64_t fingerprint(const std::vector<cloud::TaskOutcome>& outcomes) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (const auto& o : outcomes) {
-    mix(o.task_id);
-    mix(static_cast<std::uint64_t>(o.pre.success));
-    mix(static_cast<std::uint64_t>(o.pre.finish_time));
-    mix(o.pre.traffic_bytes);
-    mix(static_cast<std::uint64_t>(o.fetched));
-    mix(static_cast<std::uint64_t>(o.fetch.finish_time));
-  }
-  return h;
-}
-
 // --- windowed metrics time-series -------------------------------------------
 
 TaskSpan make_finished_span(std::uint64_t id, SimTime finished, Stage heavy,
@@ -1005,11 +987,11 @@ TEST(MetricsTimeSeriesTest, JsonlHasSchemaHeaderAndOneRowPerWindow) {
 TEST(ObsIntegrationTest, ObserverDoesNotPerturbTheReplay) {
   const auto config = analysis::make_scaled_config(8000.0, 20151028);
   const auto plain = analysis::run_cloud_replay(config);
-  const std::uint64_t plain_fp = fingerprint(plain.outcomes);
+  const std::uint64_t plain_fp = analysis::outcome_fingerprint(plain.outcomes);
 
   ScopedObserver obs;  // full default config, tracing on
   const auto observed = analysis::run_cloud_replay(config);
-  EXPECT_EQ(fingerprint(observed.outcomes), plain_fp);
+  EXPECT_EQ(analysis::outcome_fingerprint(observed.outcomes), plain_fp);
   EXPECT_EQ(observed.outcomes.size(), plain.outcomes.size());
 
 #if ODR_OBS_ENABLED

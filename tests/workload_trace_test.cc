@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "util/rng.h"
 #include "workload/catalog.h"
 
 namespace odr::workload {
@@ -81,81 +84,93 @@ TEST(TraceTest, WorkloadRoundTrip) {
   EXPECT_EQ(again.str(), out.str());
 }
 
-TEST(TraceTest, PreDownloadRoundTrip) {
-  PreDownloadRecord r;
-  r.task_id = 1;
-  r.start_time = kMinute;
-  r.finish_time = 83 * kMinute;
-  r.acquired_bytes = 115 * kMB;
-  r.traffic_bytes = 225 * kMB;
-  r.cache_hit = false;
-  r.average_rate = 23400.0;
-  r.peak_rate = 99000.0;
-  r.success = true;
-  r.failure_cause = proto::FailureCause::kNone;
+// Three outcomes over users 7 (reports 512000 B/s) and 8 (does not): a
+// pre-download then fetch, a cache hit whose fetch was rejected, and a
+// failed pre-download.
+std::vector<TaskOutcome> sample_outcomes() {
+  TaskOutcome fetched;
+  fetched.task_id = 1;
+  fetched.user_id = 7;
+  fetched.file = 99;
+  fetched.pre.start_time = kMinute;
+  fetched.pre.finish_time = 83 * kMinute;
+  fetched.pre.acquired_bytes = 115 * kMB;
+  fetched.pre.traffic_bytes = 225 * kMB;
+  fetched.pre.average_rate = 23400.0;
+  fetched.pre.peak_rate = 99000.0;
+  fetched.pre.success = true;
+  fetched.fetch.start_time = 83 * kMinute;
+  fetched.fetch.finish_time = 90 * kMinute;
+  fetched.fetch.acquired_bytes = 115 * kMB;
+  fetched.fetch.traffic_bytes = 124 * kMB;
+  fetched.fetch.average_rate = 287000.0;
+  fetched.fetch.peak_rate = 300000.0;
+  fetched.fetched = true;
 
-  PreDownloadRecord failed;
-  failed.task_id = 2;
-  failed.success = false;
-  failed.failure_cause = proto::FailureCause::kInsufficientSeeds;
+  TaskOutcome rejected;
+  rejected.task_id = 2;
+  rejected.user_id = 8;
+  rejected.file = 99;
+  rejected.pre.start_time = 10 * kMinute;
+  rejected.pre.finish_time = 10 * kMinute;
+  rejected.pre.acquired_bytes = 390 * kMB;
+  rejected.pre.cache_hit = true;
+  rejected.pre.success = true;
+  rejected.fetch.start_time = 10 * kMinute;
+  rejected.fetch.finish_time = 10 * kMinute;
+  rejected.fetch.rejected = true;
 
-  std::ostringstream out;
-  write_predownload_csv(out, {r, failed});
-  std::istringstream in(out.str());
-  const auto parsed = read_predownload_csv(in);
-
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].finish_time, 83 * kMinute);
-  EXPECT_EQ(parsed[0].acquired_bytes, 115 * kMB);
-  EXPECT_FALSE(parsed[0].cache_hit);
-  EXPECT_TRUE(parsed[0].success);
-  EXPECT_DOUBLE_EQ(parsed[0].average_rate, 23400.0);
-  EXPECT_FALSE(parsed[1].success);
-  EXPECT_EQ(parsed[1].failure_cause, proto::FailureCause::kInsufficientSeeds);
+  TaskOutcome failed;
+  failed.task_id = 3;
+  failed.user_id = 7;
+  failed.file = 99;
+  failed.pre.start_time = kMinute;
+  failed.pre.finish_time = 2 * kMinute;
+  failed.pre.failure_cause = proto::FailureCause::kInsufficientSeeds;
+  return {fetched, rejected, failed};
 }
 
-TEST(TraceTest, FetchRoundTrip) {
-  FetchRecord r;
-  r.task_id = 5;
-  r.user_id = 3;
-  r.ip = "59.1.2.3";
-  r.access_bandwidth = 287000.0;
-  r.start_time = 10 * kMinute;
-  r.finish_time = 17 * kMinute;
-  r.acquired_bytes = 115 * kMB;
-  r.traffic_bytes = 124 * kMB;
-  r.average_rate = 287000.0;
-  r.peak_rate = 300000.0;
-  r.rejected = false;
-
-  FetchRecord rejected;
-  rejected.task_id = 6;
-  rejected.rejected = true;
-
+TEST(TraceTest, PreDownloadCsvRendersEveryOutcome) {
   std::ostringstream out;
-  write_fetch_csv(out, {r, rejected});
-  std::istringstream in(out.str());
-  const auto parsed = read_fetch_csv(in);
-
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].user_id, 3u);
-  EXPECT_EQ(parsed[0].finish_time, 17 * kMinute);
-  EXPECT_FALSE(parsed[0].rejected);
-  EXPECT_TRUE(parsed[1].rejected);
+  write_predownload_csv(out, sample_outcomes());
+  EXPECT_EQ(out.str(),
+            "task_id,start,finish,acquired,traffic,cache_hit,avg_rate,"
+            "peak_rate,success,failure_cause\n"
+            "1,60000000,4980000000,115000000,225000000,0,23400,99000,1,0\n"
+            "2,600000000,600000000,390000000,0,1,0,0,1,0\n"
+            "3,60000000,120000000,0,0,0,0,0,0,1\n");
 }
 
-TEST(TraceTest, EmptyTraceRoundTrips) {
+TEST(TraceTest, FetchCsvRendersPreDownloadedOutcomes) {
+  // The failed pre-download gets no row; the unreported bandwidth is 0.
   std::ostringstream out;
-  write_fetch_csv(out, {});
-  std::istringstream in(out.str());
-  EXPECT_TRUE(read_fetch_csv(in).empty());
+  write_fetch_csv(out, sample_outcomes(), sample_users());
+  EXPECT_EQ(out.str(),
+            "task_id,user_id,ip,access_bw,start,finish,acquired,traffic,"
+            "avg_rate,peak_rate,rejected\n"
+            "1,7,116.12.34.56,512000,4980000000,5400000000,115000000,"
+            "124000000,287000,300000,0\n"
+            "2,8,10.0.0.8,0,600000000,600000000,0,0,0,0,1\n");
+}
+
+TEST(TraceTest, EmptyOutcomesRenderHeadersOnly) {
+  std::ostringstream pre;
+  write_predownload_csv(pre, {});
+  EXPECT_EQ(pre.str(),
+            "task_id,start,finish,acquired,traffic,cache_hit,avg_rate,"
+            "peak_rate,success,failure_cause\n");
+  std::ostringstream fetch;
+  write_fetch_csv(fetch, {sample_outcomes()[2]}, sample_users());
+  EXPECT_EQ(fetch.str(),
+            "task_id,user_id,ip,access_bw,start,finish,acquired,traffic,"
+            "avg_rate,peak_rate,rejected\n");
 }
 
 TEST(TraceTest, WrongHeaderThrows) {
   std::istringstream in("not,a,valid,header\n1,2,3,4\n");
   EXPECT_THROW(read_workload_csv(in), std::runtime_error);
   std::istringstream in2("");
-  EXPECT_THROW(read_predownload_csv(in2), std::runtime_error);
+  EXPECT_THROW(read_workload_csv(in2), std::runtime_error);
 }
 
 // The message read_workload_csv throws for `rows` under a valid header,
@@ -174,13 +189,6 @@ std::string workload_error(const std::string& rows) {
 }
 
 TEST(TraceTest, BadFieldCountThrows) {
-  // Valid header, truncated row.
-  std::ostringstream out;
-  write_fetch_csv(out, {});
-  std::string text = out.str() + "1,2,3\n";
-  std::istringstream in(text);
-  EXPECT_THROW(read_fetch_csv(in), std::runtime_error);
-
   // Workload rows: each error names the data row and the column.
   const std::string good = "1,7,1.2.3.4,0,512000,100,3,1,390,http://x,2\n";
   ASSERT_EQ(workload_error(good + good), "");
@@ -191,6 +199,7 @@ TEST(TraceTest, BadFieldCountThrows) {
     std::string why;
   };
   const std::vector<Case> cases = {
+      {"1,2,3\n", "data row 1", "", "bad field count"},
       {"1,7,1.2.3.4,0,512000,100\n", "data row 1", "", "bad field count"},
       {"abc,7,1.2.3.4,0,512000,100,3,1,390,http://x,2\n", "data row 1",
        "task_id", "not a number"},
@@ -245,6 +254,48 @@ TEST(TraceTest, BadFieldCountThrows) {
     }
     EXPECT_NE(error.find(c.why), std::string::npos) << c.rows << error;
   }
+}
+
+TEST(TraceTest, ByteFlipNeverCrashes) {
+  // A rendered 50-row workload trace with one byte replaced at every
+  // position: the reader either returns a trace or throws runtime_error.
+  Rng rng(3);
+  CatalogParams cp;
+  cp.num_files = 20;
+  cp.total_weekly_requests = 50;
+  const Catalog catalog(cp, rng);
+  UserModelParams up;
+  up.num_users = 10;
+  const UserPopulation users(up, rng);
+  std::vector<WorkloadRecord> records;
+  for (std::uint32_t i = 0; i < 50; ++i) {
+    records.push_back({i + 1, i % 10, (i * 7) % 20, i * kMinute});
+  }
+  std::ostringstream out;
+  write_workload_csv(out, records, catalog, users);
+  const std::string text = out.str();
+
+  const std::string replacements("09,\n-x\xff", 7);
+  std::size_t parsed = 0, thrown = 0;
+  for (std::size_t pos = 0; pos < text.size(); ++pos) {
+    for (char c : replacements) {
+      std::string flipped = text;
+      flipped[pos] = c;
+      std::istringstream in(flipped);
+      try {
+        read_workload_csv(in);
+        ++parsed;
+      } catch (const std::runtime_error&) {
+        ++thrown;
+      } catch (...) {
+        ADD_FAILURE() << "byte " << pos << " set to " << int(c)
+                      << ": not a std::runtime_error";
+      }
+    }
+  }
+  EXPECT_EQ(parsed + thrown, text.size() * replacements.size());
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(thrown, 0u);
 }
 
 }  // namespace
