@@ -319,14 +319,12 @@ StrategyReplayResult run_strategy_replay(const StrategyReplayConfig& config) {
 
   // Same reporting convention as the §4 week: classify by the file's
   // full-week request count.
-  {
-    std::unordered_map<workload::FileIndex, double> week_counts;
-    for (const auto& r : requests) week_counts[r.file] += 1.0;
-    for (auto& o : result.outcomes) {
-      if (o.task_id < 1 || o.task_id > requests.size()) continue;
-      o.popularity = workload::classify_popularity(
-          week_counts[requests[o.task_id - 1].file]);
-    }
+  const std::vector<double> week_counts =
+      workload::week_request_counts(requests, catalog.size());
+  for (auto& o : result.outcomes) {
+    if (o.task_id < 1 || o.task_id > requests.size()) continue;
+    o.popularity = workload::classify_popularity(
+        week_counts[requests[o.task_id - 1].file]);
   }
 
   result.duration = config.experiment.requests.duration;

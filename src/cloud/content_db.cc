@@ -1,6 +1,7 @@
 #include "cloud/content_db.h"
 
 #include <algorithm>
+#include <string>
 
 #include "snapshot/format.h"
 
@@ -8,65 +9,60 @@ namespace odr::cloud {
 namespace {
 
 enum : std::uint16_t {
-  kTagTotalRequests = 1,
-  kTagFileCount = 2,
-  kTagFileIndex = 3,
-  kTagTimeCount = 4,
-  kTagTime = 5,
+  kTagLogSize = 1,
+  kTagFile = 2,
+  kTagTime = 3,
 };
 
 }  // namespace
 
+void ContentDb::expire(SimTime now) const {
+  const SimTime cutoff = now - kWeek;
+  while (!log_.empty() && log_.front().time < cutoff) {
+    --count_[log_.front().file];
+    log_.pop_front();
+  }
+}
+
 void ContentDb::record_request(workload::FileIndex file, SimTime now) {
-  requests_[file].push_back(now);
-  ++total_requests_;
+  expire(now);
+  log_.push_back({now, file});
+  ++count_[file];
 }
 
 double ContentDb::weekly_popularity(workload::FileIndex file,
                                     SimTime now) const {
-  auto it = requests_.find(file);
-  if (it == requests_.end()) return 0.0;
-  auto& times = it->second;
-  const SimTime cutoff = now - kWeek;
-  while (!times.empty() && times.front() < cutoff) times.pop_front();
-  return static_cast<double>(times.size());
-}
-
-std::vector<double> ContentDb::popularity_series(SimTime now) const {
-  std::vector<double> out;
-  out.reserve(requests_.size());
-  for (const auto& [file, times] : requests_) {
-    const double p = weekly_popularity(file, now);
-    if (p > 0.0) out.push_back(p);
-  }
-  std::sort(out.begin(), out.end(), std::greater<>());
-  return out;
+  expire(now);
+  return static_cast<double>(count_[file]);
 }
 
 void ContentDb::save(snapshot::SnapshotWriter& w) const {
-  w.u64(kTagTotalRequests, total_requests_);
-  std::vector<workload::FileIndex> files;
-  files.reserve(requests_.size());
-  for (const auto& [file, times] : requests_) files.push_back(file);
-  std::sort(files.begin(), files.end());
-  w.u64(kTagFileCount, files.size());
-  for (workload::FileIndex file : files) {
-    const auto& times = requests_.at(file);
-    w.u32(kTagFileIndex, file);
-    w.u64(kTagTimeCount, times.size());
-    for (SimTime t : times) w.i64(kTagTime, t);
+  w.u64(kTagLogSize, log_.size());
+  for (const Request& req : log_) {
+    w.u32(kTagFile, req.file);
+    w.i64(kTagTime, req.time);
   }
 }
 
 void ContentDb::load(snapshot::SnapshotReader& r) {
-  total_requests_ = r.u64(kTagTotalRequests);
-  requests_.clear();
-  const std::uint64_t files = r.u64(kTagFileCount);
-  for (std::uint64_t i = 0; i < files; ++i) {
-    const workload::FileIndex file = r.u32(kTagFileIndex);
-    auto& times = requests_[file];
-    const std::uint64_t count = r.u64(kTagTimeCount);
-    for (std::uint64_t j = 0; j < count; ++j) times.push_back(r.i64(kTagTime));
+  log_.clear();
+  std::fill(count_.begin(), count_.end(), 0);
+  const std::uint64_t size = r.u64(kTagLogSize);
+  for (std::uint64_t i = 0; i < size; ++i) {
+    const workload::FileIndex file = r.u32(kTagFile);
+    const SimTime time = r.i64(kTagTime);
+    if (file >= count_.size()) {
+      throw snapshot::SnapshotError(
+          "content db: request " + std::to_string(i) + " names file " +
+          std::to_string(file) + " of " + std::to_string(count_.size()));
+    }
+    if (!log_.empty() && time < log_.back().time) {
+      throw snapshot::SnapshotError("content db: request " +
+                                    std::to_string(i) +
+                                    " is earlier than the one before it");
+    }
+    log_.push_back({time, file});
+    ++count_[file];
   }
 }
 

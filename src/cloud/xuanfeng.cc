@@ -62,6 +62,7 @@ XuanfengCloud::XuanfengCloud(sim::Simulator& sim, net::Network& net,
       catalog_(catalog),
       config_(config),
       rng_(rng.fork()),
+      content_db_(catalog.size()),
       storage_(config.storage_capacity),
       uploads_(net, config, rng_),
       predownloaders_(sim, net, config, sources, rng_) {}

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
 #include "analysis/obs_wiring.h"
@@ -27,7 +26,9 @@ enum : std::uint32_t {
 inline constexpr std::uint32_t kMetaVersion = 1;
 // v3: an outcome names its task, user and file and copies no user
 // attribute; a waiter stores its request plus the user's isp and bandwidth.
-inline constexpr std::uint32_t kCloudVersion = 3;
+// v4: the content database is its request log, one (file, time) pair per
+// request in record order.
+inline constexpr std::uint32_t kCloudVersion = 4;
 inline constexpr std::uint32_t kFaultVersion = 1;
 // v2: the next arrival's index replaces v1's list of every pending arrival.
 // v3: outcomes in the cloud section's v3 form.
@@ -486,13 +487,11 @@ analysis::CloudReplayResult CloudWorld::harvest(
   // Report the paper's popularity (full-week request count), not the
   // trailing count the content DB saw at decision time (which under-counts
   // early requests).
-  {
-    std::unordered_map<workload::FileIndex, double> week_counts;
-    for (const auto& req : result.requests) week_counts[req.file] += 1.0;
-    for (auto& o : result.outcomes) {
-      o.weekly_popularity = week_counts[o.file];
-      o.popularity = workload::classify_popularity(o.weekly_popularity);
-    }
+  const std::vector<double> week_counts =
+      workload::week_request_counts(result.requests, catalog_->size());
+  for (auto& o : result.outcomes) {
+    o.weekly_popularity = week_counts[o.file];
+    o.popularity = workload::classify_popularity(o.weekly_popularity);
   }
 
   result.cache_hit_ratio = cloud_->storage().hit_ratio();

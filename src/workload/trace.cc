@@ -117,6 +117,10 @@ enum : std::size_t {
   kColType = 7, kColSize = 8, kColLink = 9, kColProtocol = 10,
 };
 
+const std::string kIdOutOfRange =
+    "is out of range (ids above " + std::to_string(kMaxTraceId) +
+    " are refused)";
+
 // Records `row` as the first to name `id` and returns 0, or returns the
 // row that named `id` first.
 std::size_t first_naming(std::vector<std::size_t>& first_row, std::size_t id,
@@ -145,6 +149,13 @@ void sort_by_arrival(std::vector<WorkloadRecord>& records) {
             });
 }
 
+std::vector<double> week_request_counts(
+    const std::vector<WorkloadRecord>& records, std::size_t files) {
+  std::vector<double> counts(files, 0.0);
+  for (const WorkloadRecord& r : records) counts[r.file] += 1.0;
+  return counts;
+}
+
 void write_workload_csv(std::ostream& out,
                         const std::vector<WorkloadRecord>& records,
                         const Catalog& catalog, const UserPopulation& users) {
@@ -171,9 +182,10 @@ Trace read_workload_csv(std::istream& in) {
     WorkloadRecord r;
     r.task_id = rows.number<TaskId>(0);
     r.user_id = rows.number<UserId>(1);
+    if (r.user_id > kMaxTraceId) rows.fail(1, kIdOutOfRange);
     r.request_time = rows.number<SimTime>(5);
     r.file = rows.number<FileIndex>(6);
-    if (r.file == kInvalidFile) rows.fail(6, "is out of range");
+    if (r.file > kMaxTraceId) rows.fail(6, kIdOutOfRange);
 
     User u;
     u.ip = rows.text(kColIp);

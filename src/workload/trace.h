@@ -34,6 +34,11 @@ struct WorkloadRecord {
 static_assert(std::is_trivially_copyable_v<WorkloadRecord> &&
               sizeof(WorkloadRecord) <= 24);
 
+// The largest user or file id a trace may name. Tables are indexed by id,
+// so the reader refuses a larger one rather than size a table to match it.
+// It is ~30x the paper's 563,517 files and ~21x its 783,944 users.
+inline constexpr std::uint32_t kMaxTraceId = 1u << 24;
+
 // A workload trace read back from CSV: the requests plus the attributes of
 // every file and user they name, each stored once. Both tables are indexed
 // by id (files[i].index == i, users[i].id == i); an entry no request names
@@ -96,6 +101,11 @@ static_assert(sizeof(TaskOutcome) <= 144);
 // Sorts by (request_time, task_id): the order every replay driver's
 // arrival cursor walks.
 void sort_by_arrival(std::vector<WorkloadRecord>& records);
+
+// The paper's popularity of a file (§3): its request count over the whole
+// week of `records`, indexed by file index 0..files-1.
+std::vector<double> week_request_counts(
+    const std::vector<WorkloadRecord>& records, std::size_t files);
 
 // CSV output. Writers emit a header row; the workload reader validates it.
 // The workload CSV renders each request's file and user attributes from

@@ -2,51 +2,182 @@
 // the upload scheduler with admission control.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "cloud/content_db.h"
 #include "cloud/storage_pool.h"
 #include "cloud/upload_scheduler.h"
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "snapshot/format.h"
+#include "util/rng.h"
 
 namespace odr::cloud {
 namespace {
 
 TEST(ContentDbTest, CountsTrailingWeekOnly) {
-  ContentDb db;
+  ContentDb db(3);
   db.record_request(1, 0);
   db.record_request(1, kDay);
   db.record_request(1, 6 * kDay);
   EXPECT_DOUBLE_EQ(db.weekly_popularity(1, 6 * kDay), 3.0);
   // Past the trailing-week window, only the day-6 request remains.
   EXPECT_DOUBLE_EQ(db.weekly_popularity(1, 8 * kDay + kMinute), 1.0);
-  EXPECT_DOUBLE_EQ(db.weekly_popularity(2, kDay), 0.0);
+  EXPECT_DOUBLE_EQ(db.weekly_popularity(2, 8 * kDay + kMinute), 0.0);
 }
 
 TEST(ContentDbTest, ClassifyUsesPaperThresholds) {
-  ContentDb db;
+  // Record and query times never decrease, as the class requires.
+  ContentDb db(3);
   for (int i = 0; i < 6; ++i) db.record_request(1, i * kHour);
-  EXPECT_EQ(db.classify(1, kDay), workload::PopularityClass::kUnpopular);
+  EXPECT_EQ(db.classify(1, 6 * kHour), workload::PopularityClass::kUnpopular);
   db.record_request(1, 7 * kHour);
   EXPECT_EQ(db.classify(1, kDay), workload::PopularityClass::kPopular);
-  for (int i = 0; i < 78; ++i) db.record_request(2, i * kMinute);
-  EXPECT_EQ(db.classify(2, kDay), workload::PopularityClass::kPopular);
-  for (int i = 0; i < 10; ++i) db.record_request(2, kDay + i);
-  EXPECT_EQ(db.classify(2, kDay + kHour),
+  for (int i = 0; i < 78; ++i) db.record_request(2, kDay + i * kMinute);
+  EXPECT_EQ(db.classify(2, 2 * kDay), workload::PopularityClass::kPopular);
+  for (int i = 0; i < 10; ++i) db.record_request(2, 2 * kDay + i);
+  EXPECT_EQ(db.classify(2, 2 * kDay + kHour),
             workload::PopularityClass::kHighlyPopular);
 }
 
-TEST(ContentDbTest, PopularitySeriesSortedDescending) {
-  ContentDb db;
-  for (int f = 0; f < 5; ++f) {
-    for (int i = 0; i <= f; ++i) db.record_request(f, i);
+TEST(ContentDbTest, WindowIncludesItsFirstInstant) {
+  ContentDb db(2);
+  db.record_request(0, kHour);
+  // t == now - kWeek is inside the trailing week; one tick later it is not.
+  EXPECT_DOUBLE_EQ(db.weekly_popularity(0, kHour + kWeek), 1.0);
+  EXPECT_DOUBLE_EQ(db.weekly_popularity(0, kHour + kWeek + 1), 0.0);
+}
+
+// A random stream of records and queries at non-decreasing times over
+// `files` files, checked against a count over every record so far.
+class ContentDbStream {
+ public:
+  ContentDbStream(std::size_t files, std::uint64_t seed)
+      : files_(files), rng_(seed) {}
+
+  // Applies the next operation to every db in `dbs`; a query must agree
+  // with the brute-force count in all of them.
+  void step(const std::vector<ContentDb*>& dbs) {
+    // Steps of up to two days, some of them zero: several weeks of stream
+    // in a few hundred operations, with records sharing a time.
+    if (rng_.bernoulli(0.7)) {
+      now_ += static_cast<SimTime>(rng_.uniform_index(2 * kDay));
+    }
+    auto file = static_cast<workload::FileIndex>(rng_.uniform_index(files_));
+    if (rng_.bernoulli(0.6)) {
+      for (ContentDb* db : dbs) db->record_request(file, now_);
+      log_.push_back({now_, file});
+      return;
+    }
+    // Some queries ask for the file of a recent record exactly one week
+    // after it, when that record sits on the window's first instant.
+    if (!log_.empty() && rng_.bernoulli(0.3)) {
+      const Record& recent = log_[log_.size() - 1 -
+                                  rng_.uniform_index(std::min<std::size_t>(
+                                      8, log_.size()))];
+      now_ = std::max(now_, recent.time + kWeek);
+      file = recent.file;
+    }
+    double expected = 0.0;
+    for (const Record& r : log_) {
+      if (r.file == file && r.time >= now_ - kWeek) expected += 1.0;
+    }
+    for (ContentDb* db : dbs) {
+      ASSERT_DOUBLE_EQ(db->weekly_popularity(file, now_), expected)
+          << "file " << file << " at " << now_;
+    }
   }
-  const auto series = db.popularity_series(kHour);
-  ASSERT_EQ(series.size(), 5u);
-  for (std::size_t i = 1; i < series.size(); ++i) {
-    EXPECT_GE(series[i - 1], series[i]);
+
+ private:
+  struct Record {
+    SimTime time;
+    workload::FileIndex file;
+  };
+
+  std::size_t files_;
+  Rng rng_;
+  SimTime now_ = -kWeek;
+  std::vector<Record> log_;
+};
+
+TEST(ContentDbTest, RandomStreamMatchesBruteForceCount) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(seed);
+    ContentDb db(8);
+    ContentDbStream stream(8, seed);
+    for (int i = 0; i < 2000; ++i) {
+      stream.step({&db});
+      if (HasFatalFailure()) return;
+    }
   }
-  EXPECT_DOUBLE_EQ(series[0], 5.0);
-  EXPECT_EQ(db.total_requests(), 15u);
+}
+
+std::string save_db(const ContentDb& db) {
+  snapshot::SnapshotWriter w;
+  w.begin_section(1, 1);
+  db.save(w);
+  w.end_section();
+  return w.take();
+}
+
+void load_db(ContentDb& db, std::string bytes) {
+  snapshot::SnapshotReader r(std::move(bytes));
+  r.require_section(1, 1);
+  db.load(r);
+  r.end_section();
+}
+
+TEST(ContentDbTest, SaveLoadMidStreamContinuesIdentically) {
+  for (std::uint64_t seed = 11; seed <= 13; ++seed) {
+    SCOPED_TRACE(seed);
+    ContentDb original(8);
+    ContentDbStream stream(8, seed);
+    for (int i = 0; i < 700; ++i) stream.step({&original});
+    ContentDb restored(8);
+    load_db(restored, save_db(original));
+    EXPECT_EQ(save_db(restored), save_db(original));
+    for (int i = 0; i < 1300; ++i) {
+      stream.step({&original, &restored});
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_EQ(save_db(restored), save_db(original));
+  }
+}
+
+TEST(ContentDbTest, LoadRejectsFileOutOfRange) {
+  ContentDb wide(10);
+  wide.record_request(7, 0);
+  ContentDb narrow(5);
+  try {
+    load_db(narrow, save_db(wide));
+    FAIL() << "loaded file 7 into a 5-file db";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_EQ(e.kind(), snapshot::SnapshotErrorKind::kCorrupt);
+    EXPECT_NE(std::string(e.what()).find("names file 7 of 5"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ContentDbTest, LoadRejectsDecreasingTime) {
+  // Recording out of order breaks the precondition; the saved log then
+  // has a decreasing time, which load refuses.
+  ContentDb db(2);
+  db.record_request(0, kHour);
+  db.record_request(1, kMinute);
+  ContentDb copy(2);
+  try {
+    load_db(copy, save_db(db));
+    FAIL() << "loaded a log whose time decreases";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_EQ(e.kind(), snapshot::SnapshotErrorKind::kCorrupt);
+    EXPECT_NE(std::string(e.what()).find("earlier than the one before"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(StoragePoolTest, HitRatioAccounting) {

@@ -192,6 +192,7 @@ TEST(TraceTest, BadFieldCountThrows) {
   // Workload rows: each error names the data row and the column.
   const std::string good = "1,7,1.2.3.4,0,512000,100,3,1,390,http://x,2\n";
   ASSERT_EQ(workload_error(good + good), "");
+  ASSERT_EQ(kMaxTraceId, 16777216u);  // the id cases below name it
   struct Case {
     std::string rows;
     std::string row;  // "data row N"
@@ -215,6 +216,15 @@ TEST(TraceTest, BadFieldCountThrows) {
        "user_id", "out of range"},
       {"1,7,1.2.3.4,0,512000,100,4294967295,1,390,http://x,2\n", "data row 1",
        "file", "out of range"},
+      // Ids above kMaxTraceId would size the per-id tables to match.
+      {"1,4000000000,1.2.3.4,0,512000,100,3,1,390,http://x,2\n",
+       "data row 1", "user_id", "ids above 16777216 are refused"},
+      {good + "2,16777217,1.2.3.4,0,512000,100,3,1,390,http://x,2\n",
+       "data row 2", "user_id", "out of range"},
+      {"1,7,1.2.3.4,0,512000,100,4000000000,1,390,http://x,2\n",
+       "data row 1", "file", "ids above 16777216 are refused"},
+      {good + "2,7,1.2.3.4,0,512000,100,16777217,1,390,http://x,2\n",
+       "data row 2", "file", "out of range"},
       {"1,7,1.2.3.4,0,1e999,100,3,1,390,http://x,2\n", "data row 1",
        "access_bw", "out of range"},
       {"1,7,1.2.3.4,0,-5,100,3,1,390,http://x,2\n", "data row 1", "access_bw",

@@ -42,6 +42,12 @@ that no jitter allowance should absorb. Per-key strict like everything
 else: a baseline divisor with no measured run, or a measured run missing
 peak_rss_bytes, is a hard failure.
 
+A family may also pin "fingerprints": a per-divisor outcome fingerprint
+that the exact-mode run must report verbatim. The fingerprint hashes every
+task outcome of the replay, so a change means the simulation changed, not
+that it got slower; a pinned divisor with no measured run, or a run with
+no fingerprint field, is a hard failure like a missing wall-seconds key.
+
 Usage:
   tools/check_perf_regression.py --baseline bench/baselines/perf_smoke.json \
       --results BENCH_perf_scale.json
@@ -64,6 +70,7 @@ def load_families(baseline):
             "max_ratio": baseline.get("max_ratio", 2.0),
             "exact_wall_seconds": baseline["exact_wall_seconds"],
             "rss_ceiling_bytes": baseline.get("rss_ceiling_bytes", {}),
+            "fingerprints": baseline.get("fingerprints", {}),
             "values": {},
             "require": {},
         }
@@ -72,6 +79,7 @@ def load_families(baseline):
             "max_ratio": spec.get("max_ratio", baseline.get("max_ratio", 2.0)),
             "exact_wall_seconds": spec.get("exact_wall_seconds", {}),
             "rss_ceiling_bytes": spec.get("rss_ceiling_bytes", {}),
+            "fingerprints": spec.get("fingerprints", {}),
             "values": spec.get("values", {}),
             "require": spec.get("require", {}),
         }
@@ -178,6 +186,35 @@ def main() -> int:
               f"{args.results} — measured run missing or renamed",
               file=sys.stderr)
 
+    # Fingerprints: each pinned divisor's exact run must report it verbatim.
+    fp_reference = {str(k): str(v) for k, v in spec["fingerprints"].items()}
+    fp_checked = set()
+    fp_failures = []
+    for run in results.get("runs", []):
+        if run.get("mode") != "exact":
+            continue
+        key = "%g" % run["divisor"]
+        if key not in fp_reference:
+            continue
+        fp_checked.add(key)
+        measured = run.get("fingerprint")
+        if not isinstance(measured, str):
+            print(f"error: exact-mode run at divisor {key} has no "
+                  f"fingerprint in {args.results} — field missing or "
+                  f"renamed", file=sys.stderr)
+            fp_failures.append(f"fingerprint@{key}")
+            continue
+        ok = measured == fp_reference[key]
+        print(f"divisor {key:>6}: fingerprint {measured} vs pinned "
+              f"{fp_reference[key]} {'OK' if ok else 'CHANGED'}")
+        if not ok:
+            fp_failures.append(f"fingerprint@{key}")
+    fp_missing = sorted(set(fp_reference) - fp_checked, key=float)
+    for key in fp_missing:
+        print(f"error: fingerprint divisor {key} has no exact-mode run in "
+              f"{args.results} — measured run missing or renamed",
+              file=sys.stderr)
+
     # Value windows: deterministic result keys held to [ref*min, ref*max].
     value_checks = 0
     value_failures = []
@@ -218,14 +255,15 @@ def main() -> int:
             require_failures.append(path)
 
     if (missing or value_failures or require_failures or rss_missing or
-            rss_missing_field):
-        bad = (failures + value_failures + require_failures + rss_failures)
+            rss_missing_field or fp_missing or fp_failures):
+        bad = (failures + value_failures + require_failures + rss_failures +
+               fp_failures)
         if bad:
             print(f"perf regression at key(s): {', '.join(bad)}",
                   file=sys.stderr)
         return 1
     if (not checked and value_checks == 0 and require_checks == 0 and
-            not rss_checked):
+            not rss_checked and not fp_checked):
         print("error: no runs or result keys matched the baseline",
               file=sys.stderr)
         return 1
@@ -233,7 +271,8 @@ def main() -> int:
         print("perf regression at key(s): "
               f"{', '.join(failures + rss_failures)}", file=sys.stderr)
         return 1
-    total = len(checked) + value_checks + require_checks + len(rss_checked)
+    total = (len(checked) + value_checks + require_checks +
+             len(rss_checked) + len(fp_checked))
     print(f"perf smoke [{family}]: {total} check(s) within baseline "
           f"(limit {max_ratio:.1f}x on wall seconds)")
     return 0

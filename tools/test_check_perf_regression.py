@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Self-test for check_perf_regression.py (stdlib only, run by CI).
 
-Exercises the gate's four verdicts against synthetic JSON: clean pass,
+Exercises the gate's verdicts against synthetic JSON: clean pass,
 regression, a baseline divisor with no measured run (the silent-skip bug
-this guards against), and an empty intersection.
+this guards against), an empty intersection, RSS ceilings, pinned
+fingerprints, families and value windows. Also checks that the checked-in
+baselines pin a fingerprint for every perf_scale rung they time.
 
 Usage:
   python3 tools/test_check_perf_regression.py
@@ -39,13 +41,16 @@ def baseline(divisors, max_ratio=2.0):
             "exact_wall_seconds": {k: v for k, v in divisors.items()}}
 
 
-def results(runs, bench=None, rss=None):
-    """rss maps divisor -> peak_rss_bytes for the exact-mode runs."""
+def results(runs, bench=None, rss=None, fingerprints=None):
+    """rss and fingerprints map divisor -> peak_rss_bytes / fingerprint
+    for the exact-mode runs."""
     out = {"runs": []}
     for mode, d, w in runs:
         run = {"mode": mode, "divisor": d, "wall_seconds": w}
         if rss is not None and mode == "exact" and d in rss:
             run["peak_rss_bytes"] = rss[d]
+        if fingerprints is not None and mode == "exact" and d in fingerprints:
+            run["fingerprint"] = fingerprints[d]
         out["runs"].append(run)
     if bench is not None:
         out["bench"] = bench
@@ -150,6 +155,58 @@ class CheckPerfRegressionTest(unittest.TestCase):
                                    rss={400: 100 * 2**20}))
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("1 check(s) within", proc.stdout)
+
+    # --- pinned fingerprints -----------------------------------------------
+
+    @staticmethod
+    def fp_baseline():
+        b = baseline({"400": 10.0})
+        b["fingerprints"] = {"400": "6f5e010de740afd6"}
+        return b
+
+    def test_fingerprint_match_passes(self):
+        proc = run_gate(self.fp_baseline(),
+                        results([("exact", 400, 10.0)],
+                                fingerprints={400: "6f5e010de740afd6"}))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("fingerprint 6f5e010de740afd6", proc.stdout)
+        self.assertIn("2 check(s) within", proc.stdout)
+
+    def test_fingerprint_change_fails_naming_divisor(self):
+        # Fast and small but a different simulation: wall seconds pass,
+        # the fingerprint must not.
+        proc = run_gate(self.fp_baseline(),
+                        results([("exact", 400, 1.0)],
+                                fingerprints={400: "6f5e010de740afd7"}))
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("CHANGED", proc.stdout)
+        self.assertIn("fingerprint@400", proc.stderr)
+
+    def test_fingerprint_missing_field_fails(self):
+        proc = run_gate(self.fp_baseline(), results([("exact", 400, 10.0)]))
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("no fingerprint", proc.stderr)
+        self.assertIn("fingerprint@400", proc.stderr)
+
+    def test_fingerprint_missing_divisor_fails(self):
+        b = self.fp_baseline()
+        b["fingerprints"]["100"] = "7d6deaa1025ca321"
+        proc = run_gate(b, results([("exact", 400, 10.0)],
+                                   fingerprints={400: "6f5e010de740afd6"}))
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("fingerprint divisor 100 has no exact-mode run",
+                      proc.stderr)
+
+    def test_checked_in_baselines_pin_every_timed_rung(self):
+        here = os.path.dirname(os.path.abspath(__file__))
+        for name in ("perf_smoke.json", "perf_full.json"):
+            path = os.path.join(here, "..", "bench", "baselines", name)
+            with open(path, encoding="utf-8") as f:
+                b = json.load(f)
+            self.assertEqual(set(b["fingerprints"]),
+                             set(b["exact_wall_seconds"]), name)
+            for key, fp in b["fingerprints"].items():
+                self.assertRegex(fp, r"^[0-9a-f]{16}$", f"{name} @ {key}")
 
     # --- benchmark families ------------------------------------------------
 
