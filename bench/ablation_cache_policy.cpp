@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
       const std::size_t measure_from = stream.size() * (weeks - 1) / weeks;
       std::uint64_t hits = 0, total = 0;
       for (std::size_t i = 0; i < stream.size(); ++i) {
-        const auto& f = catalog.file(stream[i]);
-        const bool hit = cache.access(f.content_id, f.size);
+        const bool hit =
+            cache.access(stream[i], catalog.file(stream[i]).size);
         if (i >= measure_from) {
           ++total;
           hits += hit ? 1 : 0;

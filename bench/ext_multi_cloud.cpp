@@ -64,7 +64,7 @@ RunResult run_case(double divisor, std::uint64_t seed, bool multi) {
         const auto idx = catalog.sample_request(warm);
         const auto& f = catalog.file(idx);
         if (!f.born_before_trace) continue;
-        if (clouds[i]->storage().contains(f.content_id)) continue;
+        if (clouds[i]->storage().contains(idx)) continue;
         const double p_fail =
             0.90 * std::exp(-f.expected_weekly_requests / 1.6) + 0.02;
         if (warm.bernoulli(1.0 - std::min(0.95, p_fail))) {
@@ -82,15 +82,13 @@ RunResult run_case(double divisor, std::uint64_t seed, bool multi) {
   std::uint64_t union_hits = 0;
   for (const auto& request : requests) {
     sim.schedule_at(request.request_time, [&, request] {
-      const auto& file = catalog.file(request.file);
       std::size_t target = 0;
       if (multi) {
         const auto choice =
-            selector.choose(file.content_id,
-                            users.user(request.user_id).isp);
+            selector.choose(request.file, users.user(request.user_id).isp);
         target = choice.cloud;
       }
-      if (selector.cached_anywhere(file.content_id)) ++union_hits;
+      if (selector.cached_anywhere(request.file)) ++union_hits;
       clouds[target]->submit(request, users.user(request.user_id),
                              [&result](const workload::TaskOutcome& o) {
                                result.outcomes.push_back(o);

@@ -2,7 +2,7 @@
 //
 // These measure the building blocks whose throughput bounds experiment
 // wall-time: the event queue, the max-min fair solver, MD5 hashing, the
-// popularity samplers and the LRU cache.
+// popularity samplers and the swarm tick.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -11,7 +11,6 @@
 
 #include "net/network.h"
 #include "sim/simulator.h"
-#include "util/lru_cache.h"
 #include "util/md5.h"
 #include "proto/swarm.h"
 #include "util/rng.h"
@@ -34,22 +33,24 @@ BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_MaxMinFairReallocation(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
+  // Set up once, outside the timed loop. The n flows start on an unlimited
+  // link, each on the O(1) fast path; narrowing the link to half their
+  // summed caps then costs one solve and leaves every later start a full
+  // component reallocation.
+  odr::sim::Simulator sim;
+  odr::net::Network net(sim);
+  const odr::net::LinkId link = net.add_link("l", odr::net::kUnlimitedRate);
+  for (int i = 0; i < flows; ++i) {
+    net.start_flow({{link}, 1ull << 32, 1e5 + i * 997.0, nullptr});
+  }
+  net.set_link_capacity(link, 5e4 * flows);
   for (auto _ : state) {
-    state.PauseTiming();
-    odr::sim::Simulator sim;
-    odr::net::Network net(sim);
-    const odr::net::LinkId link = net.add_link("l", 1e9);
-    // Batched start: one joint solve instead of n incremental ones, so the
-    // untimed setup is O(n) and no longer dwarfs the measured solve.
-    std::vector<odr::net::Network::FlowSpec> specs;
-    specs.reserve(static_cast<std::size_t>(flows));
-    for (int i = 0; i < flows; ++i) {
-      specs.push_back({{link}, 1ull << 32, 1e5 + i * 997.0, nullptr});
-    }
-    net.start_flows(std::move(specs));
-    state.ResumeTiming();
     // One more flow triggers a full component reallocation.
-    net.start_flow({{link}, 1ull << 32, 5e5, nullptr});
+    const odr::net::FlowId extra =
+        net.start_flow({{link}, 1ull << 32, 5e5, nullptr});
+    state.PauseTiming();
+    net.cancel_flow(extra);
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * flows);
 }
@@ -101,22 +102,25 @@ BENCHMARK(BM_EventDispatchSteadyState)->Arg(100000);
 void BM_ComponentScopedCancel(benchmark::State& state) {
   const int components = static_cast<int>(state.range(0));
   const int flows_per = 32;
+  // Uncapped flows share their link, so every start and cancel re-solves
+  // the link's component: flows_per - 1 resident flows plus one victim.
+  odr::sim::Simulator sim;
+  odr::net::Network net(sim);
+  std::vector<odr::net::LinkId> links;
+  for (int c = 0; c < components; ++c) {
+    links.push_back(net.add_link("l" + std::to_string(c), 1e9));
+    for (int i = 1; i < flows_per; ++i) {
+      net.start_flow({{links.back()}, 1ull << 32, odr::net::kUnlimitedRate,
+                      nullptr});
+    }
+  }
+  std::vector<odr::net::FlowId> victims;
   for (auto _ : state) {
     state.PauseTiming();
-    odr::sim::Simulator sim;
-    odr::net::Network net(sim);
-    std::vector<odr::net::FlowId> victims;
-    std::vector<odr::net::Network::FlowSpec> specs;
-    for (int c = 0; c < components; ++c) {
-      const odr::net::LinkId link =
-          net.add_link("l" + std::to_string(c), 1e9);
-      for (int i = 0; i < flows_per; ++i) {
-        specs.push_back({{link}, 1ull << 32, 0.0, nullptr});
-      }
-    }
-    const std::vector<odr::net::FlowId> ids = net.start_flows(std::move(specs));
-    for (int c = 0; c < components; ++c) {
-      victims.push_back(ids[static_cast<std::size_t>(c) * flows_per]);
+    victims.clear();
+    for (const odr::net::LinkId link : links) {
+      victims.push_back(net.start_flow(
+          {{link}, 1ull << 32, odr::net::kUnlimitedRate, nullptr}));
     }
     state.ResumeTiming();
     // One cancel per component; each should cost O(flows_per), independent
@@ -147,18 +151,6 @@ void BM_PopularityProfileSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PopularityProfileSample)->Arg(10000)->Arg(563517);
-
-void BM_LruCachePutGet(benchmark::State& state) {
-  odr::LruCache<std::uint64_t, int> cache(1 << 20);
-  odr::Rng rng(2);
-  for (auto _ : state) {
-    const std::uint64_t key = rng.uniform_index(1 << 16);
-    cache.put(key, 1, 64);
-    benchmark::DoNotOptimize(cache.get(key ^ 1));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LruCachePutGet);
 
 void BM_SwarmTick(benchmark::State& state) {
   odr::Rng rng(3);

@@ -43,7 +43,7 @@ void warm_cloud(cloud::XuanfengCloud& cloud, const workload::Catalog& catalog,
         cloud.content_db().record_request(idx, t);
       }
       if (!file.born_before_trace) continue;  // did not exist yet
-      if (cloud.storage().contains(file.content_id)) continue;
+      if (cloud.storage().contains(idx)) continue;
       if (warm_rng.bernoulli(
               warm_success_probability(file.expected_weekly_requests))) {
         cloud.warm_cache(file);

@@ -33,18 +33,18 @@ double PolicyCache::priority_for(const Entry& e, Bytes size,
   return 0.0;
 }
 
-void PolicyCache::touch(const Md5Digest& id, Entry& e) {
-  auto loc = locator_.find(id);
+void PolicyCache::touch(workload::FileIndex file, Entry& e) {
+  auto loc = locator_.find(file);
   if (loc != locator_.end()) queue_.erase(loc->second);
   const auto key = std::make_pair(e.priority, e.order);
-  queue_[key] = id;
-  locator_[id] = key;
+  queue_[key] = file;
+  locator_[file] = key;
 }
 
 void PolicyCache::evict_one() {
   assert(!queue_.empty());
   const auto it = queue_.begin();
-  const Md5Digest victim = it->second;
+  const workload::FileIndex victim = it->second;
   if (policy_ == CachePolicy::kGdsf) aging_floor_ = it->first.first;
   queue_.erase(it);
   locator_.erase(victim);
@@ -55,17 +55,17 @@ void PolicyCache::evict_one() {
   ++evictions_;
 }
 
-bool PolicyCache::access(const Md5Digest& id, Bytes size) {
+bool PolicyCache::access(workload::FileIndex file, Bytes size) {
   ++clock_;
-  const std::uint64_t freq = ++frequency_[id];
+  const std::uint64_t freq = ++frequency_[file];
 
-  auto it = entries_.find(id);
+  auto it = entries_.find(file);
   if (it != entries_.end()) {
     ++hits_;
     Entry& e = it->second;
     e.priority = priority_for(e, e.size, freq, /*on_hit=*/true);
     e.order = clock_;
-    touch(id, e);
+    touch(file, e);
     return true;
   }
 
@@ -78,9 +78,9 @@ bool PolicyCache::access(const Md5Digest& id, Bytes size) {
   e.order = clock_;
   e.priority = priority_for(e, size, freq, /*on_hit=*/false);
   used_ += size;
-  auto [pos, inserted] = entries_.emplace(id, e);
+  auto [pos, inserted] = entries_.emplace(file, e);
   assert(inserted);
-  touch(id, pos->second);
+  touch(file, pos->second);
   return false;
 }
 

@@ -18,8 +18,8 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "util/md5.h"
 #include "util/units.h"
+#include "workload/file.h"
 
 namespace odr::cloud {
 
@@ -40,18 +40,20 @@ constexpr std::string_view cache_policy_name(CachePolicy p) {
   return "?";
 }
 
-// Byte-capacity cache with pluggable eviction. Keys are content digests
-// (the pool's MD5 ids). Unlike LruCache this tracks only presence — it is
-// an eviction-study instrument, not a value store.
+// Byte-capacity cache with pluggable eviction. Keys are catalog file
+// indices, as in the storage pool. It tracks only presence — it is an
+// eviction-study instrument, not a value store.
 class PolicyCache {
  public:
   PolicyCache(CachePolicy policy, Bytes capacity);
 
   // Records an access: returns true on hit (and updates recency/frequency
   // bookkeeping); on miss, inserts the object, evicting per policy.
-  bool access(const Md5Digest& id, Bytes size);
+  bool access(workload::FileIndex file, Bytes size);
 
-  bool contains(const Md5Digest& id) const { return entries_.count(id) > 0; }
+  bool contains(workload::FileIndex file) const {
+    return entries_.count(file) > 0;
+  }
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
@@ -70,7 +72,7 @@ class PolicyCache {
   double priority_for(const Entry& e, Bytes size, std::uint64_t frequency,
                       bool on_hit) const;
   void evict_one();
-  void touch(const Md5Digest& id, Entry& e);
+  void touch(workload::FileIndex file, Entry& e);
 
   CachePolicy policy_;
   Bytes capacity_;
@@ -81,11 +83,12 @@ class PolicyCache {
   std::uint64_t clock_ = 0;       // logical access counter
   double aging_floor_ = 0.0;      // GDSF "L" inflation value
 
-  std::unordered_map<Md5Digest, Entry> entries_;
-  std::unordered_map<Md5Digest, std::uint64_t> frequency_;
+  std::unordered_map<workload::FileIndex, Entry> entries_;
+  std::unordered_map<workload::FileIndex, std::uint64_t> frequency_;
   // Priority index: (priority, order) -> key. Lowest priority evicts first.
-  std::map<std::pair<double, std::uint64_t>, Md5Digest> queue_;
-  std::unordered_map<Md5Digest, std::pair<double, std::uint64_t>> locator_;
+  std::map<std::pair<double, std::uint64_t>, workload::FileIndex> queue_;
+  std::unordered_map<workload::FileIndex, std::pair<double, std::uint64_t>>
+      locator_;
 };
 
 }  // namespace odr::cloud

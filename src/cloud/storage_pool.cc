@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "obs/observer.h"
 #include "snapshot/format.h"
@@ -21,10 +22,42 @@ enum : std::uint16_t {
   kTagEntrySize = 9,
 };
 
+constexpr workload::FileIndex kNone = workload::kInvalidFile;
+
 }  // namespace
 
-bool StoragePool::lookup(const Md5Digest& id) {
-  if (cache_.get(id) != nullptr) {
+StoragePool::StoragePool(const workload::Catalog& catalog, Bytes capacity)
+    : catalog_(catalog), capacity_(capacity), nodes_(catalog.size()) {}
+
+void StoragePool::link_front(workload::FileIndex file) {
+  Node& n = nodes_[file];
+  n.prev = kNone;
+  n.next = head_;
+  n.cached = true;
+  (head_ == kNone ? tail_ : nodes_[head_].prev) = file;
+  head_ = file;
+  used_ += size_of(file);
+  ++count_;
+}
+
+void StoragePool::unlink(workload::FileIndex file) {
+  Node& n = nodes_[file];
+  (n.prev == kNone ? head_ : nodes_[n.prev].next) = n.next;
+  (n.next == kNone ? tail_ : nodes_[n.next].prev) = n.prev;
+  n = Node{};
+  used_ -= size_of(file);
+  --count_;
+}
+
+void StoragePool::pop_back() {
+  unlink(tail_);
+  ++evictions_;
+}
+
+bool StoragePool::lookup(workload::FileIndex file) {
+  if (nodes_[file].cached) {
+    unlink(file);
+    link_front(file);
     ++hits_;
     ODR_COUNT("cloud.pool.hits");
     return true;
@@ -34,24 +67,24 @@ bool StoragePool::lookup(const Md5Digest& id) {
   return false;
 }
 
-void StoragePool::insert(const Md5Digest& id, workload::FileIndex file,
-                         Bytes size) {
-  [[maybe_unused]] const std::uint64_t before = cache_.eviction_count();
-  cache_.put(id, CachedFile{file, size}, size);
+bool StoragePool::insert(workload::FileIndex file) {
   ODR_COUNT("cloud.pool.inserts");
-  ODR_COUNT_N("cloud.pool.evictions", cache_.eviction_count() - before);
+  const Bytes size = size_of(file);
+  if (size > capacity_) return false;
+  [[maybe_unused]] const std::uint64_t before = evictions_;
+  if (nodes_[file].cached) unlink(file);
+  while (used_ + size > capacity_ && tail_ != kNone) pop_back();
+  link_front(file);
+  ODR_COUNT_N("cloud.pool.evictions", evictions_ - before);
+  return true;
 }
 
 std::size_t StoragePool::evict_fraction(double fraction) {
   fraction = std::clamp(fraction, 0.0, 1.0);
   const auto count = static_cast<std::size_t>(
-      std::ceil(fraction * static_cast<double>(cache_.size())));
+      std::ceil(fraction * static_cast<double>(count_)));
   std::size_t evicted = 0;
-  for (; evicted < count; ++evicted) {
-    const auto key = cache_.lru_key();
-    if (!key) break;
-    cache_.erase(*key);
-  }
+  for (; evicted < count && tail_ != kNone; ++evicted) unlink(tail_);
   fault_evictions_ += evicted;
   ODR_COUNT_N("cloud.pool.fault_evictions", evicted);
   ODR_FLIGHT(kCloud, kWarn, "pool.evict_fraction", fraction,
@@ -68,36 +101,67 @@ void StoragePool::save(snapshot::SnapshotWriter& w) const {
   w.u64(kTagHits, hits_);
   w.u64(kTagMisses, misses_);
   w.u64(kTagFaultEvictions, fault_evictions_);
-  w.u64(kTagEvictions, cache_.eviction_count());
-  w.u64(kTagCapacity, cache_.capacity_bytes());
-  w.u64(kTagEntryCount, cache_.size());
-  cache_.for_each_mru_to_lru(
-      [&w](const Md5Digest& key, const CachedFile& file, std::uint64_t size) {
-        w.bytes(kTagEntryKey, key.bytes.data(), key.bytes.size());
-        w.u32(kTagEntryFile, file.file);
-        w.u64(kTagEntrySize, size);
-      });
+  w.u64(kTagEvictions, evictions_);
+  w.u64(kTagCapacity, capacity_);
+  w.u64(kTagEntryCount, count_);
+  for (workload::FileIndex f = head_; f != kNone; f = nodes_[f].next) {
+    const Md5Digest& key = catalog_.file(f).content_id;
+    w.bytes(kTagEntryKey, key.bytes.data(), key.bytes.size());
+    w.u32(kTagEntryFile, f);
+    w.u64(kTagEntrySize, size_of(f));
+  }
 }
 
 void StoragePool::load(snapshot::SnapshotReader& r) {
   hits_ = r.u64(kTagHits);
   misses_ = r.u64(kTagMisses);
   fault_evictions_ = r.u64(kTagFaultEvictions);
-  cache_.set_eviction_count(r.u64(kTagEvictions));
+  evictions_ = r.u64(kTagEvictions);
   const std::uint64_t capacity = r.u64(kTagCapacity);
-  if (capacity != cache_.capacity_bytes()) {
+  if (capacity != capacity_) {
     throw snapshot::SnapshotError(
         "storage pool: capacity mismatch between checkpoint and config");
   }
-  cache_.clear();
+  std::fill(nodes_.begin(), nodes_.end(), Node{});
+  head_ = tail_ = kNone;
+  used_ = 0;
+  count_ = 0;
   const std::uint64_t count = r.u64(kTagEntryCount);
   for (std::uint64_t i = 0; i < count; ++i) {
     Md5Digest key;
     r.bytes(kTagEntryKey, key.bytes.data(), key.bytes.size());
-    CachedFile file;
-    file.file = r.u32(kTagEntryFile);
-    file.size = r.u64(kTagEntrySize);
-    cache_.restore_push_back(key, file, file.size);
+    const workload::FileIndex file = r.u32(kTagEntryFile);
+    const Bytes size = r.u64(kTagEntrySize);
+    const auto corrupt = [&](const std::string& why) {
+      return snapshot::SnapshotError("storage pool: entry " +
+                                     std::to_string(i) + " " + why);
+    };
+    if (file >= nodes_.size()) {
+      throw corrupt("names file " + std::to_string(file) + " of " +
+                    std::to_string(nodes_.size()));
+    }
+    if (nodes_[file].cached) {
+      throw corrupt("lists file " + std::to_string(file) + " twice");
+    }
+    if (key != catalog_.file(file).content_id) {
+      throw corrupt("has an MD5 that differs from file " +
+                    std::to_string(file) + "'s");
+    }
+    if (size != size_of(file)) {
+      throw corrupt("has a size that differs from file " +
+                    std::to_string(file) + "'s");
+    }
+    if (size > capacity_ - used_) {
+      throw corrupt("takes the pool above its capacity");
+    }
+    // Entries arrive MRU->LRU: each one becomes the new tail.
+    Node& n = nodes_[file];
+    n.prev = tail_;
+    n.cached = true;
+    (tail_ == kNone ? head_ : nodes_[tail_].next) = file;
+    tail_ = file;
+    used_ += size;
+    ++count_;
   }
 }
 

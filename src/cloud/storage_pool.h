@@ -1,18 +1,26 @@
-// Cloud storage pool: MD5-keyed, file-level-deduplicated LRU cache.
+// Cloud storage pool: file-level-deduplicated LRU cache.
 //
 // §2.1: every file is identified by the MD5 of its content, enabling
 // file-level deduplication across users; 89% of requests are instantly
 // satisfied from cache. Chunk-level dedup is deliberately NOT implemented,
 // as in Xuanfeng (the measured space saving was <1% for the cost of
 // chunking complexity).
+//
+// A catalog file's content_id is 1:1 with its index (the generator embeds
+// a unique content hex in each link, and trace ingest refuses two file ids
+// sharing a link), so deduplicating by file index is deduplicating by MD5.
+// The pool is one intrusive doubly-linked list over the catalog's file
+// indices: a node per file holds its neighbours and whether it is cached,
+// head_ is the most- and tail_ the least-recently-used cached file, and a
+// file's size comes from the catalog. MD5 stays the file's identity in
+// checkpoints, which load checks against the catalog.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
-#include "util/lru_cache.h"
-#include "util/md5.h"
 #include "util/units.h"
-#include "workload/file.h"
+#include "workload/catalog.h"
 
 namespace odr::snapshot {
 class SnapshotWriter;
@@ -21,22 +29,23 @@ class SnapshotReader;
 
 namespace odr::cloud {
 
-struct CachedFile {
-  workload::FileIndex file = workload::kInvalidFile;
-  Bytes size = 0;
-};
-
 class StoragePool {
  public:
-  explicit StoragePool(Bytes capacity) : cache_(capacity) {}
+  // The catalog must outlive the pool.
+  StoragePool(const workload::Catalog& catalog, Bytes capacity);
 
   // Lookup refreshes LRU recency and counts a hit/miss.
-  bool lookup(const Md5Digest& id);
+  bool lookup(workload::FileIndex file);
   // Peek without recency or counter effects (used by decision logic).
-  bool contains(const Md5Digest& id) const { return cache_.contains(id); }
+  bool contains(workload::FileIndex file) const {
+    return nodes_[file].cached;
+  }
 
-  // Inserts a fully pre-downloaded file.
-  void insert(const Md5Digest& id, workload::FileIndex file, Bytes size);
+  // Inserts a fully pre-downloaded file as the most recently used, evicting
+  // least-recently-used files until it fits. Re-inserting a cached file
+  // refreshes it. Returns false iff the file alone exceeds the capacity
+  // (then nothing changes).
+  bool insert(workload::FileIndex file);
 
   // Fault-layer hook: a storage node dies, taking `fraction` of the pool's
   // entries with it. Cold (least-recently-used) entries model the shard a
@@ -48,19 +57,42 @@ class StoragePool {
   double hit_ratio() const;
   std::uint64_t fault_evictions() const { return fault_evictions_; }
 
-  Bytes used_bytes() const { return cache_.used_bytes(); }
-  Bytes capacity_bytes() const { return cache_.capacity_bytes(); }
-  std::size_t file_count() const { return cache_.size(); }
-  std::uint64_t evictions() const { return cache_.eviction_count(); }
+  Bytes used_bytes() const { return used_; }
+  Bytes capacity_bytes() const { return capacity_; }
+  std::size_t file_count() const { return count_; }
+  std::uint64_t evictions() const { return evictions_; }
 
-  // Snapshot support: serializes counters plus the full cache contents in
-  // MRU->LRU order, so restore reproduces the exact recency list (and
-  // therefore identical future evictions).
+  // Snapshot support: serializes counters plus every cached file's MD5,
+  // index and size in MRU->LRU order, so restore reproduces the exact
+  // recency list (and therefore identical future evictions). Load rejects
+  // a file outside the catalog, a file listed twice, an MD5 or size that
+  // differs from the catalog's, and a total above the capacity.
   void save(snapshot::SnapshotWriter& w) const;
   void load(snapshot::SnapshotReader& r);
 
  private:
-  LruCache<Md5Digest, CachedFile> cache_;
+  struct Node {
+    workload::FileIndex prev = workload::kInvalidFile;  // towards head_
+    workload::FileIndex next = workload::kInvalidFile;  // towards tail_
+    bool cached = false;
+  };
+
+  Bytes size_of(workload::FileIndex file) const {
+    return catalog_.file(file).size;
+  }
+  void link_front(workload::FileIndex file);
+  void unlink(workload::FileIndex file);
+  // Removes the least-recently-used file.
+  void pop_back();
+
+  const workload::Catalog& catalog_;
+  Bytes capacity_;
+  std::vector<Node> nodes_;  // one per catalog file
+  workload::FileIndex head_ = workload::kInvalidFile;  // most recently used
+  workload::FileIndex tail_ = workload::kInvalidFile;  // least recently used
+  Bytes used_ = 0;
+  std::size_t count_ = 0;
+  std::uint64_t evictions_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t fault_evictions_ = 0;

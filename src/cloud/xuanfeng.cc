@@ -63,12 +63,12 @@ XuanfengCloud::XuanfengCloud(sim::Simulator& sim, net::Network& net,
       config_(config),
       rng_(rng.fork()),
       content_db_(catalog.size()),
-      storage_(config.storage_capacity),
+      storage_(catalog, config.storage_capacity),
       uploads_(net, config, rng_),
       predownloaders_(sim, net, config, sources, rng_) {}
 
 void XuanfengCloud::warm_cache(const workload::FileInfo& file) {
-  storage_.insert(file.content_id, file.index, file.size);
+  storage_.insert(file.index);
 }
 
 workload::PreDownloadRecord XuanfengCloud::make_cache_hit_record(
@@ -128,7 +128,7 @@ void XuanfengCloud::submit_impl(const workload::WorkloadRecord& request,
   ODR_SPAN(on_stage(request.task_id, obs::Stage::kCacheLookup, sim_.now(),
                     sim_.now()));
 
-  if (storage_.lookup(file.content_id)) {
+  if (storage_.lookup(request.file)) {
     ODR_COUNT("cloud.tasks.cache_hits");
     ODR_SPAN(on_cache_hit(request.task_id));
     begin_fetch(request, user.isp, user.access_bandwidth,
@@ -207,7 +207,7 @@ void XuanfengCloud::predownload_only(const workload::WorkloadRecord& request,
   ODR_SPAN(on_stage(request.task_id, obs::Stage::kCacheLookup, sim_.now(),
                     sim_.now()));
 
-  if (storage_.lookup(file.content_id)) {
+  if (storage_.lookup(request.file)) {
     ODR_SPAN(on_cache_hit(request.task_id));
     if (on_done) on_done(make_cache_hit_record(request));
     return;
@@ -240,10 +240,7 @@ void XuanfengCloud::on_predownload_done(workload::FileIndex file,
   std::vector<Waiter> waiters = std::move(it->second);
   inflight_.erase(it);
 
-  const workload::FileInfo& info = catalog_.file(file);
-  if (result.success) {
-    storage_.insert(info.content_id, file, info.size);
-  }
+  if (result.success) storage_.insert(file);
 
   // Retry notes accumulated per file (VM backoff requeues, checksum
   // refetches) move onto every waiter's span: each attached task lived

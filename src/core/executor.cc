@@ -26,7 +26,7 @@ DecisionInput Executor::make_input(const workload::WorkloadRecord& request,
   in.weekly_popularity =
       cloud_.content_db().weekly_popularity(request.file, sim_.now());
   const workload::FileInfo& file = catalog_.file(request.file);
-  in.cached_in_cloud = cloud_.storage().contains(file.content_id);
+  in.cached_in_cloud = cloud_.storage().contains(request.file);
   in.protocol = file.protocol;
   // ODR sees the user-reported bandwidth, which is the true one; for a
   // user who does not report it, the paper's peak-fetch-speed

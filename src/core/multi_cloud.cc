@@ -24,15 +24,15 @@ Rate MultiCloudSelector::headroom_for(const cloud::XuanfengCloud& c,
   return best;
 }
 
-bool MultiCloudSelector::cached_anywhere(const Md5Digest& content_id) const {
+bool MultiCloudSelector::cached_anywhere(workload::FileIndex file) const {
   for (const auto* c : clouds_) {
-    if (c->storage().contains(content_id)) return true;
+    if (c->storage().contains(file)) return true;
   }
   return false;
 }
 
 MultiCloudSelector::Choice MultiCloudSelector::choose(
-    const Md5Digest& content_id, net::Isp user_isp) const {
+    workload::FileIndex file, net::Isp user_isp) const {
   Choice best_cached;
   bool have_cached = false;
   Choice best_any;
@@ -41,7 +41,7 @@ MultiCloudSelector::Choice MultiCloudSelector::choose(
   for (std::size_t i = 0; i < clouds_.size(); ++i) {
     const cloud::XuanfengCloud& c = *clouds_[i];
     const Rate headroom = headroom_for(c, user_isp);
-    const bool cached = c.storage().contains(content_id);
+    const bool cached = c.storage().contains(file);
     if (cached && (!have_cached || headroom > best_cached.headroom)) {
       have_cached = true;
       best_cached = Choice{i, true, headroom};

@@ -24,7 +24,8 @@ namespace odr::core {
 
 class MultiCloudSelector {
  public:
-  // Clouds must outlive the selector.
+  // Clouds must outlive the selector and share one catalog, so a file
+  // index names the same file in each.
   explicit MultiCloudSelector(std::vector<cloud::XuanfengCloud*> clouds);
 
   struct Choice {
@@ -33,13 +34,13 @@ class MultiCloudSelector {
     Rate headroom = 0.0;   // upload headroom considered for the choice
   };
 
-  Choice choose(const Md5Digest& content_id, net::Isp user_isp) const;
+  Choice choose(workload::FileIndex file, net::Isp user_isp) const;
 
   std::size_t size() const { return clouds_.size(); }
   cloud::XuanfengCloud& cloud(std::size_t i) { return *clouds_.at(i); }
 
   // Union cache membership across all clouds.
-  bool cached_anywhere(const Md5Digest& content_id) const;
+  bool cached_anywhere(workload::FileIndex file) const;
 
  private:
   // Headroom of `c` toward a user in `isp`: the home cluster's free

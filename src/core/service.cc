@@ -112,8 +112,7 @@ ServiceResponse OdrService::handle(const ServiceRequest& request,
   if (file) {
     in.weekly_popularity =
         cloud_.content_db().weekly_popularity(*file, now);
-    in.cached_in_cloud =
-        cloud_.storage().contains(catalog_.file(*file).content_id);
+    in.cached_in_cloud = cloud_.storage().contains(*file);
   }
 
   resp.input = in;

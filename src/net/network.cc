@@ -229,56 +229,6 @@ FlowId Network::start_flow(FlowSpec spec) {
   return id;
 }
 
-std::vector<FlowId> Network::start_flows(std::vector<FlowSpec> specs) {
-  std::vector<FlowId> ids;
-  ids.reserve(specs.size());
-  std::vector<LinkId> seeds;
-  std::vector<std::uint32_t> pathless;  // slow pathless flows (kEqualSplit)
-  for (FlowSpec& spec : specs) {
-    assert(spec.bytes > 0);
-    const FlowId id = next_flow_id_++;
-    const std::uint32_t slot = acquire_slot();
-    FlowState& f = flows_[slot];
-    f.path = std::move(spec.path);
-    f.bytes_total = spec.bytes;
-    f.bytes_done = 0.0;
-    f.rate = 0.0;
-    f.rate_cap = spec.rate_cap;
-    f.peak_rate = 0.0;
-    f.sched_rate = 0.0;
-    f.started_at = sim_.now();
-    f.last_settled = sim_.now();
-    f.on_complete = std::move(spec.on_complete);
-    f.id = id;
-    attach_to_links(slot, f);
-    id_to_slot_.put(id, slot);
-    ++live_flows_;
-    ids.push_back(id);
-    // A slow flow's tentative load stays on its links until the joint
-    // solve recounts them, which only makes later checks in the batch more
-    // conservative; a fast flow that shares a link with a slow one is in
-    // the joint solve's component and is re-solved with it.
-    if (!try_fast_start(f)) {
-      if (f.path.empty()) pathless.push_back(slot);
-      for (LinkId l : f.path) seeds.push_back(l);
-    }
-    ODR_COUNT("net.flows.started");
-    ODR_TRACE_INSTANT(kNet, "flow.start");
-  }
-  if (!seeds.empty()) {
-    collect_component(seeds);
-  } else {
-    component_scratch_.clear();
-  }
-  // Pathless flows sit on no link, so the closure walk cannot reach them;
-  // they also never constrain the joint solve (cap-only), so appending is
-  // exactly equivalent to solving them alone.
-  component_scratch_.insert(component_scratch_.end(), pathless.begin(),
-                            pathless.end());
-  if (!component_scratch_.empty()) reallocate_flows(component_scratch_);
-  return ids;
-}
-
 bool Network::cancel_flow(FlowId id) {
   const std::uint32_t* ps = id_to_slot_.find(id);
   if (ps == nullptr) return false;

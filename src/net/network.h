@@ -128,15 +128,6 @@ class Network {
 
   FlowId start_flow(FlowSpec spec);
 
-  // Batched admission: starts every flow, then runs ONE solve over the
-  // union of the affected components instead of one per flow, so setup
-  // costs O(component) instead of O(N * component). The rates match N
-  // sequential start_flow calls made at the same instant, but not bit for
-  // bit: the joint solve associates floating-point sums differently and
-  // takes fewer event ids. Benches and harnesses that assemble a world
-  // from scratch use it; replay paths never do.
-  std::vector<FlowId> start_flows(std::vector<FlowSpec> specs);
-
   // Stops a flow before completion; its callback is not invoked.
   // Returns false if the flow already finished or never existed.
   bool cancel_flow(FlowId id);

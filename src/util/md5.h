@@ -52,10 +52,3 @@ class Md5 {
 };
 
 }  // namespace odr
-
-template <>
-struct std::hash<odr::Md5Digest> {
-  std::size_t operator()(const odr::Md5Digest& d) const noexcept {
-    return static_cast<std::size_t>(d.prefix64());
-  }
-};

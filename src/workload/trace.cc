@@ -6,6 +6,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "util/csv.h"
 #include "workload/catalog.h"
@@ -178,6 +179,8 @@ Trace read_workload_csv(std::istream& in) {
   Rows rows(in, kWorkloadHeader);
   Trace trace;
   std::vector<std::size_t> file_row, user_row;
+  // A link is a file's content identity: two file ids may not share one.
+  std::unordered_map<std::string, FileIndex> link_file;
   while (rows.next()) {
     WorkloadRecord r;
     r.task_id = rows.number<TaskId>(0);
@@ -218,6 +221,12 @@ Trace read_workload_csv(std::istream& in) {
       rows.agree(seen.source_link == f.source_link, kColLink, first, "file");
       rows.agree(seen.protocol == f.protocol, kColProtocol, first, "file");
     } else {
+      const auto [named, fresh] = link_file.try_emplace(f.source_link, r.file);
+      if (!fresh) {
+        rows.fail(kColLink, "names file " + std::to_string(r.file) +
+                                " but is already the link of file " +
+                                std::to_string(named->second));
+      }
       store_at(trace.files, r.file, std::move(f));
     }
     trace.requests.push_back(r);

@@ -111,8 +111,10 @@ std::vector<double> week_request_counts(
 // The workload CSV renders each request's file and user attributes from
 // `catalog` and `users` (bandwidth as reported: 0 when unreported). The
 // reader throws std::runtime_error naming the data row and column on a
-// malformed number, an enum value out of range, or a file or user whose
-// attributes differ from the first row that names it.
+// malformed number, an enum value out of range, a file or user whose
+// attributes differ from the first row that names it, or two file ids with
+// the same link (a trace world derives a file's content id from its link,
+// and the storage pool needs one file per content id).
 void write_workload_csv(std::ostream& out,
                         const std::vector<WorkloadRecord>& records,
                         const Catalog& catalog, const UserPopulation& users);

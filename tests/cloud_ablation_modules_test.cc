@@ -7,7 +7,7 @@
 namespace odr::cloud {
 namespace {
 
-Md5Digest key(int i) { return Md5::of("key-" + std::to_string(i)); }
+workload::FileIndex key(int i) { return static_cast<workload::FileIndex>(i); }
 
 TEST(PolicyCacheTest, HitMissAccounting) {
   PolicyCache cache(CachePolicy::kLru, 1000);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "cloud/upload_scheduler.h"
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "sized_catalog.h"
 #include "snapshot/format.h"
 #include "util/rng.h"
 
@@ -181,35 +183,167 @@ TEST(ContentDbTest, LoadRejectsDecreasingTime) {
 }
 
 TEST(StoragePoolTest, HitRatioAccounting) {
-  StoragePool pool(kGB);
-  const Md5Digest id = Md5::of("file");
-  EXPECT_FALSE(pool.lookup(id));
-  pool.insert(id, 1, 100 * kMB);
-  EXPECT_TRUE(pool.lookup(id));
-  EXPECT_TRUE(pool.lookup(id));
+  const workload::Catalog catalog = sized_catalog({100 * kMB});
+  StoragePool pool(catalog, kGB);
+  EXPECT_FALSE(pool.lookup(0));
+  pool.insert(0);
+  EXPECT_TRUE(pool.lookup(0));
+  EXPECT_TRUE(pool.lookup(0));
   EXPECT_DOUBLE_EQ(pool.hit_ratio(), 2.0 / 3.0);
   EXPECT_EQ(pool.file_count(), 1u);
 }
 
-TEST(StoragePoolTest, DedupByContentId) {
-  StoragePool pool(kGB);
-  // Two users requesting identical content share one cached copy (§2.1).
-  pool.insert(Md5::of("content"), 1, 100 * kMB);
-  pool.insert(Md5::of("content"), 1, 100 * kMB);
-  EXPECT_EQ(pool.file_count(), 1u);
-  EXPECT_EQ(pool.used_bytes(), 100 * kMB);
+TEST(StoragePoolTest, ReinsertRefreshesAndKeepsOneCopy) {
+  // Two users requesting the same file share one cached copy (§2.1); the
+  // second insert makes it the most recently used.
+  const workload::Catalog catalog = sized_catalog({100 * kMB, 100 * kMB});
+  StoragePool pool(catalog, kGB);
+  pool.insert(0);
+  pool.insert(1);
+  pool.insert(0);
+  EXPECT_EQ(pool.file_count(), 2u);
+  EXPECT_EQ(pool.used_bytes(), 200 * kMB);
+  EXPECT_EQ(pool.evictions(), 0u);
+  EXPECT_EQ(pool.evict_fraction(0.5), 1u);  // takes the LRU file: 1
+  EXPECT_TRUE(pool.contains(0));
+  EXPECT_FALSE(pool.contains(1));
 }
 
 TEST(StoragePoolTest, LruEvictionUnderPressure) {
-  StoragePool pool(250 * kMB);
-  pool.insert(Md5::of("a"), 1, 100 * kMB);
-  pool.insert(Md5::of("b"), 2, 100 * kMB);
-  EXPECT_TRUE(pool.lookup(Md5::of("a")));  // refresh a; b becomes LRU
-  pool.insert(Md5::of("c"), 3, 100 * kMB);
-  EXPECT_TRUE(pool.contains(Md5::of("a")));
-  EXPECT_FALSE(pool.contains(Md5::of("b")));
+  const workload::Catalog catalog =
+      sized_catalog({100 * kMB, 100 * kMB, 100 * kMB});
+  StoragePool pool(catalog, 250 * kMB);
+  pool.insert(0);
+  pool.insert(1);
+  EXPECT_TRUE(pool.lookup(0));  // refresh 0; 1 becomes LRU
+  pool.insert(2);
+  EXPECT_TRUE(pool.contains(0));
+  EXPECT_FALSE(pool.contains(1));
   EXPECT_GE(pool.evictions(), 1u);
 }
+
+// The pool as a byte-capacity LRU cache over small catalogs.
+
+TEST(LruCacheTest, PutGetBasic) {
+  const workload::Catalog catalog = sized_catalog({10, 10});
+  StoragePool pool(catalog, 100);
+  EXPECT_TRUE(pool.insert(0));
+  EXPECT_TRUE(pool.lookup(0));
+  EXPECT_FALSE(pool.lookup(1));
+  EXPECT_EQ(pool.used_bytes(), 10u);
+}
+
+TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
+  const workload::Catalog catalog = sized_catalog({10, 10, 10, 10});
+  StoragePool pool(catalog, 30);
+  for (workload::FileIndex f = 0; f < 4; ++f) pool.insert(f);  // 3 evicts 0
+  EXPECT_FALSE(pool.lookup(0));
+  EXPECT_TRUE(pool.lookup(1));
+  EXPECT_EQ(pool.evictions(), 1u);
+}
+
+TEST(LruCacheTest, GetRefreshesRecency) {
+  const workload::Catalog catalog = sized_catalog({10, 10, 10, 10});
+  StoragePool pool(catalog, 30);
+  for (workload::FileIndex f = 0; f < 3; ++f) pool.insert(f);
+  ASSERT_TRUE(pool.lookup(0));  // 0 becomes MRU; 1 is now LRU
+  pool.insert(3);
+  EXPECT_TRUE(pool.contains(0));
+  EXPECT_FALSE(pool.contains(1));
+}
+
+TEST(LruCacheTest, PeekDoesNotRefreshRecency) {
+  const workload::Catalog catalog = sized_catalog({10, 10, 10});
+  StoragePool pool(catalog, 20);
+  pool.insert(0);
+  pool.insert(1);
+  EXPECT_TRUE(pool.contains(0));  // does NOT move 0 to the front
+  pool.insert(2);                 // evicts 0 (still LRU)
+  EXPECT_FALSE(pool.contains(0));
+  EXPECT_TRUE(pool.contains(1));
+  EXPECT_EQ(pool.hits() + pool.misses(), 0u);
+}
+
+TEST(LruCacheTest, OversizedItemRejected) {
+  const workload::Catalog catalog = sized_catalog({11});
+  StoragePool pool(catalog, 10);
+  EXPECT_FALSE(pool.insert(0));
+  EXPECT_FALSE(pool.contains(0));
+  EXPECT_EQ(pool.file_count(), 0u);
+  EXPECT_EQ(pool.used_bytes(), 0u);
+}
+
+TEST(LruCacheTest, ItemExactlyAtCapacityAccepted) {
+  const workload::Catalog catalog = sized_catalog({10});
+  StoragePool pool(catalog, 10);
+  EXPECT_TRUE(pool.insert(0));
+  EXPECT_TRUE(pool.contains(0));
+  EXPECT_EQ(pool.used_bytes(), 10u);
+}
+
+TEST(LruCacheTest, EvictsMultipleToFit) {
+  const workload::Catalog catalog = sized_catalog({10, 10, 10, 25});
+  StoragePool pool(catalog, 30);
+  for (workload::FileIndex f = 0; f < 4; ++f) pool.insert(f);
+  // 25 bytes fit only alone: inserting 3 evicted 0, 1 AND 2.
+  EXPECT_FALSE(pool.contains(0));
+  EXPECT_FALSE(pool.contains(1));
+  EXPECT_FALSE(pool.contains(2));
+  EXPECT_TRUE(pool.contains(3));
+  EXPECT_EQ(pool.evictions(), 3u);
+  EXPECT_EQ(pool.used_bytes(), 25u);
+}
+
+TEST(LruCacheTest, EraseFreesSpace) {
+  // A node loss is the pool's only erase; it is no LRU eviction.
+  const workload::Catalog catalog = sized_catalog({10});
+  StoragePool pool(catalog, 20);
+  pool.insert(0);
+  EXPECT_EQ(pool.evict_fraction(1.0), 1u);
+  EXPECT_EQ(pool.evict_fraction(1.0), 0u);
+  EXPECT_EQ(pool.used_bytes(), 0u);
+  EXPECT_FALSE(pool.contains(0));
+  EXPECT_EQ(pool.evictions(), 0u);
+  EXPECT_EQ(pool.fault_evictions(), 1u);
+}
+
+TEST(LruCacheTest, LruKeyReflectsOrder) {
+  // A node loss takes files from the least-recently-used end.
+  const workload::Catalog catalog = sized_catalog({10, 10, 10});
+  StoragePool pool(catalog, 100);
+  EXPECT_EQ(pool.evict_fraction(1.0), 0u);  // empty: no LRU end
+  for (workload::FileIndex f = 0; f < 3; ++f) pool.insert(f);
+  ASSERT_TRUE(pool.lookup(0));  // MRU->LRU: 0, 2, 1
+  EXPECT_EQ(pool.evict_fraction(0.3), 1u);
+  EXPECT_FALSE(pool.contains(1));
+  EXPECT_EQ(pool.evict_fraction(0.3), 1u);
+  EXPECT_FALSE(pool.contains(2));
+  EXPECT_TRUE(pool.contains(0));
+}
+
+// Property-style sweep: under any insertion pattern, used_bytes never
+// exceeds capacity and the count matches the cached files.
+class LruCapacityTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LruCapacityTest, NeverExceedsCapacity) {
+  const std::uint64_t capacity = GetParam();
+  std::vector<Bytes> sizes;
+  for (int i = 0; i < 1000; ++i) sizes.push_back((i * 7919) % 97 + 1);
+  const workload::Catalog catalog = sized_catalog(sizes);
+  StoragePool pool(catalog, capacity);
+  std::uint64_t accepted = 0;
+  for (workload::FileIndex f = 0; f < 1000; ++f) {
+    if (pool.insert(f)) ++accepted;
+    ASSERT_LE(pool.used_bytes(), capacity);
+  }
+  EXPECT_GT(accepted, 0u);
+  std::size_t cached = 0;
+  for (workload::FileIndex f = 0; f < 1000; ++f) cached += pool.contains(f);
+  EXPECT_EQ(cached, pool.file_count());
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, LruCapacityTest,
+                         ::testing::Values(1, 50, 97, 1000, 100000));
 
 class SchedulerTest : public ::testing::Test {
  protected:

@@ -181,7 +181,7 @@ TEST_F(XuanfengTest, PreDownloadOnlyStopsBeforeFetch) {
   // No fetch happened: no upload bandwidth was reserved or spent.
   EXPECT_EQ(cloud->uploads().admitted_count(), 0u);
   // And the file is cached for later fetch_only.
-  EXPECT_TRUE(cloud->storage().contains(catalog->file(0).content_id));
+  EXPECT_TRUE(cloud->storage().contains(0));
 }
 
 TEST_F(XuanfengTest, FetchOnlyUsesSuppliedPreRecord) {

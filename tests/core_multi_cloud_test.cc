@@ -37,7 +37,7 @@ class MultiCloudTest : public ::testing::Test {
 TEST_F(MultiCloudTest, PrefersCloudWithCachedCopy) {
   const auto& file = catalog->file(0);
   clouds[0]->warm_cache(file);  // only the smallest cloud has it
-  const auto choice = selector->choose(file.content_id, net::Isp::kUnicom);
+  const auto choice = selector->choose(file.index, net::Isp::kUnicom);
   EXPECT_EQ(choice.cloud, 0u);
   EXPECT_TRUE(choice.cached);
 }
@@ -46,14 +46,14 @@ TEST_F(MultiCloudTest, AmongCachedPicksMostHeadroom) {
   const auto& file = catalog->file(1);
   clouds[0]->warm_cache(file);
   clouds[2]->warm_cache(file);  // bigger uplink
-  const auto choice = selector->choose(file.content_id, net::Isp::kTelecom);
+  const auto choice = selector->choose(file.index, net::Isp::kTelecom);
   EXPECT_EQ(choice.cloud, 2u);
   EXPECT_TRUE(choice.cached);
 }
 
 TEST_F(MultiCloudTest, UncachedFallsBackToHeadroom) {
   const auto& file = catalog->file(2);
-  const auto choice = selector->choose(file.content_id, net::Isp::kMobile);
+  const auto choice = selector->choose(file.index, net::Isp::kMobile);
   EXPECT_EQ(choice.cloud, 2u);  // 3x the capacity of cloud 0
   EXPECT_FALSE(choice.cached);
 }
@@ -66,13 +66,13 @@ TEST_F(MultiCloudTest, HeadroomTracksReservations) {
                                                       mbps_to_rate(50.0));
     if (!plan.admitted) break;
   }
-  const auto choice = selector->choose(file.content_id, net::Isp::kTelecom);
+  const auto choice = selector->choose(file.index, net::Isp::kTelecom);
   EXPECT_EQ(choice.cloud, 1u);
 }
 
 TEST_F(MultiCloudTest, OutOfIspUsersUseBestClusterHeadroom) {
   const auto& file = catalog->file(4);
-  const auto choice = selector->choose(file.content_id, net::Isp::kOther);
+  const auto choice = selector->choose(file.index, net::Isp::kOther);
   EXPECT_EQ(choice.cloud, 2u);
   EXPECT_GT(choice.headroom, 0.0);
 }
@@ -81,8 +81,8 @@ TEST_F(MultiCloudTest, CachedAnywhereIsTheUnion) {
   const auto& a = catalog->file(5);
   const auto& b = catalog->file(6);
   clouds[1]->warm_cache(a);
-  EXPECT_TRUE(selector->cached_anywhere(a.content_id));
-  EXPECT_FALSE(selector->cached_anywhere(b.content_id));
+  EXPECT_TRUE(selector->cached_anywhere(a.index));
+  EXPECT_FALSE(selector->cached_anywhere(b.index));
 }
 
 }  // namespace

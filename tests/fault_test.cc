@@ -24,6 +24,7 @@
 #include "proto/download.h"
 #include "proto/source.h"
 #include "sim/simulator.h"
+#include "sized_catalog.h"
 #include "util/md5.h"
 #include "util/rng.h"
 #include "workload/catalog.h"
@@ -722,13 +723,12 @@ TEST_F(InjectorTest, LinkDegradationFlapsAndRecovers) {
 }
 
 TEST_F(InjectorTest, StorageNodeLossEvictsColdestEntries) {
-  cloud::StoragePool storage(1000);
-  for (int i = 0; i < 10; ++i) {
-    storage.insert(Md5::of("f" + std::to_string(i)), i, 1);
-  }
+  const workload::Catalog catalog = sized_catalog(std::vector<Bytes>(10, 1));
+  cloud::StoragePool storage(catalog, 1000);
+  for (workload::FileIndex f = 0; f < 10; ++f) storage.insert(f);
   // Touch 0..6 so 7..9 are the coldest (the lost node's shard).
-  for (int i = 0; i < 7; ++i) {
-    EXPECT_TRUE(storage.lookup(Md5::of("f" + std::to_string(i))));
+  for (workload::FileIndex f = 0; f < 7; ++f) {
+    EXPECT_TRUE(storage.lookup(f));
   }
 
   fault::FaultInjector injector(sim, injector_rng);
@@ -742,11 +742,9 @@ TEST_F(InjectorTest, StorageNodeLossEvictsColdestEntries) {
 
   EXPECT_EQ(storage.fault_evictions(), 3u);
   EXPECT_EQ(storage.file_count(), 7u);
-  for (int i = 0; i < 7; ++i) {
-    EXPECT_TRUE(storage.contains(Md5::of("f" + std::to_string(i))));
-  }
-  for (int i = 7; i < 10; ++i) {
-    EXPECT_FALSE(storage.contains(Md5::of("f" + std::to_string(i))));
+  for (workload::FileIndex f = 0; f < 7; ++f) EXPECT_TRUE(storage.contains(f));
+  for (workload::FileIndex f = 7; f < 10; ++f) {
+    EXPECT_FALSE(storage.contains(f));
   }
   EXPECT_EQ(injector.stats(fault::FaultKind::kStorageNodeLoss).fired, 1u);
   EXPECT_EQ(injector.stats(fault::FaultKind::kStorageNodeLoss).recovered, 1u);

@@ -265,25 +265,23 @@ RandomTopology random_topology(Rng& rng, bool infinite_links) {
   return t;
 }
 
-// Solves `t` in a fresh network with one batched admission (one solve)
-// and returns each flow's rate.
+// Starts `t`'s flows one at a time in a fresh network and returns each
+// flow's rate once all are admitted.
 std::vector<double> network_rates(const RandomTopology& t, Network& net) {
   std::vector<LinkId> links;
   for (std::size_t l = 0; l < t.capacity.size(); ++l) {
     links.push_back(net.add_link("l" + std::to_string(l), t.capacity[l]));
   }
-  std::vector<Network::FlowSpec> specs;
+  std::vector<FlowId> ids;
   for (const reference::RefFlow& f : t.flows) {
     Network::FlowSpec spec;
     for (std::uint32_t l : f.path) spec.path.push_back(links[l]);
     spec.bytes = 1ull << 40;
     spec.rate_cap = f.cap;
-    specs.push_back(std::move(spec));
+    ids.push_back(net.start_flow(std::move(spec)));
   }
   std::vector<double> rates;
-  for (FlowId id : net.start_flows(std::move(specs))) {
-    rates.push_back(net.flow_stats(id).current_rate);
-  }
+  for (FlowId id : ids) rates.push_back(net.flow_stats(id).current_rate);
   return rates;
 }
 

@@ -23,9 +23,12 @@
 #include "sim/simulator.h"
 #include "snapshot/format.h"
 #include "snapshot/snapshotter.h"
+#include "sized_catalog.h"
 #include "snapshot/world.h"
+#include "util/crc32.h"
 #include "util/md5.h"
 #include "util/rng.h"
+#include "workload/catalog.h"
 
 namespace odr {
 namespace {
@@ -643,25 +646,31 @@ TEST(SnapshotChunkStoreTest, RoundTripPreservesDedupState) {
 
 // --- storage pool ----------------------------------------------------------
 
-TEST(SnapshotStoragePoolTest, RoundTripPreservesLruOrderAndCounters) {
-  cloud::StoragePool pool(3000);
-  for (int i = 0; i < 3; ++i) {
-    pool.insert(Md5::of("f" + std::to_string(i)), i, 1000);
-  }
-  // Refresh f0 so f1 is now the LRU victim.
-  EXPECT_TRUE(pool.lookup(Md5::of("f0")));
-  EXPECT_FALSE(pool.lookup(Md5::of("missing")));
-
+std::string save_pool(const cloud::StoragePool& pool) {
   SnapshotWriter w;
   w.begin_section(1, 1);
   pool.save(w);
   w.end_section();
+  return w.take();
+}
 
-  cloud::StoragePool restored(3000);
-  SnapshotReader r(w.take());
+void load_pool(cloud::StoragePool& pool, std::string bytes) {
+  SnapshotReader r(std::move(bytes));
   r.require_section(1, 1);
-  restored.load(r);
+  pool.load(r);
   r.end_section();
+}
+
+TEST(SnapshotStoragePoolTest, RoundTripPreservesLruOrderAndCounters) {
+  const workload::Catalog catalog = sized_catalog({1000, 1000, 1000, 1000});
+  cloud::StoragePool pool(catalog, 3000);
+  for (workload::FileIndex f = 0; f < 3; ++f) pool.insert(f);
+  // Refresh 0 so 1 is now the LRU victim.
+  EXPECT_TRUE(pool.lookup(0));
+  EXPECT_FALSE(pool.lookup(3));
+
+  cloud::StoragePool restored(catalog, 3000);
+  load_pool(restored, save_pool(pool));
 
   EXPECT_EQ(restored.used_bytes(), pool.used_bytes());
   EXPECT_EQ(restored.file_count(), pool.file_count());
@@ -669,12 +678,85 @@ TEST(SnapshotStoragePoolTest, RoundTripPreservesLruOrderAndCounters) {
   EXPECT_EQ(restored.misses(), pool.misses());
   // Force one eviction in both; the identical victim proves the recency
   // order survived.
-  pool.insert(Md5::of("f3"), 3, 1000);
-  restored.insert(Md5::of("f3"), 3, 1000);
-  EXPECT_EQ(pool.contains(Md5::of("f1")), restored.contains(Md5::of("f1")));
-  EXPECT_FALSE(restored.contains(Md5::of("f1")));  // f1 was LRU
-  EXPECT_TRUE(restored.contains(Md5::of("f0")));
+  pool.insert(3);
+  restored.insert(3);
+  EXPECT_EQ(pool.contains(1), restored.contains(1));
+  EXPECT_FALSE(restored.contains(1));  // 1 was LRU
+  EXPECT_TRUE(restored.contains(0));
   EXPECT_EQ(restored.evictions(), pool.evictions());
+  EXPECT_EQ(save_pool(restored), save_pool(pool));
+}
+
+// A pool section written field by field: `entries` are {file, md5 source,
+// size}, MRU first.
+struct RawEntry {
+  std::uint32_t file;
+  std::string md5_of;
+  std::uint64_t size;
+};
+
+std::string raw_pool_section(std::uint64_t capacity,
+                             const std::vector<RawEntry>& entries) {
+  SnapshotWriter w;
+  w.begin_section(1, 1);
+  for (std::uint16_t tag = 1; tag <= 4; ++tag) w.u64(tag, 0);  // counters
+  w.u64(5, capacity);
+  w.u64(6, entries.size());
+  for (const RawEntry& e : entries) {
+    const Md5Digest key = Md5::of(e.md5_of);
+    w.bytes(7, key.bytes.data(), key.bytes.size());
+    w.u32(8, e.file);
+    w.u64(9, e.size);
+  }
+  w.end_section();
+  return w.take();
+}
+
+TEST(SnapshotStoragePoolTest, LoadRejectsEntriesTheCatalogContradicts) {
+  const workload::Catalog catalog = sized_catalog({1000, 2000});
+  cloud::StoragePool pool(catalog, 2500);
+  // The well-formed baseline loads.
+  load_pool(pool, raw_pool_section(2500, {{1, "f1", 2000}}));
+  EXPECT_TRUE(pool.contains(1));
+
+  struct Case {
+    std::vector<RawEntry> entries;
+    std::string why;
+  };
+  const std::vector<Case> cases = {
+      {{{2, "f2", 1000}}, "names file 2 of 2"},
+      {{{0, "f0", 1000}, {0, "f0", 1000}}, "lists file 0 twice"},
+      {{{0, "f1", 1000}}, "MD5 that differs from file 0's"},
+      {{{0, "f0", 999}}, "size that differs from file 0's"},
+      {{{1, "f1", 2000}, {0, "f0", 1000}}, "above its capacity"},
+  };
+  for (const Case& c : cases) {
+    cloud::StoragePool fresh(catalog, 2500);
+    try {
+      load_pool(fresh, raw_pool_section(2500, c.entries));
+      ADD_FAILURE() << "loaded a pool that " << c.why;
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), snapshot::SnapshotErrorKind::kCorrupt);
+      EXPECT_NE(std::string(e.what()).find(c.why), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(SnapshotStoragePoolTest, SectionBytesArePinned) {
+  // Checkpoint format stability: MD5, file index and size per entry,
+  // MRU->LRU, after a fixed sequence of operations.
+  const workload::Catalog catalog = sized_catalog({1000, 2000, 500});
+  cloud::StoragePool pool(catalog, 3000);
+  pool.insert(0);
+  pool.insert(1);
+  EXPECT_TRUE(pool.lookup(0));
+  EXPECT_FALSE(pool.lookup(2));
+  pool.insert(2);             // evicts 1
+  pool.insert(1);             // evicts 0
+  pool.evict_fraction(0.5);   // node loss takes 2
+  pool.insert(2);             // MRU->LRU: 2, 1
+  EXPECT_EQ(crc32c(save_pool(pool)), 0x6F42606Eu);
 }
 
 // --- circuit breaker -------------------------------------------------------

