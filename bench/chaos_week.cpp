@@ -246,11 +246,11 @@ ServeRunResult run_serve_once(double divisor, std::uint64_t seed, bool outage,
   obs::ScopedObserver obs(run_obs);
 
   serve::ServeConfig cfg;
-  cfg.experiment = analysis::make_scaled_config(divisor, seed);
-  cfg.experiment.cloud.degraded_admission = true;
-  cfg.experiment.cloud.retry_budget_enabled = true;
-  cfg.strategy = core::Strategy::kHedged;
-  cfg.use_circuit_breakers = true;
+  cfg.world.experiment = analysis::make_scaled_config(divisor, seed);
+  cfg.world.experiment.cloud.degraded_admission = true;
+  cfg.world.experiment.cloud.retry_budget_enabled = true;
+  cfg.world.strategy = core::Strategy::kHedged;
+  cfg.world.use_circuit_breakers = true;
 
   // Half a day of service; rate scales with the world (the cloud uplink
   // shrinks 1/divisor, so the saturating rate does too).
@@ -271,7 +271,7 @@ ServeRunResult run_serve_once(double divisor, std::uint64_t seed, bool outage,
     o.start = 5 * kHour;      // one hour into the surge
     o.duration = 3 * kHour;   // dark until the surge's last hour
     o.isp = net::Isp::kTelecom;
-    cfg.experiment.fault_plan.add(o);
+    cfg.world.experiment.fault_plan.add(o);
   }
 
   serve::ServiceLoop loop(cfg);

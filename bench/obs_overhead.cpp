@@ -219,8 +219,8 @@ std::uint64_t serve_run_allocations(const serve::ServeConfig& cfg) {
 std::uint64_t serve_off_state_added_allocations(double divisor,
                                                 std::uint64_t seed) {
   serve::ServeConfig cfg;
-  cfg.experiment = analysis::make_scaled_config(divisor, seed);
-  cfg.experiment.cloud.degraded_admission = true;
+  cfg.world.experiment = analysis::make_scaled_config(divisor, seed);
+  cfg.world.experiment.cloud.degraded_admission = true;
   cfg.max_inflight = 16;
   cfg.queue_capacity = 64;
   cfg.traffic.phases.push_back({6 * kHour, 0.01});

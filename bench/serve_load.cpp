@@ -23,10 +23,12 @@
 //      rerun is telemetry-OFF, so the fingerprint gate doubles as the
 //      proof that observing a run never changes it.
 #include <algorithm>
+#include <cfloat>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -47,8 +49,8 @@ serve::ServeConfig make_serve_config(double divisor, std::uint64_t seed,
                                      std::size_t max_inflight,
                                      std::size_t queue_capacity) {
   serve::ServeConfig cfg;
-  cfg.experiment = analysis::make_scaled_config(divisor, seed);
-  cfg.experiment.cloud.degraded_admission = true;
+  cfg.world.experiment = analysis::make_scaled_config(divisor, seed);
+  cfg.world.experiment.cloud.degraded_admission = true;
   cfg.max_inflight = max_inflight;
   cfg.queue_capacity = queue_capacity;
   return cfg;
@@ -109,9 +111,9 @@ SweepPoint run_flash(double divisor, std::uint64_t seed, double rate,
       make_serve_config(divisor, seed, max_inflight, queue_capacity);
   // Full live stack for the surge: hedging against the shared budget,
   // breakers armed, degraded-mode admission already on.
-  cfg.strategy = core::Strategy::kHedged;
-  cfg.use_circuit_breakers = true;
-  cfg.experiment.cloud.retry_budget_enabled = true;
+  cfg.world.strategy = core::Strategy::kHedged;
+  cfg.world.use_circuit_breakers = true;
+  cfg.world.experiment.cloud.retry_budget_enabled = true;
   cfg.traffic.phases.push_back({duration, rate});
   cfg.traffic.diurnal = true;
   cfg.traffic.diurnal_shape.duration = duration;
@@ -200,12 +202,18 @@ int main(int argc, char** argv) {
 
   const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const double base_rate = args.get_double("base-rate");
-  const int steps = args.get_int("steps");
-  const SimTime rung = args.get_int("rung-minutes") * kMinute;
-  const double flash_rate = args.get_double("flash-rate");
-  const auto inflight = static_cast<std::size_t>(args.get_int("inflight"));
-  const auto queue = static_cast<std::size_t>(args.get_int("queue"));
+  // Rates must be positive (DBL_MIN is the smallest one the parser's
+  // inclusive bound can express); counts and durations at least 1.
+  const double base_rate = args.get_double("base-rate", DBL_MIN);
+  const auto steps = static_cast<int>(
+      args.get_int("steps", 1, std::numeric_limits<int>::max()));
+  const SimTime rung =
+      args.get_int("rung-minutes", 1,
+                   std::numeric_limits<SimTime>::max() / kMinute) *
+      kMinute;
+  const double flash_rate = args.get_double("flash-rate", DBL_MIN);
+  const auto inflight = static_cast<std::size_t>(args.get_int("inflight", 1));
+  const auto queue = static_cast<std::size_t>(args.get_int("queue", 1));
 
   obs::ObsConfig bench_obs;
   bench_obs.tracing = false;

@@ -17,7 +17,9 @@
 // streams every finished span through the calibration monitor, prints the
 // per-stage latency attribution and the PASS/DRIFT table vs the
 // EXPERIMENTS.md targets, and exits 2 if a gated statistic drifted.
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -48,26 +50,30 @@ int main(int argc, char** argv) {
             "print the calibration PASS/DRIFT table; exit 2 on gated drift");
   if (!args.parse(argc, argv)) return 1;
 
+  const double divisor =
+      args.get_double("divisor", 1.0, odr::analysis::kMaxDivisor);
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   const std::string metrics_out = args.get("metrics-out");
-  const std::string hashes_out = args.get("hashes-out");
   const std::string trace_out = args.get("trace-out");
+  const auto trace_sample = static_cast<std::uint32_t>(args.get_int(
+      "trace-sample", 1, std::numeric_limits<std::uint32_t>::max()));
   const std::string spans_out = args.get("spans-out");
+  const std::string hashes_out = args.get("hashes-out");
+  const auto hash_every =
+      static_cast<std::uint64_t>(args.get_int("hash-every", 1));
   const bool calibration = args.get_bool("calibration-report");
   std::unique_ptr<odr::obs::ScopedObserver> observer;
   if (!metrics_out.empty() || !trace_out.empty() || !spans_out.empty() ||
       calibration) {
     odr::obs::ObsConfig ocfg;
     ocfg.tracing = !trace_out.empty();
-    ocfg.trace_sample_every_flows =
-        static_cast<std::uint32_t>(args.get_int("trace-sample"));
+    ocfg.trace_sample_every_flows = trace_sample;
     ocfg.spans = !spans_out.empty() || calibration;
     ocfg.calibration = calibration;
     observer = std::make_unique<odr::obs::ScopedObserver>(ocfg);
   }
 
-  const auto config = odr::analysis::make_scaled_config(
-      args.get_double("divisor", 1.0, odr::analysis::kMaxDivisor),
-      static_cast<std::uint64_t>(args.get_int("seed")));
+  const auto config = odr::analysis::make_scaled_config(divisor, seed);
 
   std::printf("Replaying %zu requests over %zu files by %zu users...\n",
               config.requests.num_requests, config.catalog.num_files,
@@ -77,10 +83,7 @@ int main(int argc, char** argv) {
   // tools/odr_bisect compares it against; ticks never change outcomes.
   odr::snapshot::WorldOptions wopts;
   wopts.audit_at_checkpoint = false;
-  if (!hashes_out.empty()) {
-    wopts.hash_every_events =
-        static_cast<std::uint64_t>(args.get_int("hash-every"));
-  }
+  if (!hashes_out.empty()) wopts.hash_every_events = hash_every;
   odr::snapshot::CloudWorld world(config, wopts);
   world.run();
   if (!hashes_out.empty()) {

@@ -9,7 +9,9 @@
 // `--spans-out` writes the final (ODR) replay's sampled task spans; the
 // journal is reset per strategy, so the file and the printed attribution
 // table cover the last strategy in the sweep only.
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,15 +35,19 @@ int main(int argc, char** argv) {
             "write the last (ODR) replay's task spans (odr.spans.v1) here");
   if (!args.parse(argc, argv)) return 1;
 
+  const double divisor =
+      args.get_double("divisor", 1.0, odr::analysis::kMaxDivisor);
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   const std::string metrics_out = args.get("metrics-out");
   const std::string trace_out = args.get("trace-out");
+  const auto trace_sample = static_cast<std::uint32_t>(args.get_int(
+      "trace-sample", 1, std::numeric_limits<std::uint32_t>::max()));
   const std::string spans_out = args.get("spans-out");
   std::unique_ptr<odr::obs::ScopedObserver> observer;
   if (!metrics_out.empty() || !trace_out.empty() || !spans_out.empty()) {
     odr::obs::ObsConfig ocfg;
     ocfg.tracing = !trace_out.empty();
-    ocfg.trace_sample_every_flows =
-        static_cast<std::uint32_t>(args.get_int("trace-sample"));
+    ocfg.trace_sample_every_flows = trace_sample;
     ocfg.spans = !spans_out.empty();
     observer = std::make_unique<odr::obs::ScopedObserver>(ocfg);
   }
@@ -56,9 +62,7 @@ int main(int argc, char** argv) {
                         "fetch med KBps", "e2e med min"});
   for (const auto strategy : strategies) {
     odr::analysis::StrategyReplayConfig config;
-    config.experiment = odr::analysis::make_scaled_config(
-        args.get_double("divisor", 1.0, odr::analysis::kMaxDivisor),
-        static_cast<std::uint64_t>(args.get_int("seed")));
+    config.experiment = odr::analysis::make_scaled_config(divisor, seed);
     config.strategy = strategy;
     const auto result = odr::analysis::run_strategy_replay(config);
     const auto m = odr::analysis::strategy_metrics(

@@ -70,11 +70,10 @@ int main() {
               rate_to_kbps(user.access_bandwidth));
 
   // 5. Ask ODR where this request should be served, then execute.
-  core::Executor::Config exec_config;
-  core::Executor executor(sim, net, catalog, cloud, sources, exec_config, rng);
-  core::Redirector redirector;
+  core::Executor executor(sim, net, catalog, cloud, sources,
+                          core::RedirectorParams{}, rng);
   const core::DecisionInput input = executor.make_input(request, user, &ap);
-  const core::Decision decision = redirector.decide(input);
+  const core::Decision decision = executor.redirector().decide(input);
 
   std::printf("ODR input: weekly popularity %.0f, cached=%s\n",
               input.weekly_popularity, input.cached_in_cloud ? "yes" : "no");

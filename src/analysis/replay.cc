@@ -26,6 +26,33 @@ double warm_success_probability(double weekly_popularity) {
   return 1.0 - std::min(0.95, fail);
 }
 
+// The three testbed APs, each on its own 20 Mbps ADSL line, in their
+// shipping storage configuration (§5.1).
+std::vector<std::unique_ptr<odr::ap::SmartAp>> make_testbed_aps(
+    sim::Simulator& sim, net::Network& net, const proto::SourceParams& sources,
+    Rng& rng) {
+  std::vector<std::unique_ptr<odr::ap::SmartAp>> aps;
+  for (const auto& hw :
+       {odr::ap::kHiWiFi, odr::ap::kMiWiFi, odr::ap::kNewifi}) {
+    odr::ap::SmartApConfig c;
+    c.hardware = hw;
+    c.device = hw.default_device;
+    c.filesystem = hw.default_filesystem;
+    aps.push_back(
+        std::make_unique<odr::ap::SmartAp>(sim, net, c, sources, rng));
+  }
+  return aps;
+}
+
+// §6.2 testbed: every user line is clamped to the 20 Mbps ADSL of the
+// benchmark environment.
+workload::UserModelParams testbed_users(workload::UserModelParams params) {
+  params.bandwidth_max =
+      std::min(params.bandwidth_max,
+               StrategyReplayConfig::premises_line_rate * kTransportEfficiency);
+  return params;
+}
+
 }  // namespace
 
 void warm_cloud(cloud::XuanfengCloud& cloud, const workload::Catalog& catalog,
@@ -94,26 +121,8 @@ ApReplayResult run_ap_replay(const ApReplayConfig& config) {
   rng.shuffle(sampled);
   if (sampled.size() > config.sample_size) sampled.resize(config.sample_size);
 
-  // The three testbed APs, each on its own 20 Mbps Unicom ADSL link, in
-  // their shipping storage configuration (§5.1).
-  struct TestbedAp {
-    std::unique_ptr<odr::ap::SmartAp> ap;
-    std::string name;
-  };
-  std::vector<TestbedAp> aps;
-  auto add_ap = [&](const odr::ap::ApHardware& hw) {
-    odr::ap::SmartApConfig c;
-    c.hardware = hw;
-    c.device = hw.default_device;
-    c.filesystem = hw.default_filesystem;
-    aps.push_back(TestbedAp{
-        std::make_unique<odr::ap::SmartAp>(sim, net, c,
-                                           config.experiment.sources, rng),
-        std::string(hw.name)});
-  };
-  add_ap(odr::ap::kHiWiFi);
-  add_ap(odr::ap::kMiWiFi);
-  add_ap(odr::ap::kNewifi);
+  const std::vector<std::unique_ptr<odr::ap::SmartAp>> aps = make_testbed_aps(
+      sim, net, config.experiment.sources, rng);
 
   ApReplayResult result;
   result.tasks.reserve(sampled.size());
@@ -139,7 +148,7 @@ ApReplayResult run_ap_replay(const ApReplayConfig& config) {
                                  ? net::kUnlimitedRate
                                  : users.user(request.user_id).access_bandwidth;
     ODR_SPAN(on_submit(request.task_id, sim.now(), obs::SpanOrigin::kAp));
-    aps[ap_idx].ap->predownload(
+    aps[ap_idx]->predownload(
         file, restriction,
         [&, ap_idx, request, file](const proto::DownloadResult& r) {
           ODR_OBS({
@@ -158,7 +167,7 @@ ApReplayResult run_ap_replay(const ApReplayConfig& config) {
           ApTaskResult task;
           task.request = request;
           task.result = r;
-          task.ap_name = aps[ap_idx].name;
+          task.ap_name = aps[ap_idx]->config().hardware.name;
           task.weekly_popularity = file.expected_weekly_requests;
           result.tasks.push_back(std::move(task));
           if (!r.success) {
@@ -191,71 +200,41 @@ ApReplayResult run_ap_replay(const ApReplayConfig& config) {
   return result;
 }
 
-StrategyReplayResult run_strategy_replay(const StrategyReplayConfig& config) {
-  sim::Simulator sim;
-  net::Network net(sim);
-  Rng rng(config.experiment.seed);
-
-  workload::Catalog catalog(config.experiment.catalog, rng);
-
-  // §6.2 testbed: clamp every user line to the 20 Mbps ADSL of the
-  // benchmark environment.
-  workload::UserModelParams user_params = config.experiment.users;
-  user_params.bandwidth_max = std::min(
-      user_params.bandwidth_max,
-      config.premises_line_rate * kTransportEfficiency);
-  workload::UserPopulation users(user_params, rng);
-
-  workload::RequestGenerator generator(config.experiment.requests);
-  std::vector<workload::WorkloadRecord> requests =
-      generator.generate(catalog, users, rng);
-
-  cloud::XuanfengCloud cloud(sim, net, catalog, config.experiment.sources,
-                             config.experiment.cloud, rng);
-
-  Rng warm_rng = rng.fork();
-  warm_cloud(cloud, catalog, config.experiment.requests.num_requests,
-             config.experiment.warmup_weeks, warm_rng);
-
+StrategyWorld::StrategyWorld(const StrategyReplayConfig& config,
+                             bool draw_week)
+    : config_(config),
+      net_(sim_),
+      rng_(config.experiment.seed),
+      catalog_(config.experiment.catalog, rng_),
+      users_(testbed_users(config.experiment.users), rng_),
+      week_(draw_week ? workload::RequestGenerator(config.experiment.requests)
+                            .generate(catalog_, users_, rng_)
+                      : std::vector<workload::WorkloadRecord>{}),
+      cloud_(sim_, net_, catalog_, config.experiment.sources,
+             config.experiment.cloud, rng_) {
+  Rng warm_rng = rng_.fork();
+  warm_cloud(cloud_, catalog_, config_.experiment.requests.num_requests,
+             config_.experiment.warmup_weeks, warm_rng);
   // Per-household smart APs would be one object per user; the testbed uses
   // the three models round-robin, which preserves the hardware mix.
-  std::vector<std::unique_ptr<odr::ap::SmartAp>> aps;
-  if (config.users_have_ap) {
-    for (const auto& hw :
-         {odr::ap::kHiWiFi, odr::ap::kMiWiFi, odr::ap::kNewifi}) {
-      odr::ap::SmartApConfig c;
-      c.hardware = hw;
-      c.device = hw.default_device;
-      c.filesystem = hw.default_filesystem;
-      c.line_rate = config.premises_line_rate;
-      aps.push_back(std::make_unique<odr::ap::SmartAp>(
-          sim, net, c, config.experiment.sources, rng));
-    }
+  aps_ = make_testbed_aps(sim_, net_, config_.experiment.sources, rng_);
+  executor_.emplace(sim_, net_, catalog_, cloud_, config_.experiment.sources,
+                    config_.redirector, rng_);
+  if (config_.use_circuit_breakers) {
+    cloud_breaker_.emplace(sim_, core::CircuitBreaker::Config{});
+    ap_breaker_.emplace(sim_, core::CircuitBreaker::Config{});
+    executor_->set_substrate_breakers(&*cloud_breaker_, &*ap_breaker_);
   }
+}
 
-  core::Executor::Config exec_cfg;
-  exec_cfg.premises_line_rate = config.premises_line_rate;
-  exec_cfg.redirector = config.redirector;
-  core::Executor executor(sim, net, catalog, cloud,
-                          config.experiment.sources, exec_cfg, rng);
-  core::Redirector redirector(config.redirector);
-
-  // Opt-in substrate circuit breakers and fault injection. The injector
-  // forks its rng only after the workload is generated, so the same seed
-  // yields the identical request stream under every plan.
-  std::optional<core::CircuitBreaker> cloud_breaker;
-  std::optional<core::CircuitBreaker> ap_breaker;
-  if (config.use_circuit_breakers) {
-    cloud_breaker.emplace(sim, config.breaker);
-    ap_breaker.emplace(sim, config.breaker);
-    executor.set_substrate_breakers(&*cloud_breaker, &*ap_breaker);
-  }
-  std::optional<fault::FaultInjector> injector;
-  if (!config.experiment.fault_plan.empty()) {
-    injector.emplace(sim, rng);
-    injector->attach_cloud(cloud, net);
-    for (auto& ap : aps) injector->attach_ap(ap.get());
-    injector->load(config.experiment.fault_plan);
+void StrategyWorld::start(SimTime horizon) {
+  // The injector forks its rng after every arrival source has, so the same
+  // seed yields the identical arrivals under every plan.
+  if (!config_.experiment.fault_plan.empty()) {
+    injector_.emplace(sim_, rng_);
+    injector_->attach_cloud(cloud_, net_);
+    for (auto& ap : aps_) injector_->attach_ap(ap.get());
+    injector_->load(config_.experiment.fault_plan);
   }
 
   // HedgedFetch: the coordinator drives request cloning in the executor,
@@ -263,21 +242,77 @@ StrategyReplayResult run_strategy_replay(const StrategyReplayConfig& config) {
   // budget (the same pool VM front-requeue retries draw from). Any other
   // strategy leaves the executor's hedging hook null — zero extra events,
   // zero extra rng draws, byte-identical outcomes.
-  std::optional<core::HedgeCoordinator> hedges;
-  if (config.strategy == core::Strategy::kHedged) {
+  if (config_.strategy == core::Strategy::kHedged) {
     core::HedgeConfig hedge_cfg;
     hedge_cfg.enabled = true;
-    hedges.emplace(hedge_cfg);
-    hedges->set_budget(&cloud.predownloaders().retry_budget());
-    executor.set_hedging(&*hedges);
+    hedges_.emplace(hedge_cfg);
+    hedges_->set_budget(&cloud_.predownloaders().retry_budget());
+    executor_->set_hedging(&*hedges_);
   }
+
+  wire_cloud_observability(sim_, net_, cloud_, horizon);
+  if (cloud_breaker_) wire_breaker_probe("core.breaker.cloud", *cloud_breaker_);
+  if (ap_breaker_) wire_breaker_probe("core.breaker.ap", *ap_breaker_);
+}
+
+void StrategyWorld::dispatch(const workload::WorkloadRecord& request,
+                             std::uint64_t ap_slot,
+                             core::Executor::DoneFn done) {
+  ++dispatched_;
+  odr::ap::SmartAp* ap = aps_[ap_slot % aps_.size()].get();
+  const workload::User& user = users_.user(request.user_id);
+  const core::DecisionInput input = executor_->make_input(request, user, ap);
+  const core::Decision decision =
+      core::decide_with(config_.strategy, executor_->redirector(), input);
+  // Bottleneck-4 accounting: the AP's storage throttles whenever the
+  // route writes through it faster than its ceiling.
+  if (decision.route == core::Route::kSmartAp ||
+      decision.route == core::Route::kCloudThenSmartAp) {
+    const Rate inbound = std::min(user.access_bandwidth,
+                                  StrategyReplayConfig::premises_line_rate);
+    if (ap->storage_write_ceiling() < inbound) ++ap_throttled_;
+  }
+  executor_->execute(decision, request, user, ap, std::move(done));
+}
+
+void StrategyWorld::harvest(StrategyReplayResult& result) const {
+  result.duration = config_.experiment.requests.duration;
+  result.cloud_capacity = config_.experiment.cloud.total_upload_capacity;
+  result.storage_throttled_fraction =
+      dispatched_ == 0 ? 0.0
+                       : static_cast<double>(ap_throttled_) /
+                             static_cast<double>(dispatched_);
+  result.cache_hit_ratio = cloud_.storage().hit_ratio();
+  result.reroutes = executor_->reroutes();
+  if (cloud_breaker_) {
+    result.cloud_breaker_openings = cloud_breaker_->times_opened();
+  }
+  if (ap_breaker_) result.ap_breaker_openings = ap_breaker_->times_opened();
+  if (injector_) result.faults_fired = injector_->total_fired();
+  if (hedges_) {
+    result.hedge_pairs = hedges_->pairs_launched();
+    result.hedge_primary_wins = hedges_->primary_wins();
+    result.hedge_secondary_wins = hedges_->secondary_wins();
+    result.hedge_both_failed = hedges_->both_failed();
+    result.hedge_budget_denied = hedges_->budget_denied();
+    result.hedge_cancelled_clones = hedges_->cancelled_clones();
+    result.hedge_wasted_bytes = hedges_->wasted_bytes();
+  }
+  result.vm_retry_budget_denied = cloud_.predownloaders().retry_budget_denied();
+}
+
+StrategyReplayResult run_strategy_replay(const StrategyReplayConfig& config) {
+  StrategyWorld world(config, /*draw_week=*/true);
+  const std::vector<workload::WorkloadRecord>& requests = world.week();
+  sim::Simulator& sim = world.sim();
+
+  world.start((requests.empty() ? 0 : requests.back().request_time) + kDay);
 
   StrategyReplayResult result;
   result.outcomes.reserve(requests.size());
 
   // The §4 world's arrival scheme: request i arrives as reserved event
   // first_arrival + i, and each arrival queues only its successor.
-  std::size_t ap_writes = 0, ap_throttled = 0;
   const sim::EventId first_arrival = sim.reserve(requests.size());
   std::function<void(std::size_t)> arrive;
   const auto queue = [&](std::size_t i) {
@@ -287,67 +322,26 @@ StrategyReplayResult run_strategy_replay(const StrategyReplayConfig& config) {
   };
   arrive = [&](std::size_t i) {
     queue(i + 1);
-    const workload::WorkloadRecord& request = requests[i];
-    odr::ap::SmartAp* ap =
-        aps.empty() ? nullptr : aps[i % aps.size()].get();
-    const workload::User& user = users.user(request.user_id);
-    const core::DecisionInput input = executor.make_input(request, user, ap);
-    const core::Decision decision =
-        core::decide_with(config.strategy, redirector, input);
-    // Bottleneck-4 accounting: the AP's storage throttles whenever the
-    // route writes through it faster than its ceiling.
-    if (ap != nullptr && (decision.route == core::Route::kSmartAp ||
-                          decision.route == core::Route::kCloudThenSmartAp)) {
-      ++ap_writes;
-      const Rate inbound = std::min(user.access_bandwidth,
-                                    config.premises_line_rate);
-      if (ap->storage_write_ceiling() < inbound) ++ap_throttled;
-    }
-    executor.execute(decision, request, user, ap,
-                     [&result](const core::ExecOutcome& outcome) {
-                       result.outcomes.push_back(outcome);
-                     });
+    world.dispatch(requests[i], i,
+                   [&result](const core::ExecOutcome& outcome) {
+                     result.outcomes.push_back(outcome);
+                   });
   };
   queue(0);
-
-  const SimTime horizon = requests.empty() ? 0 : requests.back().request_time;
-  wire_cloud_observability(sim, net, cloud, horizon + kDay);
-  if (cloud_breaker) wire_breaker_probe("core.breaker.cloud", *cloud_breaker);
-  if (ap_breaker) wire_breaker_probe("core.breaker.ap", *ap_breaker);
 
   sim.run();
 
   // Same reporting convention as the §4 week: classify by the file's
   // full-week request count.
   const std::vector<double> week_counts =
-      workload::week_request_counts(requests, catalog.size());
+      workload::week_request_counts(requests, world.catalog().size());
   for (auto& o : result.outcomes) {
     if (o.task_id < 1 || o.task_id > requests.size()) continue;
     o.popularity = workload::classify_popularity(
         week_counts[requests[o.task_id - 1].file]);
   }
 
-  result.duration = config.experiment.requests.duration;
-  result.cloud_capacity = config.experiment.cloud.total_upload_capacity;
-  result.storage_throttled_fraction =
-      requests.empty() ? 0.0
-                       : static_cast<double>(ap_throttled) /
-                             static_cast<double>(requests.size());
-  result.cache_hit_ratio = cloud.storage().hit_ratio();
-  result.reroutes = executor.reroutes();
-  if (cloud_breaker) result.cloud_breaker_openings = cloud_breaker->times_opened();
-  if (ap_breaker) result.ap_breaker_openings = ap_breaker->times_opened();
-  if (injector) result.faults_fired = injector->total_fired();
-  if (hedges) {
-    result.hedge_pairs = hedges->pairs_launched();
-    result.hedge_primary_wins = hedges->primary_wins();
-    result.hedge_secondary_wins = hedges->secondary_wins();
-    result.hedge_both_failed = hedges->both_failed();
-    result.hedge_budget_denied = hedges->budget_denied();
-    result.hedge_cancelled_clones = hedges->cancelled_clones();
-    result.hedge_wasted_bytes = hedges->wasted_bytes();
-  }
-  result.vm_retry_budget_denied = cloud.predownloaders().retry_budget_denied();
+  world.harvest(result);
   return result;
 }
 

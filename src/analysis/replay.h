@@ -11,12 +11,20 @@
 //   - run_strategy_replay  — §6: a workload routed by ODR or a baseline
 //                            strategy through all systems.
 //
+// The §6 world itself is StrategyWorld: the cloud, the three testbed APs,
+// the executor and its redirector, breakers, faults and hedging, built and
+// dispatched in one place. run_strategy_replay feeds it the generated
+// week; serve::ServiceLoop feeds it open-loop arrivals. The two differ
+// only in where their arrivals come from.
+//
 // This header also holds what the drivers share: the experiment config and
 // its scaling, the §4 result, and the storage-pool warm-up.
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,9 +32,13 @@
 #include "cloud/xuanfeng.h"
 #include "core/circuit_breaker.h"
 #include "core/executor.h"
+#include "core/hedge.h"
 #include "core/strategy.h"
 #include "fault/fault_plan.h"
+#include "fault/injector.h"
+#include "net/network.h"
 #include "proto/download.h"
+#include "sim/simulator.h"
 #include "workload/catalog.h"
 #include "workload/request_gen.h"
 #include "workload/user_model.h"
@@ -142,15 +154,11 @@ struct StrategyReplayConfig {
   // (e.g. playback_rate = 0 disables the Bottleneck-1 staging branch).
   core::RedirectorParams redirector;
   // §6.2 testbed: user lines clamped to 20 Mbps ADSL.
-  Rate premises_line_rate = mbps_to_rate(20.0);
-  // Every user owns a smart AP in the evaluation testbed; the three
-  // hardware models are assigned round-robin.
-  bool users_have_ap = true;
+  static constexpr Rate premises_line_rate = core::Executor::kPremisesLineRate;
   // Opt-in circuit breakers between the executor and its substrates:
   // an open breaker reroutes traffic away from an unhealthy cloud/AP
   // (see core::CircuitBreaker). Pointless without a fault plan.
   bool use_circuit_breakers = false;
-  core::CircuitBreaker::Config breaker;
 };
 
 struct StrategyReplayResult {
@@ -174,6 +182,70 @@ struct StrategyReplayResult {
   Bytes hedge_wasted_bytes = 0;
   // VM retries shed because the shared retry/hedge budget ran dry.
   std::uint64_t vm_retry_budget_denied = 0;
+};
+
+// The §6 world: simulator, network, rng, catalog, users (lines clamped to
+// premises_line_rate), the warmed cloud, the three testbed APs (every user
+// owns one; the hardware models go round-robin), the executor with its
+// redirector, and the optional breakers. start() arms fault injection and
+// hedging.
+//
+// RNG order contract (the determinism goldens pin it): the catalog draws
+// first, then the users; then the week's trace, only when `draw_week`;
+// then the cloud, its warm-up fork, the APs and the executor; then
+// whatever the caller draws from rng() before start() (the service's
+// traffic fork); then the fault injector's fork inside start(). Arrivals
+// therefore fork before the fault layer: a fault plan never changes what
+// arrives.
+class StrategyWorld {
+ public:
+  StrategyWorld(const StrategyReplayConfig& config, bool draw_week);
+
+  StrategyWorld(const StrategyWorld&) = delete;
+  StrategyWorld& operator=(const StrategyWorld&) = delete;
+
+  sim::Simulator& sim() { return sim_; }
+  Rng& rng() { return rng_; }
+  const workload::Catalog& catalog() const { return catalog_; }
+  const workload::UserPopulation& users() const { return users_; }
+  const cloud::XuanfengCloud& cloud() const { return cloud_; }
+  // The generated week (empty unless constructed with draw_week).
+  const std::vector<workload::WorkloadRecord>& week() const { return week_; }
+
+  // Arms the fault injector and hedging, then wires the ambient observer
+  // and breaker probes over [0, horizon). Call once, before the first
+  // arrival runs.
+  void start(SimTime horizon);
+
+  // Routes one arrival: the AP in slot `ap_slot % 3`, the strategy's
+  // decision, Bottleneck-4 throttle accounting, then execution.
+  void dispatch(const workload::WorkloadRecord& request, std::uint64_t ap_slot,
+                core::Executor::DoneFn done);
+
+  // Fills everything but the outcomes: config echoes, cache, breaker,
+  // fault, hedge and budget counters, and the throttled fraction of the
+  // dispatched arrivals.
+  void harvest(StrategyReplayResult& result) const;
+
+ private:
+  StrategyReplayConfig config_;
+  sim::Simulator sim_;
+  net::Network net_;
+  Rng rng_;
+  workload::Catalog catalog_;
+  workload::UserPopulation users_;
+  std::vector<workload::WorkloadRecord> week_;
+  cloud::XuanfengCloud cloud_;
+  // The APs and executor are built in the constructor body, after the
+  // cloud's warm-up fork (the RNG order above).
+  std::vector<std::unique_ptr<odr::ap::SmartAp>> aps_;
+  std::optional<core::Executor> executor_;
+  std::optional<core::CircuitBreaker> cloud_breaker_;
+  std::optional<core::CircuitBreaker> ap_breaker_;
+  std::optional<fault::FaultInjector> injector_;
+  std::optional<core::HedgeCoordinator> hedges_;
+  std::uint64_t dispatched_ = 0;
+  std::uint64_t ap_throttled_ = 0;
 };
 
 StrategyReplayResult run_strategy_replay(const StrategyReplayConfig& config);

@@ -10,13 +10,14 @@ namespace odr::core {
 Executor::Executor(sim::Simulator& sim, net::Network& net,
                    const workload::Catalog& catalog,
                    cloud::XuanfengCloud& cloud,
-                   const proto::SourceParams& sources, Config config, Rng& rng)
+                   const proto::SourceParams& sources,
+                   RedirectorParams redirector, Rng& rng)
     : sim_(sim),
       net_(net),
       catalog_(catalog),
       cloud_(cloud),
       sources_(sources),
-      config_(config),
+      redirector_(redirector),
       rng_(rng.fork()) {}
 
 DecisionInput Executor::make_input(const workload::WorkloadRecord& request,
@@ -239,7 +240,7 @@ ExecOutcome Executor::from_cloud_outcome(
   e.fetch_delay = outcome.fetch.finish_time - outcome.fetch.start_time;
   e.fetch_rate = outcome.fetch.average_rate;
   e.ready_time = outcome.fetch.finish_time;
-  e.impeded = e.fetch_rate < config_.playback_rate;
+  e.impeded = e.fetch_rate < kPlaybackRate;
   e.cloud_upload_bytes = outcome.fetch.acquired_bytes;
   e.cloud_upload_start = outcome.fetch.start_time;
   e.cloud_upload_finish = outcome.fetch.finish_time;
@@ -279,9 +280,9 @@ std::uint64_t Executor::run_user_device(const workload::WorkloadRecord& request,
   // §6.2 testbed semantics: replayed downloads run behind the testbed's
   // 20 Mbps line (the recorded per-user bandwidth restriction is §5.1's
   // AP-benchmark methodology, not ODR's).
-  cfg.line_rate = config_.premises_line_rate * kTransportEfficiency;
-  cfg.stagnation_timeout = config_.direct_stagnation_timeout;
-  cfg.hard_timeout = config_.direct_hard_timeout;
+  cfg.line_rate = kPremisesLineRate * kTransportEfficiency;
+  cfg.stagnation_timeout = kDirectStagnationTimeout;
+  cfg.hard_timeout = kDirectHardTimeout;
 
   const std::uint64_t id = next_direct_++;
   auto task = std::make_unique<proto::DownloadTask>(
@@ -310,7 +311,7 @@ std::uint64_t Executor::run_user_device(const workload::WorkloadRecord& request,
         // separate pre-download stage.
         e.fetch_delay = result.duration();
         e.fetch_rate = result.average_rate;
-        e.impeded = e.success && e.fetch_rate < config_.playback_rate;
+        e.impeded = e.success && e.fetch_rate < kPlaybackRate;
         e.e2e_rate = e.success
                          ? average_rate(e.file_size, e.ready_time - e.request_time)
                          : 0.0;
@@ -430,11 +431,10 @@ void Executor::run_predownload_first(const workload::WorkloadRecord& request,
           return;
         }
         // Ask ODR again, now with the file cached (Fig 15, Case 2).
-        Redirector redirector(config_.redirector);
         DecisionInput in = make_input(request, user, ap);
         in.cached_in_cloud = true;
         const bool bottleneck1 =
-            redirector.cloud_path_bottleneck(in) && ap != nullptr;
+            redirector_.cloud_path_bottleneck(in) && ap != nullptr;
         cloud_.fetch_only(
             request, user, pre,
             [this, request, ap, bottleneck1, done = std::move(done)](

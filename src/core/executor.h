@@ -57,27 +57,27 @@ struct ExecOutcome {
 
 class Executor {
  public:
-  struct Config {
-    // The §6.2 testbed line: fetch rates are observed behind a 20 Mbps
-    // ADSL line, which caps every recorded rate at ~2.37-2.5 MBps.
-    Rate premises_line_rate = mbps_to_rate(20.0);
-    Rate playback_rate = kbps_to_rate(125.0);
-    SimTime direct_stagnation_timeout = kHour;
-    SimTime direct_hard_timeout = kWeek;
-    // Thresholds used when the kCloudPreDownloadFirst branch re-decides
-    // after the file lands in the cache (must match the caller's
-    // Redirector for consistent behaviour).
-    RedirectorParams redirector;
-  };
+  // The §6.2 testbed line: fetch rates are observed behind a 20 Mbps
+  // ADSL line, which caps every recorded rate at ~2.37-2.5 MBps.
+  static constexpr Rate kPremisesLineRate = mbps_to_rate(20.0);
+  // A fetch below the playback rate is impeded (Bottleneck 1).
+  static constexpr Rate kPlaybackRate = kbps_to_rate(125.0);
+  static constexpr SimTime kDirectStagnationTimeout = kHour;
+  static constexpr SimTime kDirectHardTimeout = kWeek;
 
   using DoneFn = std::function<void(const ExecOutcome&)>;
 
   Executor(sim::Simulator& sim, net::Network& net,
            const workload::Catalog& catalog, cloud::XuanfengCloud& cloud,
-           const proto::SourceParams& sources, Config config, Rng& rng);
+           const proto::SourceParams& sources, RedirectorParams redirector,
+           Rng& rng);
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
+
+  // The Redirector every caller decides with; the kCloudPreDownloadFirst
+  // branch re-decides with it too once the file lands in the cache.
+  const Redirector& redirector() const { return redirector_; }
 
   // Builds the DecisionInput ODR would see for this request (content-DB
   // popularity, cache state, user auxiliaries, the given AP's storage).
@@ -160,7 +160,7 @@ class Executor {
   const workload::Catalog& catalog_;
   cloud::XuanfengCloud& cloud_;
   proto::SourceParams sources_;
-  Config config_;
+  Redirector redirector_;
   Rng rng_;
 
   // Direct user-device downloads owned here until completion.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/obs_wiring.h"
-#include "ap/ap_models.h"
 #include "obs/observer.h"
 #include "workload/file.h"
 
@@ -37,85 +35,21 @@ void finish_refused_span(std::uint64_t task_id, SimTime t,
 
 ServiceLoop::ServiceLoop(const ServeConfig& config)
     : config_(config),
-      net_(sim_),
-      rng_(config.experiment.seed),
-      slo_(config.slo) {
-  catalog_ = std::make_unique<workload::Catalog>(config_.experiment.catalog,
-                                                 rng_);
-
-  // Same §6.2 testbed convention as run_strategy_replay: user lines are
-  // clamped to the premises ADSL rate.
-  workload::UserModelParams user_params = config_.experiment.users;
-  user_params.bandwidth_max =
-      std::min(user_params.bandwidth_max,
-               config_.premises_line_rate * kTransportEfficiency);
-  users_ = std::make_unique<workload::UserPopulation>(user_params, rng_);
-
-  cloud_ = std::make_unique<cloud::XuanfengCloud>(
-      sim_, net_, *catalog_, config_.experiment.sources,
-      config_.experiment.cloud, rng_);
-
-  Rng warm_rng = rng_.fork();
-  analysis::warm_cloud(*cloud_, *catalog_,
-                       config_.experiment.requests.num_requests,
-                       config_.experiment.warmup_weeks, warm_rng);
-
-  if (config_.users_have_ap) {
-    for (const auto& hw :
-         {odr::ap::kHiWiFi, odr::ap::kMiWiFi, odr::ap::kNewifi}) {
-      odr::ap::SmartApConfig c;
-      c.hardware = hw;
-      c.device = hw.default_device;
-      c.filesystem = hw.default_filesystem;
-      c.line_rate = config_.premises_line_rate;
-      aps_.push_back(std::make_unique<odr::ap::SmartAp>(
-          sim_, net_, c, config_.experiment.sources, rng_));
-    }
-  }
-
-  core::Executor::Config exec_cfg;
-  exec_cfg.premises_line_rate = config_.premises_line_rate;
-  exec_cfg.redirector = config_.redirector;
-  executor_ = std::make_unique<core::Executor>(sim_, net_, *catalog_, *cloud_,
-                                               config_.experiment.sources,
-                                               exec_cfg, rng_);
-  redirector_ = std::make_unique<core::Redirector>(config_.redirector);
-
-  if (config_.use_circuit_breakers) {
-    cloud_breaker_.emplace(sim_, config_.breaker);
-    ap_breaker_.emplace(sim_, config_.breaker);
-    executor_->set_substrate_breakers(&*cloud_breaker_, &*ap_breaker_);
-  }
-
-  // The generator owns its own forked stream, so the arrival sequence is
-  // independent of how many draws the engine makes serving each task —
-  // backpressure changes what the engine does, never what arrives.
-  gen_ = std::make_unique<TrafficGen>(config_.traffic, *catalog_, *users_,
-                                      rng_.fork());
-
-  if (!config_.experiment.fault_plan.empty()) {
-    injector_.emplace(sim_, rng_);
-    injector_->attach_cloud(*cloud_, net_);
-    for (auto& ap : aps_) injector_->attach_ap(ap.get());
-    injector_->load(config_.experiment.fault_plan);
-  }
-
-  if (config_.strategy == core::Strategy::kHedged) {
-    core::HedgeConfig hedge_cfg;
-    hedge_cfg.enabled = true;
-    hedges_.emplace(hedge_cfg);
-    hedges_->set_budget(&cloud_->predownloaders().retry_budget());
-    executor_->set_hedging(&*hedges_);
-  }
-}
-
-ServiceLoop::~ServiceLoop() = default;
+      world_(config_.world, /*draw_week=*/false),
+      // The generator owns its own forked stream, so the arrival sequence
+      // is independent of how many draws the engine makes serving each
+      // task — backpressure changes what the engine does, never what
+      // arrives.
+      gen_(config_.traffic, world_.catalog(), world_.users(),
+           world_.rng().fork()),
+      slo_(config_.slo) {}
 
 void ServiceLoop::schedule_next_arrival() {
   workload::WorkloadRecord r;
-  if (!gen_->next(r)) return;  // plan exhausted; the loop drains
+  if (!gen_.next(r)) return;  // plan exhausted; the loop drains
   next_arrival_ = std::move(r);
-  sim_.schedule_at(next_arrival_->request_time, [this] { on_arrival(); });
+  world_.sim().schedule_at(next_arrival_->request_time,
+                           [this] { on_arrival(); });
 }
 
 void ServiceLoop::on_arrival() {
@@ -129,7 +63,7 @@ void ServiceLoop::on_arrival() {
   ++result_.offered;
   const workload::WorkloadRecord& r = task.record;
   const workload::PopularityClass cls = workload::classify_popularity(
-      catalog_->file(r.file).expected_weekly_requests);
+      world_.catalog().file(r.file).expected_weekly_requests);
 
   // Admission control in front of the bounded queue. Verdict codes feed
   // the fingerprint: 0 admit, 1 shed (degraded mode), 2 drop (full) —
@@ -189,26 +123,17 @@ void ServiceLoop::dispatch(Queued task) {
   ODR_GAUGE("serve.inflight", inflight_);
 
   const workload::WorkloadRecord& record = task.record;
-  const workload::User& user = users_->user(record.user_id);
-  odr::ap::SmartAp* ap =
-      aps_.empty() ? nullptr : aps_[dispatched_ % aps_.size()].get();
-  ++dispatched_;
-
-  const core::DecisionInput input = executor_->make_input(record, user, ap);
-  const core::Decision decision =
-      core::decide_with(config_.strategy, *redirector_, input);
-
   const SimTime arrival = record.request_time;
   // Queue wait charged to the admission stage: overloaded windows show
   // "admission" as the dominant stage when the queue, not the fetch
   // pipeline, is where the latency went.
   ODR_SPAN(on_stage(record.task_id, obs::Stage::kAdmission, arrival,
-                    sim_.now()));
-  executor_->execute(
-      decision, record, user, ap,
+                    world_.sim().now()));
+  world_.dispatch(
+      record, dispatched_++,
       [this, arrival](const core::ExecOutcome& o) {
         --inflight_;
-        const SimTime now = sim_.now();
+        const SimTime now = world_.sim().now();
         const SimTime latency = now - arrival;
         ++result_.completed;
         if (o.success) {
@@ -237,39 +162,37 @@ void ServiceLoop::dispatch(Queued task) {
 }
 
 ServeResult ServiceLoop::run() {
-  const SimTime plan_end = gen_->plan_end();
-  analysis::wire_cloud_observability(sim_, net_, *cloud_, plan_end + kDay);
-  if (cloud_breaker_) {
-    analysis::wire_breaker_probe("core.breaker.cloud", *cloud_breaker_);
-  }
-  if (ap_breaker_) {
-    analysis::wire_breaker_probe("core.breaker.ap", *ap_breaker_);
-  }
+  const SimTime plan_end = gen_.plan_end();
+  world_.start(plan_end + kDay);
   // Telemetry windows adopt the SLO evaluation window and p99 target so
-  // every exported row lines up with a SloTracker window. Must follow the
-  // wiring above: wire_cloud_observability's begin_run() resets the
-  // exporter, and begin_serve re-baselines it with the serve shape.
+  // every exported row lines up with a SloTracker window. Must follow
+  // start(): its observer wiring resets the exporter, and begin_serve
+  // re-baselines it with the serve shape.
   ODR_METRICS_TS(
       begin_serve(config_.slo.window, config_.slo.p99_latency_target));
 
+  sim::Simulator& sim = world_.sim();
   schedule_next_arrival();
-  sim_.run();
+  sim.run();
   // Close every telemetry window through the drain point so the trailing
   // partial window is exported too.
-  ODR_METRICS_TS(finish(sim_.now()));
+  ODR_METRICS_TS(finish(sim.now()));
 
   result_.plan_duration = plan_end;
-  result_.drained_at = sim_.now();
+  result_.drained_at = sim.now();
   result_.offered_rate_tasks_per_sec =
       plan_end > 0
           ? static_cast<double>(result_.offered) / to_seconds(plan_end)
           : 0.0;
   result_.slo = slo_.report(plan_end, result_.offered);
-  const core::RetryBudget& budget = cloud_->predownloaders().retry_budget();
+  const core::RetryBudget& budget =
+      world_.cloud().predownloaders().retry_budget();
   result_.budget_granted = budget.granted();
   result_.budget_denied = budget.denied();
-  if (injector_) result_.faults_fired = injector_->total_fired();
-  if (hedges_) result_.hedge_pairs = hedges_->pairs_launched();
+  analysis::StrategyReplayResult counters;
+  world_.harvest(counters);
+  result_.faults_fired = counters.faults_fired;
+  result_.hedge_pairs = counters.hedge_pairs;
   result_.fingerprint = fingerprint_;
   return result_;
 }

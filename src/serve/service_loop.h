@@ -3,11 +3,12 @@
 //
 // The replay drivers answer "what happened during the measured week"; the
 // service loop answers the operator's question: "at what offered rate
-// does this deployment fall over, and how does it fail?" It builds the
-// same world run_strategy_replay builds (catalog, users, Xuanfeng cloud,
-// smart APs, Strategy/Executor with optional breakers and hedging) but
-// feeds it from a serve::TrafficGen instead of a pre-scheduled trace, and
-// puts a real service boundary between arrivals and the engine:
+// does this deployment fall over, and how does it fail?" It runs on the
+// same analysis::StrategyWorld run_strategy_replay runs on (catalog,
+// users, Xuanfeng cloud, smart APs, executor with optional breakers,
+// faults and hedging) but feeds it from a serve::TrafficGen instead of a
+// pre-scheduled trace, and puts a real service boundary between arrivals
+// and the engine:
 //
 //   arrival ──> admission control ──> bounded queue ──> dispatch slots
 //                   │                      │                │
@@ -28,41 +29,28 @@
 // Determinism: one Simulator, one Rng tree, no wall clock — same seed +
 // same config (rate plan, queue shape, fault plan) reproduces the exact
 // admission/drop/latency sequence, pinned by ServeResult::fingerprint.
+// The generator forks the world's rng before start() forks the fault
+// injector's, so a fault plan never changes what arrives.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
-#include <vector>
 
 #include "analysis/replay.h"
-#include "core/circuit_breaker.h"
-#include "core/executor.h"
-#include "core/hedge.h"
-#include "core/strategy.h"
-#include "fault/injector.h"
-#include "net/network.h"
 #include "serve/slo_tracker.h"
 #include "serve/traffic_gen.h"
-#include "sim/simulator.h"
 
 namespace odr::serve {
 
 struct ServeConfig {
-  // World scaffolding: seed, catalog/user/cloud scale, sources, fault
-  // plan. The trace-generation fields (requests) are ignored — arrivals
-  // come from `traffic` — except warmup_weeks, which still pre-warms the
-  // storage pool and content DB like every replay driver does.
-  analysis::ExperimentConfig experiment;
+  // The §6 world: seed, catalog/user/cloud scale, sources, fault plan,
+  // strategy, redirector and breakers. The trace-generation fields
+  // (experiment.requests) are ignored — arrivals come from `traffic` —
+  // except num_requests, which sizes the storage-pool and content-DB
+  // warm-up like every replay driver does.
+  analysis::StrategyReplayConfig world;
   TrafficGenConfig traffic;
-
-  core::Strategy strategy = core::Strategy::kOdr;
-  core::RedirectorParams redirector;
-  Rate premises_line_rate = mbps_to_rate(20.0);
-  bool users_have_ap = true;
-  bool use_circuit_breakers = false;
-  core::CircuitBreaker::Config breaker;
 
   // Service shape: concurrent tasks the engine runs at once (dispatch
   // slots) and the bounded admission queue in front of them.
@@ -109,7 +97,6 @@ struct ServeResult {
 class ServiceLoop {
  public:
   explicit ServiceLoop(const ServeConfig& config);
-  ~ServiceLoop();
 
   ServiceLoop(const ServiceLoop&) = delete;
   ServiceLoop& operator=(const ServiceLoop&) = delete;
@@ -132,27 +119,15 @@ class ServiceLoop {
   }
 
   ServeConfig config_;
-  sim::Simulator sim_;
-  net::Network net_;
-  Rng rng_;
-  std::unique_ptr<workload::Catalog> catalog_;
-  std::unique_ptr<workload::UserPopulation> users_;
-  std::unique_ptr<cloud::XuanfengCloud> cloud_;
-  std::vector<std::unique_ptr<odr::ap::SmartAp>> aps_;
-  std::unique_ptr<core::Executor> executor_;
-  std::unique_ptr<core::Redirector> redirector_;
-  std::optional<core::CircuitBreaker> cloud_breaker_;
-  std::optional<core::CircuitBreaker> ap_breaker_;
-  std::optional<core::HedgeCoordinator> hedges_;
-  std::optional<fault::FaultInjector> injector_;
-  std::unique_ptr<TrafficGen> gen_;
+  analysis::StrategyWorld world_;
+  TrafficGen gen_;
   SloTracker slo_;
 
   std::optional<workload::WorkloadRecord> next_arrival_;
   std::deque<Queued> queue_;
   std::size_t inflight_ = 0;
   bool pumping_ = false;  // guards re-entrant pump() on synchronous completion
-  std::uint64_t dispatched_ = 0;  // round-robin AP assignment
+  std::uint64_t dispatched_ = 0;  // round-robin AP slot
   ServeResult result_;
   std::uint64_t fingerprint_ = 1469598103934665603ull;
 };

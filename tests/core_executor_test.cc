@@ -32,7 +32,7 @@ class ExecutorTest : public ::testing::Test {
     ap = std::make_unique<odr::ap::SmartAp>(sim, net, ap_config, sources, rng);
 
     executor = std::make_unique<Executor>(sim, net, *catalog, *cloud, sources,
-                                          Executor::Config{}, rng);
+                                          RedirectorParams{}, rng);
   }
 
   workload::WorkloadRecord request_for(workload::FileIndex file,
@@ -72,7 +72,7 @@ class ExecutorTest : public ::testing::Test {
                                                    cloud_config, rng);
     ap = std::make_unique<odr::ap::SmartAp>(sim, net, ap_config, starved, rng);
     executor = std::make_unique<Executor>(sim, net, *catalog, *cloud, starved,
-                                          Executor::Config{}, rng);
+                                          RedirectorParams{}, rng);
   }
 
   HedgeCoordinator& enable_hedging() {
@@ -210,7 +210,7 @@ TEST_F(ExecutorTest, PreDownloadFailurePropagates) {
   cloud = std::make_unique<cloud::XuanfengCloud>(sim, net, *catalog, starved,
                                                  cloud_config, rng);
   executor = std::make_unique<Executor>(sim, net, *catalog, *cloud, starved,
-                                        Executor::Config{}, rng);
+                                        RedirectorParams{}, rng);
   workload::FileIndex p2p_file = 0;
   for (std::size_t i = 0; i < catalog->size(); ++i) {
     if (proto::is_p2p(catalog->file(i).protocol)) {

@@ -105,11 +105,11 @@ serve::ServeConfig serve_flash_config() {
   // 12 h at 0.01 tasks/s, diurnal on, 6x flash on the hot file mid-plan,
   // full hedged stack).
   serve::ServeConfig cfg;
-  cfg.experiment = analysis::make_scaled_config(kDivisor, kSeed);
-  cfg.experiment.cloud.degraded_admission = true;
-  cfg.experiment.cloud.retry_budget_enabled = true;
-  cfg.strategy = core::Strategy::kHedged;
-  cfg.use_circuit_breakers = true;
+  cfg.world.experiment = analysis::make_scaled_config(kDivisor, kSeed);
+  cfg.world.experiment.cloud.degraded_admission = true;
+  cfg.world.experiment.cloud.retry_budget_enabled = true;
+  cfg.world.strategy = core::Strategy::kHedged;
+  cfg.world.use_circuit_breakers = true;
   cfg.max_inflight = 64;
   cfg.queue_capacity = 256;
   const SimTime duration = 720 * kMinute;

@@ -856,7 +856,7 @@ class ExecutorBreakerTest : public ::testing::Test {
     ap = std::make_unique<ap::SmartAp>(sim, net, ap_config, sources, rng);
 
     executor = std::make_unique<core::Executor>(
-        sim, net, *catalog, *cloud, sources, core::Executor::Config{}, rng);
+        sim, net, *catalog, *cloud, sources, core::RedirectorParams{}, rng);
 
     // threshold 1 + a long cool-off: one recorded failure pins the breaker
     // open for the whole test.

@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "analysis/replay.h"
+#include "fault/fault_plan.h"
 #include "obs/observer.h"
 #include "serve/service_loop.h"
 #include "serve/slo_tracker.h"
@@ -328,8 +330,8 @@ TEST(SloTrackerTest, IdleGapWindowsAreNeitherMeasuredNorViolations) {
 serve::ServeConfig small_service(std::uint64_t seed, double rate,
                                  SimTime duration) {
   serve::ServeConfig cfg;
-  cfg.experiment = analysis::make_scaled_config(4000.0, seed);
-  cfg.experiment.cloud.degraded_admission = true;
+  cfg.world.experiment = analysis::make_scaled_config(4000.0, seed);
+  cfg.world.experiment.cloud.degraded_admission = true;
   cfg.traffic.phases.push_back({duration, rate});
   return cfg;
 }
@@ -397,6 +399,72 @@ TEST(ServiceLoopTest, FingerprintIsDeterministicAndSeedSensitive) {
   serve::ServeConfig other = small_service(100, 0.02, 2 * kHour);
   serve::ServiceLoop c(other);
   EXPECT_NE(c.run().fingerprint, ra.fingerprint);
+}
+
+#if ODR_OBS_ENABLED
+// Per-window offered counts of one service run, with the trailing drain
+// windows (no arrivals, only completions) trimmed off.
+std::vector<std::uint64_t> offered_per_window(const serve::ServeConfig& cfg,
+                                              serve::ServeResult& result) {
+  obs::ObsConfig ocfg;
+  ocfg.tracing = false;
+  ocfg.metrics_ts = true;
+  ocfg.dump_on_fault_fired = false;
+  ocfg.dump_on_overload = false;
+  obs::ScopedObserver obs(ocfg);
+  serve::ServiceLoop loop(cfg);
+  result = loop.run();
+  std::vector<std::uint64_t> offered;
+  for (const obs::MetricsTsRow& row : obs->metrics_ts()->rows()) {
+    offered.push_back(row.offered);
+  }
+  while (!offered.empty() && offered.back() == 0) offered.pop_back();
+  return offered;
+}
+
+TEST(ServiceLoopTest, ArrivalsAreTheSameUnderEveryFaultPlan) {
+  // The traffic generator forks the world's rng before the fault injector
+  // does, so a fault plan changes how arrivals are served, never which
+  // arrive or when.
+  serve::ServeResult plain;
+  const std::vector<std::uint64_t> plain_offered = offered_per_window(
+      small_service(20151028, 0.02, 8 * kHour), plain);
+
+  serve::ServeConfig chaos_cfg = small_service(20151028, 0.02, 8 * kHour);
+  chaos_cfg.world.experiment.fault_plan = fault::make_chaos_plan(3);
+  serve::ServeResult chaos;
+  const std::vector<std::uint64_t> chaos_offered =
+      offered_per_window(chaos_cfg, chaos);
+
+  ASSERT_GT(chaos.faults_fired, 0u);
+  ASSERT_GT(plain.offered, 100u);
+  EXPECT_EQ(chaos.offered, plain.offered);
+  EXPECT_EQ(chaos_offered, plain_offered);
+}
+#endif  // ODR_OBS_ENABLED
+
+TEST(StrategyWorldTest, ReplayArrivalsAreTheSameUnderEveryFaultPlan) {
+  // The replay twin: the week is drawn before the injector forks, so every
+  // task arrives at the same time under every plan.
+  analysis::StrategyReplayConfig cfg;
+  cfg.experiment = analysis::make_scaled_config(4000.0, 20151028);
+  const analysis::StrategyReplayResult plain =
+      analysis::run_strategy_replay(cfg);
+  cfg.experiment.fault_plan = fault::make_chaos_plan(3);
+  const analysis::StrategyReplayResult chaos =
+      analysis::run_strategy_replay(cfg);
+
+  const auto arrivals = [](const analysis::StrategyReplayResult& r) {
+    std::vector<std::pair<workload::TaskId, SimTime>> out;
+    for (const core::ExecOutcome& o : r.outcomes) {
+      out.emplace_back(o.task_id, o.request_time);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  ASSERT_GT(chaos.faults_fired, 0u);
+  ASSERT_FALSE(plain.outcomes.empty());
+  EXPECT_EQ(arrivals(chaos), arrivals(plain));
 }
 
 // --- RetryBudget observability ----------------------------------------------
