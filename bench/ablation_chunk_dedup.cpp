@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const workload::Catalog catalog(cp, rng);
 
   cloud::ChunkingParams chunking;
-  chunking.related_prob = args.get_double("related_prob");
+  chunking.related_prob = args.get_double("related_prob", 0.0, 1.0);
   const auto related = cloud::assign_related_files(catalog, chunking, rng);
 
   TextTable table({"chunk size", "extra saving vs file-level",

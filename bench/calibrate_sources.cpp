@@ -5,6 +5,9 @@
 // This is the tool used to fit the swarm parameters to the paper's
 // anchors (42% unpopular AP failure, ~25 KBps median miss speed, 2.37
 // MBps max), and it documents how the shipped defaults behave.
+#include <cfloat>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -27,9 +30,12 @@ int main(int argc, char** argv) {
   args.flag("seed", "7", "random seed");
   if (!args.parse(argc, argv)) return 1;
 
-  const int trials = static_cast<int>(args.get_int("trials"));
-  const Bytes size = static_cast<Bytes>(args.get_int("size_mb")) * kMB;
-  const Rate line = kbps_to_rate(args.get_double("line_kbps"));
+  const int trials = static_cast<int>(args.get_int("trials", 1, INT_MAX));
+  constexpr std::int64_t kMaxSizeMb =
+      INT64_MAX / static_cast<std::int64_t>(kMB);
+  const Bytes size =
+      static_cast<Bytes>(args.get_int("size_mb", 1, kMaxSizeMb)) * kMB;
+  const Rate line = kbps_to_rate(args.get_double("line_kbps", DBL_MIN));
 
   const std::vector<double> pops = {0.5, 1, 2, 4, 7, 15, 30, 84, 200, 1000};
   proto::SourceParams sources;
@@ -48,8 +54,7 @@ int main(int argc, char** argv) {
       auto source = proto::make_source(proto::Protocol::kBitTorrent, pop,
                                        sources, rng);
       proto::DownloadTask::Config cfg;
-      cfg.line_rate = line;
-      cfg.hard_timeout = kWeek;
+      cfg.rate_ceiling = line;
       tasks.push_back(std::make_unique<proto::DownloadTask>(
           sim, net, std::move(source), size, cfg,
           [&](const proto::DownloadResult& r) {
@@ -117,8 +122,7 @@ int main(int argc, char** argv) {
       auto source =
           proto::make_source(proto::Protocol::kHttp, 10.0, sources, rng);
       proto::DownloadTask::Config cfg;
-      cfg.line_rate = line;
-      cfg.hard_timeout = kWeek;
+      cfg.rate_ceiling = line;
       tasks.push_back(std::make_unique<proto::DownloadTask>(
           sim, net, std::move(source), size, cfg,
           [&](const proto::DownloadResult& r) {

@@ -24,7 +24,7 @@
 #include "analysis/replay.h"
 #include "fault/fault_plan.h"
 #include "obs/observer.h"
-#include "snapshot/snapshotter.h"
+#include "snapshot/format.h"
 #include "snapshot/world.h"
 #include "util/args.h"
 #include "util/json.h"
@@ -112,8 +112,8 @@ PlanResult run_plan(int plan, const std::string& label, double divisor,
       rec.checkpoint_used = file_exists(ckpt_path);
       std::unique_ptr<snapshot::CloudWorld> revived;
       if (rec.checkpoint_used) {
-        revived =
-            snapshot::Restorer::restore_file(config, victim_opts, ckpt_path);
+        revived = std::make_unique<snapshot::CloudWorld>(
+            config, victim_opts, snapshot::read_snapshot_file(ckpt_path));
       } else {
         // Killed before the first checkpoint landed: recovery restarts the
         // deterministic week from scratch, which must converge all the same.
@@ -210,7 +210,8 @@ ObsGuardResult run_obs_guard(double divisor, std::uint64_t seed, SimTime period,
   g.checkpoint_used = file_exists(ckpt_path);
   std::unique_ptr<snapshot::CloudWorld> revived;
   if (g.checkpoint_used) {
-    revived = snapshot::Restorer::restore_file(config, victim_opts, ckpt_path);
+    revived = std::make_unique<snapshot::CloudWorld>(
+        config, victim_opts, snapshot::read_snapshot_file(ckpt_path));
   } else {
     revived = std::make_unique<snapshot::CloudWorld>(config, victim_opts);
   }

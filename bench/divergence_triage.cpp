@@ -72,11 +72,10 @@ int main(int argc, char** argv) {
   const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   const double burn_frac = args.get_double("burn-frac");
-  const auto hash_every = static_cast<std::uint64_t>(args.get_int("hash-every"));
-  if (hash_every == 0 || burn_frac <= 0.0 || burn_frac >= 1.0) {
-    std::fprintf(stderr,
-                 "divergence_triage: --hash-every must be positive and "
-                 "--burn-frac in (0, 1)\n");
+  const auto hash_every =
+      static_cast<std::uint64_t>(args.get_int("hash-every", 1));
+  if (burn_frac <= 0.0 || burn_frac >= 1.0) {
+    std::fprintf(stderr, "divergence_triage: --burn-frac must be in (0, 1)\n");
     return 1;
   }
 

@@ -6,6 +6,7 @@
 // foreground fetches arrive. This bench runs a background flow under the
 // controller against a synthetic foreground duty cycle and reports how
 // much capacity it scavenges vs how far it backs off under load.
+#include <cfloat>
 #include <cstdio>
 
 #include "net/network.h"
@@ -20,7 +21,8 @@ int main(int argc, char** argv) {
   args.flag("capacity_mbps", "100", "uplink capacity");
   if (!args.parse(argc, argv)) return 1;
 
-  const Rate capacity = mbps_to_rate(args.get_double("capacity_mbps"));
+  const Rate capacity =
+      mbps_to_rate(args.get_double("capacity_mbps", DBL_MIN));
 
   TextTable table({"foreground load", "bg rate idle phase (Mbps)",
                    "bg rate busy phase (Mbps)", "yield factor"});

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   config.experiment = analysis::make_scaled_config(
       args.get_double("divisor", 1.0, analysis::kMaxDivisor),
       static_cast<std::uint64_t>(args.get_int("seed")));
-  config.sample_size = static_cast<std::size_t>(args.get_int("sample"));
+  config.sample_size = static_cast<std::size_t>(args.get_int("sample", 1));
   const auto ap = analysis::run_ap_replay(config);
 
   EmpiricalCdf ap_speed, ap_delay;

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -254,7 +255,7 @@ int main(int argc, char** argv) {
   const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
   const analysis::ExperimentConfig config = analysis::make_scaled_config(
       divisor, static_cast<std::uint64_t>(args.get_int("seed")));
-  const int reps = static_cast<int>(args.get_int("reps"));
+  const int reps = static_cast<int>(args.get_int("reps", 1, INT_MAX));
 
   // One untimed warm-up per state (page cache, allocator arenas).
   run_week_seconds(config);

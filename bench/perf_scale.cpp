@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
   }
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   run::ParallelOptions popts;
-  popts.workers = static_cast<std::size_t>(args.get_int("workers"));
+  popts.workers = static_cast<std::size_t>(args.get_int("workers", 0));
   const bool sequential = popts.workers == 1;
 
   // One run per divisor. Each job times itself with a steady clock so the

@@ -17,6 +17,7 @@
 // seed is also re-run at the end as a determinism pair: a fingerprint
 // mismatch between the pair is reported as FingerprintMismatch and fails
 // the bench the same way.
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -148,9 +149,9 @@ int main(int argc, char** argv) {
   obs::ScopedObserver bench(run_obs_config());
 
   const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
-  const int n = static_cast<int>(args.get_int("seeds"));
+  const int n = static_cast<int>(args.get_int("seeds", 1, INT_MAX));
   run::ParallelOptions popts;
-  popts.workers = static_cast<std::size_t>(args.get_int("workers"));
+  popts.workers = static_cast<std::size_t>(args.get_int("workers", 0));
 
   // Both sweeps in one batch plus a determinism pair: 2n+1 independent
   // worlds. The last job repeats the first clean seed bit-for-bit; its

@@ -18,9 +18,7 @@ enum : std::uint16_t {
   kTagRebooting = 11,
   kTagCrashes = 12,
   kTagResumes = 13,
-  kTagSelfCrashEvent = 14,
   kTagRebootEvent = 15,
-  kTagGcEvent = 16,
   kTagTaskCount = 20,
   kTagTaskId = 21,
   kTagHasTask = 22,
@@ -43,7 +41,6 @@ SmartAp::SmartAp(sim::Simulator& sim, net::Network& net, SmartApConfig config,
       rng_(rng.fork()),
       io_(io_profile(config_.device, config_.filesystem)) {
   assert(combination_supported(config_.device, config_.filesystem));
-  if (config_.crash_rate_per_hour > 0.0) schedule_self_crash();
 }
 
 Rate SmartAp::storage_write_ceiling() const { return io_.max_write_rate; }
@@ -115,11 +112,10 @@ void SmartAp::start_task(std::uint64_t id, Running r) {
                                    r.file.expected_weekly_requests, sources_,
                                    rng_);
   proto::DownloadTask::Config cfg;
-  cfg.line_rate =
-      std::min(config_.line_rate * kTransportEfficiency, r.rate_restriction);
-  cfg.sink_rate = io_.max_write_rate;  // Bottleneck 4: the storage ceiling
-  cfg.stagnation_timeout = config_.stagnation_timeout;
-  cfg.hard_timeout = config_.hard_timeout;
+  // The line (restricted to the replayed user's bandwidth) and Bottleneck
+  // 4, the storage write ceiling.
+  cfg.rate_ceiling = std::min({kLineRate * kTransportEfficiency,
+                               r.rate_restriction, io_.max_write_rate});
   cfg.obs_file_index = r.file.index;
 
   r.task = std::make_unique<proto::DownloadTask>(
@@ -149,10 +145,6 @@ void SmartAp::crash() {
   ODR_COUNT("ap.crashes");
   ODR_TRACE_INSTANT(kAp, "ap.crash");
   ODR_FLIGHT(kAp, kWarn, "ap.crash", static_cast<double>(tasks_.size()));
-  if (self_crash_event_ != sim::kInvalidEvent) {
-    sim_.cancel(self_crash_event_);
-    self_crash_event_ = sim::kInvalidEvent;
-  }
 
   // Interrupt every running task. P2P clients persist piece state to the
   // USB disk, so their completed bytes survive the crash; HTTP/FTP fetches
@@ -178,7 +170,7 @@ void SmartAp::crash() {
     r.task.reset();  // silent teardown: no callback, flow cancelled
     // The post-reboot restart is one more attempt from the span's view.
     ODR_SPAN(note_file_retry(r.file.index));
-    if (++r.crash_resumes > config_.max_crash_resumes) doomed.push_back(id);
+    if (++r.crash_resumes > kMaxCrashResumes) doomed.push_back(id);
   }
   // Deterministic failure-callback order regardless of hash-map layout.
   std::sort(doomed.begin(), doomed.end());
@@ -201,7 +193,7 @@ void SmartAp::crash() {
   }
 
   reboot_event_ =
-      sim_.schedule_after(config_.reboot_delay, [this] { finish_reboot(); });
+      sim_.schedule_after(kRebootDelay, [this] { finish_reboot(); });
 }
 
 void SmartAp::finish_reboot() {
@@ -221,37 +213,15 @@ void SmartAp::finish_reboot() {
     Running r = std::move(it->second);
     start_task(id, std::move(r));
   }
-  if (config_.crash_rate_per_hour > 0.0) schedule_self_crash();
-}
-
-void SmartAp::schedule_self_crash() {
-  const double hours = rng_.exponential(1.0 / config_.crash_rate_per_hour);
-  self_crash_event_ = sim_.schedule_after(
-      from_seconds(hours * 3600.0), [this] {
-        self_crash_event_ = sim::kInvalidEvent;
-        crash();
-      });
-}
-
-void SmartAp::bury(std::unique_ptr<proto::DownloadTask> corpse) {
-  graveyard_.push_back(std::move(corpse));
-  if (gc_event_ == sim::kInvalidEvent) {
-    gc_event_ = sim_.schedule_after(0, [this] { collect_garbage(); });
-  }
-}
-
-void SmartAp::collect_garbage() {
-  gc_event_ = sim::kInvalidEvent;
-  graveyard_.clear();
 }
 
 void SmartAp::on_done(std::uint64_t id, const proto::DownloadResult& result) {
   auto it = tasks_.find(id);
   assert(it != tasks_.end());
+  // We are inside the task's own callback: it dies with `r` when this
+  // returns.
   Running r = std::move(it->second);
   if (r.bug_event != sim::kInvalidEvent) sim_.cancel(r.bug_event);
-  // We are inside the task's own callback; defer its destruction.
-  bury(std::move(r.task));
   tasks_.erase(it);
 
   // Stitch crash-interrupted attempts into one user-visible result.
@@ -272,9 +242,7 @@ void SmartAp::on_done(std::uint64_t id, const proto::DownloadResult& result) {
 
 std::size_t SmartAp::pending_event_count() const {
   std::size_t n = 0;
-  if (self_crash_event_ != sim::kInvalidEvent) ++n;
   if (reboot_event_ != sim::kInvalidEvent) ++n;
-  if (gc_event_ != sim::kInvalidEvent) ++n;
   for (const auto& [id, r] : tasks_) {
     if (r.bug_event != sim::kInvalidEvent) ++n;
     if (r.task && r.task->tick_pending()) ++n;
@@ -288,9 +256,7 @@ void SmartAp::save(snapshot::SnapshotWriter& w) const {
   w.b(kTagRebooting, rebooting_);
   w.u64(kTagCrashes, crashes_);
   w.u64(kTagResumes, resumes_);
-  w.u64(kTagSelfCrashEvent, self_crash_event_);
   w.u64(kTagRebootEvent, reboot_event_);
-  w.u64(kTagGcEvent, gc_event_);
 
   std::vector<std::uint64_t> ids;
   ids.reserve(tasks_.size());
@@ -318,12 +284,9 @@ void SmartAp::load(snapshot::SnapshotReader& r, const RebindDoneFn& rebind) {
   rebooting_ = r.b(kTagRebooting);
   crashes_ = r.u64(kTagCrashes);
   resumes_ = r.u64(kTagResumes);
-  self_crash_event_ = r.u64(kTagSelfCrashEvent);
   reboot_event_ = r.u64(kTagRebootEvent);
-  gc_event_ = r.u64(kTagGcEvent);
 
   tasks_.clear();
-  graveyard_.clear();
   const std::uint64_t count = r.u64(kTagTaskCount);
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t id = r.u64(kTagTaskId);
@@ -354,17 +317,8 @@ void SmartAp::load(snapshot::SnapshotReader& r, const RebindDoneFn& rebind) {
     tasks_.emplace(id, std::move(run));
   }
 
-  if (self_crash_event_ != sim::kInvalidEvent) {
-    sim_.rearm(self_crash_event_, [this] {
-      self_crash_event_ = sim::kInvalidEvent;
-      crash();
-    });
-  }
   if (reboot_event_ != sim::kInvalidEvent) {
     sim_.rearm(reboot_event_, [this] { finish_reboot(); });
-  }
-  if (gc_event_ != sim::kInvalidEvent) {
-    sim_.rearm(gc_event_, [this] { collect_garbage(); });
   }
 }
 

@@ -1,11 +1,11 @@
 // SmartAp: an OpenWrt home router that pre-downloads on request.
 //
 // A smart AP runs the same DownloadTask engine as a cloud pre-downloader
-// (both use wget/aria2-class clients, §2.2), but differs in what throttles
-// it:
-//   - line rate: the household's access bandwidth, not a datacenter link
-//     (in the §5.1 replays, further restricted to the sampled user's
-//     recorded bandwidth);
+// (both use wget/aria2-class clients, §2.2), with the same §4.1 give-up
+// rule, but differs in what throttles it:
+//   - line rate: the household's access bandwidth (kLineRate, the §5.1
+//     ADSL uplink), not a datacenter link; in the §5.1 replays further
+//     restricted to the sampled user's recorded bandwidth;
 //   - sink rate: the storage device + filesystem write ceiling of Table 2
 //     (Bottleneck 4);
 //   - reliability: the paper attributes ~4% of AP failures to firmware
@@ -14,24 +14,23 @@
 // Fetching from an AP happens over the LAN at 8-12 MBps, which never
 // bottlenecks (§5.2), so fetch is modeled as a closed-form delay.
 //
-// Fault tolerance: the fault layer (or crash_rate_per_hour) can crash the
-// whole router. A crash interrupts every running pre-download; after
-// reboot_delay the AP resumes them. P2P clients persist piece state to the
-// USB disk, so a resumed BitTorrent/eMule task keeps its partial bytes;
-// plain HTTP/FTP fetches restart from zero. A task survives at most
-// max_crash_resumes crashes before it is reported failed with
-// FailureCause::kCrash.
+// Fault tolerance: the fault layer can crash the whole router. A crash
+// interrupts every running pre-download; after kRebootDelay the AP resumes
+// them. P2P clients persist piece state to the USB disk, so a resumed
+// BitTorrent/eMule task keeps its partial bytes; plain HTTP/FTP fetches
+// restart from zero. A task survives at most kMaxCrashResumes crashes
+// before it is reported failed with FailureCause::kCrash.
 //
-// All deferred work (reboot completion, firmware-bug timers, the deferred
-// delete tick) is held as event ids + plain state, so an AP checkpoints
-// and restores mid-reboot and mid-transfer; see save()/load().
+// A finished task is moved out of the task table in its own done callback
+// and dies when that callback returns. Deferred work (reboot completion,
+// firmware-bug timers) is held as event ids + plain state, so an AP
+// checkpoints and restores mid-reboot and mid-transfer; see save()/load().
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "ap/ap_models.h"
 #include "ap/storage_device.h"
@@ -53,19 +52,17 @@ struct SmartApConfig {
   ApHardware hardware = kNewifi;
   DeviceType device = DeviceType::kUsbFlash;
   Filesystem filesystem = Filesystem::kNtfs;
-  Rate line_rate = mbps_to_rate(20.0);  // the §5.1 ADSL uplink
-  SimTime stagnation_timeout = kHour;   // same give-up rule as the cloud
-  SimTime hard_timeout = kWeek;
-  double bug_failure_prob = 0.012;      // ~4% of the 16.8% failures (§5.2)
-  // Fault model: spontaneous router crashes (Poisson, per hour; 0 = off),
-  // reboot time, and how many crashes a single task may survive.
-  double crash_rate_per_hour = 0.0;
-  SimTime reboot_delay = 45 * kSec;
-  std::uint32_t max_crash_resumes = 5;
+  double bug_failure_prob = 0.012;  // ~4% of the 16.8% failures (§5.2)
 };
 
 class SmartAp {
  public:
+  // The §5.1 ADSL uplink.
+  static constexpr Rate kLineRate = mbps_to_rate(20.0);
+  static constexpr SimTime kRebootDelay = 45 * kSec;
+  // Crashes a single task may survive.
+  static constexpr std::uint32_t kMaxCrashResumes = 5;
+
   using DoneFn = std::function<void(const proto::DownloadResult&)>;
   // Recreates a task's done-callback from its id when loading a checkpoint.
   using RebindDoneFn = std::function<DoneFn(std::uint64_t id)>;
@@ -87,8 +84,8 @@ class SmartAp {
   // in flight (already finished: no-op).
   Bytes cancel(std::uint64_t id);
 
-  // Fault-layer hook: the router dies now and reboots after
-  // config().reboot_delay, resuming interrupted tasks (see file comment).
+  // Fault-layer hook: the router dies now and reboots after kRebootDelay,
+  // resuming interrupted tasks (see file comment).
   void crash();
 
   // Effective write ceiling of the configured storage (Bottleneck 4).
@@ -112,7 +109,7 @@ class SmartAp {
   //
   // save() serializes the rng, every task (running mid-flight or queued
   // behind a reboot, including partial P2P bytes preserved across earlier
-  // crashes), and the armed reboot / firmware-bug / self-crash timers.
+  // crashes), and the armed reboot / firmware-bug timers.
   // load() rebuilds them on a freshly constructed AP; `rebind` recreates
   // the per-task done callbacks (closures cannot be checkpointed).
   void save(snapshot::SnapshotWriter& w) const;
@@ -134,10 +131,7 @@ class SmartAp {
 
   void start_task(std::uint64_t id, Running r);
   void on_done(std::uint64_t id, const proto::DownloadResult& result);
-  void schedule_self_crash();
   void finish_reboot();
-  void bury(std::unique_ptr<proto::DownloadTask> corpse);
-  void collect_garbage();
 
   sim::Simulator& sim_;
   net::Network& net_;
@@ -151,12 +145,7 @@ class SmartAp {
   bool rebooting_ = false;
   std::uint64_t crashes_ = 0;
   std::uint64_t resumes_ = 0;
-  sim::EventId self_crash_event_ = sim::kInvalidEvent;
   sim::EventId reboot_event_ = sim::kInvalidEvent;
-  // Tasks finished inside their own callback wait here for a zero-delay
-  // tick to delete them.
-  std::vector<std::unique_ptr<proto::DownloadTask>> graveyard_;
-  sim::EventId gc_event_ = sim::kInvalidEvent;
 };
 
 }  // namespace odr::ap

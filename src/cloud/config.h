@@ -24,11 +24,6 @@ struct CloudConfig {
   std::size_t predownloader_count = 1500;
   Rate predownloader_rate = mbps_to_rate(20.0);
 
-  // Xuanfeng's failure rule: declare failure after 1 h of stagnation
-  // (§4.1); the trace window bounds any attempt at one week.
-  SimTime stagnation_timeout = kHour;
-  SimTime predownload_hard_timeout = kWeek;
-
   // Upload clusters: 30 Gbps purchased across the four major ISPs (§4.2),
   // scaled 1/20 -> 1.5 Gbps, split roughly like the user base.
   Rate total_upload_capacity = gbps_to_rate(1.5);

@@ -29,7 +29,6 @@ enum : std::uint16_t {
   kTagRetryCount = 40,
   kTagRetryKey = 41,
   kTagRetryEvent = 42,
-  kTagGcEvent = 50,
   kTagBudgetDenied = 60,
 };
 
@@ -74,12 +73,10 @@ void PreDownloaderPool::start_task(Pending pending) {
                                    pending.file.expected_weekly_requests,
                                    sources_, rng_);
   proto::DownloadTask::Config cfg;
-  cfg.line_rate = config_.predownloader_rate * kTransportEfficiency;
-  cfg.stagnation_timeout = config_.stagnation_timeout;
-  cfg.hard_timeout = config_.predownload_hard_timeout;
+  cfg.rate_ceiling = config_.predownloader_rate * kTransportEfficiency;
   cfg.corruption_prob = corruption_prob_;
   cfg.obs_file_index = pending.file.index;
-  TaskPtr task = tasks_.make(
+  auto task = std::make_unique<proto::DownloadTask>(
       sim_, net_, std::move(source), pending.file.size, cfg,
       [this, slot](const proto::DownloadResult& result) {
         on_task_done(slot, result);
@@ -126,18 +123,6 @@ void PreDownloaderPool::start_next_queued() {
   }
 }
 
-void PreDownloaderPool::bury(TaskPtr corpse) {
-  graveyard_.push_back(std::move(corpse));
-  if (gc_event_ == sim::kInvalidEvent) {
-    gc_event_ = sim_.schedule_after(0, [this] { collect_garbage(); });
-  }
-}
-
-void PreDownloaderPool::collect_garbage() {
-  gc_event_ = sim::kInvalidEvent;
-  graveyard_.clear();
-}
-
 void PreDownloaderPool::resume_retry(std::uint64_t key) {
   auto it = retrying_.find(key);
   assert(it != retrying_.end());
@@ -156,9 +141,9 @@ void PreDownloaderPool::on_task_done(std::uint64_t slot,
   assert(it != active_.end());
   Pending pending{std::move(it->second.file), std::move(it->second.done),
                   it->second.attempt + 1};
-
-  // Defer the delete of the task object: we are inside its own callback.
-  bury(std::move(it->second.task));
+  // We are inside the task's own callback: it dies when this returns.
+  const std::unique_ptr<proto::DownloadTask> finished =
+      std::move(it->second.task);
   active_.erase(it);
 
   // Infrastructure faults are retried; the VM slot is freed immediately
@@ -222,7 +207,6 @@ std::size_t PreDownloaderPool::pending_event_count() const {
   for (const auto& [slot, a] : active_) {
     if (a.task->tick_pending()) ++n;
   }
-  if (gc_event_ != sim::kInvalidEvent) ++n;
   return n;
 }
 
@@ -263,10 +247,6 @@ void PreDownloaderPool::save(snapshot::SnapshotWriter& w) const {
     workload::save_file_info(w, entry.pending.file);
   }
 
-  // The graveyard's contents are dead objects; only the pending tick (a
-  // live event in the checkpointed queue) needs to survive.
-  w.u64(kTagGcEvent, gc_event_);
-
   w.u64(kTagBudgetDenied, retry_budget_denied_);
   retry_budget_.save(w);
 }
@@ -285,21 +265,18 @@ void PreDownloaderPool::load(snapshot::SnapshotReader& r,
   active_.clear();
   queue_.clear();
   retrying_.clear();
-  graveyard_.clear();
 
   const std::uint64_t actives = r.u64(kTagActiveCount);
   for (std::uint64_t i = 0; i < actives; ++i) {
     const std::uint64_t slot = r.u64(kTagSlot);
     const std::uint32_t attempt = r.u32(kTagAttempt);
     workload::FileInfo file = workload::load_file_info(r);
-    proto::DownloadTask::RestoreHeader h =
-        proto::DownloadTask::read_restore_header(r, sources_);
-    TaskPtr task = tasks_.make(
-        sim_, net_, std::move(h.source), h.file_size, std::move(h.config),
-        DoneFn([this, slot](const proto::DownloadResult& result) {
+    auto task = proto::DownloadTask::restore(
+        sim_, net_, r, sources_,
+        [this, slot](const proto::DownloadResult& result) {
           on_task_done(slot, result);
-        }));
-    task->finish_restore(r, rng_);
+        },
+        rng_);
     active_.emplace(slot,
                     Active{std::move(task), file, rebind(file), attempt});
   }
@@ -319,11 +296,6 @@ void PreDownloaderPool::load(snapshot::SnapshotReader& r,
     workload::FileInfo file = workload::load_file_info(r);
     sim_.rearm(event, [this, key] { resume_retry(key); });
     retrying_.emplace(key, Retry{Pending{file, rebind(file), attempt}, event});
-  }
-
-  gc_event_ = r.u64(kTagGcEvent);
-  if (gc_event_ != sim::kInvalidEvent) {
-    sim_.rearm(gc_event_, [this] { collect_garbage(); });
   }
 
   retry_budget_denied_ = r.u64(kTagBudgetDenied);

@@ -3,8 +3,8 @@
 // §2.1: when a requested file is not cached, Xuanfeng assigns a virtual
 // machine (a "pre-downloader") with ~20 Mbps of Internet access to fetch
 // it from the original source. The pool bounds concurrency; excess
-// requests queue FIFO. Each VM runs the shared DownloadTask engine with
-// the cloud's stagnation-timeout failure rule.
+// requests queue FIFO. Each VM runs the shared DownloadTask engine, whose
+// stagnation rule is Xuanfeng's §4.1 failure rule.
 //
 // Fault tolerance: a VM that dies mid-transfer (FailureCause::kCrash,
 // injected by the fault layer) does not fail the task — the task is
@@ -12,11 +12,12 @@
 // it keeps its FIFO position relative to younger work, up to
 // CloudConfig::predownload_max_retries attempts. The same applies when the
 // task's own checksum-verify retries are exhausted. `done` fires exactly
-// once, on the terminal result.
+// once, on the terminal result. A finished task is moved out of the active
+// table in its own done callback and dies when that callback returns.
 //
-// All deferred work (retry backoffs, the deferred-delete garbage tick) is
-// keyed state rather than captured closures, so the pool can checkpoint
-// and restore itself mid-flight; see save()/load().
+// Deferred work (retry backoffs) is keyed state rather than captured
+// closures, so the pool can checkpoint and restore itself mid-flight; see
+// save()/load().
 #pragma once
 
 #include <cstdint>
@@ -33,7 +34,6 @@
 #include "proto/download.h"
 #include "proto/source.h"
 #include "sim/simulator.h"
-#include "util/pool.h"
 #include "util/rng.h"
 #include "workload/file.h"
 
@@ -86,8 +86,7 @@ class PreDownloaderPool {
   std::uint64_t retry_budget_denied() const { return retry_budget_denied_; }
 
   // Simulator events this pool currently owns (audit accounting): one per
-  // backoff in flight, one per active task with an armed source tick, plus
-  // the deferred-delete tick if armed.
+  // backoff in flight and one per active task with an armed source tick.
   std::size_t pending_event_count() const;
   // Network flows owned by active tasks, sorted (audit accounting).
   std::vector<net::FlowId> active_flow_ids() const;
@@ -112,19 +111,10 @@ class PreDownloaderPool {
     sim::EventId event = sim::kInvalidEvent;
   };
 
-  // DownloadTask engines churn once per fetch attempt but plateau at the
-  // VM-pool width; the arena recycles their storage (DESIGN.md §16) while
-  // preserving the full construct/destroy lifecycle and stable addresses
-  // (the simulator tick and flow callbacks capture `this`).
-  using TaskArena = util::ObjectArena<proto::DownloadTask>;
-  using TaskPtr = TaskArena::Ptr;
-
   void start_task(Pending pending);
   void on_task_done(std::uint64_t slot, const proto::DownloadResult& result);
   void start_next_queued();
   void resume_retry(std::uint64_t key);
-  void bury(TaskPtr corpse);
-  void collect_garbage();
 
   sim::Simulator& sim_;
   net::Network& net_;
@@ -133,23 +123,17 @@ class PreDownloaderPool {
   Rng rng_;
 
   struct Active {
-    TaskPtr task;
+    std::unique_ptr<proto::DownloadTask> task;
     workload::FileInfo file;
     DoneFn done;
     std::uint32_t attempt = 0;
   };
-  // Before active_/graveyard_: the arena must outlive every TaskPtr.
-  TaskArena tasks_;
   std::unordered_map<std::uint64_t, Active> active_;
   std::deque<Pending> queue_;
   // Backoff-pending retries keyed by a monotone counter; the key (not a
   // closure) is what the simulator event carries, so it survives restore.
   std::map<std::uint64_t, Retry> retrying_;
   std::uint64_t next_retry_ = 1;
-  // Tasks finished inside their own callback wait here for a zero-delay
-  // tick to delete them (a task cannot delete itself mid-callback).
-  std::vector<TaskPtr> graveyard_;
-  sim::EventId gc_event_ = sim::kInvalidEvent;
   std::uint64_t next_slot_ = 1;
   std::uint64_t started_ = 0;
   std::uint64_t crashes_ = 0;

@@ -280,21 +280,20 @@ std::uint64_t Executor::run_user_device(const workload::WorkloadRecord& request,
   // §6.2 testbed semantics: replayed downloads run behind the testbed's
   // 20 Mbps line (the recorded per-user bandwidth restriction is §5.1's
   // AP-benchmark methodology, not ODR's).
-  cfg.line_rate = kPremisesLineRate * kTransportEfficiency;
-  cfg.stagnation_timeout = kDirectStagnationTimeout;
-  cfg.hard_timeout = kDirectHardTimeout;
+  cfg.rate_ceiling = kPremisesLineRate * kTransportEfficiency;
 
   const std::uint64_t id = next_direct_++;
   auto task = std::make_unique<proto::DownloadTask>(
       sim_, net_, std::move(source), file.size, cfg,
       [this, id, request, done = std::move(done)](
           const proto::DownloadResult& result) {
-        // Deferred destruction: we are inside the task's callback.
+        // We are inside the task's own callback: it dies when this
+        // returns.
         auto it = direct_tasks_.find(id);
         assert(it != direct_tasks_.end());
-        proto::DownloadTask* raw = it->second.release();
+        const std::unique_ptr<proto::DownloadTask> finished =
+            std::move(it->second);
         direct_tasks_.erase(it);
-        sim_.schedule_after(0, [raw] { delete raw; });
 
         ODR_SPAN(on_stage(request.task_id, obs::Stage::kDirectFetch,
                           result.started_at, result.finished_at));
@@ -329,7 +328,7 @@ Bytes Executor::cancel_direct(std::uint64_t id) {
   proto::DownloadTask* task = it->second.get();
   const Bytes moved = task->bytes_done();
   // abort() reports kAborted through the task's callback synchronously;
-  // that callback erases the direct_tasks_ entry and defers destruction.
+  // that callback erases the direct_tasks_ entry and destroys the task.
   task->abort();
   return moved;
 }

@@ -62,8 +62,6 @@ class Executor {
   static constexpr Rate kPremisesLineRate = mbps_to_rate(20.0);
   // A fetch below the playback rate is impeded (Bottleneck 1).
   static constexpr Rate kPlaybackRate = kbps_to_rate(125.0);
-  static constexpr SimTime kDirectStagnationTimeout = kHour;
-  static constexpr SimTime kDirectHardTimeout = kWeek;
 
   using DoneFn = std::function<void(const ExecOutcome&)>;
 

@@ -12,7 +12,6 @@ namespace {
 
 enum : std::uint16_t {
   kTagRng = 1,  // ..6
-  kTagTickPeriod = 10,
   kTagSavedCapCount = 11,
   kTagSavedCapLink = 12,
   kTagSavedCapRate = 13,
@@ -110,7 +109,7 @@ void FaultInjector::activate(std::size_t index, const FaultSpec& spec) {
     case FaultKind::kVmCrash:
     case FaultKind::kApCrash:
       // Sampled over the window; the first tick lands one period in.
-      arm_after(index, kPhaseCrashTick, tick_period_);
+      arm_after(index, kPhaseCrashTick, kCrashTickPeriod);
       return;
 
     case FaultKind::kUploadClusterOutage: {
@@ -204,7 +203,7 @@ void FaultInjector::crash_tick(std::size_t index, const FaultSpec& spec) {
     return;
   }
   const double tick_hours =
-      static_cast<double>(tick_period_) / static_cast<double>(kHour);
+      static_cast<double>(kCrashTickPeriod) / static_cast<double>(kHour);
   const double prob = spec.rate * tick_hours;
 
   if (spec.kind == FaultKind::kVmCrash) {
@@ -219,7 +218,7 @@ void FaultInjector::crash_tick(std::size_t index, const FaultSpec& spec) {
       }
     }
   }
-  arm_after(index, kPhaseCrashTick, tick_period_);
+  arm_after(index, kPhaseCrashTick, kCrashTickPeriod);
 }
 
 void FaultInjector::flap_toggle(std::size_t index, const FaultSpec& spec,
@@ -238,7 +237,6 @@ void FaultInjector::flap_toggle(std::size_t index, const FaultSpec& spec,
 
 void FaultInjector::save_snapshot(snapshot::SnapshotWriter& w) const {
   save_rng(w, kTagRng, rng_);
-  w.i64(kTagTickPeriod, tick_period_);
 
   std::vector<net::LinkId> links;
   links.reserve(saved_capacity_.size());
@@ -279,7 +277,6 @@ void FaultInjector::save_snapshot(snapshot::SnapshotWriter& w) const {
 
 void FaultInjector::load_snapshot(snapshot::SnapshotReader& r) {
   load_rng(r, kTagRng, rng_);
-  tick_period_ = r.i64(kTagTickPeriod);
 
   saved_capacity_.clear();
   const std::uint64_t caps = r.u64(kTagSavedCapCount);

@@ -8,10 +8,10 @@
 // rest of the event stream: the same seed and plan always yield the same
 // run, byte for byte.
 //
-// Crash-style faults (kVmCrash, kApCrash) are sampled: every tick_period
-// inside the window, each active task / AP crashes independently with
-// probability rate * tick_hours. The injector forks its own Rng stream so
-// these draws never perturb the workload's streams.
+// Crash-style faults (kVmCrash, kApCrash) are sampled: every
+// kCrashTickPeriod inside the window, each active task / AP crashes
+// independently with probability rate * tick_hours. The injector forks its
+// own Rng stream so these draws never perturb the workload's streams.
 //
 // Every pending fault event is tracked as (spec index, phase) — not a
 // captured closure — so an active plan survives checkpoint/restore
@@ -46,6 +46,9 @@ class FaultInjector {
     std::uint64_t recovered = 0;  // windows that ended
   };
 
+  // Sampling cadence for crash-style faults.
+  static constexpr SimTime kCrashTickPeriod = 5 * kMinute;
+
   FaultInjector(sim::Simulator& sim, Rng& rng);
 
   FaultInjector(const FaultInjector&) = delete;
@@ -67,10 +70,6 @@ class FaultInjector {
     return stats_[static_cast<std::size_t>(kind)];
   }
   std::uint64_t total_fired() const;
-
-  // Sampling cadence for crash-style faults.
-  SimTime tick_period() const { return tick_period_; }
-  void set_tick_period(SimTime period) { tick_period_ = period; }
 
   // Fault events currently armed in the simulator (audit accounting).
   std::size_t pending_event_count() const { return pending_.size(); }
@@ -112,7 +111,6 @@ class FaultInjector {
 
   sim::Simulator& sim_;
   Rng rng_;
-  SimTime tick_period_ = 5 * kMinute;
 
   cloud::PreDownloaderPool* pool_ = nullptr;
   cloud::UploadScheduler* uploads_ = nullptr;

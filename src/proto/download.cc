@@ -13,15 +13,8 @@ namespace {
 // Field tags for serialized DownloadTask state (inline in owner's section).
 enum : std::uint16_t {
   kTagFileSize = 60,
-  kTagLineRate = 61,
-  kTagSinkRate = 62,
-  kTagSharedLinkCount = 63,
-  kTagSharedLink = 64,
-  kTagStagnationTimeout = 65,
-  kTagTickPeriod = 66,
-  kTagHardTimeout = 67,
+  kTagRateCeiling = 61,
   kTagCorruptionProb = 68,
-  kTagMaxChecksumRetries = 69,
   kTagFlow = 70,
   kTagTickEvent = 71,
   kTagStartedAt = 72,
@@ -62,8 +55,15 @@ DownloadTask::~DownloadTask() {
 }
 
 Rate DownloadTask::effective_cap() const {
-  return std::min({source_->current_rate(), config_.line_rate,
-                   config_.sink_rate});
+  return std::min(source_->current_rate(), config_.rate_ceiling);
+}
+
+void DownloadTask::open_round(Bytes bytes) {
+  net::Network::FlowSpec spec;
+  spec.bytes = round_bytes_ = bytes;
+  spec.rate_cap = effective_cap();
+  spec.on_complete = [this](net::FlowId) { on_flow_complete(); };
+  flow_ = net_.start_flow(std::move(spec));
 }
 
 void DownloadTask::start(Rng& rng) {
@@ -75,14 +75,9 @@ void DownloadTask::start(Rng& rng) {
   last_progress_at_ = sim_.now();
   last_progress_bytes_ = 0.0;
 
-  net::Network::FlowSpec spec;
-  spec.path = config_.shared_links;
-  spec.bytes = round_bytes_ = file_size_;
-  spec.rate_cap = effective_cap();
-  spec.on_complete = [this](net::FlowId) { on_flow_complete(); };
-  flow_ = net_.start_flow(std::move(spec));
+  open_round(file_size_);
   peak_rate_ = net_.flow_stats(flow_).current_rate;
-  tick_event_ = sim_.schedule_after(config_.tick_period, [this] { on_tick(); });
+  tick_event_ = sim_.schedule_after(kTickPeriod, [this] { on_tick(); });
 }
 
 Bytes DownloadTask::bytes_done() {
@@ -95,6 +90,11 @@ void DownloadTask::on_tick() {
   tick_event_ = sim::kInvalidEvent;
   if (!running_) return;
 
+  // Ticks by class, to size what an event-driven source clock would save:
+  // a server source, a swarm with no rate before this tick, a seeded swarm.
+  ODR_COUNT(!is_p2p(source_->protocol()) ? "proto.ticks.server"
+            : source_->current_rate() > 0.0 ? "proto.ticks.swarm_seeded"
+                                            : "proto.ticks.swarm_seedless");
   const SimTime now = sim_.now();
   source_->tick(now - last_tick_, *rng_);
   last_tick_ = now;
@@ -107,7 +107,7 @@ void DownloadTask::on_tick() {
   const net::FlowStats stats = net_.flow_stats(flow_);
   peak_rate_ = std::max(peak_rate_, stats.peak_rate);
 
-  // Stagnation rule: if no forward progress for `stagnation_timeout`, the
+  // Stagnation rule: if no forward progress for kStagnationTimeout, the
   // attempt is declared failed (§4.1). "Progress" is any byte movement
   // since the last observation.
   const double progressed =
@@ -115,7 +115,7 @@ void DownloadTask::on_tick() {
   if (progressed > 0.5) {
     last_progress_bytes_ = static_cast<double>(stats.bytes_done);
     last_progress_at_ = now;
-  } else if (now - last_progress_at_ >= config_.stagnation_timeout) {
+  } else if (now - last_progress_at_ >= kStagnationTimeout) {
     const FailureCause cause = is_p2p(source_->protocol())
                                    ? FailureCause::kInsufficientSeeds
                                    : FailureCause::kPoorHttpConnection;
@@ -123,8 +123,7 @@ void DownloadTask::on_tick() {
     return;
   }
 
-  if (config_.hard_timeout != kTimeNever &&
-      now - started_at_ >= config_.hard_timeout) {
+  if (now - started_at_ >= kHardTimeout) {
     const FailureCause cause = is_p2p(source_->protocol())
                                    ? FailureCause::kInsufficientSeeds
                                    : FailureCause::kPoorHttpConnection;
@@ -133,7 +132,7 @@ void DownloadTask::on_tick() {
   }
 
   net_.set_flow_cap(flow_, effective_cap());
-  tick_event_ = sim_.schedule_after(config_.tick_period, [this] { on_tick(); });
+  tick_event_ = sim_.schedule_after(kTickPeriod, [this] { on_tick(); });
 }
 
 // The flow delivered the current round's bytes; verify the MD5 before
@@ -154,7 +153,7 @@ void DownloadTask::on_flow_complete() {
     finish(true, FailureCause::kNone);
     return;
   }
-  if (checksum_retries_ >= config_.max_checksum_retries) {
+  if (checksum_retries_ >= kMaxChecksumRetries) {
     discarded_bytes_ += round;
     finish(false, FailureCause::kChecksumMismatch);
     return;
@@ -179,12 +178,7 @@ void DownloadTask::on_flow_complete() {
     discarded_bytes_ += round;
   }
 
-  net::Network::FlowSpec spec;
-  spec.path = config_.shared_links;
-  spec.bytes = round_bytes_ = refetch;
-  spec.rate_cap = effective_cap();
-  spec.on_complete = [this](net::FlowId) { on_flow_complete(); };
-  flow_ = net_.start_flow(std::move(spec));
+  open_round(refetch);
   // The new flow's byte counter restarts at zero; re-arm progress tracking
   // so the stagnation rule measures the retry round on its own terms.
   last_progress_bytes_ = 0.0;
@@ -248,21 +242,17 @@ void DownloadTask::finish(bool success, FailureCause cause) {
   ODR_TRACE_COMPLETE(kProto, success ? "download.ok" : "download.fail",
                      started_at_, sim_.now());
 
-  if (on_done_) on_done_(result);
+  // Last statement: the owner may destroy this task inside the callback,
+  // so the callback must not live in it while it runs.
+  const DoneFn done = std::move(on_done_);
+  if (done) done(result);
 }
 
 void DownloadTask::save(snapshot::SnapshotWriter& w) const {
   save_source(w, *source_);
   w.u64(kTagFileSize, file_size_);
-  w.f64(kTagLineRate, config_.line_rate);
-  w.f64(kTagSinkRate, config_.sink_rate);
-  w.u64(kTagSharedLinkCount, config_.shared_links.size());
-  for (net::LinkId l : config_.shared_links) w.u32(kTagSharedLink, l);
-  w.i64(kTagStagnationTimeout, config_.stagnation_timeout);
-  w.i64(kTagTickPeriod, config_.tick_period);
-  w.i64(kTagHardTimeout, config_.hard_timeout);
+  w.f64(kTagRateCeiling, config_.rate_ceiling);
   w.f64(kTagCorruptionProb, config_.corruption_prob);
-  w.u32(kTagMaxChecksumRetries, config_.max_checksum_retries);
   w.u64(kTagFlow, flow_);
   w.u64(kTagTickEvent, tick_event_);
   w.i64(kTagStartedAt, started_at_);
@@ -278,59 +268,40 @@ void DownloadTask::save(snapshot::SnapshotWriter& w) const {
   w.u32(kTagChecksumRetries, checksum_retries_);
 }
 
-DownloadTask::RestoreHeader DownloadTask::read_restore_header(
-    snapshot::SnapshotReader& r, const SourceParams& sources) {
-  RestoreHeader h;
-  h.source = restore_source(r, sources);
-  h.file_size = r.u64(kTagFileSize);
-  h.config.line_rate = r.f64(kTagLineRate);
-  h.config.sink_rate = r.f64(kTagSinkRate);
-  const std::uint64_t shared = r.u64(kTagSharedLinkCount);
-  h.config.shared_links.reserve(shared);
-  for (std::uint64_t i = 0; i < shared; ++i) {
-    h.config.shared_links.push_back(r.u32(kTagSharedLink));
-  }
-  h.config.stagnation_timeout = r.i64(kTagStagnationTimeout);
-  h.config.tick_period = r.i64(kTagTickPeriod);
-  h.config.hard_timeout = r.i64(kTagHardTimeout);
-  h.config.corruption_prob = r.f64(kTagCorruptionProb);
-  h.config.max_checksum_retries = r.u32(kTagMaxChecksumRetries);
-  return h;
-}
-
-void DownloadTask::finish_restore(snapshot::SnapshotReader& r, Rng& rng) {
-  rng_ = &rng;
-  flow_ = r.u64(kTagFlow);
-  tick_event_ = r.u64(kTagTickEvent);
-  started_at_ = r.i64(kTagStartedAt);
-  last_tick_ = r.i64(kTagLastTick);
-  last_progress_bytes_ = r.f64(kTagLastProgressBytes);
-  last_progress_at_ = r.i64(kTagLastProgressAt);
-  peak_rate_ = r.f64(kTagPeakRate);
-  running_ = r.b(kTagRunning);
-  done_ = r.b(kTagDone);
-  round_bytes_ = r.u64(kTagRoundBytes);
-  verified_bytes_ = r.u64(kTagVerifiedBytes);
-  discarded_bytes_ = r.u64(kTagDiscardedBytes);
-  checksum_retries_ = r.u32(kTagChecksumRetries);
-
-  if (tick_event_ != sim::kInvalidEvent) {
-    sim_.rearm(tick_event_, [this] { on_tick(); });
-  }
-  if (flow_ != net::kInvalidFlow) {
-    net_.reattach_on_complete(flow_,
-                              [this](net::FlowId) { on_flow_complete(); });
-  }
-}
-
 std::unique_ptr<DownloadTask> DownloadTask::restore(
     sim::Simulator& sim, net::Network& net, snapshot::SnapshotReader& r,
     const SourceParams& sources, DoneFn on_done, Rng& rng) {
-  RestoreHeader h = read_restore_header(r, sources);
-  auto task = std::make_unique<DownloadTask>(sim, net, std::move(h.source),
-                                             h.file_size, std::move(h.config),
+  std::unique_ptr<Source> source = restore_source(r, sources);
+  const Bytes file_size = r.u64(kTagFileSize);
+  Config config;
+  config.rate_ceiling = r.f64(kTagRateCeiling);
+  config.corruption_prob = r.f64(kTagCorruptionProb);
+  auto task = std::make_unique<DownloadTask>(sim, net, std::move(source),
+                                             file_size, config,
                                              std::move(on_done));
-  task->finish_restore(r, rng);
+  DownloadTask& t = *task;
+  t.rng_ = &rng;
+  t.flow_ = r.u64(kTagFlow);
+  t.tick_event_ = r.u64(kTagTickEvent);
+  t.started_at_ = r.i64(kTagStartedAt);
+  t.last_tick_ = r.i64(kTagLastTick);
+  t.last_progress_bytes_ = r.f64(kTagLastProgressBytes);
+  t.last_progress_at_ = r.i64(kTagLastProgressAt);
+  t.peak_rate_ = r.f64(kTagPeakRate);
+  t.running_ = r.b(kTagRunning);
+  t.done_ = r.b(kTagDone);
+  t.round_bytes_ = r.u64(kTagRoundBytes);
+  t.verified_bytes_ = r.u64(kTagVerifiedBytes);
+  t.discarded_bytes_ = r.u64(kTagDiscardedBytes);
+  t.checksum_retries_ = r.u32(kTagChecksumRetries);
+
+  if (t.tick_event_ != sim::kInvalidEvent) {
+    sim.rearm(t.tick_event_, [&t] { t.on_tick(); });
+  }
+  if (t.flow_ != net::kInvalidFlow) {
+    net.reattach_on_complete(t.flow_,
+                             [&t](net::FlowId) { t.on_flow_complete(); });
+  }
   return task;
 }
 

@@ -1,20 +1,25 @@
 // DownloadTask: one (pre-)download attempt driven to completion or failure.
 //
-// This is the shared engine under both proxies: a cloud pre-downloader VM
-// and a smart AP run exactly this loop, differing only in configuration
-// (line rate, storage write ceiling, shared links). The task:
-//   - opens a network flow capped at min(source rate, line rate, sink rate);
-//   - ticks the source model periodically and re-caps the flow;
-//   - fails the attempt if progress stagnates for the configured timeout —
+// This is the shared engine under both proxies and the user's own device:
+// a cloud pre-downloader VM, a smart AP and a direct download run exactly
+// this loop, differing only in their rate ceiling (line rate, and for an AP
+// the storage write ceiling). The task:
+//   - opens a network flow capped at min(source rate, rate ceiling);
+//   - ticks the source model every kTickPeriod and re-caps the flow;
+//   - fails the attempt if progress stagnates for kStagnationTimeout —
 //     Xuanfeng's rule (§4.1): a transfer that stalls for an hour will
-//     almost never finish, so give up and notify the user;
+//     almost never finish, so give up and notify the user — or once it
+//     has run for kHardTimeout;
 //   - fails immediately on a fatal source error (non-resumable HTTP drop);
 //   - reports a DownloadResult either way.
+//
+// Lifecycle: the done callback is moved out of the task and invoked as the
+// last statement of the task's own code, so the owner may destroy the task
+// inside it. Destroying a running task tears it down silently.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "net/network.h"
 #include "proto/source.h"
@@ -45,21 +50,25 @@ struct DownloadResult {
 
 class DownloadTask {
  public:
+  // Xuanfeng's failure rule (§4.1) and the source model's update cadence
+  // are properties of the engine, the same for every owner.
+  static constexpr SimTime kTickPeriod = 5 * kMinute;
+  static constexpr SimTime kStagnationTimeout = kHour;
+  // The trace window bounds any attempt at one week.
+  static constexpr SimTime kHardTimeout = kWeek;
+  // A corrupted completion is retried — P2P sources carry per-piece hashes
+  // so only the bad pieces are re-fetched (resume); HTTP/FTP have no piece
+  // hashes, so the whole file is re-downloaded (restart) — up to this many
+  // times, then the attempt fails with FailureCause::kChecksumMismatch.
+  static constexpr std::uint32_t kMaxChecksumRetries = 2;
+
   struct Config {
-    Rate line_rate = net::kUnlimitedRate;  // downloader's access bandwidth
-    Rate sink_rate = net::kUnlimitedRate;  // storage-device effective write rate
-    std::vector<net::LinkId> shared_links;  // e.g. a pooled uplink
-    SimTime stagnation_timeout = kHour;     // Xuanfeng's failure rule
-    SimTime tick_period = 5 * kMinute;      // source model update cadence
-    SimTime hard_timeout = kTimeNever;      // absolute give-up time, if any
+    // The owner's ceiling: the downloader's line rate, and for a smart AP
+    // also the storage device's effective write rate.
+    Rate rate_ceiling = net::kUnlimitedRate;
     // Fault injection: probability that a completed transfer fails MD5
-    // verification. A corrupted completion is retried — P2P sources carry
-    // per-piece hashes so only the bad pieces are re-fetched (resume);
-    // HTTP/FTP have no piece hashes, so the whole file is re-downloaded
-    // (restart) — up to max_checksum_retries times, then the attempt fails
-    // with FailureCause::kChecksumMismatch.
+    // verification (see kMaxChecksumRetries).
     double corruption_prob = 0.0;
-    std::uint32_t max_checksum_retries = 2;
     // Observability-only task identity: the catalog file index this task
     // is fetching, used to attribute checksum retries to waiting task
     // spans. NOT serialized (derived-state contract: a restored task
@@ -112,25 +121,12 @@ class DownloadTask {
                                                const SourceParams& sources,
                                                DoneFn on_done, Rng& rng);
 
-  // Two-phase restore for owners that place tasks in a recycling arena
-  // (cloud::PreDownloaderPool): read_restore_header yields the constructor
-  // arguments, the owner constructs wherever it likes, finish_restore
-  // fills the mid-flight mutable state and re-claims events/flows.
-  // restore() above is exactly the make_unique composition of the two.
-  struct RestoreHeader {
-    std::unique_ptr<Source> source;
-    Bytes file_size = 0;
-    Config config;
-  };
-  static RestoreHeader read_restore_header(snapshot::SnapshotReader& r,
-                                           const SourceParams& sources);
-  void finish_restore(snapshot::SnapshotReader& r, Rng& rng);
-
  private:
   void on_tick();
   void on_flow_complete();
   void finish(bool success, FailureCause cause);
   Rate effective_cap() const;
+  void open_round(Bytes bytes);
 
   sim::Simulator& sim_;
   net::Network& net_;

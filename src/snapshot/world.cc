@@ -28,8 +28,11 @@ inline constexpr std::uint32_t kMetaVersion = 1;
 // attribute; a waiter stores its request plus the user's isp and bandwidth.
 // v4: the content database is its request log, one (file, time) pair per
 // request in record order.
-inline constexpr std::uint32_t kCloudVersion = 4;
-inline constexpr std::uint32_t kFaultVersion = 1;
+// v5: a pre-download task stores one rate ceiling; its timings and retry
+// cap are engine constants, and the VM pool has no deferred-delete event.
+inline constexpr std::uint32_t kCloudVersion = 5;
+// v2: the crash poll period is a constant, no longer stored.
+inline constexpr std::uint32_t kFaultVersion = 2;
 // v2: the next arrival's index replaces v1's list of every pending arrival.
 // v3: outcomes in the cloud section's v3 form.
 inline constexpr std::uint32_t kWorldVersion = 3;

@@ -2,12 +2,11 @@
 // address-independent slot ids.
 //
 // The steady-state populations of a full-scale replay — live network
-// flows, link→flow adjacency nodes, in-flight pre-download tasks, open
-// task spans — churn millions of times per week but plateau at a bounded
-// high-water mark. Allocating each object with `new` (or a node-based
-// container) puts an allocator round-trip and a cache-hostile address on
-// the hottest paths; DESIGN.md §16 moves these populations into slab
-// pools instead.
+// flows, link→flow adjacency nodes, open task spans — churn millions of
+// times per week but plateau at a bounded high-water mark. Allocating
+// each object with `new` (or a node-based container) puts an allocator
+// round-trip and a cache-hostile address on the hottest paths; DESIGN.md
+// §16 moves these populations into slab pools instead.
 //
 // Layout and contract (follows the slab/pool metadata pattern of
 // SRI-CSL/sri-glibc-malloc's pool.c, adapted to typed C++ objects):
@@ -38,9 +37,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
-#include <new>
-#include <utility>
 #include <vector>
 
 namespace odr::util {
@@ -135,81 +131,6 @@ class SlabPool {
   std::vector<T> slab_;
   std::vector<std::uint32_t> next_free_;  // freelist links / kLive marker
   std::uint32_t free_head_ = kNoSlot;
-  std::size_t live_ = 0;
-};
-
-// ObjectArena: a recycling arena for objects that need the FULL
-// construct/destroy lifecycle and a stable address (simulator callbacks
-// capture `this`), but whose population churns at a bounded high-water
-// mark — the pre-downloader's DownloadTask engines being the motivating
-// case (one per active VM, reconstructed with fresh arguments per fetch).
-//
-// Unlike SlabPool, objects here ARE destroyed on destroy(): only the raw
-// storage is recycled. Storage lives in fixed-size chunks that are never
-// reallocated or freed before the arena dies, so pointers stay valid for
-// an object's whole lifetime; the free slot list is LIFO, so slot reuse —
-// like everything else in this header — is a pure function of the
-// create/destroy sequence (deterministic across runs and ASLR).
-//
-// make() returns a unique_ptr with an arena-aware deleter, so call sites
-// that owned `std::unique_ptr<T>` port by swapping the type alias.
-template <typename T, std::size_t kChunk = 64>
-class ObjectArena {
- public:
-  struct Deleter {
-    ObjectArena* arena = nullptr;
-    void operator()(T* p) const {
-      if (p != nullptr) arena->destroy(p);
-    }
-  };
-  using Ptr = std::unique_ptr<T, Deleter>;
-
-  ObjectArena() = default;
-  ObjectArena(const ObjectArena&) = delete;
-  ObjectArena& operator=(const ObjectArena&) = delete;
-  ~ObjectArena() {
-    assert(live_ == 0 && "arena died before its objects");
-  }
-
-  template <typename... Args>
-  Ptr make(Args&&... args) {
-    void* storage;
-    if (!free_.empty()) {
-      storage = free_.back();
-      free_.pop_back();
-    } else {
-      if (next_in_chunk_ == kChunk) {
-        chunks_.push_back(std::make_unique<Chunk>());
-        next_in_chunk_ = 0;
-      }
-      storage = chunks_.back()->slot(next_in_chunk_++);
-    }
-    T* obj = new (storage) T(std::forward<Args>(args)...);
-    ++live_;
-    return Ptr(obj, Deleter{this});
-  }
-
-  std::size_t live_count() const { return live_; }
-  // High-water storage footprint in objects (never shrinks).
-  std::size_t capacity() const {
-    return chunks_.empty() ? 0 : (chunks_.size() - 1) * kChunk + next_in_chunk_;
-  }
-
- private:
-  struct Chunk {
-    alignas(T) unsigned char bytes[sizeof(T) * kChunk];
-    void* slot(std::size_t i) { return bytes + i * sizeof(T); }
-  };
-
-  void destroy(T* p) {
-    p->~T();
-    free_.push_back(p);
-    --live_;
-  }
-
-  std::vector<std::unique_ptr<Chunk>> chunks_;
-  std::vector<void*> free_;  // LIFO: hot storage is reused first
-  std::size_t next_in_chunk_ = kChunk;
   std::size_t live_ = 0;
 };
 

@@ -185,6 +185,30 @@ TEST_F(SmartApTest, ReplayRestrictionCapsRate) {
   EXPECT_GE(result->duration(), 600 * kSec);  // 60 MB at <= 100 KBps
 }
 
+TEST_F(SmartApTest, TaskDiesInItsDoneCallback) {
+  // The AP destroys a finished task when its done callback returns, so
+  // the callback sees nothing left queued: no deferred delete, no tick.
+  SmartApConfig cfg;
+  cfg.hardware = kMiWiFi;
+  cfg.device = DeviceType::kSataHdd;
+  cfg.filesystem = Filesystem::kExt4;
+  cfg.bug_failure_prob = 0.0;
+  SmartAp ap(sim, net, cfg, sources, rng);
+  std::optional<proto::DownloadResult> result;
+  std::size_t pending_in_callback = ~std::size_t{0};
+  ap.predownload(hot_file(10 * kMB), net::kUnlimitedRate,
+                 [&](const proto::DownloadResult& r) {
+                   result = r;
+                   pending_in_callback = sim.pending_count();
+                 });
+  sim.run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->success);
+  EXPECT_EQ(pending_in_callback, 0u);
+  EXPECT_EQ(ap.active(), 0u);
+  EXPECT_EQ(ap.pending_event_count(), 0u);
+}
+
 TEST_F(SmartApTest, BugInjectionFailsWithSystemBugCause) {
   SmartApConfig cfg;
   cfg.hardware = kMiWiFi;

@@ -149,6 +149,23 @@ TEST_F(ExecutorTest, UserDeviceRouteDownloadsDirectly) {
   EXPECT_GT(outcome->fetch_delay, 0);
 }
 
+TEST_F(ExecutorTest, DirectTaskDiesInItsDoneCallback) {
+  // The executor destroys a finished direct download when its callback
+  // returns; no deferred delete is left queued behind the outcome.
+  const workload::User user = make_user(net::Isp::kTelecom, kbps_to_rate(800));
+  std::optional<ExecOutcome> outcome;
+  std::size_t pending_in_callback = ~std::size_t{0};
+  executor->execute(route(Route::kUserDevice), request_for(0, user), user,
+                    nullptr, [&](const ExecOutcome& o) {
+                      outcome = o;
+                      pending_in_callback = sim.pending_count();
+                    });
+  sim.run();
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_TRUE(outcome->success);
+  EXPECT_EQ(pending_in_callback, 0u);
+}
+
 TEST_F(ExecutorTest, SmartApRouteEndsWithLanFetch) {
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(600));
   std::optional<ExecOutcome> outcome;

@@ -297,11 +297,10 @@ TEST_F(TaskFaultTest, DestructionAfterStartNeverFiresCallback) {
 TEST_F(TaskFaultTest, P2pChecksumFailureResumesFromPieceHashes) {
   // 100 KB at 1000 B/s with certain corruption: round 1 moves the whole
   // file (100 s) and salvages 90%; rounds 2 and 3 re-fetch a tenth of the
-  // previous round (10 s, 1 s). After max_checksum_retries=2 the attempt
+  // previous round (10 s, 1 s). After kMaxChecksumRetries (2) the attempt
   // fails having verified all but the last corrupt sliver.
   proto::DownloadTask::Config cfg;
   cfg.corruption_prob = 1.0;
-  cfg.max_checksum_retries = 2;
   proto::DownloadTask task(sim, net,
                            source(1000.0, proto::Protocol::kBitTorrent),
                            100000, cfg, capture());
@@ -321,7 +320,6 @@ TEST_F(TaskFaultTest, HttpChecksumFailureRestartsWholeFile) {
   // No piece hashes: every corrupt round discards the full file.
   proto::DownloadTask::Config cfg;
   cfg.corruption_prob = 1.0;
-  cfg.max_checksum_retries = 1;
   proto::DownloadTask task(sim, net, source(1000.0, proto::Protocol::kHttp),
                            100000, cfg, capture());
   task.start(rng);
@@ -329,10 +327,10 @@ TEST_F(TaskFaultTest, HttpChecksumFailureRestartsWholeFile) {
   ASSERT_EQ(calls, 1);
   EXPECT_FALSE(result->success);
   EXPECT_EQ(result->cause, proto::FailureCause::kChecksumMismatch);
-  EXPECT_EQ(result->checksum_retries, 1u);
+  EXPECT_EQ(result->checksum_retries, 2u);
   EXPECT_EQ(result->bytes_downloaded, 0u);
-  EXPECT_EQ(result->traffic_bytes, 200000u);  // two full discarded rounds
-  EXPECT_EQ(result->finished_at, 200 * kSec);
+  EXPECT_EQ(result->traffic_bytes, 300000u);  // three full discarded rounds
+  EXPECT_EQ(result->finished_at, 300 * kSec);
 }
 
 TEST_F(TaskFaultTest, CleanTransferNeedsNoChecksumRetry) {
@@ -390,6 +388,28 @@ TEST_F(PoolFaultTest, CrashedTaskRetriesAfterExponentialBackoff) {
   // at 180 s, 600 s of transfer.
   EXPECT_EQ(result->started_at, 180 * kSec);
   EXPECT_EQ(result->finished_at, 780 * kSec);
+}
+
+TEST_F(PoolFaultTest, TaskDiesInItsDoneCallback) {
+  // A finished task is destroyed when its done callback returns, so the
+  // last callback leaves nothing queued: no deferred delete, no tick.
+  auto pool = make_pool(1);
+  int calls = 0;
+  std::size_t pending_in_last_callback = ~std::size_t{0};
+  for (const char* name : {"a", "b"}) {
+    pool->submit(make_file(name, 60000, proto::Protocol::kHttp),
+                 [&](const proto::DownloadResult& r) {
+                   EXPECT_TRUE(r.success);
+                   if (++calls == 2) {
+                     pending_in_last_callback = sim.pending_count();
+                   }
+                 });
+  }
+  sim.run();
+  ASSERT_EQ(calls, 2);
+  EXPECT_EQ(pending_in_last_callback, 0u);
+  EXPECT_EQ(pool->active(), 0u);
+  EXPECT_EQ(pool->pending_event_count(), 0u);
 }
 
 TEST_F(PoolFaultTest, CrashedTaskRequeuesAtFrontOfFifo) {
@@ -459,8 +479,7 @@ TEST_F(PoolFaultTest, PersistentCorruptionExhaustsPoolRetries) {
 class ApCrashTest : public ::testing::Test {
  protected:
   ApCrashTest() {
-    config.bug_failure_prob = 0.0;
-    config.crash_rate_per_hour = 0.0;  // crashes injected explicitly
+    config.bug_failure_prob = 0.0;  // crashes are injected explicitly
     // P2P sources with a guaranteed seedbox far above the cap we pass via
     // rate_restriction, so swarm randomness never affects the timing.
     sources.server.rate_median = 1000.0;
@@ -531,17 +550,27 @@ TEST_F(ApCrashTest, P2pTaskKeepsPersistedPiecesAcrossCrash) {
 }
 
 TEST_F(ApCrashTest, CrashBudgetExhaustionFailsWithCrashCause) {
-  config.max_crash_resumes = 0;
   ap::SmartAp ap = make_ap();
   ap.predownload(make_file("p", 600000, proto::Protocol::kBitTorrent, 100.0),
                  1000.0, capture());
-  sim.run_until(290 * kSec);
+  // Crash once a minute: the first crash lands after 60 s of transfer,
+  // each later one 15 s after the 45 s reboot. The task survives
+  // kMaxCrashResumes (5) of them.
+  static_assert(ap::SmartAp::kMaxCrashResumes == 5);
+  for (int crash = 1; crash <= 5; ++crash) {
+    sim.run_until(crash * kMinute);
+    ap.crash();
+    EXPECT_EQ(calls, 0);
+  }
+  sim.run_until(6 * kMinute);
   ap.crash();
   ASSERT_EQ(calls, 1);  // doomed immediately, not after the reboot
   EXPECT_FALSE(result->success);
   EXPECT_EQ(result->cause, proto::FailureCause::kCrash);
-  EXPECT_EQ(result->finished_at, 290 * kSec);
-  EXPECT_NEAR(static_cast<double>(result->bytes_downloaded), 290000.0, 2000.0);
+  EXPECT_EQ(result->finished_at, 6 * kMinute);
+  EXPECT_EQ(ap.crash_count(), 6u);
+  // P2P pieces persist: 60 s, then five 15 s stretches at 1000 B/s.
+  EXPECT_NEAR(static_cast<double>(result->bytes_downloaded), 135000.0, 2000.0);
   sim.run();
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(ap.active(), 0u);

@@ -22,7 +22,6 @@
 #include "proto/ledbat.h"
 #include "sim/simulator.h"
 #include "snapshot/format.h"
-#include "snapshot/snapshotter.h"
 #include "sized_catalog.h"
 #include "snapshot/world.h"
 #include "util/crc32.h"
@@ -893,10 +892,10 @@ TEST(SnapshotSmartApTest, MidFlightRoundTripIsBitIdentical) {
     return f;
   };
   ap::SmartApConfig ap_cfg;
-  ap_cfg.crash_rate_per_hour = 0.2;  // exercise the self-crash timer too
 
-  // Baseline: uninterrupted. A nonzero crash rate keeps a self-crash timer
-  // armed forever, so drive by wall clock instead of draining the queue.
+  // Baseline: uninterrupted by checkpoints. Both runs crash the AP at
+  // 1 minute, so the reboot event and the crash bookkeeping (preserved
+  // bytes, prior traffic, resume counts) are part of the round trip.
   sim::Simulator sim_a;
   net::Network net_a(sim_a);
   Rng rng_a(99);
@@ -908,18 +907,23 @@ TEST(SnapshotSmartApTest, MidFlightRoundTripIsBitIdentical) {
                      res_a = res;
                      done_at_a = sim_a.now();
                    });
-  sim_a.run_until(4 * kDay);
+  sim_a.run_until(kMinute);
+  ap_a.crash();
+  sim_a.run();
   ASSERT_TRUE(res_a.has_value());
 
-  // Same run, checkpointed mid-flight at 2 minutes (the attempt is still
-  // in the air then — it resolves at ~5 minutes in the baseline).
+  // Same run, checkpointed mid-reboot, 30 s after the crash (the reboot
+  // takes 45 s; the attempt resolves minutes later in the baseline).
   sim::Simulator sim_b;
   net::Network net_b(sim_b);
   Rng rng_b(99);
   ap::SmartAp ap_b(sim_b, net_b, ap_cfg, {}, rng_b);
   ap_b.predownload(make_file(), kbps_to_rate(512.0),
                    [](const proto::DownloadResult&) {});
-  sim_b.run_until(2 * kMinute);
+  sim_b.run_until(kMinute);
+  ap_b.crash();
+  sim_b.run_until(kMinute + 30 * kSec);
+  ASSERT_TRUE(ap_b.rebooting());
   SnapshotWriter w;
   w.begin_section(1, 1);
   sim_b.save(w);
@@ -945,7 +949,8 @@ TEST(SnapshotSmartApTest, MidFlightRoundTripIsBitIdentical) {
   });
   r.end_section();
   EXPECT_EQ(sim_c.unclaimed_rearm_count(), 0u);
-  sim_c.run_until(4 * kDay);
+  EXPECT_TRUE(ap_c.rebooting());
+  sim_c.run();
 
   ASSERT_TRUE(res_c.has_value());
   EXPECT_EQ(done_at_c, done_at_a);
@@ -953,6 +958,8 @@ TEST(SnapshotSmartApTest, MidFlightRoundTripIsBitIdentical) {
   EXPECT_EQ(res_c->bytes_downloaded, res_a->bytes_downloaded);
   EXPECT_EQ(res_c->traffic_bytes, res_a->traffic_bytes);
   EXPECT_EQ(res_c->cause, res_a->cause);
+  EXPECT_EQ(ap_a.crash_count(), 1u);
+  EXPECT_EQ(ap_a.resume_count(), 1u);
   EXPECT_EQ(ap_c.crash_count(), ap_a.crash_count());
   EXPECT_EQ(ap_c.resume_count(), ap_a.resume_count());
 }
@@ -1152,9 +1159,9 @@ TEST_F(WorldTest, RestorerLoadsLatestCheckpointFile) {
 
   // The file on disk is the LAST periodic checkpoint; restoring it and
   // replaying the tail must land on the identical final state.
-  auto resumed = snapshot::Restorer::restore_file(cfg, opts, path);
-  resumed->run();
-  EXPECT_EQ(resumed->save_to_buffer(), final_expected);
+  snapshot::CloudWorld resumed(cfg, opts, snapshot::read_snapshot_file(path));
+  resumed.run();
+  EXPECT_EQ(resumed.save_to_buffer(), final_expected);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Unit + property tests for the memory plane's allocators (util/pool.h):
-// SlabPool's freelist recycling and deterministic slot ids, and
-// ObjectArena's lifecycle/address guarantees. DESIGN.md §16 leans on two
-// properties proven here: slot assignment is a pure function of the
-// acquire/release call sequence (so pooled populations replay and
+// Unit + property tests for the memory plane's allocator (util/pool.h):
+// SlabPool's freelist recycling and deterministic slot ids. DESIGN.md §16
+// leans on two properties proven here: slot assignment is a pure function
+// of the acquire/release call sequence (so pooled populations replay and
 // checkpoint bit-identically), and released storage is recycled rather
 // than returned to the heap (so warm steady state never allocates).
 #include <gtest/gtest.h>
@@ -184,77 +183,6 @@ TEST(SlabPoolPropertyTest, ReuseIdsComeFromReleasedSet) {
       live.insert(s);
     }
   }
-}
-
-// --- ObjectArena -------------------------------------------------------------
-
-struct Probe {
-  explicit Probe(int v, int* ctor, int* dtor) : value(v), dtor_count(dtor) {
-    ++*ctor;
-  }
-  ~Probe() { ++*dtor_count; }
-  int value;
-  int* dtor_count;
-};
-
-TEST(ObjectArenaTest, ConstructsAndDestroysThroughPtr) {
-  int ctors = 0, dtors = 0;
-  ObjectArena<Probe> arena;
-  {
-    auto p = arena.make(7, &ctors, &dtors);
-    EXPECT_EQ(p->value, 7);
-    EXPECT_EQ(arena.live_count(), 1u);
-  }
-  EXPECT_EQ(ctors, 1);
-  EXPECT_EQ(dtors, 1);
-  EXPECT_EQ(arena.live_count(), 0u);
-}
-
-TEST(ObjectArenaTest, RecyclesStorageLifo) {
-  int ctors = 0, dtors = 0;
-  ObjectArena<Probe> arena;
-  auto a = arena.make(1, &ctors, &dtors);
-  Probe* addr = a.get();
-  a.reset();
-  // The very next make reuses the hottest storage.
-  auto b = arena.make(2, &ctors, &dtors);
-  EXPECT_EQ(b.get(), addr);
-  EXPECT_EQ(b->value, 2);
-  EXPECT_EQ(arena.capacity(), 1u);
-}
-
-TEST(ObjectArenaTest, AddressesStableAcrossGrowth) {
-  // Chunked storage: growing the arena must never move live objects (the
-  // simulator callbacks capture raw `this` pointers).
-  int ctors = 0, dtors = 0;
-  ObjectArena<Probe, 4> arena;  // tiny chunks force several allocations
-  std::vector<ObjectArena<Probe, 4>::Ptr> held;
-  std::vector<Probe*> addrs;
-  for (int i = 0; i < 64; ++i) {
-    held.push_back(arena.make(i, &ctors, &dtors));
-    addrs.push_back(held.back().get());
-  }
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(held[static_cast<std::size_t>(i)].get(),
-              addrs[static_cast<std::size_t>(i)]);
-    EXPECT_EQ(held[static_cast<std::size_t>(i)]->value, i);
-  }
-  EXPECT_EQ(arena.capacity(), 64u);
-  held.clear();
-  EXPECT_EQ(dtors, 64);
-  EXPECT_EQ(arena.live_count(), 0u);
-}
-
-TEST(ObjectArenaTest, CapacityPlateausUnderChurn) {
-  int ctors = 0, dtors = 0;
-  ObjectArena<Probe, 8> arena;
-  for (int cycle = 0; cycle < 50; ++cycle) {
-    std::vector<ObjectArena<Probe, 8>::Ptr> wave;
-    for (int i = 0; i < 5; ++i) wave.push_back(arena.make(i, &ctors, &dtors));
-  }
-  EXPECT_EQ(arena.capacity(), 5u);  // one chunk, five slots ever used
-  EXPECT_EQ(ctors, 250);
-  EXPECT_EQ(dtors, 250);
 }
 
 }  // namespace

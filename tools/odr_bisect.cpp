@@ -20,6 +20,7 @@
 // deliberate divergence bench/divergence_triage uses to prove the bisector
 // works. Exit codes: 0 = no divergence, 1 = usage/error, 3 = divergence
 // found (so scripts can tell "clean" from "localized").
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -52,13 +53,10 @@ int main(int argc, char** argv) {
 
   odr::snapshot::BisectOptions options;
   options.hash_every_events =
-      static_cast<std::uint64_t>(args.get_int("hash-every"));
-  if (options.hash_every_events == 0) {
-    std::fprintf(stderr, "odr_bisect: --hash-every must be positive\n");
-    return 1;
-  }
-  if (args.get_int("max-events") > 0) {
-    options.max_events = static_cast<std::uint64_t>(args.get_int("max-events"));
+      static_cast<std::uint64_t>(args.get_int("hash-every", 1));
+  const std::int64_t max_events = args.get_int("max-events", 0);
+  if (max_events > 0) {
+    options.max_events = static_cast<std::uint64_t>(max_events);
   }
 
   auto config_for = [&](const char* seed_flag) {
