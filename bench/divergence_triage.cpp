@@ -11,7 +11,7 @@
 //   - the exact first divergent event ordinal (burn_at + 1: the burn fires
 //     before that event executes, so it is the first event whose
 //     post-state hash can differ),
-//   - the exact (time, seq) of that event, precomputed from a clean run,
+//   - the exact (time, id) of that event, precomputed from a clean run,
 //   - the rng subsystem as the leading divergence source (the divergent
 //     event runs AFTER the burn, so subsystems it touches with the shifted
 //     generator may legitimately split in the same step — but rng always
@@ -94,14 +94,14 @@ int main(int argc, char** argv) {
 
   // Precompute the expected first divergent event: the burn fires before
   // event #(burn_at + 1) executes, and up to that point both runs share
-  // one event stream, so the clean run knows its (time, seq) exactly.
+  // one event stream, so the clean run knows its (time, id) exactly.
   SimTime expected_time = 0;
-  std::uint64_t expected_seq = 0;
+  std::uint64_t expected_id = 0;
   {
     snapshot::CloudWorld world(clean, baseline_options());
     world.run(burn_at + 1);
     expected_time = world.sim().last_event_time();
-    expected_seq = world.sim().last_event_seq();
+    expected_id = world.sim().last_event_id();
   }
 
   analysis::ExperimentConfig burned = clean;
@@ -136,14 +136,14 @@ int main(int argc, char** argv) {
       report.diverged &&
       report.kind == analysis::DivergenceKind::kHashMismatch;
   const bool event_ok = report.first_divergent_event == burn_at + 1;
-  const bool time_seq_ok =
-      report.event_time == expected_time && report.event_seq == expected_seq;
+  const bool time_id_ok =
+      report.event_time == expected_time && report.event_id == expected_id;
   const bool subsystem_ok =
       !report.subsystems.empty() &&
       report.subsystems.front() == snapshot::Subsystem::kRng;
   const bool logn_ok = report.hash_comparisons <= comparison_gate;
   const bool control_ok = !control.diverged && control.hash_comparisons == 1;
-  const bool pass = diverged_ok && event_ok && time_seq_ok && subsystem_ok &&
+  const bool pass = diverged_ok && event_ok && time_id_ok && subsystem_ok &&
                     logn_ok && control_ok;
 
   const auto kind_name = analysis::replay_failure_kind_name(report.kind);
@@ -156,12 +156,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(burn_at + 1),
               event_ok ? "PASS" : "FAIL");
   std::printf(
-      "acceptance: event (time %lld, seq %llu) == expected (%lld, %llu): %s\n",
+      "acceptance: event (time %lld, id %llu) == expected (%lld, %llu): %s\n",
       static_cast<long long>(report.event_time),
-      static_cast<unsigned long long>(report.event_seq),
+      static_cast<unsigned long long>(report.event_id),
       static_cast<long long>(expected_time),
-      static_cast<unsigned long long>(expected_seq),
-      time_seq_ok ? "PASS" : "FAIL");
+      static_cast<unsigned long long>(expected_id),
+      time_id_ok ? "PASS" : "FAIL");
   std::printf("acceptance: leading divergent subsystem is rng: %s\n",
               subsystem_ok ? "PASS" : "FAIL");
   std::printf("acceptance: %llu hash comparisons <= 1+ceil(log2(%llu)) = %llu: %s\n",
@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
         .field("comparison_gate", comparison_gate)
         .field("first_divergent_event", report.first_divergent_event)
         .field("event_time", static_cast<std::int64_t>(report.event_time))
-        .field("event_seq", report.event_seq)
+        .field("event_id", report.event_id)
         .field("kind", std::string(kind_name))
         .field("detail", report.detail)
         .field("pass", pass)

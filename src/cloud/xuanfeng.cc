@@ -12,6 +12,10 @@
 namespace odr::cloud {
 namespace {
 
+// The version of each of the cloud's five checkpoint sections (rng,
+// caches, uploads, vm, tasks); they started at v1 with the world's meta v2.
+inline constexpr std::uint32_t kSectionVersion = 1;
+
 enum : std::uint16_t {
   kTagRng = 1,  // ..6
   kTagInflightCount = 10,
@@ -355,35 +359,26 @@ std::vector<net::FlowId> XuanfengCloud::fetch_flow_ids() const {
 }
 
 void XuanfengCloud::save(snapshot::SnapshotWriter& w) const {
-  // The granular savers exist so StateHasher can hash each subsystem into
-  // its own buffer; calling them here in the same order keeps the full
-  // snapshot byte stream identical to the pre-split format (the golden
-  // fingerprints in determinism_test pin that stream).
-  save_rng_state(w);
-  save_caches(w);
-  save_uploads(w);
-  save_vm(w);
-  save_tasks(w);
-}
-
-void XuanfengCloud::save_rng_state(snapshot::SnapshotWriter& w) const {
+  using snapshot::Subsystem;
+  using snapshot::section_id;
+  w.begin_section(section_id(Subsystem::kRng), kSectionVersion);
   save_rng(w, kTagRng, rng_);
-}
+  w.end_section();
 
-void XuanfengCloud::save_caches(snapshot::SnapshotWriter& w) const {
+  w.begin_section(section_id(Subsystem::kCaches), kSectionVersion);
   content_db_.save(w);
   storage_.save(w);
-}
+  w.end_section();
 
-void XuanfengCloud::save_uploads(snapshot::SnapshotWriter& w) const {
+  w.begin_section(section_id(Subsystem::kUploads), kSectionVersion);
   uploads_.save(w);
-}
+  w.end_section();
 
-void XuanfengCloud::save_vm(snapshot::SnapshotWriter& w) const {
+  w.begin_section(section_id(Subsystem::kVm), kSectionVersion);
   predownloaders_.save(w);
-}
+  w.end_section();
 
-void XuanfengCloud::save_tasks(snapshot::SnapshotWriter& w) const {
+  w.begin_section(section_id(Subsystem::kTasks), kSectionVersion);
   std::vector<workload::FileIndex> files;
   files.reserve(inflight_.size());
   for (const auto& [file, waiters] : inflight_) files.push_back(file);
@@ -407,10 +402,7 @@ void XuanfengCloud::save_tasks(snapshot::SnapshotWriter& w) const {
     }
   }
 
-  std::vector<net::FlowId> flows;
-  flows.reserve(fetches_.size());
-  for (const auto& [flow, fetch] : fetches_) flows.push_back(flow);
-  std::sort(flows.begin(), flows.end());
+  const std::vector<net::FlowId> flows = fetch_flow_ids();
   w.u64(kTagFetchCount, flows.size());
   for (net::FlowId flow : flows) {
     const ActiveFetch& fetch = fetches_.at(flow);
@@ -419,19 +411,34 @@ void XuanfengCloud::save_tasks(snapshot::SnapshotWriter& w) const {
     save_plan(w, fetch.plan);
     w.f64(kTagFetchOverhead, fetch.overhead);
   }
+  w.end_section();
 }
 
 void XuanfengCloud::debug_burn_rng_draw() { (void)rng_.next_u64(); }
 
 void XuanfengCloud::load(snapshot::SnapshotReader& r, OutcomeFn sink) {
+  using snapshot::Subsystem;
+  using snapshot::section_id;
+  r.require_section(section_id(Subsystem::kRng), kSectionVersion);
   load_rng(r, kTagRng, rng_);
+  r.end_section();
+
+  r.require_section(section_id(Subsystem::kCaches), kSectionVersion);
   content_db_.load(r);
   storage_.load(r);
+  r.end_section();
+
+  r.require_section(section_id(Subsystem::kUploads), kSectionVersion);
   uploads_.load(r);
+  r.end_section();
+
+  r.require_section(section_id(Subsystem::kVm), kSectionVersion);
   predownloaders_.load(r, [this](const workload::FileInfo& file) {
     return predownload_callback(file.index);
   });
+  r.end_section();
 
+  r.require_section(section_id(Subsystem::kTasks), kSectionVersion);
   inflight_.clear();
   const std::uint64_t files = r.u64(kTagInflightCount);
   for (std::uint64_t i = 0; i < files; ++i) {
@@ -463,6 +470,7 @@ void XuanfengCloud::load(snapshot::SnapshotReader& r, OutcomeFn sink) {
                               [this](net::FlowId id) { on_fetch_complete(id); });
     fetches_.emplace(flow, std::move(fetch));
   }
+  r.end_section();
 }
 
 }  // namespace odr::cloud

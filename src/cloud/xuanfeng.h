@@ -113,26 +113,17 @@ class XuanfengCloud {
 
   // --- snapshot support -----------------------------------------------------
   //
-  // save() serializes the cloud's full mutable state: rng, content db,
-  // storage pool, upload clusters, the VM pool with every mid-flight
-  // DownloadTask, the waiter queues, and the active user fetches. load()
-  // rebuilds it on a freshly constructed cloud; every restored callback is
-  // rebound to `sink` (per-task closures cannot be checkpointed — the
-  // driving harness owns one uniform outcome sink instead).
-  // predownload_only waiters hold caller closures with no rebindable
-  // identity; save() refuses (SnapshotError) if any are pending.
+  // save() writes the cloud's full mutable state as five checkpoint
+  // sections, one per snapshot::Subsystem it owns: rng, caches (content db
+  // + storage pool), uploads (upload clusters), vm (the VM pool with every
+  // mid-flight DownloadTask) and tasks (the waiter queues and the active
+  // user fetches). load() reads them back on a freshly constructed cloud;
+  // every restored callback is rebound to `sink` (per-task closures cannot
+  // be checkpointed — the driving harness owns one uniform outcome sink
+  // instead). predownload_only waiters hold caller closures with no
+  // rebindable identity; save() refuses (SnapshotError) if any are pending.
   void save(snapshot::SnapshotWriter& w) const;
   void load(snapshot::SnapshotReader& r, OutcomeFn sink);
-
-  // Granular savers, called by save() in this exact order (the combined
-  // byte stream is pinned by golden fingerprints). StateHasher calls them
-  // individually to compute per-subsystem sub-hashes, so a divergence
-  // report can name the subsystem whose state first broke.
-  void save_rng_state(snapshot::SnapshotWriter& w) const;
-  void save_caches(snapshot::SnapshotWriter& w) const;   // content db + pool
-  void save_uploads(snapshot::SnapshotWriter& w) const;  // upload clusters
-  void save_vm(snapshot::SnapshotWriter& w) const;       // pre-download VMs
-  void save_tasks(snapshot::SnapshotWriter& w) const;    // waiters + fetches
 
   // Test hook for bench/divergence_triage: consumes one draw from the
   // cloud's private rng stream, deliberately desynchronizing this run from

@@ -62,10 +62,10 @@ std::vector<FlightEntry> FlightRecorder::entries() const {
 
 bool FlightRecorder::trigger_enabled(DumpTrigger trigger) const {
   switch (trigger) {
-    case DumpTrigger::kAuditFailure: return config_.dump_on_audit_failure;
     case DumpTrigger::kFaultFired: return config_.dump_on_fault_fired;
     case DumpTrigger::kBenchAbort: return config_.dump_on_bench_abort;
     case DumpTrigger::kOverloadOnset: return config_.dump_on_overload;
+    case DumpTrigger::kAuditFailure:  // an audit failure always dumps
     case DumpTrigger::kManual: return true;
   }
   return false;

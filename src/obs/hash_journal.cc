@@ -6,6 +6,8 @@
 namespace odr::obs {
 namespace {
 
+constexpr const char* kFormat = "odr.hashes.v2";
+
 std::string hex64(std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "0x%llx",
@@ -105,7 +107,7 @@ class LineParser {
   }
 
   [[noreturn]] void fail(const std::string& msg) {
-    throw HashJournalError("odr.hashes.v1 line " + std::to_string(lineno_) +
+    throw HashJournalError("hash journal line " + std::to_string(lineno_) +
                            ", col " + std::to_string(pos_ + 1) + ": " + msg);
   }
 
@@ -123,12 +125,12 @@ class LineParser {
 
 std::string HashJournal::to_text() const {
   std::ostringstream out;
-  out << "{\"format\":\"odr.hashes.v1\",\"cadence_events\":" << cadence_events
+  out << "{\"format\":\"" << kFormat << "\",\"cadence_events\":"
+      << cadence_events
       << ",\"seed\":" << seed << "}\n";
   for (const snapshot::StateHash& h : records) {
     out << "{\"time\":" << h.time << ",\"executed\":" << h.executed
         << ",\"event_id\":\"" << hex64(h.last_event_id)
-        << "\",\"event_seq\":\"" << hex64(h.last_event_seq)
         << "\",\"combined\":\"" << hex64(h.combined) << "\",\"sub\":[";
     for (std::size_t i = 0; i < h.sub.size(); ++i) {
       if (i) out << ',';
@@ -162,12 +164,14 @@ HashJournal HashJournal::from_text(const std::string& text) {
     if (!have_header) {
       if (p.key() != "format") p.fail("header must start with \"format\"");
       const std::string fmt = p.quoted();
-      if (fmt != "odr.hashes.v1") {
-        p.fail("unsupported format \"" + fmt + "\"");
+      if (fmt != kFormat) {
+        p.fail("unsupported format \"" + fmt + "\" (this build reads " +
+               kFormat + "; record the journal again)");
       }
       p.expect(',');
       if (p.key() != "cadence_events") p.fail("expected \"cadence_events\"");
       j.cadence_events = p.dec_u64();
+      if (j.cadence_events == 0) p.fail("cadence_events must be at least 1");
       p.expect(',');
       if (p.key() != "seed") p.fail("expected \"seed\"");
       j.seed = p.dec_u64();
@@ -185,9 +189,6 @@ HashJournal HashJournal::from_text(const std::string& text) {
     p.expect(',');
     if (p.key() != "event_id") p.fail("expected \"event_id\"");
     h.last_event_id = p.hex_u64();
-    p.expect(',');
-    if (p.key() != "event_seq") p.fail("expected \"event_seq\"");
-    h.last_event_seq = p.hex_u64();
     p.expect(',');
     if (p.key() != "combined") p.fail("expected \"combined\"");
     h.combined = p.hex_u64();
@@ -212,7 +213,8 @@ HashJournal HashJournal::from_text(const std::string& text) {
     j.records.push_back(h);
   }
   if (!have_header) {
-    throw HashJournalError("odr.hashes.v1: empty journal (no header line)");
+    throw HashJournalError(std::string(kFormat) +
+                           ": empty journal (no header line)");
   }
   return j;
 }

@@ -1,14 +1,19 @@
-// odr.hashes.v1 — the on-disk journal of periodic in-run state hashes.
+// odr.hashes.v2 — the on-disk journal of periodic in-run state hashes.
 //
 // A run with hashing enabled (WorldOptions::hash_every_events) records one
 // StateHash per cadence point; the harness writes them out next to the
 // other observability artifacts (--spans-out, --metrics-out) as a JSON
 // Lines file:
 //
-//   {"format":"odr.hashes.v1","cadence_events":500,"seed":20151028}
-//   {"time":1234,"executed":500,"event_id":"0x1f","event_seq":"0x20",
+//   {"format":"odr.hashes.v2","cadence_events":500,"seed":20151028}
+//   {"time":1234,"executed":500,"event_id":"0x1f",
 //    "combined":"0x51153af7097f620a","sub":["0x1a2b3c4d", ...]}
 //   ...
+//
+// `sub` holds nine sub-hashes, one per snapshot::Subsystem: the payload
+// CRC32C of that subsystem's checkpoint section. v2 dropped v1's
+// `event_seq` (an event's seq is its id) and v1's two reserved sub-hash
+// slots; a v1 journal is refused, as is a cadence of 0.
 //
 // u64 values that can exceed 2^53 are hex strings so the journal survives
 // any JSON tooling that parses numbers as doubles. tools/odr_bisect reads
@@ -32,11 +37,11 @@ class HashJournalError : public std::runtime_error {
 };
 
 struct HashJournal {
-  std::uint64_t cadence_events = 0;  // 0 = irregular (checkpoint-tick only)
+  std::uint64_t cadence_events = 0;  // one record per this many events
   std::uint64_t seed = 0;            // config seed, for cross-run sanity
   std::vector<snapshot::StateHash> records;
 
-  // Serializes to the odr.hashes.v1 JSONL text.
+  // Serializes to the odr.hashes.v2 JSONL text.
   std::string to_text() const;
   // Writes to_text() to `path`; throws HashJournalError on IO failure.
   void write_file(const std::string& path) const;

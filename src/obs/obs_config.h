@@ -41,8 +41,8 @@ struct ObsConfig {
 
   // --- flight recorder -----------------------------------------------------
   std::size_t flight_capacity = 256;
-  // Automatic dump triggers (see FlightRecorder::DumpTrigger).
-  bool dump_on_audit_failure = true;
+  // Automatic dump triggers (see FlightRecorder::DumpTrigger); an audit
+  // failure always dumps.
   bool dump_on_fault_fired = true;
   bool dump_on_bench_abort = true;
   // Serve overload onset (first p99-violating telemetry window, first
@@ -74,22 +74,20 @@ struct ObsConfig {
 
   // --- calibration drift monitor -------------------------------------------
   // Streams finished spans into online estimators of the paper-reported
-  // statistics and raises flight-recorder events on drift. Implies spans.
+  // statistics, checks the gated ones against their targets every
+  // simulated hour, and raises flight-recorder events on drift. Implies
+  // spans.
   bool calibration = false;
-  // How often (sim time) the gated estimates are checked against their
-  // targets.
-  SimTime calibration_check_period = kHour;
 
   // --- windowed metrics time-series (live-service telemetry) ---------------
   // Master switch for the MetricsTimeSeries exporter: fixed sim-time
   // windows of admission verdicts, completions, window-local p50/p99,
   // serve gauges, registry counter deltas, and per-window span
   // attribution, exported as `odr.metricsts.v1` JSONL. Off by default —
-  // replay drivers have no admission stream to window.
+  // replay drivers have no admission stream to window. Windows are an
+  // hour long until the ServiceLoop adopts the SLO evaluation window at run
+  // start, so telemetry and SLO windows align.
   bool metrics_ts = false;
-  // Fallback window size; the ServiceLoop overrides it with the SLO
-  // evaluation window at run start so telemetry and SLO windows align.
-  SimTime metrics_ts_window = kHour;
 
   // --- periodic gauge sampler ----------------------------------------------
   // Bin width of the sampled TimeSeries (the paper's Fig 11 cadence).

@@ -25,8 +25,8 @@ Observer::Observer(ObsConfig config)
     tracer_.set_sample_every(Cat::kProto, config_.trace_sample_every_flows);
   }
   if (config_.metrics_ts) {
-    metrics_ts_ =
-        std::make_unique<MetricsTimeSeries>(&metrics_, config_.metrics_ts_window);
+    // Hour windows until a ServiceLoop adopts its SLO window at run start.
+    metrics_ts_ = std::make_unique<MetricsTimeSeries>(&metrics_, kHour);
     metrics_ts_->set_flight(&flight_);
   }
   if (config_.spans || config_.calibration) {
@@ -34,7 +34,7 @@ Observer::Observer(ObsConfig config)
     attribution_ = std::make_unique<Attribution>();
     if (config_.calibration) {
       monitor_ = std::make_unique<CalibrationMonitor>(
-          paper_calibration_targets(), config_.calibration_check_period);
+          paper_calibration_targets(), kHour);
       monitor_->set_flight(&flight_);
     }
     journal_->set_sinks(attribution_.get(), monitor_.get(), &tracer_);

@@ -97,8 +97,7 @@ void describe(BisectReport& r) {
      << " hash comparisons)";
   if (r.first_divergent_event != 0) {
     os << "; first divergent event: #" << r.first_divergent_event
-       << " (time " << r.event_time << ", seq " << r.event_seq << ", id "
-       << r.event_id << ")";
+       << " (time " << r.event_time << ", id " << r.event_id << ")";
     if (!r.subsystems.empty()) {
       os << "; divergent subsystem(s):";
       for (Subsystem s : r.subsystems) os << ' ' << subsystem_name(s);
@@ -131,7 +130,6 @@ void replay_window(const analysis::ExperimentConfig& config_a,
     report.first_divergent_event = a.sim().executed_count();
     report.event_time = a.sim().last_event_time();
     report.event_id = a.sim().last_event_id();
-    report.event_seq = a.sim().last_event_seq();
     report.subsystems = divergent_subsystems(ha, hb);
     return;
   }
@@ -222,12 +220,18 @@ BisectReport bisect_against_journal(const analysis::ExperimentConfig& a,
                                     const analysis::ExperimentConfig& b,
                                     const obs::HashJournal& recorded_b,
                                     const BisectOptions& options) {
+  // Phase 3 replays side B from config_b, so the journal must be its run.
+  if (recorded_b.seed != b.seed) {
+    throw SnapshotError("journal B was recorded at seed " +
+                            std::to_string(recorded_b.seed) +
+                            ", but side B replays seed " +
+                            std::to_string(b.seed),
+                        SnapshotErrorKind::kUsage);
+  }
   // Align the live run to the recorded cadence; a mismatched cadence
   // would compare hashes taken at different event counts.
   BisectOptions aligned = options;
-  if (recorded_b.cadence_events != 0) {
-    aligned.hash_every_events = recorded_b.cadence_events;
-  }
+  aligned.hash_every_events = recorded_b.cadence_events;
   const JournalRun ra = record_run(a, aligned);
   return bisect_recorded(a, b, ra.journal, recorded_b, /*can_replay=*/true,
                          ra.hit_safety_limit, aligned);
@@ -235,6 +239,13 @@ BisectReport bisect_against_journal(const analysis::ExperimentConfig& a,
 
 BisectReport bisect_journals(const obs::HashJournal& a,
                              const obs::HashJournal& b) {
+  if (a.cadence_events != b.cadence_events) {
+    throw SnapshotError("journal A was recorded at a cadence of " +
+                            std::to_string(a.cadence_events) +
+                            " events, journal B at " +
+                            std::to_string(b.cadence_events),
+                        SnapshotErrorKind::kUsage);
+  }
   analysis::ExperimentConfig unused;
   return bisect_recorded(unused, unused, a, b, /*can_replay=*/false,
                          /*hit_safety_limit=*/false, BisectOptions{});

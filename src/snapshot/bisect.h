@@ -14,8 +14,8 @@
 //            checkpoint, then step the bracketing window one event at a
 //            time, hashing after every event, until the hashes split.
 //
-// The report names the exact first divergent event — its (time, seq, id)
-// triple and ordinal — plus the subsystems whose sub-hashes broke, which
+// The report names the exact first divergent event — its (time, id) pair
+// and ordinal — plus the subsystems whose sub-hashes broke, which
 // is normally enough to route the failure (rng ⇒ an extra/missing draw;
 // events ⇒ a scheduling-order change; flows ⇒ a network-model edit, …).
 #pragma once
@@ -55,7 +55,6 @@ struct BisectReport {
   std::uint64_t first_divergent_event = 0;  // ordinal (executed count)
   SimTime event_time = 0;
   std::uint64_t event_id = 0;
-  std::uint64_t event_seq = 0;
   std::vector<Subsystem> subsystems;  // whose sub-hashes broke first
 
   std::string detail;  // human-readable one-paragraph summary
@@ -69,7 +68,8 @@ BisectReport bisect_divergence(const analysis::ExperimentConfig& a,
 // Side A runs live; side B is a journal recorded earlier (its cadence
 // overrides options.hash_every_events so the timelines align). Phase 3
 // replays side B from `config_b`, which must be the config the journal
-// was recorded under.
+// was recorded under: a journal whose seed is not `config_b`'s is refused
+// with a SnapshotError (kUsage) before anything runs.
 BisectReport bisect_against_journal(const analysis::ExperimentConfig& a,
                                     const analysis::ExperimentConfig& b,
                                     const obs::HashJournal& recorded_b,
@@ -77,7 +77,9 @@ BisectReport bisect_against_journal(const analysis::ExperimentConfig& a,
 
 // Pure phase 2 over two recorded journals: no replay, so the report stops
 // at the first divergent checkpoint (first_divergent_event is the upper
-// bound of the bracketing window, not the exact event).
+// bound of the bracketing window, not the exact event). Journals recorded
+// at different cadences hash different event counts and are refused with
+// a SnapshotError (kUsage).
 BisectReport bisect_journals(const obs::HashJournal& a,
                              const obs::HashJournal& b);
 

@@ -14,16 +14,25 @@
 // misinterpreting bytes. Section versions gate intentional format changes;
 // the CRC catches torn writes and bit rot before any state is mutated.
 //
+// A world checkpoint (snapshot::CloudWorld) is the meta section followed by
+// one section per Subsystem, in the file order events, flows, rng, caches,
+// uploads, vm, tasks, fault, world. The CRC32C of a subsystem's payload is
+// also its state-hash sub-hash (state_hash.h), so the hash covers exactly
+// what a checkpoint writes.
+//
 // All integers are serialized little-endian byte-by-byte, so snapshots are
 // portable across hosts. Doubles are serialized as their raw IEEE-754 bit
 // pattern — exact round-trip is a requirement (bit-identical resume), so
 // no text formatting is ever involved.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -31,6 +40,41 @@ namespace odr::snapshot {
 
 inline constexpr std::uint32_t kMagic = 0x53524f44u;  // "DORS"
 inline constexpr std::uint32_t kFormatVersion = 1;
+
+// The subsystems of a world checkpoint. The values index StateHash::sub and
+// name the sections: a subsystem's section id is section_id(s).
+enum class Subsystem : std::uint8_t {
+  kRng = 0,      // the cloud's private rng stream
+  kEvents = 1,   // simulator clock, counters, live event queue
+  kFlows = 2,    // network flows and link state
+  kCaches = 3,   // content db + storage pool
+  kUploads = 4,  // upload clusters
+  kVm = 5,       // pre-downloader VM pool
+  kTasks = 6,    // in-flight waiter queues + active user fetches
+  kFault = 7,    // fault injector
+  kWorld = 8,    // outcomes, next arrival, checkpoint tick
+};
+
+inline constexpr std::size_t kSubsystemCount = 9;
+
+constexpr std::uint32_t section_id(Subsystem s) {
+  return 16 + static_cast<std::uint32_t>(s);
+}
+
+constexpr std::string_view subsystem_name(Subsystem s) {
+  switch (s) {
+    case Subsystem::kRng:     return "rng";
+    case Subsystem::kEvents:  return "events";
+    case Subsystem::kFlows:   return "flows";
+    case Subsystem::kCaches:  return "caches";
+    case Subsystem::kUploads: return "uploads";
+    case Subsystem::kVm:      return "vm";
+    case Subsystem::kTasks:   return "tasks";
+    case Subsystem::kFault:   return "fault";
+    case Subsystem::kWorld:   return "world";
+  }
+  return "?";
+}
 
 // Broad classification of a SnapshotError, for the replay-failure
 // taxonomy (analysis/failure_kind.h) and for tooling that routes
@@ -82,6 +126,8 @@ class SnapshotWriter {
 
   // Sections must be strictly bracketed; nesting is not supported (nested
   // components serialize their fields inline within the owner's section).
+  // Fields are written in place: begin_section reserves the frame and
+  // end_section patches in the payload length and CRC32C.
   void begin_section(std::uint32_t id, std::uint32_t version);
   void end_section();
 
@@ -94,20 +140,25 @@ class SnapshotWriter {
   void str(std::uint16_t tag, std::string_view s);
   void bytes(std::uint16_t tag, const void* data, std::size_t len);
 
+  // The payload CRC32C of the closed section `id`, as its frame stores it;
+  // throws (kUsage) if no such section was closed.
+  std::uint32_t section_crc(std::uint32_t id) const;
+
   // Finalizes and returns the snapshot buffer. The writer is spent after.
   std::string take();
 
  private:
-  void raw_u16(std::uint16_t v);
-  void raw_u32(std::string& out, std::uint32_t v);
-  void raw_u64(std::string& out, std::uint64_t v);
-  void tag(std::uint16_t t) { raw_u16(t); }
+  static constexpr std::size_t kNoFrame = static_cast<std::size_t>(-1);
 
-  std::string out_;      // header + completed sections
-  std::string payload_;  // current section payload
-  bool in_section_ = false;
+  // `bytes` little-endian bytes of v; field() prefixes the u16 tag.
+  void raw(std::uint64_t v, int bytes);
+  void field(std::uint16_t tag, std::uint64_t v, int bytes);
+
+  std::string out_;                // header + sections written so far
+  std::size_t frame_ = kNoFrame;   // offset of the open section's frame
   std::uint32_t cur_id_ = 0;
-  std::uint32_t cur_version_ = 0;
+  // (id, payload CRC32C) of every closed section, in file order.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> crcs_;
 };
 
 class SnapshotReader {

@@ -1,71 +1,20 @@
 #include "snapshot/state_hash.h"
 
-#include <string>
-
-#include "snapshot/format.h"
 #include "snapshot/world.h"
-#include "util/crc32.h"
 
 namespace odr::snapshot {
-namespace {
-
-// Each subsystem is framed as its own single-section snapshot so the
-// existing serializers can be reused unchanged; the sub-hash is the CRC32C
-// of the finished buffer (header + frame + payload). The section id keys
-// the hash to the subsystem, so two subsystems with coincidentally equal
-// payloads still hash differently.
-template <typename SaveFn>
-std::uint32_t hash_section(Subsystem s, SaveFn&& save) {
-  SnapshotWriter w;
-  w.begin_section(static_cast<std::uint32_t>(s) + 1, 1);
-  save(w);
-  w.end_section();
-  const std::string buf = w.take();
-  return crc32c(buf.data(), buf.size());
-}
-
-}  // namespace
 
 StateHash StateHasher::hash(const CloudWorld& world) {
   StateHash out;
   out.time = world.sim().now();
   out.executed = world.sim().executed_count();
   out.last_event_id = world.sim().last_event_id();
-  out.last_event_seq = world.sim().last_event_seq();
 
-  const cloud::XuanfengCloud& cloud = world.cloud();
-  auto sub = [&out](Subsystem s, std::uint32_t v) {
-    out.sub[static_cast<std::size_t>(s)] = v;
-  };
-  sub(Subsystem::kRng, hash_section(Subsystem::kRng, [&](SnapshotWriter& w) {
-        cloud.save_rng_state(w);
-      }));
-  sub(Subsystem::kEvents,
-      hash_section(Subsystem::kEvents,
-                   [&](SnapshotWriter& w) { world.sim().save(w); }));
-  sub(Subsystem::kFlows,
-      hash_section(Subsystem::kFlows,
-                   [&](SnapshotWriter& w) { world.net().save(w); }));
-  sub(Subsystem::kCaches,
-      hash_section(Subsystem::kCaches,
-                   [&](SnapshotWriter& w) { cloud.save_caches(w); }));
-  sub(Subsystem::kUploads,
-      hash_section(Subsystem::kUploads,
-                   [&](SnapshotWriter& w) { cloud.save_uploads(w); }));
-  sub(Subsystem::kVm, hash_section(Subsystem::kVm, [&](SnapshotWriter& w) {
-        cloud.save_vm(w);
-      }));
-  sub(Subsystem::kTasks,
-      hash_section(Subsystem::kTasks,
-                   [&](SnapshotWriter& w) { cloud.save_tasks(w); }));
-  sub(Subsystem::kFault,
-      hash_section(Subsystem::kFault,
-                   [&](SnapshotWriter& w) { world.save_fault_state(w); }));
-  sub(Subsystem::kWorld,
-      hash_section(Subsystem::kWorld,
-                   [&](SnapshotWriter& w) { world.save_world_state(w); }));
-  // kAp / kBreakers: reserved, stay 0 for a CloudWorld.
-
+  SnapshotWriter w;
+  world.save(w);
+  for (std::size_t s = 0; s < kSubsystemCount; ++s) {
+    out.sub[s] = w.section_crc(section_id(static_cast<Subsystem>(s)));
+  }
   out.combined = combine_sub_hashes(out.sub);
   return out;
 }

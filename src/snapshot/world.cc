@@ -16,26 +16,15 @@
 namespace odr::snapshot {
 namespace {
 
-// Section ids of a world checkpoint, in file order.
-enum : std::uint32_t {
-  kSectionMeta = 1,
-  kSectionCloudState = 2,
-  kSectionFault = 3,
-  kSectionWorld = 4,
-};
-inline constexpr std::uint32_t kMetaVersion = 1;
-// v3: an outcome names its task, user and file and copies no user
-// attribute; a waiter stores its request plus the user's isp and bandwidth.
-// v4: the content database is its request log, one (file, time) pair per
-// request in record order.
-// v5: a pre-download task stores one rate ceiling; its timings and retry
-// cap are engine constants, and the VM pool has no deferred-delete event.
-inline constexpr std::uint32_t kCloudVersion = 5;
-// v2: the crash poll period is a constant, no longer stored.
-inline constexpr std::uint32_t kFaultVersion = 2;
-// v2: the next arrival's index replaces v1's list of every pending arrival.
-// v3: outcomes in the cloud section's v3 form.
-inline constexpr std::uint32_t kWorldVersion = 3;
+// The meta section opens a world checkpoint; one section per Subsystem
+// follows (format.h).
+inline constexpr std::uint32_t kSectionMeta = 1;
+// v2: one section per subsystem follows, each its own sub-hash (v1 held a
+// composite cloud-state section, then the fault and world sections).
+inline constexpr std::uint32_t kMetaVersion = 2;
+// The fault and world sections started at v1 with meta v2.
+inline constexpr std::uint32_t kFaultVersion = 1;
+inline constexpr std::uint32_t kWorldVersion = 1;
 
 enum : std::uint16_t {
   kTagFingerprint = 1,
@@ -235,24 +224,16 @@ std::uint64_t CloudWorld::run(std::uint64_t max_events) {
     const std::uint64_t n = sim_.run(chunk);
     done += n;
     if (cadence != 0 && n > 0 && sim_.executed_count() % cadence == 0) {
-      record_hash();
+      hashes_.push_back(hash_now());
     }
     if (n < chunk) {
       // Queue drained. Record the final state so end-of-run hashes are
       // comparable even when the drain point is off-cadence.
-      if (cadence != 0 && n > 0) record_hash();
+      if (cadence != 0 && n > 0) hashes_.push_back(hash_now());
       break;
     }
   }
   return done;
-}
-
-void CloudWorld::record_hash() {
-  const StateHash h = StateHasher::hash(*this);
-  // Dedupe: a drain landing exactly on cadence, or a checkpoint tick
-  // coinciding with an event-count boundary, would otherwise double-record.
-  if (!hashes_.empty() && hashes_.back().executed == h.executed) return;
-  hashes_.push_back(h);
 }
 
 StateHash CloudWorld::hash_now() const { return StateHasher::hash(*this); }
@@ -282,7 +263,6 @@ void CloudWorld::checkpoint_tick() {
       throw SnapshotError(msg, SnapshotErrorKind::kAudit);
     }
   }
-  if (options_.hash_at_checkpoint) record_hash();
   if (!options_.checkpoint_path.empty()) {
     write_snapshot_file(options_.checkpoint_path, save_to_buffer());
     ++checkpoints_written_;
@@ -336,42 +316,42 @@ std::uint64_t CloudWorld::config_fingerprint() const {
 
 std::string CloudWorld::save_to_buffer() const {
   SnapshotWriter w;
+  save(w);
+  return w.take();
+}
 
+void CloudWorld::save(SnapshotWriter& w) const {
   w.begin_section(kSectionMeta, kMetaVersion);
   w.u64(kTagFingerprint, config_fingerprint());
   w.u64(kTagRequestCount, requests_.size());
   w.i64(kTagNow, sim_.now());
   w.end_section();
 
-  w.begin_section(kSectionCloudState, kCloudVersion);
+  w.begin_section(section_id(Subsystem::kEvents),
+                  sim::Simulator::kSnapshotVersion);
   sim_.save(w);
+  w.end_section();
+
+  w.begin_section(section_id(Subsystem::kFlows),
+                  net::Network::kSnapshotVersion);
   net_.save(w);
+  w.end_section();
+
   cloud_->save(w);
-  w.end_section();
 
-  w.begin_section(kSectionFault, kFaultVersion);
-  save_fault_state(w);
-  w.end_section();
-
-  w.begin_section(kSectionWorld, kWorldVersion);
-  save_world_state(w);
-  w.end_section();
-
-  return w.take();
-}
-
-void CloudWorld::save_fault_state(SnapshotWriter& w) const {
+  w.begin_section(section_id(Subsystem::kFault), kFaultVersion);
   w.b(kTagHasInjector, injector_.has_value());
   if (injector_) injector_->save_snapshot(w);
-}
+  w.end_section();
 
-void CloudWorld::save_world_state(SnapshotWriter& w) const {
+  w.begin_section(section_id(Subsystem::kWorld), kWorldVersion);
   w.u64(kTagOutcomeCount, outcomes_.size());
   for (const workload::TaskOutcome& o : outcomes_) {
     workload::save_task_outcome(w, o);
   }
   w.u64(kTagNextArrival, next_arrival_);
   w.u64(kTagCheckpointEvent, checkpoint_event_);
+  w.end_section();
 }
 
 void CloudWorld::load_from(const std::string& buffer) {
@@ -394,16 +374,22 @@ void CloudWorld::load_from(const std::string& buffer) {
   (void)r.i64(kTagNow);
   r.end_section();
 
-  r.require_section(kSectionCloudState, kCloudVersion);
   // sim_.load wipes the queue build() just filled and parks the
   // checkpointed events in the rearm table; everything after this point
   // reclaims its own events by id.
+  r.require_section(section_id(Subsystem::kEvents),
+                    sim::Simulator::kSnapshotVersion);
   sim_.load(r);
-  net_.load(r);
-  cloud_->load(r, outcome_sink());
   r.end_section();
 
-  r.require_section(kSectionFault, kFaultVersion);
+  r.require_section(section_id(Subsystem::kFlows),
+                    net::Network::kSnapshotVersion);
+  net_.load(r);
+  r.end_section();
+
+  cloud_->load(r, outcome_sink());
+
+  r.require_section(section_id(Subsystem::kFault), kFaultVersion);
   const bool has_injector = r.b(kTagHasInjector);
   if (has_injector != injector_.has_value()) {
     throw SnapshotError(
@@ -412,7 +398,7 @@ void CloudWorld::load_from(const std::string& buffer) {
   if (injector_) injector_->load_snapshot(r);
   r.end_section();
 
-  r.require_section(kSectionWorld, kWorldVersion);
+  r.require_section(section_id(Subsystem::kWorld), kWorldVersion);
   outcomes_.clear();
   const std::uint64_t outcome_count = r.u64(kTagOutcomeCount);
   outcomes_.reserve(requests_.size());

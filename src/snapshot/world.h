@@ -61,10 +61,6 @@ struct WorldOptions {
   // added allocations and zero behavior change (gated by
   // bench/obs_overhead).
   std::uint64_t hash_every_events = 0;
-  // Also record a StateHash at every checkpoint tick (sim-time cadence).
-  // Only meaningful when hashing is on via hash_every_events, or on its
-  // own for coarse sim-time-aligned journals.
-  bool hash_at_checkpoint = false;
 };
 
 class CloudWorld {
@@ -107,15 +103,10 @@ class CloudWorld {
   analysis::CloudReplayResult finalize() const&;
   analysis::CloudReplayResult finalize() &&;
 
-  // Serializes the full mutable world state. Read-only: a checkpoint never
-  // perturbs the run it observes.
+  // Serializes the full mutable world state: the meta section, then one
+  // section per snapshot::Subsystem (format.h). Read-only: a checkpoint
+  // never perturbs the run it observes.
   std::string save_to_buffer() const;
-
-  // Granular savers for StateHasher (the full checkpoint composes the
-  // same bytes): the fault-injector state and the world-level state
-  // (outcomes, next arrival, checkpoint tick).
-  void save_fault_state(SnapshotWriter& w) const;
-  void save_world_state(SnapshotWriter& w) const;
 
   // StateHashes recorded so far (empty unless hashing is enabled).
   const std::vector<StateHash>& hashes() const { return hashes_; }
@@ -159,7 +150,9 @@ class CloudWorld {
       std::vector<workload::TaskOutcome> outcomes) const;
   void on_arrival();
   void checkpoint_tick();
-  void record_hash();
+  // The checkpoint's sections, into `w`; StateHasher reads their CRCs.
+  friend struct StateHasher;
+  void save(SnapshotWriter& w) const;
   void load_from(const std::string& buffer);
   cloud::XuanfengCloud::OutcomeFn outcome_sink();
   std::uint64_t config_fingerprint() const;

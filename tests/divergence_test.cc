@@ -1,4 +1,4 @@
-// Divergence triage: in-run state hashes, the odr.hashes.v1 journal, and
+// Divergence triage: in-run state hashes, the odr.hashes.v2 journal, and
 // the first-divergence bisector (src/snapshot/state_hash.h, bisect.h,
 // src/obs/hash_journal.h; see DESIGN.md §12).
 //
@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/failure_kind.h"
@@ -22,8 +24,10 @@
 #include "obs/hash_journal.h"
 #include "obs/observer.h"
 #include "snapshot/bisect.h"
+#include "snapshot/format.h"
 #include "snapshot/state_hash.h"
 #include "snapshot/world.h"
+#include "util/crc32.h"
 
 namespace odr {
 namespace {
@@ -103,7 +107,62 @@ TEST(StateHashTest, CadenceRecordsOnePerBoundary) {
   }
 }
 
-// --- odr.hashes.v1 journal ------------------------------------------------
+// The (id, stored payload CRC) of every section framed in a checkpoint,
+// read from the bytes alone, in file order; each stored CRC must match its
+// payload.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> section_crcs(
+    const std::string& buf) {
+  auto le = [&buf](std::size_t at, int bytes) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i) {
+      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[at + i]))
+           << (8 * i);
+    }
+    return v;
+  };
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+  std::size_t pos = 8;  // magic + format version
+  while (pos + 20 <= buf.size()) {
+    const auto id = static_cast<std::uint32_t>(le(pos, 4));
+    const std::uint64_t len = le(pos + 8, 8);
+    const auto crc = static_cast<std::uint32_t>(le(pos + 16, 4));
+    EXPECT_EQ(crc, crc32c(buf.data() + pos + 20, len)) << "section " << id;
+    out.emplace_back(id, crc);
+    pos += 20 + len;
+  }
+  EXPECT_EQ(pos, buf.size());
+  return out;
+}
+
+TEST(StateHashTest, SubHashesAreTheCheckpointSectionCrcs) {
+  analysis::ExperimentConfig cfg = config_at();
+  cfg.cloud.degraded_admission = true;
+  cfg.fault_plan = fault::make_chaos_plan(3);
+  snapshot::CloudWorld w(cfg, world_options());
+  using snapshot::Subsystem;
+  const std::vector<Subsystem> file_order = {
+      Subsystem::kEvents, Subsystem::kFlows,   Subsystem::kRng,
+      Subsystem::kCaches, Subsystem::kUploads, Subsystem::kVm,
+      Subsystem::kTasks,  Subsystem::kFault,   Subsystem::kWorld};
+  for (const std::uint64_t chunk : {0, 1, 300, 1500, 100000000}) {
+    w.run(chunk);
+    const auto crcs = section_crcs(w.save_to_buffer());
+    const snapshot::StateHash h = w.hash_now();
+    // The meta section, then one section per subsystem.
+    ASSERT_EQ(crcs.size(), 1 + snapshot::kSubsystemCount);
+    EXPECT_EQ(crcs[0].first, 1u);
+    for (std::size_t i = 0; i < file_order.size(); ++i) {
+      const Subsystem s = file_order[i];
+      EXPECT_EQ(crcs[i + 1].first, snapshot::section_id(s));
+      EXPECT_EQ(crcs[i + 1].second, h.sub[static_cast<std::size_t>(s)])
+          << snapshot::subsystem_name(s) << " after "
+          << w.sim().executed_count() << " events";
+    }
+  }
+  EXPECT_FALSE(w.sim().has_pending());
+}
+
+// --- odr.hashes.v2 journal ------------------------------------------------
 
 obs::HashJournal sample_journal() {
   snapshot::CloudWorld w(config_at(), world_options(500));
@@ -147,6 +206,33 @@ TEST(HashJournalTest, ParserRejectsTampering) {
   EXPECT_THROW(obs::HashJournal::from_text(flipped), obs::HashJournalError);
 }
 
+// Parsing `text` throws a HashJournalError whose message contains `needle`.
+void expect_parse_error(const std::string& text, const std::string& needle) {
+  try {
+    obs::HashJournal::from_text(text);
+    FAIL() << "parsed: " << text;
+  } catch (const obs::HashJournalError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(HashJournalTest, ParserRefusesV1Journals) {
+  // v1 records carried an event_seq and eleven sub-hashes; the header alone
+  // is refused.
+  expect_parse_error(
+      "{\"format\":\"odr.hashes.v1\",\"cadence_events\":500,"
+      "\"seed\":20151028}\n",
+      "unsupported format \"odr.hashes.v1\"");
+}
+
+TEST(HashJournalTest, ParserRefusesCadenceZero) {
+  expect_parse_error(
+      "{\"format\":\"odr.hashes.v2\",\"cadence_events\":0,"
+      "\"seed\":20151028}\n",
+      "cadence_events must be at least 1");
+}
+
 // --- bisector -------------------------------------------------------------
 
 TEST(BisectTest, IdenticalConfigsAreIdenticalInOneComparison) {
@@ -168,12 +254,12 @@ TEST(BisectTest, PinsAnInjectedBurnToTheExactEvent) {
   ASSERT_GT(burn_at, 0u);
 
   SimTime expected_time = 0;
-  std::uint64_t expected_seq = 0;
+  std::uint64_t expected_id = 0;
   {
     snapshot::CloudWorld w(clean, world_options());
     w.run(burn_at + 1);
     expected_time = w.sim().last_event_time();
-    expected_seq = w.sim().last_event_seq();
+    expected_id = w.sim().last_event_id();
   }
 
   analysis::ExperimentConfig burned = clean;
@@ -187,7 +273,7 @@ TEST(BisectTest, PinsAnInjectedBurnToTheExactEvent) {
   EXPECT_EQ(report.kind, analysis::DivergenceKind::kHashMismatch);
   EXPECT_EQ(report.first_divergent_event, burn_at + 1);
   EXPECT_EQ(report.event_time, expected_time);
-  EXPECT_EQ(report.event_seq, expected_seq);
+  EXPECT_EQ(report.event_id, expected_id);
   // The burn perturbs the generator first; whatever else the divergent
   // event touches, rng leads the subsystem list.
   ASSERT_FALSE(report.subsystems.empty());
@@ -218,6 +304,48 @@ TEST(BisectTest, JournalModeMatchesLiveMode) {
   EXPECT_EQ(report.first_divergent_event, total / 2 + 1);
   ASSERT_FALSE(report.subsystems.empty());
   EXPECT_EQ(report.subsystems.front(), snapshot::Subsystem::kRng);
+}
+
+// A well-formed four-record journal at `cadence`, recorded at `seed`.
+obs::HashJournal synthetic_journal(std::uint64_t cadence,
+                                   std::uint64_t seed = kSeed) {
+  obs::HashJournal j;
+  j.cadence_events = cadence;
+  j.seed = seed;
+  for (std::uint64_t i = 1; i <= 4; ++i) {
+    snapshot::StateHash h;
+    h.executed = i * cadence;
+    h.combined = snapshot::combine_sub_hashes(h.sub);
+    j.records.push_back(h);
+  }
+  return j;
+}
+
+void expect_refusal(const std::function<void()>& bisect) {
+  try {
+    bisect();
+    FAIL() << "the bisector accepted a journal it would mis-bisect";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_EQ(static_cast<int>(e.kind()),
+              static_cast<int>(snapshot::SnapshotErrorKind::kUsage))
+        << e.what();
+  }
+}
+
+TEST(BisectTest, RefusesJournalsAtDifferentCadences) {
+  // Record i of each journal hashes a different event count, so they
+  // would "diverge" at record 0.
+  expect_refusal([] {
+    snapshot::bisect_journals(synthetic_journal(400), synthetic_journal(500));
+  });
+}
+
+TEST(BisectTest, RefusesAJournalFromAnotherSeed) {
+  // Phase 3 would replay side B from a config the journal did not record.
+  expect_refusal([] {
+    snapshot::bisect_against_journal(config_at(), config_at(kSeed + 1),
+                                     synthetic_journal(400));
+  });
 }
 
 TEST(BisectTest, SafetyLimitIsInconclusiveNotIdentical) {

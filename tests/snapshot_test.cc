@@ -171,7 +171,7 @@ TEST(SnapshotSimTest, RearmRestoresExactEventOrder) {
   // Parked events only become live once their owners rearm them.
   EXPECT_EQ(b.pending_count(), 0u);
 
-  // Rearm deliberately out of order: (time, seq) must still win.
+  // Rearm deliberately out of order: (time, id) must still win.
   std::vector<int> replay;
   b.rearm(e3, [&] { replay.push_back(3); });
   b.rearm(e4, [&] { replay.push_back(4); });
@@ -1144,6 +1144,26 @@ TEST_F(WorldTest, CorruptedCheckpointNeverPartiallyLoads) {
   auto other = cfg;
   other.seed = 6;
   EXPECT_THROW(snapshot::CloudWorld(other, options(), ckpt), SnapshotError);
+}
+
+TEST_F(WorldTest, MetaVersionOneCheckpointIsRefused) {
+  // Meta v1 checkpoints held one composite cloud-state section; this build
+  // refuses them at the first section, before any state loads.
+  const auto cfg = small_config(5);
+  snapshot::CloudWorld world(cfg, options());
+  world.run(500);
+  std::string old = world.save_to_buffer();
+  ASSERT_EQ(old[12], 2);  // the meta section's version, little-endian
+  old[12] = 1;
+  try {
+    snapshot::CloudWorld restored(cfg, options(), old);
+    FAIL() << "a meta v1 checkpoint restored";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(static_cast<int>(e.kind()),
+              static_cast<int>(snapshot::SnapshotErrorKind::kCorrupt));
+    const std::string what(e.what());
+    EXPECT_NE(what.find("checkpoint has v1"), std::string::npos) << what;
+  }
 }
 
 TEST_F(WorldTest, RestorerLoadsLatestCheckpointFile) {

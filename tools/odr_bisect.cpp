@@ -8,18 +8,22 @@
 //       to the exact first divergent event;
 //
 //   config vs journal   odr_bisect --divisor 400 --journal-b run.hashes
-//       same, but side B's timeline comes from a recorded odr.hashes.v1
+//       same, but side B's timeline comes from a recorded odr.hashes.v2
 //       journal (write one with `cloud_week --hashes-out`); side B is
-//       replayed from its config for the event-level phase;
+//       replayed from its config (--seed-b, which must be the journal's
+//       seed) for the event-level phase;
 //
 //   journal vs journal  odr_bisect --journal-a a.hashes --journal-b b.hashes
-//       offline: binary-searches the two recorded timelines and reports
-//       the bracketing checkpoint window (no event-level replay).
+//       offline: binary-searches the two recorded timelines (which must
+//       share a cadence) and reports the bracketing checkpoint window (no
+//       event-level replay).
 //
 // `--burn-b N` injects one extra rng draw into side B after N events — the
 // deliberate divergence bench/divergence_triage uses to prove the bisector
-// works. Exit codes: 0 = no divergence, 1 = usage/error, 3 = divergence
-// found (so scripts can tell "clean" from "localized").
+// works. Exit codes: 0 = no divergence, 1 = usage/error (a journal that is
+// missing, unreadable, of another format, from another seed or at another
+// cadence names its flag), 3 = divergence found (so scripts can tell
+// "clean" from "localized").
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -38,8 +42,8 @@ int main(int argc, char** argv) {
   args.flag("divisor", "400", "scale divisor for live runs");
   args.flag("seed-a", "20151028", "seed for side A");
   args.flag("seed-b", "20151028", "seed for side B");
-  args.flag("journal-a", "", "recorded odr.hashes.v1 journal for side A");
-  args.flag("journal-b", "", "recorded odr.hashes.v1 journal for side B");
+  args.flag("journal-a", "", "recorded odr.hashes.v2 journal for side A");
+  args.flag("journal-b", "", "recorded odr.hashes.v2 journal for side B");
   args.flag("burn-a", "0",
             "inject one extra rng draw into side A after N events (0 = off)");
   args.flag("burn-b", "0",
@@ -65,12 +69,38 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(args.get_int(seed_flag)));
   };
 
+  if (!journal_a.empty() && journal_b.empty()) {
+    std::fprintf(stderr,
+                 "odr_bisect: --journal-a without --journal-b is not a "
+                 "mode (pass the recorded side as --journal-b)\n");
+    return 1;
+  }
+  // A journal the bisector cannot use is a usage error naming its flag.
+  auto bad_journal = [](const char* flags, const std::exception& e) {
+    std::fprintf(stderr, "odr_bisect: %s: %s\n", flags, e.what());
+  };
+  auto read_journal = [&](const char* flag, const std::string& path,
+                          odr::obs::HashJournal& out) {
+    if (path.empty()) return true;
+    try {
+      out = odr::obs::HashJournal::read_file(path);
+      return true;
+    } catch (const odr::obs::HashJournalError& e) {
+      bad_journal(flag, e);
+      return false;
+    }
+  };
+  odr::obs::HashJournal recorded_a;
+  odr::obs::HashJournal recorded_b;
+  if (!read_journal("--journal-a", journal_a, recorded_a) ||
+      !read_journal("--journal-b", journal_b, recorded_b)) {
+    return 1;
+  }
+
   odr::snapshot::BisectReport report;
   try {
-    if (!journal_a.empty() && !journal_b.empty()) {
-      report = odr::snapshot::bisect_journals(
-          odr::obs::HashJournal::read_file(journal_a),
-          odr::obs::HashJournal::read_file(journal_b));
+    if (!journal_a.empty()) {
+      report = odr::snapshot::bisect_journals(recorded_a, recorded_b);
     } else if (!journal_b.empty()) {
       auto config_a = config_for("seed-a");
       auto config_b = config_for("seed-b");
@@ -80,14 +110,8 @@ int main(int argc, char** argv) {
           static_cast<std::uint64_t>(args.get_int("burn-a"));
       config_b.debug_burn_rng_at_event =
           static_cast<std::uint64_t>(args.get_int("burn-b"));
-      const auto recorded = odr::obs::HashJournal::read_file(journal_b);
       report = odr::snapshot::bisect_against_journal(config_a, config_b,
-                                                     recorded, options);
-    } else if (!journal_a.empty()) {
-      std::fprintf(stderr,
-                   "odr_bisect: --journal-a without --journal-b is not a "
-                   "mode (pass the recorded side as --journal-b)\n");
-      return 1;
+                                                     recorded_b, options);
     } else {
       auto config_a = config_for("seed-a");
       auto config_b = config_for("seed-b");
@@ -98,6 +122,15 @@ int main(int argc, char** argv) {
       report = odr::snapshot::bisect_divergence(config_a, config_b, options);
     }
   } catch (const std::exception& e) {
+    // The bisector refuses a journal from another seed or cadence
+    // (SnapshotError, kUsage) before it runs anything.
+    const auto* refusal = dynamic_cast<const odr::snapshot::SnapshotError*>(&e);
+    if (refusal != nullptr && !journal_b.empty() &&
+        refusal->kind() == odr::snapshot::SnapshotErrorKind::kUsage) {
+      bad_journal(journal_a.empty() ? "--journal-b" : "--journal-a/--journal-b",
+                  e);
+      return 1;
+    }
     const auto kind = odr::analysis::classify_replay_failure(e);
     std::fprintf(stderr, "odr_bisect: [%.*s] %s\n",
                  static_cast<int>(
@@ -123,10 +156,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     report.first_divergent_checkpoint));
     if (report.first_divergent_event != 0) {
-      std::printf("event:     #%llu  time=%lld  seq=%llu  id=%llu\n",
+      std::printf("event:     #%llu  time=%lld  id=%llu\n",
                   static_cast<unsigned long long>(report.first_divergent_event),
                   static_cast<long long>(report.event_time),
-                  static_cast<unsigned long long>(report.event_seq),
                   static_cast<unsigned long long>(report.event_id));
       std::printf("subsystem:");
       for (odr::snapshot::Subsystem s : report.subsystems) {
