@@ -294,14 +294,12 @@ ServeRunResult run_serve_once(double divisor, std::uint64_t seed, bool outage,
   m.faults_fired = res.faults_fired;
   m.unclassified = res.unclassified_failures;
   m.fingerprint = res.fingerprint;
-#if ODR_OBS_ENABLED
   if (const obs::MetricsTimeSeries* mts = obs->metrics_ts()) {
     m.telemetry = true;
     m.telemetry_windows = static_cast<std::uint64_t>(mts->rows().size());
     m.telemetry_violations = mts->violation_windows();
     m.first_violation_window = mts->first_violation_window();
   }
-#endif
 
   ServeRunResult r;
   r.m = std::move(m);

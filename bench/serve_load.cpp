@@ -61,7 +61,7 @@ struct SweepPoint {
   serve::ServeResult r;
   obs::Registry metrics;
   // Windowed telemetry copied out of the run's observer (empty unless the
-  // run enabled metrics_ts — and always empty under ODR_OBS=OFF).
+  // run enabled metrics_ts).
   std::vector<obs::MetricsTsRow> windows;
   std::uint64_t telemetry_violations = 0;
   std::int64_t first_violation_window = -1;
@@ -423,7 +423,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(flash.r.fingerprint));
   }
 
-#if ODR_OBS_ENABLED
   // Telemetry self-consistency: per-window sums reproduce the ServeResult
   // totals, the window verdicts agree with the SloTracker, and every
   // violating window names a dominant stage (spans were on).
@@ -443,9 +442,6 @@ int main(int argc, char** argv) {
               "windowed verdicts == SLO tracker, violating windows "
               "attributed): %s\n",
               telemetry_ok ? "PASS" : "FAIL");
-#else
-  const bool telemetry_ok = true;  // no telemetry compiled in to check
-#endif
 
   const bool pass = conserve && saturates && deterministic && telemetry_ok;
   if (!pass) {

@@ -16,8 +16,6 @@
 
 namespace odr::analysis {
 
-#if ODR_OBS_ENABLED
-
 void wire_sim_observability(sim::Simulator& sim, SimTime horizon) {
   obs::Observer* obs = obs::current();
   if (obs == nullptr) {
@@ -120,15 +118,5 @@ void finish_cloud_task_span(const workload::TaskOutcome& o) {
   term.e2e_kbps = rate_to_kbps(average_rate(o.fetch.acquired_bytes, e2e));
   journal->on_finish(o.task_id, o.fetch.finish_time, term);
 }
-
-#else  // !ODR_OBS_ENABLED
-
-void wire_sim_observability(sim::Simulator&, SimTime) {}
-void wire_cloud_observability(sim::Simulator&, net::Network&,
-                              cloud::XuanfengCloud&, SimTime) {}
-void wire_breaker_probe(const char*, const core::CircuitBreaker&) {}
-void finish_cloud_task_span(const workload::TaskOutcome&) {}
-
-#endif  // ODR_OBS_ENABLED
 
 }  // namespace odr::analysis

@@ -151,19 +151,17 @@ ApReplayResult run_ap_replay(const ApReplayConfig& config) {
     aps[ap_idx]->predownload(
         file, restriction,
         [&, ap_idx, request, file](const proto::DownloadResult& r) {
-          ODR_OBS({
-            ODR_SPAN(on_stage(request.task_id, obs::Stage::kApFetch,
-                              r.started_at, r.finished_at));
-            obs::SpanTerminal term;
-            term.outcome = r.success ? obs::SpanOutcome::kSuccess
-                                     : obs::SpanOutcome::kFailed;
-            term.cause = proto::failure_cause_name(r.cause);
-            term.popularity = workload::popularity_class_name(
-                workload::classify_popularity(file.expected_weekly_requests));
-            term.pre_success = r.success;
-            term.fetch_kbps = rate_to_kbps(r.average_rate);
-            ODR_SPAN(on_finish(request.task_id, sim.now(), term));
-          })
+          ODR_SPAN(on_stage(request.task_id, obs::Stage::kApFetch,
+                            r.started_at, r.finished_at));
+          obs::SpanTerminal term;
+          term.outcome = r.success ? obs::SpanOutcome::kSuccess
+                                   : obs::SpanOutcome::kFailed;
+          term.cause = proto::failure_cause_name(r.cause);
+          term.popularity = workload::popularity_class_name(
+              workload::classify_popularity(file.expected_weekly_requests));
+          term.pre_success = r.success;
+          term.fetch_kbps = rate_to_kbps(r.average_rate);
+          ODR_SPAN(on_finish(request.task_id, sim.now(), term));
           ApTaskResult task;
           task.request = request;
           task.result = r;
@@ -243,9 +241,7 @@ void StrategyWorld::start(SimTime horizon) {
   // strategy leaves the executor's hedging hook null — zero extra events,
   // zero extra rng draws, byte-identical outcomes.
   if (config_.strategy == core::Strategy::kHedged) {
-    core::HedgeConfig hedge_cfg;
-    hedge_cfg.enabled = true;
-    hedges_.emplace(hedge_cfg);
+    hedges_.emplace();
     hedges_->set_budget(&cloud_.predownloaders().retry_budget());
     executor_->set_hedging(&*hedges_);
   }

@@ -20,9 +20,8 @@ struct CloudConfig {
   // scale of the weekly workload this is 100 TB.
   Bytes storage_capacity = 100 * kTB;
 
-  // Pre-downloader VMs: each has ~20 Mbps of Internet access (§2.1).
+  // Pre-downloader VMs (each with PreDownloaderPool's ~20 Mbps, §2.1).
   std::size_t predownloader_count = 1500;
-  Rate predownloader_rate = mbps_to_rate(20.0);
 
   // Upload clusters: 30 Gbps purchased across the four major ISPs (§4.2),
   // scaled 1/20 -> 1.5 Gbps, split roughly like the user base.
@@ -30,33 +29,15 @@ struct CloudConfig {
   std::array<double, 4> isp_upload_share = {0.30, 0.44, 0.18, 0.08};
   // ^ indexed by Isp::kUnicom, kTelecom, kMobile, kCernet
 
-  // Per-session fetch speed ceiling: 50 Mbps (§2.1).
-  Rate max_fetch_rate = mbps_to_rate(50.0);
-
-  // Degraded cross-ISP path for users OUTSIDE the four major ISPs (the ISP
-  // barrier proper): per-fetch cap drawn lognormally. Median ~45 KBps keeps
-  // nearly all barrier-limited fetches under the 125 KBps HD-streaming
-  // line, matching §4.2's attribution.
-  Rate barrier_median = kbps_to_rate(45.0);
-  double barrier_sigma = 0.7;
-
-  // Cross-ISP cap for major-ISP users spilled to an alternative cluster at
-  // peak: Xuanfeng picks the lowest-latency alternative, and major-ISP
-  // interconnects are far better than small-ISP transit, so this is only
-  // moderately degraded.
-  Rate spillover_median = kbps_to_rate(260.0);
-  double spillover_sigma = 0.8;
-
   // Admission floor: a fetch is admitted only when the serving cluster can
   // give it at least this rate; below that, Xuanfeng rejects the request
   // outright rather than degrade active downloads (§2.1).
   Rate admission_floor = kbps_to_rate(125.0);
 
   // Residual "network dynamics / system bugs" slowdowns (§4.2 attributes
-  // 6.1% of impeded fetches to unknown causes).
+  // 6.1% of impeded fetches to unknown causes); the slowdown factor's
+  // range lives beside XuanfengCloud::begin_fetch.
   double dynamics_prob = 0.068;
-  double dynamics_slowdown_lo = 0.04;
-  double dynamics_slowdown_hi = 0.45;
 
   // --- fault tolerance (see DESIGN.md "Fault model & degradation policy") --
 
@@ -64,11 +45,9 @@ struct CloudConfig {
   // checksum mismatch after the task's own verify retries). Source-model
   // failures (starved swarm, dead origin) are terminal as in §4.1 — the
   // content is the problem, not the infrastructure. A crashed task
-  // re-enters the VM queue at the FRONT after an exponential backoff:
-  // backoff_base * backoff_factor^attempt.
+  // re-enters the VM queue at the FRONT after PreDownloaderPool's
+  // exponential backoff.
   std::uint32_t predownload_max_retries = 3;
-  SimTime retry_backoff_base = kMinute;
-  double retry_backoff_factor = 2.0;
 
   // Degraded-mode admission control. Off by default so the calibrated §4
   // replays keep Xuanfeng's measured reject-at-peak policy; the chaos
@@ -87,12 +66,11 @@ struct CloudConfig {
   // default — every acquire is granted without touching state, so the
   // calibrated §4 replays and their golden fingerprints are unchanged.
   // An exhausted budget degrades the caller to its plain single-attempt
-  // path; it never rejects the underlying task.
+  // path; it never rejects the underlying task. Per-user buckets keep
+  // core::RetryBudget::Config's defaults.
   bool retry_budget_enabled = false;
   double retry_budget_global_capacity = 256.0;
   double retry_budget_global_refill_per_hour = 128.0;
-  double retry_budget_per_user_capacity = 8.0;
-  double retry_budget_per_user_refill_per_hour = 4.0;
 };
 
 }  // namespace odr::cloud

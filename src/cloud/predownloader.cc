@@ -32,13 +32,19 @@ enum : std::uint16_t {
   kTagBudgetDenied = 60,
 };
 
+// Each VM's Internet access: ~20 Mbps (§2.1).
+constexpr Rate kPredownloaderRate = mbps_to_rate(20.0);
+
+// A retried task waits kRetryBackoffBase * kRetryBackoffFactor^(attempt-1)
+// before it re-enters the VM queue.
+constexpr SimTime kRetryBackoffBase = kMinute;
+constexpr double kRetryBackoffFactor = 2.0;
+
 core::RetryBudget::Config budget_config(const CloudConfig& config) {
   core::RetryBudget::Config b;
   b.enabled = config.retry_budget_enabled;
   b.global_capacity = config.retry_budget_global_capacity;
   b.global_refill_per_hour = config.retry_budget_global_refill_per_hour;
-  b.per_user_capacity = config.retry_budget_per_user_capacity;
-  b.per_user_refill_per_hour = config.retry_budget_per_user_refill_per_hour;
   return b;
 }
 
@@ -73,7 +79,7 @@ void PreDownloaderPool::start_task(Pending pending) {
                                    pending.file.expected_weekly_requests,
                                    sources_, rng_);
   proto::DownloadTask::Config cfg;
-  cfg.rate_ceiling = config_.predownloader_rate * kTransportEfficiency;
+  cfg.rate_ceiling = kPredownloaderRate * kTransportEfficiency;
   cfg.corruption_prob = corruption_prob_;
   cfg.obs_file_index = pending.file.index;
   auto task = std::make_unique<proto::DownloadTask>(
@@ -162,11 +168,10 @@ void PreDownloaderPool::on_task_done(std::uint64_t slot,
       ++retries_;
       ODR_COUNT("cloud.vm.retries");
       ODR_SPAN(note_file_retry(pending.file.index));
-      const double factor =
-          std::pow(config_.retry_backoff_factor,
-                   static_cast<double>(pending.attempt - 1));
+      const double factor = std::pow(
+          kRetryBackoffFactor, static_cast<double>(pending.attempt - 1));
       const SimTime backoff = static_cast<SimTime>(
-          static_cast<double>(config_.retry_backoff_base) * factor);
+          static_cast<double>(kRetryBackoffBase) * factor);
       const std::uint64_t key = next_retry_++;
       const sim::EventId event =
           sim_.schedule_after(backoff, [this, key] { resume_retry(key); });

@@ -71,7 +71,7 @@ bool StoragePool::insert(workload::FileIndex file) {
   ODR_COUNT("cloud.pool.inserts");
   const Bytes size = size_of(file);
   if (size > capacity_) return false;
-  [[maybe_unused]] const std::uint64_t before = evictions_;
+  const std::uint64_t before = evictions_;
   if (nodes_[file].cached) unlink(file);
   while (used_ + size > capacity_ && tail_ != kNone) pop_back();
   link_front(file);

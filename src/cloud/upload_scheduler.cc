@@ -26,6 +26,20 @@ enum : std::uint16_t {
   kTagOversubscribed = 25,
 };
 
+// Degraded cross-ISP path for users OUTSIDE the four major ISPs (the ISP
+// barrier proper): per-fetch cap drawn lognormally. Median ~45 KBps keeps
+// nearly all barrier-limited fetches under the 125 KBps HD-streaming
+// line, matching §4.2's attribution.
+constexpr Rate kBarrierMedian = kbps_to_rate(45.0);
+constexpr double kBarrierSigma = 0.7;
+
+// Cross-ISP cap for major-ISP users spilled to an alternative cluster at
+// peak: Xuanfeng picks the lowest-latency alternative, and major-ISP
+// interconnects are far better than small-ISP transit, so this is only
+// moderately degraded.
+constexpr Rate kSpilloverMedian = kbps_to_rate(260.0);
+constexpr double kSpilloverSigma = 0.8;
+
 }  // namespace
 
 UploadScheduler::UploadScheduler(net::Network& net, const CloudConfig& config,
@@ -81,13 +95,11 @@ bool UploadScheduler::degraded() const {
 }
 
 Rate UploadScheduler::sample_barrier_rate() {
-  return config_.barrier_median *
-         std::exp(rng_.normal(0.0, config_.barrier_sigma));
+  return kBarrierMedian * std::exp(rng_.normal(0.0, kBarrierSigma));
 }
 
 Rate UploadScheduler::sample_spillover_rate() {
-  return config_.spillover_median *
-         std::exp(rng_.normal(0.0, config_.spillover_sigma));
+  return kSpilloverMedian * std::exp(rng_.normal(0.0, kSpilloverSigma));
 }
 
 FetchPlan UploadScheduler::reject(workload::PopularityClass popularity) {
@@ -100,7 +112,7 @@ FetchPlan UploadScheduler::reject(workload::PopularityClass popularity) {
 
 FetchPlan UploadScheduler::plan_fetch(net::Isp user_isp, Rate desired_rate,
                                       workload::PopularityClass popularity) {
-  desired_rate = std::min(desired_rate, config_.max_fetch_rate);
+  desired_rate = std::min(desired_rate, kMaxFetchRate);
   const Rate floor = std::min(config_.admission_floor, desired_rate);
 
   // Degraded-mode load shedding: while a cluster is out, preserve the

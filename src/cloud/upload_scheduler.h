@@ -39,6 +39,10 @@ class SnapshotReader;
 
 namespace odr::cloud {
 
+// Per-session fetch speed ceiling: 50 Mbps (§2.1). plan_fetch clamps every
+// desired rate to it; XuanfengCloud clamps before drawing a slowdown.
+inline constexpr Rate kMaxFetchRate = mbps_to_rate(50.0);
+
 struct FetchPlan {
   bool admitted = false;
   net::Isp cluster = net::Isp::kOther;  // serving cluster (if admitted)

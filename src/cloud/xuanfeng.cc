@@ -12,9 +12,17 @@
 namespace odr::cloud {
 namespace {
 
-// The version of each of the cloud's five checkpoint sections (rng,
-// caches, uploads, vm, tasks); they started at v1 with the world's meta v2.
+// The versions of the cloud's five checkpoint sections. Rng, caches,
+// uploads and tasks are at v1, where they started with the world's meta
+// v2. The vm section is at v2: its swarms no longer carry an external-seed
+// count.
 inline constexpr std::uint32_t kSectionVersion = 1;
+inline constexpr std::uint32_t kVmSectionVersion = 2;
+
+// Range of the residual-dynamics slowdown factor (CloudConfig::dynamics_prob
+// picks which fetches it hits).
+constexpr double kDynamicsSlowdownLo = 0.04;
+constexpr double kDynamicsSlowdownHi = 0.45;
 
 enum : std::uint16_t {
   kTagRng = 1,  // ..6
@@ -249,10 +257,12 @@ void XuanfengCloud::on_predownload_done(workload::FileIndex file,
   // Retry notes accumulated per file (VM backoff requeues, checksum
   // refetches) move onto every waiter's span: each attached task lived
   // through the same retried transfer.
-  ODR_OBS([[maybe_unused]] std::uint32_t span_file_retries = 0;
-          if (auto* odr_obs_ = obs::current())
-            if (auto* odr_journal_ = odr_obs_->journal())
-              span_file_retries = odr_journal_->take_file_retries(file);)
+  std::uint32_t span_file_retries = 0;
+  if (auto* odr_obs = obs::current()) {
+    if (auto* journal = odr_obs->journal()) {
+      span_file_retries = journal->take_file_retries(file);
+    }
+  }
 
   bool first = true;
   for (Waiter& w : waiters) {
@@ -260,8 +270,9 @@ void XuanfengCloud::on_predownload_done(workload::FileIndex file,
                       result.started_at));
     ODR_SPAN(on_stage(w.request.task_id, obs::Stage::kVmFetch,
                       result.started_at, result.finished_at));
-    ODR_OBS(if (span_file_retries > 0)
-                ODR_SPAN(on_retry(w.request.task_id, span_file_retries));)
+    if (span_file_retries > 0) {
+      ODR_SPAN(on_retry(w.request.task_id, span_file_retries));
+    }
     workload::PreDownloadRecord pre;
     pre.start_time = result.started_at;
     pre.finish_time = result.finished_at;
@@ -295,10 +306,9 @@ void XuanfengCloud::begin_fetch(const workload::WorkloadRecord& request,
                                 OutcomeFn on_done) {
   // Desired rate: the user's true access bandwidth, occasionally degraded
   // by residual network dynamics (the §4.2 "unknown" bucket).
-  Rate desired = std::min(access_bandwidth, config_.max_fetch_rate);
+  Rate desired = std::min(access_bandwidth, kMaxFetchRate);
   if (rng_.bernoulli(config_.dynamics_prob)) {
-    desired *= rng_.uniform(config_.dynamics_slowdown_lo,
-                            config_.dynamics_slowdown_hi);
+    desired *= rng_.uniform(kDynamicsSlowdownLo, kDynamicsSlowdownHi);
   }
 
   workload::TaskOutcome outcome = make_outcome(request, pre);
@@ -374,7 +384,7 @@ void XuanfengCloud::save(snapshot::SnapshotWriter& w) const {
   uploads_.save(w);
   w.end_section();
 
-  w.begin_section(section_id(Subsystem::kVm), kSectionVersion);
+  w.begin_section(section_id(Subsystem::kVm), kVmSectionVersion);
   predownloaders_.save(w);
   w.end_section();
 
@@ -432,7 +442,7 @@ void XuanfengCloud::load(snapshot::SnapshotReader& r, OutcomeFn sink) {
   uploads_.load(r);
   r.end_section();
 
-  r.require_section(section_id(Subsystem::kVm), kSectionVersion);
+  r.require_section(section_id(Subsystem::kVm), kVmSectionVersion);
   predownloaders_.load(r, [this](const workload::FileInfo& file) {
     return predownload_callback(file.index);
   });

@@ -57,7 +57,6 @@ bool is_substrate_failure(proto::FailureCause cause) {
          cause == proto::FailureCause::kSystemBug;
 }
 
-#if ODR_OBS_ENABLED
 obs::SpanOrigin origin_for(Route route) {
   switch (route) {
     case Route::kSmartAp: return obs::SpanOrigin::kAp;
@@ -86,7 +85,6 @@ void finish_task_span(obs::TaskJournal& journal, const ExecOutcome& o,
   term.e2e_kbps = rate_to_kbps(o.e2e_rate);
   journal.on_finish(o.task_id, std::max(now, o.ready_time), term);
 }
-#endif  // ODR_OBS_ENABLED
 
 }  // namespace
 
@@ -137,7 +135,7 @@ void Executor::execute(const Decision& decision,
     route = cloud_ok ? Route::kCloud : Route::kUserDevice;
     rerouted = true;
   }
-  if (decision.hedge && hedges_ != nullptr && hedges_->enabled()) {
+  if (decision.hedge && hedges_ != nullptr) {
     const Route secondary = hedge_secondary_for(route, ap);
     CircuitBreaker* sec_breaker = uses_cloud(secondary) ? cloud_breaker_
                                   : secondary == Route::kSmartAp
@@ -158,8 +156,8 @@ void Executor::execute(const Decision& decision,
   }
   // Span accounting wraps INSIDE the breaker wrapper, so it sees the
   // final (reroute-patched) outcome and fires before the caller's sink.
-  ODR_OBS(if (auto* odr_obs_ = obs::current()) {
-    if (auto* journal = odr_obs_->journal()) {
+  if (auto* odr_obs = obs::current()) {
+    if (auto* journal = odr_obs->journal()) {
       journal->on_submit(request.task_id, sim_.now(), origin_for(route));
       if (rerouted) journal->on_reroute(request.task_id);
       // Re-resolve the ambient journal at completion time: the observer
@@ -173,7 +171,7 @@ void Executor::execute(const Decision& decision,
         if (done) done(o);
       };
     }
-  })
+  }
   if (cloud_breaker_ != nullptr || ap_breaker_ != nullptr) {
     done = wrap_with_breakers(std::move(done), rerouted);
     if (rerouted) {
@@ -529,8 +527,8 @@ void Executor::run_hedged(Route primary, Route secondary, bool rerouted,
 
   // One task span regardless of clone count, attributed to the primary's
   // origin; the finisher only ever sees the settled outcome.
-  ODR_OBS(if (auto* odr_obs_ = obs::current()) {
-    if (auto* journal = odr_obs_->journal()) {
+  if (auto* odr_obs = obs::current()) {
+    if (auto* journal = odr_obs->journal()) {
       journal->on_submit(request.task_id, sim_.now(), origin_for(primary));
       if (rerouted) journal->on_reroute(request.task_id);
       done = [this, done = std::move(done)](const ExecOutcome& o) {
@@ -542,7 +540,7 @@ void Executor::run_hedged(Route primary, Route secondary, bool rerouted,
         if (done) done(o);
       };
     }
-  })
+  }
 
   auto race = std::make_shared<HedgeRace>();
   race->pair = pair;

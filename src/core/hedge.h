@@ -17,8 +17,8 @@
 //
 // The coordinator never touches the network or the substrates — the
 // executor drives the race and calls in here at each transition — so it
-// adds zero events and zero rng draws, and a replay with hedging disabled
-// is byte-identical to one without the coordinator constructed.
+// adds zero events and zero rng draws. Hedging is on exactly when an
+// executor holds a coordinator (Executor::set_hedging).
 //
 // Snapshot: the registry and counters serialize as their own versioned
 // section (kSectionId/kSectionVersion); see save_section()/load_section().
@@ -38,10 +38,6 @@ namespace odr::core {
 
 class RetryBudget;
 
-struct HedgeConfig {
-  bool enabled = false;
-};
-
 class HedgeCoordinator {
  public:
   // Who won a settled pair (kNone while the race is still open, or when
@@ -58,12 +54,8 @@ class HedgeCoordinator {
     bool settled = false;
   };
 
-  explicit HedgeCoordinator(const HedgeConfig& config) : config_(config) {}
-
   // Shared retry/hedge budget; nullptr = unlimited. Must outlive this.
   void set_budget(RetryBudget* budget) { budget_ = budget; }
-
-  bool enabled() const { return config_.enabled; }
 
   // Charges one budget token for the extra clone. A denial means the
   // caller must run the plain single-path policy instead.
@@ -111,7 +103,6 @@ class HedgeCoordinator {
   void load_section(snapshot::SnapshotReader& r);
 
  private:
-  HedgeConfig config_;
   RetryBudget* budget_ = nullptr;
 
   // std::map: deterministic iteration for save().

@@ -97,14 +97,14 @@ void FaultInjector::fire(std::size_t index, Phase phase) {
 void FaultInjector::activate(std::size_t index, const FaultSpec& spec) {
   ODR_COUNT("fault.activations");
   ODR_TRACE_INSTANT(kFault, "fault.activate");
-  ODR_OBS(if (auto* odr_obs = obs::current()) {
+  if (auto* odr_obs = obs::current()) {
     const std::string kind(fault_kind_name(spec.kind));
     odr_obs->flight().note(odr_obs->now(), obs::Cat::kFault,
                            obs::Severity::kWarn, "fault.activate:" + kind,
                            static_cast<double>(index), spec.severity);
     odr_obs->flight().auto_dump(
         obs::FlightRecorder::DumpTrigger::kFaultFired, kind);
-  })
+  }
   switch (spec.kind) {
     case FaultKind::kVmCrash:
     case FaultKind::kApCrash:

@@ -548,9 +548,9 @@ void Network::reallocate_flows(std::vector<std::uint32_t>& component) {
 
   double level = 0.0;
   std::size_t next_cap = 0;
-  [[maybe_unused]] std::uint64_t iterations = 0;
+  std::uint64_t iterations = 0;
   while (active > 0) {
-    ODR_OBS(++iterations;)
+    ++iterations;
     while (next_cap < sol_capped_.size() &&
            sol_frozen_[sol_capped_[next_cap]]) {
       ++next_cap;
@@ -641,7 +641,7 @@ void Network::complete_flow(FlowId id) {
   const std::uint32_t slot = *ps;
   FlowState& f = flows_[slot];
   f.completion_event = sim::kInvalidEvent;
-  [[maybe_unused]] const SimTime started_at = f.started_at;
+  const SimTime started_at = f.started_at;
   ODR_COUNT("net.flows.completed");
   ODR_HIST("net.flow.duration_s", 0.0, 3600.0, 48,
            to_seconds(sim_.now() - started_at));

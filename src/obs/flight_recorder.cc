@@ -27,10 +27,8 @@ std::string_view FlightRecorder::trigger_name(DumpTrigger trigger) {
   return "?";
 }
 
-FlightRecorder::FlightRecorder(const ObsConfig& config)
-    : config_(config),
-      capacity_(config.flight_capacity == 0 ? 1 : config.flight_capacity) {
-  ring_.reserve(capacity_);
+FlightRecorder::FlightRecorder(const ObsConfig& config) : config_(config) {
+  ring_.reserve(kCapacity);
 }
 
 void FlightRecorder::note(SimTime t, Cat cat, Severity sev, std::string what,
@@ -42,11 +40,11 @@ void FlightRecorder::note(SimTime t, Cat cat, Severity sev, std::string what,
   e.what = std::move(what);
   e.a = a;
   e.b = b;
-  if (ring_.size() < capacity_) {
+  if (ring_.size() < kCapacity) {
     ring_.push_back(std::move(e));
   } else {
     ring_[head_] = std::move(e);
-    head_ = (head_ + 1) % capacity_;
+    head_ = (head_ + 1) % kCapacity;
   }
   ++noted_;
 }
@@ -63,9 +61,9 @@ std::vector<FlightEntry> FlightRecorder::entries() const {
 bool FlightRecorder::trigger_enabled(DumpTrigger trigger) const {
   switch (trigger) {
     case DumpTrigger::kFaultFired: return config_.dump_on_fault_fired;
-    case DumpTrigger::kBenchAbort: return config_.dump_on_bench_abort;
     case DumpTrigger::kOverloadOnset: return config_.dump_on_overload;
     case DumpTrigger::kAuditFailure:  // an audit failure always dumps
+    case DumpTrigger::kBenchAbort:
     case DumpTrigger::kManual: return true;
   }
   return false;
@@ -73,7 +71,7 @@ bool FlightRecorder::trigger_enabled(DumpTrigger trigger) const {
 
 bool FlightRecorder::auto_dump(DumpTrigger trigger, const std::string& reason) {
   if (!trigger_enabled(trigger)) return false;
-  if (trigger != DumpTrigger::kManual && dumps_ >= config_.max_auto_dumps) {
+  if (trigger != DumpTrigger::kManual && dumps_ >= kMaxAutoDumps) {
     return false;
   }
   if (config_.dump_path.empty()) {
@@ -95,7 +93,7 @@ void FlightRecorder::write_json(JsonWriter& j, DumpTrigger trigger,
       .field("trigger", std::string(trigger_name(trigger)))
       .field("reason", reason)
       .field("total_noted", noted_)
-      .field("capacity", static_cast<std::uint64_t>(capacity_))
+      .field("capacity", static_cast<std::uint64_t>(kCapacity))
       .field("wrapped", wrapped());
   j.key("entries").begin_array();
   for (const FlightEntry& e : entries()) {

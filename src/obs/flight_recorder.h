@@ -9,8 +9,8 @@
 //
 // Dumps go to stderr as aligned text, or (with ObsConfig::dump_path set)
 // to "<dump_path>.<n>.<trigger>.json" files. Automatic dumps are capped
-// (ObsConfig::max_auto_dumps) so a week of chaos cannot bury the console;
-// manual dumps are never capped.
+// (kMaxAutoDumps) so a week of chaos cannot bury the console; manual dumps
+// are never capped.
 #pragma once
 
 #include <cstdint>
@@ -44,12 +44,17 @@ struct FlightEntry {
 
 class FlightRecorder {
  public:
+  // Ring size: the last this-many notes survive into a dump.
+  static constexpr std::size_t kCapacity = 256;
+  // Ceiling on automatic dumps, so a chaos week with hundreds of fault
+  // activations does not bury the console. Manual dumps are not capped.
+  static constexpr std::uint64_t kMaxAutoDumps = 4;
+
   explicit FlightRecorder(const ObsConfig& config);
 
   void note(SimTime t, Cat cat, Severity sev, std::string what,
             double a = 0.0, double b = 0.0);
 
-  std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return ring_.size(); }
   std::uint64_t total_noted() const { return noted_; }
   bool wrapped() const { return noted_ > ring_.size(); }
@@ -67,7 +72,8 @@ class FlightRecorder {
   static std::string_view trigger_name(DumpTrigger trigger);
 
   // Dumps if `trigger` is enabled in the config and the auto-dump budget
-  // is not exhausted (kManual always dumps). Returns true if dumped.
+  // is not exhausted (kAuditFailure, kBenchAbort and kManual are always
+  // enabled; kManual is never capped). Returns true if dumped.
   bool auto_dump(DumpTrigger trigger, const std::string& reason);
   std::uint64_t dumps_written() const { return dumps_; }
 
@@ -80,7 +86,6 @@ class FlightRecorder {
   bool trigger_enabled(DumpTrigger trigger) const;
 
   ObsConfig config_;
-  std::size_t capacity_;
   std::vector<FlightEntry> ring_;  // circular once full; head_ = oldest
   std::size_t head_ = 0;
   std::uint64_t noted_ = 0;

@@ -37,7 +37,7 @@ Observer::Observer(ObsConfig config)
           paper_calibration_targets(), kHour);
       monitor_->set_flight(&flight_);
     }
-    journal_->set_sinks(attribution_.get(), monitor_.get(), &tracer_);
+    journal_->set_sinks(attribution_.get(), monitor_.get());
     journal_->set_metrics_ts(metrics_ts_.get());
   }
 }

@@ -5,8 +5,7 @@
 // Instrumented code never holds an Observer directly; it goes through the
 // ambient pointer (obs::current()), installed for the duration of a run by
 // obs::ScopedObserver. With no observer installed every macro is one
-// global load and a branch; compiled with ODR_OBS_ENABLED=0 the macros
-// vanish entirely.
+// global load and a branch (the obs_overhead ctest gates that cost).
 //
 // The Observer tracks sim time via a plain value (set from the simulator's
 // after-event hook), not a clock closure, so it cannot dangle when a
@@ -164,15 +163,8 @@ class ScopedSpan {
 // ---------------------------------------------------------------------------
 // Instrumentation macros. `cat` and `sev` arguments are bare enumerator
 // tokens (kNet, kWarn); the macros qualify them. All of them evaluate their
-// arguments only when an observer is installed, and compile to nothing
-// under ODR_OBS_ENABLED=0 — capture locals feeding ONLY these macros as
-// [[maybe_unused]].
+// arguments only when an observer is installed.
 // ---------------------------------------------------------------------------
-#if ODR_OBS_ENABLED
-
-// Wraps code (declarations, statements) that should exist only in
-// observability-enabled builds.
-#define ODR_OBS(...) __VA_ARGS__
 
 #define ODR_COUNT(name)                                        \
   do {                                                         \
@@ -251,19 +243,3 @@ class ScopedSpan {
           ::odr::obs::Severity::sev, what                      \
           __VA_OPT__(, ) __VA_ARGS__);                         \
   } while (0)
-
-#else  // !ODR_OBS_ENABLED
-
-#define ODR_OBS(...)
-#define ODR_COUNT(name) do {} while (0)
-#define ODR_COUNT_N(name, n) do {} while (0)
-#define ODR_GAUGE(name, v) do {} while (0)
-#define ODR_HIST(name, lo, hi, bins, v) do {} while (0)
-#define ODR_TRACE_INSTANT(cat, name) do {} while (0)
-#define ODR_TRACE_COMPLETE(cat, name, begin, end) do {} while (0)
-#define ODR_TRACE_SPAN(cat, name) do {} while (0)
-#define ODR_SPAN(expr) do {} while (0)
-#define ODR_METRICS_TS(expr) do {} while (0)
-#define ODR_FLIGHT(cat, sev, what, ...) do {} while (0)
-
-#endif  // ODR_OBS_ENABLED

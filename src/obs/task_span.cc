@@ -5,7 +5,6 @@
 #include "obs/attribution.h"
 #include "obs/calibration_monitor.h"
 #include "obs/metrics_ts.h"
-#include "obs/trace.h"
 #include "util/json.h"
 
 namespace odr::obs {
@@ -114,14 +113,12 @@ void TaskSpan::write_json(JsonWriter& j) const {
 TaskJournal::TaskJournal(const ObsConfig& config)
     : reservoir_size_(config.span_reservoir),
       keep_slowest_(config.span_keep_slowest),
-      keep_failed_cap_(config.span_keep_failed_cap),
-      trace_every_(config.span_trace_every) {}
+      keep_failed_cap_(config.span_keep_failed_cap) {}
 
 void TaskJournal::set_sinks(Attribution* attribution,
-                            CalibrationMonitor* monitor, Tracer* tracer) {
+                            CalibrationMonitor* monitor) {
   attribution_ = attribution;
   monitor_ = monitor;
-  tracer_ = tracer;
 }
 
 void TaskJournal::set_metrics_ts(MetricsTimeSeries* metrics_ts) {
@@ -137,7 +134,6 @@ void TaskJournal::begin_run() {
   kept_failed_.clear();
   finished_ = 0;
   kept_dropped_ = 0;
-  trace_seen_ = 0;
 }
 
 std::uint32_t TaskJournal::find_open(std::uint64_t task_id) const {
@@ -254,7 +250,6 @@ void TaskJournal::on_finish(std::uint64_t task_id, SimTime t,
   if (attribution_ != nullptr) attribution_->fold(span);
   if (monitor_ != nullptr) monitor_->on_span(span);
   if (metrics_ts_ != nullptr) metrics_ts_->fold(span);
-  emit_trace(span);
   keep(span);
   // The retention sets COPY the span; the pooled original (and its stages
   // capacity) goes back on the freelist for the next open.
@@ -297,19 +292,6 @@ void TaskJournal::keep(const TaskSpan& span) {
       slowest_.back() = {d, span};
       std::push_heap(slowest_.begin(), slowest_.end(), by_key);
     }
-  }
-}
-
-void TaskJournal::emit_trace(const TaskSpan& span) {
-  if (tracer_ == nullptr || trace_every_ == 0) return;
-  if (trace_seen_++ % trace_every_ != 0) return;
-  // One row for the whole task, then one per stage interval; they share
-  // the "task" lane and nest by containment in the viewer.
-  std::string name = "task.";
-  name += span_outcome_name(span.outcome);
-  tracer_->complete(Cat::kTask, name, span.submitted_at, span.finished_at);
-  for (const auto& i : span.stages) {
-    tracer_->complete(Cat::kTask, stage_name(i.stage), i.begin, i.end);
   }
 }
 

@@ -18,8 +18,6 @@
 //   - failed and rejected spans are always kept (capped, overflow
 //     counted);
 //   - the slowest-k spans by end-to-end duration are always kept.
-// Optionally every n-th finished span is also emitted into the Chrome
-// trace output as one row per stage interval on the "task" lane.
 //
 // Like everything in src/obs, the journal is pure derived state: it is
 // never serialized, draws no Rng, and schedules no events. A checkpoint
@@ -49,7 +47,6 @@ namespace odr::obs {
 class Attribution;
 class CalibrationMonitor;
 class MetricsTimeSeries;
-class Tracer;
 
 // Pipeline stages a task can pass through. A task visits a subset in
 // order; a stage can be re-entered (retry, breaker reroute), producing
@@ -135,8 +132,7 @@ class TaskJournal {
   explicit TaskJournal(const ObsConfig& config);
 
   // Downstream consumers of finished spans; any may be null.
-  void set_sinks(Attribution* attribution, CalibrationMonitor* monitor,
-                 Tracer* tracer);
+  void set_sinks(Attribution* attribution, CalibrationMonitor* monitor);
   // Windowed-telemetry sink: every finished span is folded into the
   // window containing its finish time (null = no windowed attribution).
   void set_metrics_ts(MetricsTimeSeries* metrics_ts);
@@ -197,7 +193,6 @@ class TaskJournal {
   };
 
   void keep(const TaskSpan& span);
-  void emit_trace(const TaskSpan& span);
   // Slot of task_id's open span, or SlabPool::kNoSlot. `opening` acquires
   // (and field-resets) a pooled span for an unknown id instead.
   std::uint32_t find_open(std::uint64_t task_id) const;
@@ -206,11 +201,9 @@ class TaskJournal {
   std::size_t reservoir_size_;
   std::size_t keep_slowest_;
   std::size_t keep_failed_cap_;
-  std::uint32_t trace_every_;
 
   Attribution* attribution_ = nullptr;
   CalibrationMonitor* monitor_ = nullptr;
-  Tracer* tracer_ = nullptr;
   MetricsTimeSeries* metrics_ts_ = nullptr;
 
   // Open spans live in a slab pool (DESIGN.md §16): the population churns
@@ -228,7 +221,6 @@ class TaskJournal {
   std::vector<TaskSpan> kept_failed_;
   std::uint64_t finished_ = 0;
   std::uint64_t kept_dropped_ = 0;
-  std::uint32_t trace_seen_ = 0;
 };
 
 }  // namespace odr::obs

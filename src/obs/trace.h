@@ -42,7 +42,7 @@ enum class Cat : std::uint8_t {
   kFault,
   kSnapshot,
   kBench,
-  kTask,  // per-task lifecycle spans (obs/task_span)
+  kTask,  // per-task telemetry (span windows, calibration drift)
 };
 inline constexpr std::size_t kCatCount = 10;
 

@@ -49,8 +49,9 @@ void ServerSource::tick(SimTime dt, Rng& rng) {
       broken_ = true;
       fatal_ = true;
     } else {
-      // Resumable: brief outage, then the transfer continues. Model the
-      // outage as a rate dip for one tick and re-arm a possible later break.
+      // Resumable: the transfer resumes at once, so the rate never dips
+      // (broken_ stays false). The break only draws the next break time,
+      // 2 h mean of transfer time later.
       elapsed_ = 0;
       break_after_ = from_seconds(rng.exponential(to_seconds(2 * kHour)));
     }
@@ -59,7 +60,7 @@ void ServerSource::tick(SimTime dt, Rng& rng) {
 
 SwarmSource::SwarmSource(Protocol protocol, double weekly_popularity,
                          const SwarmParams& params, Rng& rng)
-    : protocol_(protocol), swarm_(protocol, weekly_popularity, params, rng) {}
+    : swarm_(protocol, weekly_popularity, params, rng) {}
 
 std::unique_ptr<Source> make_source(Protocol protocol, double weekly_popularity,
                                     const SourceParams& params, Rng& rng) {
@@ -99,14 +100,14 @@ std::unique_ptr<ServerSource> ServerSource::restored(
 
 void SwarmSource::save(snapshot::SnapshotWriter& w) const {
   w.u8(kTagSourceKind, kKindSwarm);
-  w.u8(kTagSourceProtocol, static_cast<std::uint8_t>(protocol_));
+  w.u8(kTagSourceProtocol, static_cast<std::uint8_t>(protocol()));
   swarm_.save(w);
 }
 
 std::unique_ptr<SwarmSource> SwarmSource::restored(
     Protocol protocol, const SwarmParams& params, snapshot::SnapshotReader& r) {
   return std::unique_ptr<SwarmSource>(
-      new SwarmSource(protocol, Swarm::restored(protocol, params, r)));
+      new SwarmSource(Swarm::restored(protocol, params, r)));
 }
 
 void save_source(snapshot::SnapshotWriter& w, const Source& source) {

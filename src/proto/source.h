@@ -116,7 +116,7 @@ class SwarmSource final : public Source {
   bool fatal() const override { return false; }
   FailureCause fatal_cause() const override { return FailureCause::kNone; }
   double traffic_factor() const override { return swarm_.traffic_factor(); }
-  Protocol protocol() const override { return protocol_; }
+  Protocol protocol() const override { return swarm_.protocol(); }
 
   Swarm& swarm() { return swarm_; }
   const Swarm& swarm() const { return swarm_; }
@@ -127,10 +127,8 @@ class SwarmSource final : public Source {
                                                snapshot::SnapshotReader& r);
 
  private:
-  SwarmSource(Protocol protocol, Swarm swarm)
-      : protocol_(protocol), swarm_(std::move(swarm)) {}
+  explicit SwarmSource(Swarm swarm) : swarm_(std::move(swarm)) {}
 
-  Protocol protocol_;
   Swarm swarm_;
 };
 

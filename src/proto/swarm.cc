@@ -20,14 +20,13 @@ enum : std::uint16_t {
   kTagTrafficFactor = 45,
   kTagSeeds = 46,
   kTagLeechers = 47,
-  kTagExternalSeeds = 48,
 };
 
 }  // namespace
 
 Swarm::Swarm(Protocol protocol, double weekly_popularity,
              const SwarmParams& params, Rng& rng)
-    : params_(params), protocol_(protocol), popularity_(weekly_popularity) {
+    : params_(params), popularity_(weekly_popularity), protocol_(protocol) {
   assert(is_p2p(protocol));
   scale_ = protocol == Protocol::kEmule ? params_.emule_scale : 1.0;
   // Per-seed upload quality varies across swarms (consumer uplinks).
@@ -82,9 +81,7 @@ void Swarm::tick(SimTime dt, Rng& rng) {
 }
 
 Rate Swarm::downloader_rate() const {
-  const double effective_seeds =
-      static_cast<double>(seeds_) + static_cast<double>(external_seeds_);
-  if (effective_seeds <= 0.0) {
+  if (seeds_ == 0) {
     // Seedless swarm: leechers can only trade the pieces they already
     // hold; without a full copy online the transfer makes no forward
     // progress, which is exactly the stagnation that § 4.1's timeout rule
@@ -95,7 +92,8 @@ Rate Swarm::downloader_rate() const {
   // bandwidth and grows only logarithmically with the seed count (more
   // parallel slots, same asymmetric uplinks).
   const double slot_gain =
-      1.0 + params_.seed_log_gain * std::log2(1.0 + effective_seeds);
+      1.0 + params_.seed_log_gain *
+                std::log2(1.0 + static_cast<double>(seeds_));
   const double from_leechers =
       params_.leecher_exchange_factor *
       std::log2(1.0 + static_cast<double>(leechers_)) * 0.25;
@@ -113,14 +111,6 @@ double Swarm::bandwidth_multiplier() const {
                    std::sqrt(static_cast<double>(leechers_));
 }
 
-Rate Swarm::multiplied_rate(Rate seed_rate) const {
-  return seed_rate * bandwidth_multiplier();
-}
-
-void Swarm::remove_external_seed() {
-  if (external_seeds_ > 0) --external_seeds_;
-}
-
 void Swarm::save(snapshot::SnapshotWriter& w) const {
   w.f64(kTagPopularity, popularity_);
   w.f64(kTagScale, scale_);
@@ -130,7 +120,6 @@ void Swarm::save(snapshot::SnapshotWriter& w) const {
   w.f64(kTagTrafficFactor, traffic_factor_);
   w.u32(kTagSeeds, seeds_);
   w.u32(kTagLeechers, leechers_);
-  w.u32(kTagExternalSeeds, external_seeds_);
 }
 
 Swarm Swarm::restored(Protocol protocol, const SwarmParams& params,
@@ -144,7 +133,6 @@ Swarm Swarm::restored(Protocol protocol, const SwarmParams& params,
   s.traffic_factor_ = r.f64(kTagTrafficFactor);
   s.seeds_ = r.u32(kTagSeeds);
   s.leechers_ = r.u32(kTagLeechers);
-  s.external_seeds_ = r.u32(kTagExternalSeeds);
   return s;
 }
 

@@ -88,19 +88,15 @@ class Swarm {
   // Service rate available to ONE additional downloader right now.
   Rate downloader_rate() const;
 
-  // Aggregate distribution rate if the cloud seeds this swarm with
-  // `seed_rate` upload bandwidth: the "bandwidth multiplier" D_i/S_i of
-  // §4.2 grows with the leecher population that can re-share.
-  Rate multiplied_rate(Rate seed_rate) const;
+  // The "bandwidth multiplier" D_i/S_i of §4.2: aggregate distribution
+  // per unit of injected seed bandwidth, growing with the leecher
+  // population that can re-share.
   double bandwidth_multiplier() const;
 
   std::uint32_t seeds() const { return seeds_; }
   std::uint32_t leechers() const { return leechers_; }
   double traffic_factor() const { return traffic_factor_; }
-
-  // Adds/removes a persistent seed (cloud seeding for highly popular files).
-  void add_external_seed() { ++external_seeds_; }
-  void remove_external_seed();
+  Protocol protocol() const { return protocol_; }
 
   // Snapshot support: serializes the per-swarm sampled constants and the
   // dynamic populations. restored() rebuilds without consuming any RNG
@@ -113,22 +109,21 @@ class Swarm {
  private:
   // Restore path: sets only what the checkpoint does not carry.
   Swarm(Protocol protocol, const SwarmParams& params)
-      : params_(params), protocol_(protocol), popularity_(0.0) {}
+      : params_(params), popularity_(0.0), protocol_(protocol) {}
 
   double arrival_mean_seeds() const;
   double arrival_mean_leechers() const;
 
   SwarmParams params_;  // by value: swarms outlive caller-side param structs
-  Protocol protocol_;
   double popularity_;
   double scale_ = 1.0;          // protocol-dependent population scale
   Rate per_seed_rate_ = 0.0;    // this swarm's average per-seed upload
-  bool has_seedbox_ = false;
   Rate seedbox_rate_ = 0.0;
   double traffic_factor_ = 2.0; // sampled once per swarm
   std::uint32_t seeds_ = 0;
   std::uint32_t leechers_ = 0;
-  std::uint32_t external_seeds_ = 0;
+  Protocol protocol_;
+  bool has_seedbox_ = false;
 };
 
 }  // namespace odr::proto

@@ -9,7 +9,6 @@ namespace odr::serve {
 
 namespace {
 
-#if ODR_OBS_ENABLED
 // Closes the span of a shed/dropped arrival on the spot: a zero-duration
 // kAdmission marker and a kRejected terminal whose cause names the
 // verdict. The cause literals are static-duration, as SpanTerminal
@@ -29,7 +28,6 @@ void finish_refused_span(std::uint64_t task_id, SimTime t,
   term.popularity = workload::popularity_class_name(cls);
   journal->on_finish(task_id, t, term);
 }
-#endif  // ODR_OBS_ENABLED
 
 }  // namespace
 
@@ -74,7 +72,7 @@ void ServiceLoop::on_arrival() {
     verdict = 2;
     ++result_.dropped_full;
     ODR_COUNT("serve.backpressure.drops");
-    ODR_OBS(finish_refused_span(r.task_id, r.request_time, "queue_full", cls);)
+    finish_refused_span(r.task_id, r.request_time, "queue_full", cls);
   } else if (static_cast<double>(queue_.size()) >=
                  config_.shed_watermark *
                      static_cast<double>(config_.queue_capacity) &&
@@ -82,8 +80,7 @@ void ServiceLoop::on_arrival() {
     verdict = 1;
     ++result_.shed_unpopular;
     ODR_COUNT("serve.admission.shed_unpopular");
-    ODR_OBS(
-        finish_refused_span(r.task_id, r.request_time, "shed_unpopular", cls);)
+    finish_refused_span(r.task_id, r.request_time, "shed_unpopular", cls);
   } else {
     verdict = 0;
     ++result_.admitted;

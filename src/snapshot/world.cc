@@ -256,10 +256,10 @@ void CloudWorld::checkpoint_tick() {
       for (const std::string& p : problems) msg += "\n  - " + p;
       ODR_FLIGHT(kSnapshot, kError, "audit.failed",
                  static_cast<double>(problems.size()));
-      ODR_OBS(if (auto* odr_obs = obs::current()) {
+      if (auto* odr_obs = obs::current()) {
         odr_obs->flight().auto_dump(
             obs::FlightRecorder::DumpTrigger::kAuditFailure, problems.front());
-      })
+      }
       throw SnapshotError(msg, SnapshotErrorKind::kAudit);
     }
   }
@@ -274,7 +274,8 @@ void CloudWorld::checkpoint_tick() {
 }
 
 std::uint64_t CloudWorld::config_fingerprint() const {
-  // FNV-1a over the config scalars that shape the deterministic build. A
+  // FNV-1a over the config scalars that shape the deterministic build and
+  // the run: every CloudConfig and SourceParams field among them. A
   // checkpoint only makes sense over the exact world it was taken from;
   // restoring under a different config must fail before any state loads.
   std::uint64_t h = 1469598103934665603ull;
@@ -295,9 +296,43 @@ std::uint64_t CloudWorld::config_fingerprint() const {
   mix(config_.users.num_users);
   mix(config_.requests.num_requests);
   mix(static_cast<std::uint64_t>(config_.requests.duration));
-  mix(config_.cloud.storage_capacity);
-  mix(config_.cloud.predownloader_count);
-  mix_f(config_.cloud.total_upload_capacity);
+  const cloud::CloudConfig& c = config_.cloud;
+  mix(c.storage_capacity);
+  mix(c.predownloader_count);
+  mix_f(c.total_upload_capacity);
+  for (double share : c.isp_upload_share) mix_f(share);
+  mix_f(c.admission_floor);
+  mix_f(c.dynamics_prob);
+  mix(c.predownload_max_retries);
+  mix(c.degraded_admission);
+  mix_f(c.shed_headroom);
+  mix(c.retry_budget_enabled);
+  mix_f(c.retry_budget_global_capacity);
+  mix_f(c.retry_budget_global_refill_per_hour);
+  const proto::SwarmParams& sw = config_.sources.swarm;
+  mix_f(sw.seeds_per_popularity);
+  mix_f(sw.seeds_popularity_exponent);
+  mix_f(sw.base_seed_mean);
+  mix_f(sw.leechers_per_popularity);
+  mix(static_cast<std::uint64_t>(sw.peer_lifetime));
+  mix_f(sw.seed_upload_median);
+  mix_f(sw.seed_upload_sigma);
+  mix_f(sw.seed_log_gain);
+  mix_f(sw.leecher_exchange_factor);
+  mix_f(sw.seedbox_scale);
+  mix_f(sw.seedbox_rate_lo);
+  mix_f(sw.seedbox_rate_hi);
+  mix_f(sw.traffic_factor_lo);
+  mix_f(sw.traffic_factor_hi);
+  mix_f(sw.emule_scale);
+  const proto::ServerParams& sv = config_.sources.server;
+  mix_f(sv.rate_median);
+  mix_f(sv.rate_sigma);
+  mix_f(sv.connection_break_prob);
+  mix_f(sv.non_resumable_prob);
+  mix(static_cast<std::uint64_t>(sv.break_after_mean));
+  mix_f(sv.overhead_lo);
+  mix_f(sv.overhead_hi);
   mix(static_cast<std::uint64_t>(config_.warmup_weeks));
   mix(config_.debug_burn_rng_at_event);
   mix(config_.fault_plan.faults.size());
@@ -449,9 +484,7 @@ void CloudWorld::load_from(const std::string& buffer) {
 
   // The observer (if any) survived the restore; resync its clock to the
   // restored simulated time and log the event for crash forensics.
-  ODR_OBS(if (auto* odr_obs = obs::current()) {
-    odr_obs->set_now(sim_.now());
-  })
+  if (auto* odr_obs = obs::current()) odr_obs->set_now(sim_.now());
   ODR_COUNT("snapshot.restores");
   ODR_FLIGHT(kSnapshot, kInfo, "world.restored", to_seconds(sim_.now()));
 }

@@ -76,9 +76,7 @@ class ExecutorTest : public ::testing::Test {
   }
 
   HedgeCoordinator& enable_hedging() {
-    HedgeConfig cfg;
-    cfg.enabled = true;
-    hedges = std::make_unique<HedgeCoordinator>(cfg);
+    hedges = std::make_unique<HedgeCoordinator>();
     executor->set_hedging(hedges.get());
     return *hedges;
   }

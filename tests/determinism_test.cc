@@ -136,7 +136,6 @@ TEST(DeterminismTest, ServeFlashCrowdMatchesGoldenFingerprint) {
   EXPECT_EQ(result.fingerprint, kServeFlashFingerprint);
 }
 
-#if ODR_OBS_ENABLED
 TEST(DeterminismTest, ServeFlashCrowdWithTelemetryMatchesGoldenFingerprint) {
   // The live telemetry plane (admission-verdict spans + the windowed
   // metrics time-series) is pure derived state: arming it must not move a
@@ -169,7 +168,6 @@ TEST(DeterminismTest, ServeFlashCrowdWithTelemetryMatchesGoldenFingerprint) {
   EXPECT_EQ(completed, result.completed);
   EXPECT_EQ(mts->violation_windows(), result.slo.violation_windows);
 }
-#endif  // ODR_OBS_ENABLED
 
 TEST(DeterminismTest, HedgedWeekMatchesGoldenFingerprint) {
   // Hedging races two clones per task and cancels the loser with a

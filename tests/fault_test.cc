@@ -384,7 +384,7 @@ TEST_F(PoolFaultTest, CrashedTaskRetriesAfterExponentialBackoff) {
   EXPECT_TRUE(result->success);
   EXPECT_EQ(pool->retry_count(), 1u);
   EXPECT_EQ(pool->retries_exhausted(), 0u);
-  // First backoff is retry_backoff_base (1 min): crash at 120 s, restart
+  // First backoff is kRetryBackoffBase (1 min): crash at 120 s, restart
   // at 180 s, 600 s of transfer.
   EXPECT_EQ(result->started_at, 180 * kSec);
   EXPECT_EQ(result->finished_at, 780 * kSec);

@@ -199,22 +199,18 @@ TEST_F(NetworkTest, SetFlowCapReschedulesOnlyTheChangedFlow) {
   }
   ASSERT_EQ(sim.pending_count(), 50u);
   const std::size_t heap_before = sim.heap_size();
-#if ODR_OBS_ENABLED
   const std::uint64_t fast_before =
       obs->metrics().counter("net.flows.fast_path").value();
   const std::uint64_t solves_before =
       obs->metrics().counter("net.solver.runs").value();
-#endif
 
   net.set_flow_cap(flows[17], 200.0);
 
   EXPECT_EQ(sim.pending_count(), 50u);
   EXPECT_EQ(sim.heap_size(), heap_before + 1);
-#if ODR_OBS_ENABLED
   obs::Registry& m = obs->metrics();
   EXPECT_EQ(m.counter("net.flows.fast_path").value() - fast_before, 1u);
   EXPECT_EQ(m.counter("net.solver.runs").value() - solves_before, 0u);
-#endif
   // Re-capping to the same rate moves nothing; the re-capped flow still
   // finishes at its new rate and the kept ones at their original times.
   net.set_flow_cap(flows[0], 100.0);

@@ -148,63 +148,61 @@ TEST(TracerTest, JsonHasLaneMetadataAndEventFields) {
 
 // --- flight recorder -------------------------------------------------------
 
-ObsConfig small_flight_config() {
-  ObsConfig c;
-  c.flight_capacity = 4;
-  return c;
-}
-
 TEST(FlightRecorderTest, RingWrapsKeepingNewestOldestFirst) {
-  FlightRecorder fr(small_flight_config());
-  for (int i = 0; i < 6; ++i) {
+  constexpr std::size_t kNotes = FlightRecorder::kCapacity + 1;
+  FlightRecorder fr(ObsConfig{});
+  for (std::size_t i = 0; i < kNotes; ++i) {
     std::string what = "e";
     what += std::to_string(i);
-    fr.note(i * kSec, Cat::kCloud, Severity::kInfo, std::move(what), i);
+    fr.note(static_cast<SimTime>(i) * kSec, Cat::kCloud, Severity::kInfo,
+            std::move(what), static_cast<double>(i));
   }
-  EXPECT_EQ(fr.size(), 4u);
-  EXPECT_EQ(fr.total_noted(), 6u);
+  EXPECT_EQ(fr.size(), FlightRecorder::kCapacity);
+  EXPECT_EQ(fr.total_noted(), kNotes);
   EXPECT_TRUE(fr.wrapped());
   const std::vector<FlightEntry> e = fr.entries();
-  ASSERT_EQ(e.size(), 4u);
-  EXPECT_EQ(e.front().what, "e2");  // e0, e1 overwritten
-  EXPECT_EQ(e.back().what, "e5");
-  EXPECT_DOUBLE_EQ(e.back().a, 5.0);
+  ASSERT_EQ(e.size(), FlightRecorder::kCapacity);
+  EXPECT_EQ(e.front().what, "e1");  // e0 overwritten
+  EXPECT_EQ(e.back().what, "e" + std::to_string(kNotes - 1));
+  EXPECT_DOUBLE_EQ(e.back().a, static_cast<double>(kNotes - 1));
 }
 
 TEST(FlightRecorderTest, NotWrappedBelowCapacity) {
-  FlightRecorder fr(small_flight_config());
+  FlightRecorder fr(ObsConfig{});
   fr.note(0, Cat::kSim, Severity::kInfo, "only");
   EXPECT_FALSE(fr.wrapped());
   EXPECT_EQ(fr.entries().size(), 1u);
 }
 
 TEST(FlightRecorderTest, TriggerMaskGatesAutoDumps) {
-  ObsConfig c = small_flight_config();
-  c.dump_on_bench_abort = false;
+  ObsConfig c;
+  c.dump_on_fault_fired = false;
   c.dump_path = testing::TempDir() + "fr_mask";
   FlightRecorder fr(c);
-  fr.note(0, Cat::kBench, Severity::kError, "fail");
-  EXPECT_FALSE(fr.auto_dump(FlightRecorder::DumpTrigger::kBenchAbort, "off"));
+  fr.note(0, Cat::kFault, Severity::kWarn, "fault");
+  EXPECT_FALSE(fr.auto_dump(FlightRecorder::DumpTrigger::kFaultFired, "off"));
   EXPECT_EQ(fr.dumps_written(), 0u);
   EXPECT_TRUE(fr.auto_dump(FlightRecorder::DumpTrigger::kAuditFailure, "on"));
   EXPECT_EQ(fr.dumps_written(), 1u);
 }
 
 TEST(FlightRecorderTest, AutoDumpBudgetCapsAllButManual) {
-  ObsConfig c = small_flight_config();
-  c.max_auto_dumps = 1;
+  ObsConfig c;
   c.dump_path = testing::TempDir() + "fr_budget";
   FlightRecorder fr(c);
   fr.note(0, Cat::kFault, Severity::kWarn, "f");
-  EXPECT_TRUE(fr.auto_dump(FlightRecorder::DumpTrigger::kFaultFired, "1st"));
-  EXPECT_FALSE(fr.auto_dump(FlightRecorder::DumpTrigger::kFaultFired, "2nd"));
+  for (std::uint64_t i = 0; i < FlightRecorder::kMaxAutoDumps; ++i) {
+    EXPECT_TRUE(fr.auto_dump(FlightRecorder::DumpTrigger::kFaultFired, "n"))
+        << i;
+  }
+  EXPECT_FALSE(fr.auto_dump(FlightRecorder::DumpTrigger::kFaultFired, "cap"));
   // Manual dumps ignore the budget.
   EXPECT_TRUE(fr.auto_dump(FlightRecorder::DumpTrigger::kManual, "manual"));
-  EXPECT_EQ(fr.dumps_written(), 2u);
+  EXPECT_EQ(fr.dumps_written(), FlightRecorder::kMaxAutoDumps + 1);
 }
 
 TEST(FlightRecorderTest, FileDumpUsesNumberedTriggerNames) {
-  ObsConfig c = small_flight_config();
+  ObsConfig c;
   c.dump_path = testing::TempDir() + "fr_file";
   FlightRecorder fr(c);
   fr.note(kSec, Cat::kSnapshot, Severity::kError, "audit", 2, 3);
@@ -217,7 +215,7 @@ TEST(FlightRecorderTest, FileDumpUsesNumberedTriggerNames) {
 }
 
 TEST(FlightRecorderTest, TextRenderMentionsTriggerAndEntries) {
-  FlightRecorder fr(small_flight_config());
+  FlightRecorder fr(ObsConfig{});
   fr.note(2 * kSec, Cat::kCore, Severity::kWarn, "breaker.trip", 1);
   const std::string text =
       fr.render_text(FlightRecorder::DumpTrigger::kManual, "look");
@@ -322,8 +320,6 @@ TEST(ObserverTest, OnSimEventAdvancesClockAndCounts) {
   EXPECT_EQ(obs->metrics().find_counter("sim.events.executed")->value(), 2u);
 }
 
-#if ODR_OBS_ENABLED
-
 TEST(ObserverMacrosTest, NoOpWithoutObserverInstalled) {
   ASSERT_EQ(current(), nullptr);
   // Must not crash, allocate registries, or do anything observable.
@@ -367,8 +363,6 @@ TEST(ObserverMacrosTest, ScopedSpanEmitsCompleteEvent) {
   obs->tracer().write_json(j);
   EXPECT_NE(j.str().find("\"dur\":150"), std::string::npos);
 }
-
-#endif  // ODR_OBS_ENABLED
 
 // --- task spans ------------------------------------------------------------
 
@@ -441,7 +435,7 @@ TEST(TaskJournalTest, SecondFinishAndUnknownIdAreNoOps) {
   // for the same task; only the first close may fold into attribution.
   Attribution attr;
   TaskJournal j(span_config(8, 0, 8));
-  j.set_sinks(&attr, nullptr, nullptr);
+  j.set_sinks(&attr, nullptr);
   j.on_submit(1, 0, SpanOrigin::kCloud);
   j.on_finish(1, kMinute, success_terminal());
   j.on_finish(1, 2 * kMinute, failed_terminal());  // must not re-fold
@@ -531,20 +525,6 @@ TEST(TaskJournalTest, BeginRunResetsAllState) {
   EXPECT_EQ(j.open_spans(), 0u);
   EXPECT_TRUE(j.sampled().empty());
   EXPECT_EQ(j.take_file_retries(5), 0u);
-}
-
-TEST(TaskJournalTest, TraceRowsOnTaskLanePerStageInterval) {
-  ObsConfig c = span_config(8, 0, 8);
-  c.span_trace_every = 1;
-  Tracer tracer(/*enabled=*/true, /*max_events=*/64);
-  TaskJournal j(c);
-  j.set_sinks(nullptr, nullptr, &tracer);
-  j.on_submit(1, 0, SpanOrigin::kCloud);
-  j.on_stage(1, Stage::kVmQueue, 0, kMinute);
-  j.on_stage(1, Stage::kVmFetch, kMinute, 2 * kMinute);
-  j.on_finish(1, 2 * kMinute, success_terminal());
-  // One whole-task row plus one per stage interval.
-  EXPECT_EQ(tracer.size(), 3u);
 }
 
 TEST(TaskJournalTest, SpansJsonDocumentShape) {
@@ -758,8 +738,6 @@ TEST(CalibrationMonitorTest, PaperTargetTableCoversAtLeastEightGatedStats) {
   EXPECT_GE(targets.size(), 10u);
 }
 
-#if ODR_OBS_ENABLED
-
 TEST(ObserverSpanTest, CalibrationImpliesSpansAndBeginRunResets) {
   ObsConfig c;
   c.calibration = true;  // implies spans
@@ -786,8 +764,6 @@ TEST(ObserverSpanTest, SpansDisabledMeansNoJournal) {
   ODR_SPAN(on_submit(1, 0, SpanOrigin::kCloud));
   SUCCEED();
 }
-
-#endif  // ODR_OBS_ENABLED
 
 // --- windowed metrics time-series -------------------------------------------
 
@@ -911,7 +887,6 @@ TEST(MetricsTimeSeriesTest, FoldBucketsSpansByWindowVerdictAndStage) {
 
 TEST(MetricsTimeSeriesTest, OverloadLatchesFireOneFlightDumpEach) {
   ObsConfig c;
-  c.flight_capacity = 16;
   c.dump_path = testing::TempDir() + "mts_overload";
   FlightRecorder fr(c);
   MetricsTimeSeries mts(nullptr, kMinute);
@@ -994,7 +969,6 @@ TEST(ObsIntegrationTest, ObserverDoesNotPerturbTheReplay) {
   EXPECT_EQ(analysis::outcome_fingerprint(observed.outcomes), plain_fp);
   EXPECT_EQ(observed.outcomes.size(), plain.outcomes.size());
 
-#if ODR_OBS_ENABLED
   // The run actually fed the observer: events were counted, probes were
   // sampled, flows were traced.
   EXPECT_GT(obs->metrics().find_counter("sim.events.executed")->value(), 0u);
@@ -1002,7 +976,6 @@ TEST(ObsIntegrationTest, ObserverDoesNotPerturbTheReplay) {
   EXPECT_GT(obs->sampler()->samples_taken(), 0u);
   EXPECT_NE(obs->sampler()->series("cloud.pool.hit_ratio"), nullptr);
   EXPECT_GT(obs->tracer().size(), 0u);
-#endif
 }
 
 }  // namespace

@@ -61,20 +61,6 @@ TEST(SwarmTest, RateGrowsSublinearlyWithSeeds) {
   }
 }
 
-TEST(SwarmTest, ExternalSeedRevivesSwarm) {
-  Rng rng(5);
-  SwarmParams p = default_params();
-  p.base_seed_mean = 0.0;
-  p.seeds_per_popularity = 0.0;
-  Swarm s(Protocol::kBitTorrent, 1.0, p, rng);
-  EXPECT_DOUBLE_EQ(s.downloader_rate(), 0.0);
-  s.add_external_seed();
-  EXPECT_GT(s.downloader_rate(), 0.0);
-  s.remove_external_seed();
-  EXPECT_DOUBLE_EQ(s.downloader_rate(), 0.0);
-  s.remove_external_seed();  // extra removals are safe
-}
-
 TEST(SwarmTest, TickPreservesStationaryMean) {
   Rng rng(6);
   const double pop = 50.0;
@@ -151,7 +137,6 @@ TEST(SwarmTest, BandwidthMultiplierGrowsWithLeechers) {
   Swarm large(Protocol::kBitTorrent, 2000.0, p, rng);
   EXPECT_GE(small.bandwidth_multiplier(), 1.0);
   EXPECT_GT(large.bandwidth_multiplier(), small.bandwidth_multiplier());
-  EXPECT_GT(large.multiplied_rate(1000.0), 1000.0);
 }
 
 }  // namespace

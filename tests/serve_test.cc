@@ -401,7 +401,6 @@ TEST(ServiceLoopTest, FingerprintIsDeterministicAndSeedSensitive) {
   EXPECT_NE(c.run().fingerprint, ra.fingerprint);
 }
 
-#if ODR_OBS_ENABLED
 // Per-window offered counts of one service run, with the trailing drain
 // windows (no arrivals, only completions) trimmed off.
 std::vector<std::uint64_t> offered_per_window(const serve::ServeConfig& cfg,
@@ -441,7 +440,6 @@ TEST(ServiceLoopTest, ArrivalsAreTheSameUnderEveryFaultPlan) {
   EXPECT_EQ(chaos.offered, plain.offered);
   EXPECT_EQ(chaos_offered, plain_offered);
 }
-#endif  // ODR_OBS_ENABLED
 
 TEST(StrategyWorldTest, ReplayArrivalsAreTheSameUnderEveryFaultPlan) {
   // The replay twin: the week is drawn before the injector forks, so every

@@ -140,9 +140,7 @@ TEST(SnapshotFuzzTest, ErrorsNameSectionAndOffset) {
 // --- hedge section ----------------------------------------------------------
 
 std::string hedge_section_buffer() {
-  core::HedgeConfig cfg;
-  cfg.enabled = true;
-  core::HedgeCoordinator h(cfg);
+  core::HedgeCoordinator h;
   const std::uint64_t settled = h.open_pair(7, 0, 2, 5 * kMinute);
   h.note_clone_done(settled);
   h.settle(settled, core::HedgeCoordinator::Winner::kPrimary);
@@ -155,10 +153,8 @@ std::string hedge_section_buffer() {
 }
 
 void expect_hedge_rejection(std::string corrupt, const std::string& where) {
-  core::HedgeConfig cfg;
-  cfg.enabled = true;
   try {
-    core::HedgeCoordinator h(cfg);
+    core::HedgeCoordinator h;
     snapshot::SnapshotReader r(std::move(corrupt));
     h.load_section(r);
     FAIL() << where << ": corrupt hedge section loaded without an error";
@@ -171,9 +167,7 @@ void expect_hedge_rejection(std::string corrupt, const std::string& where) {
 
 TEST(SnapshotFuzzTest, HedgeSectionCleanBufferRestores) {
   const std::string buf = hedge_section_buffer();
-  core::HedgeConfig cfg;
-  cfg.enabled = true;
-  core::HedgeCoordinator h(cfg);
+  core::HedgeCoordinator h;
   snapshot::SnapshotReader r(buf);
   h.load_section(r);
   EXPECT_EQ(h.inflight_pairs(), 2u);

@@ -523,14 +523,9 @@ TEST(SnapshotNetTest, RestoreReproducesFastPathDecisions) {
   for (std::size_t i = 0; i < b.done.size(); ++i) {
     EXPECT_EQ(b.done[i], a.done[done_before + i]) << i;
   }
-#if ODR_OBS_ENABLED
   // Both decisions were exercised after the restore.
   EXPECT_GT(fast, 0u);
   EXPECT_GT(solves, 0u);
-#else
-  (void)fast;
-  (void)solves;
-#endif
 }
 
 // --- ledbat ----------------------------------------------------------------
@@ -812,12 +807,10 @@ TEST(SnapshotHedgeTest, KillBetweenCloneLaunchAndLoserCancelRoundTrips) {
   // winner delivered its outcome) but the loser-cancel event has not fired
   // yet, and a second pair is still fully open. Both must survive a
   // checkpoint bit-identically, along with the shared retry budget.
-  core::HedgeConfig cfg;
-  cfg.enabled = true;
   core::RetryBudget::Config bcfg;
   bcfg.enabled = true;
   core::RetryBudget budget(bcfg);
-  core::HedgeCoordinator h(cfg);
+  core::HedgeCoordinator h;
   h.set_budget(&budget);
 
   ASSERT_TRUE(h.try_charge_clone(7, 30 * kSec));
@@ -836,7 +829,7 @@ TEST(SnapshotHedgeTest, KillBetweenCloneLaunchAndLoserCancelRoundTrips) {
   w.end_section();
   const std::string buf = w.take();
 
-  core::HedgeCoordinator h2(cfg);
+  core::HedgeCoordinator h2;
   core::RetryBudget budget2(bcfg);
   SnapshotReader r(buf);
   h2.load_section(r);
@@ -1060,8 +1053,6 @@ TEST_F(WorldTest, KillAndResumeUnderSevereFaultPlan) {
   EXPECT_EQ(got.vm_retries, expect.vm_retries);
 }
 
-#if ODR_OBS_ENABLED
-
 // PR4 span guard: tasks alive across a checkpoint kill+resume. Spans are
 // pure derived state, so (1) the restored run must still land on the
 // byte-identical final world, (2) the restore must reset the journal
@@ -1115,8 +1106,6 @@ TEST_F(WorldTest, SpansAcrossKillAndResumeNeverDoubleCount) {
   EXPECT_LE(victim_finished + resumed_finished, baseline_finished);
 }
 
-#endif  // ODR_OBS_ENABLED
-
 TEST_F(WorldTest, CorruptedCheckpointNeverPartiallyLoads) {
   const auto cfg = small_config(5);
   snapshot::CloudWorld world(cfg, options());
@@ -1164,6 +1153,80 @@ TEST_F(WorldTest, MetaVersionOneCheckpointIsRefused) {
     const std::string what(e.what());
     EXPECT_NE(what.find("checkpoint has v1"), std::string::npos) << what;
   }
+}
+
+// Offset of section `id`'s frame in a checkpoint buffer: past the 8-byte
+// file header, each frame is id u32, version u32, payload length u64 and
+// CRC u32, then the payload (all little-endian).
+std::size_t section_frame(const std::string& buf, std::uint32_t id) {
+  auto le = [&buf](std::size_t at, int bytes) {
+    std::uint64_t v = 0;
+    for (int i = bytes - 1; i >= 0; --i) {
+      v = (v << 8) | static_cast<unsigned char>(buf[at + i]);
+    }
+    return v;
+  };
+  std::size_t pos = 8;
+  while (pos + 20 <= buf.size()) {
+    if (le(pos, 4) == id) return pos;
+    pos += 20 + le(pos + 8, 8);
+  }
+  ADD_FAILURE() << "no section " << id;
+  return 0;
+}
+
+TEST_F(WorldTest, VmSectionVersionOneIsRefused) {
+  // A v1 vm section serialized an external-seed count per swarm; this
+  // build refuses it with the section-version diagnostic.
+  const auto cfg = small_config(5);
+  snapshot::CloudWorld world(cfg, options());
+  world.run(500);
+  std::string old = world.save_to_buffer();
+  const std::size_t vm =
+      section_frame(old, snapshot::section_id(snapshot::Subsystem::kVm));
+  ASSERT_EQ(old[vm + 4], 2);  // the vm section's version, little-endian
+  old[vm + 4] = 1;
+  try {
+    snapshot::CloudWorld restored(cfg, options(), old);
+    FAIL() << "a vm v1 section restored";
+  } catch (const SnapshotError& e) {
+    const std::string what(e.what());
+    EXPECT_NE(what.find("version mismatch: checkpoint has v1"),
+              std::string::npos)
+        << what;
+  }
+}
+
+// A checkpoint restores only under the configuration it was taken with:
+// a restore under a different admission policy or swarm model would run
+// the rest of the week under rules the first half never saw.
+void expect_config_mismatch(const analysis::ExperimentConfig& taken,
+                            const analysis::ExperimentConfig& restored,
+                            const snapshot::WorldOptions& options) {
+  snapshot::CloudWorld world(taken, options);
+  world.run(500);
+  const std::string ckpt = world.save_to_buffer();
+  try {
+    snapshot::CloudWorld resumed(restored, options, ckpt);
+    ADD_FAILURE() << "restored under a different configuration";
+  } catch (const SnapshotError& e) {
+    const std::string what(e.what());
+    EXPECT_NE(what.find("fingerprint mismatch"), std::string::npos) << what;
+  }
+}
+
+TEST_F(WorldTest, RestoreUnderOtherAdmissionPolicyIsRefused) {
+  const auto cfg = small_config(5);
+  auto degraded = cfg;
+  degraded.cloud.degraded_admission = !cfg.cloud.degraded_admission;
+  expect_config_mismatch(cfg, degraded, options());
+}
+
+TEST_F(WorldTest, RestoreUnderOtherSwarmModelIsRefused) {
+  const auto cfg = small_config(5);
+  auto sparser = cfg;
+  sparser.sources.swarm.base_seed_mean = cfg.sources.swarm.base_seed_mean / 2;
+  expect_config_mismatch(cfg, sparser, options());
 }
 
 TEST_F(WorldTest, RestorerLoadsLatestCheckpointFile) {
