@@ -24,6 +24,7 @@
 //      proof that observing a run never changes it.
 #include <algorithm>
 #include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -44,6 +45,9 @@
 namespace {
 
 using namespace odr;
+
+// The flash crowd multiplies the flash run's base rate by this.
+constexpr double kFlashSurge = 6.0;
 
 serve::ServeConfig make_serve_config(double divisor, std::uint64_t seed,
                                      std::size_t max_inflight,
@@ -120,7 +124,7 @@ SweepPoint run_flash(double divisor, std::uint64_t seed, double rate,
   cfg.traffic.diurnal_shape.daily_growth = 0.0;
   cfg.traffic.flash.start = duration / 3;
   cfg.traffic.flash.duration = duration / 3;
-  cfg.traffic.flash.rate_multiplier = 6.0;
+  cfg.traffic.flash.rate_multiplier = kFlashSurge;
   cfg.traffic.flash.hot_file_fraction = 0.5;
   cfg.traffic.flash.hot_file = 0;
 
@@ -202,16 +206,23 @@ int main(int argc, char** argv) {
 
   const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  // Rates must be positive (DBL_MIN is the smallest one the parser's
-  // inclusive bound can express); counts and durations at least 1.
-  const double base_rate = args.get_double("base-rate", DBL_MIN);
-  const auto steps = static_cast<int>(
-      args.get_int("steps", 1, std::numeric_limits<int>::max()));
+  // Counts and durations must be at least 1. Rates must be positive
+  // (DBL_MIN is the smallest one the parser's inclusive bound can express)
+  // and within what the traffic generator's arrival-gap clamp can honour:
+  // the top rung runs at base-rate * 2^(steps-1), the flash run peaks at
+  // flash-rate * kFlashSurge. So the ladder must fit between DBL_MIN and
+  // kMaxRate, which bounds --steps too.
+  const int max_steps =
+      std::ilogb(serve::TrafficGen::kMaxRate) - std::ilogb(DBL_MIN) + 1;
+  const auto steps = static_cast<int>(args.get_int("steps", 1, max_steps));
+  const double base_rate = args.get_double(
+      "base-rate", DBL_MIN, std::ldexp(serve::TrafficGen::kMaxRate, 1 - steps));
   const SimTime rung =
       args.get_int("rung-minutes", 1,
                    std::numeric_limits<SimTime>::max() / kMinute) *
       kMinute;
-  const double flash_rate = args.get_double("flash-rate", DBL_MIN);
+  const double flash_rate = args.get_double(
+      "flash-rate", DBL_MIN, serve::TrafficGen::kMaxRate / kFlashSurge);
   const auto inflight = static_cast<std::size_t>(args.get_int("inflight", 1));
   const auto queue = static_cast<std::size_t>(args.get_int("queue", 1));
 
@@ -224,7 +235,7 @@ int main(int argc, char** argv) {
   // independent worlds at the same seed; fan them all out at once.
   std::vector<double> rates;
   for (int i = 0; i < steps; ++i) {
-    rates.push_back(base_rate * static_cast<double>(1 << i));
+    rates.push_back(std::ldexp(base_rate, i));
   }
   std::vector<std::function<SweepPoint()>> jobs;
   for (double rate : rates) {

@@ -6,31 +6,8 @@
 #include <vector>
 
 #include "obs/observer.h"
-#include "snapshot/format.h"
-#include "workload/snapshot.h"
 
 namespace odr::ap {
-namespace {
-
-enum : std::uint16_t {
-  kTagRng = 1,  // ..6
-  kTagNextId = 10,
-  kTagRebooting = 11,
-  kTagCrashes = 12,
-  kTagResumes = 13,
-  kTagRebootEvent = 15,
-  kTagTaskCount = 20,
-  kTagTaskId = 21,
-  kTagHasTask = 22,
-  kTagBugEvent = 23,
-  kTagRateRestriction = 24,
-  kTagOriginalStart = 25,
-  kTagPreservedBytes = 26,
-  kTagPriorTraffic = 27,
-  kTagCrashResumes = 28,
-};
-
-}  // namespace
 
 SmartAp::SmartAp(sim::Simulator& sim, net::Network& net, SmartApConfig config,
                  const proto::SourceParams& sources, Rng& rng)
@@ -192,12 +169,10 @@ void SmartAp::crash() {
     if (r.done) r.done(result);
   }
 
-  reboot_event_ =
-      sim_.schedule_after(kRebootDelay, [this] { finish_reboot(); });
+  sim_.schedule_after(kRebootDelay, [this] { finish_reboot(); });
 }
 
 void SmartAp::finish_reboot() {
-  reboot_event_ = sim::kInvalidEvent;
   rebooting_ = false;
   ODR_COUNT("ap.reboots");
   ODR_TRACE_INSTANT(kAp, "ap.reboot");
@@ -238,88 +213,6 @@ void SmartAp::on_done(std::uint64_t id, const proto::DownloadResult& result) {
                       : average_rate(patched.bytes_downloaded, elapsed);
 
   if (r.done) r.done(patched);
-}
-
-std::size_t SmartAp::pending_event_count() const {
-  std::size_t n = 0;
-  if (reboot_event_ != sim::kInvalidEvent) ++n;
-  for (const auto& [id, r] : tasks_) {
-    if (r.bug_event != sim::kInvalidEvent) ++n;
-    if (r.task && r.task->tick_pending()) ++n;
-  }
-  return n;
-}
-
-void SmartAp::save(snapshot::SnapshotWriter& w) const {
-  save_rng(w, kTagRng, rng_);
-  w.u64(kTagNextId, next_id_);
-  w.b(kTagRebooting, rebooting_);
-  w.u64(kTagCrashes, crashes_);
-  w.u64(kTagResumes, resumes_);
-  w.u64(kTagRebootEvent, reboot_event_);
-
-  std::vector<std::uint64_t> ids;
-  ids.reserve(tasks_.size());
-  for (const auto& [id, r] : tasks_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  w.u64(kTagTaskCount, ids.size());
-  for (std::uint64_t id : ids) {
-    const Running& r = tasks_.at(id);
-    w.u64(kTagTaskId, id);
-    w.b(kTagHasTask, static_cast<bool>(r.task));
-    w.u64(kTagBugEvent, r.bug_event);
-    workload::save_file_info(w, r.file);
-    w.f64(kTagRateRestriction, r.rate_restriction);
-    w.i64(kTagOriginalStart, r.original_start);
-    w.u64(kTagPreservedBytes, r.preserved_bytes);
-    w.u64(kTagPriorTraffic, r.prior_traffic);
-    w.u32(kTagCrashResumes, r.crash_resumes);
-    if (r.task) r.task->save(w);
-  }
-}
-
-void SmartAp::load(snapshot::SnapshotReader& r, const RebindDoneFn& rebind) {
-  load_rng(r, kTagRng, rng_);
-  next_id_ = r.u64(kTagNextId);
-  rebooting_ = r.b(kTagRebooting);
-  crashes_ = r.u64(kTagCrashes);
-  resumes_ = r.u64(kTagResumes);
-  reboot_event_ = r.u64(kTagRebootEvent);
-
-  tasks_.clear();
-  const std::uint64_t count = r.u64(kTagTaskCount);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t id = r.u64(kTagTaskId);
-    const bool has_task = r.b(kTagHasTask);
-    Running run;
-    run.bug_event = r.u64(kTagBugEvent);
-    run.file = workload::load_file_info(r);
-    run.rate_restriction = r.f64(kTagRateRestriction);
-    run.original_start = r.i64(kTagOriginalStart);
-    run.preserved_bytes = r.u64(kTagPreservedBytes);
-    run.prior_traffic = r.u64(kTagPriorTraffic);
-    run.crash_resumes = r.u32(kTagCrashResumes);
-    run.done = rebind(id);
-    if (has_task) {
-      run.task = proto::DownloadTask::restore(
-          sim_, net_, r, sources_,
-          [this, id](const proto::DownloadResult& result) {
-            on_done(id, result);
-          },
-          rng_);
-      if (run.bug_event != sim::kInvalidEvent) {
-        proto::DownloadTask* task_ptr = run.task.get();
-        sim_.rearm(run.bug_event, [task_ptr] {
-          task_ptr->fail_externally(proto::FailureCause::kSystemBug);
-        });
-      }
-    }
-    tasks_.emplace(id, std::move(run));
-  }
-
-  if (reboot_event_ != sim::kInvalidEvent) {
-    sim_.rearm(reboot_event_, [this] { finish_reboot(); });
-  }
 }
 
 }  // namespace odr::ap

@@ -22,9 +22,8 @@
 // before it is reported failed with FailureCause::kCrash.
 //
 // A finished task is moved out of the task table in its own done callback
-// and dies when that callback returns. Deferred work (reboot completion,
-// firmware-bug timers) is held as event ids + plain state, so an AP
-// checkpoints and restores mid-reboot and mid-transfer; see save()/load().
+// and dies when that callback returns. The §5 AP replays run a whole week
+// in one process and never checkpoint an AP.
 #pragma once
 
 #include <cstdint>
@@ -40,11 +39,6 @@
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "workload/file.h"
-
-namespace odr::snapshot {
-class SnapshotWriter;
-class SnapshotReader;
-}  // namespace odr::snapshot
 
 namespace odr::ap {
 
@@ -64,8 +58,6 @@ class SmartAp {
   static constexpr std::uint32_t kMaxCrashResumes = 5;
 
   using DoneFn = std::function<void(const proto::DownloadResult&)>;
-  // Recreates a task's done-callback from its id when loading a checkpoint.
-  using RebindDoneFn = std::function<DoneFn(std::uint64_t id)>;
 
   SmartAp(sim::Simulator& sim, net::Network& net, SmartApConfig config,
           const proto::SourceParams& sources, Rng& rng);
@@ -102,19 +94,6 @@ class SmartAp {
   std::uint64_t resume_count() const { return resumes_; }
   const SmartApConfig& config() const { return config_; }
 
-  // Simulator events this AP currently owns (audit accounting).
-  std::size_t pending_event_count() const;
-
-  // --- snapshot support -----------------------------------------------------
-  //
-  // save() serializes the rng, every task (running mid-flight or queued
-  // behind a reboot, including partial P2P bytes preserved across earlier
-  // crashes), and the armed reboot / firmware-bug timers.
-  // load() rebuilds them on a freshly constructed AP; `rebind` recreates
-  // the per-task done callbacks (closures cannot be checkpointed).
-  void save(snapshot::SnapshotWriter& w) const;
-  void load(snapshot::SnapshotReader& r, const RebindDoneFn& rebind);
-
  private:
   struct Running {
     std::unique_ptr<proto::DownloadTask> task;
@@ -145,7 +124,6 @@ class SmartAp {
   bool rebooting_ = false;
   std::uint64_t crashes_ = 0;
   std::uint64_t resumes_ = 0;
-  sim::EventId reboot_event_ = sim::kInvalidEvent;
 };
 
 }  // namespace odr::ap

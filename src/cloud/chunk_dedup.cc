@@ -4,18 +4,8 @@
 #include <array>
 #include <cassert>
 
-#include "snapshot/format.h"
-
 namespace odr::cloud {
 namespace {
-
-enum : std::uint16_t {
-  kTagChunkSize = 1,
-  kTagLogical = 2,
-  kTagStored = 3,
-  kTagChunkCount = 4,
-  kTagChunkSig = 5,
-};
 
 // SplitMix64 over (content prefix, chunk index): a stable per-chunk
 // signature standing in for the MD5 a real chunker would compute.
@@ -88,30 +78,6 @@ double ChunkStore::dedup_saving() const {
 
 Bytes ChunkStore::index_bytes(std::size_t entry_bytes) const {
   return static_cast<Bytes>(chunks_.size()) * entry_bytes;
-}
-
-void ChunkStore::save(snapshot::SnapshotWriter& w) const {
-  w.u64(kTagChunkSize, chunk_size_);
-  w.u64(kTagLogical, logical_);
-  w.u64(kTagStored, stored_);
-  std::vector<std::uint64_t> sigs(chunks_.begin(), chunks_.end());
-  std::sort(sigs.begin(), sigs.end());
-  w.u64(kTagChunkCount, sigs.size());
-  for (std::uint64_t s : sigs) w.u64(kTagChunkSig, s);
-}
-
-void ChunkStore::load(snapshot::SnapshotReader& r) {
-  const Bytes chunk_size = r.u64(kTagChunkSize);
-  if (chunk_size != chunk_size_) {
-    throw snapshot::SnapshotError(
-        "chunk store: chunk size mismatch between checkpoint and config");
-  }
-  logical_ = r.u64(kTagLogical);
-  stored_ = r.u64(kTagStored);
-  chunks_.clear();
-  const std::uint64_t count = r.u64(kTagChunkCount);
-  chunks_.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) chunks_.insert(r.u64(kTagChunkSig));
 }
 
 std::vector<RelatedFile> assign_related_files(const workload::Catalog& catalog,

@@ -22,11 +22,6 @@
 #include "util/units.h"
 #include "workload/catalog.h"
 
-namespace odr::snapshot {
-class SnapshotWriter;
-class SnapshotReader;
-}  // namespace odr::snapshot
-
 namespace odr::cloud {
 
 struct ChunkingParams {
@@ -70,10 +65,6 @@ class ChunkStore {
   // Index bookkeeping: bytes of chunk metadata (signature + locator).
   Bytes index_bytes(std::size_t entry_bytes = 24) const;
 
-  // Snapshot support: serializes counters plus the unique-chunk signature
-  // set in sorted order.
-  void save(snapshot::SnapshotWriter& w) const;
-  void load(snapshot::SnapshotReader& r);
 
  private:
   Bytes chunk_size_;

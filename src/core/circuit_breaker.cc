@@ -2,24 +2,7 @@
 
 #include <algorithm>
 
-#include "snapshot/format.h"
-
 namespace odr::core {
-namespace {
-
-enum : std::uint16_t {
-  kTagState = 1,
-  kTagOpenedAt = 2,
-  kTagCooldown = 3,
-  kTagProbesInflight = 4,
-  kTagProbeSuccesses = 5,
-  kTagTimesOpened = 6,
-  kTagRefusals = 7,
-  kTagFailureCount = 8,
-  kTagFailureTime = 9,
-};
-
-}  // namespace
 
 void CircuitBreaker::prune_window() {
   const SimTime cutoff = sim_.now() - config_.window;
@@ -95,39 +78,6 @@ void CircuitBreaker::record_failure() {
 void CircuitBreaker::release_probe() {
   if (state_ != State::kHalfOpen || probes_inflight_ == 0) return;
   --probes_inflight_;
-}
-
-void CircuitBreaker::save(snapshot::SnapshotWriter& w) const {
-  w.u8(kTagState, static_cast<std::uint8_t>(state_));
-  w.i64(kTagOpenedAt, opened_at_);
-  w.i64(kTagCooldown, cooldown_);
-  w.u32(kTagProbesInflight, probes_inflight_);
-  w.u32(kTagProbeSuccesses, probe_successes_);
-  w.u64(kTagTimesOpened, times_opened_);
-  w.u64(kTagRefusals, refusals_);
-  w.u64(kTagFailureCount, failures_.size());
-  for (SimTime t : failures_) w.i64(kTagFailureTime, t);
-}
-
-void CircuitBreaker::load(snapshot::SnapshotReader& r) {
-  const std::uint8_t raw_state = r.u8(kTagState);
-  if (raw_state > static_cast<std::uint8_t>(State::kHalfOpen)) {
-    throw snapshot::SnapshotError(
-        "circuit breaker: invalid state " + std::to_string(raw_state) +
-        " in checkpoint");
-  }
-  state_ = static_cast<State>(raw_state);
-  opened_at_ = r.i64(kTagOpenedAt);
-  cooldown_ = r.i64(kTagCooldown);
-  probes_inflight_ = r.u32(kTagProbesInflight);
-  probe_successes_ = r.u32(kTagProbeSuccesses);
-  times_opened_ = r.u64(kTagTimesOpened);
-  refusals_ = r.u64(kTagRefusals);
-  failures_.clear();
-  const std::uint64_t count = r.u64(kTagFailureCount);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    failures_.push_back(r.i64(kTagFailureTime));
-  }
 }
 
 }  // namespace odr::core

@@ -20,8 +20,8 @@
 // source-model failure — no verdict on the substrate — releases its slot
 // via release_probe() without judging.
 //
-// The breaker holds no event-queue state (transitions are evaluated on the
-// calls themselves), so it checkpoints as plain counters; see save()/load().
+// The breaker holds no event-queue state: transitions are evaluated on the
+// calls themselves.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +29,6 @@
 
 #include "sim/simulator.h"
 #include "util/units.h"
-
-namespace odr::snapshot {
-class SnapshotWriter;
-class SnapshotReader;
-}  // namespace odr::snapshot
 
 namespace odr::core {
 
@@ -75,12 +70,6 @@ class CircuitBreaker {
   std::uint32_t probes_inflight() const { return probes_inflight_; }
   std::uint64_t times_opened() const { return times_opened_; }
   std::uint64_t refusals() const { return refusals_; }
-
-  // --- snapshot support ---------------------------------------------------
-  // Serializes the full state machine (state, failure window, backoff,
-  // probe accounting) as tagged fields inside the caller's open section.
-  void save(snapshot::SnapshotWriter& w) const;
-  void load(snapshot::SnapshotReader& r);
 
  private:
   void open_from(State from);

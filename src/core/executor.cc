@@ -498,12 +498,11 @@ std::function<Bytes()> Executor::launch_clone(
 
 namespace {
 
-// Shared state of one in-flight hedged race. The registry half of the
-// race (plain data) lives in the HedgeCoordinator so it can checkpoint;
-// this object holds only the closures, which die with the process and are
-// rebuilt by the restore harness.
+// Shared state of one in-flight hedged race: both clones' callbacks hold
+// it, and it dies with the later of them. The HedgeCoordinator only counts
+// outcomes across races.
 struct HedgeRace {
-  std::uint64_t pair = 0;
+  SimTime launched_at = 0;
   bool rerouted = false;
   Executor::DoneFn done;
   std::function<Bytes()> cancel_primary;
@@ -519,9 +518,7 @@ void Executor::run_hedged(Route primary, Route secondary, bool rerouted,
                           const workload::WorkloadRecord& request,
                           const workload::User& user, odr::ap::SmartAp* ap,
                           DoneFn done) {
-  const std::uint64_t pair = hedges_->open_pair(
-      request.task_id, static_cast<std::uint8_t>(primary),
-      static_cast<std::uint8_t>(secondary), sim_.now());
+  hedges_->note_pair_launched();
   ODR_COUNT("task.hedge.pairs");
   ODR_TRACE_INSTANT(kCore, "executor.hedge.launch");
 
@@ -543,12 +540,11 @@ void Executor::run_hedged(Route primary, Route secondary, bool rerouted,
   }
 
   auto race = std::make_shared<HedgeRace>();
-  race->pair = pair;
+  race->launched_at = sim_.now();
   race->rerouted = rerouted;
   race->done = std::move(done);
 
   auto handle = [this, race, request](bool is_primary, const ExecOutcome& o) {
-    hedges_->note_clone_done(race->pair);
     ++race->completed;
     // Each clone feeds the breaker of its own substrate (o.route is the
     // clone's route): the pair must not double-feed the primary's breaker,
@@ -568,13 +564,12 @@ void Executor::run_hedged(Route primary, Route secondary, bool rerouted,
       }
     } else if (o.success) {
       race->settled = true;
-      hedges_->settle(race->pair,
-                      is_primary ? HedgeCoordinator::Winner::kPrimary
+      hedges_->settle(is_primary ? HedgeCoordinator::Winner::kPrimary
                                  : HedgeCoordinator::Winner::kSecondary);
       ODR_COUNT(is_primary ? "task.hedge.primary_wins"
                            : "task.hedge.secondary_wins");
       ODR_SPAN(on_stage(request.task_id, obs::Stage::kHedge,
-                        hedges_->launched_at(race->pair), sim_.now()));
+                        race->launched_at, sim_.now()));
       if (race->completed < 2) {
         // Loser-cancel, deferred one event: the loser's abort fires its
         // callback synchronously and we are already inside the winner's.
@@ -601,7 +596,7 @@ void Executor::run_hedged(Route primary, Route secondary, bool rerouted,
       if (is_primary) race->primary_failure = o;
       if (race->completed == 2) {
         race->settled = true;
-        hedges_->settle(race->pair, HedgeCoordinator::Winner::kNone);
+        hedges_->settle(HedgeCoordinator::Winner::kNone);
         ODR_COUNT("task.hedge.both_failed");
         ExecOutcome patched = race->primary_failure.value_or(o);
         patched.rerouted = race->rerouted;
@@ -609,7 +604,6 @@ void Executor::run_hedged(Route primary, Route secondary, bool rerouted,
         if (race->done) race->done(patched);
       }
     }
-    if (race->completed == 2) hedges_->close_pair(race->pair);
   };
 
   race->cancel_primary = launch_clone(

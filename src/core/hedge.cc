@@ -1,34 +1,8 @@
 #include "core/hedge.h"
 
-#include <cassert>
-
 #include "core/budget.h"
-#include "snapshot/format.h"
 
 namespace odr::core {
-namespace {
-
-enum : std::uint16_t {
-  kTagNextPair = 1,
-  kTagPairsLaunched = 2,
-  kTagPrimaryWins = 3,
-  kTagSecondaryWins = 4,
-  kTagBothFailed = 5,
-  kTagBudgetDenied = 6,
-  kTagCancelledClones = 7,
-  kTagWastedBytes = 8,
-  kTagPairCount = 10,
-  kTagPairId = 11,
-  kTagPairTask = 12,
-  kTagPairPrimary = 13,
-  kTagPairSecondary = 14,
-  kTagPairLaunchedAt = 15,
-  kTagPairClonesDone = 16,
-  kTagPairWinner = 17,
-  kTagPairSettled = 18,
-};
-
-}  // namespace
 
 bool HedgeCoordinator::try_charge_clone(std::uint64_t user_id, SimTime now) {
   if (budget_ != nullptr && !budget_->try_acquire(user_id, now)) {
@@ -38,118 +12,12 @@ bool HedgeCoordinator::try_charge_clone(std::uint64_t user_id, SimTime now) {
   return true;
 }
 
-std::uint64_t HedgeCoordinator::open_pair(std::uint64_t task_id,
-                                          std::uint8_t primary_route,
-                                          std::uint8_t secondary_route,
-                                          SimTime now) {
-  const std::uint64_t id = next_pair_++;
-  Pair pair;
-  pair.task_id = task_id;
-  pair.primary_route = primary_route;
-  pair.secondary_route = secondary_route;
-  pair.launched_at = now;
-  pairs_.emplace(id, pair);
-  ++pairs_launched_;
-  return id;
-}
-
-void HedgeCoordinator::note_clone_done(std::uint64_t pair) {
-  auto it = pairs_.find(pair);
-  assert(it != pairs_.end());
-  ++it->second.clones_done;
-}
-
-void HedgeCoordinator::settle(std::uint64_t pair, Winner winner) {
-  auto it = pairs_.find(pair);
-  assert(it != pairs_.end());
-  assert(!it->second.settled);
-  it->second.settled = true;
-  it->second.winner = winner;
+void HedgeCoordinator::settle(Winner winner) {
   switch (winner) {
     case Winner::kPrimary: ++primary_wins_; break;
     case Winner::kSecondary: ++secondary_wins_; break;
     case Winner::kNone: ++both_failed_; break;
   }
-}
-
-void HedgeCoordinator::close_pair(std::uint64_t pair) {
-  pairs_.erase(pair);
-}
-
-const HedgeCoordinator::Pair* HedgeCoordinator::find_pair(
-    std::uint64_t pair) const {
-  auto it = pairs_.find(pair);
-  return it == pairs_.end() ? nullptr : &it->second;
-}
-
-SimTime HedgeCoordinator::launched_at(std::uint64_t pair) const {
-  const Pair* p = find_pair(pair);
-  return p == nullptr ? 0 : p->launched_at;
-}
-
-void HedgeCoordinator::save(snapshot::SnapshotWriter& w) const {
-  w.u64(kTagNextPair, next_pair_);
-  w.u64(kTagPairsLaunched, pairs_launched_);
-  w.u64(kTagPrimaryWins, primary_wins_);
-  w.u64(kTagSecondaryWins, secondary_wins_);
-  w.u64(kTagBothFailed, both_failed_);
-  w.u64(kTagBudgetDenied, budget_denied_);
-  w.u64(kTagCancelledClones, cancelled_clones_);
-  w.u64(kTagWastedBytes, wasted_bytes_);
-  w.u64(kTagPairCount, pairs_.size());
-  for (const auto& [id, pair] : pairs_) {
-    w.u64(kTagPairId, id);
-    w.u64(kTagPairTask, pair.task_id);
-    w.u8(kTagPairPrimary, pair.primary_route);
-    w.u8(kTagPairSecondary, pair.secondary_route);
-    w.i64(kTagPairLaunchedAt, pair.launched_at);
-    w.u32(kTagPairClonesDone, pair.clones_done);
-    w.u8(kTagPairWinner, static_cast<std::uint8_t>(pair.winner));
-    w.b(kTagPairSettled, pair.settled);
-  }
-}
-
-void HedgeCoordinator::load(snapshot::SnapshotReader& r) {
-  next_pair_ = r.u64(kTagNextPair);
-  pairs_launched_ = r.u64(kTagPairsLaunched);
-  primary_wins_ = r.u64(kTagPrimaryWins);
-  secondary_wins_ = r.u64(kTagSecondaryWins);
-  both_failed_ = r.u64(kTagBothFailed);
-  budget_denied_ = r.u64(kTagBudgetDenied);
-  cancelled_clones_ = r.u64(kTagCancelledClones);
-  wasted_bytes_ = r.u64(kTagWastedBytes);
-  pairs_.clear();
-  const std::uint64_t count = r.u64(kTagPairCount);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t id = r.u64(kTagPairId);
-    Pair pair;
-    pair.task_id = r.u64(kTagPairTask);
-    pair.primary_route = r.u8(kTagPairPrimary);
-    pair.secondary_route = r.u8(kTagPairSecondary);
-    pair.launched_at = r.i64(kTagPairLaunchedAt);
-    pair.clones_done = r.u32(kTagPairClonesDone);
-    const std::uint8_t winner = r.u8(kTagPairWinner);
-    if (winner > static_cast<std::uint8_t>(Winner::kSecondary)) {
-      throw snapshot::SnapshotError(
-          "hedge: invalid winner " + std::to_string(winner) +
-          " in checkpoint");
-    }
-    pair.winner = static_cast<Winner>(winner);
-    pair.settled = r.b(kTagPairSettled);
-    pairs_.emplace(id, pair);
-  }
-}
-
-void HedgeCoordinator::save_section(snapshot::SnapshotWriter& w) const {
-  w.begin_section(kSectionId, kSectionVersion);
-  save(w);
-  w.end_section();
-}
-
-void HedgeCoordinator::load_section(snapshot::SnapshotReader& r) {
-  r.require_section(kSectionId, kSectionVersion);
-  load(r);
-  r.end_section();
 }
 
 }  // namespace odr::core

@@ -3,17 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "snapshot/format.h"
-
 namespace odr::proto {
-namespace {
-
-enum : std::uint16_t {
-  kTagRate = 90,
-  kTagTickEvent = 91,
-};
-
-}  // namespace
 
 LedbatController::LedbatController(sim::Simulator& sim, net::Network& net,
                                    net::FlowId flow, net::LinkId bottleneck,
@@ -60,19 +50,6 @@ void LedbatController::on_tick() {
   net_.set_flow_cap(flow_, rate_);
 
   tick_ = sim_.schedule_after(params_.period, [this] { on_tick(); });
-}
-
-void LedbatController::save(snapshot::SnapshotWriter& w) const {
-  w.f64(kTagRate, rate_);
-  w.u64(kTagTickEvent, tick_);
-}
-
-void LedbatController::load(snapshot::SnapshotReader& r) {
-  rate_ = r.f64(kTagRate);
-  tick_ = r.u64(kTagTickEvent);
-  if (tick_ != sim::kInvalidEvent) {
-    sim_.rearm(tick_, [this] { on_tick(); });
-  }
 }
 
 }  // namespace odr::proto

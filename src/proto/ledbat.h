@@ -19,11 +19,6 @@
 #include "sim/simulator.h"
 #include "util/units.h"
 
-namespace odr::snapshot {
-class SnapshotWriter;
-class SnapshotReader;
-}  // namespace odr::snapshot
-
 namespace odr::proto {
 
 class LedbatController {
@@ -51,12 +46,6 @@ class LedbatController {
   Rate current_rate() const { return rate_; }
   // Queueing-delay proxy at utilization rho in [0, 1).
   SimTime queuing_delay(double rho) const;
-
-  // Snapshot support: the controller is rebuilt by its owner with the same
-  // ctor arguments; save/load round-trip only the mutable state (current
-  // rate and the pending tick event, which load() re-claims).
-  void save(snapshot::SnapshotWriter& w) const;
-  void load(snapshot::SnapshotReader& r);
 
  private:
   void on_tick();

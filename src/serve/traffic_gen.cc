@@ -51,12 +51,12 @@ bool TrafficGen::next(workload::WorkloadRecord& out) {
   const double mean_gap_sec = 1.0 / peak_rate_;
   for (;;) {
     // Candidate from the homogeneous envelope process, thinned by the
-    // instantaneous rate. Gaps are clamped to >= 1 us so arrival times
+    // instantaneous rate. Gaps are clamped to >= kMinGap so arrival times
     // stay strictly increasing (the event queue's tie-break would still
     // be deterministic, but distinct times keep latency math simple).
     const SimTime gap = std::max<SimTime>(
-        1, static_cast<SimTime>(rng_.exponential(mean_gap_sec) *
-                                static_cast<double>(kSec)));
+        kMinGap, static_cast<SimTime>(rng_.exponential(mean_gap_sec) *
+                                      static_cast<double>(kSec)));
     clock_ += gap;
     if (clock_ >= plan_end_) return false;
     if (rng_.uniform() * peak_rate_ > rate_at(clock_)) continue;  // thinned

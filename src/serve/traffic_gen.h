@@ -76,6 +76,11 @@ struct TrafficGenConfig {
 
 class TrafficGen {
  public:
+  // Arrival gaps are clamped to at least kMinGap, so no plan can offer
+  // more than kMaxRate tasks/sec; a faster plan would run at the clamp.
+  static constexpr SimTime kMinGap = kUsec;
+  static constexpr double kMaxRate = static_cast<double>(kSec / kMinGap);
+
   TrafficGen(const TrafficGenConfig& config, const workload::Catalog& catalog,
              const workload::UserPopulation& users, Rng rng);
 

@@ -275,7 +275,8 @@ void CloudWorld::checkpoint_tick() {
 
 std::uint64_t CloudWorld::config_fingerprint() const {
   // FNV-1a over the config scalars that shape the deterministic build and
-  // the run: every CloudConfig and SourceParams field among them. A
+  // the run: every workload-generation (catalog, popularity, size, user,
+  // request), CloudConfig and SourceParams field among them. A
   // checkpoint only makes sense over the exact world it was taken from;
   // restoring under a different config must fail before any state loads.
   std::uint64_t h = 1469598103934665603ull;
@@ -291,11 +292,54 @@ std::uint64_t CloudWorld::config_fingerprint() const {
     mix(bits);
   };
   mix(config_.seed);
-  mix(config_.catalog.num_files);
-  mix_f(config_.catalog.total_weekly_requests);
-  mix(config_.users.num_users);
-  mix(config_.requests.num_requests);
-  mix(static_cast<std::uint64_t>(config_.requests.duration));
+  const workload::CatalogParams& cat = config_.catalog;
+  mix(cat.num_files);
+  mix_f(cat.total_weekly_requests);
+  mix_f(cat.video_fraction);
+  mix_f(cat.software_fraction);
+  mix_f(cat.bittorrent_fraction);
+  mix_f(cat.emule_fraction);
+  mix_f(cat.http_fraction);
+  const workload::PopularityProfileParams& pop = cat.popularity;
+  mix_f(pop.head_file_share);
+  mix_f(pop.head_request_share);
+  mix_f(pop.mid_file_share);
+  mix_f(pop.mid_request_share);
+  mix_f(pop.head_boundary_count);
+  mix_f(pop.mid_boundary_count);
+  mix_f(pop.tail_min_count);
+  mix_f(pop.max_top_share);
+  mix_f(cat.new_file_fraction);
+  const workload::SizeModelParams& size = cat.size;
+  mix_f(size.small_fraction);
+  mix(size.small_min);
+  mix(size.small_max);
+  mix_f(size.small_log_median);
+  mix_f(size.small_log_sigma);
+  mix(size.large_max);
+  mix_f(size.large_log_median);
+  mix_f(size.large_log_sigma);
+  mix_f(size.video_scale);
+  mix_f(size.software_scale);
+  mix_f(size.other_scale);
+  const workload::UserModelParams& users = config_.users;
+  mix(users.num_users);
+  mix_f(users.telecom);
+  mix_f(users.unicom);
+  mix_f(users.mobile);
+  mix_f(users.cernet);
+  mix_f(users.bandwidth_median);
+  mix_f(users.bandwidth_sigma);
+  mix_f(users.bandwidth_min);
+  mix_f(users.bandwidth_max);
+  mix_f(users.reports_bandwidth_prob);
+  mix_f(users.activity_alpha);
+  const workload::RequestGenParams& req = config_.requests;
+  mix(req.num_requests);
+  mix(static_cast<std::uint64_t>(req.duration));
+  mix_f(req.diurnal_amplitude);
+  mix_f(req.peak_hour);
+  mix_f(req.daily_growth);
   const cloud::CloudConfig& c = config_.cloud;
   mix(c.storage_capacity);
   mix(c.predownloader_count);

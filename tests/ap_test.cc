@@ -206,7 +206,6 @@ TEST_F(SmartApTest, TaskDiesInItsDoneCallback) {
   EXPECT_TRUE(result->success);
   EXPECT_EQ(pending_in_callback, 0u);
   EXPECT_EQ(ap.active(), 0u);
-  EXPECT_EQ(ap.pending_event_count(), 0u);
 }
 
 TEST_F(SmartApTest, BugInjectionFailsWithSystemBugCause) {

@@ -289,7 +289,9 @@ TEST_F(ExecutorTest, HedgedPrimaryWinCancelsLoserAndRecordsOnce) {
   EXPECT_EQ(h.primary_wins(), 1u);
   EXPECT_EQ(h.secondary_wins(), 0u);
   EXPECT_EQ(h.cancelled_clones(), 1u);  // the starved AP clone was aborted
-  EXPECT_EQ(h.inflight_pairs(), 0u);
+  // Every launched pair settled.
+  EXPECT_EQ(h.primary_wins() + h.secondary_wins() + h.both_failed(),
+            h.pairs_launched());
   // Dedup: only the primary records the request into the content DB; the
   // cancelled clone must not double-count popularity.
   EXPECT_DOUBLE_EQ(cloud->content_db().weekly_popularity(file, sim.now()),
@@ -315,7 +317,9 @@ TEST_F(ExecutorTest, HedgedSecondaryWinReportsSecondaryRoute) {
   EXPECT_TRUE(outcome->hedge_secondary_won);
   EXPECT_EQ(h.secondary_wins(), 1u);
   EXPECT_EQ(h.cancelled_clones(), 1u);
-  EXPECT_EQ(h.inflight_pairs(), 0u);
+  // Every launched pair settled.
+  EXPECT_EQ(h.primary_wins() + h.secondary_wins() + h.both_failed(),
+            h.pairs_launched());
 }
 
 TEST_F(ExecutorTest, HedgedBothFailedReportsPrimaryFailure) {
@@ -334,7 +338,9 @@ TEST_F(ExecutorTest, HedgedBothFailedReportsPrimaryFailure) {
   EXPECT_EQ(outcome->route, Route::kCloud);
   EXPECT_EQ(outcome->cause, proto::FailureCause::kInsufficientSeeds);
   EXPECT_EQ(h.both_failed(), 1u);
-  EXPECT_EQ(h.inflight_pairs(), 0u);
+  // Every launched pair settled.
+  EXPECT_EQ(h.primary_wins() + h.secondary_wins() + h.both_failed(),
+            h.pairs_launched());
 }
 
 TEST_F(ExecutorTest, HedgedBudgetExhaustedDegradesToPlainPath) {

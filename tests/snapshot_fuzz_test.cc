@@ -15,7 +15,7 @@
 #include <string>
 
 #include "analysis/replay.h"
-#include "core/hedge.h"
+#include "core/budget.h"
 #include "snapshot/format.h"
 #include "snapshot/world.h"
 #include "util/rng.h"
@@ -137,27 +137,43 @@ TEST(SnapshotFuzzTest, ErrorsNameSectionAndOffset) {
   }
 }
 
-// --- hedge section ----------------------------------------------------------
+// --- retry budget section ---------------------------------------------------
 
-std::string hedge_section_buffer() {
-  core::HedgeCoordinator h;
-  const std::uint64_t settled = h.open_pair(7, 0, 2, 5 * kMinute);
-  h.note_clone_done(settled);
-  h.settle(settled, core::HedgeCoordinator::Winner::kPrimary);
-  h.note_cancelled_clone();
-  h.note_wasted_bytes(4096);
-  h.open_pair(8, 2, 0, 6 * kMinute);
+// A small section of the kind the world writes: the vm section carries the
+// pool's shared retry budget, here framed on its own so every byte can be
+// flipped and every length tried.
+constexpr std::uint32_t kBudgetSection = 7;
+
+core::RetryBudget::Config budget_config() {
+  core::RetryBudget::Config c;
+  c.enabled = true;
+  return c;
+}
+
+std::string budget_section_buffer() {
+  core::RetryBudget budget(budget_config());
+  budget.try_acquire(7, 5 * kMinute);
+  budget.try_acquire(8, 6 * kMinute);
+  budget.try_acquire_global(7 * kMinute);
   snapshot::SnapshotWriter w;
-  h.save_section(w);
+  w.begin_section(kBudgetSection, 1);
+  budget.save(w);
+  w.end_section();
   return w.take();
 }
 
-void expect_hedge_rejection(std::string corrupt, const std::string& where) {
+void load_budget_section(std::string bytes, core::RetryBudget& budget) {
+  snapshot::SnapshotReader r(std::move(bytes));
+  r.require_section(kBudgetSection, 1);
+  budget.load(r);
+  r.end_section();
+}
+
+void expect_budget_rejection(std::string corrupt, const std::string& where) {
   try {
-    core::HedgeCoordinator h;
-    snapshot::SnapshotReader r(std::move(corrupt));
-    h.load_section(r);
-    FAIL() << where << ": corrupt hedge section loaded without an error";
+    core::RetryBudget budget(budget_config());
+    load_budget_section(std::move(corrupt), budget);
+    FAIL() << where << ": corrupt budget section loaded without an error";
   } catch (const snapshot::SnapshotError& e) {
     EXPECT_NE(std::string(e.what()), "") << where;
   } catch (const std::exception& e) {
@@ -165,32 +181,29 @@ void expect_hedge_rejection(std::string corrupt, const std::string& where) {
   }
 }
 
-TEST(SnapshotFuzzTest, HedgeSectionCleanBufferRestores) {
-  const std::string buf = hedge_section_buffer();
-  core::HedgeCoordinator h;
-  snapshot::SnapshotReader r(buf);
-  h.load_section(r);
-  EXPECT_EQ(h.inflight_pairs(), 2u);
-  EXPECT_EQ(h.primary_wins(), 1u);
+TEST(SnapshotFuzzTest, RetryBudgetSectionCleanBufferRestores) {
+  core::RetryBudget budget(budget_config());
+  load_budget_section(budget_section_buffer(), budget);
+  EXPECT_EQ(budget.granted(), 3u);
 }
 
-TEST(SnapshotFuzzTest, HedgeSectionBitFlipsAreAllCaught) {
+TEST(SnapshotFuzzTest, RetryBudgetSectionBitFlipsAreAllCaught) {
   // The section is small, so flip the low bit of EVERY byte: header,
   // tags, payload and CRC alike must all reject loudly.
-  const std::string buf = hedge_section_buffer();
+  const std::string buf = budget_section_buffer();
   for (std::size_t pos = 0; pos < buf.size(); ++pos) {
     std::string corrupt = buf;
     corrupt[pos] = static_cast<char>(corrupt[pos] ^ 1);
-    expect_hedge_rejection(std::move(corrupt),
-                           "hedge flip @" + std::to_string(pos));
+    expect_budget_rejection(std::move(corrupt),
+                            "budget flip @" + std::to_string(pos));
   }
 }
 
-TEST(SnapshotFuzzTest, HedgeSectionTruncationsAreAllCaught) {
-  const std::string buf = hedge_section_buffer();
+TEST(SnapshotFuzzTest, RetryBudgetSectionTruncationsAreAllCaught) {
+  const std::string buf = budget_section_buffer();
   for (std::size_t keep = 0; keep < buf.size(); ++keep) {
-    expect_hedge_rejection(buf.substr(0, keep),
-                           "hedge truncate to " + std::to_string(keep));
+    expect_budget_rejection(buf.substr(0, keep),
+                            "budget truncate to " + std::to_string(keep));
   }
 }
 

@@ -2,24 +2,17 @@
 // per-component round-trips, and whole-world kill/resume bit-identity.
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/replay.h"
-#include "ap/smart_ap.h"
-#include "cloud/chunk_dedup.h"
 #include "cloud/storage_pool.h"
 #include "core/budget.h"
-#include "core/circuit_breaker.h"
-#include "core/hedge.h"
 #include "fault/fault_plan.h"
 #include "net/network.h"
 #include "obs/observer.h"
-#include "proto/download.h"
-#include "proto/ledbat.h"
 #include "sim/simulator.h"
 #include "snapshot/format.h"
 #include "sized_catalog.h"
@@ -528,116 +521,6 @@ TEST(SnapshotNetTest, RestoreReproducesFastPathDecisions) {
   EXPECT_GT(solves, 0u);
 }
 
-// --- ledbat ----------------------------------------------------------------
-
-TEST(SnapshotLedbatTest, ControllerResumesItsControlLoop) {
-  auto drive = [](sim::Simulator& sim, net::Network& net,
-                  proto::LedbatController*& out_ctl, net::FlowId& out_flow) {
-    const net::LinkId link = net.add_link("bottleneck", 125000.0);
-    net::Network::FlowSpec bg;
-    bg.path = {link};
-    bg.bytes = 100 * 1000 * 1000;
-    bg.rate_cap = 1.0;
-    out_flow = net.start_flow(bg);
-    out_ctl = new proto::LedbatController(sim, net, out_flow, link, {});
-    out_ctl->start();
-  };
-
-  sim::Simulator sim_a;
-  net::Network net_a(sim_a);
-  proto::LedbatController* ctl_a = nullptr;
-  net::FlowId flow_a = 0;
-  drive(sim_a, net_a, ctl_a, flow_a);
-  sim_a.run_until(5 * kMinute);
-  const Rate rate_at_5min = ctl_a->current_rate();
-  sim_a.run_until(10 * kMinute);
-  const Rate rate_at_10min = ctl_a->current_rate();
-
-  sim::Simulator sim_b;
-  net::Network net_b(sim_b);
-  proto::LedbatController* ctl_b = nullptr;
-  net::FlowId flow_b = 0;
-  drive(sim_b, net_b, ctl_b, flow_b);
-  sim_b.run_until(5 * kMinute);
-  SnapshotWriter w;
-  w.begin_section(1, 1);
-  sim_b.save(w);
-  net_b.save(w);
-  ctl_b->save(w);
-  w.end_section();
-
-  sim::Simulator sim_c;
-  net::Network net_c(sim_c);
-  const net::LinkId link_c = net_c.add_link("bottleneck", 125000.0);
-  SnapshotReader r(w.take());
-  r.require_section(1, 1);
-  sim_c.load(r);
-  net_c.load(r);
-  proto::LedbatController ctl_c(sim_c, net_c, flow_b, link_c, {});
-  ctl_c.load(r);
-  r.end_section();
-  EXPECT_EQ(sim_c.unclaimed_rearm_count(), 0u);
-  EXPECT_EQ(ctl_c.current_rate(), rate_at_5min);
-  sim_c.run_until(10 * kMinute);
-  EXPECT_EQ(ctl_c.current_rate(), rate_at_10min);
-
-  delete ctl_a;
-  delete ctl_b;
-}
-
-// --- chunk store -----------------------------------------------------------
-
-TEST(SnapshotChunkStoreTest, RoundTripPreservesDedupState) {
-  Rng rng(7);
-  cloud::ChunkStore store(4 * kMB);
-  workload::FileInfo donor;
-  donor.index = 0;
-  donor.size = 64 * kMB;
-  donor.content_id = Md5::of("donor");
-  auto donor_sigs = cloud::chunk_signatures(donor, 4 * kMB);
-  store.add(donor, donor_sigs);
-  workload::FileInfo related;
-  related.index = 1;
-  related.size = 32 * kMB;
-  related.content_id = Md5::of("related");
-  auto related_sigs = cloud::chunk_signatures(related, 4 * kMB, &donor, 0.5);
-  store.add(related, related_sigs);
-
-  SnapshotWriter w;
-  w.begin_section(1, 1);
-  store.save(w);
-  w.end_section();
-
-  cloud::ChunkStore restored(4 * kMB);
-  SnapshotReader r(w.take());
-  r.require_section(1, 1);
-  restored.load(r);
-  r.end_section();
-
-  EXPECT_EQ(restored.logical_bytes(), store.logical_bytes());
-  EXPECT_EQ(restored.stored_bytes(), store.stored_bytes());
-  EXPECT_EQ(restored.unique_chunks(), store.unique_chunks());
-  // Adding the same file to both must dedup identically.
-  workload::FileInfo extra;
-  extra.index = 2;
-  extra.size = 16 * kMB;
-  extra.content_id = Md5::of("extra");
-  auto extra_sigs = cloud::chunk_signatures(extra, 4 * kMB, &donor, 0.25);
-  const auto add_a = store.add(extra, extra_sigs);
-  const auto add_b = restored.add(extra, extra_sigs);
-  EXPECT_EQ(add_a.new_bytes, add_b.new_bytes);
-  EXPECT_EQ(add_a.new_chunks, add_b.new_chunks);
-
-  cloud::ChunkStore wrong_cfg(8 * kMB);
-  SnapshotWriter w2;
-  w2.begin_section(1, 1);
-  store.save(w2);
-  w2.end_section();
-  SnapshotReader r2(w2.take());
-  r2.require_section(1, 1);
-  EXPECT_THROW(wrong_cfg.load(r2), SnapshotError);
-}
-
 // --- storage pool ----------------------------------------------------------
 
 std::string save_pool(const cloud::StoragePool& pool) {
@@ -753,208 +636,39 @@ TEST(SnapshotStoragePoolTest, SectionBytesArePinned) {
   EXPECT_EQ(crc32c(save_pool(pool)), 0x6F42606Eu);
 }
 
-// --- circuit breaker -------------------------------------------------------
+// --- retry budget ----------------------------------------------------------
 
-TEST(SnapshotBreakerTest, RoundTripPreservesStateMachine) {
-  sim::Simulator sim;
-  core::CircuitBreaker::Config cfg;
-  cfg.failure_threshold = 3;
-  cfg.window = 10 * kMinute;
-  cfg.open_duration = 5 * kMinute;
-  cfg.half_open_probes = 2;
-  core::CircuitBreaker a(sim, cfg);
-  for (int i = 0; i < 3; ++i) a.record_failure();
-  ASSERT_EQ(a.state(), core::CircuitBreaker::State::kOpen);
-  sim.run_until(6 * kMinute);
-  ASSERT_TRUE(a.allow());  // half-open, one probe admitted
-  a.record_failure();      // doubles the cooldown
-  ASSERT_EQ(a.cooldown(), 10 * kMinute);
-  sim.run_until(17 * kMinute);
-  ASSERT_TRUE(a.allow());  // half-open again, one probe in flight
+TEST(SnapshotRetryBudgetTest, SaveLoadSaveIsByteIdentical) {
+  // The vm section writes the pool's shared retry budget. A restored
+  // budget must save to the same bytes — token levels and refill
+  // timestamps included — so a resumed world grants and denies on the
+  // same schedule.
+  core::RetryBudget::Config cfg;
+  cfg.enabled = true;
+  core::RetryBudget budget(cfg);
+  ASSERT_TRUE(budget.try_acquire(7, 30 * kSec));
+  ASSERT_TRUE(budget.try_acquire(9, 40 * kSec));
+  ASSERT_TRUE(budget.try_acquire_global(50 * kSec));
 
   SnapshotWriter w;
-  w.begin_section(1, 1);
-  a.save(w);
-  w.end_section();
-
-  core::CircuitBreaker b(sim, cfg);
-  SnapshotReader r(w.take());
-  r.require_section(1, 1);
-  b.load(r);
-  r.end_section();
-
-  EXPECT_EQ(b.state(), a.state());
-  EXPECT_EQ(b.cooldown(), a.cooldown());
-  EXPECT_EQ(b.probes_inflight(), a.probes_inflight());
-  EXPECT_EQ(b.times_opened(), a.times_opened());
-  EXPECT_EQ(b.refusals(), a.refusals());
-  // Both must recover identically from here.
-  EXPECT_TRUE(a.allow());
-  EXPECT_TRUE(b.allow());
-  a.record_success();
-  b.record_success();
-  a.record_success();
-  b.record_success();
-  EXPECT_EQ(a.state(), core::CircuitBreaker::State::kClosed);
-  EXPECT_EQ(b.state(), core::CircuitBreaker::State::kClosed);
-  EXPECT_EQ(b.cooldown(), cfg.open_duration);  // closing resets the backoff
-}
-
-// --- hedge coordinator ------------------------------------------------------
-
-TEST(SnapshotHedgeTest, KillBetweenCloneLaunchAndLoserCancelRoundTrips) {
-  // The nastiest kill point for a hedged race: one pair is settled (the
-  // winner delivered its outcome) but the loser-cancel event has not fired
-  // yet, and a second pair is still fully open. Both must survive a
-  // checkpoint bit-identically, along with the shared retry budget.
-  core::RetryBudget::Config bcfg;
-  bcfg.enabled = true;
-  core::RetryBudget budget(bcfg);
-  core::HedgeCoordinator h;
-  h.set_budget(&budget);
-
-  ASSERT_TRUE(h.try_charge_clone(7, 30 * kSec));
-  const std::uint64_t open_race = h.open_pair(101, 0, 2, 30 * kSec);
-  ASSERT_TRUE(h.try_charge_clone(9, 40 * kSec));
-  const std::uint64_t settled_race = h.open_pair(102, 2, 0, 40 * kSec);
-  h.note_clone_done(settled_race);
-  h.settle(settled_race, core::HedgeCoordinator::Winner::kSecondary);
-  h.note_wasted_bytes(12345);
-  h.note_cancelled_clone();
-
-  SnapshotWriter w;
-  h.save_section(w);
   w.begin_section(99, 1);
   budget.save(w);
   w.end_section();
   const std::string buf = w.take();
 
-  core::HedgeCoordinator h2;
-  core::RetryBudget budget2(bcfg);
+  core::RetryBudget restored(cfg);
   SnapshotReader r(buf);
-  h2.load_section(r);
   ASSERT_EQ(r.enter_section(99), 1u);
-  budget2.load(r);
+  restored.load(r);
   r.end_section();
   EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(restored.granted(), 3u);
 
-  EXPECT_EQ(h2.inflight_pairs(), 2u);
-  const auto* settled = h2.find_pair(settled_race);
-  ASSERT_NE(settled, nullptr);
-  EXPECT_TRUE(settled->settled);
-  EXPECT_EQ(settled->winner, core::HedgeCoordinator::Winner::kSecondary);
-  EXPECT_EQ(settled->clones_done, 1u);
-  EXPECT_EQ(settled->launched_at, 40 * kSec);
-  const auto* open = h2.find_pair(open_race);
-  ASSERT_NE(open, nullptr);
-  EXPECT_FALSE(open->settled);
-  EXPECT_EQ(open->clones_done, 0u);
-  EXPECT_EQ(h2.pairs_launched(), 2u);
-  EXPECT_EQ(h2.secondary_wins(), 1u);
-  EXPECT_EQ(h2.wasted_bytes(), 12345u);
-  EXPECT_EQ(h2.cancelled_clones(), 1u);
-  EXPECT_EQ(budget2.granted(), 2u);
-
-  // Save the restored pair: the bytes must be identical — including the
-  // budget's token levels and refill timestamps, so a resumed world grants
-  // and denies on the same schedule.
   SnapshotWriter w2;
-  h2.save_section(w2);
   w2.begin_section(99, 1);
-  budget2.save(w2);
+  restored.save(w2);
   w2.end_section();
   EXPECT_EQ(w2.take(), buf);
-
-  // And a new pair opened after restore must not collide with a live id.
-  const std::uint64_t next = h2.open_pair(103, 0, 1, 50 * kSec);
-  EXPECT_GT(next, settled_race);
-}
-
-// --- smart AP --------------------------------------------------------------
-
-TEST(SnapshotSmartApTest, MidFlightRoundTripIsBitIdentical) {
-  auto make_file = [] {
-    workload::FileInfo f;
-    f.index = 7;
-    f.rank = 1;
-    f.size = 200 * 1000 * 1000;
-    f.protocol = proto::Protocol::kHttp;
-    f.expected_weekly_requests = 50.0;
-    f.content_id = Md5::of("file-7");
-    f.source_link = "http://origin/file-7";
-    return f;
-  };
-  ap::SmartApConfig ap_cfg;
-
-  // Baseline: uninterrupted by checkpoints. Both runs crash the AP at
-  // 1 minute, so the reboot event and the crash bookkeeping (preserved
-  // bytes, prior traffic, resume counts) are part of the round trip.
-  sim::Simulator sim_a;
-  net::Network net_a(sim_a);
-  Rng rng_a(99);
-  ap::SmartAp ap_a(sim_a, net_a, ap_cfg, {}, rng_a);
-  std::optional<proto::DownloadResult> res_a;
-  SimTime done_at_a = kTimeNever;
-  ap_a.predownload(make_file(), kbps_to_rate(512.0),
-                   [&](const proto::DownloadResult& res) {
-                     res_a = res;
-                     done_at_a = sim_a.now();
-                   });
-  sim_a.run_until(kMinute);
-  ap_a.crash();
-  sim_a.run();
-  ASSERT_TRUE(res_a.has_value());
-
-  // Same run, checkpointed mid-reboot, 30 s after the crash (the reboot
-  // takes 45 s; the attempt resolves minutes later in the baseline).
-  sim::Simulator sim_b;
-  net::Network net_b(sim_b);
-  Rng rng_b(99);
-  ap::SmartAp ap_b(sim_b, net_b, ap_cfg, {}, rng_b);
-  ap_b.predownload(make_file(), kbps_to_rate(512.0),
-                   [](const proto::DownloadResult&) {});
-  sim_b.run_until(kMinute);
-  ap_b.crash();
-  sim_b.run_until(kMinute + 30 * kSec);
-  ASSERT_TRUE(ap_b.rebooting());
-  SnapshotWriter w;
-  w.begin_section(1, 1);
-  sim_b.save(w);
-  net_b.save(w);
-  ap_b.save(w);
-  w.end_section();
-
-  sim::Simulator sim_c;
-  net::Network net_c(sim_c);
-  Rng rng_c(1234);  // overwritten by load
-  ap::SmartAp ap_c(sim_c, net_c, ap_cfg, {}, rng_c);
-  std::optional<proto::DownloadResult> res_c;
-  SimTime done_at_c = kTimeNever;
-  SnapshotReader r(w.take());
-  r.require_section(1, 1);
-  sim_c.load(r);
-  net_c.load(r);
-  ap_c.load(r, [&](std::uint64_t) {
-    return [&](const proto::DownloadResult& res) {
-      res_c = res;
-      done_at_c = sim_c.now();
-    };
-  });
-  r.end_section();
-  EXPECT_EQ(sim_c.unclaimed_rearm_count(), 0u);
-  EXPECT_TRUE(ap_c.rebooting());
-  sim_c.run();
-
-  ASSERT_TRUE(res_c.has_value());
-  EXPECT_EQ(done_at_c, done_at_a);
-  EXPECT_EQ(res_c->success, res_a->success);
-  EXPECT_EQ(res_c->bytes_downloaded, res_a->bytes_downloaded);
-  EXPECT_EQ(res_c->traffic_bytes, res_a->traffic_bytes);
-  EXPECT_EQ(res_c->cause, res_a->cause);
-  EXPECT_EQ(ap_a.crash_count(), 1u);
-  EXPECT_EQ(ap_a.resume_count(), 1u);
-  EXPECT_EQ(ap_c.crash_count(), ap_a.crash_count());
-  EXPECT_EQ(ap_c.resume_count(), ap_a.resume_count());
 }
 
 // --- whole world -----------------------------------------------------------
@@ -1227,6 +941,20 @@ TEST_F(WorldTest, RestoreUnderOtherSwarmModelIsRefused) {
   auto sparser = cfg;
   sparser.sources.swarm.base_seed_mean = cfg.sources.swarm.base_seed_mean / 2;
   expect_config_mismatch(cfg, sparser, options());
+}
+
+TEST_F(WorldTest, RestoreUnderOtherProtocolMixIsRefused) {
+  const auto cfg = small_config(5);
+  auto fewer_torrents = cfg;
+  fewer_torrents.catalog.bittorrent_fraction = 0.30;
+  expect_config_mismatch(cfg, fewer_torrents, options());
+}
+
+TEST_F(WorldTest, RestoreUnderOtherUserBandwidthIsRefused) {
+  const auto cfg = small_config(5);
+  auto faster = cfg;
+  faster.users.bandwidth_median = 2 * cfg.users.bandwidth_median;
+  expect_config_mismatch(cfg, faster, options());
 }
 
 TEST_F(WorldTest, RestorerLoadsLatestCheckpointFile) {
