@@ -6,7 +6,7 @@
 namespace odr::obs {
 namespace {
 
-constexpr const char* kFormat = "odr.hashes.v2";
+constexpr const char* kFormat = "odr.hashes.v3";
 
 std::string hex64(std::uint64_t v) {
   char buf[24];

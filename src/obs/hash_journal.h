@@ -1,19 +1,22 @@
-// odr.hashes.v2 — the on-disk journal of periodic in-run state hashes.
+// odr.hashes.v3 — the on-disk journal of periodic in-run state hashes.
 //
 // A run with hashing enabled (WorldOptions::hash_every_events) records one
 // StateHash per cadence point; the harness writes them out next to the
 // other observability artifacts (--spans-out, --metrics-out) as a JSON
 // Lines file:
 //
-//   {"format":"odr.hashes.v2","cadence_events":500,"seed":20151028}
+//   {"format":"odr.hashes.v3","cadence_events":500,"seed":20151028}
 //   {"time":1234,"executed":500,"event_id":"0x1f",
 //    "combined":"0x51153af7097f620a","sub":["0x1a2b3c4d", ...]}
 //   ...
 //
 // `sub` holds nine sub-hashes, one per snapshot::Subsystem: the payload
-// CRC32C of that subsystem's checkpoint section. v2 dropped v1's
-// `event_seq` (an event's seq is its id) and v1's two reserved sub-hash
-// slots; a v1 journal is refused, as is a cadence of 0.
+// CRC32C of that subsystem's checkpoint section. Each covers live state;
+// the world sub-hash covers the outcome count and the outcome log's
+// running CRC, not the log itself. v3 changed the world sub-hash's value
+// that way (v2's world section held every outcome record); v2 dropped
+// v1's `event_seq` and two reserved sub-hash slots. v1 and v2 journals
+// are refused, as is a cadence of 0.
 //
 // u64 values that can exceed 2^53 are hex strings so the journal survives
 // any JSON tooling that parses numbers as doubles. tools/odr_bisect reads
@@ -41,7 +44,7 @@ struct HashJournal {
   std::uint64_t seed = 0;            // config seed, for cross-run sanity
   std::vector<snapshot::StateHash> records;
 
-  // Serializes to the odr.hashes.v2 JSONL text.
+  // Serializes to the odr.hashes.v3 JSONL text.
   std::string to_text() const;
   // Writes to_text() to `path`; throws HashJournalError on IO failure.
   void write_file(const std::string& path) const;

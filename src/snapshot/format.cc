@@ -1,5 +1,6 @@
 #include "snapshot/format.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -34,10 +35,26 @@ SnapshotWriter::SnapshotWriter() {
   raw(kFormatVersion, 4);
 }
 
+void SnapshotWriter::grow(std::size_t n) {
+  // Capacity doubles; the room past len_ is zero-filled a few KiB at a
+  // time, so capacity no byte reaches is never touched and never resident.
+  constexpr std::size_t kAhead = std::size_t{1} << 12;
+  const std::size_t need = len_ + n;
+  if (out_.capacity() < need) {
+    out_.reserve(std::max(2 * out_.capacity(), need));
+  }
+  out_.resize(std::min(out_.capacity(), need + kAhead));
+}
+
+void SnapshotWriter::append(const void* data, std::size_t n) {
+  std::memcpy(room(n), data, n);
+  len_ += n;
+}
+
 void SnapshotWriter::raw(std::uint64_t v, int bytes) {
-  char buf[8];
-  for (int i = 0; i < bytes; ++i) buf[i] = static_cast<char>(v >> (8 * i));
-  out_.append(buf, static_cast<std::size_t>(bytes));
+  char* p = room(8);
+  for (int i = 0; i < bytes; ++i) p[i] = static_cast<char>(v >> (8 * i));
+  len_ += static_cast<std::size_t>(bytes);
 }
 
 void SnapshotWriter::begin_section(std::uint32_t id, std::uint32_t version) {
@@ -46,11 +63,12 @@ void SnapshotWriter::begin_section(std::uint32_t id, std::uint32_t version) {
                             hex(cur_id_) + " is open",
                         SnapshotErrorKind::kUsage, cur_id_);
   }
-  frame_ = out_.size();
+  frame_ = len_;
   cur_id_ = id;
   raw(id, 4);
   raw(version, 4);
-  out_.append(kFrameBytes - 8, '\0');  // length and CRC, set by end_section
+  raw(0, 8);  // payload length, set by end_section
+  raw(0, 4);  // CRC, set by end_section
 }
 
 void SnapshotWriter::end_section() {
@@ -59,7 +77,7 @@ void SnapshotWriter::end_section() {
                         SnapshotErrorKind::kUsage);
   }
   const std::size_t payload = frame_ + kFrameBytes;
-  const std::uint64_t len = out_.size() - payload;
+  const std::uint64_t len = len_ - payload;
   const std::uint32_t crc = crc32c(out_.data() + payload, len);
   for (int i = 0; i < 8; ++i) {
     out_[frame_ + 8 + i] = static_cast<char>(len >> (8 * i));
@@ -79,36 +97,14 @@ std::uint32_t SnapshotWriter::section_crc(std::uint32_t id) const {
                       SnapshotErrorKind::kUsage, id);
 }
 
-void SnapshotWriter::field(std::uint16_t t, std::uint64_t v, int bytes) {
-  char buf[10];
-  buf[0] = static_cast<char>(t);
-  buf[1] = static_cast<char>(t >> 8);
-  for (int i = 0; i < bytes; ++i) buf[2 + i] = static_cast<char>(v >> (8 * i));
-  out_.append(buf, static_cast<std::size_t>(2 + bytes));
-}
-
-void SnapshotWriter::u8(std::uint16_t t, std::uint8_t v) { field(t, v, 1); }
-
-void SnapshotWriter::u32(std::uint16_t t, std::uint32_t v) { field(t, v, 4); }
-
-void SnapshotWriter::u64(std::uint16_t t, std::uint64_t v) { field(t, v, 8); }
-
-void SnapshotWriter::i64(std::uint16_t t, std::int64_t v) {
-  u64(t, static_cast<std::uint64_t>(v));
-}
-
-void SnapshotWriter::f64(std::uint16_t t, double v) {
-  u64(t, std::bit_cast<std::uint64_t>(v));
-}
-
 void SnapshotWriter::str(std::uint16_t t, std::string_view s) {
   field(t, s.size(), 8);
-  out_.append(s);
+  append(s.data(), s.size());
 }
 
 void SnapshotWriter::bytes(std::uint16_t t, const void* data, std::size_t len) {
   field(t, len, 8);
-  out_.append(static_cast<const char*>(data), len);
+  append(data, len);
 }
 
 std::string SnapshotWriter::take() {
@@ -116,6 +112,7 @@ std::string SnapshotWriter::take() {
     throw SnapshotError("take() while section " + hex(cur_id_) + " is open",
                         SnapshotErrorKind::kUsage, cur_id_);
   }
+  out_.resize(len_);
   return std::move(out_);
 }
 
@@ -150,22 +147,31 @@ void SnapshotReader::fail(const std::string& msg, std::uint16_t tag) const {
                       in_section_ ? cur_id_ : 0, tag, pos_);
 }
 
-std::uint32_t SnapshotReader::raw_u32(std::size_t at) const {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[at + i]))
-         << (8 * i);
+namespace {
+
+// Little-endian loads; GCC at -O2 keeps the portable byte loop a loop, so
+// a little-endian host copies the bytes instead.
+template <typename T>
+T load_le(const char* p) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      v |= static_cast<T>(static_cast<unsigned char>(p[i])) << (8 * i);
+    }
   }
   return v;
 }
 
+}  // namespace
+
+std::uint32_t SnapshotReader::raw_u32(std::size_t at) const {
+  return load_le<std::uint32_t>(data_.data() + at);
+}
+
 std::uint64_t SnapshotReader::raw_u64(std::size_t at) const {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[at + i]))
-         << (8 * i);
-  }
-  return v;
+  return load_le<std::uint64_t>(data_.data() + at);
 }
 
 void SnapshotReader::need(std::size_t n, const char* what, std::uint16_t tag) {
@@ -217,6 +223,7 @@ std::uint32_t SnapshotReader::enter_section(std::uint32_t id) {
   }
   in_section_ = true;
   cur_id_ = id;
+  cur_crc_ = stored_crc;
   pay_end_ = pos_ + len;
   return version;
 }
@@ -256,10 +263,9 @@ void SnapshotReader::check_tag(std::uint16_t expected) {
 
 std::uint16_t SnapshotReader::raw_u16() {
   need(2, "field tag");
-  const auto lo = static_cast<unsigned char>(data_[pos_]);
-  const auto hi = static_cast<unsigned char>(data_[pos_ + 1]);
+  const auto v = load_le<std::uint16_t>(data_.data() + pos_);
   pos_ += 2;
-  return static_cast<std::uint16_t>(lo | (hi << 8));
+  return v;
 }
 
 std::uint8_t SnapshotReader::u8(std::uint16_t tag) {

@@ -14,11 +14,14 @@
 // misinterpreting bytes. Section versions gate intentional format changes;
 // the CRC catches torn writes and bit rot before any state is mutated.
 //
-// A world checkpoint (snapshot::CloudWorld) is the meta section followed by
-// one section per Subsystem, in the file order events, flows, rng, caches,
-// uploads, vm, tasks, fault, world. The CRC32C of a subsystem's payload is
-// also its state-hash sub-hash (state_hash.h), so the hash covers exactly
-// what a checkpoint writes.
+// A world checkpoint (snapshot::CloudWorld) is the meta section, one
+// section per Subsystem, in the file order events, flows, rng, caches,
+// uploads, vm, tasks, fault, world, and then the trailing outcome log. The
+// CRC32C of a subsystem's payload is also its state-hash sub-hash
+// (state_hash.h). The log is not a Subsystem and is never hashed: the
+// world section carries the outcome count and the log's running CRC32C in
+// its place, so a hash covers live state, and the log's payload CRC must
+// equal that running CRC for a checkpoint to restore.
 //
 // All integers are serialized little-endian byte-by-byte, so snapshots are
 // portable across hosts. Doubles are serialized as their raw IEEE-754 bit
@@ -26,8 +29,10 @@
 // no text formatting is ever involved.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -52,7 +57,7 @@ enum class Subsystem : std::uint8_t {
   kVm = 5,       // pre-downloader VM pool
   kTasks = 6,    // in-flight waiter queues + active user fetches
   kFault = 7,    // fault injector
-  kWorld = 8,    // outcomes, next arrival, checkpoint tick
+  kWorld = 8,    // outcome count + log CRC, next arrival, checkpoint tick
 };
 
 inline constexpr std::size_t kSubsystemCount = 9;
@@ -123,6 +128,11 @@ class SnapshotError : public std::runtime_error {
 class SnapshotWriter {
  public:
   SnapshotWriter();
+  // A writer with no file header, for fields written outside any section:
+  // take() returns those field bytes alone. The world serializes new
+  // outcome records this way to extend its running log CRC.
+  struct FieldsOnly {};
+  explicit SnapshotWriter(FieldsOnly) {}
 
   // Sections must be strictly bracketed; nesting is not supported (nested
   // components serialize their fields inline within the owner's section).
@@ -131,11 +141,15 @@ class SnapshotWriter {
   void begin_section(std::uint32_t id, std::uint32_t version);
   void end_section();
 
-  void u8(std::uint16_t tag, std::uint8_t v);
-  void u32(std::uint16_t tag, std::uint32_t v);
-  void u64(std::uint16_t tag, std::uint64_t v);
-  void i64(std::uint16_t tag, std::int64_t v);
-  void f64(std::uint16_t tag, double v);
+  void u8(std::uint16_t tag, std::uint8_t v) { field(tag, v, 1); }
+  void u32(std::uint16_t tag, std::uint32_t v) { field(tag, v, 4); }
+  void u64(std::uint16_t tag, std::uint64_t v) { field(tag, v, 8); }
+  void i64(std::uint16_t tag, std::int64_t v) {
+    field(tag, static_cast<std::uint64_t>(v), 8);
+  }
+  void f64(std::uint16_t tag, double v) {
+    field(tag, std::bit_cast<std::uint64_t>(v), 8);
+  }
   void b(std::uint16_t tag, bool v) { u8(tag, v ? 1 : 0); }
   void str(std::uint16_t tag, std::string_view s);
   void bytes(std::uint16_t tag, const void* data, std::size_t len);
@@ -143,6 +157,9 @@ class SnapshotWriter {
   // The payload CRC32C of the closed section `id`, as its frame stores it;
   // throws (kUsage) if no such section was closed.
   std::uint32_t section_crc(std::uint32_t id) const;
+
+  // Bytes written so far, the file header included.
+  std::size_t size() const { return len_; }
 
   // Finalizes and returns the snapshot buffer. The writer is spent after.
   std::string take();
@@ -152,9 +169,33 @@ class SnapshotWriter {
 
   // `bytes` little-endian bytes of v; field() prefixes the u16 tag.
   void raw(std::uint64_t v, int bytes);
-  void field(std::uint16_t tag, std::uint64_t v, int bytes);
+  // A field is the hot path of every save and hash: it stores the tag and
+  // all eight bytes of v unconditionally, as two stores on a little-endian
+  // host, and keeps the first 2 + `bytes` of them.
+  void field(std::uint16_t tag, std::uint64_t v, int bytes) {
+    char* p = room(10);
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(p, &tag, 2);
+      std::memcpy(p + 2, &v, 8);
+    } else {
+      p[0] = static_cast<char>(tag);
+      p[1] = static_cast<char>(tag >> 8);
+      for (int i = 0; i < 8; ++i) p[2 + i] = static_cast<char>(v >> (8 * i));
+    }
+    len_ += static_cast<std::size_t>(2 + bytes);
+  }
+  // Space for `n` more bytes at out_[len_].
+  char* room(std::size_t n) {
+    if (out_.size() - len_ < n) grow(n);
+    return out_.data() + len_;
+  }
+  void grow(std::size_t n);
+  void append(const void* data, std::size_t n);
 
-  std::string out_;                // header + sections written so far
+  // out_[0, len_) is the header and the sections written so far; the rest
+  // of out_ is zero-filled room, trimmed by take().
+  std::string out_;
+  std::size_t len_ = 0;
   std::size_t frame_ = kNoFrame;   // offset of the open section's frame
   std::uint32_t cur_id_ = 0;
   // (id, payload CRC32C) of every closed section, in file order.
@@ -174,6 +215,12 @@ class SnapshotReader {
   // Asserts the payload was fully consumed — a short read means the reader
   // and writer disagree about the field list, which must fail loudly.
   void end_section();
+  // True once the open section's payload is consumed: a section of
+  // repeated records reads until then.
+  bool section_done() const { return in_section_ && pos_ == pay_end_; }
+  // The payload CRC32C stored in the frame of the section last entered
+  // (enter_section verified it against the payload).
+  std::uint32_t section_crc() const { return cur_crc_; }
 
   std::uint8_t u8(std::uint16_t tag);
   std::uint32_t u32(std::uint16_t tag);
@@ -200,6 +247,7 @@ class SnapshotReader {
   std::size_t pos_ = 0;      // next unread byte (absolute)
   bool in_section_ = false;
   std::uint32_t cur_id_ = 0;
+  std::uint32_t cur_crc_ = 0;
   std::size_t pay_end_ = 0;  // one past the current section's payload
 };
 

@@ -1,5 +1,6 @@
 #include "snapshot/state_hash.h"
 
+#include "obs/observer.h"
 #include "snapshot/world.h"
 
 namespace odr::snapshot {
@@ -11,10 +12,11 @@ StateHash StateHasher::hash(const CloudWorld& world) {
   out.last_event_id = world.sim().last_event_id();
 
   SnapshotWriter w;
-  world.save(w);
+  world.save_subsystems(w);
   for (std::size_t s = 0; s < kSubsystemCount; ++s) {
     out.sub[s] = w.section_crc(section_id(static_cast<Subsystem>(s)));
   }
+  ODR_COUNT_N("snapshot.hash.bytes", w.size());
   out.combined = combine_sub_hashes(out.sub);
   return out;
 }

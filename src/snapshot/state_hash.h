@@ -1,21 +1,25 @@
 // Periodic in-run state hashing for divergence triage.
 //
 // A StateHash is a cheap digest of the ENTIRE mutable world at an event
-// boundary. The world is serialized once, exactly as a checkpoint writes
-// it (format.h): one CRC32C-framed section per Subsystem, and a
-// subsystem's sub-hash is its section's payload CRC. Two runs of the same
-// config are bit-identical iff every StateHash matches at every cadence
-// point — and when they stop matching, the sub-hash vector names the
-// subsystem whose state broke first, which is the single most useful fact
-// when triaging a determinism failure (an rng-only break means an
-// extra/missing draw; an events-only break means a scheduling-order
-// change; and so on).
+// boundary. The world's nine Subsystem sections are serialized once,
+// exactly as a checkpoint writes them (format.h), and a subsystem's
+// sub-hash is its section's payload CRC. The checkpoint's meta section and
+// trailing outcome log are not serialized: the world section stands for
+// the log with the outcome count and the log's running CRC32C, so a hash
+// costs live state, not history (the snapshot.hash.bytes counter reports
+// what each hash serialized). Two runs of the same config are
+// bit-identical iff every StateHash matches at every cadence point — and
+// when they stop matching, the sub-hash vector names the subsystem whose
+// state broke first, which is the single most useful fact when triaging a
+// determinism failure (an rng-only break means an extra/missing draw; an
+// events-only break means a scheduling-order change; and so on).
 //
 // Because the sub-hashes are the checkpoint's own section CRCs, the hash
-// covers exactly what a checkpoint writes, by construction. Taking a hash
-// is read-only and changes no observable behavior: the run's event stream,
-// rng draws, and final fingerprints are byte-identical with hashing on or
-// off (asserted by determinism_test).
+// covers exactly what a checkpoint writes, by construction: the log
+// through its running CRC, which a restore checks the log against. Taking
+// a hash changes no observable behavior: the run's event stream, rng
+// draws, and final fingerprints are byte-identical with hashing on or off
+// (asserted by determinism_test).
 #pragma once
 
 #include <array>
@@ -59,7 +63,9 @@ inline std::uint64_t combine_sub_hashes(
 }
 
 struct StateHasher {
-  // Digest the world as it stands. Read-only; safe at any event boundary.
+  // Digest the world as it stands; safe at any event boundary. It changes
+  // nothing a checkpoint or a run observes, but it extends the world's
+  // cached log CRC, so it must not race another call on the same world.
   static StateHash hash(const CloudWorld& world);
 };
 

@@ -1,6 +1,7 @@
 #include "snapshot/world.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -8,6 +9,7 @@
 #include "obs/observer.h"
 #include "snapshot/audit.h"
 #include "snapshot/format.h"
+#include "util/crc32.h"
 #include "util/md5.h"
 #include "workload/file.h"
 #include "workload/request_gen.h"
@@ -17,14 +19,18 @@ namespace odr::snapshot {
 namespace {
 
 // The meta section opens a world checkpoint; one section per Subsystem
-// follows (format.h).
+// follows (format.h), then the outcome log, which is not a Subsystem.
 inline constexpr std::uint32_t kSectionMeta = 1;
+inline constexpr std::uint32_t kSectionLog = 2;
 // v2: one section per subsystem follows, each its own sub-hash (v1 held a
 // composite cloud-state section, then the fault and world sections).
 inline constexpr std::uint32_t kMetaVersion = 2;
-// The fault and world sections started at v1 with meta v2.
+// The fault section started at v1 with meta v2.
 inline constexpr std::uint32_t kFaultVersion = 1;
-inline constexpr std::uint32_t kWorldVersion = 1;
+// v2: the outcome count and the log's running CRC; v1 held the records,
+// so every hash re-serialized the whole outcome history.
+inline constexpr std::uint32_t kWorldVersion = 2;
+inline constexpr std::uint32_t kLogVersion = 1;
 
 enum : std::uint16_t {
   kTagFingerprint = 1,
@@ -32,9 +38,16 @@ enum : std::uint16_t {
   kTagNow = 3,
   kTagHasInjector = 10,
   kTagOutcomeCount = 20,
+  kTagOutcomeCrc = 21,
   kTagNextArrival = 33,
   kTagCheckpointEvent = 40,
 };
+
+std::string hex32(std::uint32_t v) {
+  char buf[16];
+  std::snprintf(buf, sizeof buf, "0x%08x", v);
+  return buf;
+}
 
 }  // namespace
 
@@ -395,17 +408,37 @@ std::uint64_t CloudWorld::config_fingerprint() const {
 
 std::string CloudWorld::save_to_buffer() const {
   SnapshotWriter w;
-  save(w);
-  return w.take();
-}
-
-void CloudWorld::save(SnapshotWriter& w) const {
   w.begin_section(kSectionMeta, kMetaVersion);
   w.u64(kTagFingerprint, config_fingerprint());
   w.u64(kTagRequestCount, requests_.size());
   w.i64(kTagNow, sim_.now());
   w.end_section();
 
+  save_subsystems(w);
+  // The payload CRC end_section computes equals the running CRC the world
+  // section holds: the same records, serialized the same way.
+  w.begin_section(kSectionLog, kLogVersion);
+  for (const workload::TaskOutcome& o : outcomes_) {
+    workload::save_task_outcome(w, o);
+  }
+  w.end_section();
+  return w.take();
+}
+
+std::uint32_t CloudWorld::log_crc() const {
+  if (logged_ < outcomes_.size()) {
+    SnapshotWriter w{SnapshotWriter::FieldsOnly{}};
+    for (std::size_t i = logged_; i < outcomes_.size(); ++i) {
+      workload::save_task_outcome(w, outcomes_[i]);
+    }
+    const std::string records = w.take();
+    log_crc_ = crc32c_extend(log_crc_, records.data(), records.size());
+    logged_ = outcomes_.size();
+  }
+  return log_crc_;
+}
+
+void CloudWorld::save_subsystems(SnapshotWriter& w) const {
   w.begin_section(section_id(Subsystem::kEvents),
                   sim::Simulator::kSnapshotVersion);
   sim_.save(w);
@@ -425,9 +458,7 @@ void CloudWorld::save(SnapshotWriter& w) const {
 
   w.begin_section(section_id(Subsystem::kWorld), kWorldVersion);
   w.u64(kTagOutcomeCount, outcomes_.size());
-  for (const workload::TaskOutcome& o : outcomes_) {
-    workload::save_task_outcome(w, o);
-  }
+  w.u32(kTagOutcomeCrc, log_crc());
   w.u64(kTagNextArrival, next_arrival_);
   w.u64(kTagCheckpointEvent, checkpoint_event_);
   w.end_section();
@@ -478,12 +509,8 @@ void CloudWorld::load_from(const std::string& buffer) {
   r.end_section();
 
   r.require_section(section_id(Subsystem::kWorld), kWorldVersion);
-  outcomes_.clear();
   const std::uint64_t outcome_count = r.u64(kTagOutcomeCount);
-  outcomes_.reserve(requests_.size());
-  for (std::uint64_t i = 0; i < outcome_count; ++i) {
-    outcomes_.push_back(workload::load_task_outcome(r));
-  }
+  const std::uint32_t outcome_crc = r.u32(kTagOutcomeCrc);
 
   // build() reserved the checkpointed run's arrival ids; a build that
   // diverged fails this rearm() or leaves an unclaimed event below.
@@ -500,6 +527,28 @@ void CloudWorld::load_from(const std::string& buffer) {
     sim_.rearm(checkpoint_event_, [this] { checkpoint_tick(); });
   }
   r.end_section();
+
+  // Entering the log checked its frame CRC against its payload; a frame
+  // CRC equal to the world section's running CRC then vouches for the
+  // records without a second pass over them.
+  r.require_section(kSectionLog, kLogVersion);
+  outcomes_.clear();
+  outcomes_.reserve(requests_.size());
+  while (!r.section_done()) {
+    outcomes_.push_back(workload::load_task_outcome(r));
+  }
+  r.end_section();
+  if (outcomes_.size() != outcome_count || r.section_crc() != outcome_crc) {
+    throw SnapshotError(
+        "world: the outcome log (section " + hex32(kSectionLog) + ") holds " +
+            std::to_string(outcomes_.size()) + " records with CRC " +
+            hex32(r.section_crc()) + ", but the world section records " +
+            std::to_string(outcome_count) + " with CRC " + hex32(outcome_crc) +
+            " — refusing a log that is not this world's",
+        SnapshotErrorKind::kCorrupt, kSectionLog);
+  }
+  log_crc_ = outcome_crc;
+  logged_ = outcomes_.size();
 
   if (!r.at_end()) {
     throw SnapshotError("world: trailing data after the final section");

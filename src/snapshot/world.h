@@ -103,9 +103,11 @@ class CloudWorld {
   analysis::CloudReplayResult finalize() const&;
   analysis::CloudReplayResult finalize() &&;
 
-  // Serializes the full mutable world state: the meta section, then one
-  // section per snapshot::Subsystem (format.h). Read-only: a checkpoint
-  // never perturbs the run it observes.
+  // Serializes the full mutable world state: the meta section, one
+  // section per snapshot::Subsystem (format.h), then the outcome log. A
+  // checkpoint never perturbs the run it observes. It extends the running
+  // log CRC, which is cached state, so neither it nor hash_now() may run
+  // concurrently with another call on the same world.
   std::string save_to_buffer() const;
 
   // StateHashes recorded so far (empty unless hashing is enabled).
@@ -150,9 +152,12 @@ class CloudWorld {
       std::vector<workload::TaskOutcome> outcomes) const;
   void on_arrival();
   void checkpoint_tick();
-  // The checkpoint's sections, into `w`; StateHasher reads their CRCs.
+  // The nine Subsystem sections, into `w`; StateHasher reads their CRCs.
   friend struct StateHasher;
-  void save(SnapshotWriter& w) const;
+  void save_subsystems(SnapshotWriter& w) const;
+  // The running CRC of the outcome log, first extended over the outcomes
+  // recorded since the last call.
+  std::uint32_t log_crc() const;
   void load_from(const std::string& buffer);
   cloud::XuanfengCloud::OutcomeFn outcome_sink();
   std::uint64_t config_fingerprint() const;
@@ -175,6 +180,12 @@ class CloudWorld {
   sim::EventId first_arrival_ = sim::kInvalidEvent;
   std::size_t next_arrival_ = 0;
   std::vector<workload::TaskOutcome> outcomes_;
+  // CRC32C of the serialized records of outcomes_[0, logged_). The world
+  // section stores it in place of the records, and a checkpoint's log
+  // section must match it. log_crc() extends it lazily, so a week that
+  // never hashes or saves never serializes an outcome.
+  mutable std::uint32_t log_crc_ = 0;
+  mutable std::size_t logged_ = 0;
 
   sim::EventId checkpoint_event_ = sim::kInvalidEvent;
   // Deliberately NOT serialized: a resumed run re-counts from zero, and

@@ -1,6 +1,7 @@
 #include "util/args.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -75,6 +76,14 @@ namespace {
   std::exit(1);
 }
 
+// The shortest text that parses back to exactly `x`, so a printed bound is
+// the bound itself rather than a six-digit rounding of it.
+std::string shortest(double x) {
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof buf, x);
+  return std::string(buf, result.ptr);
+}
+
 }  // namespace
 
 std::int64_t ArgParser::get_int(const std::string& name,
@@ -112,9 +121,10 @@ double ArgParser::get_double(const std::string& name, double min_value,
       !std::isfinite(x) || !(x >= min_value) || !(x <= max_value)) {
     std::ostringstream need;
     need << "a finite number";
-    if (min_value > -DBL_MAX) need << " >= " << min_value;
+    if (min_value > -DBL_MAX) need << " >= " << shortest(min_value);
     if (max_value < DBL_MAX) {
-      need << (min_value > -DBL_MAX ? " and <= " : " <= ") << max_value;
+      need << (min_value > -DBL_MAX ? " and <= " : " <= ")
+           << shortest(max_value);
     }
     bad_value(name, v, need.str());
   }

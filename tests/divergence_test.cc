@@ -1,4 +1,4 @@
-// Divergence triage: in-run state hashes, the odr.hashes.v2 journal, and
+// Divergence triage: in-run state hashes, the odr.hashes.v3 journal, and
 // the first-divergence bisector (src/snapshot/state_hash.h, bisect.h,
 // src/obs/hash_journal.h; see DESIGN.md §12).
 //
@@ -107,11 +107,15 @@ TEST(StateHashTest, CadenceRecordsOnePerBoundary) {
   }
 }
 
-// The (id, stored payload CRC) of every section framed in a checkpoint,
-// read from the bytes alone, in file order; each stored CRC must match its
-// payload.
-std::vector<std::pair<std::uint32_t, std::uint32_t>> section_crcs(
-    const std::string& buf) {
+struct Frame {
+  std::uint32_t id = 0;
+  std::uint64_t len = 0;  // payload bytes
+  std::uint32_t crc = 0;  // stored payload CRC
+};
+
+// Every section framed in a checkpoint, read from the bytes alone, in file
+// order; each stored CRC must match its payload.
+std::vector<Frame> section_frames(const std::string& buf) {
   auto le = [&buf](std::size_t at, int bytes) {
     std::uint64_t v = 0;
     for (int i = 0; i < bytes; ++i) {
@@ -120,14 +124,14 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> section_crcs(
     }
     return v;
   };
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+  std::vector<Frame> out;
   std::size_t pos = 8;  // magic + format version
   while (pos + 20 <= buf.size()) {
     const auto id = static_cast<std::uint32_t>(le(pos, 4));
     const std::uint64_t len = le(pos + 8, 8);
     const auto crc = static_cast<std::uint32_t>(le(pos + 16, 4));
     EXPECT_EQ(crc, crc32c(buf.data() + pos + 20, len)) << "section " << id;
-    out.emplace_back(id, crc);
+    out.push_back({id, len, crc});
     pos += 20 + len;
   }
   EXPECT_EQ(pos, buf.size());
@@ -144,25 +148,59 @@ TEST(StateHashTest, SubHashesAreTheCheckpointSectionCrcs) {
       Subsystem::kEvents, Subsystem::kFlows,   Subsystem::kRng,
       Subsystem::kCaches, Subsystem::kUploads, Subsystem::kVm,
       Subsystem::kTasks,  Subsystem::kFault,   Subsystem::kWorld};
+  std::uint64_t world_len = 0;
   for (const std::uint64_t chunk : {0, 1, 300, 1500, 100000000}) {
     w.run(chunk);
-    const auto crcs = section_crcs(w.save_to_buffer());
+    const auto frames = section_frames(w.save_to_buffer());
     const snapshot::StateHash h = w.hash_now();
-    // The meta section, then one section per subsystem.
-    ASSERT_EQ(crcs.size(), 1 + snapshot::kSubsystemCount);
-    EXPECT_EQ(crcs[0].first, 1u);
+    // The meta section, one section per subsystem, then the outcome log.
+    ASSERT_EQ(frames.size(), 2 + snapshot::kSubsystemCount);
+    EXPECT_EQ(frames.front().id, 1u);
+    EXPECT_EQ(frames.back().id, 2u);
     for (std::size_t i = 0; i < file_order.size(); ++i) {
       const Subsystem s = file_order[i];
-      EXPECT_EQ(crcs[i + 1].first, snapshot::section_id(s));
-      EXPECT_EQ(crcs[i + 1].second, h.sub[static_cast<std::size_t>(s)])
+      EXPECT_EQ(frames[i + 1].id, snapshot::section_id(s));
+      EXPECT_EQ(frames[i + 1].crc, h.sub[static_cast<std::size_t>(s)])
           << snapshot::subsystem_name(s) << " after "
           << w.sim().executed_count() << " events";
     }
+    // The hashed world section holds the outcome count and the log's
+    // running CRC, not the records: it is as long at the week's last hash
+    // as at its first.
+    const Frame& world = frames[file_order.size()];
+    if (world_len == 0) world_len = world.len;
+    EXPECT_EQ(world.len, world_len);
   }
   EXPECT_FALSE(w.sim().has_pending());
+  EXPECT_GT(w.outcomes().size(), 0u);
 }
 
-// --- odr.hashes.v2 journal ------------------------------------------------
+TEST(StateHashTest, HashedBytesFollowLiveState) {
+  // snapshot.hash.bytes counts the bytes each hash serializes. The outcome
+  // records are not among them, so the week's last hash is within 1.5x of
+  // its first although the outcome log grows from nothing to every task.
+  obs::ObsConfig ocfg;
+  ocfg.tracing = false;
+  obs::ScopedObserver scoped(ocfg);
+  auto hashed_bytes = [&scoped] {
+    const obs::Counter* c =
+        scoped->metrics().find_counter("snapshot.hash.bytes");
+    return c != nullptr ? c->value() : 0;
+  };
+  snapshot::CloudWorld w(config_at(), world_options());
+  std::vector<std::uint64_t> sizes;
+  while (w.run(250) == 250) {
+    const std::uint64_t before = hashed_bytes();
+    (void)w.hash_now();
+    sizes.push_back(hashed_bytes() - before);
+  }
+  ASSERT_GT(sizes.size(), 4u);
+  EXPECT_GT(sizes.front(), 0u);
+  EXPECT_LE(sizes.back(), sizes.front() * 3 / 2);
+  EXPECT_GT(w.outcomes().size(), 0u);
+}
+
+// --- odr.hashes.v3 journal ------------------------------------------------
 
 obs::HashJournal sample_journal() {
   snapshot::CloudWorld w(config_at(), world_options(500));
@@ -226,9 +264,18 @@ TEST(HashJournalTest, ParserRefusesV1Journals) {
       "unsupported format \"odr.hashes.v1\"");
 }
 
+TEST(HashJournalTest, ParserRefusesV2Journals) {
+  // A v2 world sub-hash covered every outcome record; v3's covers the
+  // outcome count and the log's running CRC, so the values never agree.
+  expect_parse_error(
+      "{\"format\":\"odr.hashes.v2\",\"cadence_events\":500,"
+      "\"seed\":20151028}\n",
+      "unsupported format \"odr.hashes.v2\"");
+}
+
 TEST(HashJournalTest, ParserRefusesCadenceZero) {
   expect_parse_error(
-      "{\"format\":\"odr.hashes.v2\",\"cadence_events\":0,"
+      "{\"format\":\"odr.hashes.v3\",\"cadence_events\":0,"
       "\"seed\":20151028}\n",
       "cadence_events must be at least 1");
 }

@@ -911,6 +911,86 @@ TEST_F(WorldTest, VmSectionVersionOneIsRefused) {
   }
 }
 
+TEST_F(WorldTest, WorldSectionVersionOneIsRefused) {
+  // A v1 world section held every outcome record; v2 holds their count
+  // and running CRC, and the records trail in the log section.
+  const auto cfg = small_config(5);
+  snapshot::CloudWorld world(cfg, options());
+  world.run(500);
+  std::string old = world.save_to_buffer();
+  const std::size_t at =
+      section_frame(old, snapshot::section_id(snapshot::Subsystem::kWorld));
+  ASSERT_EQ(old[at + 4], 2);  // the world section's version, little-endian
+  old[at + 4] = 1;
+  try {
+    snapshot::CloudWorld restored(cfg, options(), old);
+    FAIL() << "a world v1 section restored";
+  } catch (const SnapshotError& e) {
+    const std::string what(e.what());
+    EXPECT_NE(what.find("version mismatch: checkpoint has v1"),
+              std::string::npos)
+        << what;
+  }
+}
+
+// `ckpt` with its last frame's payload replaced by `payload`, the frame's
+// length and CRC patched to match, so only a cross-check can reject it.
+std::string with_last_payload(const std::string& ckpt,
+                              const std::string& payload) {
+  std::size_t frame = 8;
+  std::size_t last = frame;
+  while (frame + 20 <= ckpt.size()) {
+    last = frame;
+    std::uint64_t len = 0;
+    for (int i = 7; i >= 0; --i) {
+      len = (len << 8) | static_cast<unsigned char>(ckpt[frame + 8 + i]);
+    }
+    frame += 20 + len;
+  }
+  std::string out = ckpt.substr(0, last + 20) + payload;
+  const std::uint64_t len = payload.size();
+  const std::uint32_t crc = crc32c(payload);
+  for (int i = 0; i < 8; ++i) {
+    out[last + 8 + i] = static_cast<char>(len >> (8 * i));
+  }
+  for (int i = 0; i < 4; ++i) {
+    out[last + 16 + i] = static_cast<char>(crc >> (8 * i));
+  }
+  return out;
+}
+
+TEST_F(WorldTest, LogThatDisagreesWithTheWorldSectionIsRefused) {
+  const auto cfg = small_config(5);
+  snapshot::CloudWorld world(cfg, options());
+  world.run(4000);
+  ASSERT_GT(world.outcomes().size(), 1u);
+  const std::string ckpt = world.save_to_buffer();
+  // The log is the last frame: an id outside the subsystem sections.
+  const std::size_t log = section_frame(ckpt, 2);
+  const std::string records = ckpt.substr(log + 20);
+  ASSERT_EQ(with_last_payload(ckpt, records), ckpt);
+
+  // One record edited: the first record's task id (after its u16 tag).
+  std::string edited = records;
+  edited[2] = static_cast<char>(edited[2] ^ 0x01);
+  // Every record twice: a count the world section does not record.
+  for (const std::string& payload : {edited, records + records}) {
+    try {
+      snapshot::CloudWorld restored(cfg, options(),
+                                    with_last_payload(ckpt, payload));
+      ADD_FAILURE() << "a log that disagrees with the world section restored";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(static_cast<int>(e.kind()),
+                static_cast<int>(snapshot::SnapshotErrorKind::kCorrupt));
+      EXPECT_EQ(e.section(), 2u);
+      const std::string what(e.what());
+      EXPECT_NE(what.find("outcome log (section 0x00000002)"),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
 // A checkpoint restores only under the configuration it was taken with:
 // a restore under a different admission policy or swarm model would run
 // the rest of the week under rules the first half never saw.

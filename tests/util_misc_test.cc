@@ -1,6 +1,7 @@
 // Tests for units, CSV, histogram/time series, tables, and arg parsing.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -181,6 +182,20 @@ TEST(ArgParserTest, MalformedNumbersExitWithMessage) {
     EXPECT_EXIT(args.get_double("divisor", 1.0, 1000.0),
                 ::testing::ExitedWithCode(1), "bad --divisor value")
         << value;
+  }
+  // A bound prints in shortest round-trip form: all of 1e6 / 6, not a
+  // six-digit 166667 that lies above it.
+  {
+    const double bound = 1e6 / 6;
+    ArgParser args("test");
+    args.flag("flash-rate", "0.01", "rate");
+    const char* argv[] = {"prog", "--flash-rate=166667"};
+    ASSERT_TRUE(args.parse(2, const_cast<char**>(argv)));
+    EXPECT_EXIT(args.get_double("flash-rate", 0.5, bound),
+                ::testing::ExitedWithCode(1),
+                "bad --flash-rate value '166667': need a finite number "
+                ">= 0\\.5 and <= 166666\\.66666666666\n");
+    EXPECT_EQ(std::strtod("166666.66666666666", nullptr), bound);
   }
   for (const char* value : {"abc", "", "12x", "1.5", "99999999999999999999"}) {
     ArgParser args("test");
