@@ -12,8 +12,8 @@ namespace {
 
 // Field tags for serialized swarm state (inline in the owner's section).
 enum : std::uint16_t {
-  kTagPopularity = 40,
-  kTagScale = 41,
+  kTagSeedMean = 48,
+  kTagLeecherMean = 49,
   kTagPerSeedRate = 42,
   kTagHasSeedbox = 43,
   kTagSeedboxRate = 44,
@@ -26,58 +26,80 @@ enum : std::uint16_t {
 
 Swarm::Swarm(Protocol protocol, double weekly_popularity,
              const SwarmParams& params, Rng& rng)
-    : params_(params), popularity_(weekly_popularity), protocol_(protocol) {
+    : params_(params), protocol_(protocol) {
   assert(is_p2p(protocol));
-  scale_ = protocol == Protocol::kEmule ? params_.emule_scale : 1.0;
+  const double scale =
+      protocol == Protocol::kEmule ? params_.emule_scale : 1.0;
+  const double popularity = std::max(0.0, weekly_popularity);
+  seed_mean_ = scale * (params_.base_seed_mean +
+                        params_.seeds_per_popularity *
+                            std::pow(popularity,
+                                     params_.seeds_popularity_exponent));
+  leecher_mean_ = scale * params_.leechers_per_popularity * popularity;
   // Per-seed upload quality varies across swarms (consumer uplinks).
   per_seed_rate_ = params_.seed_upload_median *
                    std::exp(rng.normal(0.0, params_.seed_upload_sigma));
   if (protocol == Protocol::kEmule) per_seed_rate_ *= params_.emule_scale;
   traffic_factor_ =
       rng.uniform(params_.traffic_factor_lo, params_.traffic_factor_hi);
-  has_seedbox_ = rng.bernoulli(
-      1.0 - std::exp(-arrival_mean_seeds() / params_.seedbox_scale));
+  has_seedbox_ =
+      rng.bernoulli(1.0 - std::exp(-seed_mean_ / params_.seedbox_scale));
   seedbox_rate_ = rng.uniform(params_.seedbox_rate_lo, params_.seedbox_rate_hi);
   // Stationary populations: a birth-death process with arrival rate lambda
   // and mean lifetime L has mean population lambda*L; we draw the initial
   // state from the stationary Poisson directly.
-  seeds_ = static_cast<std::uint32_t>(rng.poisson(arrival_mean_seeds()));
-  leechers_ = static_cast<std::uint32_t>(rng.poisson(arrival_mean_leechers()));
+  seeds_ = static_cast<std::uint32_t>(rng.poisson(seed_mean_));
+  leechers_ = static_cast<std::uint32_t>(rng.poisson(leecher_mean_));
 }
 
-double Swarm::arrival_mean_seeds() const {
-  return scale_ * (params_.base_seed_mean +
-                   params_.seeds_per_popularity *
-                       std::pow(std::max(0.0, popularity_),
-                                params_.seeds_popularity_exponent));
+double Swarm::departure_prob(SimTime dt) const {
+  return -std::expm1(-static_cast<double>(dt) /
+                     static_cast<double>(params_.peer_lifetime));
 }
 
-double Swarm::arrival_mean_leechers() const {
-  return scale_ * params_.leechers_per_popularity * popularity_;
+std::uint32_t Swarm::advance_population(std::uint32_t n,
+                                        double stationary_mean, double leave,
+                                        Rng& rng) {
+  // Arrivals in (0, dt] that are still present number
+  // Poisson(λL(1 − e^{−dt/L})).
+  const std::uint64_t survivors = n - rng.binomial(n, leave);
+  return static_cast<std::uint32_t>(survivors +
+                                    rng.poisson(stationary_mean * leave));
 }
 
-void Swarm::tick(SimTime dt, Rng& rng) {
+void Swarm::advance(SimTime dt, Rng& rng) {
   if (dt <= 0) return;
-  const double frac =
-      std::min(1.0, static_cast<double>(dt) / static_cast<double>(params_.peer_lifetime));
-  // Departures: each peer leaves with probability dt/lifetime (clamped).
-  auto depart = [&](std::uint32_t n) {
-    std::uint32_t gone = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (rng.bernoulli(frac)) ++gone;
-    }
-    return n - gone;
-  };
-  seeds_ = depart(seeds_);
-  leechers_ = depart(leechers_);
-  // Arrivals: Poisson with intensity stationary_mean / lifetime.
-  seeds_ += static_cast<std::uint32_t>(rng.poisson(arrival_mean_seeds() * frac));
-  leechers_ +=
-      static_cast<std::uint32_t>(rng.poisson(arrival_mean_leechers() * frac));
+  const std::uint64_t draws = rng.draw_count();
+  const double leave = departure_prob(dt);
+  seeds_ = advance_population(seeds_, seed_mean_, leave, rng);
+  leechers_ = advance_population(leechers_, leecher_mean_, leave, rng);
   ODR_COUNT("proto.swarm.ticks");
+  ODR_COUNT_N("proto.swarm.draws", rng.draw_count() - draws);
   ODR_HIST("proto.swarm.seeds", 0.0, 128.0, 32, static_cast<double>(seeds_));
   ODR_HIST("proto.swarm.leechers", 0.0, 256.0, 32,
            static_cast<double>(leechers_));
+}
+
+SimTime Swarm::next_seed_gap(Rng& rng) const {
+  if (!(seed_mean_ > 0.0)) return kTimeNever;
+  // Seeds arrive at rate λ = λL / L.
+  const std::uint64_t draws = rng.draw_count();
+  const double gap_s =
+      rng.exponential(to_seconds(params_.peer_lifetime) / seed_mean_);
+  ODR_COUNT_N("proto.swarm.draws", rng.draw_count() - draws);
+  // Beyond ~30,000 years the arrival is as good as never (and would
+  // overflow SimTime).
+  return gap_s < 1e12 ? from_seconds(gap_s) : kTimeNever;
+}
+
+void Swarm::seed_arrives(SimTime dt, Rng& rng) {
+  assert(seeds_ == 0);
+  const std::uint64_t draws = rng.draw_count();
+  leechers_ =
+      advance_population(leechers_, leecher_mean_, departure_prob(dt), rng);
+  seeds_ = 1;
+  ODR_COUNT("proto.swarm.ticks");
+  ODR_COUNT_N("proto.swarm.draws", rng.draw_count() - draws);
 }
 
 Rate Swarm::downloader_rate() const {
@@ -112,8 +134,8 @@ double Swarm::bandwidth_multiplier() const {
 }
 
 void Swarm::save(snapshot::SnapshotWriter& w) const {
-  w.f64(kTagPopularity, popularity_);
-  w.f64(kTagScale, scale_);
+  w.f64(kTagSeedMean, seed_mean_);
+  w.f64(kTagLeecherMean, leecher_mean_);
   w.f64(kTagPerSeedRate, per_seed_rate_);
   w.b(kTagHasSeedbox, has_seedbox_);
   w.f64(kTagSeedboxRate, seedbox_rate_);
@@ -125,8 +147,8 @@ void Swarm::save(snapshot::SnapshotWriter& w) const {
 Swarm Swarm::restored(Protocol protocol, const SwarmParams& params,
                       snapshot::SnapshotReader& r) {
   Swarm s(protocol, params);
-  s.popularity_ = r.f64(kTagPopularity);
-  s.scale_ = r.f64(kTagScale);
+  s.seed_mean_ = r.f64(kTagSeedMean);
+  s.leecher_mean_ = r.f64(kTagLeecherMean);
   s.per_seed_rate_ = r.f64(kTagPerSeedRate);
   s.has_seedbox_ = r.b(kTagHasSeedbox);
   s.seedbox_rate_ = r.f64(kTagSeedboxRate);

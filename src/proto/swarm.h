@@ -9,9 +9,13 @@
 //     the cloud ("bandwidth multiplier effect", Bottleneck 2 remedy);
 //   - pre-download speeds are low-median / heavy-tailed (Fig 8/13).
 //
-// Population dynamics are a birth-death process ticked at a fixed period:
-// arrivals are Poisson with popularity-proportional intensity, and each
-// peer departs independently with an exponential lifetime.
+// Seeds and leechers are each an M/M/∞ birth-death process: arrivals are
+// Poisson with popularity-proportional intensity λ, and each peer departs
+// independently after an exponential lifetime L, so the stationary
+// population is Poisson(λL). advance(Δ) applies the exact transition over
+// any interval in O(1): survivors are Binomial(n, e^{−Δ/L}) and arrivals
+// Poisson(λL(1 − e^{−Δ/L})). A seedless swarm needs no advance at all
+// until its next seed arrives, which next_seed_gap() samples exactly.
 #pragma once
 
 #include <cstdint>
@@ -82,8 +86,17 @@ class Swarm {
   Swarm(Protocol protocol, double weekly_popularity, const SwarmParams& params,
         Rng& rng);
 
-  // Advances the birth-death populations by `dt`.
-  void tick(SimTime dt, Rng& rng);
+  // Advances both populations by `dt` with the exact M/M/∞ transition.
+  void advance(SimTime dt, Rng& rng);
+
+  // Time from now to the next seed arrival, Exp(λ_seeds); kTimeNever if
+  // no seed can arrive. Meaningful for a seedless swarm, whose state
+  // cannot change any rate before that arrival.
+  SimTime next_seed_gap(Rng& rng) const;
+
+  // The first seed arrives `dt` after the last advance of a seedless
+  // swarm: the leechers advance over `dt`, and the seed count becomes 1.
+  void seed_arrives(SimTime dt, Rng& rng);
 
   // Service rate available to ONE additional downloader right now.
   Rate downloader_rate() const;
@@ -109,14 +122,21 @@ class Swarm {
  private:
   // Restore path: sets only what the checkpoint does not carry.
   Swarm(Protocol protocol, const SwarmParams& params)
-      : params_(params), popularity_(0.0), protocol_(protocol) {}
+      : params_(params), protocol_(protocol) {}
 
-  double arrival_mean_seeds() const;
-  double arrival_mean_leechers() const;
+  // P(a peer present now has left after dt) = 1 − e^{−dt/L}.
+  double departure_prob(SimTime dt) const;
+  // One population whose peers each left with probability `leave`:
+  // Binomial survivors plus Poisson(stationary_mean · leave) arrivals.
+  static std::uint32_t advance_population(std::uint32_t n,
+                                          double stationary_mean,
+                                          double leave, Rng& rng);
 
   SwarmParams params_;  // by value: swarms outlive caller-side param structs
-  double popularity_;
-  double scale_ = 1.0;          // protocol-dependent population scale
+  // Stationary mean populations λL, fixed by the file's popularity and
+  // protocol: the means of the construction draw and of every arrival.
+  double seed_mean_ = 0.0;
+  double leecher_mean_ = 0.0;
   Rate per_seed_rate_ = 0.0;    // this swarm's average per-seed upload
   Rate seedbox_rate_ = 0.0;
   double traffic_factor_ = 2.0; // sampled once per swarm

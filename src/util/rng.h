@@ -76,8 +76,16 @@ class Rng {
   // weights return 0.
   std::size_t weighted_index(std::span<const double> weights);
 
-  // Poisson via inversion for small means, normal approximation above 64.
+  // Poisson(mean): sequential inversion below mean 10, Hörmann's PTRS
+  // transformed rejection (1993) above. Both are exact, and both take a
+  // bounded expected number of draws at any mean. A mean <= 0 draws
+  // nothing and returns 0.
   std::uint64_t poisson(double mean);
+
+  // Binomial(n, p): inversion while n·min(p, 1 − p) < 10, Hörmann's BTRD
+  // transformed rejection (1993) above; exact, with a bounded expected
+  // number of draws at any n. n = 0, p <= 0 and p >= 1 draw nothing.
+  std::uint64_t binomial(std::uint64_t n, double p);
 
   // In-place Fisher-Yates shuffle.
   template <typename T>

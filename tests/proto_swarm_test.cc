@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
+
 #include "proto/source.h"
 
 namespace odr::proto {
@@ -61,21 +64,110 @@ TEST(SwarmTest, RateGrowsSublinearlyWithSeeds) {
   }
 }
 
-TEST(SwarmTest, TickPreservesStationaryMean) {
-  Rng rng(6);
-  const double pop = 50.0;
-  Swarm s(Protocol::kBitTorrent, pop, default_params(), rng);
-  double total = 0;
-  const int steps = 2000;
-  for (int i = 0; i < steps; ++i) {
-    s.tick(5 * kMinute, rng);
-    total += s.seeds();
+double stationary_seeds(double pop) {
+  const SwarmParams p = default_params();
+  return p.base_seed_mean +
+         p.seeds_per_popularity * std::pow(pop, p.seeds_popularity_exponent);
+}
+
+struct Moments {
+  double mean = 0.0;
+  double variance = 0.0;
+};
+
+template <typename Draw>
+Moments moments(int n, Draw draw) {
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double x = draw();
+    sum += x;
+    sum_sq += x * x;
   }
-  const double expected =
-      default_params().base_seed_mean +
-      default_params().seeds_per_popularity *
-          std::pow(pop, default_params().seeds_popularity_exponent);
-  EXPECT_NEAR(total / steps, expected, expected * 0.25);
+  const double mean = sum / n;
+  return {mean, sum_sq / n - mean * mean};
+}
+
+TEST(SwarmTest, AdvancePreservesStationaryMeanAndVariance) {
+  // A swarm drawn from its stationary Poisson(λL) stays Poisson(λL) after
+  // an exact advance over any interval, short or far beyond the lifetime.
+  const double pop = 20.0;
+  const double mean = stationary_seeds(pop);
+  const int n = 20000;
+  Rng rng(6);
+  for (SimTime dt : {kMinute, 5 * kMinute, kHour, kWeek}) {
+    const Moments m = moments(n, [&] {
+      Swarm s(Protocol::kBitTorrent, pop, default_params(), rng);
+      s.advance(dt, rng);
+      return static_cast<double>(s.seeds());
+    });
+    EXPECT_NEAR(m.mean, mean, 5.0 * std::sqrt(mean / n)) << "dt " << dt;
+    EXPECT_NEAR(m.variance / mean, 1.0, 0.05) << "dt " << dt;
+  }
+}
+
+TEST(SwarmTest, TwoHalfAdvancesMatchOneWholeAdvance) {
+  // From a fixed state far above the stationary mean, one advance of dt
+  // and two of dt/2 both give n0·q + Binomial survivors' variance
+  // n0·q(1 − q) plus Poisson(m(1 − q)) arrivals, q = e^{−dt/L}.
+  const double pop = 20.0;
+  const double m = stationary_seeds(pop);
+  Rng rng(12);
+  std::optional<Swarm> start;
+  while (!start || start->seeds() < 2 * m) {
+    start.emplace(Protocol::kBitTorrent, pop, default_params(), rng);
+  }
+  const double n0 = start->seeds();
+  const int n = 20000;
+  for (SimTime dt : {5 * kMinute, kHour, 8 * kHour}) {
+    const double q = std::exp(-static_cast<double>(dt) /
+                              static_cast<double>(default_params().peer_lifetime));
+    const double mean = n0 * q + m * (1.0 - q);
+    const double variance = n0 * q * (1.0 - q) + m * (1.0 - q);
+    const Moments whole = moments(n, [&] {
+      Swarm s = *start;
+      s.advance(dt, rng);
+      return static_cast<double>(s.seeds());
+    });
+    const Moments halves = moments(n, [&] {
+      Swarm s = *start;
+      s.advance(dt / 2, rng);
+      s.advance(dt / 2, rng);
+      return static_cast<double>(s.seeds());
+    });
+    for (const Moments& got : {whole, halves}) {
+      EXPECT_NEAR(got.mean, mean, 5.0 * std::sqrt(variance / n)) << "dt " << dt;
+      EXPECT_NEAR(got.variance / variance, 1.0, 0.06) << "dt " << dt;
+    }
+  }
+}
+
+TEST(SwarmTest, SeedlessSwarmWaitsForExponentialSeedArrival) {
+  // Seeds arrive at rate λ = λL / L, so a seedless swarm's wait is
+  // Exp(L / λL); the arrival leaves exactly one seed.
+  const double pop = 2.0;
+  const double m = stationary_seeds(pop);
+  const SimTime lifetime = default_params().peer_lifetime;
+  Rng rng(13);
+  Swarm s(Protocol::kBitTorrent, pop, default_params(), rng);
+  while (s.seeds() > 0) s = Swarm(Protocol::kBitTorrent, pop, default_params(), rng);
+  const int n = 20000;
+  const Moments gap = moments(n, [&] {
+    return to_seconds(s.next_seed_gap(rng));
+  });
+  const double expected = to_seconds(lifetime) / m;
+  EXPECT_NEAR(gap.mean, expected, 5.0 * expected / std::sqrt(n));
+  EXPECT_NEAR(std::sqrt(gap.variance) / expected, 1.0, 0.05);  // sd = mean
+
+  s.seed_arrives(kHour, rng);
+  EXPECT_EQ(s.seeds(), 1u);
+  EXPECT_GT(s.downloader_rate(), 0.0);
+
+  SwarmParams never = default_params();
+  never.base_seed_mean = 0.0;
+  never.seeds_per_popularity = 0.0;
+  const Swarm barren(Protocol::kBitTorrent, pop, never, rng);
+  EXPECT_EQ(barren.next_seed_gap(rng), kTimeNever);
 }
 
 TEST(SwarmTest, ChurnFlipsSeedlessState) {
@@ -84,7 +176,7 @@ TEST(SwarmTest, ChurnFlipsSeedlessState) {
   int transitions = 0;
   bool last = s.seeds() == 0;
   for (int i = 0; i < 5000; ++i) {
-    s.tick(5 * kMinute, rng);
+    s.advance(5 * kMinute, rng);
     const bool now = s.seeds() == 0;
     if (now != last) ++transitions;
     last = now;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <vector>
 
 namespace odr {
@@ -118,6 +119,128 @@ TEST(RngTest, PoissonZeroMean) {
   Rng rng(31);
   EXPECT_EQ(rng.poisson(0.0), 0u);
   EXPECT_EQ(rng.poisson(-1.0), 0u);
+  EXPECT_EQ(rng.draw_count(), 0u);  // a degenerate mean draws nothing
+}
+
+// Pearson's chi-square of `n` draws of `sample` against the exact `pmf`
+// on {0..support_max}. Values are binned left to right so that each bin
+// expects at least 20 draws; the last bin takes the upper tail. Fails
+// above the 0.1% critical value.
+template <typename Sample, typename Pmf>
+void expect_matches_pmf(Sample sample, Pmf pmf, std::uint64_t support_max,
+                        const std::string& what) {
+  const int n = 200000;
+  std::vector<std::uint64_t> upper;  // the largest value in each bin
+  std::vector<double> expected;
+  double binned = 0.0;
+  double acc = 0.0;
+  for (std::uint64_t k = 0; k <= support_max; ++k) {
+    acc += n * pmf(k);
+    if (acc >= 20.0 && n - binned - acc >= 20.0) {
+      upper.push_back(k);
+      expected.push_back(acc);
+      binned += acc;
+      acc = 0.0;
+    }
+  }
+  upper.push_back(~0ull);
+  expected.push_back(n - binned);
+  std::vector<double> observed(expected.size(), 0.0);
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t k = sample();
+    observed[std::lower_bound(upper.begin(), upper.end(), k) -
+             upper.begin()] += 1.0;
+  }
+  double chi2 = 0.0;
+  for (std::size_t b = 0; b < expected.size(); ++b) {
+    const double d = observed[b] - expected[b];
+    chi2 += d * d / expected[b];
+  }
+  // Wilson–Hilferty: the 0.1% upper quantile of chi-square with df
+  // degrees of freedom.
+  const double df = static_cast<double>(expected.size() - 1);
+  const double h = 2.0 / (9.0 * df);
+  const double critical = df * std::pow(1.0 - h + 3.0902 * std::sqrt(h), 3);
+  ASSERT_GE(df, 1.0) << what;
+  EXPECT_LT(chi2, critical) << what << ": chi2 " << chi2 << " over " << df
+                            << " df";
+}
+
+double binomial_pmf(std::uint64_t n, double p, std::uint64_t k) {
+  if (k > n) return 0.0;
+  const double nd = static_cast<double>(n);
+  const double kd = static_cast<double>(k);
+  return std::exp(std::lgamma(nd + 1) - std::lgamma(kd + 1) -
+                  std::lgamma(nd - kd + 1) + kd * std::log(p) +
+                  (nd - kd) * std::log1p(-p));
+}
+
+double poisson_pmf(double mean, std::uint64_t k) {
+  const double kd = static_cast<double>(k);
+  return std::exp(-mean + kd * std::log(mean) - std::lgamma(kd + 1));
+}
+
+TEST(RngTest, BinomialMatchesExactPmf) {
+  // n·min(p, 1 − p) below 10 takes inversion, above it BTRD; p > 1/2 goes
+  // through the symmetry n − Binomial(n, 1 − p). 1000 × 0.3 reaches
+  // BTRD's far-tail log-density test (|k − mode| > 15).
+  struct Case {
+    std::uint64_t n;
+    double p;
+  };
+  Rng rng(59);
+  for (const Case c : {Case{50, 0.1}, Case{12, 0.5}, Case{40, 0.9},
+                       Case{200, 0.1}, Case{100, 0.8}, Case{1000, 0.3},
+                       Case{100000, 0.02}}) {
+    const std::string what =
+        "Binomial(" + std::to_string(c.n) + ", " + std::to_string(c.p) + ")";
+    expect_matches_pmf([&] { return rng.binomial(c.n, c.p); },
+                       [&](std::uint64_t k) { return binomial_pmf(c.n, c.p, k); },
+                       c.n, what);
+  }
+}
+
+TEST(RngTest, PoissonMatchesExactPmf) {
+  // Inversion below mean 10, PTRS from 10 up.
+  Rng rng(61);
+  for (double mean : {0.05, 3.0, 9.5, 10.0, 10.5, 40.0, 500.0}) {
+    const std::string what = "Poisson(" + std::to_string(mean) + ")";
+    expect_matches_pmf([&] { return rng.poisson(mean); },
+                       [&](std::uint64_t k) { return poisson_pmf(mean, k); },
+                       static_cast<std::uint64_t>(mean * 4 + 50), what);
+  }
+}
+
+TEST(RngTest, BinomialEdges) {
+  Rng rng(67);
+  EXPECT_EQ(rng.binomial(0, 0.5), 0u);
+  EXPECT_EQ(rng.binomial(100, 0.0), 0u);
+  EXPECT_EQ(rng.binomial(100, -0.5), 0u);
+  EXPECT_EQ(rng.binomial(100, 1.0), 100u);
+  EXPECT_EQ(rng.binomial(100, 1.5), 100u);
+  EXPECT_EQ(rng.draw_count(), 0u);  // degenerate cases draw nothing
+  // A huge n stays in range and near its mean.
+  const std::uint64_t n = 1ull << 40;
+  const std::uint64_t k = rng.binomial(n, 0.25);
+  EXPECT_LE(k, n);
+  EXPECT_NEAR(static_cast<double>(k), 0.25 * static_cast<double>(n),
+              6.0 * std::sqrt(0.1875 * static_cast<double>(n)));
+}
+
+TEST(RngTest, PoissonHugeMeanDoesNotOverflow) {
+  Rng rng(71);
+  const double mean = 1e6;
+  const int n = 2000;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double k = static_cast<double>(rng.poisson(mean));
+    sum += k;
+    sum_sq += k * k;
+  }
+  const double m = sum / n;
+  EXPECT_NEAR(m, mean, 5.0 * std::sqrt(mean / n));
+  EXPECT_NEAR((sum_sq / n - m * m) / mean, 1.0, 0.15);  // variance = mean
 }
 
 TEST(RngTest, WeightedIndexProportional) {
