@@ -12,10 +12,11 @@
 //     before that event executes, so it is the first event whose
 //     post-state hash can differ),
 //   - the exact (time, id) of that event, precomputed from a clean run,
-//   - the rng subsystem as the leading divergence source (the divergent
-//     event runs AFTER the burn, so subsystems it touches with the shifted
-//     generator may legitimately split in the same step — but rng always
-//     splits, and it is reported first), and
+//   - the burn's own footprint: hashed after the burn fires and before
+//     that event runs, the burned world differs from the clean one in the
+//     rng sub-hash alone (what the divergent event then splits depends on
+//     what it draws: a clean world that draws one value more in it
+//     realigns the generators), and
 //   - a phase-2 comparison count within the 1 + ceil(log2(records)) gate.
 //
 // A control bisection of the config against itself must come back
@@ -138,9 +139,17 @@ int main(int argc, char** argv) {
   const bool event_ok = report.first_divergent_event == burn_at + 1;
   const bool time_id_ok =
       report.event_time == expected_time && report.event_id == expected_id;
-  const bool subsystem_ok =
-      !report.subsystems.empty() &&
-      report.subsystems.front() == snapshot::Subsystem::kRng;
+  bool subsystem_ok = !report.subsystems.empty();
+  {
+    snapshot::CloudWorld a(clean, baseline_options());
+    snapshot::CloudWorld b(burned, baseline_options());
+    a.run(burn_at);
+    b.run(burn_at);
+    b.burn_rng_if_due();
+    subsystem_ok = subsystem_ok &&
+                   snapshot::divergent_subsystems(a.hash_now(), b.hash_now()) ==
+                       std::vector<snapshot::Subsystem>{snapshot::Subsystem::kRng};
+  }
   const bool logn_ok = report.hash_comparisons <= comparison_gate;
   const bool control_ok = !control.diverged && control.hash_comparisons == 1;
   const bool pass = diverged_ok && event_ok && time_id_ok && subsystem_ok &&
@@ -162,7 +171,7 @@ int main(int argc, char** argv) {
       static_cast<long long>(expected_time),
       static_cast<unsigned long long>(expected_id),
       time_id_ok ? "PASS" : "FAIL");
-  std::printf("acceptance: leading divergent subsystem is rng: %s\n",
+  std::printf("acceptance: the burn alone splits only the rng sub-hash: %s\n",
               subsystem_ok ? "PASS" : "FAIL");
   std::printf("acceptance: %llu hash comparisons <= 1+ceil(log2(%llu)) = %llu: %s\n",
               static_cast<unsigned long long>(report.hash_comparisons),

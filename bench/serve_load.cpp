@@ -225,6 +225,24 @@ int main(int argc, char** argv) {
       "flash-rate", DBL_MIN, serve::TrafficGen::kMaxRate / kFlashSurge);
   const auto inflight = static_cast<std::size_t>(args.get_int("inflight", 1));
   const auto queue = static_cast<std::size_t>(args.get_int("queue", 1));
+  // The rates bound the arrivals per second, not in all: the ladder offers
+  // Σ rate × rung, and each of the two flash runs rate × rung at base plus
+  // (kFlashSurge − 1) × rate over its surge third.
+  const double rung_s = to_seconds(rung);
+  const double offered =
+      base_rate * (std::ldexp(1.0, steps) - 1.0) * rung_s +
+      2.0 * flash_rate * rung_s * (1.0 + (kFlashSurge - 1.0) / 3.0);
+  if (offered > serve::TrafficGen::kMaxArrivals) {
+    std::fprintf(stderr,
+                 "serve_load: --base-rate %s, --steps %d, --rung-minutes %s "
+                 "and --flash-rate %s would offer %.3g arrivals; a run may "
+                 "offer at most %.3g\n",
+                 args.get("base-rate").c_str(), steps,
+                 args.get("rung-minutes").c_str(),
+                 args.get("flash-rate").c_str(), offered,
+                 serve::TrafficGen::kMaxArrivals);
+    return 1;
+  }
 
   obs::ObsConfig bench_obs;
   bench_obs.tracing = false;

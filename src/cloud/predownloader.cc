@@ -210,7 +210,7 @@ std::vector<net::FlowId> PreDownloaderPool::active_flow_ids() const {
 std::size_t PreDownloaderPool::pending_event_count() const {
   std::size_t n = retrying_.size();
   for (const auto& [slot, a] : active_) {
-    if (a.task->tick_pending()) ++n;
+    if (a.task->event_pending()) ++n;
   }
   return n;
 }

@@ -86,7 +86,7 @@ class PreDownloaderPool {
   std::uint64_t retry_budget_denied() const { return retry_budget_denied_; }
 
   // Simulator events this pool currently owns (audit accounting): one per
-  // backoff in flight and one per active task with an armed source tick.
+  // backoff in flight and one per active task with its event armed.
   std::size_t pending_event_count() const;
   // Network flows owned by active tasks, sorted (audit accounting).
   std::vector<net::FlowId> active_flow_ids() const;

@@ -14,12 +14,7 @@ enum : std::uint16_t {
   kTagSourceProtocol = 21,
   kTagServerRate = 22,
   kTagServerOverhead = 23,
-  kTagServerWillBreak = 24,
-  kTagServerBreakFatal = 25,
-  kTagServerBreakAfter = 26,
-  kTagServerElapsed = 27,
-  kTagServerBroken = 28,
-  kTagServerFatal = 29,
+  kTagServerFatalAfter = 30,
 };
 
 enum : std::uint8_t { kKindServer = 0, kKindSwarm = 1 };
@@ -32,30 +27,13 @@ ServerSource::ServerSource(Protocol protocol, const ServerParams& params,
   assert(!is_p2p(protocol));
   rate_ = params.rate_median * std::exp(rng.normal(0.0, params.rate_sigma));
   overhead_ = rng.uniform(params.overhead_lo, params.overhead_hi);
-  will_break_ = rng.bernoulli(params.connection_break_prob);
-  break_is_fatal_ = rng.bernoulli(params.non_resumable_prob);
-  break_after_ = will_break_
-                     ? from_seconds(rng.exponential(
-                           to_seconds(params.break_after_mean)))
-                     : kTimeNever;
-}
-
-void ServerSource::tick(SimTime dt, Rng& rng) {
-  if (broken_ || !will_break_) return;
-  elapsed_ += dt;
-  if (elapsed_ >= break_after_) {
-    if (break_is_fatal_) {
-      // The server cannot resume partial transfers: the attempt is dead.
-      broken_ = true;
-      fatal_ = true;
-    } else {
-      // Resumable: the transfer resumes at once, so the rate never dips
-      // (broken_ stays false). The break only draws the next break time,
-      // 2 h mean of transfer time later.
-      elapsed_ = 0;
-      break_after_ = from_seconds(rng.exponential(to_seconds(2 * kHour)));
-    }
-  }
+  const bool breaks = rng.bernoulli(params.connection_break_prob);
+  const bool fatal = rng.bernoulli(params.non_resumable_prob);
+  const SimTime break_after =
+      breaks ? from_seconds(rng.exponential(to_seconds(params.break_after_mean)))
+             : kTimeNever;
+  // A resumable break resumes at once: only a fatal one is an event.
+  fatal_after_ = fatal ? break_after : kTimeNever;
 }
 
 SwarmSource::SwarmSource(Protocol protocol, double weekly_popularity,
@@ -76,12 +54,7 @@ void ServerSource::save(snapshot::SnapshotWriter& w) const {
   w.u8(kTagSourceProtocol, static_cast<std::uint8_t>(protocol_));
   w.f64(kTagServerRate, rate_);
   w.f64(kTagServerOverhead, overhead_);
-  w.b(kTagServerWillBreak, will_break_);
-  w.b(kTagServerBreakFatal, break_is_fatal_);
-  w.i64(kTagServerBreakAfter, break_after_);
-  w.i64(kTagServerElapsed, elapsed_);
-  w.b(kTagServerBroken, broken_);
-  w.b(kTagServerFatal, fatal_);
+  w.i64(kTagServerFatalAfter, fatal_after_);
 }
 
 std::unique_ptr<ServerSource> ServerSource::restored(
@@ -89,12 +62,7 @@ std::unique_ptr<ServerSource> ServerSource::restored(
   auto s = std::unique_ptr<ServerSource>(new ServerSource(protocol));
   s->rate_ = r.f64(kTagServerRate);
   s->overhead_ = r.f64(kTagServerOverhead);
-  s->will_break_ = r.b(kTagServerWillBreak);
-  s->break_is_fatal_ = r.b(kTagServerBreakFatal);
-  s->break_after_ = r.i64(kTagServerBreakAfter);
-  s->elapsed_ = r.i64(kTagServerElapsed);
-  s->broken_ = r.b(kTagServerBroken);
-  s->fatal_ = r.b(kTagServerFatal);
+  s->fatal_after_ = r.i64(kTagServerFatalAfter);
   return s;
 }
 

@@ -80,6 +80,11 @@ class TrafficGen {
   // more than kMaxRate tasks/sec; a faster plan would run at the clamp.
   static constexpr SimTime kMinGap = kUsec;
   static constexpr double kMaxRate = static_cast<double>(kSec / kMinGap);
+  // The most arrivals one load run may offer in all, summed over its rate
+  // plans at their nominal (unmodulated) rates: ~20 min of engine time at
+  // ~1e5 tasks/s, and ~13,000x bench/serve_load's default run. kMaxRate
+  // alone admits 1e6 tasks/s for any duration.
+  static constexpr double kMaxArrivals = 1e8;
 
   TrafficGen(const TrafficGenConfig& config, const workload::Catalog& catalog,
              const workload::UserPopulation& users, Rng rng);

@@ -219,14 +219,7 @@ std::uint64_t CloudWorld::run(std::uint64_t max_events) {
   // with zero added allocations (pinned by bench/obs_overhead).
   std::uint64_t done = 0;
   while (done < max_events) {
-    if (burn_at != 0 && !rng_burned_ && sim_.executed_count() >= burn_at) {
-      // The injected divergence: one extra draw from the cloud's rng
-      // stream at the event boundary after `burn_at` events. The guard
-      // flag (not a counter comparison alone) makes it fire exactly once
-      // even across multiple run() calls.
-      cloud_->debug_burn_rng_draw();
-      rng_burned_ = true;
-    }
+    burn_rng_if_due();
     std::uint64_t chunk = max_events - done;
     if (cadence != 0) {
       chunk = std::min(chunk, cadence - sim_.executed_count() % cadence);
@@ -247,6 +240,17 @@ std::uint64_t CloudWorld::run(std::uint64_t max_events) {
     }
   }
   return done;
+}
+
+void CloudWorld::burn_rng_if_due() {
+  // The injected divergence: one extra draw from the cloud's rng stream at
+  // the event boundary after `debug_burn_rng_at_event` events. The guard
+  // flag (not a counter comparison alone) makes it fire exactly once even
+  // across multiple run() calls.
+  const std::uint64_t burn_at = config_.debug_burn_rng_at_event;
+  if (burn_at == 0 || rng_burned_ || sim_.executed_count() < burn_at) return;
+  cloud_->debug_burn_rng_draw();
+  rng_burned_ = true;
 }
 
 StateHash CloudWorld::hash_now() const { return StateHasher::hash(*this); }
@@ -407,6 +411,14 @@ std::uint64_t CloudWorld::config_fingerprint() const {
 }
 
 std::string CloudWorld::save_to_buffer() const {
+  if (rng_burned_ &&
+      sim_.executed_count() == config_.debug_burn_rng_at_event) {
+    // A restore re-fires a burn whose boundary it sits on (see load_from).
+    throw SnapshotError(
+        "world: the rng burn fired and its next event has not run; a "
+        "checkpoint here would burn twice on restore",
+        SnapshotErrorKind::kUsage);
+  }
   SnapshotWriter w;
   w.begin_section(kSectionMeta, kMetaVersion);
   w.u64(kTagFingerprint, config_fingerprint());

@@ -110,6 +110,15 @@ class CloudWorld {
   // concurrently with another call on the same world.
   std::string save_to_buffer() const;
 
+  // The debug_burn_rng_at_event injection, if it is due (that many events
+  // have run) and has not fired: one extra draw from the cloud's rng
+  // stream. run() calls it before each chunk of events; a caller may call
+  // it between run() calls to see the burned state before the next event.
+  // A checkpoint restores the burn from its event count alone, so
+  // save_to_buffer() refuses the one state it cannot name: burned, with
+  // the next event not yet run.
+  void burn_rng_if_due();
+
   // StateHashes recorded so far (empty unless hashing is enabled).
   const std::vector<StateHash>& hashes() const { return hashes_; }
   // Digest the world right now, independent of cadence.

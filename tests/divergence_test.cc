@@ -321,12 +321,25 @@ TEST(BisectTest, PinsAnInjectedBurnToTheExactEvent) {
   EXPECT_EQ(report.first_divergent_event, burn_at + 1);
   EXPECT_EQ(report.event_time, expected_time);
   EXPECT_EQ(report.event_id, expected_id);
-  // The burn perturbs the generator first; whatever else the divergent
-  // event touches, rng leads the subsystem list.
-  ASSERT_FALSE(report.subsystems.empty());
-  EXPECT_EQ(report.subsystems.front(), snapshot::Subsystem::kRng);
+  // Which subsystems the divergent event disturbs depends on what it
+  // draws; the burn's own footprint is checked directly below.
+  EXPECT_FALSE(report.subsystems.empty());
   // O(log n): one probe of the last record plus the binary search.
   EXPECT_LE(report.hash_comparisons, 1 + log2_ceil(report.journal_records));
+
+  // The burn itself perturbs the generator and nothing else: hashed after
+  // it fires and before event burn_at + 1 runs, the burned world differs
+  // from the clean one in the rng sub-hash alone.
+  snapshot::CloudWorld a(clean, world_options());
+  snapshot::CloudWorld b(burned, world_options());
+  a.run(burn_at);
+  b.run(burn_at);
+  EXPECT_EQ(a.hash_now(), b.hash_now());
+  b.burn_rng_if_due();
+  EXPECT_EQ(snapshot::divergent_subsystems(a.hash_now(), b.hash_now()),
+            std::vector<snapshot::Subsystem>{snapshot::Subsystem::kRng});
+  // That state has no checkpoint: a restore would burn a second time.
+  EXPECT_THROW(b.save_to_buffer(), snapshot::SnapshotError);
 }
 
 TEST(BisectTest, JournalModeMatchesLiveMode) {
@@ -349,8 +362,15 @@ TEST(BisectTest, JournalModeMatchesLiveMode) {
   EXPECT_TRUE(report.diverged);
   EXPECT_EQ(report.kind, analysis::DivergenceKind::kHashMismatch);
   EXPECT_EQ(report.first_divergent_event, total / 2 + 1);
-  ASSERT_FALSE(report.subsystems.empty());
-  EXPECT_EQ(report.subsystems.front(), snapshot::Subsystem::kRng);
+  // The same pair bisected live names the same event and subsystems.
+  snapshot::BisectOptions options;
+  options.hash_every_events = 400;
+  const auto live = snapshot::bisect_divergence(burned, clean, options);
+  EXPECT_EQ(live.first_divergent_event, report.first_divergent_event);
+  EXPECT_EQ(live.event_time, report.event_time);
+  EXPECT_EQ(live.event_id, report.event_id);
+  EXPECT_FALSE(report.subsystems.empty());
+  EXPECT_EQ(live.subsystems, report.subsystems);
 }
 
 // A well-formed four-record journal at `cadence`, recorded at `seed`.

@@ -219,11 +219,6 @@ class TaskFaultTest : public ::testing::Test {
     // Test-only source; never checkpointed.
     void save(snapshot::SnapshotWriter&) const override {}
     Rate current_rate() const override { return rate_; }
-    void tick(SimTime, Rng&) override {}
-    bool fatal() const override { return false; }
-    proto::FailureCause fatal_cause() const override {
-      return proto::FailureCause::kNone;
-    }
     double traffic_factor() const override { return 1.0; }
     proto::Protocol protocol() const override { return protocol_; }
 

@@ -24,29 +24,21 @@ class FakeSource final : public Source {
   void save(snapshot::SnapshotWriter&) const override {}
 
   Rate current_rate() const override { return rate_; }
-  void tick(SimTime dt, Rng&) override { elapsed_ += dt; if (elapsed_ >= fatal_after_) fatal_ = fatal_armed_; }
-  bool fatal() const override { return fatal_; }
-  FailureCause fatal_cause() const override {
-    return fatal_ ? FailureCause::kPoorHttpConnection : FailureCause::kNone;
-  }
+  // The test changes the rate from outside, so the task samples it.
+  SimTime next_change(Rng&) override { return kRateDrifts; }
+  SimTime fatal_after() const override { return fatal_after_; }
   double traffic_factor() const override { return traffic_; }
   Protocol protocol() const override { return protocol_; }
 
   void set_rate(Rate r) { rate_ = r; }
-  void arm_fatal_after(SimTime t) {
-    fatal_armed_ = true;
-    fatal_after_ = t;
-  }
+  void arm_fatal_after(SimTime t) { fatal_after_ = t; }
   void set_protocol(Protocol p) { protocol_ = p; }
 
  private:
   Rate rate_;
   double traffic_;
   Protocol protocol_ = Protocol::kHttp;
-  bool fatal_armed_ = false;
-  bool fatal_ = false;
   SimTime fatal_after_ = kTimeNever;
-  SimTime elapsed_ = 0;
 };
 
 class DownloadTest : public ::testing::Test {
@@ -228,6 +220,65 @@ TEST_F(DownloadTest, SourceRateChangesArePickedUpOnTick) {
   // the remaining 300k at 500 B/s take 10 more minutes, where 1000 B/s
   // would have finished at 10 minutes.
   EXPECT_EQ(sim.now(), 15 * kMinute);
+}
+
+TEST_F(DownloadTest, SeedlessSwarmWakesExactlyAtItsSeedArrival) {
+  // A seedless tail swarm whose first seed, sampled from the task's rng at
+  // start, arrives within the stagnation hour: the task sleeps until
+  // exactly then, takes the seed and starts moving bytes.
+  const SourceParams params;
+  Rng pick(23);
+  std::unique_ptr<SwarmSource> source;
+  SimTime gap = kTimeNever;
+  do {
+    source = std::make_unique<SwarmSource>(Protocol::kBitTorrent, 3.0,
+                                           params.swarm, pick);
+  } while (source->swarm().seeds() > 0);
+  for (;;) {
+    Rng predict = rng;
+    gap = source->swarm().next_seed_gap(predict);
+    if (gap < DownloadTask::kStagnationTimeout) break;
+    rng.next_u64();  // try the next draw
+  }
+  const SwarmSource* raw = source.get();
+  sim.run_until(7 * kMinute);  // start off the origin
+  const SimTime started = sim.now();
+  DownloadTask task(sim, net, std::move(source), 64 << 20, {}, capture());
+  task.start(rng);
+
+  sim.run_until(started + gap - 1);
+  EXPECT_EQ(raw->swarm().seeds(), 0u);
+  EXPECT_EQ(task.bytes_done(), 0u);
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(sim.now(), started + gap);
+  EXPECT_EQ(raw->swarm().seeds(), 1u);
+  EXPECT_TRUE(task.running());
+  sim.run_until(sim.now() + kMinute);
+  EXPECT_GT(task.bytes_done(), 0u);
+}
+
+TEST_F(DownloadTest, FatalServerBreakFinishesExactlyAtItsBreakTime) {
+  ServerParams p;
+  p.connection_break_prob = 1.0;
+  p.non_resumable_prob = 1.0;
+  auto source = std::make_unique<ServerSource>(Protocol::kHttp, p, rng);
+  const SimTime after = source->fatal_after();
+  ASSERT_LT(after, kTimeNever);
+  sim.run_until(3 * kMinute);
+  const SimTime started = sim.now();
+  DownloadTask task(sim, net, std::move(source), Bytes{1} << 40, {},
+                    capture());
+  task.start(rng);
+  // One flow completion and one task event: a server source needs no
+  // sampling before its break.
+  EXPECT_EQ(sim.pending_count(), 2u);
+  sim.run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->success);
+  EXPECT_EQ(result->cause, FailureCause::kPoorHttpConnection);
+  EXPECT_EQ(result->started_at, started);
+  EXPECT_EQ(result->finished_at, started + after);
+  EXPECT_GT(result->bytes_downloaded, 0u);
 }
 
 // Every path into the task's finish hands the result to an owner that

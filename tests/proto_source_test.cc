@@ -10,13 +10,11 @@ TEST(ServerSourceTest, StableRateWhenNotBreaking) {
   ServerParams p;
   p.connection_break_prob = 0.0;
   ServerSource source(Protocol::kHttp, p, rng);
-  const Rate initial = source.current_rate();
-  EXPECT_GT(initial, 0.0);
-  for (int i = 0; i < 100; ++i) {
-    source.tick(5 * kMinute, rng);
-    EXPECT_DOUBLE_EQ(source.current_rate(), initial);
-  }
-  EXPECT_FALSE(source.fatal());
+  EXPECT_GT(source.current_rate(), 0.0);
+  // A server's rate never changes by itself, and it never drops the
+  // transfer: the downloader needs no event for it.
+  EXPECT_EQ(source.next_change(rng), kTimeNever);
+  EXPECT_EQ(source.fatal_after(), kTimeNever);
 }
 
 TEST(ServerSourceTest, NonResumableBreakIsFatal) {
@@ -26,12 +24,10 @@ TEST(ServerSourceTest, NonResumableBreakIsFatal) {
   p.non_resumable_prob = 1.0;
   p.break_after_mean = kMinute;
   ServerSource source(Protocol::kHttp, p, rng);
-  for (int i = 0; i < 600 && !source.fatal(); ++i) {
-    source.tick(kMinute, rng);
-  }
-  EXPECT_TRUE(source.fatal());
-  EXPECT_DOUBLE_EQ(source.current_rate(), 0.0);
-  EXPECT_EQ(source.fatal_cause(), FailureCause::kPoorHttpConnection);
+  EXPECT_GE(source.fatal_after(), 0);
+  EXPECT_LT(source.fatal_after(), kTimeNever);
+  // The rate stays up until the break: the break is one event, not a dip.
+  EXPECT_GT(source.current_rate(), 0.0);
 }
 
 TEST(ServerSourceTest, ResumableBreakIsNotFatal) {
@@ -41,8 +37,9 @@ TEST(ServerSourceTest, ResumableBreakIsNotFatal) {
   p.non_resumable_prob = 0.0;
   p.break_after_mean = kMinute;
   ServerSource source(Protocol::kFtp, p, rng);
-  for (int i = 0; i < 600; ++i) source.tick(kMinute, rng);
-  EXPECT_FALSE(source.fatal());
+  // A resumable break resumes at once, so it is no event at all.
+  EXPECT_EQ(source.fatal_after(), kTimeNever);
+  EXPECT_EQ(source.next_change(rng), kTimeNever);
   EXPECT_GT(source.current_rate(), 0.0);
 }
 
@@ -63,10 +60,8 @@ TEST(ServerSourceTest, FatalFractionMatchesConfiguredProbabilities) {
   int fatal = 0;
   for (int i = 0; i < n; ++i) {
     ServerSource source(Protocol::kHttp, p, rng);
-    // Tick far beyond any break point: every will-break+non-resumable
-    // source must eventually turn fatal.
-    for (int t = 0; t < 24 && !source.fatal(); ++t) source.tick(kHour, rng);
-    if (source.fatal()) ++fatal;
+    // Every will-break + non-resumable source has a fatal-break time.
+    if (source.fatal_after() != kTimeNever) ++fatal;
   }
   const double expected = p.connection_break_prob * p.non_resumable_prob;
   EXPECT_NEAR(fatal / static_cast<double>(n), expected, 0.03);
