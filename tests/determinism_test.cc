@@ -4,9 +4,10 @@
 // being bit-for-bit deterministic; this test pins the actual hash values
 // so ANY change to the event engine, the flow solver, the rng draw order,
 // or the outcome fields shows up as a test failure here — not as a silent
-// baseline shift in the bench JSON. The goldens were recorded at divisor
-// 4000, seed 20151028, before the incremental-solver rewrite, and the
-// rewrite was required to reproduce them exactly.
+// baseline shift in the bench JSON. The goldens are at divisor 4000, seed
+// 20151028. The incremental-solver rewrite had to reproduce them exactly;
+// they were re-recorded once, with every other golden, when swarms got an
+// exact O(1) advance and sources timers instead of 5-minute polls.
 //
 // If a deliberate format break changes these values, re-record them with:
 //   bench/chaos_week --divisor=4000 --json=out.json   (fields "fingerprint")
@@ -27,21 +28,21 @@ namespace {
 constexpr std::uint64_t kSeed = 20151028;
 constexpr double kDivisor = 4000.0;
 // Golden values; see the header comment before touching these.
-constexpr std::uint64_t kBaselineFingerprint = 0x23fc401bb568f2b1ull;
-constexpr std::uint64_t kSevereFingerprint = 0x51153af7097f620aull;
+constexpr std::uint64_t kBaselineFingerprint = 0xd30c4d6cb0af7900ull;
+constexpr std::uint64_t kSevereFingerprint = 0xa7407700e7660bcfull;
 // The hedged strategy week, hashed with exec_outcome_fingerprint (the
 // executor-outcome analogue of outcome_fingerprint, including the
 // hedged/secondary-won verdict per task). Re-record by running this test
 // and reading the "actual" value — but only after convincing yourself the
 // change to the hedging race order was intentional.
-constexpr std::uint64_t kHedgedWeekFingerprint = 0xbbb6ccaa17b96086ull;
+constexpr std::uint64_t kHedgedWeekFingerprint = 0x0457c78c62d31de7ull;
 // The live-service flash-crowd run (bench/serve_load's flash family with
 // its default flags): open-loop arrivals, admission control, hedging,
 // breakers, shared budget. The fingerprint hashes every admission verdict
 // and completion in order, so it pins the arrival sampler's draw order,
 // the queue/dispatch interleaving, AND the engine's outcome stream.
 // Re-record from bench/serve_load's "flash" fingerprint field.
-constexpr std::uint64_t kServeFlashFingerprint = 0x5dc8b582fe904702ull;
+constexpr std::uint64_t kServeFlashFingerprint = 0x2df7925966d7d8a8ull;
 
 analysis::ExperimentConfig chaos_config(int plan_level) {
   analysis::ExperimentConfig config =
