@@ -4,6 +4,8 @@
 // upload burden drops ~35% (peak 34 -> 22 Gbps) and no fetch must be
 // rejected; (3) AP failures on unpopular files drop 42% -> 13%;
 // (4) storage/filesystem throttling is almost completely avoided.
+// The measured peak is one 5-minute bin, so one burst moves it; the table
+// also prints the 95th percentile of the hourly burden.
 #include <cstdio>
 
 #include "analysis/metrics.h"
@@ -38,12 +40,6 @@ int main(int argc, char** argv) {
 
   // Fig 16's bars: per bottleneck, the conventional approach that exhibits
   // it (cloud for B1/B2, APs for B3/B4) against ODR.
-  using analysis::ComparisonRow;
-  const double capacity_ratio_cloud =
-      cloud.peak_cloud_burden > 0
-          ? cloud.peak_cloud_burden / (cloud.peak_cloud_burden)
-          : 0.0;
-  (void)capacity_ratio_cloud;
   std::fputs(
       analysis::comparison_table(
           "Figure 16: bottleneck metrics, conventional vs ODR",
@@ -64,6 +60,13 @@ int main(int argc, char** argv) {
                    " -> " +
                    TextTable::num(rate_to_gbps(odr.peak_cloud_burden) * divisor,
                                   1) +
+                   " Gbps"},
+              {"B2 p95 hourly burden: cloud -> ODR", "(peak only)",
+               TextTable::num(
+                   rate_to_gbps(cloud.p95_hourly_cloud_burden) * divisor, 1) +
+                   " -> " +
+                   TextTable::num(
+                       rate_to_gbps(odr.p95_hourly_cloud_burden) * divisor, 1) +
                    " Gbps"},
               {"B2 rejected fetches: cloud -> ODR", "1.5% -> 0%",
                analysis::fmt_pct(cloud.rejected_fraction) + " -> " +

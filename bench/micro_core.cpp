@@ -2,7 +2,7 @@
 //
 // These measure the building blocks whose throughput bounds experiment
 // wall-time: the event queue, the max-min fair solver, MD5 hashing, the
-// popularity samplers and the swarm tick.
+// popularity profile and catalog sampler, and the swarm advance.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -14,6 +14,7 @@
 #include "util/md5.h"
 #include "proto/swarm.h"
 #include "util/rng.h"
+#include "workload/catalog.h"
 #include "workload/popularity.h"
 
 namespace {
@@ -140,17 +141,32 @@ void BM_Md5Throughput(benchmark::State& state) {
 }
 BENCHMARK(BM_Md5Throughput)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
-void BM_PopularityProfileSample(benchmark::State& state) {
-  odr::workload::PopularityProfile profile(
-      static_cast<std::size_t>(state.range(0)),
-      7.25 * static_cast<double>(state.range(0)));
+// The catalog's per-request file draw (guide table over the cumulative
+// request weights).
+void BM_CatalogSampleRequest(benchmark::State& state) {
+  odr::workload::CatalogParams params;
+  params.num_files = static_cast<std::size_t>(state.range(0));
+  params.total_weekly_requests = 7.25 * static_cast<double>(state.range(0));
+  odr::Rng build_rng(1);
+  const odr::workload::Catalog catalog(params, build_rng);
   odr::Rng rng(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(profile.sample(rng));
+    benchmark::DoNotOptimize(catalog.sample_request(rng));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PopularityProfileSample)->Arg(10000)->Arg(563517);
+BENCHMARK(BM_CatalogSampleRequest)->Arg(5635)->Arg(563517);
+
+// The popularity profile's three bisections, once per iteration.
+void BM_PopularityProfileBuild(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    odr::workload::PopularityProfile profile(n, 7.25 * static_cast<double>(n));
+    benchmark::DoNotOptimize(profile.counts().data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PopularityProfileBuild)->Arg(5635)->Arg(563517);
 
 // One 5-minute swarm advance at weekly popularity range(0): the cost is
 // O(1) in the swarm's population (~0.33·pop^1.1 seeds, 0.22·pop leechers).

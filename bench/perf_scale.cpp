@@ -2,10 +2,11 @@
 // divisor drops toward full paper scale (divisor 1).
 //
 // Each requested divisor replays the exact week once. The bench reports
-// tasks/second, the run's outcome fingerprint (so a scale sweep doubles as
-// a determinism check against the pinned goldens), and the process peak
-// RSS sampled after every rung of the ladder — the per-rung deltas are
-// what tools/check_perf_regression.py budgets.
+// tasks/second, the share of the wall spent building the world before its
+// first event (set-up), the run's outcome fingerprint (so a scale sweep
+// doubles as a determinism check against the pinned goldens), and the
+// process peak RSS sampled after every rung of the ladder — the per-rung
+// deltas are what tools/check_perf_regression.py budgets.
 //
 // Timing fidelity vs wall clock: with --workers=1 (the default) runs are
 // timed back to back on an otherwise idle process, so the per-run seconds
@@ -37,7 +38,8 @@ using namespace odr;
 
 struct ScaleRun {
   double divisor = 0.0;
-  double wall_seconds = 0.0;
+  double wall_seconds = 0.0;   // set-up + run + finalize
+  double setup_seconds = 0.0;  // building the world, before its first event
   std::size_t tasks = 0;
   std::uint64_t fingerprint = 0;
   std::uint64_t peak_rss_bytes = 0;  // sampled right after the run
@@ -55,13 +57,20 @@ ScaleRun run_week(double divisor, std::uint64_t seed) {
   const analysis::ExperimentConfig config =
       analysis::make_scaled_config(divisor, seed);
 
+  // run_cloud_replay's three steps, with the build timed on its own.
   const auto t0 = std::chrono::steady_clock::now();
-  const analysis::CloudReplayResult result = analysis::run_cloud_replay(config);
+  snapshot::WorldOptions options;
+  options.checkpoint_period = 0;
+  snapshot::CloudWorld world(config, std::move(options));
+  const auto t_built = std::chrono::steady_clock::now();
+  world.run();
+  const analysis::CloudReplayResult result = std::move(world).finalize();
   const auto t1 = std::chrono::steady_clock::now();
 
   ScaleRun r;
   r.divisor = divisor;
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  r.setup_seconds = std::chrono::duration<double>(t_built - t0).count();
   r.tasks = result.outcomes.size();
   r.fingerprint = analysis::outcome_fingerprint(result.outcomes);
   // Peak RSS is a process high-water mark: monotone over the ladder, so
@@ -161,13 +170,18 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(batch1 - batch0).count();
   const std::uint64_t rss = run::peak_rss_bytes();
 
-  TextTable table({"divisor", "tasks", "wall s", "tasks/s",
-                   "peak RSS MiB", "fingerprint"});
+  TextTable table({"divisor", "tasks", "wall s", "set-up s", "set-up share",
+                   "tasks/s", "peak RSS MiB", "fingerprint"});
   for (const ScaleRun& r : runs) {
     char fp[24];
     std::snprintf(fp, sizeof(fp), "%016llx",
                   static_cast<unsigned long long>(r.fingerprint));
-    table.add_row({TextTable::num(r.divisor, 0), std::to_string(r.tasks), TextTable::num(r.wall_seconds, 2),
+    table.add_row({TextTable::num(r.divisor, 0), std::to_string(r.tasks),
+                   TextTable::num(r.wall_seconds, 2),
+                   TextTable::num(r.setup_seconds, 3),
+                   TextTable::pct(r.wall_seconds > 0.0
+                                      ? r.setup_seconds / r.wall_seconds
+                                      : 0.0),
                    TextTable::num(r.tasks_per_second(), 0),
                    TextTable::num(static_cast<double>(r.peak_rss_bytes) /
                                       (1024.0 * 1024.0),
@@ -205,6 +219,7 @@ int main(int argc, char** argv) {
           .field("mode", "exact")
           .field("tasks", static_cast<std::uint64_t>(r.tasks))
           .field("wall_seconds", r.wall_seconds)
+          .field("setup_seconds", r.setup_seconds)
           .field("tasks_per_second", r.tasks_per_second())
           .field("peak_rss_bytes", r.peak_rss_bytes)
           .field("fingerprint", std::string(fp))

@@ -58,8 +58,9 @@ int main(int argc, char** argv) {
       odr::core::Strategy::kOdr};
 
   odr::TextTable table({"strategy", "success", "impeded(B1)", "peak cloud(B2)",
-                        "rejected", "unpopular fail(B3)", "storage(B4)",
-                        "fetch med KBps", "e2e med min"});
+                        "p95 hourly cloud(B2)", "rejected",
+                        "unpopular fail(B3)", "storage(B4)", "fetch med KBps",
+                        "e2e med min"});
   for (const auto strategy : strategies) {
     odr::analysis::StrategyReplayConfig config;
     config.experiment = odr::analysis::make_scaled_config(divisor, seed);
@@ -75,6 +76,8 @@ int main(int argc, char** argv) {
                              static_cast<double>(m.tasks)),
          odr::TextTable::pct(m.impeded_fraction),
          odr::TextTable::num(odr::rate_to_gbps(m.peak_cloud_burden), 3) + " Gbps",
+         odr::TextTable::num(odr::rate_to_gbps(m.p95_hourly_cloud_burden), 3) +
+             " Gbps",
          odr::TextTable::pct(m.rejected_fraction),
          odr::TextTable::pct(m.unpopular_failure),
          odr::TextTable::pct(m.storage_throttled),

@@ -266,6 +266,7 @@ StrategyMetrics strategy_metrics(const std::string& name,
   m.storage_throttled = storage_throttled_fraction;
 
   TimeSeries burden(0, duration, 5 * kMinute);
+  TimeSeries hourly(0, duration, kHour);
   std::size_t impeded = 0, realtime = 0, rejected = 0;
   std::size_t unpopular = 0, unpopular_failed = 0, failed = 0;
   std::vector<double> e2e_delays;
@@ -289,6 +290,8 @@ StrategyMetrics strategy_metrics(const std::string& name,
       m.total_cloud_upload += o.cloud_upload_bytes;
       burden.add_transfer(o.cloud_upload_start, o.cloud_upload_finish,
                           o.cloud_upload_bytes);
+      hourly.add_transfer(o.cloud_upload_start, o.cloud_upload_finish,
+                          o.cloud_upload_bytes);
     }
   }
   m.impeded_fraction =
@@ -301,6 +304,7 @@ StrategyMetrics strategy_metrics(const std::string& name,
       unpopular == 0 ? 0.0
                      : static_cast<double>(unpopular_failed) / unpopular;
   m.peak_cloud_burden = burden.peak_rate();
+  m.p95_hourly_cloud_burden = hourly.rate_quantile(0.95);
   (void)cloud_capacity;
   m.e2e_delay_min = summarize(std::move(e2e_delays));
   return m;

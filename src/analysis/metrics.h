@@ -148,8 +148,11 @@ struct StrategyMetrics {
   std::size_t successes = 0;
   // Bottleneck 1: fraction of successful real-time fetches that are impeded.
   double impeded_fraction = 0.0;
-  // Bottleneck 2: peak cloud burden / purchased capacity, plus totals.
+  // Bottleneck 2: the cloud's upload burden, plus totals. The peak is the
+  // week's largest 5-minute bin, so one burst moves it; the 95th
+  // percentile of the hourly bins is the robust comparison.
   Rate peak_cloud_burden = 0.0;
+  Rate p95_hourly_cloud_burden = 0.0;
   Bytes total_cloud_upload = 0;
   double rejected_fraction = 0.0;
   // Bottleneck 3: pre-download failure ratio on unpopular files.

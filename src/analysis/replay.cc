@@ -57,11 +57,19 @@ workload::UserModelParams testbed_users(workload::UserModelParams params) {
 
 void warm_cloud(cloud::XuanfengCloud& cloud, const workload::Catalog& catalog,
                 std::size_t weekly_requests, int weeks, Rng& warm_rng) {
+  // Each file's warm-success probability, or -1 for a file born during the
+  // trace: the loop reads one double per draw instead of a FileInfo.
+  std::vector<double> success(catalog.size());
+  for (std::size_t i = 0; i < success.size(); ++i) {
+    const workload::FileInfo& file = catalog.files()[i];
+    success[i] = file.born_before_trace
+                     ? warm_success_probability(file.expected_weekly_requests)
+                     : -1.0;
+  }
   for (int week = 0; week < weeks; ++week) {
     const bool last_week = week == weeks - 1;
     for (std::size_t i = 0; i < weekly_requests; ++i) {
       const workload::FileIndex idx = catalog.sample_request(warm_rng);
-      const workload::FileInfo& file = catalog.file(idx);
       if (last_week) {
         const SimTime t =
             -kWeek + static_cast<SimTime>((static_cast<double>(i) + 0.5) *
@@ -69,12 +77,9 @@ void warm_cloud(cloud::XuanfengCloud& cloud, const workload::Catalog& catalog,
                                           static_cast<double>(weekly_requests));
         cloud.content_db().record_request(idx, t);
       }
-      if (!file.born_before_trace) continue;  // did not exist yet
+      if (success[idx] < 0.0) continue;  // did not exist yet
       if (cloud.storage().contains(idx)) continue;
-      if (warm_rng.bernoulli(
-              warm_success_probability(file.expected_weekly_requests))) {
-        cloud.warm_cache(file);
-      }
+      if (warm_rng.bernoulli(success[idx])) cloud.warm_cache(catalog.file(idx));
     }
   }
 }

@@ -71,9 +71,7 @@ bool TrafficGen::next(workload::WorkloadRecord& out) {
         flash.hot_file < catalog_.size() &&
         rng_.bernoulli(flash.hot_file_fraction)) {
       const workload::UserId user = users_.sample(rng_);
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(user) << 32) | flash.hot_file;
-      if (seen_.insert(key).second) {
+      if (workload::first_fetch(seen_, user, flash.hot_file)) {
         out = {static_cast<workload::TaskId>(++generated_), user,
                flash.hot_file, clock_};
         return true;

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "util/rng.h"
@@ -117,7 +116,7 @@ class TrafficGen {
   SimTime clock_ = 0;  // time of the last candidate arrival
   std::uint64_t generated_ = 0;
   std::uint64_t dedup_skips_ = 0;
-  std::unordered_set<std::uint64_t> seen_;
+  workload::FetchedPairs seen_;
 };
 
 }  // namespace odr::serve

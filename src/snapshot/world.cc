@@ -54,7 +54,7 @@ std::string hex32(std::uint32_t v) {
 CloudWorld::CloudWorld(const analysis::ExperimentConfig& config,
                        WorldOptions options)
     : config_(config), options_(std::move(options)), net_(sim_) {
-  build();
+  build(true);
   arm_checkpoint_tick();
 }
 
@@ -128,7 +128,7 @@ CloudWorld::CloudWorld(const analysis::ExperimentConfig& config,
 CloudWorld::CloudWorld(const analysis::ExperimentConfig& config,
                        WorldOptions options, const std::string& buffer)
     : config_(config), options_(std::move(options)), net_(sim_) {
-  build();
+  build(false);
   // No fresh checkpoint tick here: the checkpointed one is rearmed below,
   // keeping the resumed event stream identical to the uninterrupted run.
   load_from(buffer);
@@ -137,11 +137,11 @@ CloudWorld::CloudWorld(const analysis::ExperimentConfig& config,
 // Every rng draw and every schedule call happens in a fixed order, so a
 // restored CloudWorld regenerates the same immutable tables (and event
 // ids) the checkpoint was taken over.
-void CloudWorld::build() {
+void CloudWorld::build(bool warm) {
   Rng rng(config_.seed);
   catalog_ = std::make_shared<workload::Catalog>(config_.catalog, rng);
   users_ = std::make_shared<workload::UserPopulation>(config_.users, rng);
-  start_cloud(rng, config_.requests.num_requests);
+  start_cloud(rng, warm ? config_.requests.num_requests : 0);
   requests_ = workload::RequestGenerator(config_.requests)
                   .generate(*catalog_, *users_, rng);
   duration_ = config_.requests.duration;
@@ -150,10 +150,14 @@ void CloudWorld::build() {
 
 void CloudWorld::start_cloud(Rng& rng, std::size_t warm_requests) {
   cloud_.emplace(sim_, net_, *catalog_, config_.sources, config_.cloud, rng);
-  // Warm the pool and content DB with the preceding weeks' history.
+  // Warm the pool and content DB with the preceding weeks' history. The
+  // fork happens even when the warm-up is skipped, so the main stream's
+  // later draws do not depend on it.
   Rng warm_rng = rng.fork();
-  analysis::warm_cloud(*cloud_, *catalog_, warm_requests,
-                       config_.warmup_weeks, warm_rng);
+  if (warm_requests > 0) {
+    analysis::warm_cloud(*cloud_, *catalog_, warm_requests,
+                         config_.warmup_weeks, warm_rng);
+  }
 }
 
 SimTime CloudWorld::schedule_week(Rng& rng) {

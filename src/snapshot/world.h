@@ -147,12 +147,14 @@ class CloudWorld {
 
  private:
   // The deterministic build over the generated workload: identical between
-  // fresh construction and restore.
-  void build();
+  // fresh construction and restore, except that a restore skips the
+  // warm-up (`warm` false), whose pool and content-DB state load replaces.
+  void build(bool warm);
   // The build steps both workload sources share, in rng draw order: the
-  // cloud and its warm-up over `warm_requests` weekly requests, then (once
-  // requests_ is final) the fault injector, the arrivals and the
-  // observability wiring. schedule_week returns the last arrival time.
+  // cloud and its warm-up over `warm_requests` weekly requests (0 skips
+  // it; the warm-up's rng is forked either way), then (once requests_ is
+  // final) the fault injector, the arrivals and the observability wiring.
+  // schedule_week returns the last arrival time.
   void start_cloud(Rng& rng, std::size_t warm_requests);
   SimTime schedule_week(Rng& rng);
   void arm_checkpoint_tick();

@@ -1,5 +1,7 @@
 // FlatMap64: open-addressing hash map from non-zero 64-bit ids to a small
-// trivially-copyable value (slot indices, mostly).
+// trivially-copyable value (slot indices, mostly). With insert(), which
+// reports whether the key was new, it also serves as a set (the workload's
+// fetch-at-most-once dedup).
 //
 // The engine hot paths (event cancel-by-id, flow lookup-by-id) previously
 // went through std::unordered_map, whose node-per-insert allocation and
@@ -9,7 +11,8 @@
 // a sequential cache line.
 //
 // Constraints (asserted): keys are != 0 (0 marks an empty bucket — the
-// codebase's id spaces all start at 1 and reserve 0 as invalid), and V is
+// codebase's id spaces all start at 1 and reserve 0 as invalid; a key
+// space that includes 0 stores key + 1), and V is
 // trivially copyable. Iteration order is unspecified; callers that need
 // deterministic order must sort (they already do — see Network::save).
 #pragma once
@@ -46,21 +49,16 @@ class FlatMap64 {
   }
 
   // Inserts or overwrites.
-  void put(std::uint64_t key, V value) {
-    assert(key != 0 && "key 0 is the empty-bucket marker");
-    if (2 * (size_ + 1) > keys_.size()) grow();
-    const std::size_t mask = keys_.size() - 1;
-    std::size_t i = index_for(key);
-    while (keys_[i] != 0) {
-      if (keys_[i] == key) {
-        vals_[i] = value;
-        return;
-      }
-      i = (i + 1) & mask;
-    }
-    keys_[i] = key;
+  void put(std::uint64_t key, V value) { vals_[claim(key)] = value; }
+
+  // Inserts the key unless it is present; true iff it inserted. One probe
+  // either way, so a set of ids needs no find() before it.
+  bool insert(std::uint64_t key, V value) {
+    const std::size_t before = size_;
+    const std::size_t i = claim(key);
+    if (size_ == before) return false;
     vals_[i] = value;
-    ++size_;
+    return true;
   }
 
   // Pointer to the mapped value, or nullptr.
@@ -121,6 +119,21 @@ class FlatMap64 {
     // flow ids are monotone counters) spread uniformly over the table.
     return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
                                     shift_);
+  }
+
+  // The bucket holding `key`, claimed (and counted) if the key is absent.
+  std::size_t claim(std::uint64_t key) {
+    assert(key != 0 && "key 0 is the empty-bucket marker");
+    if (2 * (size_ + 1) > keys_.size()) grow();
+    const std::size_t mask = keys_.size() - 1;
+    std::size_t i = index_for(key);
+    while (keys_[i] != 0) {
+      if (keys_[i] == key) return i;
+      i = (i + 1) & mask;
+    }
+    keys_[i] = key;
+    ++size_;
+    return i;
   }
 
   void grow() { rehash(keys_.empty() ? 16 : keys_.size() * 2); }

@@ -115,6 +115,21 @@ double TimeSeries::max_total() const {
 
 Rate TimeSeries::peak_rate() const { return max_total() / to_seconds(width_); }
 
+Rate TimeSeries::rate_quantile(double p) const {
+  if (totals_.empty()) return 0.0;
+  std::vector<double> sorted = totals_;
+  const std::size_t n = sorted.size();
+  p = std::clamp(p, 0.0, 1.0);
+  const std::size_t rank =
+      p <= 0.0 ? 0
+               : std::min(n - 1, static_cast<std::size_t>(
+                                     std::ceil(p * static_cast<double>(n)) - 1));
+  std::nth_element(sorted.begin(),
+                   sorted.begin() + static_cast<std::ptrdiff_t>(rank),
+                   sorted.end());
+  return sorted[rank] / to_seconds(width_);
+}
+
 double TimeSeries::sum() const {
   double s = 0.0;
   for (double v : totals_) s += v;

@@ -69,6 +69,10 @@ class TimeSeries {
 
   double max_total() const;
   Rate peak_rate() const;
+  // The p-quantile (p in [0,1]) of the bins' average rates: the smallest
+  // bin rate with at least a fraction p of bins at or below it. p = 1 is
+  // peak_rate(); 0 on a series without bins.
+  Rate rate_quantile(double p) const;
   double sum() const;
 
  private:

@@ -7,11 +7,11 @@
 
 namespace odr::workload {
 
-Catalog::Catalog(const CatalogParams& params, Rng& rng)
-    : params_(params),
-      popularity_(params.num_files, params.total_weekly_requests,
-                  params.popularity) {
+Catalog::Catalog(const CatalogParams& params, Rng& rng) : params_(params) {
   assert(params_.num_files > 0);
+  const PopularityProfile popularity(params.num_files,
+                                     params.total_weekly_requests,
+                                     params.popularity);
   const SizeModel size_model(params_.size);
 
   files_.reserve(params_.num_files);
@@ -19,7 +19,7 @@ Catalog::Catalog(const CatalogParams& params, Rng& rng)
     FileInfo f;
     f.index = static_cast<FileIndex>(r - 1);
     f.rank = static_cast<std::uint32_t>(r);
-    f.expected_weekly_requests = popularity_.count(r);
+    f.expected_weekly_requests = popularity.count(r);
     f.born_before_trace = !rng.bernoulli(params_.new_file_fraction);
 
     const double type_draw = rng.uniform();
@@ -72,42 +72,32 @@ Catalog::Catalog(const CatalogParams& params, Rng& rng)
     }
     files_.push_back(std::move(f));
   }
-  build_cumulative();
+  build_request_table();
 }
 
-Catalog::Catalog(std::vector<FileInfo> files)
-    : files_(std::move(files)),
-      popularity_(std::max<std::size_t>(1, files_.size()),
-                  [&] {
-                    double total = 0.0;
-                    for (const auto& f : files_) {
-                      total += f.expected_weekly_requests;
-                    }
-                    return std::max(1.0, total);
-                  }()) {
+Catalog::Catalog(std::vector<FileInfo> files) : files_(std::move(files)) {
   params_.num_files = files_.size();
   params_.total_weekly_requests = 0.0;
   for (std::size_t i = 0; i < files_.size(); ++i) {
     assert(files_[i].index == static_cast<FileIndex>(i));
     params_.total_weekly_requests += files_[i].expected_weekly_requests;
   }
-  build_cumulative();
+  build_request_table();
 }
 
-void Catalog::build_cumulative() {
-  cumulative_.resize(files_.size());
+void Catalog::build_request_table() {
+  std::vector<double> cumulative(files_.size());
   double acc = 0.0;
   for (std::size_t i = 0; i < files_.size(); ++i) {
     acc += std::max(0.0, files_[i].expected_weekly_requests);
-    cumulative_[i] = acc;
+    cumulative[i] = acc;
   }
+  if (acc > 0.0) request_table_ = util::GuideTable(std::move(cumulative));
 }
 
 FileIndex Catalog::sample_request(Rng& rng) const {
-  if (cumulative_.empty() || cumulative_.back() <= 0.0) return 0;
-  const double target = rng.uniform() * cumulative_.back();
-  auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(), target);
-  return static_cast<FileIndex>(it - cumulative_.begin());
+  if (request_table_.empty()) return 0;
+  return static_cast<FileIndex>(request_table_.find(rng.uniform()));
 }
 
 }  // namespace odr::workload

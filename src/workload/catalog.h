@@ -16,6 +16,7 @@
 
 #include <vector>
 
+#include "util/guide_table.h"
 #include "util/rng.h"
 #include "workload/file.h"
 #include "workload/popularity.h"
@@ -65,15 +66,14 @@ class Catalog {
   FileIndex sample_request(Rng& rng) const;
 
   const CatalogParams& params() const { return params_; }
-  const PopularityProfile& popularity() const { return popularity_; }
 
  private:
-  void build_cumulative();
+  void build_request_table();
 
   CatalogParams params_;
   std::vector<FileInfo> files_;
-  PopularityProfile popularity_;
-  std::vector<double> cumulative_;  // over expected_weekly_requests
+  // Over expected_weekly_requests; empty when no file has a positive one.
+  util::GuideTable request_table_;
 };
 
 }  // namespace odr::workload

@@ -7,27 +7,49 @@
 namespace odr::workload {
 namespace {
 
-// Fills counts_[r0-1 .. r1-1] with a log-log interpolation from c0 (at
-// rank r0) to c1 (at rank r1), with curvature gamma applied to the
-// normalized log-rank coordinate (gamma = 1 -> pure power law).
-void fill_segment(std::vector<double>& counts, std::size_t r0, std::size_t r1,
-                  double c0, double c1, double gamma) {
+// The normalized log-rank coordinate clamp(log(r/r0)/span, 0, 1) of each
+// rank r in [r0, r1]. It depends on the segment only, so each bisection
+// computes it once instead of once per round.
+std::vector<double> log_rank_coords(std::size_t r0, std::size_t r1) {
   assert(r1 >= r0 && r0 >= 1);
   const double span = std::log(static_cast<double>(r1) / static_cast<double>(r0));
+  std::vector<double> x(r1 - r0 + 1);
   for (std::size_t r = r0; r <= r1; ++r) {
-    double x = span <= 0.0
-                   ? 0.0
-                   : std::log(static_cast<double>(r) / static_cast<double>(r0)) /
-                         span;
-    x = std::pow(std::clamp(x, 0.0, 1.0), gamma);
-    counts[r - 1] = c0 * std::pow(c1 / c0, x);
+    const double v =
+        span <= 0.0
+            ? 0.0
+            : std::log(static_cast<double>(r) / static_cast<double>(r0)) / span;
+    x[r - r0] = std::clamp(v, 0.0, 1.0);
+  }
+  return x;
+}
+
+// Applies curvature gamma to the coordinates (gamma = 1 -> pure power law):
+// the per-rank exponents of a log-log interpolation.
+void curve(const std::vector<double>& x, double gamma,
+           std::vector<double>& exponents) {
+  exponents.resize(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    exponents[i] = std::pow(x[i], gamma);
   }
 }
 
-double segment_mass(const std::vector<double>& counts, std::size_t r0,
-                    std::size_t r1) {
+// Fills counts_[r0-1 ..] with the log-log interpolation c0 * (c1/c0)^e from
+// c0 (at rank r0) to c1 (at the segment's last rank).
+void fill_segment(std::vector<double>& counts, std::size_t r0,
+                  const std::vector<double>& exponents, double c0, double c1) {
+  const double ratio = c1 / c0;
+  for (std::size_t i = 0; i < exponents.size(); ++i) {
+    counts[r0 - 1 + i] = c0 * std::pow(ratio, exponents[i]);
+  }
+}
+
+// The mass fill_segment would write, summed in rank order.
+double segment_mass(const std::vector<double>& exponents, double c0,
+                    double c1) {
+  const double ratio = c1 / c0;
   double m = 0.0;
-  for (std::size_t r = r0; r <= r1; ++r) m += counts[r - 1];
+  for (const double e : exponents) m += c0 * std::pow(ratio, e);
   return m;
 }
 
@@ -53,6 +75,7 @@ PopularityProfile::PopularityProfile(std::size_t num_files,
   // Head segment: solve the top count so the head carries its mass; if the
   // required top count would exceed the per-file share cap, pin it there
   // and put the remaining mass into curvature instead.
+  std::vector<double> exponents;
   {
     const double target = params.head_request_share * total_requests;
     // Feasibility floor: at very small scales the head's mass target needs
@@ -62,40 +85,48 @@ PopularityProfile::PopularityProfile(std::size_t num_files,
         std::max({params.head_boundary_count * 1.05,
                   params.max_top_share * total_requests,
                   1.6 * target / static_cast<double>(r_head)});
+    const std::vector<double> x = log_rank_coords(1, r_head);
+    curve(x, 1.0, exponents);
     double lo = params.head_boundary_count, hi = 1e9;
     for (int it = 0; it < 60; ++it) {
       const double mid = std::sqrt(lo * hi);  // geometric: counts span decades
-      fill_segment(counts_, 1, r_head, mid, params.head_boundary_count, 1.0);
-      (segment_mass(counts_, 1, r_head) < target ? lo : hi) = mid;
+      (segment_mass(exponents, mid, params.head_boundary_count) < target
+           ? lo
+           : hi) = mid;
     }
     const double c_max = std::sqrt(lo * hi);
     if (c_max <= top_cap) {
-      fill_segment(counts_, 1, r_head, c_max, params.head_boundary_count, 1.0);
+      fill_segment(counts_, 1, exponents, c_max, params.head_boundary_count);
     } else {
       double glo = 0.1, ghi = 10.0;  // mass increases with gamma
       for (int it = 0; it < 60; ++it) {
         const double mid = 0.5 * (glo + ghi);
-        fill_segment(counts_, 1, r_head, top_cap, params.head_boundary_count,
-                     mid);
-        (segment_mass(counts_, 1, r_head) < target ? glo : ghi) = mid;
+        curve(x, mid, exponents);
+        (segment_mass(exponents, top_cap, params.head_boundary_count) < target
+             ? glo
+             : ghi) = mid;
       }
-      fill_segment(counts_, 1, r_head, top_cap, params.head_boundary_count,
-                   0.5 * (glo + ghi));
+      curve(x, 0.5 * (glo + ghi), exponents);
+      fill_segment(counts_, 1, exponents, top_cap, params.head_boundary_count);
     }
   }
 
   // Middle segment: boundaries pinned at 84 and 7; curvature carries mass.
   if (r_mid > r_head) {
     const double target = params.mid_request_share * total_requests;
+    const std::vector<double> x = log_rank_coords(r_head + 1, r_mid);
     double lo = 0.15, hi = 8.0;  // gamma; mass increases with gamma
     for (int it = 0; it < 60; ++it) {
       const double mid = 0.5 * (lo + hi);
-      fill_segment(counts_, r_head + 1, r_mid, params.head_boundary_count,
-                   params.mid_boundary_count, mid);
-      (segment_mass(counts_, r_head + 1, r_mid) < target ? lo : hi) = mid;
+      curve(x, mid, exponents);
+      (segment_mass(exponents, params.head_boundary_count,
+                    params.mid_boundary_count) < target
+           ? lo
+           : hi) = mid;
     }
-    fill_segment(counts_, r_head + 1, r_mid, params.head_boundary_count,
-                 params.mid_boundary_count, 0.5 * (lo + hi));
+    curve(x, 0.5 * (lo + hi), exponents);
+    fill_segment(counts_, r_head + 1, exponents, params.head_boundary_count,
+                 params.mid_boundary_count);
   }
 
   // Tail segment: solve the minimum count so the tail carries its mass.
@@ -103,29 +134,17 @@ PopularityProfile::PopularityProfile(std::size_t num_files,
     const double target =
         (1.0 - params.head_request_share - params.mid_request_share) *
         total_requests;
+    curve(log_rank_coords(r_mid + 1, num_files), 1.0, exponents);
     double lo = 1e-4, hi = params.mid_boundary_count;
     for (int it = 0; it < 60; ++it) {
       const double mid = std::sqrt(lo * hi);
-      fill_segment(counts_, r_mid + 1, num_files, params.mid_boundary_count,
-                   mid, 1.0);
-      (segment_mass(counts_, r_mid + 1, num_files) < target ? lo : hi) = mid;
+      (segment_mass(exponents, params.mid_boundary_count, mid) < target
+           ? lo
+           : hi) = mid;
     }
-    fill_segment(counts_, r_mid + 1, num_files, params.mid_boundary_count,
-                 std::sqrt(lo * hi), 1.0);
+    fill_segment(counts_, r_mid + 1, exponents, params.mid_boundary_count,
+                 std::sqrt(lo * hi));
   }
-
-  cumulative_.resize(num_files);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < num_files; ++i) {
-    acc += counts_[i];
-    cumulative_[i] = acc;
-  }
-}
-
-std::size_t PopularityProfile::sample(Rng& rng) const {
-  const double target = rng.uniform() * cumulative_.back();
-  auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(), target);
-  return static_cast<std::size_t>(it - cumulative_.begin()) + 1;
 }
 
 }  // namespace odr::workload

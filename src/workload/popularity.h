@@ -19,8 +19,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "util/rng.h"
-
 namespace odr::workload {
 
 struct PopularityProfileParams {
@@ -52,12 +50,8 @@ class PopularityProfile {
   double count(std::size_t rank) const { return counts_.at(rank - 1); }
   const std::vector<double>& counts() const { return counts_; }
 
-  // Draws a rank in [1, n] proportionally to its expected count.
-  std::size_t sample(Rng& rng) const;
-
  private:
   std::vector<double> counts_;
-  std::vector<double> cumulative_;
 };
 
 }  // namespace odr::workload

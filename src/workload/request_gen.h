@@ -8,9 +8,10 @@
 // choice follows the heavy-tailed activity weights of the population.
 #pragma once
 
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
+#include "util/flat_map.h"
 #include "util/rng.h"
 #include "workload/catalog.h"
 #include "workload/trace.h"
@@ -28,6 +29,17 @@ struct RequestGenParams {
   // Relative load growth per day (day 7 carries the weekly peak).
   double daily_growth = 0.05;
 };
+
+// Fetch-at-most-once: the (user, file) pairs already requested.
+using FetchedPairs = util::FlatMap64<bool>;
+
+// Records that `user` requested `file`; false when it already had. The key
+// is (user << 32 | file) + 1, since FlatMap64 reserves key 0 and
+// (user 0, file 0) would be it.
+inline bool first_fetch(FetchedPairs& seen, UserId user, FileIndex file) {
+  return seen.insert(((static_cast<std::uint64_t>(user) << 32) | file) + 1,
+                     true);
+}
 
 class RequestGenerator {
  public:
@@ -52,8 +64,7 @@ class RequestGenerator {
   static bool sample_arrival(const Catalog& catalog,
                              const UserPopulation& users, Rng& rng, SimTime t,
                              TaskId task_id,
-                             std::unordered_set<std::uint64_t>& seen,
-                             WorkloadRecord& out);
+                             FetchedPairs& seen, WorkloadRecord& out);
 
   const RequestGenParams& params() const { return params_; }
 

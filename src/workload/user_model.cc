@@ -21,7 +21,8 @@ std::string synth_ip(net::Isp isp, UserId id, Rng& rng) {
 UserPopulation::UserPopulation(const UserModelParams& params, Rng& rng) {
   assert(params.num_users > 0);
   users_.reserve(params.num_users);
-  cumulative_activity_.reserve(params.num_users);
+  std::vector<double> cumulative_activity;
+  cumulative_activity.reserve(params.num_users);
   double acc = 0.0;
   for (std::size_t i = 0; i < params.num_users; ++i) {
     User u;
@@ -48,23 +49,22 @@ UserPopulation::UserPopulation(const UserModelParams& params, Rng& rng) {
     users_.push_back(std::move(u));
 
     acc += rng.pareto(1.0, params.activity_alpha);
-    cumulative_activity_.push_back(acc);
+    cumulative_activity.push_back(acc);
   }
+  activity_ = util::GuideTable(std::move(cumulative_activity));
 }
 
 UserPopulation::UserPopulation(std::vector<User> users)
     : users_(std::move(users)) {
-  cumulative_activity_.resize(users_.size());
+  std::vector<double> cumulative_activity(users_.size());
   for (std::size_t i = 0; i < users_.size(); ++i) {
-    cumulative_activity_[i] = static_cast<double>(i + 1);
+    cumulative_activity[i] = static_cast<double>(i + 1);
   }
+  activity_ = util::GuideTable(std::move(cumulative_activity));
 }
 
 UserId UserPopulation::sample(Rng& rng) const {
-  const double target = rng.uniform() * cumulative_activity_.back();
-  auto it = std::lower_bound(cumulative_activity_.begin(),
-                             cumulative_activity_.end(), target);
-  return static_cast<UserId>(it - cumulative_activity_.begin());
+  return static_cast<UserId>(activity_.find(rng.uniform()));
 }
 
 }  // namespace odr::workload

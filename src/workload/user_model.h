@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "net/isp.h"
+#include "util/guide_table.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -75,10 +76,12 @@ class UserPopulation {
 
   // Draws a user for the next request, weighted by activity.
   UserId sample(Rng& rng) const;
+  // The cumulative activity weights sample() inverts.
+  const util::GuideTable& activity() const { return activity_; }
 
  private:
   std::vector<User> users_;
-  std::vector<double> cumulative_activity_;
+  util::GuideTable activity_;  // over the cumulative activity weights
 };
 
 }  // namespace odr::workload

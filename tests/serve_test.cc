@@ -116,7 +116,7 @@ TEST(TrafficGenTest, FileSizesMatchCatalogDistributionAcrossSeeds) {
     // sampler (fetch-at-most-once thins the popularity head, so raw
     // catalog draws are NOT the right null distribution).
     Rng direct(seed ^ 0x9e3779b97f4a7c15ull);
-    std::unordered_set<std::uint64_t> seen;
+    workload::FetchedPairs seen;
     std::vector<double> cat_sizes;
     workload::WorkloadRecord ref;
     for (std::size_t i = 0; cat_sizes.size() < 2000 && i < 4000; ++i) {

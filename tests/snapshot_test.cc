@@ -20,6 +20,7 @@
 #include "sim/simulator.h"
 #include "snapshot/format.h"
 #include "sized_catalog.h"
+#include "snapshot/state_hash.h"
 #include "snapshot/world.h"
 #include "util/crc32.h"
 #include "util/md5.h"
@@ -839,6 +840,36 @@ TEST_F(WorldTest, KillAndResumeIsBitIdentical) {
     EXPECT_EQ(b.outcomes.size(), a.outcomes.size());
     EXPECT_EQ(b.cache_hit_ratio, a.cache_hit_ratio);
     EXPECT_EQ(b.fetch_rejections, a.fetch_rejections);
+  }
+}
+
+// A restore skips the warm-up: it reloads the pool and content DB the
+// warm-up would fill. The restored world must hash equal to its source at
+// every checkpoint, including one taken before the first event, where the
+// caches hold exactly what the source's warm-up wrote.
+TEST_F(WorldTest, RestoreWithoutWarmUpHashesEqualToItsSource) {
+  const auto cfg = analysis::make_scaled_config(4000, 20151028);
+  std::uint64_t total_events = 0;
+  {
+    snapshot::CloudWorld probe(cfg, options());
+    total_events = probe.run();
+  }
+  ASSERT_GT(total_events, 1000u);
+  for (const std::uint64_t at :
+       {std::uint64_t{0}, std::uint64_t{1}, total_events / 3,
+        total_events * 2 / 3, total_events}) {
+    snapshot::CloudWorld source(cfg, options());
+    ASSERT_EQ(source.run(at), at);
+    const snapshot::StateHash want = source.hash_now();
+    const snapshot::CloudWorld restored(cfg, options(),
+                                        source.save_to_buffer());
+    const snapshot::StateHash got = restored.hash_now();
+    // last_event_id is not state: a restored world has run no event yet.
+    EXPECT_EQ(got.combined, want.combined) << "checkpoint at event " << at;
+    EXPECT_TRUE(snapshot::divergent_subsystems(got, want).empty())
+        << "checkpoint at event " << at;
+    EXPECT_EQ(got.executed, want.executed);
+    EXPECT_EQ(got.time, want.time);
   }
 }
 

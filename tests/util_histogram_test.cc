@@ -186,5 +186,18 @@ TEST(TimeSeriesTest, PeakAndMaxOverBins) {
   EXPECT_DOUBLE_EQ(ts.peak_rate(), 9.0 / 60.0);
 }
 
+TEST(TimeSeriesTest, RateQuantileIsNearestRankOverBins) {
+  // Twenty 1-minute bins holding 1..20 bytes, added out of order.
+  TimeSeries ts(0, 20 * kMinute, kMinute);
+  for (int i = 19; i >= 0; --i) ts.add_at(i * kMinute, i + 1.0);
+  EXPECT_DOUBLE_EQ(ts.rate_quantile(0.0), 1.0 / 60.0);
+  EXPECT_DOUBLE_EQ(ts.rate_quantile(0.5), 10.0 / 60.0);
+  // One burst bin moves the peak but not the 95th percentile.
+  EXPECT_DOUBLE_EQ(ts.rate_quantile(0.95), 19.0 / 60.0);
+  ts.add_at(19 * kMinute, 1000.0);
+  EXPECT_DOUBLE_EQ(ts.rate_quantile(0.95), 19.0 / 60.0);
+  EXPECT_DOUBLE_EQ(ts.rate_quantile(1.0), ts.peak_rate());
+}
+
 }  // namespace
 }  // namespace odr

@@ -1,12 +1,17 @@
-// Tests for units, CSV, histogram/time series, tables, and arg parsing.
+// Tests for units, CSV, histogram/time series, tables, arg parsing and the
+// guide table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "util/args.h"
 #include "util/csv.h"
+#include "util/guide_table.h"
 #include "util/histogram.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -219,6 +224,37 @@ TEST(ArgParserTest, WellFormedNumbersParse) {
   // Both bounds are inclusive.
   EXPECT_DOUBLE_EQ(args.get_double("divisor", 25.0, 25.0), 25.0);
   EXPECT_EQ(args.get_int("seed"), -7);
+}
+
+TEST(GuideTableTest, EmptyTableBuilds) {
+  // A trace population with no users builds one; nothing draws from it.
+  const util::GuideTable table{std::vector<double>{}};
+  EXPECT_TRUE(table.empty());
+}
+
+TEST(GuideTableTest, StepsBackWhenTheTargetFallsBelowItsBucketStart) {
+  // Each entry sits one ulp below the next bucket's start. A uniform a few
+  // ulps under a bucket boundary can round into that bucket while its
+  // target falls below the entry the guide points at, so find() must step
+  // back to land where lower_bound does.
+  for (const std::size_t n : {10u, 100u, 5635u}) {
+    const double total = static_cast<double>(n) * 0.7310585786300049;
+    std::vector<double> c(n);
+    for (std::size_t j = 0; j + 1 < n; ++j) {
+      c[j] = std::nextafter(
+          static_cast<double>(j + 1) / static_cast<double>(n) * total, 0.0);
+    }
+    c[n - 1] = total;
+    const util::GuideTable table(c);
+    for (std::size_t b = 1; b < n; ++b) {
+      double u = static_cast<double>(b) / static_cast<double>(n);
+      for (int k = 0; k < 4; ++k, u = std::nextafter(u, 0.0)) {
+        const auto want = static_cast<std::size_t>(
+            std::lower_bound(c.begin(), c.end(), u * total) - c.begin());
+        ASSERT_EQ(table.find(u), want) << "n " << n << ", u " << u;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -111,6 +111,16 @@ TEST(FlatMap64Test, PutFindErase) {
   EXPECT_EQ(m.size(), 1u);
 }
 
+TEST(FlatMap64Test, InsertKeepsTheFirstValue) {
+  FlatMap64<std::uint32_t> m;
+  EXPECT_TRUE(m.insert(7, 70));
+  EXPECT_FALSE(m.insert(7, 71));  // present: refused, value unchanged
+  EXPECT_EQ(*m.find(7), 70u);
+  for (std::uint64_t k = 8; k < 200; ++k) EXPECT_TRUE(m.insert(k, 1));
+  EXPECT_FALSE(m.insert(7, 72));  // still found after the table grew
+  EXPECT_EQ(m.size(), 193u);
+}
+
 TEST(FlatMap64Test, ClearAndReserve) {
   FlatMap64<std::uint32_t> m;
   m.reserve(1000);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 
+#include "util/crc32.h"
+#include "util/guide_table.h"
 #include "util/stats.h"
 #include "workload/popularity.h"
 
@@ -15,6 +19,55 @@ CatalogParams small_params() {
   p.num_files = 5000;
   p.total_weekly_requests = 36250;  // preserves the 7.25 requests/file ratio
   return p;
+}
+
+// The binary search the guide table replaced: the first cumulative weight
+// >= u * total.
+std::size_t lower_bound_index(const std::vector<double>& cumulative,
+                              double u) {
+  const double target = u * cumulative.back();
+  return static_cast<std::size_t>(
+      std::lower_bound(cumulative.begin(), cumulative.end(), target) -
+      cumulative.begin());
+}
+
+// The cumulative request weights sample_request inverts.
+std::vector<double> cumulative_requests(const Catalog& catalog) {
+  std::vector<double> c;
+  double acc = 0.0;
+  for (const auto& f : catalog.files()) {
+    acc += std::max(0.0, f.expected_weekly_requests);
+    c.push_back(acc);
+  }
+  return c;
+}
+
+// Uniforms that land exactly on each cumulative boundary, one ulp either
+// side of it, and u = 0.
+std::vector<double> boundary_uniforms(const std::vector<double>& cumulative) {
+  std::vector<double> us = {0.0};
+  for (const double c : cumulative) {
+    const double u = c / cumulative.back();
+    for (const double v : {std::nextafter(u, 0.0), u, std::nextafter(u, 1.0)}) {
+      if (v >= 0.0 && v < 1.0) us.push_back(v);
+    }
+  }
+  return us;
+}
+
+// Draws from `catalog` and from the reference with the same stream; every
+// draw must name the same file.
+void expect_sampler_matches_lower_bound(const Catalog& catalog, int draws) {
+  const std::vector<double> c = cumulative_requests(catalog);
+  Rng a(7), b(7);
+  for (int i = 0; i < draws; ++i) {
+    const std::size_t want = lower_bound_index(c, b.uniform());
+    ASSERT_EQ(catalog.sample_request(a), want) << "draw " << i;
+  }
+  const util::GuideTable table(c);
+  for (const double u : boundary_uniforms(c)) {
+    ASSERT_EQ(table.find(u), lower_bound_index(c, u)) << "u = " << u;
+  }
 }
 
 class CatalogTest : public ::testing::Test {
@@ -120,6 +173,28 @@ TEST_F(CatalogTest, SampleRequestFollowsPopularity) {
   EXPECT_GT(hits[0], hits[catalog.size() - 1]);
 }
 
+TEST_F(CatalogTest, SampleRequestMatchesLowerBound) {
+  expect_sampler_matches_lower_bound(catalog, 1000000);
+}
+
+TEST(CatalogTraceTest, SampleRequestMatchesLowerBoundWithZeroWeights) {
+  // A trace catalog holds placeholder files nothing requested: runs of
+  // zero weight at the start, in the middle and at the end.
+  std::vector<FileInfo> files(300);
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    files[i].index = static_cast<FileIndex>(i);
+    const bool placeholder = i < 5 || (i >= 100 && i < 180) || i % 7 == 0 ||
+                             i >= 290;
+    files[i].expected_weekly_requests =
+        placeholder ? 0.0 : 1.0 + static_cast<double>(i % 4);
+  }
+  const Catalog catalog(std::move(files));
+  expect_sampler_matches_lower_bound(catalog, 1000000);
+  // u = 0 lands on the first file even though it has no weight.
+  const util::GuideTable table(cumulative_requests(catalog));
+  EXPECT_EQ(table.find(0.0), 0u);
+}
+
 TEST_F(CatalogTest, NewFileFractionRespected) {
   std::size_t new_files = 0;
   for (const auto& f : catalog.files()) {
@@ -162,11 +237,24 @@ TEST(PopularityProfileTest, TinyCatalogDoesNotCrash) {
   PopularityProfile profile(3, 25);
   EXPECT_EQ(profile.size(), 3u);
   EXPECT_GE(profile.count(1), profile.count(3));
-  Rng rng(1);
-  for (int i = 0; i < 100; ++i) {
-    const std::size_t r = profile.sample(rng);
-    EXPECT_GE(r, 1u);
-    EXPECT_LE(r, 3u);
+  for (std::size_t r = 1; r <= 3; ++r) EXPECT_GT(profile.count(r), 0.0);
+}
+
+// The profile's counts are pinned bit for bit: every catalog, and through
+// it every golden, reads them.
+TEST(PopularityProfileTest, CountsArePinned) {
+  struct Case {
+    std::size_t files;
+    double total;
+    std::uint32_t crc;
+  };
+  for (const Case& c : {Case{3, 25.0, 0x0ec4f775u},
+                        Case{5635, 4084417 / 100.0, 0x2645889du},
+                        Case{56351, 4084417 / 10.0, 0xc8807565u}}) {
+    const PopularityProfile profile(c.files, c.total);
+    const std::vector<double>& counts = profile.counts();
+    EXPECT_EQ(crc32c(counts.data(), counts.size() * sizeof(double)), c.crc)
+        << c.files << " files";
   }
 }
 

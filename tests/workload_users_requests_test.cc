@@ -1,11 +1,13 @@
 // User population and request generator tests.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <algorithm>
 #include <array>
+#include <cmath>
+#include <set>
 #include <sstream>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "util/csv.h"
 #include "util/stats.h"
@@ -69,6 +71,31 @@ TEST_F(UserPopulationTest, ActivitySamplingIsSkewed) {
   EXPECT_GT(max_count, 50);
 }
 
+TEST_F(UserPopulationTest, SampleMatchesLowerBound) {
+  // The guide table must pick exactly the user a binary search over the
+  // cumulative activity picks, for the same uniform.
+  const util::GuideTable& table = users.activity();
+  const std::vector<double>& c = table.cumulative();
+  const auto reference = [&](double u) {
+    return static_cast<std::size_t>(
+        std::lower_bound(c.begin(), c.end(), u * c.back()) - c.begin());
+  };
+  Rng a(3), b(3);
+  for (int i = 0; i < 1000000; ++i) {
+    const std::size_t want = reference(b.uniform());
+    ASSERT_EQ(users.sample(a), want) << "draw " << i;
+  }
+  EXPECT_EQ(table.find(0.0), 0u);
+  for (const double boundary : c) {
+    const double u = boundary / c.back();
+    for (const double v : {std::nextafter(u, 0.0), u, std::nextafter(u, 1.0)}) {
+      if (v < 1.0) {
+        ASSERT_EQ(table.find(v), reference(v)) << "u = " << v;
+      }
+    }
+  }
+}
+
 TEST_F(UserPopulationTest, IpsAreStablePerUser) {
   const User& u = users.user(42);
   EXPECT_FALSE(u.ip.empty());
@@ -122,6 +149,17 @@ TEST_F(RequestGeneratorTest, FetchAtMostOncePerUserAndFile) {
     EXPECT_TRUE(seen.insert({r.user_id, r.file}).second)
         << "duplicate (user,file) pair";
   }
+}
+
+TEST(FetchedPairsTest, StoresUserZeroFileZeroAndRefusesItsRepeat) {
+  // (user 0, file 0) packs to key 0, FlatMap64's empty marker.
+  FetchedPairs seen;
+  EXPECT_TRUE(first_fetch(seen, 0, 0));
+  EXPECT_FALSE(first_fetch(seen, 0, 0));
+  EXPECT_TRUE(first_fetch(seen, 0, 1));
+  EXPECT_TRUE(first_fetch(seen, 1, 0));
+  EXPECT_FALSE(first_fetch(seen, 1, 0));
+  EXPECT_EQ(seen.size(), 3u);
 }
 
 TEST_F(RequestGeneratorTest, RecordsCarryConsistentFileMetadata) {
