@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
     cfg.redirector = v.params;
     const auto result = analysis::run_strategy_replay(cfg);
     const auto m = analysis::strategy_metrics(
-        v.name, result.outcomes, result.duration, result.cloud_capacity,
+        v.name, result.outcomes, result.duration,
         result.storage_throttled_fraction);
     table.add_row({v.name, TextTable::pct(m.impeded_fraction),
                    TextTable::num(static_cast<double>(m.total_cloud_upload) /

@@ -30,8 +30,7 @@ int main(int argc, char** argv) {
     const auto result = analysis::run_strategy_replay(cfg);
     return analysis::strategy_metrics(
         std::string(core::strategy_name(strategy)), result.outcomes,
-        result.duration, result.cloud_capacity,
-        result.storage_throttled_fraction);
+        result.duration, result.storage_throttled_fraction);
   };
 
   const auto cloud = run(core::Strategy::kCloudOnly);

@@ -4,9 +4,10 @@
 // Each requested divisor replays the exact week once. The bench reports
 // tasks/second, the share of the wall spent building the world before its
 // first event (set-up), the run's outcome fingerprint (so a scale sweep
-// doubles as a determinism check against the pinned goldens), and the
-// process peak RSS sampled after every rung of the ladder — the per-rung
-// deltas are what tools/check_perf_regression.py budgets.
+// doubles as a determinism check against the pinned goldens), the events
+// the week executed (the work, a pure function of divisor and seed), and
+// the process peak RSS sampled after every rung of the ladder — the
+// per-rung deltas are what tools/check_perf_regression.py budgets.
 //
 // Timing fidelity vs wall clock: with --workers=1 (the default) runs are
 // timed back to back on an otherwise idle process, so the per-run seconds
@@ -41,6 +42,7 @@ struct ScaleRun {
   double wall_seconds = 0.0;   // set-up + run + finalize
   double setup_seconds = 0.0;  // building the world, before its first event
   std::size_t tasks = 0;
+  std::uint64_t events = 0;  // simulator events executed by the week
   std::uint64_t fingerprint = 0;
   std::uint64_t peak_rss_bytes = 0;  // sampled right after the run
   double tasks_per_second() const {
@@ -64,6 +66,7 @@ ScaleRun run_week(double divisor, std::uint64_t seed) {
   snapshot::CloudWorld world(config, std::move(options));
   const auto t_built = std::chrono::steady_clock::now();
   world.run();
+  const std::uint64_t events = world.sim().executed_count();
   const analysis::CloudReplayResult result = std::move(world).finalize();
   const auto t1 = std::chrono::steady_clock::now();
 
@@ -72,6 +75,7 @@ ScaleRun run_week(double divisor, std::uint64_t seed) {
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   r.setup_seconds = std::chrono::duration<double>(t_built - t0).count();
   r.tasks = result.outcomes.size();
+  r.events = events;
   r.fingerprint = analysis::outcome_fingerprint(result.outcomes);
   // Peak RSS is a process high-water mark: monotone over the ladder, so
   // the delta each rung adds on top of the cheaper rungs is attributable
@@ -170,13 +174,14 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(batch1 - batch0).count();
   const std::uint64_t rss = run::peak_rss_bytes();
 
-  TextTable table({"divisor", "tasks", "wall s", "set-up s", "set-up share",
-                   "tasks/s", "peak RSS MiB", "fingerprint"});
+  TextTable table({"divisor", "tasks", "events", "wall s", "set-up s",
+                   "set-up share", "tasks/s", "peak RSS MiB", "fingerprint"});
   for (const ScaleRun& r : runs) {
     char fp[24];
     std::snprintf(fp, sizeof(fp), "%016llx",
                   static_cast<unsigned long long>(r.fingerprint));
     table.add_row({TextTable::num(r.divisor, 0), std::to_string(r.tasks),
+                   std::to_string(r.events),
                    TextTable::num(r.wall_seconds, 2),
                    TextTable::num(r.setup_seconds, 3),
                    TextTable::pct(r.wall_seconds > 0.0
@@ -218,6 +223,7 @@ int main(int argc, char** argv) {
           // by this field.
           .field("mode", "exact")
           .field("tasks", static_cast<std::uint64_t>(r.tasks))
+          .field("events", r.events)
           .field("wall_seconds", r.wall_seconds)
           .field("setup_seconds", r.setup_seconds)
           .field("tasks_per_second", r.tasks_per_second())

@@ -68,8 +68,7 @@ int main(int argc, char** argv) {
     const auto result = odr::analysis::run_strategy_replay(config);
     const auto m = odr::analysis::strategy_metrics(
         std::string(odr::core::strategy_name(strategy)), result.outcomes,
-        result.duration, result.cloud_capacity,
-        result.storage_throttled_fraction);
+        result.duration, result.storage_throttled_fraction);
     table.add_row(
         {m.name,
          odr::TextTable::pct(static_cast<double>(m.successes) /

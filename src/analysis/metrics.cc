@@ -258,7 +258,7 @@ TrafficCost traffic_cost(const std::vector<workload::TaskOutcome>& outcomes,
 
 StrategyMetrics strategy_metrics(const std::string& name,
                                  const std::vector<core::ExecOutcome>& outcomes,
-                                 SimTime duration, Rate cloud_capacity,
+                                 SimTime duration,
                                  double storage_throttled_fraction) {
   StrategyMetrics m;
   m.name = name;
@@ -305,7 +305,6 @@ StrategyMetrics strategy_metrics(const std::string& name,
                      : static_cast<double>(unpopular_failed) / unpopular;
   m.peak_cloud_burden = burden.peak_rate();
   m.p95_hourly_cloud_burden = hourly.rate_quantile(0.95);
-  (void)cloud_capacity;
   m.e2e_delay_min = summarize(std::move(e2e_delays));
   return m;
 }

@@ -168,7 +168,7 @@ struct StrategyMetrics {
 
 StrategyMetrics strategy_metrics(const std::string& name,
                                  const std::vector<core::ExecOutcome>& outcomes,
-                                 SimTime duration, Rate cloud_capacity,
+                                 SimTime duration,
                                  double storage_throttled_fraction);
 
 }  // namespace odr::analysis

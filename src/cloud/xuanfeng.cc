@@ -15,11 +15,13 @@ namespace {
 // The versions of the cloud's five checkpoint sections. Rng, caches,
 // uploads and tasks are at v1, where they started with the world's meta
 // v2. The vm section, which holds every pre-download task and its source,
-// is at v3: a server source stores only its fatal-break time, and a swarm
-// its stationary means (v2 also carried a server's break clock and flags
-// and a swarm's popularity and scale; v1 an external-seed count per swarm).
+// is at v4: a server source stores only its fatal-break time, and a swarm
+// its stationary means and the time of its pending change (a v3 task's
+// wake was a plain 5-minute sample; v2 also carried a server's break clock
+// and flags and a swarm's popularity and scale; v1 an external-seed count
+// per swarm).
 inline constexpr std::uint32_t kSectionVersion = 1;
-inline constexpr std::uint32_t kVmSectionVersion = 3;
+inline constexpr std::uint32_t kVmSectionVersion = 4;
 
 // Range of the residual-dynamics slowdown factor (CloudConfig::dynamics_prob
 // picks which fetches it hits).

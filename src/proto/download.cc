@@ -81,20 +81,15 @@ void DownloadTask::start(Rng& rng) {
 }
 
 void DownloadTask::schedule_next() {
-  const SimTime now = sim_.now();
   SimTime at = started_at_ + std::min(kHardTimeout, source_->fatal_after());
   const SimTime change = source_->next_change(*rng_);
-  if (change == kRateDrifts) {
-    at = std::min(at, now + kTickPeriod);
-  } else {
-    if (change != kTimeNever) at = std::min(at, now + change);
-    // Download flows are pathless, so they run at exactly their cap (0 at
-    // or below the network's minimum rate). Until the source changes, a
-    // stalled flow cannot move and the stagnation rule fires at its
-    // deadline; a moving one keeps moving.
-    if (net_.flow_stats(flow_).current_rate <= 0.0) {
-      at = std::min(at, last_progress_at_ + kStagnationTimeout);
-    }
+  if (change != kTimeNever) at = std::min(at, sim_.now() + change);
+  // Download flows are pathless, so they run at exactly their cap (0 at or
+  // below the network's minimum rate). Until the source changes, a stalled
+  // flow cannot move and the stagnation rule fires at its deadline; a
+  // moving one keeps moving.
+  if (net_.flow_stats(flow_).current_rate <= 0.0) {
+    at = std::min(at, last_progress_at_ + kStagnationTimeout);
   }
   event_ = sim_.schedule_at(at, [this] { on_event(); });
 }
@@ -111,7 +106,7 @@ void DownloadTask::on_event() {
 
   // Events by class: a server source (its fatal break or hard timeout), a
   // swarm waking from no rate (a seed arrival or a deadline), a seeded
-  // swarm's cadence sample.
+  // swarm's sample after a birth or death.
   ODR_COUNT(!is_p2p(source_->protocol()) ? "proto.ticks.server"
             : source_->current_rate() > 0.0 ? "proto.ticks.swarm_seeded"
                                             : "proto.ticks.swarm_seedless");
@@ -145,8 +140,8 @@ void DownloadTask::on_event() {
     return;
   }
 
-  // No deadline fired, so this is the source's own change (or a drifting
-  // source's sample): advance it and re-cap the flow.
+  // No deadline fired, so this is the source's own change: advance it and
+  // re-cap the flow.
   source_->advance(now - last_advance_, *rng_);
   last_advance_ = now;
   net_.set_flow_cap(flow_, effective_cap());

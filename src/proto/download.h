@@ -6,11 +6,11 @@
 // the storage write ceiling). The task:
 //   - opens a network flow capped at min(source rate, rate ceiling);
 //   - keeps one event armed at the earliest time anything can change:
-//     the next kTickPeriod sample of a drifting source (a seeded swarm),
-//     the exact next change of any other source (a seedless swarm's next
-//     seed arrival), a fatal source break, the hard timeout, and — while
-//     the flow cannot move — the stagnation deadline. A server source's
-//     constant rate needs no sampling at all;
+//     the source's next change as it reports it (a seedless swarm's next
+//     seed arrival; for a seeded swarm, the first 5-minute sample after
+//     its next birth or death), a fatal source break, the hard timeout,
+//     and — while the flow cannot move — the stagnation deadline. A
+//     server source's constant rate needs no sampling at all;
 //   - fails the attempt if progress stagnates for kStagnationTimeout —
 //     Xuanfeng's rule (§4.1): a transfer that stalls for an hour will
 //     almost never finish, so give up and notify the user — or once it
@@ -56,9 +56,8 @@ struct DownloadResult {
 
 class DownloadTask {
  public:
-  // Xuanfeng's failure rule (§4.1) and the sampling cadence of a drifting
-  // source are properties of the engine, the same for every owner.
-  static constexpr SimTime kTickPeriod = 5 * kMinute;
+  // Xuanfeng's failure rule (§4.1) is a property of the engine, the same
+  // for every owner.
   static constexpr SimTime kStagnationTimeout = kHour;
   // The trace window bounds any attempt at one week.
   static constexpr SimTime kHardTimeout = kWeek;

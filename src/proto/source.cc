@@ -1,5 +1,6 @@
 #include "proto/source.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -15,6 +16,7 @@ enum : std::uint16_t {
   kTagServerRate = 22,
   kTagServerOverhead = 23,
   kTagServerFatalAfter = 30,
+  kTagSwarmChangeIn = 31,
 };
 
 enum : std::uint8_t { kKindServer = 0, kKindSwarm = 1 };
@@ -39,6 +41,24 @@ ServerSource::ServerSource(Protocol protocol, const ServerParams& params,
 SwarmSource::SwarmSource(Protocol protocol, double weekly_popularity,
                          const SwarmParams& params, Rng& rng)
     : swarm_(protocol, weekly_popularity, params, rng) {}
+
+SimTime SwarmSource::next_change(Rng& rng) {
+  if (swarm_.seeds() == 0) return change_in_ = swarm_.next_seed_gap(rng);
+  change_in_ = swarm_.next_change_gap(rng);
+  if (change_in_ == kTimeNever) return kTimeNever;
+  const SimTime samples = (change_in_ + kTickPeriod - 1) / kTickPeriod;
+  return std::max<SimTime>(1, samples) * kTickPeriod;
+}
+
+void SwarmSource::advance(SimTime dt, Rng& rng) {
+  assert(change_in_ <= dt);
+  if (swarm_.seeds() == 0) {
+    swarm_.seed_arrives(change_in_, rng);
+  } else {
+    swarm_.change_once(rng);
+  }
+  swarm_.advance(dt - change_in_, rng);
+}
 
 std::unique_ptr<Source> make_source(Protocol protocol, double weekly_popularity,
                                     const SourceParams& params, Rng& rng) {
@@ -70,12 +90,15 @@ void SwarmSource::save(snapshot::SnapshotWriter& w) const {
   w.u8(kTagSourceKind, kKindSwarm);
   w.u8(kTagSourceProtocol, static_cast<std::uint8_t>(protocol()));
   swarm_.save(w);
+  w.i64(kTagSwarmChangeIn, change_in_);
 }
 
 std::unique_ptr<SwarmSource> SwarmSource::restored(
     Protocol protocol, const SwarmParams& params, snapshot::SnapshotReader& r) {
-  return std::unique_ptr<SwarmSource>(
+  auto s = std::unique_ptr<SwarmSource>(
       new SwarmSource(Swarm::restored(protocol, params, r)));
+  s->change_in_ = r.i64(kTagSwarmChangeIn);
+  return s;
 }
 
 void save_source(snapshot::SnapshotWriter& w, const Source& source) {

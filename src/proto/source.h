@@ -5,10 +5,10 @@
 // ever, do you drop the transfer fatally. Two concrete sources exist,
 // matching the workload's protocol split (§3):
 //   SwarmSource  — BitTorrent/eMule swarm (popularity-coupled populations):
-//                  a seeded swarm's rate drifts with its seed count, so the
-//                  downloader samples it on a fixed cadence; a seedless
-//                  swarm serves nothing until the exact time of its next
-//                  seed arrival;
+//                  the downloader sees a seeded swarm's rate at 5-minute
+//                  samples, and wakes only at the first sample after the
+//                  swarm's next birth or death; a seedless swarm serves
+//                  nothing until the exact time of its next seed arrival;
 //   ServerSource — HTTP/FTP origin server: a constant rate, and a fatal
 //                  drop of a non-resumable transfer at one sampled time.
 //
@@ -34,11 +34,6 @@ class SnapshotReader;
 
 namespace odr::proto {
 
-// Source::next_change() for a rate that drifts between events: the
-// downloader samples it every DownloadTask::kTickPeriod. Negative, so it
-// cannot be mistaken for an exact delay (which may be zero).
-inline constexpr SimTime kRateDrifts = -1;
-
 class Source {
  public:
   virtual ~Source() = default;
@@ -51,14 +46,13 @@ class Source {
   virtual Rate current_rate() const = 0;
 
   // When the rate can next change by itself, from now: kTimeNever for a
-  // constant rate, kRateDrifts for a rate that drifts, or the exact delay
-  // to the next change. Asked once after every advance (and at start); it
-  // may draw from `rng`.
+  // constant rate, or the exact delay to the next change. Asked once after
+  // every advance (and at start); it may draw from `rng`.
   virtual SimTime next_change(Rng& /*rng*/) { return kTimeNever; }
 
   // Brings the state forward by `dt`, the time since the last advance (or
   // the start). The downloader calls it at the delay next_change()
-  // returned, or on its cadence for a drifting rate — never in between.
+  // returned — never in between.
   virtual void advance(SimTime /*dt*/, Rng& /*rng*/) {}
 
   // Transfer time after which the source drops the attempt fatally (a
@@ -118,22 +112,25 @@ class ServerSource final : public Source {
 
 class SwarmSource final : public Source {
  public:
+  // The downloader sees a seeded swarm's populations, and so its rate,
+  // only at samples this far apart, counted from the last advance.
+  static constexpr SimTime kTickPeriod = 5 * kMinute;
+
   SwarmSource(Protocol protocol, double weekly_popularity,
               const SwarmParams& params, Rng& rng);
 
   Rate current_rate() const override { return swarm_.downloader_rate(); }
-  // A seeded swarm's rate drifts with its populations; a seedless one
-  // serves nothing until its next seed arrives.
-  SimTime next_change(Rng& rng) override {
-    return swarm_.seeds() > 0 ? kRateDrifts : swarm_.next_seed_gap(rng);
-  }
-  void advance(SimTime dt, Rng& rng) override {
-    if (swarm_.seeds() > 0) {
-      swarm_.advance(dt, rng);
-    } else {
-      swarm_.seed_arrives(dt, rng);
-    }
-  }
+  // A seedless swarm serves nothing until its next seed arrives, the
+  // exact delay returned. A seeded swarm keeps its populations, and so its
+  // rate, until its next birth or death T; the samples before T would all
+  // see the same rate, so the delay is the first sample at or after T,
+  // max(1, ⌈T / kTickPeriod⌉) · kTickPeriod.
+  SimTime next_change(Rng& rng) override;
+  // Applies the pending change at T (a seed arrival, or one birth or
+  // death), then the exact M/M/∞ transition over the rest of `dt`. The
+  // populations at every sample therefore have the same joint law as an
+  // advance at every sample.
+  void advance(SimTime dt, Rng& rng) override;
   // Swarms never fail fatally by themselves; starvation surfaces as a
   // stagnation timeout in the downloader, classified as insufficient seeds.
   double traffic_factor() const override { return swarm_.traffic_factor(); }
@@ -151,6 +148,9 @@ class SwarmSource final : public Source {
   explicit SwarmSource(Swarm swarm) : swarm_(std::move(swarm)) {}
 
   Swarm swarm_;
+  // T: the time from the last advance to the pending change, drawn by
+  // next_change().
+  SimTime change_in_ = kTimeNever;
 };
 
 // All source-model tunables in one place; experiments pass one of these

@@ -80,16 +80,20 @@ void Swarm::advance(SimTime dt, Rng& rng) {
            static_cast<double>(leechers_));
 }
 
-SimTime Swarm::next_seed_gap(Rng& rng) const {
-  if (!(seed_mean_ > 0.0)) return kTimeNever;
-  // Seeds arrive at rate λ = λL / L.
+SimTime Swarm::gap_at_rate(double weight, Rng& rng) const {
+  if (!(weight > 0.0)) return kTimeNever;
   const std::uint64_t draws = rng.draw_count();
   const double gap_s =
-      rng.exponential(to_seconds(params_.peer_lifetime) / seed_mean_);
+      rng.exponential(to_seconds(params_.peer_lifetime) / weight);
   ODR_COUNT_N("proto.swarm.draws", rng.draw_count() - draws);
-  // Beyond ~30,000 years the arrival is as good as never (and would
-  // overflow SimTime).
+  // Beyond ~30,000 years the event is as good as never (and would overflow
+  // SimTime).
   return gap_s < 1e12 ? from_seconds(gap_s) : kTimeNever;
+}
+
+SimTime Swarm::next_seed_gap(Rng& rng) const {
+  // Seeds arrive at rate λ = λL / L.
+  return gap_at_rate(seed_mean_, rng);
 }
 
 void Swarm::seed_arrives(SimTime dt, Rng& rng) {
@@ -100,6 +104,33 @@ void Swarm::seed_arrives(SimTime dt, Rng& rng) {
   seeds_ = 1;
   ODR_COUNT("proto.swarm.ticks");
   ODR_COUNT_N("proto.swarm.draws", rng.draw_count() - draws);
+}
+
+SimTime Swarm::next_change_gap(Rng& rng) const {
+  // Each present peer leaves at rate 1/L and each population gains peers
+  // at rate λL/L.
+  return gap_at_rate(static_cast<double>(seeds_) +
+                         static_cast<double>(leechers_) + seed_mean_ +
+                         leecher_mean_,
+                     rng);
+}
+
+void Swarm::change_once(Rng& rng) {
+  const double seeds = static_cast<double>(seeds_);
+  const double leechers = static_cast<double>(leechers_);
+  const std::uint64_t draws = rng.draw_count();
+  const double u =
+      rng.uniform() * (seeds + leechers + seed_mean_ + leecher_mean_);
+  ODR_COUNT_N("proto.swarm.draws", rng.draw_count() - draws);
+  if (u < seeds) {
+    --seeds_;
+  } else if (u < seeds + leechers) {
+    --leechers_;
+  } else if (u < seeds + leechers + seed_mean_) {
+    ++seeds_;
+  } else {
+    ++leechers_;
+  }
 }
 
 Rate Swarm::downloader_rate() const {

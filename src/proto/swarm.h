@@ -15,7 +15,9 @@
 // population is Poisson(λL). advance(Δ) applies the exact transition over
 // any interval in O(1): survivors are Binomial(n, e^{−Δ/L}) and arrivals
 // Poisson(λL(1 − e^{−Δ/L})). A seedless swarm needs no advance at all
-// until its next seed arrives, which next_seed_gap() samples exactly.
+// until its next seed arrives, which next_seed_gap() samples exactly; a
+// seeded one keeps its populations until its next birth or death, which
+// next_change_gap() samples exactly and change_once() applies.
 #pragma once
 
 #include <cstdint>
@@ -98,6 +100,15 @@ class Swarm {
   // swarm: the leechers advance over `dt`, and the seed count becomes 1.
   void seed_arrives(SimTime dt, Rng& rng);
 
+  // Time from now to the next birth or death in either population,
+  // Exp with rate (seeds + leechers + λL_seeds + λL_leechers) / L;
+  // kTimeNever if nothing can ever change.
+  SimTime next_change_gap(Rng& rng) const;
+
+  // Applies that next change: a seed death, a leecher death, a seed
+  // arrival or a leecher arrival, each picked in proportion to its rate.
+  void change_once(Rng& rng);
+
   // Service rate available to ONE additional downloader right now.
   Rate downloader_rate() const;
 
@@ -126,6 +137,9 @@ class Swarm {
 
   // P(a peer present now has left after dt) = 1 − e^{−dt/L}.
   double departure_prob(SimTime dt) const;
+  // Exp time to the next event of a process running at rate weight / L;
+  // kTimeNever if weight is 0.
+  SimTime gap_at_rate(double weight, Rng& rng) const;
   // One population whose peers each left with probability `leave`:
   // Binomial survivors plus Poisson(stationary_mean · leave) arrivals.
   static std::uint32_t advance_population(std::uint32_t n,

@@ -24,13 +24,15 @@ std::string hex(std::uint32_t v) {
 // A frame is id u32, version u32, payload length u64, CRC32C u32.
 constexpr std::size_t kFrameBytes = 20;
 
-SnapshotWriter::SnapshotWriter() {
-  // Start at 64 KiB. Grown from a few bytes by doubling, a world checkpoint
-  // interleaves a chain of small reallocations with the model's own
-  // allocations and fragments the heap: on a 4-core x86 VM, perfbench
-  // checkpoint_week peaked at 40.6 MiB RSS that way and 33.2 MiB with
-  // this reserve.
-  out_.reserve(std::size_t{1} << 16);
+// Start at 64 KiB. Grown from a few bytes by doubling, a world checkpoint
+// interleaves a chain of small reallocations with the model's own
+// allocations and fragments the heap: on a 4-core x86 VM, perfbench
+// checkpoint_week peaked at 40.6 MiB RSS that way and 33.2 MiB with this
+// reserve.
+SnapshotWriter::SnapshotWriter() : SnapshotWriter(std::size_t{1} << 16) {}
+
+SnapshotWriter::SnapshotWriter(std::size_t capacity) {
+  out_.reserve(capacity);
   raw(kMagic, 4);
   raw(kFormatVersion, 4);
 }

@@ -128,6 +128,8 @@ class SnapshotError : public std::runtime_error {
 class SnapshotWriter {
  public:
   SnapshotWriter();
+  // A writer whose buffer starts with room for `capacity` bytes.
+  explicit SnapshotWriter(std::size_t capacity);
   // A writer with no file header, for fields written outside any section:
   // take() returns those field bytes alone. The world serializes new
   // outcome records this way to extend its running log CRC.

@@ -1,6 +1,7 @@
 #include "snapshot/world.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -132,6 +133,7 @@ CloudWorld::CloudWorld(const analysis::ExperimentConfig& config,
   // No fresh checkpoint tick here: the checkpointed one is rearmed below,
   // keeping the resumed event stream identical to the uninterrupted run.
   load_from(buffer);
+  last_save_bytes_ = buffer.size();
 }
 
 // Every rng draw and every schedule call happens in a fixed order, so a
@@ -423,7 +425,11 @@ std::string CloudWorld::save_to_buffer() const {
         "checkpoint here would burn twice on restore",
         SnapshotErrorKind::kUsage);
   }
-  SnapshotWriter w;
+  // The power of two a buffer doubling from 64 KiB would end at for the
+  // last checkpoint and an eighth more, reserved at once: doubling copies
+  // the buffer at every power of two it crosses.
+  SnapshotWriter w(std::bit_ceil(std::max(
+      std::size_t{1} << 16, last_save_bytes_ + last_save_bytes_ / 8)));
   w.begin_section(kSectionMeta, kMetaVersion);
   w.u64(kTagFingerprint, config_fingerprint());
   w.u64(kTagRequestCount, requests_.size());
@@ -438,6 +444,7 @@ std::string CloudWorld::save_to_buffer() const {
     workload::save_task_outcome(w, o);
   }
   w.end_section();
+  last_save_bytes_ = w.size();
   return w.take();
 }
 

@@ -197,6 +197,9 @@ class CloudWorld {
   // never hashes or saves never serializes an outcome.
   mutable std::uint32_t log_crc_ = 0;
   mutable std::size_t logged_ = 0;
+  // Bytes of the last checkpoint saved or restored: the next save reserves
+  // its buffer from it. Capacity no byte reaches is never touched.
+  mutable std::size_t last_save_bytes_ = 0;
 
   sim::EventId checkpoint_event_ = sim::kInvalidEvent;
   // Deliberately NOT serialized: a resumed run re-counts from zero, and

@@ -248,14 +248,15 @@ TEST(TraceReplayTest, RecoversRecordedUserAttributes) {
 
 TEST(TraceReplayTest, MatchesPinnedFingerprint) {
   // The trace replay's exact result, recorded before the trace path became
-  // a CloudWorld constructor (and re-recorded once for the exact swarm
-  // advance and source timers): it must make the same rng draws and
-  // schedule the same events in the same order.
+  // a CloudWorld constructor (and re-recorded for the exact swarm advance
+  // and source timers, and again for seeded swarms' sample-aligned wakes):
+  // it must make the same rng draws and schedule the same events in the
+  // same order.
   const CloudReplayResult original = run_cloud_replay(tiny_config());
   const CloudReplayResult replayed =
       run_cloud_replay_from_trace(trace_of(original), tiny_config());
-  EXPECT_EQ(outcome_fingerprint(replayed.outcomes), 0x461234d8215fca1aull);
-  EXPECT_DOUBLE_EQ(replayed.cache_hit_ratio, 0.89128305582762002);
+  EXPECT_EQ(outcome_fingerprint(replayed.outcomes), 0xb4a7a412eb7ae16aull);
+  EXPECT_DOUBLE_EQ(replayed.cache_hit_ratio, 0.89324191968658173);
   EXPECT_EQ(replayed.duration, 691098266632);
 }
 
@@ -285,7 +286,7 @@ TEST(TraceReplayTest, RecordOrderDoesNotMatter) {
   }
   const CloudReplayResult replayed =
       run_cloud_replay_from_trace(trace, tiny_config());
-  EXPECT_EQ(outcome_fingerprint(replayed.outcomes), 0x461234d8215fca1aull);
+  EXPECT_EQ(outcome_fingerprint(replayed.outcomes), 0xb4a7a412eb7ae16aull);
   ASSERT_EQ(replayed.outcomes.size(), trace.requests.size());
   for (const auto& o : replayed.outcomes) {
     ASSERT_EQ(o.weekly_popularity, count_of[file_of.at(o.task_id)])
@@ -360,10 +361,9 @@ TEST(StrategyReplayTest, OdrBeatsCloudOnlyOnImpediment) {
 
   const auto cloud_metrics =
       strategy_metrics("cloud", cloud_result.outcomes, cloud_result.duration,
-                       cloud_result.cloud_capacity, 0.0);
+                       0.0);
   const auto odr_metrics =
       strategy_metrics("odr", odr_result.outcomes, odr_result.duration,
-                       odr_result.cloud_capacity,
                        odr_result.storage_throttled_fraction);
   ASSERT_GT(cloud_metrics.tasks, 0u);
   ASSERT_GT(odr_metrics.tasks, 0u);
@@ -386,11 +386,11 @@ TEST(StrategyReplayTest, ApOnlyFailsMoreOnUnpopular) {
   const auto odr_result = run_strategy_replay(odr_cfg);
 
   const auto ap_metrics = strategy_metrics(
-      "ap", ap_result.outcomes, ap_result.duration, ap_result.cloud_capacity,
+      "ap", ap_result.outcomes, ap_result.duration,
       ap_result.storage_throttled_fraction);
   const auto odr_metrics = strategy_metrics(
       "odr", odr_result.outcomes, odr_result.duration,
-      odr_result.cloud_capacity, odr_result.storage_throttled_fraction);
+      odr_result.storage_throttled_fraction);
   // Bottleneck 3: the AP-only baseline fails unpopular files far more.
   EXPECT_GT(ap_metrics.unpopular_failure,
             1.5 * odr_metrics.unpopular_failure);

@@ -129,8 +129,7 @@ TEST(StrategyCalibration, OdrBeatsEveryBaselineOnItsBottleneck) {
     const auto r = run_strategy_replay(cfg);
     return std::make_pair(
         strategy_metrics(std::string(core::strategy_name(s)), r.outcomes,
-                         r.duration, r.cloud_capacity,
-                         r.storage_throttled_fraction),
+                         r.duration, r.storage_throttled_fraction),
         r);
   };
   const auto [cloud, cloud_raw] = run(core::Strategy::kCloudOnly);

@@ -23,9 +23,12 @@ class FakeSource final : public Source {
   // Test-only source; never checkpointed.
   void save(snapshot::SnapshotWriter&) const override {}
 
+  // The test changes the rate from outside, so the task samples it this
+  // often.
+  static constexpr SimTime kPollPeriod = 5 * kMinute;
+
   Rate current_rate() const override { return rate_; }
-  // The test changes the rate from outside, so the task samples it.
-  SimTime next_change(Rng&) override { return kRateDrifts; }
+  SimTime next_change(Rng&) override { return kPollPeriod; }
   SimTime fatal_after() const override { return fatal_after_; }
   double traffic_factor() const override { return traffic_; }
   Protocol protocol() const override { return protocol_; }
@@ -104,7 +107,7 @@ TEST_F(DownloadTest, StagnationTimesOut) {
   // Fails at the first tick after one stagnant hour.
   EXPECT_GE(sim.now(), DownloadTask::kStagnationTimeout);
   EXPECT_LE(sim.now(),
-            DownloadTask::kStagnationTimeout + 2 * DownloadTask::kTickPeriod);
+            DownloadTask::kStagnationTimeout + 2 * FakeSource::kPollPeriod);
 }
 
 TEST_F(DownloadTest, StagnationCauseIsHttpForServerSources) {
@@ -159,7 +162,7 @@ TEST_F(DownloadTest, HardTimeoutBoundsAttempt) {
   EXPECT_EQ(result->cause, FailureCause::kPoorHttpConnection);
   // Fails at the first tick at or past the hard timeout.
   EXPECT_GE(sim.now(), DownloadTask::kHardTimeout);
-  EXPECT_LE(sim.now(), DownloadTask::kHardTimeout + DownloadTask::kTickPeriod);
+  EXPECT_LE(sim.now(), DownloadTask::kHardTimeout + FakeSource::kPollPeriod);
 }
 
 TEST_F(DownloadTest, AbortReportsAborted) {
@@ -255,6 +258,46 @@ TEST_F(DownloadTest, SeedlessSwarmWakesExactlyAtItsSeedArrival) {
   EXPECT_TRUE(task.running());
   sim.run_until(sim.now() + kMinute);
   EXPECT_GT(task.bytes_done(), 0u);
+}
+
+TEST_F(DownloadTest, SeededSwarmWakesOnlyAtSamplesAfterAChange) {
+  // A seeded swarm's task sleeps through every sample before the swarm's
+  // next birth or death: each wake lands on started_at + k·kTickPeriod,
+  // and over six hours the task wakes at far fewer samples than there are.
+  const SourceParams params;
+  Rng pick(29);
+  std::unique_ptr<SwarmSource> source;
+  do {
+    source = std::make_unique<SwarmSource>(Protocol::kBitTorrent, 10.0,
+                                           params.swarm, pick);
+  } while (source->swarm().seeds() < 4);
+  const SwarmSource* raw = source.get();
+  sim.run_until(7 * kMinute);  // start off the origin and off the lattice
+  const SimTime started = sim.now();
+  // Far too large to finish: every event before the end is the task's.
+  DownloadTask task(sim, net, std::move(source), Bytes{1} << 40, {},
+                    capture());
+  task.start(rng);
+
+  constexpr SimTime kPeriod = SwarmSource::kTickPeriod;
+  const SimTime horizon = started + 6 * kHour;
+  int wakes = 0;
+  int changes = 0;
+  while (task.running() && sim.now() < horizon) {
+    const std::uint32_t seeds = raw->swarm().seeds();
+    const std::uint32_t leechers = raw->swarm().leechers();
+    ASSERT_TRUE(sim.step());
+    ASSERT_GT(raw->swarm().seeds(), 0u) << "the swarm went seedless";
+    EXPECT_EQ((sim.now() - started) % kPeriod, 0)
+        << "woke " << sim.now() - started << " after the start";
+    ++wakes;
+    if (raw->swarm().seeds() != seeds || raw->swarm().leechers() != leechers) {
+      ++changes;
+    }
+  }
+  EXPECT_TRUE(task.running());
+  EXPECT_GT(changes, 0);
+  EXPECT_LT(wakes, (horizon - started) / kPeriod / 2);
 }
 
 TEST_F(DownloadTest, FatalServerBreakFinishesExactlyAtItsBreakTime) {

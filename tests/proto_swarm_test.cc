@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <optional>
+#include <vector>
 
 #include "proto/source.h"
 
@@ -140,6 +141,106 @@ TEST(SwarmTest, TwoHalfAdvancesMatchOneWholeAdvance) {
       EXPECT_NEAR(got.variance / variance, 1.0, 0.06) << "dt " << dt;
     }
   }
+}
+
+TEST(SwarmTest, SampleAlignedWakesMatchPerPeriodAdvances) {
+  // A seeded SwarmSource skips the samples before its next birth or death
+  // and then applies that one change plus the exact transition over the
+  // rest of the interval. From one fixed (seeds, leechers) state, the
+  // populations and the rate it shows at each of the next 12 samples
+  // must have the law of an advance at every sample: both match the
+  // M/M/∞ moments n0·q + m(1 − q) and n0·q(1 − q) + m(1 − q), q =
+  // e^{−kP/L}, and their mean rates agree. The wake skips the first
+  // sample exactly when nothing changed in it, with probability e^{−rP}.
+  constexpr SimTime kPeriod = SwarmSource::kTickPeriod;
+  constexpr int kSamples = 12;
+  const double pop = 20.0;
+  const SwarmParams params = default_params();
+  const double seed_mean = stationary_seeds(pop);
+  const double leecher_mean = params.leechers_per_popularity * pop;
+  Rng rng(31);
+  std::optional<SwarmSource> start;
+  // Enough seeds that no trial goes seedless within the hour (a seedless
+  // swarm's leechers wait for its seed arrival to advance).
+  while (!start || start->swarm().seeds() < 6) {
+    start.emplace(Protocol::kBitTorrent, pop, params, rng);
+  }
+  const double s0 = start->swarm().seeds();
+  const double l0 = start->swarm().leechers();
+  const double lifetime = static_cast<double>(params.peer_lifetime);
+
+  struct Sums {
+    double seeds = 0, seeds_sq = 0, leechers = 0, leechers_sq = 0;
+    double rate = 0, rate_sq = 0;
+    void add(const Swarm& s) {
+      const double a = s.seeds(), b = s.leechers(), r = s.downloader_rate();
+      seeds += a;
+      seeds_sq += a * a;
+      leechers += b;
+      leechers_sq += b * b;
+      rate += r;
+      rate_sq += r * r;
+    }
+  };
+  std::vector<Sums> per_period(kSamples + 1), aligned(kSamples + 1);
+  const int n = 100000;
+  int first_sample_skipped = 0;
+  for (int trial = 0; trial < n; ++trial) {
+    Swarm every = start->swarm();
+    for (int k = 1; k <= kSamples; ++k) {
+      every.advance(kPeriod, rng);
+      per_period[k].add(every);
+    }
+
+    SwarmSource source = *start;
+    SimTime last = 0;
+    SimTime wake = source.next_change(rng);
+    ASSERT_EQ(wake % kPeriod, 0);
+    if (wake > kPeriod) ++first_sample_skipped;
+    for (int k = 1; k <= kSamples; ++k) {
+      while (last + wake <= k * kPeriod) {
+        ASSERT_GT(source.swarm().seeds(), 0u);
+        source.advance(wake, rng);
+        last += wake;
+        wake = source.next_change(rng);
+      }
+      aligned[k].add(source.swarm());
+    }
+  }
+
+  auto check = [&](const char* what, double sum, double sum_sq, double x0,
+                   double m, double q, int k) {
+    const double mean = x0 * q + m * (1.0 - q);
+    const double variance = x0 * q * (1.0 - q) + m * (1.0 - q);
+    const double got_mean = sum / n;
+    const double got_var = sum_sq / n - got_mean * got_mean;
+    EXPECT_NEAR(got_mean, mean, 5.0 * std::sqrt(variance / n))
+        << what << " after " << k << " periods";
+    EXPECT_NEAR(got_var / variance, 1.0, 0.04)
+        << what << " after " << k << " periods";
+  };
+  for (int k = 1; k <= kSamples; ++k) {
+    const double q = std::exp(-static_cast<double>(k * kPeriod) / lifetime);
+    for (const Sums* sums : {&per_period[k], &aligned[k]}) {
+      const char* rule = sums == &aligned[k] ? "aligned" : "per-period";
+      SCOPED_TRACE(rule);
+      check("seeds", sums->seeds, sums->seeds_sq, s0, seed_mean, q, k);
+      check("leechers", sums->leechers, sums->leechers_sq, l0, leecher_mean,
+            q, k);
+    }
+    const Sums& a = per_period[k];
+    const Sums& b = aligned[k];
+    const double var_a = a.rate_sq / n - (a.rate / n) * (a.rate / n);
+    const double var_b = b.rate_sq / n - (b.rate / n) * (b.rate / n);
+    EXPECT_NEAR(b.rate / n, a.rate / n, 5.0 * std::sqrt((var_a + var_b) / n))
+        << "mean rate after " << k << " periods";
+  }
+
+  const double r =
+      (s0 + l0 + seed_mean + leecher_mean) / lifetime;  // per SimTime unit
+  const double p_still = std::exp(-r * static_cast<double>(kPeriod));
+  EXPECT_NEAR(static_cast<double>(first_sample_skipped) / n, p_still,
+              5.0 * std::sqrt(p_still * (1.0 - p_still) / n));
 }
 
 TEST(SwarmTest, SeedlessSwarmWaitsForExponentialSeedArrival) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/metrics.h"
 #include "analysis/replay.h"
 #include "cloud/storage_pool.h"
 #include "core/budget.h"
@@ -145,28 +146,23 @@ TEST(SnapshotRngTest, RoundTripReproducesDrawSequence) {
 
 // --- download task ---------------------------------------------------------
 
-// A task whose swarm has no seed sleeps until its first seed arrives. A
-// checkpoint taken mid-sleep restores the same wake, the same draws after
-// it and the same result, and saves back to the same bytes.
-TEST(SnapshotTaskTest, TaskRestoredMidSleepIsBitIdentical) {
+// Starts a `file_size` task on the swarm that make_source builds from
+// `before`, 7 minutes off the clock's origin, checkpoints it at
+// `checkpoint_at` and restores the checkpoint into a fresh simulator: the
+// restored task must save back to the same bytes, wake at the same time,
+// make the same draws after it and finish with the same result as an
+// uninterrupted control.
+void expect_mid_sleep_restore_is_bit_identical(const Rng& before,
+                                               Bytes file_size,
+                                               SimTime checkpoint_at) {
   const proto::SourceParams params;
-  // The rng state from which make_source builds a seedless tail swarm.
-  Rng before(21);
-  for (;;) {
-    Rng probe = before;
-    if (proto::make_source(proto::Protocol::kBitTorrent, 3.0, params, probe)
-            ->current_rate() == 0.0) {
-      break;
-    }
-    before = probe;
-  }
   auto make_task = [&](sim::Simulator& sim, net::Network& net,
                        std::optional<proto::DownloadResult>& out) {
     Rng r = before;
     return std::make_unique<proto::DownloadTask>(
         sim, net,
         proto::make_source(proto::Protocol::kBitTorrent, 3.0, params, r),
-        Bytes{64} << 20, proto::DownloadTask::Config{},
+        file_size, proto::DownloadTask::Config{},
         [&out](const proto::DownloadResult& result) { out = result; });
   };
 
@@ -182,7 +178,7 @@ TEST(SnapshotTaskTest, TaskRestoredMidSleepIsBitIdentical) {
   sim_a.run();
   ASSERT_TRUE(result_a.has_value());
 
-  // Victim: checkpointed one minute into its sleep.
+  // Victim: checkpointed during its sleep.
   sim::Simulator sim_b;
   net::Network net_b(sim_b);
   Rng rng_b(5);
@@ -190,9 +186,11 @@ TEST(SnapshotTaskTest, TaskRestoredMidSleepIsBitIdentical) {
   auto task_b = make_task(sim_b, net_b, unused);
   sim_b.run_until(7 * kMinute);
   task_b->start(rng_b);
-  sim_b.run_until(8 * kMinute);
+  const std::uint64_t executed_at_start = sim_b.executed_count();
+  sim_b.run_until(checkpoint_at);
+  ASSERT_EQ(sim_b.executed_count(), executed_at_start)
+      << "the task woke before the checkpoint";
   ASSERT_TRUE(task_b->running());
-  ASSERT_EQ(task_b->source().current_rate(), 0.0);
   ASSERT_TRUE(task_b->event_pending());
   auto save = [](const sim::Simulator& sim, const net::Network& net,
                  const proto::DownloadTask& task, const Rng& rng) {
@@ -236,6 +234,53 @@ TEST(SnapshotTaskTest, TaskRestoredMidSleepIsBitIdentical) {
   EXPECT_EQ(sim_c.executed_count(), sim_a.executed_count());
   EXPECT_EQ(rng_c.state().s, rng_a.state().s);
   EXPECT_EQ(rng_c.draw_count(), rng_a.draw_count());
+}
+
+// A task whose swarm has no seed sleeps until its first seed arrives. A
+// checkpoint taken mid-sleep restores the same wake, the same draws after
+// it and the same result, and saves back to the same bytes.
+TEST(SnapshotTaskTest, TaskRestoredMidSleepIsBitIdentical) {
+  const proto::SourceParams params;
+  // The rng state from which make_source builds a seedless tail swarm.
+  Rng before(21);
+  for (;;) {
+    Rng probe = before;
+    if (proto::make_source(proto::Protocol::kBitTorrent, 3.0, params, probe)
+            ->current_rate() == 0.0) {
+      break;
+    }
+    before = probe;
+  }
+  expect_mid_sleep_restore_is_bit_identical(before, Bytes{64} << 20,
+                                            8 * kMinute);
+}
+
+// A seeded swarm's task sleeps through the samples before the swarm's
+// next birth or death. A checkpoint taken after it skipped a sample, with
+// that change still pending, restores the same pending change: the same
+// wake, the same draws and the same result.
+TEST(SnapshotTaskTest, SeededTaskRestoredMidSleepIsBitIdentical) {
+  const proto::SourceParams params;
+  constexpr SimTime kPeriod = proto::SwarmSource::kTickPeriod;
+  // The rng state from which make_source builds a seeded swarm whose first
+  // change, drawn from the task's rng at start, is at least two samples
+  // away.
+  Rng before(22);
+  for (int tries = 0;; ++tries) {
+    ASSERT_LT(tries, 10000) << "no seeded swarm sleeps past a sample";
+    Rng probe = before;
+    auto source =
+        proto::make_source(proto::Protocol::kBitTorrent, 3.0, params, probe);
+    Rng task_rng(5);
+    if (source->current_rate() > 0.0 &&
+        source->next_change(task_rng) >= 2 * kPeriod) {
+      break;
+    }
+    before = probe;
+  }
+  // Large enough that the flow cannot finish before the checkpoint.
+  expect_mid_sleep_restore_is_bit_identical(before, Bytes{1} << 30,
+                                            7 * kMinute + kPeriod + kMinute);
 }
 
 // --- simulator -------------------------------------------------------------
@@ -843,6 +888,33 @@ TEST_F(WorldTest, KillAndResumeIsBitIdentical) {
   }
 }
 
+// Mid-week, the VM pool holds seeded tasks asleep toward a pending birth
+// or death. A world checkpointed then and restored must reach the same
+// final state hash and outcome fingerprint as the uninterrupted week.
+TEST_F(WorldTest, RestoreAmidSleepingSeededTasksReachesTheSameEnd) {
+  const auto cfg = analysis::make_scaled_config(4000, 20151028);
+  snapshot::CloudWorld baseline(cfg, options());
+  const std::uint64_t total_events = baseline.run();
+  ASSERT_GT(total_events, 1000u);
+  const snapshot::StateHash want = baseline.hash_now();
+  const std::uint64_t want_fp =
+      analysis::outcome_fingerprint(baseline.finalize().outcomes);
+
+  for (const std::uint64_t at : {total_events / 3, total_events / 2}) {
+    snapshot::CloudWorld victim(cfg, options());
+    ASSERT_EQ(victim.run(at), at);
+    snapshot::CloudWorld resumed(cfg, options(), victim.save_to_buffer());
+    resumed.run();
+    const snapshot::StateHash got = resumed.hash_now();
+    EXPECT_EQ(got.combined, want.combined) << "checkpoint at event " << at;
+    EXPECT_TRUE(snapshot::divergent_subsystems(got, want).empty())
+        << "checkpoint at event " << at;
+    EXPECT_EQ(analysis::outcome_fingerprint(resumed.finalize().outcomes),
+              want_fp)
+        << "checkpoint at event " << at;
+  }
+}
+
 // A restore skips the warm-up: it reloads the pool and content DB the
 // warm-up would fill. The restored world must hash equal to its source at
 // every checkpoint, including one taken before the first event, where the
@@ -1020,17 +1092,18 @@ std::size_t section_frame(const std::string& buf, std::uint32_t id) {
 }
 
 TEST_F(WorldTest, VmSectionVersionOneIsRefused) {
-  // A v1 vm section serialized an external-seed count per swarm, and a v2
-  // one a server source's break clock and flags; this build refuses both
-  // with the section-version diagnostic.
+  // A v1 vm section serialized an external-seed count per swarm, a v2 one
+  // a server source's break clock and flags, and in a v3 one a seeded
+  // task's wake was a plain 5-minute sample with no pending change; this
+  // build refuses all three with the section-version diagnostic.
   const auto cfg = small_config(5);
   snapshot::CloudWorld world(cfg, options());
   world.run(500);
   const std::string current = world.save_to_buffer();
   const std::size_t vm =
       section_frame(current, snapshot::section_id(snapshot::Subsystem::kVm));
-  ASSERT_EQ(current[vm + 4], 3);  // the vm section's version, little-endian
-  for (const char version : {1, 2}) {
+  ASSERT_EQ(current[vm + 4], 4);  // the vm section's version, little-endian
+  for (const char version : {1, 2, 3}) {
     std::string old = current;
     old[vm + 4] = version;
     try {

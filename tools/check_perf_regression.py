@@ -48,6 +48,12 @@ task outcome of the replay, so a change means the simulation changed, not
 that it got slower; a pinned divisor with no measured run, or a run with
 no fingerprint field, is a hard failure like a missing wall-seconds key.
 
+A family may pin "events" the same way: a per-divisor count of simulator
+events the exact-mode run executed, which must match exactly. The count is
+a pure function of divisor and seed, so it pins the work a week does, not
+only its outcome: a change that keeps every outcome but wakes tasks more
+often moves it. A missing count or divisor is a hard failure.
+
 Usage:
   tools/check_perf_regression.py --baseline bench/baselines/perf_smoke.json \
       --results BENCH_perf_scale.json
@@ -71,6 +77,7 @@ def load_families(baseline):
             "exact_wall_seconds": baseline["exact_wall_seconds"],
             "rss_ceiling_bytes": baseline.get("rss_ceiling_bytes", {}),
             "fingerprints": baseline.get("fingerprints", {}),
+            "events": baseline.get("events", {}),
             "values": {},
             "require": {},
         }
@@ -80,6 +87,7 @@ def load_families(baseline):
             "exact_wall_seconds": spec.get("exact_wall_seconds", {}),
             "rss_ceiling_bytes": spec.get("rss_ceiling_bytes", {}),
             "fingerprints": spec.get("fingerprints", {}),
+            "events": spec.get("events", {}),
             "values": spec.get("values", {}),
             "require": spec.get("require", {}),
         }
@@ -97,6 +105,41 @@ def lookup(results, path):
             return _MISSING
         cur = cur[part]
     return cur
+
+
+def check_pinned(results, results_path, field, what, reference, valid):
+    """Holds each pinned divisor's exact run's `field` to `reference`.
+
+    Returns (divisors checked, failure keys, pinned divisors with no run).
+    A run whose field fails `valid` is a failure naming `what`.
+    """
+    checked = set()
+    failures = []
+    for run in results.get("runs", []):
+        if run.get("mode") != "exact":
+            continue
+        key = "%g" % run["divisor"]
+        if key not in reference:
+            continue
+        checked.add(key)
+        measured = run.get(field)
+        if not valid(measured):
+            print(f"error: exact-mode run at divisor {key} has no "
+                  f"{what} in {results_path} — field missing or "
+                  f"renamed", file=sys.stderr)
+            failures.append(f"{field}@{key}")
+            continue
+        ok = measured == reference[key]
+        print(f"divisor {key:>6}: {field} {measured} vs pinned "
+              f"{reference[key]} {'OK' if ok else 'CHANGED'}")
+        if not ok:
+            failures.append(f"{field}@{key}")
+    missing = sorted(set(reference) - checked, key=float)
+    for key in missing:
+        print(f"error: {field} divisor {key} has no exact-mode run in "
+              f"{results_path} — measured run missing or renamed",
+              file=sys.stderr)
+    return checked, failures, missing
 
 
 def main() -> int:
@@ -186,34 +229,16 @@ def main() -> int:
               f"{args.results} — measured run missing or renamed",
               file=sys.stderr)
 
-    # Fingerprints: each pinned divisor's exact run must report it verbatim.
-    fp_reference = {str(k): str(v) for k, v in spec["fingerprints"].items()}
-    fp_checked = set()
-    fp_failures = []
-    for run in results.get("runs", []):
-        if run.get("mode") != "exact":
-            continue
-        key = "%g" % run["divisor"]
-        if key not in fp_reference:
-            continue
-        fp_checked.add(key)
-        measured = run.get("fingerprint")
-        if not isinstance(measured, str):
-            print(f"error: exact-mode run at divisor {key} has no "
-                  f"fingerprint in {args.results} — field missing or "
-                  f"renamed", file=sys.stderr)
-            fp_failures.append(f"fingerprint@{key}")
-            continue
-        ok = measured == fp_reference[key]
-        print(f"divisor {key:>6}: fingerprint {measured} vs pinned "
-              f"{fp_reference[key]} {'OK' if ok else 'CHANGED'}")
-        if not ok:
-            fp_failures.append(f"fingerprint@{key}")
-    fp_missing = sorted(set(fp_reference) - fp_checked, key=float)
-    for key in fp_missing:
-        print(f"error: fingerprint divisor {key} has no exact-mode run in "
-              f"{args.results} — measured run missing or renamed",
-              file=sys.stderr)
+    # Fingerprints and event counts: each pinned divisor's exact run must
+    # report them verbatim.
+    fp_checked, fp_failures, fp_missing = check_pinned(
+        results, args.results, "fingerprint", "fingerprint",
+        {str(k): str(v) for k, v in spec["fingerprints"].items()},
+        lambda v: isinstance(v, str))
+    ev_checked, ev_failures, ev_missing = check_pinned(
+        results, args.results, "events", "events count",
+        {str(k): int(v) for k, v in spec["events"].items()},
+        lambda v: isinstance(v, int) and not isinstance(v, bool))
 
     # Value windows: deterministic result keys held to [ref*min, ref*max].
     value_checks = 0
@@ -255,15 +280,16 @@ def main() -> int:
             require_failures.append(path)
 
     if (missing or value_failures or require_failures or rss_missing or
-            rss_missing_field or fp_missing or fp_failures):
+            rss_missing_field or fp_missing or fp_failures or ev_missing or
+            ev_failures):
         bad = (failures + value_failures + require_failures + rss_failures +
-               fp_failures)
+               fp_failures + ev_failures)
         if bad:
             print(f"perf regression at key(s): {', '.join(bad)}",
                   file=sys.stderr)
         return 1
     if (not checked and value_checks == 0 and require_checks == 0 and
-            not rss_checked and not fp_checked):
+            not rss_checked and not fp_checked and not ev_checked):
         print("error: no runs or result keys matched the baseline",
               file=sys.stderr)
         return 1
@@ -272,7 +298,7 @@ def main() -> int:
               f"{', '.join(failures + rss_failures)}", file=sys.stderr)
         return 1
     total = (len(checked) + value_checks + require_checks +
-             len(rss_checked) + len(fp_checked))
+             len(rss_checked) + len(fp_checked) + len(ev_checked))
     print(f"perf smoke [{family}]: {total} check(s) within baseline "
           f"(limit {max_ratio:.1f}x on wall seconds)")
     return 0

@@ -4,8 +4,9 @@
 Exercises the gate's verdicts against synthetic JSON: clean pass,
 regression, a baseline divisor with no measured run (the silent-skip bug
 this guards against), an empty intersection, RSS ceilings, pinned
-fingerprints, families and value windows. Also checks that the checked-in
-baselines pin a fingerprint for every perf_scale rung they time.
+fingerprints and event counts, families and value windows. Also checks
+that the checked-in baselines pin a fingerprint and an event count for
+every perf_scale rung they time.
 
 Usage:
   python3 tools/test_check_perf_regression.py
@@ -41,9 +42,9 @@ def baseline(divisors, max_ratio=2.0):
             "exact_wall_seconds": {k: v for k, v in divisors.items()}}
 
 
-def results(runs, bench=None, rss=None, fingerprints=None):
-    """rss and fingerprints map divisor -> peak_rss_bytes / fingerprint
-    for the exact-mode runs."""
+def results(runs, bench=None, rss=None, fingerprints=None, events=None):
+    """rss, fingerprints and events map divisor -> peak_rss_bytes /
+    fingerprint / events for the exact-mode runs."""
     out = {"runs": []}
     for mode, d, w in runs:
         run = {"mode": mode, "divisor": d, "wall_seconds": w}
@@ -51,6 +52,8 @@ def results(runs, bench=None, rss=None, fingerprints=None):
             run["peak_rss_bytes"] = rss[d]
         if fingerprints is not None and mode == "exact" and d in fingerprints:
             run["fingerprint"] = fingerprints[d]
+        if events is not None and mode == "exact" and d in events:
+            run["events"] = events[d]
         out["runs"].append(run)
     if bench is not None:
         out["bench"] = bench
@@ -197,6 +200,46 @@ class CheckPerfRegressionTest(unittest.TestCase):
         self.assertIn("fingerprint divisor 100 has no exact-mode run",
                       proc.stderr)
 
+    # --- pinned event counts -----------------------------------------------
+
+    @staticmethod
+    def events_baseline():
+        b = baseline({"400": 10.0})
+        b["events"] = {"400": 35768}
+        return b
+
+    def test_events_match_passes(self):
+        proc = run_gate(self.events_baseline(),
+                        results([("exact", 400, 10.0)], events={400: 35768}))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("events 35768 vs pinned 35768 OK", proc.stdout)
+        self.assertIn("2 check(s) within", proc.stdout)
+
+    def test_events_change_fails_naming_divisor(self):
+        # Same outcomes, more wakes: the work moved, so the gate must fail
+        # even though wall seconds pass.
+        proc = run_gate(self.events_baseline(),
+                        results([("exact", 400, 1.0)], events={400: 35769}))
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("CHANGED", proc.stdout)
+        self.assertIn("events@400", proc.stderr)
+
+    def test_events_missing_field_fails(self):
+        proc = run_gate(self.events_baseline(),
+                        results([("exact", 400, 10.0)]))
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("no events count", proc.stderr)
+        self.assertIn("events@400", proc.stderr)
+
+    def test_events_missing_divisor_fails(self):
+        b = self.events_baseline()
+        b["events"]["100"] = 140000
+        proc = run_gate(b, results([("exact", 400, 10.0)],
+                                   events={400: 35768}))
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("events divisor 100 has no exact-mode run",
+                      proc.stderr)
+
     def test_checked_in_baselines_pin_every_timed_rung(self):
         here = os.path.dirname(os.path.abspath(__file__))
         for name in ("perf_smoke.json", "perf_full.json"):
@@ -207,6 +250,11 @@ class CheckPerfRegressionTest(unittest.TestCase):
                              set(b["exact_wall_seconds"]), name)
             for key, fp in b["fingerprints"].items():
                 self.assertRegex(fp, r"^[0-9a-f]{16}$", f"{name} @ {key}")
+            self.assertEqual(set(b["events"]),
+                             set(b["exact_wall_seconds"]), name)
+            for key, count in b["events"].items():
+                self.assertIsInstance(count, int, f"{name} @ {key}")
+                self.assertGreater(count, 0, f"{name} @ {key}")
 
     # --- benchmark families ------------------------------------------------
 
