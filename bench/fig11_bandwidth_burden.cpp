@@ -59,6 +59,9 @@ int main(int argc, char** argv) {
   std::fputs(table.render().c_str(), stdout);
 
   const double peak_gbps = rate_to_gbps(series.all.peak_rate()) * up;
+  // The largest bin is one burst; the p95 says whether the week's busy
+  // hours, not one 5-minute bin, reach the purchased capacity.
+  const double p95_gbps = rate_to_gbps(series.all.rate_quantile(0.95)) * up;
   using analysis::ComparisonRow;
   std::fputs(
       analysis::comparison_table(
@@ -68,6 +71,8 @@ int main(int argc, char** argv) {
                TextTable::num(peak_gbps, 1) + " Gbps"},
               {"peak exceeds purchased capacity", "yes (day 7)",
                peak_gbps > 30.0 ? "yes" : "no"},
+              {"p95 of the week's 5-minute bins", "n/a (not reported)",
+               TextTable::num(p95_gbps, 1) + " Gbps"},
               {"highly-popular share of burden", "~40%",
                analysis::fmt_pct(total_all > 0 ? total_hp / total_all : 0.0)},
               {"rejected fetch requests", "1.5%",

@@ -5,6 +5,7 @@
 // popularity profile and catalog sampler, and the swarm advance.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -56,6 +57,36 @@ void BM_MaxMinFairReallocation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * flows);
 }
 BENCHMARK(BM_MaxMinFairReallocation)->Arg(16)->Arg(128)->Arg(1024)->Arg(8192);
+
+// Full re-solves of one saturated link whose flows all cross it alone —
+// a cloud upload cluster. range(0) flows with caps from 100 to 500 kB/s
+// (1,000 distinct values, so ties at 10,000 flows) share a link of
+// 200 kB/s per flow, so some run at their
+// caps and the rest at the fair level. Each iteration starts one more such
+// flow and cancels it: two full solves of the link. Items are flows
+// solved, so ns per flow = 1e9 / items_per_second. 75 flows is a cluster
+// link's load at divisor 100, 10,000 at divisor 1.
+void BM_SaturatedLinkResolve(benchmark::State& state) {
+  const int flows = static_cast<int>(state.range(0));
+  odr::sim::Simulator sim;
+  odr::net::Network net(sim);
+  const odr::net::LinkId link = net.add_link("cluster", odr::net::kUnlimitedRate);
+  const auto cap_of = [](std::int64_t i) {
+    return 1e5 + static_cast<double>(i * 7919 % 1000) * 400.0;
+  };
+  for (int i = 0; i < flows; ++i) {
+    net.start_flow({{link}, 1ull << 40, cap_of(i), nullptr});
+  }
+  net.set_link_capacity(link, 2e5 * flows);
+  std::int64_t next = flows;
+  for (auto _ : state) {
+    const odr::net::FlowId extra =
+        net.start_flow({{link}, 1ull << 40, cap_of(next++), nullptr});
+    net.cancel_flow(extra);
+  }
+  state.SetItemsProcessed(state.iterations() * (2 * flows + 1));
+}
+BENCHMARK(BM_SaturatedLinkResolve)->Arg(75)->Arg(10000);
 
 // Cancel-heavy queue: half the scheduled events are cancelled before the
 // run, exercising the lazy-deletion tombstones and heap compaction.
@@ -109,7 +140,9 @@ void BM_ComponentScopedCancel(benchmark::State& state) {
   odr::net::Network net(sim);
   std::vector<odr::net::LinkId> links;
   for (int c = 0; c < components; ++c) {
-    links.push_back(net.add_link("l" + std::to_string(c), 1e9));
+    std::string name("l");
+    name.append(std::to_string(c));
+    links.push_back(net.add_link(name, 1e9));
     for (int i = 1; i < flows_per; ++i) {
       net.start_flow({{links.back()}, 1ull << 32, odr::net::kUnlimitedRate,
                       nullptr});

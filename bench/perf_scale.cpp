@@ -5,9 +5,12 @@
 // tasks/second, the share of the wall spent building the world before its
 // first event (set-up), the run's outcome fingerprint (so a scale sweep
 // doubles as a determinism check against the pinned goldens), the events
-// the week executed (the work, a pure function of divisor and seed), and
-// the process peak RSS sampled after every rung of the ladder — the
-// per-rung deltas are what tools/check_perf_regression.py budgets.
+// the week executed (the work, a pure function of divisor and seed), the
+// flow solver's work read from the run's observer (full solves, their
+// water-filling steps, and completions kept or rescheduled by a solve —
+// also pure functions of divisor and seed), and the process peak RSS
+// sampled after every rung of the ladder — the per-rung deltas are what
+// tools/check_perf_regression.py budgets.
 //
 // Timing fidelity vs wall clock: with --workers=1 (the default) runs are
 // timed back to back on an otherwise idle process, so the per-run seconds
@@ -43,6 +46,12 @@ struct ScaleRun {
   double setup_seconds = 0.0;  // building the world, before its first event
   std::size_t tasks = 0;
   std::uint64_t events = 0;  // simulator events executed by the week
+  // Flow-solver work: full solves, their water-filling steps, and pending
+  // completions a rate update kept or rescheduled.
+  std::uint64_t solver_runs = 0;
+  std::uint64_t solver_iterations = 0;
+  std::uint64_t completions_kept = 0;
+  std::uint64_t completions_rescheduled = 0;
   std::uint64_t fingerprint = 0;
   std::uint64_t peak_rss_bytes = 0;  // sampled right after the run
   double tasks_per_second() const {
@@ -76,6 +85,12 @@ ScaleRun run_week(double divisor, std::uint64_t seed) {
   r.setup_seconds = std::chrono::duration<double>(t_built - t0).count();
   r.tasks = result.outcomes.size();
   r.events = events;
+  obs::Registry& metrics = obs->metrics();
+  r.solver_runs = metrics.counter("net.solver.runs").value();
+  r.solver_iterations = metrics.counter("net.solver.iterations").value();
+  r.completions_kept = metrics.counter("net.completions.kept").value();
+  r.completions_rescheduled =
+      metrics.counter("net.completions.rescheduled").value();
   r.fingerprint = analysis::outcome_fingerprint(result.outcomes);
   // Peak RSS is a process high-water mark: monotone over the ladder, so
   // the delta each rung adds on top of the cheaper rungs is attributable
@@ -174,14 +189,18 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(batch1 - batch0).count();
   const std::uint64_t rss = run::peak_rss_bytes();
 
-  TextTable table({"divisor", "tasks", "events", "wall s", "set-up s",
+  TextTable table({"divisor", "tasks", "events", "solves", "solve steps",
+                   "kept", "rescheduled", "wall s", "set-up s",
                    "set-up share", "tasks/s", "peak RSS MiB", "fingerprint"});
   for (const ScaleRun& r : runs) {
     char fp[24];
     std::snprintf(fp, sizeof(fp), "%016llx",
                   static_cast<unsigned long long>(r.fingerprint));
     table.add_row({TextTable::num(r.divisor, 0), std::to_string(r.tasks),
-                   std::to_string(r.events),
+                   std::to_string(r.events), std::to_string(r.solver_runs),
+                   std::to_string(r.solver_iterations),
+                   std::to_string(r.completions_kept),
+                   std::to_string(r.completions_rescheduled),
                    TextTable::num(r.wall_seconds, 2),
                    TextTable::num(r.setup_seconds, 3),
                    TextTable::pct(r.wall_seconds > 0.0
@@ -224,6 +243,10 @@ int main(int argc, char** argv) {
           .field("mode", "exact")
           .field("tasks", static_cast<std::uint64_t>(r.tasks))
           .field("events", r.events)
+          .field("solver_runs", r.solver_runs)
+          .field("solver_iterations", r.solver_iterations)
+          .field("completions_kept", r.completions_kept)
+          .field("completions_rescheduled", r.completions_rescheduled)
           .field("wall_seconds", r.wall_seconds)
           .field("setup_seconds", r.setup_seconds)
           .field("tasks_per_second", r.tasks_per_second())

@@ -1,5 +1,7 @@
 // Table 1: hardware configurations of the three popular smart APs.
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "ap/ap_models.h"
 #include "util/table.h"
@@ -9,12 +11,15 @@ int main() {
   TextTable table({"Smart AP", "CPU", "RAM", "Storage interface (and device)",
                    "WiFi protocol and channel", "price"});
   for (const auto& hw : ap::all_ap_models()) {
-    table.add_row({std::string(hw.name),
-                   std::string(hw.cpu) + " @" + std::to_string(hw.cpu_mhz) +
-                       " MHz",
-                   std::to_string(hw.ram_mb) + " MB",
+    std::string cpu(hw.cpu);
+    cpu.append(" @").append(std::to_string(hw.cpu_mhz)).append(" MHz");
+    std::string ram = std::to_string(hw.ram_mb);
+    ram.append(" MB");
+    std::string price("$");
+    price.append(TextTable::num(hw.price_usd, 0));
+    table.add_row({std::string(hw.name), std::move(cpu), std::move(ram),
                    std::string(hw.storage_interfaces), std::string(hw.wifi),
-                   "$" + TextTable::num(hw.price_usd, 0)});
+                   std::move(price)});
   }
   std::fputs(banner("Table 1: smart AP hardware configurations").c_str(),
              stdout);

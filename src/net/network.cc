@@ -82,8 +82,10 @@ NodeId Network::add_node(std::string name, Isp isp) {
 
 LinkId Network::add_link(std::string name, Rate capacity) {
   assert(capacity >= 0.0);
-  links_.push_back(LinkState{std::move(name), capacity});
-  links_.back().bound = load_bound(capacity);
+  LinkState& link = links_.emplace_back();
+  link.name = std::move(name);
+  link.capacity = capacity;
+  link.bound = load_bound(capacity);
   link_epoch_.push_back(0);
   link_dense_.push_back(0);
   return static_cast<LinkId>(links_.size() - 1);
@@ -169,6 +171,18 @@ void Network::attach_to_links(std::uint32_t slot, FlowState& f) {
     link.tail = a;
     ++link.flow_count;
     f.adj.push_back(a);
+    if (f.path.size() != 1) {
+      ++link.multi_hop;
+    } else if (f.rate_cap > kMinRate) {
+      // Only one-link flows are ever scanned. Departed flows' entries are
+      // dropped once the list holds twice the link's flows, so each drop is
+      // paid for by the attaches and detaches since the last.
+      if (link.cap_pending.size() >= 2 * link.flow_count) {
+        std::erase_if(link.cap_pending,
+                      [this](const CapEntry& e) { return !entry_live(e); });
+      }
+      link.cap_pending.push_back({f.rate_cap, f.id, slot});
+    }
   }
 }
 
@@ -191,6 +205,7 @@ void Network::detach_from_links(std::uint32_t slot, FlowState& f) {
       link.tail = node.prev;
     }
     --link.flow_count;
+    if (f.path.size() != 1) --link.multi_hop;
     adj_.release(a);
   }
   f.adj.clear();
@@ -248,6 +263,7 @@ bool Network::set_flow_cap(FlowId id, Rate cap) {
   const std::uint32_t slot = *ps;
   FlowState& f = flows_[slot];
   f.rate_cap = cap;
+  for (LinkId l : f.path) links_[l].order_stale = true;
   if (try_fast_recap(f)) return true;
   if (f.path.empty()) {
     component_scratch_.clear();
@@ -357,10 +373,113 @@ void Network::reallocate() {
 }
 
 void Network::reallocate_component(const std::vector<LinkId>& seed_links) {
+  // A seed link whose flows all cross it alone is the whole component.
+  if (model_ == AllocationModel::kMaxMinFair && seed_links.size() == 1 &&
+      seed_links[0] < links_.size() && links_[seed_links[0]].multi_hop == 0) {
+    solve_single_link(seed_links[0]);
+    return;
+  }
   // Only flows transitively sharing a link with the seeds can change rate,
   // so only they are re-solved.
   collect_component(seed_links);
   reallocate_flows(component_scratch_);
+}
+
+void Network::refresh_cap_order(LinkState& link) {
+  const auto by_cap = [](const CapEntry& a, const CapEntry& b) {
+    return a.cap < b.cap || (a.cap == b.cap && a.id < b.id);
+  };
+  std::vector<CapEntry>& order = link.cap_order;
+  std::vector<CapEntry>& pending = link.cap_pending;
+  if (link.order_stale) {
+    order.clear();
+    for (std::uint32_t a = link.head; a != kNoAdj; a = adj_[a].next) {
+      const std::uint32_t slot = adj_[a].flow_slot;
+      const FlowState& f = flows_[slot];
+      if (f.rate_cap > kMinRate) order.push_back({f.rate_cap, f.id, slot});
+    }
+    std::sort(order.begin(), order.end(), by_cap);
+    pending.clear();
+    link.order_stale = false;
+    return;
+  }
+  const auto dead = [this](const CapEntry& e) { return !entry_live(e); };
+  std::erase_if(pending, dead);
+  if (pending.empty()) {
+    std::erase_if(order, dead);
+    return;
+  }
+  std::sort(pending.begin(), pending.end(), by_cap);
+  // One pass: the kept entries that are still live, merged with the new.
+  cap_merge_.clear();
+  auto p = pending.begin();
+  for (const CapEntry& e : order) {
+    if (!entry_live(e)) continue;
+    for (; p != pending.end() && by_cap(*p, e); ++p) cap_merge_.push_back(*p);
+    cap_merge_.push_back(e);
+  }
+  cap_merge_.insert(cap_merge_.end(), p, pending.end());
+  order.swap(cap_merge_);
+  pending.clear();
+}
+
+void Network::solve_single_link(LinkId l) {
+  LinkState& link = links_[l];
+  if (link.head == kNoAdj) return;  // an empty component
+  refresh_cap_order(link);
+
+  // reallocate_flows' water-filling on one link, step for step: every
+  // unthrottled flow starts unfrozen; the smallest finite cap freezes at
+  // itself while it is at most the fair share (ties by id), and the share
+  // is recomputed after each; at the first cap above it, every unfrozen
+  // flow freezes at the level.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<CapEntry>& order = link.cap_order;
+  double remaining = std::max(0.0, link.capacity);
+  std::size_t unfrozen = order.size();
+  const auto fair_share = [&] {
+    return unfrozen > 0 ? remaining / static_cast<double>(unfrozen) : kInf;
+  };
+  double share = fair_share();
+  double level = 0.0;
+  std::size_t k = 0;
+  for (; k < order.size() && std::isfinite(order[k].cap) &&
+         order[k].cap <= share;
+       ++k) {
+    level = std::max(level, order[k].cap);
+    remaining -= order[k].cap;
+    --unfrozen;
+    share = fair_share();
+  }
+  std::uint64_t iterations = k;
+  if (unfrozen > 0) {
+    ++iterations;
+    level = std::max(level, std::isfinite(share) ? share : kUnboundedRate);
+  }
+  // The flows ahead of entry k in (cap, id) order froze at their caps.
+  const double stop_cap = k < order.size() ? order[k].cap : kInf;
+  const FlowId stop_id = k < order.size() ? order[k].id : kInvalidFlow;
+
+  const bool track = tracked(link.bound);
+  std::int64_t load = 0;
+  for (std::uint32_t a = link.head; a != kNoAdj; a = adj_[a].next) {
+    FlowState& f = flows_[adj_[a].flow_slot];
+    const Rate cap = f.rate_cap;
+    Rate r = level;
+    if (cap <= kMinRate) {
+      r = 0.0;
+    } else if (std::isfinite(cap) &&
+               (cap < stop_cap || (cap == stop_cap && f.id < stop_id))) {
+      r = cap;
+    }
+    set_rate(f, r);
+    if (track) load += rate_quanta(f.rate);
+  }
+  link.load = load;
+  ODR_COUNT("net.solver.runs");
+  ODR_COUNT_N("net.solver.iterations", iterations);
+  ODR_HIST("net.solver.component_flows", 0.0, 256.0, 32,
+           static_cast<double>(link.flow_count));
 }
 
 void Network::collect_component(const std::vector<LinkId>& seed_links) {
@@ -701,6 +820,11 @@ void Network::load(snapshot::SnapshotReader& r) {
     l.flow_count = 0;
     l.load = 0;
     l.bound = load_bound(l.capacity);
+    // The cap order is derived state: attach_to_links below rebuilds it.
+    l.multi_hop = 0;
+    l.order_stale = false;
+    l.cap_order.clear();
+    l.cap_pending.clear();
   }
   next_flow_id_ = r.u64(kTagNextFlowId);
 

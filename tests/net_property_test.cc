@@ -4,17 +4,27 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "net/network.h"
 #include "obs/observer.h"
 #include "progressive_filling.h"
 #include "sim/simulator.h"
+#include "snapshot/format.h"
 #include "util/rng.h"
 
 namespace odr::net {
 namespace {
+
+// Link names "l0", "r3", ...
+std::string link_name(const char* prefix, std::size_t i) {
+  std::string name(prefix);
+  name.append(std::to_string(i));
+  return name;
+}
 
 class NetworkFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -26,7 +36,7 @@ TEST_P(NetworkFuzzTest, InvariantsUnderRandomOperations) {
   // A small topology with shared and private links.
   std::vector<LinkId> links;
   for (int i = 0; i < 6; ++i) {
-    links.push_back(net.add_link("l" + std::to_string(i),
+    links.push_back(net.add_link(link_name("l", i),
                                  rng.uniform(100.0, 2000.0)));
   }
 
@@ -140,7 +150,7 @@ TEST_P(IncrementalSolverTest, MatchesFromScratchReallocation) {
   std::vector<Rate> capacities;
   for (int i = 0; i < 8; ++i) {
     capacities.push_back(rng.uniform(100.0, 2000.0));
-    links.push_back(net.add_link("l" + std::to_string(i), capacities.back()));
+    links.push_back(net.add_link(link_name("l", i), capacities.back()));
   }
 
   struct LiveFlow {
@@ -183,7 +193,7 @@ TEST_P(IncrementalSolverTest, MatchesFromScratchReallocation) {
     std::vector<LinkId> ref_links;
     for (std::size_t i = 0; i < links.size(); ++i) {
       ref_links.push_back(
-          ref.add_link("r" + std::to_string(i), capacities[i]));
+          ref.add_link(link_name("r", i), capacities[i]));
     }
     std::vector<FlowId> ref_ids;
     for (const LiveFlow& f : live) {
@@ -270,7 +280,7 @@ RandomTopology random_topology(Rng& rng, bool infinite_links) {
 std::vector<double> network_rates(const RandomTopology& t, Network& net) {
   std::vector<LinkId> links;
   for (std::size_t l = 0; l < t.capacity.size(); ++l) {
-    links.push_back(net.add_link("l" + std::to_string(l), t.capacity[l]));
+    links.push_back(net.add_link(link_name("l", l), t.capacity[l]));
   }
   std::vector<FlowId> ids;
   for (const reference::RefFlow& f : t.flows) {
@@ -417,7 +427,7 @@ TEST_P(FastPathOracleTest, MatchesFullSolveAfterEveryOperation) {
   for (int i = 0; i < 8; ++i) {
     capacities.push_back(i < 2 ? rng.uniform(200.0, 600.0)
                                : rng.uniform(2e4, 8e4));
-    links.push_back(net.add_link("l" + std::to_string(i), capacities.back()));
+    links.push_back(net.add_link(link_name("l", i), capacities.back()));
   }
   std::vector<FastPathFlow> live;
   const auto forget = [&live](FlowId id) {
@@ -485,7 +495,7 @@ TEST_P(FastPathOracleTest, MatchesFullSolveAfterEveryOperation) {
     sim::Simulator ref_sim;
     Network ref(ref_sim);
     for (std::size_t l = 0; l < links.size(); ++l) {
-      ref.add_link("r" + std::to_string(l), capacities[l]);
+      ref.add_link(link_name("r", l), capacities[l]);
     }
     std::vector<FlowId> ref_ids;
     for (const FastPathFlow& f : live) {
@@ -549,6 +559,209 @@ TEST(NetworkAccountingTest, BytesDeliveredMatchElapsedRates) {
   net.set_flow_cap(f, 50.0);
   sim.run();                           // remaining 4000 at 50 B/s -> 80 s
   EXPECT_EQ(done_at, from_seconds(110.0));
+}
+
+// The single-link scan must give exactly the heap water-filling's rates.
+// Random starts, cancels, completions, path-flow re-caps and capacity
+// changes run on one link whose flows all cross it alone, so every full
+// solve takes the scan. Caps include exact ties (the id tie-break), caps at
+// or below kMinRate and infinite caps; capacities include infinite and
+// zero. After every operation reallocate() — the general water-filling —
+// must be a no-op: every rate bitwise unchanged and no completion
+// rescheduled. A shadow network given the same operations but never
+// re-solved must hold bitwise the same rates, so the scan's recounted link
+// load leads to the same fast-path decisions.
+struct ScanSide {
+  sim::Simulator sim;
+  Network net{sim};
+  LinkId link = net.add_link("l", 1000.0);
+  std::vector<FlowId> live;  // ascending id
+  FlowCallback forget() {
+    return [this](FlowId id) {
+      live.erase(std::find(live.begin(), live.end(), id));
+    };
+  }
+};
+
+Rate random_scan_cap(Rng& rng) {
+  static constexpr double kTies[] = {50.0, 100.0, 125.0, 250.0};
+  const double kind = rng.uniform();
+  if (kind < 0.15) return kUnlimitedRate;
+  if (kind < 0.22) return kMinRate * rng.uniform(0.0, 1.0);
+  if (kind < 0.6) return kTies[rng.uniform_index(4)];
+  return rng.uniform(5.0, 400.0);
+}
+
+// Wide links let runs of starts and ends take the fast path with no solve
+// between them, so the pending cap list must drop departed flows itself.
+Rate random_scan_capacity(Rng& rng) {
+  const double kind = rng.uniform();
+  if (kind < 0.1) return kUnlimitedRate;
+  if (kind < 0.18) return 0.0;
+  if (kind < 0.35) return 1000.0;
+  if (kind < 0.6) return 1e5;
+  return rng.uniform(100.0, 3000.0);
+}
+
+// One operation, drawn from `rng`, applied to `s`.
+void scan_op(ScanSide& s, Rng& rng) {
+  const double action = rng.uniform();
+  if (action < 0.4 || s.live.empty()) {
+    const Rate cap = random_scan_cap(rng);
+    const Bytes size = 500 + rng.uniform_index(20000);
+    s.live.push_back(s.net.start_flow({{s.link}, size, cap, s.forget()}));
+  } else if (action < 0.55) {
+    const std::size_t victim = rng.uniform_index(s.live.size());
+    const FlowId id = s.live[victim];
+    s.live.erase(s.live.begin() + static_cast<std::ptrdiff_t>(victim));
+    EXPECT_TRUE(s.net.cancel_flow(id));
+  } else if (action < 0.7) {
+    s.net.set_flow_cap(s.live[rng.uniform_index(s.live.size())],
+                       random_scan_cap(rng));
+  } else if (action < 0.8) {
+    s.net.set_link_capacity(s.link, random_scan_capacity(rng));
+  } else {
+    // Completions fire here; their callbacks drop the flow from `live`.
+    s.sim.run_until(s.sim.now() + from_seconds(rng.uniform(0.5, 40.0)));
+  }
+}
+
+std::vector<std::uint64_t> rate_bits(const Network& net) {
+  std::vector<std::uint64_t> bits;
+  for (const Network::FlowView& v : net.flow_views()) {
+    bits.push_back(std::bit_cast<std::uint64_t>(v.rate));
+  }
+  return bits;
+}
+
+class SingleLinkScanTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SingleLinkScanTest, GeneralWaterFillingIsANoOpAfterEveryOperation) {
+  obs::ScopedObserver obs;
+  const auto counter = [&obs](const char* name) {
+    return obs->metrics().counter(name).value();
+  };
+  ScanSide checked;
+  ScanSide shadow;
+  Rng rng_checked(GetParam());
+  Rng rng_shadow(GetParam());
+  std::uint64_t saturated_solves = 0;
+  for (int step = 0; step < 600; ++step) {
+    scan_op(checked, rng_checked);
+    scan_op(shadow, rng_shadow);
+    ASSERT_EQ(checked.live, shadow.live) << "step " << step;
+
+    const std::vector<std::uint64_t> before = rate_bits(checked.net);
+    ASSERT_EQ(before, rate_bits(shadow.net)) << "step " << step;
+    const std::uint64_t rescheduled = counter("net.completions.rescheduled");
+    const std::uint64_t runs = counter("net.solver.runs");
+    checked.net.reallocate();
+    if (counter("net.solver.runs") != runs) ++saturated_solves;
+    EXPECT_EQ(rate_bits(checked.net), before) << "step " << step;
+    EXPECT_EQ(counter("net.completions.rescheduled"), rescheduled)
+        << "step " << step;
+    EXPECT_EQ(checked.net.pending_completion_count(),
+              shadow.net.pending_completion_count())
+        << "step " << step;
+  }
+  EXPECT_GT(saturated_solves, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SingleLinkScanTest,
+                         ::testing::Values(6u, 28u, 496u, 8128u));
+
+// Starts and cancels on an unsaturated link take the fast path, so only
+// the pending cap list sees them. It must drop the departed flows and keep
+// the live ones: the scan once the link narrows still gives the general
+// water-filling's rates.
+TEST(SingleLinkScanTest, PendingCapsKeepLiveFlowsThroughFastPathChurn) {
+  obs::ScopedObserver obs;
+  sim::Simulator sim;
+  Network net(sim);
+  const LinkId link = net.add_link("l", 1e6);
+  Rng rng(64);
+  double cap_sum = 0.0;
+  for (int i = 0; i < 20; ++i) {
+    Rate cap = random_scan_cap(rng);
+    if (!std::isfinite(cap)) cap = 300.0;  // an infinite cap forces a solve
+    net.start_flow({{link}, 1ull << 40, cap, nullptr});
+    cap_sum += cap;
+  }
+  for (int i = 0; i < 500; ++i) {
+    const FlowId churn =
+        net.start_flow({{link}, 1ull << 40, rng.uniform(5.0, 400.0), nullptr});
+    net.cancel_flow(churn);
+  }
+  EXPECT_EQ(obs->metrics().counter("net.solver.runs").value(), 0u);
+  net.set_link_capacity(link, 0.5 * cap_sum);
+  const std::vector<std::uint64_t> before = rate_bits(net);
+  net.reallocate();
+  EXPECT_EQ(rate_bits(net), before);
+}
+
+// The kept cap order is derived state: load() rebuilds it. A checkpoint
+// taken while the link is saturated, restored and driven on, must finish
+// every flow at the uninterrupted run's exact times.
+TEST(SingleLinkScanTest, RestoreWhileSaturatedMatchesUninterruptedRun) {
+  struct Side {
+    sim::Simulator sim;
+    Network net{sim};
+    std::vector<std::pair<FlowId, SimTime>> done;
+    Side() { net.add_link("cluster", 2000.0); }
+    FlowCallback record() {
+      return [this](FlowId id) { done.push_back({id, sim.now()}); };
+    }
+  };
+  const auto start = [](Side& s, Rng& rng) {
+    const Bytes size = 2000 + rng.uniform_index(60000);
+    s.net.start_flow({{0}, size, random_scan_cap(rng), s.record()});
+  };
+  const auto drive = [&start](Side& s, Rng& rng, int steps) {
+    for (int i = 0; i < steps; ++i) {
+      start(s, rng);
+      if (rng.bernoulli(0.3)) {
+        const std::vector<Network::FlowView> views = s.net.flow_views();
+        s.net.cancel_flow(views[rng.uniform_index(views.size())].id);
+      }
+      s.sim.run_until(s.sim.now() + from_seconds(rng.uniform(0.1, 3.0)));
+    }
+  };
+
+  Side control;
+  Side interrupted;
+  Rng warm_a(1028), warm_b(1028);
+  drive(control, warm_a, 120);
+  drive(interrupted, warm_b, 120);
+  ASSERT_GT(interrupted.net.link_utilization(0), 2000.0 * (1.0 - 1e-9))
+      << "the checkpoint must be taken on a saturated link";
+
+  snapshot::SnapshotWriter w;
+  w.begin_section(1, 1);
+  interrupted.sim.save(w);
+  interrupted.net.save(w);
+  w.end_section();
+  Side resumed;
+  snapshot::SnapshotReader r(w.take());
+  r.require_section(1, 1);
+  resumed.sim.load(r);
+  resumed.net.load(r);
+  r.end_section();
+  for (const Network::FlowView& v : interrupted.net.flow_views()) {
+    if (v.has_callback) resumed.net.reattach_on_complete(v.id, resumed.record());
+  }
+  ASSERT_EQ(resumed.net.flows_awaiting_callback(), 0u);
+  const std::size_t done_before = control.done.size();
+
+  Rng rest_a(2015), rest_b(2015);
+  drive(control, rest_a, 200);
+  drive(resumed, rest_b, 200);
+  control.sim.run();
+  resumed.sim.run();
+  ASSERT_EQ(control.done.size(), done_before + resumed.done.size());
+  for (std::size_t i = 0; i < resumed.done.size(); ++i) {
+    EXPECT_EQ(resumed.done[i], control.done[done_before + i]) << i;
+  }
+  EXPECT_EQ(resumed.sim.now(), control.sim.now());
 }
 
 }  // namespace

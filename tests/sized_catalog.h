@@ -17,7 +17,9 @@ inline workload::Catalog sized_catalog(const std::vector<Bytes>& sizes) {
   std::vector<workload::FileInfo> files(sizes.size());
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     files[i].index = static_cast<workload::FileIndex>(i);
-    files[i].content_id = Md5::of(std::string("f") + std::to_string(i));
+    std::string name("f");
+    name.append(std::to_string(i));
+    files[i].content_id = Md5::of(name);
     files[i].size = sizes[i];
     files[i].rank = static_cast<std::uint32_t>(i + 1);
   }

@@ -52,7 +52,10 @@ A family may pin "events" the same way: a per-divisor count of simulator
 events the exact-mode run executed, which must match exactly. The count is
 a pure function of divisor and seed, so it pins the work a week does, not
 only its outcome: a change that keeps every outcome but wakes tasks more
-often moves it. A missing count or divisor is a hard failure.
+often moves it. A missing count or divisor is a hard failure. "solver_runs"
+and "solver_iterations" pin the flow solver's work the same way: the full
+solves a week runs and their water-filling steps, so a change that keeps
+every outcome but re-solves more often, or solves differently, fails.
 
 Usage:
   tools/check_perf_regression.py --baseline bench/baselines/perf_smoke.json \
@@ -78,6 +81,8 @@ def load_families(baseline):
             "rss_ceiling_bytes": baseline.get("rss_ceiling_bytes", {}),
             "fingerprints": baseline.get("fingerprints", {}),
             "events": baseline.get("events", {}),
+            "solver_runs": baseline.get("solver_runs", {}),
+            "solver_iterations": baseline.get("solver_iterations", {}),
             "values": {},
             "require": {},
         }
@@ -88,6 +93,8 @@ def load_families(baseline):
             "rss_ceiling_bytes": spec.get("rss_ceiling_bytes", {}),
             "fingerprints": spec.get("fingerprints", {}),
             "events": spec.get("events", {}),
+            "solver_runs": spec.get("solver_runs", {}),
+            "solver_iterations": spec.get("solver_iterations", {}),
             "values": spec.get("values", {}),
             "require": spec.get("require", {}),
         }
@@ -229,16 +236,23 @@ def main() -> int:
               f"{args.results} — measured run missing or renamed",
               file=sys.stderr)
 
-    # Fingerprints and event counts: each pinned divisor's exact run must
+    # Fingerprints and work counts: each pinned divisor's exact run must
     # report them verbatim.
     fp_checked, fp_failures, fp_missing = check_pinned(
         results, args.results, "fingerprint", "fingerprint",
         {str(k): str(v) for k, v in spec["fingerprints"].items()},
         lambda v: isinstance(v, str))
-    ev_checked, ev_failures, ev_missing = check_pinned(
-        results, args.results, "events", "events count",
-        {str(k): int(v) for k, v in spec["events"].items()},
-        lambda v: isinstance(v, int) and not isinstance(v, bool))
+    ev_checked, ev_failures, ev_missing = set(), [], []
+    for field, what in (("events", "events count"),
+                        ("solver_runs", "solver_runs count"),
+                        ("solver_iterations", "solver_iterations count")):
+        checked_f, failures_f, missing_f = check_pinned(
+            results, args.results, field, what,
+            {str(k): int(v) for k, v in spec[field].items()},
+            lambda v: isinstance(v, int) and not isinstance(v, bool))
+        ev_checked |= {f"{field}@{key}" for key in checked_f}
+        ev_failures += failures_f
+        ev_missing += missing_f
 
     # Value windows: deterministic result keys held to [ref*min, ref*max].
     value_checks = 0

@@ -4,9 +4,9 @@
 Exercises the gate's verdicts against synthetic JSON: clean pass,
 regression, a baseline divisor with no measured run (the silent-skip bug
 this guards against), an empty intersection, RSS ceilings, pinned
-fingerprints and event counts, families and value windows. Also checks
-that the checked-in baselines pin a fingerprint and an event count for
-every perf_scale rung they time.
+fingerprints, event counts and solver counts, families and value
+windows. Also checks that the checked-in baselines pin a fingerprint, an
+event count and the solver counts for every perf_scale rung they time.
 
 Usage:
   python3 tools/test_check_perf_regression.py
@@ -42,9 +42,11 @@ def baseline(divisors, max_ratio=2.0):
             "exact_wall_seconds": {k: v for k, v in divisors.items()}}
 
 
-def results(runs, bench=None, rss=None, fingerprints=None, events=None):
+def results(runs, bench=None, rss=None, fingerprints=None, events=None,
+            solver=None):
     """rss, fingerprints and events map divisor -> peak_rss_bytes /
-    fingerprint / events for the exact-mode runs."""
+    fingerprint / events for the exact-mode runs; solver maps divisor ->
+    (solver_runs, solver_iterations)."""
     out = {"runs": []}
     for mode, d, w in runs:
         run = {"mode": mode, "divisor": d, "wall_seconds": w}
@@ -54,6 +56,8 @@ def results(runs, bench=None, rss=None, fingerprints=None, events=None):
             run["fingerprint"] = fingerprints[d]
         if events is not None and mode == "exact" and d in events:
             run["events"] = events[d]
+        if solver is not None and mode == "exact" and d in solver:
+            run["solver_runs"], run["solver_iterations"] = solver[d]
         out["runs"].append(run)
     if bench is not None:
         out["bench"] = bench
@@ -240,6 +244,41 @@ class CheckPerfRegressionTest(unittest.TestCase):
         self.assertIn("events divisor 100 has no exact-mode run",
                       proc.stderr)
 
+    # --- pinned solver work -------------------------------------------------
+
+    @staticmethod
+    def solver_baseline():
+        b = baseline({"400": 10.0})
+        b["solver_runs"] = {"400": 1909}
+        b["solver_iterations"] = {"400": 26045}
+        return b
+
+    def test_solver_counts_match_passes(self):
+        proc = run_gate(self.solver_baseline(),
+                        results([("exact", 400, 1.0)],
+                                solver={400: (1909, 26045)}))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("solver_runs 1909 vs pinned 1909 OK", proc.stdout)
+        self.assertIn("solver_iterations 26045 vs pinned 26045 OK",
+                      proc.stdout)
+        self.assertIn("3 check(s) within", proc.stdout)
+
+    def test_solver_iterations_change_fails_naming_field(self):
+        # Same solves, one more water-filling step: the solver changed.
+        proc = run_gate(self.solver_baseline(),
+                        results([("exact", 400, 1.0)],
+                                solver={400: (1909, 26046)}))
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("solver_iterations@400", proc.stderr)
+        self.assertNotIn("solver_runs@400", proc.stderr)
+
+    def test_solver_counts_missing_fails(self):
+        proc = run_gate(self.solver_baseline(),
+                        results([("exact", 400, 1.0)]))
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("no solver_runs count", proc.stderr)
+        self.assertIn("no solver_iterations count", proc.stderr)
+
     def test_checked_in_baselines_pin_every_timed_rung(self):
         here = os.path.dirname(os.path.abspath(__file__))
         for name in ("perf_smoke.json", "perf_full.json"):
@@ -252,9 +291,13 @@ class CheckPerfRegressionTest(unittest.TestCase):
                 self.assertRegex(fp, r"^[0-9a-f]{16}$", f"{name} @ {key}")
             self.assertEqual(set(b["events"]),
                              set(b["exact_wall_seconds"]), name)
-            for key, count in b["events"].items():
-                self.assertIsInstance(count, int, f"{name} @ {key}")
-                self.assertGreater(count, 0, f"{name} @ {key}")
+            for field in ("events", "solver_runs", "solver_iterations"):
+                self.assertEqual(set(b[field]),
+                                 set(b["exact_wall_seconds"]),
+                                 f"{name} {field}")
+                for key, count in b[field].items():
+                    self.assertIsInstance(count, int, f"{name} @ {key}")
+                    self.assertGreater(count, 0, f"{name} @ {key}")
 
     # --- benchmark families ------------------------------------------------
 
