@@ -38,7 +38,7 @@ void BM_MaxMinFairReallocation(benchmark::State& state) {
   // Set up once, outside the timed loop. The n flows start on an unlimited
   // link, each on the O(1) fast path; narrowing the link to half their
   // summed caps then costs one solve and leaves every later start a full
-  // component reallocation.
+  // solve of the link.
   odr::sim::Simulator sim;
   odr::net::Network net(sim);
   const odr::net::LinkId link = net.add_link("l", odr::net::kUnlimitedRate);
@@ -47,7 +47,7 @@ void BM_MaxMinFairReallocation(benchmark::State& state) {
   }
   net.set_link_capacity(link, 5e4 * flows);
   for (auto _ : state) {
-    // One more flow triggers a full component reallocation.
+    // One more flow triggers a full solve of the link.
     const odr::net::FlowId extra =
         net.start_flow({{link}, 1ull << 32, 5e5, nullptr});
     state.PauseTiming();
@@ -128,14 +128,13 @@ void BM_EventDispatchSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_EventDispatchSteadyState)->Arg(100000);
 
-// Incremental component solve vs the topology-wide alternative: k disjoint
-// links with f flows each; completing one flow must re-solve only its own
-// component (f flows), not all k*f.
+// A full solve walks one link: k links with f flows each; cancelling one
+// flow must re-solve only its own link's f flows, not all k*f.
 void BM_ComponentScopedCancel(benchmark::State& state) {
   const int components = static_cast<int>(state.range(0));
   const int flows_per = 32;
   // Uncapped flows share their link, so every start and cancel re-solves
-  // the link's component: flows_per - 1 resident flows plus one victim.
+  // the link: flows_per - 1 resident flows plus one victim.
   odr::sim::Simulator sim;
   odr::net::Network net(sim);
   std::vector<odr::net::LinkId> links;
@@ -157,8 +156,8 @@ void BM_ComponentScopedCancel(benchmark::State& state) {
           {{link}, 1ull << 32, odr::net::kUnlimitedRate, nullptr}));
     }
     state.ResumeTiming();
-    // One cancel per component; each should cost O(flows_per), independent
-    // of the number of other components.
+    // One cancel per link; each should cost O(flows_per), independent of
+    // the number of other links.
     for (const odr::net::FlowId id : victims) net.cancel_flow(id);
   }
   state.SetItemsProcessed(state.iterations() * components);

@@ -119,17 +119,15 @@ std::uint64_t disabled_dispatch_allocations() {
 
 // The flow plane's warm steady state must be allocation-free too
 // (DESIGN.md §16): flows live in a slab pool, link membership in pooled
-// intrusive adjacency nodes, flow-id lookup in a flat table, and the
-// max-min solver in per-solve SoA scratch that keeps its capacity — so a
-// measured churn pass (start, solve, complete, retire, slot reuse) over a
-// warmed network must perform ZERO heap allocations. The FlowSpecs for
-// the measured pass are pre-built outside the measured window: building a
-// path vector is the caller's cost, and the engine moves the buffer in
-// rather than copying.
+// intrusive adjacency nodes, flow-id lookup in a flat table, and each
+// link's cap order in vectors that keep their capacity — so a measured
+// churn pass (start, solve, complete, retire, slot reuse) over a warmed
+// network must perform ZERO heap allocations. The FlowSpecs for the
+// measured pass are pre-built outside the measured window: a completion
+// callback is the caller's cost.
 std::uint64_t flow_plane_steady_allocations() {
   sim::Simulator sim;
   net::Network net(sim);
-  const net::LinkId trunk = net.add_link("trunk", 1e6);
   net::LinkId legs[4];
   for (int i = 0; i < 4; ++i) {
     legs[i] = net.add_link("leg" + std::to_string(i), 2e5 + 1e4 * i);
@@ -140,7 +138,7 @@ std::uint64_t flow_plane_steady_allocations() {
     std::vector<net::Network::FlowSpec> specs(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       auto& s = specs[static_cast<std::size_t>(i)];
-      s.path = {trunk, legs[i % 4]};
+      s.link = legs[i % 4];
       s.bytes = static_cast<Bytes>(1000 + (i * 7919) % 9000);
       s.rate_cap = (i % 3 == 0) ? 150.0 : net::kUnlimitedRate;
       s.on_complete = [&completed](net::FlowId) { ++completed; };

@@ -331,7 +331,7 @@ void XuanfengCloud::begin_fetch(const workload::WorkloadRecord& request,
   const double overhead = rng_.uniform(1.07, 1.10);  // §4.2 user-side cost
 
   net::Network::FlowSpec spec;
-  spec.path = {plan.cluster_link};
+  spec.link = plan.cluster_link;
   spec.bytes = catalog_.file(request.file).size;
   spec.rate_cap = plan.rate;
   spec.on_complete = [this](net::FlowId id) { on_fetch_complete(id); };

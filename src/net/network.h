@@ -1,43 +1,38 @@
 // Flow-level network simulator with max-min fair bandwidth sharing.
 //
 // The model: a set of directed links, each with a capacity in bytes/sec,
-// and a set of flows, each following a path (a list of links) and carrying
-// a known number of bytes, optionally with a per-flow rate cap (e.g. an
-// application throttle or a degraded cross-ISP path). Rates are the max-min
-// fair allocation. Flow completions are scheduled on the odr::sim::Simulator
+// and a set of flows, each crossing at most one link and carrying a known
+// number of bytes, optionally with a per-flow rate cap (e.g. an application
+// throttle or a degraded cross-ISP path). Rates are the max-min fair
+// allocation. Flow completions are scheduled on the odr::sim::Simulator
 // from the allocated rates, and only a flow whose rate changed has its
 // completion rescheduled.
 //
+// A flow crosses at most one link because the paper's cloud has one shared
+// bottleneck: a fetch crosses its ISP's upload cluster, and the cross-ISP
+// barrier is a rate cap, not a link. P2P swarm downloads cross none. So
+// two flows share a rate only when they share their one link, and a
+// link's adjacency chain is the whole of what any update can move.
+//
 // Two update paths keep the allocation exact (see DESIGN.md §11):
 //   * Fast path (kMaxMinFair only). Each link keeps its load — the sum of
-//     its flows' rates, one term per hop — in integer rate quanta rounded
-//     up, so the load is an order-independent function of the live rates.
-//     A link is a possible bottleneck once that load exceeds
-//     capacity·(1−1e-9). A start or re-cap to a finite cap whose path stays
-//     below that bound, and a completion or cancel whose path was below it,
-//     change no other flow's bottleneck: the flow simply runs at its cap
-//     (0 at or below kMinRate). Max-min rates are unique, so this is the
-//     allocation a full solve would return. Pathless flows (P2P swarms)
-//     always take it.
-//   * Full solve. Everything else — infinite caps, saturated hops, link
+//     its flows' rates — in integer rate quanta rounded up, so the load is
+//     an order-independent function of the live rates. A link is a
+//     possible bottleneck once that load exceeds capacity·(1−1e-9). A start
+//     or re-cap to a finite cap whose link stays below that bound, and a
+//     completion or cancel whose link was below it, change no other flow's
+//     bottleneck: the flow simply runs at its cap (0 at or below kMinRate).
+//     Max-min rates are unique, so this is the allocation a full solve
+//     would return. Pathless flows always take it.
+//   * Full solve. Everything else — infinite caps, a saturated link, link
 //     capacity changes, and every kEqualSplit update — re-solves the
-//     affected component and recounts its links' loads. It takes one of
-//     two solvers, both giving bitwise the same rates:
-//       - Single-link scan (kMaxMinFair). When the update touches one link
-//         and every flow on that link has exactly that one-link path (every
-//         cloud fetch: a fetch crosses only its ISP's upload cluster), the
-//         component is the link's adjacency chain. The scan freezes caps in
-//         (cap, id) order while they fit under the fair share, gives every
-//         other unthrottled flow the final level, and sets the rates in
-//         chain (id) order — the heap solver's floating-point steps, with
-//         no BFS, id sort, dense links or share heap.
-//       - Heap water-filling. Any other component (found by an
-//         epoch-stamped BFS over shared links): bottleneck-ordered
-//         water-filling over SoA arrays and a fair-share heap.
-//     Each link keeps its flows' caps in (cap, id) order across solves for
-//     the scan: a flow joins a pending list when it attaches and is merged
-//     in at the link's next solve, entries of departed flows are dropped
-//     then, and a path flow's re-cap rebuilds the order from the chain. The
+//     flow's link with one scan of its adjacency chain. The scan freezes
+//     caps in (cap, id) order while they fit under the fair share, gives
+//     every other unthrottled flow the final level, and sets the rates in
+//     chain (id) order. Each link keeps its flows' caps in (cap, id) order
+//     across solves: a flow joins a pending list when it attaches and is
+//     merged in at the link's next solve, entries of departed flows are
+//     dropped then, and a re-cap rebuilds the order from the chain. The
 //     order is derived state: it is never serialized, and load() rebuilds
 //     it by re-attaching every flow.
 //
@@ -54,18 +49,15 @@
 // Hot-path layout (see DESIGN.md §11 and §16): flows live in a
 // util::SlabPool indexed by dense 32-bit slots; link membership is an
 // intrusive doubly-linked adjacency list of pooled nodes (append keeps
-// ascending flow id, detach is O(path) instead of O(flows-on-link)), so
-// completion-heavy steady state never scans a cluster link's whole
-// membership. The solver runs over per-solve SoA arrays — rates, caps,
-// frozen flags, CSR flow→link paths and link→flow buckets with
-// component-local dense link indices, a cap order and a fair-share heap —
-// with no pointer chasing into the flow slab and no allocation once the
-// arrays have grown.
+// ascending flow id, detach is O(1)), so completion-heavy steady state
+// never scans a cluster link's whole membership, and no update allocates
+// once the pools and cap orders have grown.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -137,7 +129,7 @@ class Network {
   // --- flows --------------------------------------------------------------
 
   struct FlowSpec {
-    std::vector<LinkId> path;   // may be empty (rate then = cap)
+    std::optional<LinkId> link;  // the one link crossed; none: rate = cap
     Bytes bytes = 0;            // must be > 0
     Rate rate_cap = kUnlimitedRate;
     FlowCallback on_complete;   // optional
@@ -158,13 +150,10 @@ class Network {
 
   std::size_t active_flow_count() const { return live_flows_; }
 
-  // Recomputes the max-min fair allocation of every flow with a full solve.
-  // Normally never needed; exposed for tests.
+  // Re-solves every flow: each pathless flow at its cap, then every link
+  // with its cap order rebuilt from the chain. Normally never needed;
+  // exposed for tests.
   void reallocate();
-
-  // Re-solves only the flows transitively sharing links with `seed_links`
-  // (all other rates are provably unchanged).
-  void reallocate_component(const std::vector<LinkId>& seed_links);
 
   // --- snapshot support ---------------------------------------------------
   //
@@ -178,7 +167,8 @@ class Network {
   // recomputed on load — they are restored exactly, so completion events
   // keep their original times and ids — and the per-link loads are
   // recounted from them, so the restored network takes the same fast-path
-  // or full-solve decision at every later update.
+  // or full-solve decision at every later update. A flow's link is saved
+  // as a path of 0 or 1 links; load() refuses a longer one.
   static constexpr std::uint32_t kSnapshotVersion = 1;
   void save(snapshot::SnapshotWriter& w) const;
   void load(snapshot::SnapshotReader& r);
@@ -188,12 +178,10 @@ class Network {
   std::size_t flows_awaiting_callback() const { return awaiting_callback_.size(); }
 
   // Read-only view for the invariant auditor. `bytes_done` and
-  // `last_settled` are the flow's progress anchor (see file header). The
-  // `path` pointers alias the flow slab; views are invalidated by the next
-  // flow mutation.
+  // `last_settled` are the flow's progress anchor (see file header).
   struct FlowView {
     FlowId id = kInvalidFlow;
-    const std::vector<LinkId>* path = nullptr;
+    std::optional<LinkId> link;
     Bytes bytes_total = 0;
     double bytes_done = 0.0;
     Rate rate = 0.0;
@@ -212,6 +200,7 @@ class Network {
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   static constexpr std::uint32_t kNoAdj = 0xffffffffu;
+  static constexpr LinkId kNoLink = 0xffffffffu;  // a pathless flow
 
   // One hop of the link→flow adjacency: flow `flow_slot` crosses the
   // owning link. Nodes are pooled (util::SlabPool) and chained per link in
@@ -240,17 +229,14 @@ class Network {
     std::uint32_t head = kNoAdj;
     std::uint32_t tail = kNoAdj;
     std::uint32_t flow_count = 0;
-    // Hops of flows whose path is not exactly {this link}; the single-link
-    // scan applies only while this is 0.
-    std::uint32_t multi_hop = 0;
     // Set when a flow on this link was re-capped: the next scan rebuilds
     // cap_order from the chain.
     bool order_stale = false;
     // Flows with a cap above kMinRate, by (cap, id); may hold dead entries
     // between solves.
     std::vector<CapEntry> cap_order;
-    // One-link flows with a cap above kMinRate attached since the last
-    // scan, in id order; may hold dead entries.
+    // Flows with a cap above kMinRate attached since the last scan, in id
+    // order; may hold dead entries.
     std::vector<CapEntry> cap_pending;
     // Fast-path state (see file header): the load in rate quanta and the
     // largest load that leaves the link clearly unsaturated. Links too wide
@@ -265,9 +251,6 @@ class Network {
   };
 
   struct FlowState {
-    std::vector<LinkId> path;
-    // Adjacency node per path hop (parallel to `path`), for O(1) detach.
-    std::vector<std::uint32_t> adj;
     Bytes bytes_total = 0;
     double bytes_done = 0.0;  // progress anchor: bytes at last_settled
     Rate rate = 0.0;
@@ -282,30 +265,27 @@ class Network {
     FlowCallback on_complete;
     sim::EventId completion_event = sim::kInvalidEvent;
     FlowId id = kInvalidFlow;  // owning id; kInvalidFlow when the slot is free
-    std::uint32_t epoch = 0;   // component-membership stamp
+    LinkId link = kNoLink;
+    std::uint32_t adj = kNoAdj;  // the flow's node in `link`'s chain
   };
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  void attach_to_links(std::uint32_t slot, FlowState& f);
+  void attach_to_link(std::uint32_t slot, FlowState& f);
 
   // Bytes done at `now`: the anchor plus rate × elapsed.
   double progress(const FlowState& f) const;
   // Gives `f` rate `r` (moving its anchor to `now` if the rate changes)
   // and keeps or reschedules its completion.
   void set_rate(FlowState& f, Rate r);
-  // Water-filling over `component` (slab slots, any order; sorted by flow
-  // id internally). REQUIRES the set to be link-closed: every flow on every
-  // link touched by a member is itself a member (components are, by
-  // construction). Reschedules the completions whose rate changed and
-  // recounts the load of every link it touched.
-  void reallocate_flows(std::vector<std::uint32_t>& component);
-  // Collects the exact component of `seed_links` into component_scratch_
-  // by an epoch-stamped BFS over the shares-a-link relation.
-  void collect_component(const std::vector<LinkId>& seed_links);
-  // The single-link scan (see file header). REQUIRES every flow on `l` to
-  // have the path {l}; the rates equal reallocate_flows' on the chain.
-  void solve_single_link(LinkId l);
+  // The full solve of `f`: its link's, or its own when pathless.
+  void solve(FlowState& f);
+  // A pathless flow shares nothing: its cap alone sets its rate.
+  void solve_pathless(FlowState& f);
+  // Re-solves every flow on `l` (the scan of the file header, or the
+  // kEqualSplit share), reschedules the completions whose rate changed and
+  // recounts the link's load.
+  void solve_link(LinkId l);
   // Brings `link.cap_order` up to date: rebuilt from the chain when stale,
   // else its dead entries dropped and the pending entries merged in.
   void refresh_cap_order(LinkState& link);
@@ -313,30 +293,23 @@ class Network {
   bool entry_live(const CapEntry& e) const { return flows_[e.slot].id == e.id; }
   void schedule_completion(FlowId id, FlowState& f);
   void complete_flow(FlowId id);
-  void detach_from_links(std::uint32_t slot, FlowState& f);
-  // Removes a departing flow: the fast path when every hop was below its
-  // bound, the component re-solve otherwise. `f` is released on return.
+  void detach_from_link(std::uint32_t slot, FlowState& f);
+  // Removes a departing flow: the fast path when its link was below its
+  // bound, the link's re-solve otherwise. `f` is released on return.
   void remove_flow(std::uint32_t slot, FlowState& f);
 
   // --- fast path (see file header) ----------------------------------------
   // Applies the fast path to a just-attached flow, or returns false and
-  // leaves the flow for a full solve of its component.
+  // leaves the flow for a full solve.
   bool try_fast_start(FlowState& f);
   // The fast path for a re-cap of `f` to its (already stored) rate_cap.
   bool try_fast_recap(FlowState& f);
-  // True when every hop of `path` is at or below its bound.
-  bool path_below_bound(const std::vector<LinkId>& path) const;
-  // Adds `sign` × quanta(rate) to the load of every tracked hop of `path`.
-  void add_load(const std::vector<LinkId>& path, Rate rate, std::int64_t sign);
-
-  std::uint32_t next_epoch() {
-    if (++epoch_ == 0) {  // wrapped: invalidate every stale stamp
-      flows_.for_each_slot([](std::uint32_t, FlowState& f) { f.epoch = 0; });
-      link_epoch_.assign(link_epoch_.size(), 0);
-      epoch_ = 1;
-    }
-    return epoch_;
+  // True when `l` is kNoLink or its load is at or below its bound.
+  bool below_bound(LinkId l) const {
+    return l == kNoLink || links_[l].load <= links_[l].bound;
   }
+  // Adds `sign` × quanta(rate) to `l`'s load if `l` is a tracked link.
+  void add_load(LinkId l, Rate rate, std::int64_t sign);
 
   sim::Simulator& sim_;
   std::vector<NodeState> nodes_;
@@ -348,40 +321,6 @@ class Network {
   util::FlatMap64<std::uint32_t> id_to_slot_;
   std::size_t live_flows_ = 0;
 
-  // Reusable per-link scratch (epoch-stamped; no per-solve allocation).
-  std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> link_epoch_;  // per link: touched this solve
-  std::vector<std::uint32_t> link_dense_;  // per link: dense index this solve
-  std::vector<std::uint32_t> component_scratch_;  // slots
-  std::vector<LinkId> bfs_queue_;
-  std::vector<LinkId> path_scratch_;  // detached flow's path during removal
-
-  // One fair-share heap entry: link `link` (dense index) offered `share`
-  // per unfrozen flow when pushed; stale once `version` falls behind the
-  // link's (lazy deletion).
-  struct ShareEntry {
-    double share;
-    std::uint32_t link;
-    std::uint32_t version;
-  };
-
-  // Per-solve SoA scratch, reused across solves (DESIGN.md §11, §16).
-  // Flow-side arrays are indexed by the flow's position in the id-sorted
-  // component; link-side arrays by the component-local dense link index.
-  std::vector<double> sol_cap_;            // rate_cap per component flow
-  std::vector<double> sol_rate_;           // water-filling rate
-  std::vector<std::uint8_t> sol_frozen_;
-  std::vector<std::uint32_t> sol_path_off_;  // CSR offsets (n + 1)
-  std::vector<std::uint32_t> sol_path_;      // dense link indices
-  std::vector<std::uint32_t> sol_capped_;    // finite caps by (cap, index)
-  std::vector<LinkId> sol_link_ids_;         // dense link -> global LinkId
-  std::vector<double> link_remaining_;       // dense link: capacity left
-  std::vector<std::int32_t> link_unfrozen_;  // dense link: unfrozen flows
-  std::vector<std::uint32_t> link_flow_off_;  // CSR link -> flow offsets
-  std::vector<std::uint32_t> link_flows_;     // component flow indices
-  std::vector<std::uint32_t> link_version_;   // dense link: heap stamp
-  std::vector<std::uint32_t> touched_;        // dense links changed this step
-  std::vector<ShareEntry> share_heap_;
   std::vector<CapEntry> cap_merge_;  // merge target, swapped into a link
 
   // Restored flows whose completion callback has not been re-attached yet.

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "net/network.h"
@@ -33,7 +34,7 @@ TEST_P(NetworkFuzzTest, InvariantsUnderRandomOperations) {
   Network net(sim);
   Rng rng(GetParam());
 
-  // A small topology with shared and private links.
+  // Six links, each shared by the flows that cross it.
   std::vector<LinkId> links;
   for (int i = 0; i < 6; ++i) {
     links.push_back(net.add_link(link_name("l", i),
@@ -52,12 +53,10 @@ TEST_P(NetworkFuzzTest, InvariantsUnderRandomOperations) {
   for (int step = 0; step < 400; ++step) {
     const double action = rng.uniform();
     if (action < 0.45 || live.empty()) {
-      // Start a flow over 1-3 random links with a random cap.
-      std::vector<LinkId> path;
-      const int hops = 1 + static_cast<int>(rng.uniform_index(3));
-      for (int h = 0; h < hops; ++h) {
-        path.push_back(links[rng.uniform_index(links.size())]);
-      }
+      // Start a flow over one random link, or none (a swarm download),
+      // with a random cap.
+      std::optional<LinkId> link;
+      if (!rng.bernoulli(0.1)) link = links[rng.uniform_index(links.size())];
       const Bytes size = 100 + rng.uniform_index(100000);
       const Rate cap =
           rng.bernoulli(0.3) ? kUnlimitedRate : rng.uniform(10.0, 3000.0);
@@ -67,7 +66,7 @@ TEST_P(NetworkFuzzTest, InvariantsUnderRandomOperations) {
       auto* live_ptr = &live;
       auto* finished_ptr = &finished;
       const FlowId id = net.start_flow(
-          {path, size, cap, [live_ptr, finished_ptr](FlowId fid) {
+          {link, size, cap, [live_ptr, finished_ptr](FlowId fid) {
              auto it = live_ptr->find(fid);
              ASSERT_NE(it, live_ptr->end());
              it->second.completed = true;
@@ -131,14 +130,14 @@ TEST_P(NetworkFuzzTest, InvariantsUnderRandomOperations) {
 INSTANTIATE_TEST_SUITE_P(Seeds, NetworkFuzzTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
 
-// The incremental solver (link->flow adjacency + union-find components,
-// epoch-stamped membership) must compute the same allocation as a
-// from-scratch solve of the same topology. After every mutation step we
-// rebuild the current live set in a FRESH network (whose first solve is
-// necessarily from scratch) and compare every flow's rate. Max-min fair
-// rates are unique, so this pins the incremental bookkeeping — stale
-// adjacency, a missed component split, or a bad epoch stamp all surface as
-// a rate mismatch.
+// The incremental solver (link->flow adjacency, per-link loads and kept cap
+// orders) must compute the same allocation as a from-scratch solve of the
+// same topology. After every mutation step we rebuild the current live set
+// in a FRESH network (whose first solve is necessarily from scratch) and
+// compare every flow's rate bitwise: a link's scan result depends only on
+// its capacity and its flows' caps. This pins the incremental bookkeeping —
+// stale adjacency, a stale cap order or a wrong link load all surface as a
+// rate mismatch.
 class IncrementalSolverTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IncrementalSolverTest, MatchesFromScratchReallocation) {
@@ -155,7 +154,7 @@ TEST_P(IncrementalSolverTest, MatchesFromScratchReallocation) {
 
   struct LiveFlow {
     FlowId id;
-    std::vector<LinkId> path;  // indices match between net and reference
+    std::optional<LinkId> link;  // indices match between net and reference
     Rate cap;
   };
   std::vector<LiveFlow> live;
@@ -163,16 +162,13 @@ TEST_P(IncrementalSolverTest, MatchesFromScratchReallocation) {
   for (int step = 0; step < 200; ++step) {
     const double action = rng.uniform();
     if (action < 0.5 || live.empty()) {
-      std::vector<LinkId> path;
-      const int hops = 1 + static_cast<int>(rng.uniform_index(3));
-      for (int h = 0; h < hops; ++h) {
-        path.push_back(links[rng.uniform_index(links.size())]);
-      }
+      std::optional<LinkId> link;
+      if (!rng.bernoulli(0.1)) link = links[rng.uniform_index(links.size())];
       const Rate cap =
           rng.bernoulli(0.3) ? kUnlimitedRate : rng.uniform(10.0, 3000.0);
       const FlowId id =
-          net.start_flow({path, 1ull << 40, cap, nullptr});
-      live.push_back({id, path, cap});
+          net.start_flow({link, 1ull << 40, cap, nullptr});
+      live.push_back({id, link, cap});
     } else if (action < 0.7) {
       const std::size_t victim = rng.uniform_index(live.size());
       EXPECT_TRUE(net.cancel_flow(live[victim].id));
@@ -197,19 +193,16 @@ TEST_P(IncrementalSolverTest, MatchesFromScratchReallocation) {
     }
     std::vector<FlowId> ref_ids;
     for (const LiveFlow& f : live) {
-      std::vector<LinkId> ref_path;
-      for (const LinkId l : f.path) {
-        ref_path.push_back(ref_links[static_cast<std::size_t>(l)]);
-      }
-      ref_ids.push_back(ref.start_flow({ref_path, 1ull << 40, f.cap, nullptr}));
+      std::optional<LinkId> ref_link;
+      if (f.link) ref_link = ref_links[static_cast<std::size_t>(*f.link)];
+      ref_ids.push_back(ref.start_flow({ref_link, 1ull << 40, f.cap, nullptr}));
     }
     // Compare only once the reference holds the complete live set: its
     // final allocation is then the unique max-min fair one.
     for (std::size_t i = 0; i < live.size(); ++i) {
       const Rate got = net.flow_stats(live[i].id).current_rate;
       const Rate want = ref.flow_stats(ref_ids[i]).current_rate;
-      EXPECT_NEAR(got, want, 1e-6 * std::max(1.0, want))
-          << "flow " << live[i].id << " after step " << step;
+      EXPECT_EQ(got, want) << "flow " << live[i].id << " after step " << step;
     }
   }
 }
@@ -217,11 +210,11 @@ TEST_P(IncrementalSolverTest, MatchesFromScratchReallocation) {
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSolverTest,
                          ::testing::Values(21u, 34u, 55u, 89u));
 
-// Random one-shot topologies for the oracle tests. They deliberately hit
-// every branch of the solver: zero-capacity and sub-kMinRate links, caps
-// at or below kMinRate, infinite caps, pathless flows, 1-3 hop paths that
-// may cross a link twice, and exact ties between caps and link shares
-// (values drawn from a small set).
+// Random one-shot topologies for the oracle tests: several links, each
+// flow crossing one of them or none. They deliberately hit every branch of
+// the solver: zero-capacity and sub-kMinRate links, caps at or below
+// kMinRate, infinite caps, pathless flows, and exact ties between caps and
+// link shares (values drawn from a small set).
 using reference::kMinRate;
 
 struct RandomTopology {
@@ -251,11 +244,7 @@ RandomTopology random_topology(Rng& rng, bool infinite_links) {
   for (std::size_t i = 0; i < n_flows; ++i) {
     reference::RefFlow f;
     if (!rng.bernoulli(0.1)) {
-      const std::size_t hops = 1 + rng.uniform_index(3);
-      for (std::size_t h = 0; h < hops; ++h) {
-        f.path.push_back(
-            static_cast<std::uint32_t>(rng.uniform_index(n_links)));
-      }
+      f.path.push_back(static_cast<std::uint32_t>(rng.uniform_index(n_links)));
     }
     const double kind = rng.uniform();
     if (kind < 0.25) {
@@ -285,7 +274,7 @@ std::vector<double> network_rates(const RandomTopology& t, Network& net) {
   std::vector<FlowId> ids;
   for (const reference::RefFlow& f : t.flows) {
     Network::FlowSpec spec;
-    for (std::uint32_t l : f.path) spec.path.push_back(links[l]);
+    if (!f.path.empty()) spec.link = links[f.path.front()];
     spec.bytes = 1ull << 40;
     spec.rate_cap = f.cap;
     ids.push_back(net.start_flow(std::move(spec)));
@@ -295,7 +284,7 @@ std::vector<double> network_rates(const RandomTopology& t, Network& net) {
   return rates;
 }
 
-// Utilization per link (a flow crossing a link twice counts twice).
+// Utilization per link.
 std::vector<double> link_load(const RandomTopology& t,
                               const std::vector<double>& rates) {
   std::vector<double> load(t.capacity.size(), 0.0);
@@ -391,25 +380,18 @@ TEST_P(WaterFillingOracleTest, NoFlowLeftUnfrozen) {
 INSTANTIATE_TEST_SUITE_P(Seeds, WaterFillingOracleTest,
                          ::testing::Values(3u, 17u, 2015u, 1028u));
 
-// The fast path (one flow touched when no hop can be a bottleneck) must
+// The fast path (one flow touched when its link cannot be a bottleneck) must
 // leave exactly the allocation a full solve would. Random starts, cancels,
 // completions, re-caps and link resizes run on mostly under-subscribed
 // links plus two narrow ones that saturate, with pathless flows, caps at or
-// below kMinRate, infinite caps and paths that cross a link twice. After
-// every operation the live set is rebuilt in a fresh network and re-solved
-// with reallocate(): flows at their cap must match bitwise, link-bound
-// flows within 1e-6.
+// below kMinRate and infinite caps. After every operation the live set is
+// rebuilt in a fresh network and re-solved with reallocate(): every rate
+// must match bitwise.
 struct FastPathFlow {
   FlowId id;
-  std::vector<LinkId> path;
+  std::optional<LinkId> link;
   Rate cap;
 };
-
-// Rate of a flow whose cap binds it (mirrors net/network.cc).
-double cap_bound_rate(double cap) {
-  if (cap <= kMinRate) return 0.0;
-  return std::isfinite(cap) ? cap : 1e15;
-}
 
 class FastPathOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -452,23 +434,13 @@ TEST_P(FastPathOracleTest, MatchesFullSolveAfterEveryOperation) {
     const std::uint64_t fast_before = fast_count();
     bool flow_op = true;
     if (action < 0.45 || live.empty()) {
-      std::vector<LinkId> path;
-      const double shape = rng.uniform();
-      if (shape < 0.1) {
-        // pathless: a P2P swarm flow
-      } else if (shape < 0.2) {
-        const LinkId l = links[rng.uniform_index(links.size())];
-        path = {l, l};
-      } else {
-        const int hops = 1 + static_cast<int>(rng.uniform_index(2));
-        for (int h = 0; h < hops; ++h) {
-          path.push_back(links[rng.uniform_index(links.size())]);
-        }
-      }
+      // A tenth are pathless: P2P swarm flows.
+      std::optional<LinkId> link;
+      if (!rng.bernoulli(0.1)) link = links[rng.uniform_index(links.size())];
       const Rate cap = random_cap();
       const Bytes size = 1000 + rng.uniform_index(200000);
-      const FlowId id = net.start_flow({path, size, cap, forget});
-      live.push_back({id, path, cap});
+      const FlowId id = net.start_flow({link, size, cap, forget});
+      live.push_back({id, link, cap});
     } else if (action < 0.65) {
       const std::size_t victim = rng.uniform_index(live.size());
       EXPECT_TRUE(net.cancel_flow(live[victim].id));
@@ -499,19 +471,13 @@ TEST_P(FastPathOracleTest, MatchesFullSolveAfterEveryOperation) {
     }
     std::vector<FlowId> ref_ids;
     for (const FastPathFlow& f : live) {
-      ref_ids.push_back(ref.start_flow({f.path, 1ull << 40, f.cap, nullptr}));
+      ref_ids.push_back(ref.start_flow({f.link, 1ull << 40, f.cap, nullptr}));
     }
     ref.reallocate();
     for (std::size_t i = 0; i < live.size(); ++i) {
-      const Rate got = net.flow_stats(live[i].id).current_rate;
-      const Rate want = ref.flow_stats(ref_ids[i]).current_rate;
-      if (want == cap_bound_rate(live[i].cap)) {
-        EXPECT_EQ(got, want) << "cap-bound flow " << live[i].id << " after step "
-                             << step;
-      } else {
-        EXPECT_NEAR(got, want, 1e-6 * std::max(1.0, want))
-            << "link-bound flow " << live[i].id << " after step " << step;
-      }
+      EXPECT_EQ(net.flow_stats(live[i].id).current_rate,
+                ref.flow_stats(ref_ids[i]).current_rate)
+          << "flow " << live[i].id << " after step " << step;
     }
     for (LinkId l : links) {
       EXPECT_LE(net.link_utilization(l), net.link_capacity(l) * (1 + 1e-9));
@@ -534,9 +500,9 @@ TEST(FastPathTest, EqualSplitNeverTakesTheFastPath) {
   const LinkId wide = net.add_link("wide", 1e6);
   std::vector<FlowId> flows;
   for (int i = 0; i < 20; ++i) {
-    std::vector<LinkId> path;
-    if (i % 4 != 0) path.push_back(wide);
-    flows.push_back(net.start_flow({path, 1ull << 30, 10.0 + i, nullptr}));
+    std::optional<LinkId> link;
+    if (i % 4 != 0) link = wide;
+    flows.push_back(net.start_flow({link, 1ull << 30, 10.0 + i, nullptr}));
   }
   for (int i = 0; i < 20; i += 2) net.set_flow_cap(flows[i], 5.0);
   for (int i = 1; i < 20; i += 3) net.cancel_flow(flows[i]);
@@ -561,12 +527,12 @@ TEST(NetworkAccountingTest, BytesDeliveredMatchElapsedRates) {
   EXPECT_EQ(done_at, from_seconds(110.0));
 }
 
-// The single-link scan must give exactly the heap water-filling's rates.
-// Random starts, cancels, completions, path-flow re-caps and capacity
-// changes run on one link whose flows all cross it alone, so every full
-// solve takes the scan. Caps include exact ties (the id tie-break), caps at
-// or below kMinRate and infinite caps; capacities include infinite and
-// zero. After every operation reallocate() — the general water-filling —
+// The scan over a kept cap order must give exactly the rates of a scan over
+// an order rebuilt from the chain. Random starts, cancels, completions,
+// re-caps and capacity changes run on one link. Caps include exact ties
+// (the id tie-break), caps at or below kMinRate and infinite caps;
+// capacities include infinite and zero. After every operation
+// reallocate() — which rebuilds every link's cap order and re-solves it —
 // must be a no-op: every rate bitwise unchanged and no completion
 // rescheduled. A shadow network given the same operations but never
 // re-solved must hold bitwise the same rates, so the scan's recounted link
@@ -672,8 +638,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SingleLinkScanTest,
 
 // Starts and cancels on an unsaturated link take the fast path, so only
 // the pending cap list sees them. It must drop the departed flows and keep
-// the live ones: the scan once the link narrows still gives the general
-// water-filling's rates.
+// the live ones: the scan once the link narrows still gives the rates of an
+// order rebuilt from the chain.
 TEST(SingleLinkScanTest, PendingCapsKeepLiveFlowsThroughFastPathChurn) {
   obs::ScopedObserver obs;
   sim::Simulator sim;

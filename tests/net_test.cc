@@ -69,14 +69,6 @@ TEST_F(NetworkTest, ThreeFlowsWaterfilling) {
   EXPECT_NEAR(net.flow_stats(c).current_rate, 50.0, 1e-6);
 }
 
-TEST_F(NetworkTest, MultiLinkPathTakesBottleneck) {
-  const LinkId wide = net.add_link("wide", 1000.0);
-  const LinkId narrow = net.add_link("narrow", 40.0);
-  const FlowId f = net.start_flow({{wide, narrow}, 1 << 20,
-                                   kUnlimitedRate, nullptr});
-  EXPECT_NEAR(net.flow_stats(f).current_rate, 40.0, 1e-6);
-}
-
 TEST_F(NetworkTest, CompletionFreesBandwidthForOthers) {
   const LinkId link = net.add_link("l", 100.0);
   net.start_flow({{link}, 500, kUnlimitedRate, nullptr});  // done at 10s
@@ -149,19 +141,6 @@ TEST_F(NetworkTest, DisjointComponentsDoNotInteract) {
   net.start_flow({{l1}, 1 << 20, kUnlimitedRate, nullptr});
   EXPECT_NEAR(net.flow_stats(a).current_rate, 50.0, 1e-6);
   EXPECT_NEAR(net.flow_stats(b).current_rate, 200.0, 1e-6);
-}
-
-TEST_F(NetworkTest, SharedLinkCouplesComponents) {
-  // a on {l1}, b on {l1,l2}, c on {l2}: one component through b.
-  const LinkId l1 = net.add_link("l1", 100.0);
-  const LinkId l2 = net.add_link("l2", 60.0);
-  const FlowId a = net.start_flow({{l1}, 1 << 20, kUnlimitedRate, nullptr});
-  const FlowId b = net.start_flow({{l1, l2}, 1 << 20, kUnlimitedRate, nullptr});
-  const FlowId c = net.start_flow({{l2}, 1 << 20, kUnlimitedRate, nullptr});
-  // Max-min: l2 gives b and c 30 each; then a takes the rest of l1 (70).
-  EXPECT_NEAR(net.flow_stats(b).current_rate, 30.0, 1e-6);
-  EXPECT_NEAR(net.flow_stats(c).current_rate, 30.0, 1e-6);
-  EXPECT_NEAR(net.flow_stats(a).current_rate, 70.0, 1e-6);
 }
 
 TEST_F(NetworkTest, FlowStatsTrackProgressAndPeak) {
@@ -247,6 +226,47 @@ TEST(AllocationModelTest, EqualSplitStillCompletesFlows) {
   }
   sim.run();
   EXPECT_EQ(done, 4);
+}
+
+// The exact kEqualSplit rates: a flow gets min(its cap or 1e15,
+// capacity / n), floored at 0. A pathless flow gets its cap, or the 1e15
+// clamp, and a cap at or below 1e-6 is kept, not zeroed.
+TEST(AllocationModelTest, EqualSplitExactRates) {
+  sim::Simulator sim;
+  Network net(sim, AllocationModel::kEqualSplit);
+  const FlowId finite = net.start_flow({{}, 1 << 20, 40.0, nullptr});
+  const FlowId unlimited = net.start_flow({{}, 1 << 20, kUnlimitedRate, nullptr});
+  const FlowId tiny = net.start_flow({{}, 1 << 20, 5e-7, nullptr});
+  const FlowId zero_cap = net.start_flow({{}, 1 << 20, 0.0, nullptr});
+  EXPECT_EQ(net.flow_stats(finite).current_rate, 40.0);
+  EXPECT_EQ(net.flow_stats(unlimited).current_rate, 1e15);
+  EXPECT_EQ(net.flow_stats(tiny).current_rate, 5e-7);
+  EXPECT_EQ(net.flow_stats(zero_cap).current_rate, 0.0);
+  net.set_flow_cap(finite, 3e-7);
+  EXPECT_EQ(net.flow_stats(finite).current_rate, 3e-7);
+
+  const LinkId dead = net.add_link("dead", 0.0);
+  const FlowId starved = net.start_flow({{dead}, 1 << 20, kUnlimitedRate, nullptr});
+  const FlowId starved_capped = net.start_flow({{dead}, 1 << 20, 10.0, nullptr});
+  EXPECT_EQ(net.flow_stats(starved).current_rate, 0.0);
+  EXPECT_EQ(net.flow_stats(starved_capped).current_rate, 0.0);
+
+  // capacity / n = 100: the cap below it binds, the ones above it do not.
+  const LinkId link = net.add_link("l", 300.0);
+  const FlowId below = net.start_flow({{link}, 1 << 20, 50.0, nullptr});
+  const FlowId above = net.start_flow({{link}, 1 << 20, 200.0, nullptr});
+  const FlowId open = net.start_flow({{link}, 1 << 20, kUnlimitedRate, nullptr});
+  EXPECT_EQ(net.flow_stats(below).current_rate, 50.0);
+  EXPECT_EQ(net.flow_stats(above).current_rate, 100.0);
+  EXPECT_EQ(net.flow_stats(open).current_rate, 100.0);
+  EXPECT_EQ(net.link_utilization(link), 250.0);
+  // One fewer flow: capacity / n = 150.
+  net.cancel_flow(open);
+  EXPECT_EQ(net.flow_stats(below).current_rate, 50.0);
+  EXPECT_EQ(net.flow_stats(above).current_rate, 150.0);
+  net.set_link_capacity(link, 60.0);
+  EXPECT_EQ(net.flow_stats(below).current_rate, 30.0);
+  EXPECT_EQ(net.flow_stats(above).current_rate, 30.0);
 }
 
 // Property sweep: with N capped flows on one link, the allocation is

@@ -397,7 +397,7 @@ TEST(SnapshotNetTest, MidFlowRoundTripPreservesCompletionTimes) {
   auto net_a = build(sim_a);
   std::vector<std::pair<net::FlowId, SimTime>> done_a;
   net::Network::FlowSpec spec;
-  spec.path = {0};
+  spec.link = 0;
   spec.bytes = 10000;
   spec.on_complete = [&](net::FlowId id) { done_a.push_back({id, sim_a.now()}); };
   net_a->start_flow(spec);
@@ -470,8 +470,7 @@ TEST(SnapshotNetTest, ChurnedPoolRoundTripAfterSlotReuse) {
   // population rather than reproduce the churn high-water mark.
   auto build = [](sim::Simulator& sim) {
     auto net = std::make_unique<net::Network>(sim);
-    net->add_link("trunk", 500.0);
-    net->add_link("leg", 200.0);
+    net->add_link("uplink", 200.0);
     return net;
   };
   auto churn = [](sim::Simulator& sim, net::Network& net,
@@ -482,7 +481,7 @@ TEST(SnapshotNetTest, ChurnedPoolRoundTripAfterSlotReuse) {
     for (int wave = 0; wave < 3; ++wave) {
       for (int i = 0; i < 4; ++i) {
         net::Network::FlowSpec spec;
-        spec.path = {0, 1};
+        spec.link = 0;
         spec.bytes = 1000 + 700 * i + 130 * wave;
         spec.on_complete = [&sim, done](net::FlowId id) {
           done->push_back({id, sim.now()});
@@ -495,7 +494,7 @@ TEST(SnapshotNetTest, ChurnedPoolRoundTripAfterSlotReuse) {
     // into recycled slots.
     for (int i = 0; i < 3; ++i) {
       net::Network::FlowSpec spec;
-      spec.path = {0, 1};
+      spec.link = 0;
       spec.bytes = 400000 + 50000 * i;
       spec.on_complete = [&sim, done](net::FlowId id) {
         done->push_back({id, sim.now()});
@@ -558,7 +557,7 @@ TEST(SnapshotNetTest, ChurnedPoolRoundTripAfterSlotReuse) {
   // New flows started after restore recycle the compacted slots rather
   // than growing the slab past the live population.
   net::Network::FlowSpec tail;
-  tail.path = {0};
+  tail.link = 0;
   tail.bytes = 100;
   net_c->start_flow(tail);
   EXPECT_LE(net_c->flow_slab_capacity(), 3u);
@@ -584,9 +583,9 @@ TEST(SnapshotNetTest, RestoreReproducesFastPathDecisions) {
       return [this](net::FlowId id) { done.push_back({id, sim.now()}); };
     }
   };
-  const std::vector<std::vector<net::LinkId>> paths = {
-      {}, {1}, {2}, {1, 2}, {0}, {0, 1}, {2, 2}};
-  const auto op = [&paths](Side& s, Rng& rng) {
+  const std::vector<std::optional<net::LinkId>> links = {std::nullopt, 0, 1,
+                                                        2};
+  const auto op = [&links](Side& s, Rng& rng) {
     const std::vector<net::Network::FlowView> views = s.net.flow_views();
     const double action = rng.uniform();
     const Rate cap =
@@ -594,7 +593,7 @@ TEST(SnapshotNetTest, RestoreReproducesFastPathDecisions) {
     if (action < 0.5 || views.empty()) {
       const Bytes size = 1000 + rng.uniform_index(100000);
       s.net.start_flow(
-          {paths[rng.uniform_index(paths.size())], size, cap, s.record()});
+          {links[rng.uniform_index(links.size())], size, cap, s.record()});
     } else if (action < 0.65) {
       s.net.cancel_flow(views[rng.uniform_index(views.size())].id);
     } else if (action < 0.85) {
@@ -648,7 +647,7 @@ TEST(SnapshotNetTest, RestoreReproducesFastPathDecisions) {
     ASSERT_EQ(va.size(), vb.size()) << "step " << step;
     for (std::size_t i = 0; i < va.size(); ++i) {
       EXPECT_EQ(va[i].id, vb[i].id);
-      EXPECT_EQ(*va[i].path, *vb[i].path);
+      EXPECT_EQ(va[i].link, vb[i].link);
       EXPECT_EQ(va[i].bytes_total, vb[i].bytes_total);
       EXPECT_EQ(va[i].bytes_done, vb[i].bytes_done);
       EXPECT_EQ(va[i].rate, vb[i].rate);
@@ -664,6 +663,64 @@ TEST(SnapshotNetTest, RestoreReproducesFastPathDecisions) {
   // Both decisions were exercised after the restore.
   EXPECT_GT(fast, 0u);
   EXPECT_GT(solves, 0u);
+}
+
+// A flow crosses at most one link, so load() refuses a saved flow whose
+// path is longer, naming the flow and the length, as it refuses an
+// out-of-range link. The section is written field by field, as
+// Network::save lays it out.
+TEST(SnapshotNetTest, LoadRefusesAFlowCrossingTwoLinks) {
+  const auto section = [](std::vector<net::LinkId> path) {
+    SnapshotWriter w;
+    w.begin_section(1, 1);
+    w.u8(1, 0);  // kMaxMinFair
+    w.u64(2, 2);
+    w.f64(3, 500.0);
+    w.f64(3, 200.0);
+    w.u64(4, 8);
+    w.u64(5, 1);
+    w.u64(6, 7);
+    w.u64(7, path.size());
+    for (const net::LinkId l : path) w.u32(8, l);
+    w.u64(9, 1000);
+    w.f64(10, 100.0);
+    w.f64(11, 0.0);
+    w.f64(12, net::kUnlimitedRate);
+    w.f64(13, 0.0);
+    w.f64(18, 0.0);
+    w.i64(14, 0);
+    w.i64(15, 0);
+    w.u64(16, sim::kInvalidEvent);
+    w.b(17, false);
+    w.end_section();
+    return w.take();
+  };
+  const auto restore = [](sim::Simulator& sim, std::string bytes) {
+    auto net = std::make_unique<net::Network>(sim);
+    net->add_link("trunk", 500.0);
+    net->add_link("leg", 200.0);
+    SnapshotReader r(std::move(bytes));
+    r.require_section(1, 1);
+    net->load(r);
+    r.end_section();
+    return net;
+  };
+
+  sim::Simulator sim_one;
+  const auto one = restore(sim_one, section({1}));
+  ASSERT_EQ(one->flow_views().size(), 1u);
+  EXPECT_EQ(one->flow_views()[0].link, std::optional<net::LinkId>(1));
+  EXPECT_EQ(one->link_flow_count(1), 1u);
+
+  sim::Simulator sim_two;
+  try {
+    restore(sim_two, section({0, 1}));
+    FAIL() << "a two-link flow was restored";
+  } catch (const SnapshotError& e) {
+    const std::string what(e.what());
+    EXPECT_NE(what.find("flow #7"), std::string::npos) << what;
+    EXPECT_NE(what.find("path of 2 links"), std::string::npos) << what;
+  }
 }
 
 // --- storage pool ----------------------------------------------------------
