@@ -12,6 +12,7 @@
 // 3 keeps the severe chaos plan (10%/h VM crashes all week + a 6-hour
 // upload-cluster outage) active across the kill, proving recovery composes
 // with fault injection. Results land in BENCH_crash_resume.json.
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -241,8 +242,10 @@ int main(int argc, char** argv) {
 
   const double divisor = args.get_double("divisor", 1.0, analysis::kMaxDivisor);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const int kills = static_cast<int>(args.get_int("kills"));
-  const SimTime period = args.get_int("period-hours") * kHour;
+  const int kills = static_cast<int>(args.get_int("kills", 1, INT_MAX));
+  // Bounded so the period in microseconds cannot overflow.
+  const SimTime period =
+      args.get_int("period-hours", 1, INT64_MAX / kHour) * kHour;
   Rng kill_rng(static_cast<std::uint64_t>(args.get_int("kill-seed")));
 
   // Bench-wide observer: accumulates the metrics registry across every run

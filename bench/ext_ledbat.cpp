@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     net::Network net(sim);
     const net::LinkId uplink = net.add_link("cloud-uplink", capacity);
 
-    const net::FlowId background =
+    const net::FlowHandle background =
         net.start_flow({{uplink}, 1ull << 50, kbps_to_rate(4.0), nullptr});
     proto::LedbatController::Params params;
     params.max_rate = capacity;

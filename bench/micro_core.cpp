@@ -5,6 +5,7 @@
 // popularity profile and catalog sampler, and the swarm advance.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -48,7 +49,7 @@ void BM_MaxMinFairReallocation(benchmark::State& state) {
   net.set_link_capacity(link, 5e4 * flows);
   for (auto _ : state) {
     // One more flow triggers a full solve of the link.
-    const odr::net::FlowId extra =
+    const odr::net::FlowHandle extra =
         net.start_flow({{link}, 1ull << 32, 5e5, nullptr});
     state.PauseTiming();
     net.cancel_flow(extra);
@@ -80,7 +81,7 @@ void BM_SaturatedLinkResolve(benchmark::State& state) {
   net.set_link_capacity(link, 2e5 * flows);
   std::int64_t next = flows;
   for (auto _ : state) {
-    const odr::net::FlowId extra =
+    const odr::net::FlowHandle extra =
         net.start_flow({{link}, 1ull << 40, cap_of(next++), nullptr});
     net.cancel_flow(extra);
   }
@@ -94,7 +95,7 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
   for (auto _ : state) {
     odr::sim::Simulator sim;
     const int n = static_cast<int>(state.range(0));
-    std::vector<odr::sim::EventId> ids;
+    std::vector<odr::sim::EventHandle> ids;
     ids.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       ids.push_back(sim.schedule_at((i * 7919) % 100000, [] {}));
@@ -105,6 +106,67 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EventQueueCancelHeavy)->Arg(10000)->Arg(100000);
+
+// The completion-reschedule pattern on a standing queue of range(0) events
+// (38,196 is the peak pending count of the divisor-1 week): each cycle
+// cancels a pending event, pushes its replacement, steps the earliest
+// event and pushes that one's successor, so the queue never shrinks. A
+// batch of kBatch cycles is timed phase by phase; the counters are ns per
+// cancel, per push and per step.
+void BM_EventQueueReschedule(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::size_t kBatch = 256;
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  odr::sim::Simulator sim;
+  std::uint64_t lcg = 20151028;
+  const auto delay = [&lcg] {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<odr::SimTime>(1 + (lcg >> 40) % 1000000);
+  };
+  std::vector<std::size_t> fired;
+  fired.reserve(kBatch);
+  // One pending event per index; running it reports its index.
+  std::vector<odr::sim::EventHandle> pending(n);
+  const auto arm = [&](std::size_t i) {
+    pending[i] =
+        sim.schedule_after(delay(), [&fired, i] { fired.push_back(i); });
+  };
+  for (std::size_t i = 0; i < n; ++i) arm(i);
+  std::size_t next_victim = 0;
+  double cancel_ns = 0.0, push_ns = 0.0, step_ns = 0.0;
+  const auto ns_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
+  };
+  for (auto _ : state) {
+    // kBatch consecutive indices are distinct, pending, and scattered in
+    // time, since every index's time is drawn at random.
+    const std::size_t first = next_victim;
+    next_victim = (next_victim + kBatch) % n;
+    auto t0 = Clock::now();
+    for (std::size_t k = 0; k < kBatch; ++k) {
+      benchmark::DoNotOptimize(sim.cancel(pending[(first + k) % n]));
+    }
+    cancel_ns += ns_since(t0);
+    t0 = Clock::now();
+    for (std::size_t k = 0; k < kBatch; ++k) arm((first + k) % n);
+    push_ns += ns_since(t0);
+    fired.clear();
+    t0 = Clock::now();
+    for (std::size_t k = 0; k < kBatch; ++k) {
+      benchmark::DoNotOptimize(sim.step());
+    }
+    step_ns += ns_since(t0);
+    t0 = Clock::now();
+    for (const std::size_t i : fired) arm(i);
+    push_ns += ns_since(t0);
+  }
+  const double cycles = static_cast<double>(state.iterations() * kBatch);
+  state.counters["cancel_ns"] = cancel_ns / cycles;
+  state.counters["push_ns"] = push_ns / (2.0 * cycles);
+  state.counters["step_ns"] = step_ns / cycles;
+  state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
+}
+BENCHMARK(BM_EventQueueReschedule)->Arg(38196);
 
 // Steady-state dispatch: a ring of events that reschedule themselves,
 // measuring per-event overhead (slot reuse + heap push/pop) with a queue
@@ -147,7 +209,7 @@ void BM_ComponentScopedCancel(benchmark::State& state) {
                       nullptr});
     }
   }
-  std::vector<odr::net::FlowId> victims;
+  std::vector<odr::net::FlowHandle> victims;
   for (auto _ : state) {
     state.PauseTiming();
     victims.clear();
@@ -158,7 +220,7 @@ void BM_ComponentScopedCancel(benchmark::State& state) {
     state.ResumeTiming();
     // One cancel per link; each should cost O(flows_per), independent of
     // the number of other links.
-    for (const odr::net::FlowId id : victims) net.cancel_flow(id);
+    for (const odr::net::FlowHandle h : victims) net.cancel_flow(h);
   }
   state.SetItemsProcessed(state.iterations() * components);
 }

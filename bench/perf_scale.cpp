@@ -8,7 +8,9 @@
 // the week executed (the work, a pure function of divisor and seed), the
 // flow solver's work read from the run's observer (full solves, their
 // water-filling steps, and completions kept or rescheduled by a solve —
-// also pure functions of divisor and seed), and the process peak RSS
+// also pure functions of divisor and seed), the exact counts of
+// kWorkCounters (task wakes by source class, swarm rng draws and
+// fast-path rate updates), and the process peak RSS
 // sampled after every rung of the ladder — the per-rung deltas are what
 // tools/check_perf_regression.py budgets.
 //
@@ -19,6 +21,7 @@
 // memory-bandwidth and scheduler contention, so the JSON flags the mode.
 // The --full ladder extends to 10, and --divisors accepts 1 explicitly for
 // the divisor-1 week.
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -40,6 +43,21 @@ namespace {
 
 using namespace odr;
 
+// Exact work counts each run reports: the JSON field, the table column and
+// the observer counter. tools/check_perf_regression.py pins them.
+struct WorkCounter {
+  const char* field;
+  const char* column;
+  const char* counter;
+};
+constexpr WorkCounter kWorkCounters[] = {
+    {"ticks_server", "server wakes", "proto.ticks.server"},
+    {"ticks_swarm_seedless", "seedless wakes", "proto.ticks.swarm_seedless"},
+    {"ticks_swarm_seeded", "seeded wakes", "proto.ticks.swarm_seeded"},
+    {"swarm_draws", "swarm draws", "proto.swarm.draws"},
+    {"fast_path_updates", "fast path", "net.flows.fast_path"},
+};
+
 struct ScaleRun {
   double divisor = 0.0;
   double wall_seconds = 0.0;   // set-up + run + finalize
@@ -52,6 +70,7 @@ struct ScaleRun {
   std::uint64_t solver_iterations = 0;
   std::uint64_t completions_kept = 0;
   std::uint64_t completions_rescheduled = 0;
+  std::array<std::uint64_t, std::size(kWorkCounters)> work{};
   std::uint64_t fingerprint = 0;
   std::uint64_t peak_rss_bytes = 0;  // sampled right after the run
   double tasks_per_second() const {
@@ -91,6 +110,9 @@ ScaleRun run_week(double divisor, std::uint64_t seed) {
   r.completions_kept = metrics.counter("net.completions.kept").value();
   r.completions_rescheduled =
       metrics.counter("net.completions.rescheduled").value();
+  for (std::size_t i = 0; i < r.work.size(); ++i) {
+    r.work[i] = metrics.counter(kWorkCounters[i].counter).value();
+  }
   r.fingerprint = analysis::outcome_fingerprint(result.outcomes);
   // Peak RSS is a process high-water mark: monotone over the ladder, so
   // the delta each rung adds on top of the cheaper rungs is attributable
@@ -189,28 +211,36 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(batch1 - batch0).count();
   const std::uint64_t rss = run::peak_rss_bytes();
 
-  TextTable table({"divisor", "tasks", "events", "solves", "solve steps",
-                   "kept", "rescheduled", "wall s", "set-up s",
-                   "set-up share", "tasks/s", "peak RSS MiB", "fingerprint"});
+  std::vector<std::string> header = {"divisor", "tasks", "events",
+                                     "solves", "solve steps", "kept",
+                                     "rescheduled"};
+  for (const WorkCounter& c : kWorkCounters) header.push_back(c.column);
+  header.insert(header.end(), {"wall s", "set-up s", "set-up share",
+                               "tasks/s", "peak RSS MiB", "fingerprint"});
+  TextTable table(std::move(header));
   for (const ScaleRun& r : runs) {
     char fp[24];
     std::snprintf(fp, sizeof(fp), "%016llx",
                   static_cast<unsigned long long>(r.fingerprint));
-    table.add_row({TextTable::num(r.divisor, 0), std::to_string(r.tasks),
-                   std::to_string(r.events), std::to_string(r.solver_runs),
-                   std::to_string(r.solver_iterations),
-                   std::to_string(r.completions_kept),
-                   std::to_string(r.completions_rescheduled),
-                   TextTable::num(r.wall_seconds, 2),
-                   TextTable::num(r.setup_seconds, 3),
-                   TextTable::pct(r.wall_seconds > 0.0
-                                      ? r.setup_seconds / r.wall_seconds
-                                      : 0.0),
-                   TextTable::num(r.tasks_per_second(), 0),
-                   TextTable::num(static_cast<double>(r.peak_rss_bytes) /
-                                      (1024.0 * 1024.0),
-                                  1),
-                   fp});
+    std::vector<std::string> row = {
+        TextTable::num(r.divisor, 0), std::to_string(r.tasks),
+        std::to_string(r.events), std::to_string(r.solver_runs),
+        std::to_string(r.solver_iterations),
+        std::to_string(r.completions_kept),
+        std::to_string(r.completions_rescheduled)};
+    for (const std::uint64_t n : r.work) row.push_back(std::to_string(n));
+    row.insert(row.end(),
+               {TextTable::num(r.wall_seconds, 2),
+                TextTable::num(r.setup_seconds, 3),
+                TextTable::pct(r.wall_seconds > 0.0
+                                   ? r.setup_seconds / r.wall_seconds
+                                   : 0.0),
+                TextTable::num(r.tasks_per_second(), 0),
+                TextTable::num(static_cast<double>(r.peak_rss_bytes) /
+                                   (1024.0 * 1024.0),
+                               1),
+                fp});
+    table.add_row(std::move(row));
   }
   std::fputs(
       banner("Cloud-week throughput ladder (seed " + args.get("seed") + ")")
@@ -246,8 +276,11 @@ int main(int argc, char** argv) {
           .field("solver_runs", r.solver_runs)
           .field("solver_iterations", r.solver_iterations)
           .field("completions_kept", r.completions_kept)
-          .field("completions_rescheduled", r.completions_rescheduled)
-          .field("wall_seconds", r.wall_seconds)
+          .field("completions_rescheduled", r.completions_rescheduled);
+      for (std::size_t i = 0; i < r.work.size(); ++i) {
+        j.field(kWorkCounters[i].field, r.work[i]);
+      }
+      j.field("wall_seconds", r.wall_seconds)
           .field("setup_seconds", r.setup_seconds)
           .field("tasks_per_second", r.tasks_per_second())
           .field("peak_rss_bytes", r.peak_rss_bytes)

@@ -129,10 +129,8 @@ void SmartAp::crash() {
   std::vector<std::uint64_t> doomed;
   for (auto& [id, r] : tasks_) {
     if (!r.task) continue;  // queued during a previous reboot window
-    if (r.bug_event != sim::kInvalidEvent) {
-      sim_.cancel(r.bug_event);
-      r.bug_event = sim::kInvalidEvent;
-    }
+    sim_.cancel(r.bug_event);
+    r.bug_event = {};
     const Bytes attempt_bytes = r.task->bytes_done();
     if (proto::is_p2p(r.file.protocol)) {
       r.preserved_bytes = std::min<Bytes>(
@@ -196,7 +194,7 @@ void SmartAp::on_done(std::uint64_t id, const proto::DownloadResult& result) {
   // We are inside the task's own callback: it dies with `r` when this
   // returns.
   Running r = std::move(it->second);
-  if (r.bug_event != sim::kInvalidEvent) sim_.cancel(r.bug_event);
+  sim_.cancel(r.bug_event);
   tasks_.erase(it);
 
   // Stitch crash-interrupted attempts into one user-visible result.

@@ -98,7 +98,7 @@ class SmartAp {
   struct Running {
     std::unique_ptr<proto::DownloadTask> task;
     DoneFn done;
-    sim::EventId bug_event = sim::kInvalidEvent;
+    sim::EventHandle bug_event;
     // Crash-recovery bookkeeping.
     workload::FileInfo file;
     Rate rate_restriction = net::kUnlimitedRate;

@@ -174,7 +174,7 @@ void PreDownloaderPool::on_task_done(std::uint64_t slot,
           static_cast<double>(kRetryBackoffBase) * factor);
       const std::uint64_t key = next_retry_++;
       const sim::EventId event =
-          sim_.schedule_after(backoff, [this, key] { resume_retry(key); });
+          sim_.schedule_after(backoff, [this, key] { resume_retry(key); }).id;
       retrying_.emplace(key, Retry{std::move(pending), event});
       start_next_queued();
       return;

@@ -172,11 +172,10 @@ Bytes XuanfengCloud::cancel_task(workload::TaskId id) {
   // it had already moved as wasted work.
   for (auto it = fetches_.begin(); it != fetches_.end(); ++it) {
     if (it->second.outcome.task_id != id) continue;
-    const net::FlowId flow = it->first;
     ActiveFetch fetch = std::move(it->second);
     fetches_.erase(it);
-    const net::FlowStats stats = net_.flow_stats(flow);
-    net_.cancel_flow(flow);
+    const net::FlowStats stats = net_.flow_stats(fetch.flow);
+    net_.cancel_flow(fetch.flow);
     uploads_.release(fetch.plan);
     ODR_COUNT("cloud.fetches.cancelled");
     workload::TaskOutcome& outcome = fetch.outcome;
@@ -335,9 +334,9 @@ void XuanfengCloud::begin_fetch(const workload::WorkloadRecord& request,
   spec.bytes = catalog_.file(request.file).size;
   spec.rate_cap = plan.rate;
   spec.on_complete = [this](net::FlowId id) { on_fetch_complete(id); };
-  const net::FlowId flow = net_.start_flow(std::move(spec));
-  fetches_.emplace(flow, ActiveFetch{std::move(outcome), plan, overhead,
-                                     std::move(on_done)});
+  const net::FlowHandle flow = net_.start_flow(std::move(spec));
+  fetches_.emplace(flow.id, ActiveFetch{flow, std::move(outcome), plan,
+                                        overhead, std::move(on_done)});
 }
 
 void XuanfengCloud::on_fetch_complete(net::FlowId id) {
@@ -480,8 +479,8 @@ void XuanfengCloud::load(snapshot::SnapshotReader& r, OutcomeFn sink) {
     fetch.plan = load_plan(r);
     fetch.overhead = r.f64(kTagFetchOverhead);
     fetch.on_done = sink;
-    net_.reattach_on_complete(flow,
-                              [this](net::FlowId id) { on_fetch_complete(id); });
+    fetch.flow = net_.reattach_on_complete(
+        flow, [this](net::FlowId id) { on_fetch_complete(id); });
     fetches_.emplace(flow, std::move(fetch));
   }
   r.end_section();

@@ -145,6 +145,7 @@ class XuanfengCloud {
   // A user fetch in flight: everything the completion handler needs to
   // finalize the record, keyed by the flow id.
   struct ActiveFetch {
+    net::FlowHandle flow;  // for cancel_task
     workload::TaskOutcome outcome;
     FetchPlan plan;
     double overhead = 1.0;

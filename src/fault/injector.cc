@@ -60,14 +60,15 @@ std::uint64_t FaultInjector::total_fired() const {
 
 void FaultInjector::arm_at(std::size_t index, Phase phase, SimTime at) {
   const sim::EventId event =
-      sim_.schedule_at(at, [this, index, phase] { fire(index, phase); });
+      sim_.schedule_at(at, [this, index, phase] { fire(index, phase); }).id;
   pending_[{index, static_cast<std::uint8_t>(phase)}] = PendingEvent{event};
 }
 
 void FaultInjector::arm_after(std::size_t index, Phase phase, SimTime delay,
                               bool degraded) {
   const sim::EventId event =
-      sim_.schedule_after(delay, [this, index, phase] { fire(index, phase); });
+      sim_.schedule_after(delay, [this, index, phase] { fire(index, phase); })
+          .id;
   pending_[{index, static_cast<std::uint8_t>(phase)}] =
       PendingEvent{event, degraded};
 }

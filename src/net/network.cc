@@ -135,12 +135,10 @@ const std::string& Network::link_name(LinkId link) const {
   return links_[link].name;
 }
 
-std::uint32_t Network::acquire_slot() { return flows_.acquire(); }
-
 void Network::release_slot(std::uint32_t slot) {
   FlowState& f = flows_[slot];
   f.on_complete = nullptr;
-  f.completion_event = sim::kInvalidEvent;
+  f.completion_event = {};
   f.id = kInvalidFlow;
   flows_.release(slot);
 }
@@ -197,10 +195,10 @@ void Network::detach_from_link(std::uint32_t slot, FlowState& f) {
   f.adj = kNoAdj;
 }
 
-FlowId Network::start_flow(FlowSpec spec) {
+FlowHandle Network::start_flow(FlowSpec spec) {
   assert(spec.bytes > 0);
   const FlowId id = next_flow_id_++;
-  const std::uint32_t slot = acquire_slot();
+  const std::uint32_t slot = flows_.acquire();
   FlowState& f = flows_[slot];
   f.link = spec.link.value_or(kNoLink);
   f.bytes_total = spec.bytes;
@@ -214,43 +212,35 @@ FlowId Network::start_flow(FlowSpec spec) {
   f.on_complete = std::move(spec.on_complete);
   f.id = id;
   attach_to_link(slot, f);
-  id_to_slot_.put(id, slot);
   ++live_flows_;
-  if (!try_fast_start(f)) solve(f);
+  if (!try_fast_start(slot)) solve(slot);
   ODR_COUNT("net.flows.started");
   ODR_TRACE_INSTANT(kNet, "flow.start");
-  return id;
+  return FlowHandle{id, slot};
 }
 
-bool Network::cancel_flow(FlowId id) {
-  const std::uint32_t* ps = id_to_slot_.find(id);
-  if (ps == nullptr) return false;
-  const std::uint32_t slot = *ps;
-  FlowState& f = flows_[slot];
-  if (f.completion_event != sim::kInvalidEvent) {
-    sim_.cancel(f.completion_event);
-  }
-  remove_flow(slot, f);
+bool Network::cancel_flow(FlowHandle h) {
+  if (!flow_active(h)) return false;
+  FlowState& f = flows_[h.slot];
+  sim_.cancel(f.completion_event);
+  remove_flow(h.slot, f);
   ODR_COUNT("net.flows.cancelled");
   return true;
 }
 
-bool Network::set_flow_cap(FlowId id, Rate cap) {
-  const std::uint32_t* ps = id_to_slot_.find(id);
-  if (ps == nullptr) return false;
-  const std::uint32_t slot = *ps;
-  FlowState& f = flows_[slot];
+bool Network::set_flow_cap(FlowHandle h, Rate cap) {
+  if (!flow_active(h)) return false;
+  FlowState& f = flows_[h.slot];
   f.rate_cap = cap;
   if (f.link != kNoLink) links_[f.link].order_stale = true;
-  if (!try_fast_recap(f)) solve(f);
+  if (!try_fast_recap(h.slot)) solve(h.slot);
   return true;
 }
 
-FlowStats Network::flow_stats(FlowId id) const {
+FlowStats Network::flow_stats(FlowHandle h) const {
   FlowStats s;
-  const std::uint32_t* ps = id_to_slot_.find(id);
-  if (ps == nullptr) return s;
-  const FlowState& f = flows_[*ps];
+  if (!flow_active(h)) return s;
+  const FlowState& f = flows_[h.slot];
   s.bytes_total = f.bytes_total;
   s.bytes_done = static_cast<Bytes>(std::min<double>(
       progress(f), static_cast<double>(f.bytes_total)));
@@ -264,7 +254,8 @@ double Network::progress(const FlowState& f) const {
   return f.bytes_done + f.rate * to_seconds(sim_.now() - f.last_settled);
 }
 
-void Network::set_rate(FlowState& f, Rate r) {
+void Network::set_rate(std::uint32_t slot, Rate r) {
+  FlowState& f = flows_[slot];
   if (r != f.rate) {
     // Re-anchor at the old rate before switching to the new one.
     f.bytes_done = progress(f);
@@ -272,7 +263,7 @@ void Network::set_rate(FlowState& f, Rate r) {
     f.rate = r;
     f.peak_rate = std::max(f.peak_rate, r);
   }
-  schedule_completion(f.id, f);
+  schedule_completion(slot);
 }
 
 void Network::add_load(LinkId l, Rate rate, std::int64_t sign) {
@@ -281,21 +272,23 @@ void Network::add_load(LinkId l, Rate rate, std::int64_t sign) {
   }
 }
 
-bool Network::try_fast_start(FlowState& f) {
+bool Network::try_fast_start(std::uint32_t slot) {
   if (model_ != AllocationModel::kMaxMinFair) return false;
+  const FlowState& f = flows_[slot];
   if (f.link != kNoLink) {
     if (!std::isfinite(f.rate_cap)) return false;
     // Tentative: on failure the full solve recounts the link's load.
     add_load(f.link, cap_rate(f.rate_cap), 1);
     if (!below_bound(f.link)) return false;
   }
-  set_rate(f, cap_rate(f.rate_cap));
+  set_rate(slot, cap_rate(f.rate_cap));
   ODR_COUNT("net.flows.fast_path");
   return true;
 }
 
-bool Network::try_fast_recap(FlowState& f) {
+bool Network::try_fast_recap(std::uint32_t slot) {
   if (model_ != AllocationModel::kMaxMinFair) return false;
+  const FlowState& f = flows_[slot];
   if (f.link != kNoLink) {
     // Below the bound before, the flow was at its old cap and no neighbour
     // was bottlenecked on its link; below it after, none becomes so.
@@ -304,7 +297,7 @@ bool Network::try_fast_recap(FlowState& f) {
     add_load(f.link, cap_rate(f.rate_cap), 1);
     if (!below_bound(f.link)) return false;
   }
-  set_rate(f, cap_rate(f.rate_cap));
+  set_rate(slot, cap_rate(f.rate_cap));
   ODR_COUNT("net.flows.fast_path");
   return true;
 }
@@ -315,10 +308,8 @@ void Network::remove_flow(std::uint32_t slot, FlowState& f) {
       model_ == AllocationModel::kMaxMinFair && below_bound(f.link);
   add_load(f.link, f.rate, -1);
   detach_from_link(slot, f);
-  const FlowId id = f.id;
   const LinkId l = f.link;
   release_slot(slot);
-  id_to_slot_.erase(id);
   --live_flows_;
   if (fast) {
     ODR_COUNT("net.flows.fast_path");
@@ -328,8 +319,8 @@ void Network::remove_flow(std::uint32_t slot, FlowState& f) {
 }
 
 void Network::reallocate() {
-  flows_.for_each_slot([this](std::uint32_t, FlowState& f) {
-    if (f.link == kNoLink) solve_pathless(f);
+  flows_.for_each_slot([this](std::uint32_t slot, FlowState& f) {
+    if (f.link == kNoLink) solve_pathless(slot);
   });
   for (LinkId l = 0; l < links_.size(); ++l) {
     links_[l].order_stale = true;
@@ -337,20 +328,20 @@ void Network::reallocate() {
   }
 }
 
-void Network::solve(FlowState& f) {
-  if (f.link == kNoLink) {
-    solve_pathless(f);
+void Network::solve(std::uint32_t slot) {
+  if (flows_[slot].link == kNoLink) {
+    solve_pathless(slot);
   } else {
-    solve_link(f.link);
+    solve_link(flows_[slot].link);
   }
 }
 
-void Network::solve_pathless(FlowState& f) {
+void Network::solve_pathless(std::uint32_t slot) {
+  const Rate cap = flows_[slot].rate_cap;
   // kEqualSplit keeps a cap at or below kMinRate rather than zeroing it.
-  set_rate(f, model_ == AllocationModel::kEqualSplit
-                  ? std::max(0.0, std::isfinite(f.rate_cap) ? f.rate_cap
-                                                            : kUnboundedRate)
-                  : cap_rate(f.rate_cap));
+  set_rate(slot, model_ == AllocationModel::kEqualSplit
+                     ? std::max(0.0, std::isfinite(cap) ? cap : kUnboundedRate)
+                     : cap_rate(cap));
   ODR_COUNT("net.solver.runs");
 }
 
@@ -401,9 +392,9 @@ void Network::solve_link(LinkId l) {
     const bool track = tracked(link.bound);
     std::int64_t load = 0;
     for (std::uint32_t a = link.head; a != kNoAdj; a = adj_[a].next) {
-      FlowState& f = flows_[adj_[a].flow_slot];
-      set_rate(f, rate_of(f));
-      if (track) load += rate_quanta(f.rate);
+      const std::uint32_t slot = adj_[a].flow_slot;
+      set_rate(slot, rate_of(flows_[slot]));
+      if (track) load += rate_quanta(flows_[slot].rate);
     }
     link.load = load;
   };
@@ -470,8 +461,9 @@ void Network::solve_link(LinkId l) {
            static_cast<double>(link.flow_count));
 }
 
-void Network::schedule_completion(FlowId id, FlowState& f) {
-  if (f.completion_event != sim::kInvalidEvent) {
+void Network::schedule_completion(std::uint32_t slot) {
+  FlowState& f = flows_[slot];
+  if (f.completion_event.id != sim::kInvalidEvent) {
     // Bytes accrue linearly at an unchanged rate, so the pending event
     // already fires at the exact completion time.
     if (f.rate == f.sched_rate) {
@@ -480,36 +472,30 @@ void Network::schedule_completion(FlowId id, FlowState& f) {
     }
     ODR_COUNT("net.completions.rescheduled");
     sim_.cancel(f.completion_event);
-    f.completion_event = sim::kInvalidEvent;
+    f.completion_event = {};
   }
   const double remaining =
       static_cast<double>(f.bytes_total) - progress(f);
-  if (remaining <= 0.0) {
-    f.sched_rate = f.rate;
-    f.completion_event = sim_.schedule_after(0, [this, id] { complete_flow(id); });
-    return;
-  }
-  if (f.rate <= kMinRate) return;  // stalled: completion waits for rate change
-  const double secs = remaining / f.rate;
-  const SimTime delay = std::max<SimTime>(0, from_seconds(secs));
+  // Stalled: the completion waits for a rate change.
+  if (remaining > 0.0 && f.rate <= kMinRate) return;
+  const SimTime delay = remaining > 0.0 ? from_seconds(remaining / f.rate) : 0;
   f.sched_rate = f.rate;
-  f.completion_event = sim_.schedule_after(delay, [this, id] { complete_flow(id); });
+  f.completion_event = sim_.schedule_after(
+      delay, [this, h = FlowHandle{f.id, slot}] { complete_flow(h); });
 }
 
-void Network::complete_flow(FlowId id) {
-  const std::uint32_t* ps = id_to_slot_.find(id);
-  if (ps == nullptr) return;
-  const std::uint32_t slot = *ps;
-  FlowState& f = flows_[slot];
-  f.completion_event = sim::kInvalidEvent;
+void Network::complete_flow(FlowHandle h) {
+  if (!flow_active(h)) return;
+  FlowState& f = flows_[h.slot];
+  f.completion_event = {};
   const SimTime started_at = f.started_at;
   ODR_COUNT("net.flows.completed");
   ODR_HIST("net.flow.duration_s", 0.0, 3600.0, 48,
            to_seconds(sim_.now() - started_at));
   ODR_TRACE_COMPLETE(kNet, "flow", started_at, sim_.now());
   FlowCallback cb = std::move(f.on_complete);
-  remove_flow(slot, f);
-  if (cb) cb(id);
+  remove_flow(h.slot, f);
+  if (cb) cb(h.id);
 }
 
 void Network::save(snapshot::SnapshotWriter& w) const {
@@ -518,12 +504,7 @@ void Network::save(snapshot::SnapshotWriter& w) const {
   for (const LinkState& l : links_) w.f64(kTagLinkCapacity, l.capacity);
   w.u64(kTagNextFlowId, next_flow_id_);
 
-  std::vector<std::pair<FlowId, std::uint32_t>> ordered;
-  ordered.reserve(live_flows_);
-  id_to_slot_.for_each([&](std::uint64_t id, std::uint32_t slot) {
-    ordered.emplace_back(id, slot);
-  });
-  std::sort(ordered.begin(), ordered.end());
+  const std::vector<FlowHandle> ordered = handles_by_id();
   w.u64(kTagFlowCount, ordered.size());
   for (const auto& [id, slot] : ordered) {
     const FlowState& f = flows_[slot];
@@ -539,7 +520,7 @@ void Network::save(snapshot::SnapshotWriter& w) const {
     w.f64(kTagFlowSchedRate, f.sched_rate);
     w.i64(kTagFlowStartedAt, f.started_at);
     w.i64(kTagFlowLastSettled, f.last_settled);
-    w.u64(kTagFlowCompletionEvent, f.completion_event);
+    w.u64(kTagFlowCompletionEvent, f.completion_event.id);
     w.b(kTagFlowHasCallback, static_cast<bool>(f.on_complete));
   }
 }
@@ -572,7 +553,6 @@ void Network::load(snapshot::SnapshotReader& r) {
 
   flows_.clear();
   adj_.clear();
-  id_to_slot_.clear();
   live_flows_ = 0;
   awaiting_callback_.clear();
   const std::uint64_t flow_count = r.u64(kTagFlowCount);
@@ -582,7 +562,7 @@ void Network::load(snapshot::SnapshotReader& r) {
     // slots come out sequential and adjacency chains (appended by
     // attach_to_link below) reproduce the original ascending-by-id order
     // exactly.
-    const std::uint32_t slot = acquire_slot();
+    const std::uint32_t slot = flows_.acquire();
     FlowState& f = flows_[slot];
     const std::uint64_t path_len = r.u64(kTagFlowPathLen);
     if (path_len > 1) {
@@ -614,32 +594,38 @@ void Network::load(snapshot::SnapshotReader& r) {
     // network makes the same fast-path decisions as the saved one.
     add_load(f.link, f.rate, 1);
     if (completion != sim::kInvalidEvent) {
-      sim_.rearm(completion, [this, id] { complete_flow(id); });
-      f.completion_event = completion;
+      f.completion_event = sim_.rearm(
+          completion, [this, h = FlowHandle{id, slot}] { complete_flow(h); });
     }
-    if (has_callback) awaiting_callback_.insert(id);
-    id_to_slot_.put(id, slot);
+    if (has_callback) awaiting_callback_.emplace(id, slot);
     ++live_flows_;
   }
 }
 
-void Network::reattach_on_complete(FlowId id, FlowCallback cb) {
-  const std::uint32_t* ps = id_to_slot_.find(id);
-  if (ps == nullptr) {
+FlowHandle Network::reattach_on_complete(FlowId id, FlowCallback cb) {
+  const auto it = awaiting_callback_.find(id);
+  if (it == awaiting_callback_.end()) {
     throw snapshot::SnapshotError(
-        "network: reattach_on_complete for unknown flow " + std::to_string(id));
+        "network: reattach_on_complete for flow " + std::to_string(id) +
+        ", which is not awaiting a completion callback");
   }
-  flows_[*ps].on_complete = std::move(cb);
-  awaiting_callback_.erase(id);
+  const FlowHandle h{id, awaiting_callback_.extract(it).mapped()};
+  flows_[h.slot].on_complete = std::move(cb);
+  return h;
+}
+
+std::vector<FlowHandle> Network::handles_by_id() const {
+  std::vector<FlowHandle> ordered;
+  ordered.reserve(live_flows_);
+  flows_.for_each_slot([&](std::uint32_t slot, const FlowState& f) {
+    ordered.push_back(FlowHandle{f.id, slot});
+  });
+  std::ranges::sort(ordered, {}, &FlowHandle::id);
+  return ordered;
 }
 
 std::vector<Network::FlowView> Network::flow_views() const {
-  std::vector<std::pair<FlowId, std::uint32_t>> ordered;
-  ordered.reserve(live_flows_);
-  id_to_slot_.for_each([&](std::uint64_t id, std::uint32_t slot) {
-    ordered.emplace_back(id, slot);
-  });
-  std::sort(ordered.begin(), ordered.end());
+  const std::vector<FlowHandle> ordered = handles_by_id();
   std::vector<FlowView> views;
   views.reserve(ordered.size());
   for (const auto& [id, slot] : ordered) {
@@ -648,7 +634,7 @@ std::vector<Network::FlowView> Network::flow_views() const {
         f.link == kNoLink ? std::nullopt : std::optional<LinkId>(f.link);
     views.push_back(FlowView{id, link, f.bytes_total, f.bytes_done, f.rate,
                              f.last_settled,
-                             f.completion_event != sim::kInvalidEvent,
+                             f.completion_event.id != sim::kInvalidEvent,
                              static_cast<bool>(f.on_complete)});
   }
   return views;
@@ -657,7 +643,7 @@ std::vector<Network::FlowView> Network::flow_views() const {
 std::size_t Network::pending_completion_count() const {
   std::size_t n = 0;
   flows_.for_each_slot([&](std::uint32_t, const FlowState& f) {
-    if (f.completion_event != sim::kInvalidEvent) ++n;
+    if (f.completion_event.id != sim::kInvalidEvent) ++n;
   });
   return n;
 }

@@ -47,7 +47,8 @@
 // hundreds of thousands of tasks per second of wall time.
 //
 // Hot-path layout (see DESIGN.md §11 and §16): flows live in a
-// util::SlabPool indexed by dense 32-bit slots; link membership is an
+// util::SlabPool indexed by dense 32-bit slots, and a FlowHandle names its
+// flow's slot, so no flow call performs a hash lookup; link membership is an
 // intrusive doubly-linked adjacency list of pooled nodes (append keeps
 // ascending flow id, detach is O(1)), so completion-heavy steady state
 // never scans a cluster link's whole membership, and no update allocates
@@ -57,14 +58,13 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "net/isp.h"
 #include "sim/simulator.h"
-#include "util/flat_map.h"
 #include "util/pool.h"
 #include "util/units.h"
 
@@ -80,6 +80,15 @@ using LinkId = std::uint32_t;
 using FlowId = std::uint64_t;
 inline constexpr FlowId kInvalidFlow = 0;
 inline constexpr Rate kUnlimitedRate = std::numeric_limits<double>::infinity();
+
+// A started flow: its id and the slab slot it occupies. A call through a
+// handle whose slot no longer holds its id finds no flow; the default
+// handle names none.
+struct FlowHandle {
+  FlowId id = kInvalidFlow;
+  std::uint32_t slot = 0;
+  bool operator==(const FlowHandle&) const = default;
+};
 
 struct FlowStats {
   Bytes bytes_total = 0;
@@ -135,18 +144,23 @@ class Network {
     FlowCallback on_complete;   // optional
   };
 
-  FlowId start_flow(FlowSpec spec);
+  FlowHandle start_flow(FlowSpec spec);
 
   // Stops a flow before completion; its callback is not invoked.
   // Returns false if the flow already finished or never existed.
-  bool cancel_flow(FlowId id);
+  bool cancel_flow(FlowHandle h);
 
   // Changes a flow's cap mid-transfer (e.g. swarm capacity drift).
-  bool set_flow_cap(FlowId id, Rate cap);
+  bool set_flow_cap(FlowHandle h, Rate cap);
 
-  bool flow_active(FlowId id) const { return id_to_slot_.contains(id); }
-  // Progress is read at `now` without moving the flow's anchor.
-  FlowStats flow_stats(FlowId id) const;
+  // True while `h`'s slot holds its flow (a free slot holds kInvalidFlow).
+  bool flow_active(FlowHandle h) const {
+    return h.id != kInvalidFlow && h.slot < flows_.capacity() &&
+           flows_[h.slot].id == h.id;
+  }
+  // Progress is read at `now` without moving the flow's anchor; all zero
+  // for a flow that is not active.
+  FlowStats flow_stats(FlowHandle h) const;
 
   std::size_t active_flow_count() const { return live_flows_; }
 
@@ -163,16 +177,18 @@ class Network {
   // rebuilds the flow table, and rearms completion events internally; flow
   // completion *callbacks* are closures owned by other components, so each
   // flow records whether it had one and the owner must re-attach it via
-  // reattach_on_complete() before the simulation resumes. Rates are NOT
-  // recomputed on load — they are restored exactly, so completion events
-  // keep their original times and ids — and the per-link loads are
+  // reattach_on_complete(), which returns the flow's handle, before the
+  // simulation resumes. Handles taken before load() name no flow. Rates
+  // are NOT recomputed on load — they are restored exactly, so completion
+  // events keep their original times and ids — and the per-link loads are
   // recounted from them, so the restored network takes the same fast-path
   // or full-solve decision at every later update. A flow's link is saved
   // as a path of 0 or 1 links; load() refuses a longer one.
   static constexpr std::uint32_t kSnapshotVersion = 1;
   void save(snapshot::SnapshotWriter& w) const;
   void load(snapshot::SnapshotReader& r);
-  void reattach_on_complete(FlowId id, FlowCallback cb);
+  // Throws SnapshotError unless flow `id` awaits its callback.
+  FlowHandle reattach_on_complete(FlowId id, FlowCallback cb);
   // Flows restored with a recorded callback that nobody has re-attached
   // yet; must be zero before resuming (audited).
   std::size_t flows_awaiting_callback() const { return awaiting_callback_.size(); }
@@ -263,25 +279,24 @@ class Network {
     SimTime started_at = 0;
     SimTime last_settled = 0;  // anchor time: the last change of `rate`
     FlowCallback on_complete;
-    sim::EventId completion_event = sim::kInvalidEvent;
+    sim::EventHandle completion_event;
     FlowId id = kInvalidFlow;  // owning id; kInvalidFlow when the slot is free
     LinkId link = kNoLink;
     std::uint32_t adj = kNoAdj;  // the flow's node in `link`'s chain
   };
 
-  std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   void attach_to_link(std::uint32_t slot, FlowState& f);
 
   // Bytes done at `now`: the anchor plus rate × elapsed.
   double progress(const FlowState& f) const;
-  // Gives `f` rate `r` (moving its anchor to `now` if the rate changes)
-  // and keeps or reschedules its completion.
-  void set_rate(FlowState& f, Rate r);
-  // The full solve of `f`: its link's, or its own when pathless.
-  void solve(FlowState& f);
+  // Gives flow `slot` rate `r` (moving its anchor to `now` if the rate
+  // changes) and keeps or reschedules its completion.
+  void set_rate(std::uint32_t slot, Rate r);
+  // The full solve of flow `slot`: its link's, or its own when pathless.
+  void solve(std::uint32_t slot);
   // A pathless flow shares nothing: its cap alone sets its rate.
-  void solve_pathless(FlowState& f);
+  void solve_pathless(std::uint32_t slot);
   // Re-solves every flow on `l` (the scan of the file header, or the
   // kEqualSplit share), reschedules the completions whose rate changed and
   // recounts the link's load.
@@ -289,21 +304,23 @@ class Network {
   // Brings `link.cap_order` up to date: rebuilt from the chain when stale,
   // else its dead entries dropped and the pending entries merged in.
   void refresh_cap_order(LinkState& link);
+  // Live flows' handles in ascending id order (save and flow_views).
+  std::vector<FlowHandle> handles_by_id() const;
   // True when slot `e.slot` still holds flow `e.id`.
   bool entry_live(const CapEntry& e) const { return flows_[e.slot].id == e.id; }
-  void schedule_completion(FlowId id, FlowState& f);
-  void complete_flow(FlowId id);
+  void schedule_completion(std::uint32_t slot);
+  void complete_flow(FlowHandle h);
   void detach_from_link(std::uint32_t slot, FlowState& f);
   // Removes a departing flow: the fast path when its link was below its
   // bound, the link's re-solve otherwise. `f` is released on return.
   void remove_flow(std::uint32_t slot, FlowState& f);
 
   // --- fast path (see file header) ----------------------------------------
-  // Applies the fast path to a just-attached flow, or returns false and
-  // leaves the flow for a full solve.
-  bool try_fast_start(FlowState& f);
-  // The fast path for a re-cap of `f` to its (already stored) rate_cap.
-  bool try_fast_recap(FlowState& f);
+  // Applies the fast path to just-attached flow `slot`, or returns false
+  // and leaves the flow for a full solve.
+  bool try_fast_start(std::uint32_t slot);
+  // The fast path for a re-cap of flow `slot` to its (already stored) cap.
+  bool try_fast_recap(std::uint32_t slot);
   // True when `l` is kNoLink or its load is at or below its bound.
   bool below_bound(LinkId l) const {
     return l == kNoLink || links_[l].load <= links_[l].bound;
@@ -315,16 +332,15 @@ class Network {
   std::vector<NodeState> nodes_;
   std::vector<LinkState> links_;
 
-  // Flow storage: slab pool + id lookup (see file header).
+  // Flow storage: a slab pool; each slot records its flow's id.
   util::SlabPool<FlowState> flows_;
   util::SlabPool<AdjNode> adj_;
-  util::FlatMap64<std::uint32_t> id_to_slot_;
   std::size_t live_flows_ = 0;
 
   std::vector<CapEntry> cap_merge_;  // merge target, swapped into a link
 
-  // Restored flows whose completion callback has not been re-attached yet.
-  std::set<FlowId> awaiting_callback_;
+  // Restored flows awaiting their completion callback: id -> slot.
+  std::map<FlowId, std::uint32_t> awaiting_callback_;
   FlowId next_flow_id_ = 1;
   AllocationModel model_ = AllocationModel::kMaxMinFair;
 };

@@ -95,13 +95,13 @@ void DownloadTask::schedule_next() {
 }
 
 Bytes DownloadTask::bytes_done() {
-  if (flow_ == net::kInvalidFlow) return done_ ? file_size_ : 0;
+  if (flow_.id == net::kInvalidFlow) return done_ ? file_size_ : 0;
   return std::min<Bytes>(file_size_,
                          verified_bytes_ + net_.flow_stats(flow_).bytes_done);
 }
 
 void DownloadTask::on_event() {
-  event_ = sim::kInvalidEvent;
+  event_ = {};
   if (!running_) return;
 
   // Events by class: a server source (its fatal break or hard timeout), a
@@ -157,7 +157,7 @@ void DownloadTask::on_flow_complete() {
   // so its stats are gone by now; the delivered round is exactly the
   // byte count this task requested when it opened the flow.
   const Bytes round = round_bytes_;
-  flow_ = net::kInvalidFlow;
+  flow_ = {};
 
   const bool corrupted = config_.corruption_prob > 0.0 && rng_ != nullptr &&
                          rng_->bernoulli(config_.corruption_prob);
@@ -220,22 +220,20 @@ void DownloadTask::finish(bool success, FailureCause cause) {
   result.finished_at = sim_.now();
   result.file_size = file_size_;
 
-  if (flow_ != net::kInvalidFlow) {
+  if (flow_.id != net::kInvalidFlow) {
     const net::FlowStats stats = net_.flow_stats(flow_);
     result.bytes_downloaded =
         std::min<Bytes>(file_size_, verified_bytes_ + stats.bytes_done);
     peak_rate_ = std::max(peak_rate_, stats.peak_rate);
     net_.cancel_flow(flow_);
-    flow_ = net::kInvalidFlow;
+    flow_ = {};
   } else {
     result.bytes_downloaded = verified_bytes_;
   }
   if (success) result.bytes_downloaded = file_size_;
 
-  if (event_ != sim::kInvalidEvent) {
-    sim_.cancel(event_);
-    event_ = sim::kInvalidEvent;
-  }
+  sim_.cancel(event_);
+  event_ = {};
 
   // Discarded (corrupt) bytes crossed the wire too; they count as traffic.
   result.traffic_bytes = static_cast<Bytes>(
@@ -266,8 +264,8 @@ void DownloadTask::save(snapshot::SnapshotWriter& w) const {
   w.u64(kTagFileSize, file_size_);
   w.f64(kTagRateCeiling, config_.rate_ceiling);
   w.f64(kTagCorruptionProb, config_.corruption_prob);
-  w.u64(kTagFlow, flow_);
-  w.u64(kTagEvent, event_);
+  w.u64(kTagFlow, flow_.id);
+  w.u64(kTagEvent, event_.id);
   w.i64(kTagStartedAt, started_at_);
   w.i64(kTagLastAdvance, last_advance_);
   w.f64(kTagLastProgressBytes, last_progress_bytes_);
@@ -294,8 +292,8 @@ std::unique_ptr<DownloadTask> DownloadTask::restore(
                                              std::move(on_done));
   DownloadTask& t = *task;
   t.rng_ = &rng;
-  t.flow_ = r.u64(kTagFlow);
-  t.event_ = r.u64(kTagEvent);
+  const net::FlowId flow = r.u64(kTagFlow);
+  const sim::EventId event = r.u64(kTagEvent);
   t.started_at_ = r.i64(kTagStartedAt);
   t.last_advance_ = r.i64(kTagLastAdvance);
   t.last_progress_bytes_ = r.f64(kTagLastProgressBytes);
@@ -308,12 +306,12 @@ std::unique_ptr<DownloadTask> DownloadTask::restore(
   t.discarded_bytes_ = r.u64(kTagDiscardedBytes);
   t.checksum_retries_ = r.u32(kTagChecksumRetries);
 
-  if (t.event_ != sim::kInvalidEvent) {
-    sim.rearm(t.event_, [&t] { t.on_event(); });
+  if (event != sim::kInvalidEvent) {
+    t.event_ = sim.rearm(event, [&t] { t.on_event(); });
   }
-  if (t.flow_ != net::kInvalidFlow) {
-    net.reattach_on_complete(t.flow_,
-                             [&t](net::FlowId) { t.on_flow_complete(); });
+  if (flow != net::kInvalidFlow) {
+    t.flow_ = net.reattach_on_complete(
+        flow, [&t](net::FlowId) { t.on_flow_complete(); });
   }
   return task;
 }

@@ -107,9 +107,9 @@ class DownloadTask {
   Bytes bytes_done();
   const Source& source() const { return *source_; }
   // True while the task's event is armed (audit accounting).
-  bool event_pending() const { return event_ != sim::kInvalidEvent; }
+  bool event_pending() const { return event_.id != sim::kInvalidEvent; }
   // The active flow id, or net::kInvalidFlow between rounds.
-  net::FlowId flow_id() const { return flow_; }
+  net::FlowId flow_id() const { return flow_.id; }
 
   // --- snapshot support ---------------------------------------------------
   //
@@ -143,15 +143,13 @@ class DownloadTask {
   DoneFn on_done_;
   Rng* rng_ = nullptr;
 
-  net::FlowId flow_ = net::kInvalidFlow;
-  sim::EventId event_ = sim::kInvalidEvent;
+  net::FlowHandle flow_;
+  sim::EventHandle event_;
   SimTime started_at_ = 0;
   SimTime last_advance_ = 0;  // when the source was last advanced
   double last_progress_bytes_ = -1.0;
   SimTime last_progress_at_ = 0;
   Rate peak_rate_ = 0.0;
-  bool running_ = false;
-  bool done_ = false;
   // Checksum-verification retry state: the size of the in-flight round
   // (the network retires a flow before its completion callback runs, so
   // the task must remember what it asked for), bytes verified good in
@@ -160,6 +158,13 @@ class DownloadTask {
   Bytes verified_bytes_ = 0;
   Bytes discarded_bytes_ = 0;
   std::uint32_t checksum_retries_ = 0;
+  // Beside the 4-byte counter, the flags keep a task at 200 bytes: inside
+  // glibc's 208-byte chunk, where it sat before its event and flow became
+  // 16-byte handles. The next chunk up moved checkpoint_week's peak RSS
+  // by 7%.
+  bool running_ = false;
+  bool done_ = false;
 };
+static_assert(sizeof(DownloadTask) <= 200);
 
 }  // namespace odr::proto

@@ -6,7 +6,7 @@
 namespace odr::proto {
 
 LedbatController::LedbatController(sim::Simulator& sim, net::Network& net,
-                                   net::FlowId flow, net::LinkId bottleneck,
+                                   net::FlowHandle flow, net::LinkId bottleneck,
                                    Params params)
     : sim_(sim),
       net_(net),
@@ -16,15 +16,14 @@ LedbatController::LedbatController(sim::Simulator& sim, net::Network& net,
       rate_(params.min_rate) {}
 
 void LedbatController::start() {
-  if (tick_ != sim::kInvalidEvent) return;
+  if (tick_.id != sim::kInvalidEvent) return;
   net_.set_flow_cap(flow_, rate_);
   tick_ = sim_.schedule_after(params_.period, [this] { on_tick(); });
 }
 
 void LedbatController::stop() {
-  if (tick_ == sim::kInvalidEvent) return;
   sim_.cancel(tick_);
-  tick_ = sim::kInvalidEvent;
+  tick_ = {};
 }
 
 SimTime LedbatController::queuing_delay(double rho) const {
@@ -35,7 +34,7 @@ SimTime LedbatController::queuing_delay(double rho) const {
 }
 
 void LedbatController::on_tick() {
-  tick_ = sim::kInvalidEvent;
+  tick_ = {};
   if (!net_.flow_active(flow_)) return;  // transfer finished; stop silently
 
   const Rate cap = net_.link_capacity(bottleneck_);

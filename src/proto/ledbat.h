@@ -33,7 +33,7 @@ class LedbatController {
     SimTime period = 10 * kSec;
   };
 
-  LedbatController(sim::Simulator& sim, net::Network& net, net::FlowId flow,
+  LedbatController(sim::Simulator& sim, net::Network& net, net::FlowHandle flow,
                    net::LinkId bottleneck, Params params);
   ~LedbatController() { stop(); }
 
@@ -52,11 +52,11 @@ class LedbatController {
 
   sim::Simulator& sim_;
   net::Network& net_;
-  net::FlowId flow_;
+  net::FlowHandle flow_;
   net::LinkId bottleneck_;
   Params params_;
   Rate rate_;
-  sim::EventId tick_ = sim::kInvalidEvent;
+  sim::EventHandle tick_;
 };
 
 }  // namespace odr::proto

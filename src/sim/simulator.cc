@@ -21,30 +21,22 @@ enum : std::uint16_t {
 
 }  // namespace
 
-void Simulator::push(SimTime t, EventId id, Callback&& fn) {
+EventHandle Simulator::push(SimTime t, EventId id, Callback&& fn) {
   const std::uint32_t slot = slots_.acquire();
   slots_[slot].fn = std::move(fn);
   slots_[slot].id = id;
   heap_.push_back(Scheduled{t, id, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  id_to_slot_.put(id, slot);
   ++live_events_;
+  return EventHandle{id, slot};
 }
 
-EventId Simulator::insert(SimTime t, Callback&& fn) {
-  const EventId id = next_id_++;
-  push(t, id, std::move(fn));
-  return id;
+EventHandle Simulator::schedule_at(SimTime t, Callback fn) {
+  return push(std::max(t, now_), next_id_++, std::move(fn));
 }
 
-EventId Simulator::schedule_at(SimTime t, Callback fn) {
-  if (t < now_) t = now_;
-  return insert(t, std::move(fn));
-}
-
-EventId Simulator::schedule_after(SimTime delay, Callback fn) {
-  if (delay < 0) delay = 0;
-  return insert(now_ + delay, std::move(fn));
+EventHandle Simulator::schedule_after(SimTime delay, Callback fn) {
+  return push(now_ + std::max<SimTime>(delay, 0), next_id_++, std::move(fn));
 }
 
 EventId Simulator::reserve(std::uint64_t n) {
@@ -54,17 +46,19 @@ EventId Simulator::reserve(std::uint64_t n) {
 }
 
 void Simulator::schedule_reserved(EventId id, SimTime t, Callback fn) {
-  assert(id < next_id_ && id_to_slot_.find(id) == nullptr);
+  assert(id < next_id_);
   push(std::max(t, now_), id, std::move(fn));
 }
 
-bool Simulator::cancel(EventId id) {
-  const std::uint32_t* slot = id_to_slot_.find(id);
-  if (slot == nullptr) return false;
-  slots_[*slot].fn.reset();
-  slots_[*slot].id = 0;
-  slots_.release(*slot);
-  id_to_slot_.erase(id);
+bool Simulator::cancel(EventHandle h) {
+  // Free slots hold id 0: a default handle must not match one.
+  if (h.id == kInvalidEvent || h.slot >= slots_.capacity() ||
+      slots_[h.slot].id != h.id) {
+    return false;
+  }
+  slots_[h.slot].fn.reset();
+  slots_[h.slot].id = 0;
+  slots_.release(h.slot);
   --live_events_;
   // The heap entry stays as a tombstone, skipped when popped; when
   // tombstones dominate, compact() drops them wholesale.
@@ -104,7 +98,6 @@ bool Simulator::step() {
   Callback fn = std::move(slots_[top.slot].fn);
   slots_[top.slot].id = 0;
   slots_.release(top.slot);
-  id_to_slot_.erase(top.id);
   --live_events_;
   ++executed_;
   last_id_ = top.id;
@@ -155,7 +148,6 @@ void Simulator::load(snapshot::SnapshotReader& r) {
 
   heap_.clear();
   slots_.clear();
-  id_to_slot_.clear();
   live_events_ = 0;
   tombstones_ = 0;
   rearm_.clear();
@@ -172,7 +164,7 @@ void Simulator::load(snapshot::SnapshotReader& r) {
   }
 }
 
-void Simulator::rearm(EventId id, Callback fn) {
+EventHandle Simulator::rearm(EventId id, Callback fn) {
   auto it = rearm_.find(id);
   if (it == rearm_.end()) {
     throw snapshot::SnapshotError(
@@ -180,8 +172,7 @@ void Simulator::rearm(EventId id, Callback fn) {
             " — component state disagrees with the checkpointed event queue",
         snapshot::SnapshotErrorKind::kUsage);
   }
-  push(it->second, id, std::move(fn));
-  rearm_.erase(it);
+  return push(rearm_.extract(it).mapped(), id, std::move(fn));
 }
 
 std::vector<EventId> Simulator::unclaimed_rearm_ids() const {

@@ -12,8 +12,8 @@
 // Hot-path layout (see DESIGN.md §11): callbacks live in a util::SlabPool
 // of slots (util::SmallFunc — no per-event heap allocation for captures up
 // to 48 bytes, which covers every scheduling site in the tree), heap
-// entries reference their slot directly so dispatch never performs a hash
-// lookup, and cancel-by-id goes through an open-addressing id map.
+// entries and EventHandles name their slot directly, and a slot records
+// the id of its event, so neither dispatch nor cancel performs a lookup.
 // Cancelled events leave tombstones in the heap that are skipped on pop
 // and compacted away wholesale when they dominate (watchdog-heavy
 // workloads cancel far more events than they fire). None of this changes
@@ -25,7 +25,6 @@
 #include <map>
 #include <vector>
 
-#include "util/flat_map.h"
 #include "util/pool.h"
 #include "util/small_func.h"
 #include "util/units.h"
@@ -40,18 +39,25 @@ namespace odr::sim {
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
+// A scheduled event: its id and the slab slot its callback occupies. The
+// default handle names no event.
+struct EventHandle {
+  EventId id = kInvalidEvent;
+  std::uint32_t slot = 0;
+};
+
 class Simulator {
  public:
   using Callback = util::SmallFunc<void()>;
 
   SimTime now() const { return now_; }
 
-  // Schedules `fn` at absolute simulated time `t` (>= now). Returns an id
-  // usable with cancel().
-  EventId schedule_at(SimTime t, Callback fn);
+  // Schedules `fn` at absolute simulated time `t` (>= now). Returns a
+  // handle usable with cancel().
+  EventHandle schedule_at(SimTime t, Callback fn);
 
   // Schedules `fn` `delay` after now. Negative delays clamp to now.
-  EventId schedule_after(SimTime delay, Callback fn);
+  EventHandle schedule_after(SimTime delay, Callback fn);
 
   // Reserves `n` consecutive ids for schedule_reserved(); returns the
   // first.
@@ -61,8 +67,8 @@ class Simulator {
   void schedule_reserved(EventId id, SimTime t, Callback fn);
 
   // Cancels a pending event. Returns false if it already ran, was already
-  // cancelled, or never existed.
-  bool cancel(EventId id);
+  // cancelled, or never existed: the handle's slot no longer holds its id.
+  bool cancel(EventHandle h);
 
   bool has_pending() const { return live_events_ > 0; }
   std::size_t pending_count() const { return live_events_; }
@@ -109,9 +115,10 @@ class Simulator {
   static constexpr std::uint32_t kSnapshotVersion = 2;
   void save(snapshot::SnapshotWriter& w) const;
   void load(snapshot::SnapshotReader& r);
-  // Re-attaches a callback to a parked event id; throws SnapshotError if
-  // the id is not in the rearm table.
-  void rearm(EventId id, Callback fn);
+  // Re-attaches a callback to a parked event id and returns its handle
+  // (handles taken before load() are stale); throws SnapshotError if the
+  // id is not in the rearm table.
+  EventHandle rearm(EventId id, Callback fn);
   std::size_t unclaimed_rearm_count() const { return rearm_.size(); }
   std::vector<EventId> unclaimed_rearm_ids() const;
 
@@ -140,8 +147,7 @@ class Simulator {
   };
 
   // The one insertion path: schedule, schedule_reserved and rearm.
-  void push(SimTime t, EventId id, Callback&& fn);
-  EventId insert(SimTime t, Callback&& fn);
+  EventHandle push(SimTime t, EventId id, Callback&& fn);
   // Drops tombstoned heap entries and re-heapifies. Total (time, id)
   // order makes the rebuilt heap pop identically.
   void compact();
@@ -158,7 +164,6 @@ class Simulator {
   std::size_t tombstones_ = 0;  // stale heap entries awaiting skip/compact
   std::vector<Scheduled> heap_;  // min-heap by (time, id)
   util::SlabPool<Slot> slots_;
-  util::FlatMap64<std::uint32_t> id_to_slot_;
   Callback after_event_;  // see set_after_event_hook(); not snapshotted
   // Parked events awaiting rearm() after load(): id -> time.
   // std::map: unclaimed_rearm_ids() reports in deterministic order.

@@ -197,7 +197,8 @@ SimTime CloudWorld::schedule_week(Rng& rng) {
 void CloudWorld::arm_checkpoint_tick() {
   if (options_.checkpoint_period > 0) {
     checkpoint_event_ = sim_.schedule_after(options_.checkpoint_period,
-                                            [this] { checkpoint_tick(); });
+                                            [this] { checkpoint_tick(); })
+                            .id;
   }
 }
 
@@ -269,7 +270,8 @@ void CloudWorld::checkpoint_tick() {
   // keep a finished week alive.
   if (sim_.pending_count() > 0 && options_.checkpoint_period > 0) {
     checkpoint_event_ = sim_.schedule_after(options_.checkpoint_period,
-                                            [this] { checkpoint_tick(); });
+                                            [this] { checkpoint_tick(); })
+                            .id;
   }
   if (options_.audit_at_checkpoint) {
     const std::vector<std::string> problems = audit(*this);

@@ -42,7 +42,7 @@ TEST_P(NetworkFuzzTest, InvariantsUnderRandomOperations) {
   }
 
   struct Tracked {
-    FlowId id;
+    FlowHandle flow;
     Bytes size;
     bool completed = false;
   };
@@ -65,7 +65,7 @@ TEST_P(NetworkFuzzTest, InvariantsUnderRandomOperations) {
       t.size = size;
       auto* live_ptr = &live;
       auto* finished_ptr = &finished;
-      const FlowId id = net.start_flow(
+      const FlowHandle flow = net.start_flow(
           {link, size, cap, [live_ptr, finished_ptr](FlowId fid) {
              auto it = live_ptr->find(fid);
              ASSERT_NE(it, live_ptr->end());
@@ -73,20 +73,20 @@ TEST_P(NetworkFuzzTest, InvariantsUnderRandomOperations) {
              finished_ptr->push_back(it->second);
              live_ptr->erase(it);
            }});
-      t.id = id;
-      live.emplace(id, t);
+      t.flow = flow;
+      live.emplace(flow.id, t);
     } else if (action < 0.6) {
       // Cancel a random live flow.
       auto it = live.begin();
       std::advance(it, rng.uniform_index(live.size()));
-      const FlowId id = it->first;
+      const FlowHandle flow = it->second.flow;
       live.erase(it);
-      EXPECT_TRUE(net.cancel_flow(id));
+      EXPECT_TRUE(net.cancel_flow(flow));
     } else if (action < 0.75) {
       // Re-cap a random live flow.
       auto it = live.begin();
       std::advance(it, rng.uniform_index(live.size()));
-      net.set_flow_cap(it->first, rng.uniform(0.0, 2500.0));
+      net.set_flow_cap(it->second.flow, rng.uniform(0.0, 2500.0));
     } else if (action < 0.85) {
       // Resize a random link.
       net.set_link_capacity(links[rng.uniform_index(links.size())],
@@ -102,7 +102,7 @@ TEST_P(NetworkFuzzTest, InvariantsUnderRandomOperations) {
     }
     // Invariant 2: every live flow's progress is within bounds.
     for (auto& [id, t] : live) {
-      const FlowStats s = net.flow_stats(id);
+      const FlowStats s = net.flow_stats(t.flow);
       EXPECT_LE(s.bytes_done, t.size);
       EXPECT_GE(s.current_rate, 0.0);
       EXPECT_GE(s.peak_rate, s.current_rate - 1e-9);
@@ -110,9 +110,9 @@ TEST_P(NetworkFuzzTest, InvariantsUnderRandomOperations) {
   }
 
   // Drain: raise all caps so stalled flows can finish, then run out.
-  std::vector<FlowId> ids;
-  for (auto& [id, t] : live) ids.push_back(id);
-  for (FlowId id : ids) net.set_flow_cap(id, kUnlimitedRate);
+  std::vector<FlowHandle> flows;
+  for (auto& [id, t] : live) flows.push_back(t.flow);
+  for (FlowHandle f : flows) net.set_flow_cap(f, kUnlimitedRate);
   sim.run();
 
   // Invariant 3: everything either finished or was cancelled; finished
@@ -153,7 +153,7 @@ TEST_P(IncrementalSolverTest, MatchesFromScratchReallocation) {
   }
 
   struct LiveFlow {
-    FlowId id;
+    FlowHandle flow;
     std::optional<LinkId> link;  // indices match between net and reference
     Rate cap;
   };
@@ -166,17 +166,17 @@ TEST_P(IncrementalSolverTest, MatchesFromScratchReallocation) {
       if (!rng.bernoulli(0.1)) link = links[rng.uniform_index(links.size())];
       const Rate cap =
           rng.bernoulli(0.3) ? kUnlimitedRate : rng.uniform(10.0, 3000.0);
-      const FlowId id =
+      const FlowHandle flow =
           net.start_flow({link, 1ull << 40, cap, nullptr});
-      live.push_back({id, link, cap});
+      live.push_back({flow, link, cap});
     } else if (action < 0.7) {
       const std::size_t victim = rng.uniform_index(live.size());
-      EXPECT_TRUE(net.cancel_flow(live[victim].id));
+      EXPECT_TRUE(net.cancel_flow(live[victim].flow));
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     } else if (action < 0.85) {
       const std::size_t victim = rng.uniform_index(live.size());
       live[victim].cap = rng.uniform(0.0, 2500.0);
-      net.set_flow_cap(live[victim].id, live[victim].cap);
+      net.set_flow_cap(live[victim].flow, live[victim].cap);
     } else {
       const std::size_t l = rng.uniform_index(links.size());
       capacities[l] = rng.uniform(50.0, 2500.0);
@@ -191,7 +191,7 @@ TEST_P(IncrementalSolverTest, MatchesFromScratchReallocation) {
       ref_links.push_back(
           ref.add_link(link_name("r", i), capacities[i]));
     }
-    std::vector<FlowId> ref_ids;
+    std::vector<FlowHandle> ref_ids;
     for (const LiveFlow& f : live) {
       std::optional<LinkId> ref_link;
       if (f.link) ref_link = ref_links[static_cast<std::size_t>(*f.link)];
@@ -200,9 +200,10 @@ TEST_P(IncrementalSolverTest, MatchesFromScratchReallocation) {
     // Compare only once the reference holds the complete live set: its
     // final allocation is then the unique max-min fair one.
     for (std::size_t i = 0; i < live.size(); ++i) {
-      const Rate got = net.flow_stats(live[i].id).current_rate;
+      const Rate got = net.flow_stats(live[i].flow).current_rate;
       const Rate want = ref.flow_stats(ref_ids[i]).current_rate;
-      EXPECT_EQ(got, want) << "flow " << live[i].id << " after step " << step;
+      EXPECT_EQ(got, want) << "flow " << live[i].flow.id << " after step "
+                           << step;
     }
   }
 }
@@ -271,16 +272,16 @@ std::vector<double> network_rates(const RandomTopology& t, Network& net) {
   for (std::size_t l = 0; l < t.capacity.size(); ++l) {
     links.push_back(net.add_link(link_name("l", l), t.capacity[l]));
   }
-  std::vector<FlowId> ids;
+  std::vector<FlowHandle> flows;
   for (const reference::RefFlow& f : t.flows) {
     Network::FlowSpec spec;
     if (!f.path.empty()) spec.link = links[f.path.front()];
     spec.bytes = 1ull << 40;
     spec.rate_cap = f.cap;
-    ids.push_back(net.start_flow(std::move(spec)));
+    flows.push_back(net.start_flow(std::move(spec)));
   }
   std::vector<double> rates;
-  for (FlowId id : ids) rates.push_back(net.flow_stats(id).current_rate);
+  for (FlowHandle f : flows) rates.push_back(net.flow_stats(f).current_rate);
   return rates;
 }
 
@@ -388,7 +389,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WaterFillingOracleTest,
 // rebuilt in a fresh network and re-solved with reallocate(): every rate
 // must match bitwise.
 struct FastPathFlow {
-  FlowId id;
+  FlowHandle flow;
   std::optional<LinkId> link;
   Rate cap;
 };
@@ -414,7 +415,7 @@ TEST_P(FastPathOracleTest, MatchesFullSolveAfterEveryOperation) {
   std::vector<FastPathFlow> live;
   const auto forget = [&live](FlowId id) {
     for (std::size_t i = 0; i < live.size(); ++i) {
-      if (live[i].id == id) {
+      if (live[i].flow.id == id) {
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
         return;
       }
@@ -439,16 +440,16 @@ TEST_P(FastPathOracleTest, MatchesFullSolveAfterEveryOperation) {
       if (!rng.bernoulli(0.1)) link = links[rng.uniform_index(links.size())];
       const Rate cap = random_cap();
       const Bytes size = 1000 + rng.uniform_index(200000);
-      const FlowId id = net.start_flow({link, size, cap, forget});
-      live.push_back({id, link, cap});
+      const FlowHandle flow = net.start_flow({link, size, cap, forget});
+      live.push_back({flow, link, cap});
     } else if (action < 0.65) {
       const std::size_t victim = rng.uniform_index(live.size());
-      EXPECT_TRUE(net.cancel_flow(live[victim].id));
+      EXPECT_TRUE(net.cancel_flow(live[victim].flow));
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     } else if (action < 0.85) {
       const std::size_t victim = rng.uniform_index(live.size());
       live[victim].cap = random_cap();
-      net.set_flow_cap(live[victim].id, live[victim].cap);
+      net.set_flow_cap(live[victim].flow, live[victim].cap);
     } else if (action < 0.9) {
       flow_op = false;
       const std::size_t l = rng.uniform_index(links.size());
@@ -469,15 +470,15 @@ TEST_P(FastPathOracleTest, MatchesFullSolveAfterEveryOperation) {
     for (std::size_t l = 0; l < links.size(); ++l) {
       ref.add_link(link_name("r", l), capacities[l]);
     }
-    std::vector<FlowId> ref_ids;
+    std::vector<FlowHandle> ref_ids;
     for (const FastPathFlow& f : live) {
       ref_ids.push_back(ref.start_flow({f.link, 1ull << 40, f.cap, nullptr}));
     }
     ref.reallocate();
     for (std::size_t i = 0; i < live.size(); ++i) {
-      EXPECT_EQ(net.flow_stats(live[i].id).current_rate,
+      EXPECT_EQ(net.flow_stats(live[i].flow).current_rate,
                 ref.flow_stats(ref_ids[i]).current_rate)
-          << "flow " << live[i].id << " after step " << step;
+          << "flow " << live[i].flow.id << " after step " << step;
     }
     for (LinkId l : links) {
       EXPECT_LE(net.link_utilization(l), net.link_capacity(l) * (1 + 1e-9));
@@ -498,7 +499,7 @@ TEST(FastPathTest, EqualSplitNeverTakesTheFastPath) {
   sim::Simulator sim;
   Network net(sim, AllocationModel::kEqualSplit);
   const LinkId wide = net.add_link("wide", 1e6);
-  std::vector<FlowId> flows;
+  std::vector<FlowHandle> flows;
   for (int i = 0; i < 20; ++i) {
     std::optional<LinkId> link;
     if (i % 4 != 0) link = wide;
@@ -517,7 +518,7 @@ TEST(NetworkAccountingTest, BytesDeliveredMatchElapsedRates) {
   Network net(sim);
   const LinkId link = net.add_link("l", 1e6);
   SimTime done_at = 0;
-  const FlowId f = net.start_flow(
+  const FlowHandle f = net.start_flow(
       {{link}, 10000, 100.0, [&](FlowId) { done_at = sim.now(); }});
   sim.run_until(from_seconds(20.0));   // 2000 bytes at 100 B/s
   net.set_flow_cap(f, 400.0);
@@ -541,10 +542,11 @@ struct ScanSide {
   sim::Simulator sim;
   Network net{sim};
   LinkId link = net.add_link("l", 1000.0);
-  std::vector<FlowId> live;  // ascending id
+  std::vector<FlowHandle> live;  // ascending id
   FlowCallback forget() {
     return [this](FlowId id) {
-      live.erase(std::find(live.begin(), live.end(), id));
+      live.erase(std::find_if(live.begin(), live.end(),
+                              [id](FlowHandle h) { return h.id == id; }));
     };
   }
 };
@@ -578,9 +580,9 @@ void scan_op(ScanSide& s, Rng& rng) {
     s.live.push_back(s.net.start_flow({{s.link}, size, cap, s.forget()}));
   } else if (action < 0.55) {
     const std::size_t victim = rng.uniform_index(s.live.size());
-    const FlowId id = s.live[victim];
+    const FlowHandle flow = s.live[victim];
     s.live.erase(s.live.begin() + static_cast<std::ptrdiff_t>(victim));
-    EXPECT_TRUE(s.net.cancel_flow(id));
+    EXPECT_TRUE(s.net.cancel_flow(flow));
   } else if (action < 0.7) {
     s.net.set_flow_cap(s.live[rng.uniform_index(s.live.size())],
                        random_scan_cap(rng));
@@ -654,7 +656,7 @@ TEST(SingleLinkScanTest, PendingCapsKeepLiveFlowsThroughFastPathChurn) {
     cap_sum += cap;
   }
   for (int i = 0; i < 500; ++i) {
-    const FlowId churn =
+    const FlowHandle churn =
         net.start_flow({{link}, 1ull << 40, rng.uniform(5.0, 400.0), nullptr});
     net.cancel_flow(churn);
   }
@@ -673,6 +675,7 @@ TEST(SingleLinkScanTest, RestoreWhileSaturatedMatchesUninterruptedRun) {
     sim::Simulator sim;
     Network net{sim};
     std::vector<std::pair<FlowId, SimTime>> done;
+    std::map<FlowId, FlowHandle> handles;  // every flow started or reattached
     Side() { net.add_link("cluster", 2000.0); }
     FlowCallback record() {
       return [this](FlowId id) { done.push_back({id, sim.now()}); };
@@ -680,14 +683,17 @@ TEST(SingleLinkScanTest, RestoreWhileSaturatedMatchesUninterruptedRun) {
   };
   const auto start = [](Side& s, Rng& rng) {
     const Bytes size = 2000 + rng.uniform_index(60000);
-    s.net.start_flow({{0}, size, random_scan_cap(rng), s.record()});
+    const FlowHandle h =
+        s.net.start_flow({{0}, size, random_scan_cap(rng), s.record()});
+    s.handles[h.id] = h;
   };
   const auto drive = [&start](Side& s, Rng& rng, int steps) {
     for (int i = 0; i < steps; ++i) {
       start(s, rng);
       if (rng.bernoulli(0.3)) {
         const std::vector<Network::FlowView> views = s.net.flow_views();
-        s.net.cancel_flow(views[rng.uniform_index(views.size())].id);
+        s.net.cancel_flow(
+            s.handles.at(views[rng.uniform_index(views.size())].id));
       }
       s.sim.run_until(s.sim.now() + from_seconds(rng.uniform(0.1, 3.0)));
     }
@@ -713,7 +719,10 @@ TEST(SingleLinkScanTest, RestoreWhileSaturatedMatchesUninterruptedRun) {
   resumed.net.load(r);
   r.end_section();
   for (const Network::FlowView& v : interrupted.net.flow_views()) {
-    if (v.has_callback) resumed.net.reattach_on_complete(v.id, resumed.record());
+    if (v.has_callback) {
+      resumed.handles[v.id] =
+          resumed.net.reattach_on_complete(v.id, resumed.record());
+    }
   }
   ASSERT_EQ(resumed.net.flows_awaiting_callback(), 0u);
   const std::size_t done_before = control.done.size();

@@ -26,8 +26,7 @@ TEST_F(NetworkTest, SingleFlowLimitedByLink) {
 
 TEST_F(NetworkTest, SingleFlowLimitedByCap) {
   const LinkId link = net.add_link("l", 1000.0);
-  net.start_flow({{link}, 1000, 100.0, nullptr});
-  const FlowId f = 1;
+  const FlowHandle f = net.start_flow({{link}, 1000, 100.0, nullptr});
   EXPECT_NEAR(net.flow_stats(f).current_rate, 100.0, 1e-6);
 }
 
@@ -41,8 +40,8 @@ TEST_F(NetworkTest, PathlessFlowUsesCapOnly) {
 
 TEST_F(NetworkTest, TwoFlowsShareLinkEqually) {
   const LinkId link = net.add_link("l", 100.0);
-  const FlowId a = net.start_flow({{link}, 10000, kUnlimitedRate, nullptr});
-  const FlowId b = net.start_flow({{link}, 10000, kUnlimitedRate, nullptr});
+  const FlowHandle a = net.start_flow({{link}, 10000, kUnlimitedRate, nullptr});
+  const FlowHandle b = net.start_flow({{link}, 10000, kUnlimitedRate, nullptr});
   EXPECT_NEAR(net.flow_stats(a).current_rate, 50.0, 1e-6);
   EXPECT_NEAR(net.flow_stats(b).current_rate, 50.0, 1e-6);
   EXPECT_NEAR(net.link_utilization(link), 100.0, 1e-6);
@@ -52,8 +51,8 @@ TEST_F(NetworkTest, MaxMinRespectsPerFlowCaps) {
   // Classic waterfilling: caps 10 and 1000 on a 100-capacity link ->
   // rates 10 and 90.
   const LinkId link = net.add_link("l", 100.0);
-  const FlowId small = net.start_flow({{link}, 100000, 10.0, nullptr});
-  const FlowId big = net.start_flow({{link}, 100000, 1000.0, nullptr});
+  const FlowHandle small = net.start_flow({{link}, 100000, 10.0, nullptr});
+  const FlowHandle big = net.start_flow({{link}, 100000, 1000.0, nullptr});
   EXPECT_NEAR(net.flow_stats(small).current_rate, 10.0, 1e-6);
   EXPECT_NEAR(net.flow_stats(big).current_rate, 90.0, 1e-6);
 }
@@ -61,9 +60,10 @@ TEST_F(NetworkTest, MaxMinRespectsPerFlowCaps) {
 TEST_F(NetworkTest, ThreeFlowsWaterfilling) {
   // Caps 20, 50, inf on capacity 120: allocation 20, 50, 50.
   const LinkId link = net.add_link("l", 120.0);
-  const FlowId a = net.start_flow({{link}, 1 << 20, 20.0, nullptr});
-  const FlowId b = net.start_flow({{link}, 1 << 20, 50.0, nullptr});
-  const FlowId c = net.start_flow({{link}, 1 << 20, kUnlimitedRate, nullptr});
+  const FlowHandle a = net.start_flow({{link}, 1 << 20, 20.0, nullptr});
+  const FlowHandle b = net.start_flow({{link}, 1 << 20, 50.0, nullptr});
+  const FlowHandle c =
+      net.start_flow({{link}, 1 << 20, kUnlimitedRate, nullptr});
   EXPECT_NEAR(net.flow_stats(a).current_rate, 20.0, 1e-6);
   EXPECT_NEAR(net.flow_stats(b).current_rate, 50.0, 1e-6);
   EXPECT_NEAR(net.flow_stats(c).current_rate, 50.0, 1e-6);
@@ -72,7 +72,7 @@ TEST_F(NetworkTest, ThreeFlowsWaterfilling) {
 TEST_F(NetworkTest, CompletionFreesBandwidthForOthers) {
   const LinkId link = net.add_link("l", 100.0);
   net.start_flow({{link}, 500, kUnlimitedRate, nullptr});  // done at 10s
-  const FlowId b = net.start_flow({{link}, 5000, kUnlimitedRate, nullptr});
+  const FlowHandle b = net.start_flow({{link}, 5000, kUnlimitedRate, nullptr});
   sim.run_until(11 * kSec);
   EXPECT_NEAR(net.flow_stats(b).current_rate, 100.0, 1e-6);
   // First flow got 50 B/s for 10 s = 500 bytes; second then speeds up.
@@ -83,8 +83,10 @@ TEST_F(NetworkTest, CompletionFreesBandwidthForOthers) {
 
 TEST_F(NetworkTest, CancelFlowReleasesShare) {
   const LinkId link = net.add_link("l", 100.0);
-  const FlowId a = net.start_flow({{link}, 1 << 20, kUnlimitedRate, nullptr});
-  const FlowId b = net.start_flow({{link}, 1 << 20, kUnlimitedRate, nullptr});
+  const FlowHandle a =
+      net.start_flow({{link}, 1 << 20, kUnlimitedRate, nullptr});
+  const FlowHandle b =
+      net.start_flow({{link}, 1 << 20, kUnlimitedRate, nullptr});
   EXPECT_NEAR(net.flow_stats(b).current_rate, 50.0, 1e-6);
   EXPECT_TRUE(net.cancel_flow(a));
   EXPECT_FALSE(net.cancel_flow(a));
@@ -94,7 +96,7 @@ TEST_F(NetworkTest, CancelFlowReleasesShare) {
 TEST_F(NetworkTest, CancelledFlowCallbackNotInvoked) {
   const LinkId link = net.add_link("l", 100.0);
   bool fired = false;
-  const FlowId f =
+  const FlowHandle f =
       net.start_flow({{link}, 1000, kUnlimitedRate, [&](FlowId) { fired = true; }});
   net.cancel_flow(f);
   sim.run();
@@ -104,7 +106,7 @@ TEST_F(NetworkTest, CancelledFlowCallbackNotInvoked) {
 TEST_F(NetworkTest, SetFlowCapReschedulesCompletion) {
   const LinkId link = net.add_link("l", 1000.0);
   bool done = false;
-  const FlowId f =
+  const FlowHandle f =
       net.start_flow({{link}, 1000, 100.0, [&](FlowId) { done = true; }});
   sim.run_until(5 * kSec);  // 500 bytes done
   net.set_flow_cap(f, 50.0);
@@ -115,7 +117,8 @@ TEST_F(NetworkTest, SetFlowCapReschedulesCompletion) {
 
 TEST_F(NetworkTest, ZeroCapStallsFlowUntilRaised) {
   bool done = false;
-  const FlowId f = net.start_flow({{}, 1000, 0.0, [&](FlowId) { done = true; }});
+  const FlowHandle f =
+      net.start_flow({{}, 1000, 0.0, [&](FlowId) { done = true; }});
   sim.run();
   EXPECT_FALSE(done);  // no events: flow is stalled, not completed
   net.set_flow_cap(f, 100.0);
@@ -125,7 +128,8 @@ TEST_F(NetworkTest, ZeroCapStallsFlowUntilRaised) {
 
 TEST_F(NetworkTest, LinkCapacityChangePropagates) {
   const LinkId link = net.add_link("l", 100.0);
-  const FlowId f = net.start_flow({{link}, 1 << 20, kUnlimitedRate, nullptr});
+  const FlowHandle f =
+      net.start_flow({{link}, 1 << 20, kUnlimitedRate, nullptr});
   net.set_link_capacity(link, 30.0);
   EXPECT_NEAR(net.flow_stats(f).current_rate, 30.0, 1e-6);
 }
@@ -133,8 +137,8 @@ TEST_F(NetworkTest, LinkCapacityChangePropagates) {
 TEST_F(NetworkTest, DisjointComponentsDoNotInteract) {
   const LinkId l1 = net.add_link("l1", 100.0);
   const LinkId l2 = net.add_link("l2", 200.0);
-  const FlowId a = net.start_flow({{l1}, 1 << 20, kUnlimitedRate, nullptr});
-  const FlowId b = net.start_flow({{l2}, 1 << 20, kUnlimitedRate, nullptr});
+  const FlowHandle a = net.start_flow({{l1}, 1 << 20, kUnlimitedRate, nullptr});
+  const FlowHandle b = net.start_flow({{l2}, 1 << 20, kUnlimitedRate, nullptr});
   EXPECT_NEAR(net.flow_stats(a).current_rate, 100.0, 1e-6);
   EXPECT_NEAR(net.flow_stats(b).current_rate, 200.0, 1e-6);
   // Adding load on l1 must not change the l2 flow's rate.
@@ -145,7 +149,7 @@ TEST_F(NetworkTest, DisjointComponentsDoNotInteract) {
 
 TEST_F(NetworkTest, FlowStatsTrackProgressAndPeak) {
   const LinkId link = net.add_link("l", 100.0);
-  const FlowId f = net.start_flow({{link}, 1000, kUnlimitedRate, nullptr});
+  const FlowHandle f = net.start_flow({{link}, 1000, kUnlimitedRate, nullptr});
   sim.run_until(4 * kSec);
   const FlowStats stats = net.flow_stats(f);
   EXPECT_EQ(stats.bytes_total, 1000u);
@@ -156,11 +160,11 @@ TEST_F(NetworkTest, FlowStatsTrackProgressAndPeak) {
 
 TEST_F(NetworkTest, ManyFlowsFairShareScales) {
   const LinkId link = net.add_link("l", 1000.0);
-  std::vector<FlowId> flows;
+  std::vector<FlowHandle> flows;
   for (int i = 0; i < 100; ++i) {
     flows.push_back(net.start_flow({{link}, 1 << 24, kUnlimitedRate, nullptr}));
   }
-  for (FlowId f : flows) {
+  for (FlowHandle f : flows) {
     EXPECT_NEAR(net.flow_stats(f).current_rate, 10.0, 1e-6);
   }
 }
@@ -172,7 +176,7 @@ TEST_F(NetworkTest, ManyFlowsFairShareScales) {
 TEST_F(NetworkTest, SetFlowCapReschedulesOnlyTheChangedFlow) {
   obs::ScopedObserver obs;
   const LinkId link = net.add_link("l", 1e9);
-  std::vector<FlowId> flows;
+  std::vector<FlowHandle> flows;
   for (int i = 0; i < 50; ++i) {
     flows.push_back(net.start_flow({{link}, 1 << 20, 100.0, nullptr}));
   }
@@ -203,12 +207,76 @@ TEST_F(NetworkTest, SetFlowCapReschedulesOnlyTheChangedFlow) {
   EXPECT_EQ(net.active_flow_count(), 0u);
 }
 
+// A flow handle names a slab slot; calls through it find the flow only
+// while that slot still holds the handle's id.
+TEST_F(NetworkTest, HandleToAReusedSlotReadsNothing) {
+  const LinkId link = net.add_link("l", 1000.0);
+  const FlowHandle cancelled = net.start_flow({{link}, 1000, 100.0, nullptr});
+  ASSERT_TRUE(net.cancel_flow(cancelled));
+  const FlowHandle reuser = net.start_flow({{link}, 5000, 40.0, nullptr});
+  ASSERT_EQ(reuser.slot, cancelled.slot);  // the slab's freelist is LIFO
+  EXPECT_FALSE(net.flow_active(cancelled));
+  EXPECT_EQ(net.flow_stats(cancelled).bytes_total, 0u);
+  EXPECT_FALSE(net.set_flow_cap(cancelled, 1.0));
+  EXPECT_FALSE(net.cancel_flow(cancelled));
+  EXPECT_TRUE(net.flow_active(reuser));
+  EXPECT_EQ(net.flow_stats(reuser).current_rate, 40.0);
+
+  // A completed flow's handle is as stale as a cancelled one's.
+  sim.run();
+  const FlowHandle next = net.start_flow({{link}, 5000, 40.0, nullptr});
+  ASSERT_EQ(next.slot, reuser.slot);
+  EXPECT_FALSE(net.cancel_flow(reuser));
+  EXPECT_EQ(net.flow_stats(next).current_rate, 40.0);
+  EXPECT_EQ(net.active_flow_count(), 1u);
+}
+
+TEST_F(NetworkTest, DefaultHandleNeverMatchesAFreeSlot) {
+  // A free slot holds kInvalidFlow, the id of a default handle.
+  EXPECT_FALSE(net.flow_active(FlowHandle{}));  // empty slab
+  const FlowHandle f = net.start_flow({{}, 1000, 10.0, nullptr});
+  ASSERT_EQ(f.slot, 0u);
+  ASSERT_TRUE(net.cancel_flow(f));
+  EXPECT_FALSE(net.flow_active(FlowHandle{}));
+  EXPECT_FALSE(net.cancel_flow(FlowHandle{}));
+  EXPECT_FALSE(net.set_flow_cap(FlowHandle{}, 5.0));
+  EXPECT_EQ(net.flow_stats(FlowHandle{}).bytes_total, 0u);
+  EXPECT_EQ(net.active_flow_count(), 0u);
+}
+
+TEST_F(NetworkTest, SlotBeyondTheSlabIsRefused) {
+  const FlowHandle f = net.start_flow({{}, 1000, 10.0, nullptr});
+  EXPECT_FALSE(net.flow_active(FlowHandle{f.id, f.slot + 1}));
+  EXPECT_FALSE(net.cancel_flow(FlowHandle{f.id, 0xffffffffu}));
+  EXPECT_FALSE(net.set_flow_cap(FlowHandle{f.id, f.slot + 1}, 5.0));
+  EXPECT_EQ(net.flow_stats(FlowHandle{f.id, f.slot + 1}).bytes_total, 0u);
+  EXPECT_TRUE(net.flow_active(f));
+}
+
+TEST_F(NetworkTest, CompletionCallbackCannotCancelTheFlowInItsSlot) {
+  // The network frees a flow's slot before its callback runs, so a flow
+  // the callback starts takes that slot; the finished flow's handle must
+  // not cancel it.
+  FlowHandle first;
+  FlowHandle second;
+  bool cancelled_first = true;
+  first = net.start_flow({{}, 100, 100.0, [&](FlowId) {
+                            second = net.start_flow({{}, 100, 100.0, nullptr});
+                            cancelled_first = net.cancel_flow(first);
+                          }});
+  sim.run_until(2 * kSec);
+  EXPECT_EQ(second.slot, first.slot);
+  EXPECT_FALSE(cancelled_first);
+  EXPECT_FALSE(net.flow_active(second));  // ran to completion itself
+  EXPECT_EQ(sim.now(), 2 * kSec);
+}
+
 TEST(AllocationModelTest, EqualSplitWastesUnclaimedShare) {
   sim::Simulator sim;
   Network net(sim, AllocationModel::kEqualSplit);
   const LinkId link = net.add_link("l", 100.0);
-  const FlowId small = net.start_flow({{link}, 1 << 20, 10.0, nullptr});
-  const FlowId big = net.start_flow({{link}, 1 << 20, 1000.0, nullptr});
+  const FlowHandle small = net.start_flow({{link}, 1 << 20, 10.0, nullptr});
+  const FlowHandle big = net.start_flow({{link}, 1 << 20, 1000.0, nullptr});
   // Equal split: each flow gets 50; the capped one uses 10 and the spare
   // 40 is NOT redistributed (contrast MaxMinRespectsPerFlowCaps).
   EXPECT_NEAR(net.flow_stats(small).current_rate, 10.0, 1e-6);
@@ -234,10 +302,11 @@ TEST(AllocationModelTest, EqualSplitStillCompletesFlows) {
 TEST(AllocationModelTest, EqualSplitExactRates) {
   sim::Simulator sim;
   Network net(sim, AllocationModel::kEqualSplit);
-  const FlowId finite = net.start_flow({{}, 1 << 20, 40.0, nullptr});
-  const FlowId unlimited = net.start_flow({{}, 1 << 20, kUnlimitedRate, nullptr});
-  const FlowId tiny = net.start_flow({{}, 1 << 20, 5e-7, nullptr});
-  const FlowId zero_cap = net.start_flow({{}, 1 << 20, 0.0, nullptr});
+  const FlowHandle finite = net.start_flow({{}, 1 << 20, 40.0, nullptr});
+  const FlowHandle unlimited =
+      net.start_flow({{}, 1 << 20, kUnlimitedRate, nullptr});
+  const FlowHandle tiny = net.start_flow({{}, 1 << 20, 5e-7, nullptr});
+  const FlowHandle zero_cap = net.start_flow({{}, 1 << 20, 0.0, nullptr});
   EXPECT_EQ(net.flow_stats(finite).current_rate, 40.0);
   EXPECT_EQ(net.flow_stats(unlimited).current_rate, 1e15);
   EXPECT_EQ(net.flow_stats(tiny).current_rate, 5e-7);
@@ -246,16 +315,19 @@ TEST(AllocationModelTest, EqualSplitExactRates) {
   EXPECT_EQ(net.flow_stats(finite).current_rate, 3e-7);
 
   const LinkId dead = net.add_link("dead", 0.0);
-  const FlowId starved = net.start_flow({{dead}, 1 << 20, kUnlimitedRate, nullptr});
-  const FlowId starved_capped = net.start_flow({{dead}, 1 << 20, 10.0, nullptr});
+  const FlowHandle starved =
+      net.start_flow({{dead}, 1 << 20, kUnlimitedRate, nullptr});
+  const FlowHandle starved_capped =
+      net.start_flow({{dead}, 1 << 20, 10.0, nullptr});
   EXPECT_EQ(net.flow_stats(starved).current_rate, 0.0);
   EXPECT_EQ(net.flow_stats(starved_capped).current_rate, 0.0);
 
   // capacity / n = 100: the cap below it binds, the ones above it do not.
   const LinkId link = net.add_link("l", 300.0);
-  const FlowId below = net.start_flow({{link}, 1 << 20, 50.0, nullptr});
-  const FlowId above = net.start_flow({{link}, 1 << 20, 200.0, nullptr});
-  const FlowId open = net.start_flow({{link}, 1 << 20, kUnlimitedRate, nullptr});
+  const FlowHandle below = net.start_flow({{link}, 1 << 20, 50.0, nullptr});
+  const FlowHandle above = net.start_flow({{link}, 1 << 20, 200.0, nullptr});
+  const FlowHandle open =
+      net.start_flow({{link}, 1 << 20, kUnlimitedRate, nullptr});
   EXPECT_EQ(net.flow_stats(below).current_rate, 50.0);
   EXPECT_EQ(net.flow_stats(above).current_rate, 100.0);
   EXPECT_EQ(net.flow_stats(open).current_rate, 100.0);
@@ -280,7 +352,7 @@ TEST_P(FairnessPropertyTest, MaxMinInvariant) {
   const double capacity = 1000.0;
   const LinkId link = net.add_link("l", capacity);
   const int n = GetParam();
-  std::vector<FlowId> flows;
+  std::vector<FlowHandle> flows;
   std::vector<double> caps;
   for (int i = 0; i < n; ++i) {
     const double cap = 10.0 + 37.0 * ((i * 13) % n);

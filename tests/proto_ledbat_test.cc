@@ -16,7 +16,7 @@ class LedbatTest : public ::testing::Test {
 
 TEST_F(LedbatTest, RampsUpOnIdleLink) {
   const net::LinkId link = net.add_link("uplink", mbps_to_rate(100.0));
-  const net::FlowId flow =
+  const net::FlowHandle flow =
       net.start_flow({{link}, 1ull << 40, kbps_to_rate(4.0), nullptr});
   LedbatController::Params params;
   LedbatController ledbat(sim, net, flow, link, params);
@@ -29,7 +29,7 @@ TEST_F(LedbatTest, RampsUpOnIdleLink) {
 
 TEST_F(LedbatTest, BacksOffUnderForegroundLoad) {
   const net::LinkId link = net.add_link("uplink", kbps_to_rate(1000.0));
-  const net::FlowId flow =
+  const net::FlowHandle flow =
       net.start_flow({{link}, 1ull << 40, kbps_to_rate(4.0), nullptr});
   LedbatController::Params params;
   LedbatController ledbat(sim, net, flow, link, params);
@@ -45,7 +45,7 @@ TEST_F(LedbatTest, BacksOffUnderForegroundLoad) {
 
 TEST_F(LedbatTest, RateStaysWithinBounds) {
   const net::LinkId link = net.add_link("uplink", mbps_to_rate(1000.0));
-  const net::FlowId flow =
+  const net::FlowHandle flow =
       net.start_flow({{link}, 1ull << 40, kbps_to_rate(4.0), nullptr});
   LedbatController::Params params;
   params.max_rate = kbps_to_rate(200.0);
@@ -60,7 +60,7 @@ TEST_F(LedbatTest, RateStaysWithinBounds) {
 
 TEST_F(LedbatTest, QueuingDelayProxyIsMonotonic) {
   const net::LinkId link = net.add_link("l", 100.0);
-  const net::FlowId flow = net.start_flow({{link}, 1000, 1.0, nullptr});
+  const net::FlowHandle flow = net.start_flow({{link}, 1000, 1.0, nullptr});
   LedbatController ledbat(sim, net, flow, link, {});
   EXPECT_EQ(ledbat.queuing_delay(0.0), 0);
   EXPECT_LT(ledbat.queuing_delay(0.3), ledbat.queuing_delay(0.9));
@@ -69,7 +69,7 @@ TEST_F(LedbatTest, QueuingDelayProxyIsMonotonic) {
 
 TEST_F(LedbatTest, StopsSilentlyWhenFlowCompletes) {
   const net::LinkId link = net.add_link("l", 1000.0);
-  const net::FlowId flow = net.start_flow({{link}, 1000, 100.0, nullptr});
+  const net::FlowHandle flow = net.start_flow({{link}, 1000, 100.0, nullptr});
   LedbatController ledbat(sim, net, flow, link, {});
   ledbat.start();
   sim.run();  // flow completes; controller must not keep the sim alive

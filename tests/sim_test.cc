@@ -52,7 +52,7 @@ TEST(SimulatorTest, PastTimesClampToNow) {
 TEST(SimulatorTest, CancelPreventsExecution) {
   Simulator sim;
   bool ran = false;
-  const EventId id = sim.schedule_at(kSec, [&] { ran = true; });
+  const EventHandle id = sim.schedule_at(kSec, [&] { ran = true; });
   EXPECT_TRUE(sim.cancel(id));
   EXPECT_FALSE(sim.cancel(id));  // double-cancel is a no-op
   sim.run();
@@ -63,7 +63,7 @@ TEST(SimulatorTest, CancelPreventsExecution) {
 TEST(SimulatorTest, CancelFromWithinEarlierEvent) {
   Simulator sim;
   bool ran = false;
-  const EventId id = sim.schedule_at(2 * kSec, [&] { ran = true; });
+  const EventHandle id = sim.schedule_at(2 * kSec, [&] { ran = true; });
   sim.schedule_at(1 * kSec, [&] { sim.cancel(id); });
   sim.run();
   EXPECT_FALSE(ran);
@@ -102,7 +102,7 @@ TEST(SimulatorTest, MaxEventsGuard) {
 
 TEST(SimulatorTest, PendingCountTracksLiveEvents) {
   Simulator sim;
-  const EventId a = sim.schedule_at(kSec, [] {});
+  const EventHandle a = sim.schedule_at(kSec, [] {});
   sim.schedule_at(2 * kSec, [] {});
   EXPECT_EQ(sim.pending_count(), 2u);
   sim.cancel(a);
@@ -116,7 +116,7 @@ TEST(SimulatorEngineTest, CancelHeavyQueueCompactsTombstones) {
   // plus wholesale compaction), not leave it full of dead entries; the
   // survivors still run in exact time order.
   Simulator sim;
-  std::vector<EventId> ids;
+  std::vector<EventHandle> ids;
   const int n = 10000;
   ids.reserve(n);
   for (int i = 0; i < n; ++i) {
@@ -146,7 +146,7 @@ TEST(SimulatorEngineTest, LargeCaptureCallbacksFallBackToHeapStorage) {
   big.payload[15] = 4;
   std::uint64_t sum = 0;
   sim.schedule_at(10, [big, &sum] { sum += big.payload[0] + big.payload[15]; });
-  const EventId doomed =
+  const EventHandle doomed =
       sim.schedule_at(20, [big, &sum] { sum += 100 * big.payload[0]; });
   EXPECT_TRUE(sim.cancel(doomed));
   sim.run();
@@ -154,24 +154,85 @@ TEST(SimulatorEngineTest, LargeCaptureCallbacksFallBackToHeapStorage) {
 }
 
 TEST(SimulatorEngineTest, SlotReuseKeepsIdsUniqueAcrossChurn) {
-  // Heavy schedule/cancel/run churn reuses slab slots; stale EventIds from
+  // Heavy schedule/cancel/run churn reuses slab slots; stale handles from
   // already-fired or cancelled events must never cancel a later event that
   // happens to occupy the same slot.
   Simulator sim;
-  std::vector<EventId> old_ids;
+  std::vector<EventHandle> old_ids;
   int fired = 0;
   for (int round = 0; round < 50; ++round) {
-    std::vector<EventId> ids;
+    std::vector<EventHandle> ids;
     for (int i = 0; i < 20; ++i) {
       ids.push_back(
           sim.schedule_at(sim.now() + 1 + (i % 5), [&fired] { ++fired; }));
     }
     for (int i = 0; i < 20; i += 2) sim.cancel(ids[static_cast<std::size_t>(i)]);
     sim.run();
-    for (const EventId id : old_ids) EXPECT_FALSE(sim.cancel(id));
+    for (const EventHandle id : old_ids) EXPECT_FALSE(sim.cancel(id));
     old_ids = std::move(ids);
   }
   EXPECT_EQ(fired, 50 * 10);
+}
+
+TEST(SimulatorHandleTest, HandleToAReusedSlotCancelsNothing) {
+  // The slab is LIFO: a later event takes the slot an earlier one freed.
+  // The earlier event's handle must then match nothing, whether it ran or
+  // was cancelled.
+  Simulator sim;
+  const EventHandle ran = sim.schedule_at(1, [] {});
+  sim.run();
+  int later_fired = 0;
+  const EventHandle later = sim.schedule_at(2, [&] { ++later_fired; });
+  ASSERT_EQ(later.slot, ran.slot);
+  EXPECT_FALSE(sim.cancel(ran));
+  EXPECT_TRUE(sim.cancel(later));
+  const EventHandle again = sim.schedule_at(3, [&] { ++later_fired; });
+  ASSERT_EQ(again.slot, later.slot);
+  EXPECT_FALSE(sim.cancel(later));
+  EXPECT_EQ(sim.pending_count(), 1u);
+  sim.run();
+  EXPECT_EQ(later_fired, 1);
+}
+
+TEST(SimulatorHandleTest, DefaultHandleNeverMatchesAFreeSlot) {
+  // A free slot holds id 0, the id of a default handle.
+  Simulator sim;
+  EXPECT_FALSE(sim.cancel(EventHandle{}));  // empty slab
+  const EventHandle h = sim.schedule_at(1, [] {});
+  EXPECT_TRUE(sim.cancel(h));
+  ASSERT_EQ(h.slot, 0u);
+  EXPECT_FALSE(sim.cancel(EventHandle{}));  // slot 0 free, holding id 0
+  EXPECT_FALSE(sim.cancel(EventHandle{kInvalidEvent, h.slot}));
+  sim.schedule_at(2, [] {});
+  EXPECT_FALSE(sim.cancel(EventHandle{}));  // slot 0 live again
+  EXPECT_EQ(sim.pending_count(), 1u);
+}
+
+TEST(SimulatorHandleTest, SlotBeyondTheSlabIsRefused) {
+  Simulator sim;
+  const EventHandle h = sim.schedule_at(1, [] {});
+  EXPECT_FALSE(sim.cancel(EventHandle{h.id, h.slot + 1}));
+  EXPECT_FALSE(sim.cancel(EventHandle{h.id, 0xffffffffu}));
+  EXPECT_EQ(sim.pending_count(), 1u);
+}
+
+TEST(SimulatorHandleTest, CallbackCancellingItselfAfterReusingItsSlot) {
+  // step() frees an event's slot before running it, so a callback that
+  // schedules takes its own slot back. Its own handle must not cancel the
+  // event it just scheduled.
+  Simulator sim;
+  EventHandle self;
+  EventHandle next;
+  bool cancelled_self = true;
+  bool next_ran = false;
+  self = sim.schedule_at(1, [&] {
+    next = sim.schedule_at(2, [&] { next_ran = true; });
+    cancelled_self = sim.cancel(self);
+  });
+  sim.run();
+  EXPECT_EQ(next.slot, self.slot);
+  EXPECT_FALSE(cancelled_self);
+  EXPECT_TRUE(next_ran);
 }
 
 }  // namespace

@@ -289,9 +289,9 @@ TEST(SnapshotSimTest, RearmRestoresExactEventOrder) {
   sim::Simulator a;
   std::vector<int> fired;
   a.schedule_at(100, [&] { fired.push_back(1); });
-  const sim::EventId e2 = a.schedule_at(300, [&] { fired.push_back(2); });
-  const sim::EventId e3 = a.schedule_at(300, [&] { fired.push_back(3); });
-  const sim::EventId e4 = a.schedule_at(200, [&] { fired.push_back(4); });
+  const sim::EventId e2 = a.schedule_at(300, [&] { fired.push_back(2); }).id;
+  const sim::EventId e3 = a.schedule_at(300, [&] { fired.push_back(3); }).id;
+  const sim::EventId e4 = a.schedule_at(200, [&] { fired.push_back(4); }).id;
   a.step();  // runs event 1
   ASSERT_EQ(fired, std::vector<int>({1}));
 
@@ -352,7 +352,8 @@ TEST(SnapshotSimTest, RearmRestoresExactEventOrder) {
   for (int k = 0; k < 3; ++k) {
     // Ordinary ids continue after the reserved block, as in `u`.
     EXPECT_EQ(l.schedule_at(ordinary_at[k],
-                            [&lazy, k] { lazy.push_back(20 + k); }),
+                            [&lazy, k] { lazy.push_back(20 + k); })
+                  .id,
               first + 3 + k);
   }
   l.schedule_reserved(first, arrival_at[0], [&arrive] { arrive(0); });
@@ -383,7 +384,102 @@ TEST(SnapshotSimTest, RearmRestoresExactEventOrder) {
   EXPECT_EQ(resumed, upfront);
 }
 
+// Handles name slots of the slab load() empties. One kept across a load
+// cancels nothing: its slot is beyond the new slab, or holds another
+// event. rearm() hands out the restored events' handles.
+TEST(SnapshotSimTest, HandlesDoNotSurviveLoad) {
+  sim::Simulator sim;
+  std::vector<sim::EventHandle> before;
+  for (int i = 0; i < 6; ++i) {
+    before.push_back(sim.schedule_at(100 + i, [] {}));
+  }
+  SnapshotWriter w;
+  w.begin_section(1, 1);
+  sim.save(w);
+  w.end_section();
+  SnapshotReader r(w.take());
+  r.require_section(1, 1);
+  sim.load(r);
+  r.end_section();
+
+  for (const sim::EventHandle& h : before) EXPECT_FALSE(sim.cancel(h));
+  // The last two events come back in slots 0 and 1, which held the first
+  // two before the load.
+  int ran = 0;
+  const sim::EventHandle last = sim.rearm(before[5].id, [&ran] { ++ran; });
+  const sim::EventHandle fifth = sim.rearm(before[4].id, [&ran] { ++ran; });
+  EXPECT_EQ(last.slot, 0u);
+  EXPECT_EQ(fifth.slot, 1u);
+  for (const sim::EventHandle& h : before) EXPECT_FALSE(sim.cancel(h));
+  EXPECT_EQ(sim.pending_count(), 2u);
+  EXPECT_TRUE(sim.cancel(fifth));
+  for (int i = 0; i < 4; ++i) sim.rearm(before[i].id, [] {});
+  sim.run();
+  EXPECT_EQ(ran, 1);
+}
+
 // --- network ---------------------------------------------------------------
+
+// reattach_on_complete() claims a restored flow by id and hands back its
+// handle; a handle kept across the load reads nothing, and an id that is
+// not awaiting a callback is refused by name.
+TEST(SnapshotNetTest, ReattachReturnsTheHandleAndRefusesOtherIds) {
+  sim::Simulator sim;
+  net::Network net(sim);
+  net.add_link("uplink", 1000.0);
+  std::vector<net::FlowHandle> before;
+  for (int i = 0; i < 3; ++i) {
+    before.push_back(net.start_flow({{0}, 5000, 100.0, [](net::FlowId) {}}));
+  }
+  const net::FlowHandle silent = net.start_flow({{0}, 5000, 100.0, nullptr});
+  ASSERT_TRUE(net.cancel_flow(before[0]));
+  SnapshotWriter w;
+  w.begin_section(1, 1);
+  sim.save(w);
+  net.save(w);
+  w.end_section();
+  SnapshotReader r(w.take());
+  r.require_section(1, 1);
+  sim.load(r);
+  net.load(r);
+  r.end_section();
+
+  // Three flows restore into slots 0-2; `silent` sat in slot 3.
+  EXPECT_EQ(net.flow_slab_capacity(), 3u);
+  EXPECT_FALSE(net.flow_active(silent));
+  EXPECT_FALSE(net.cancel_flow(silent));
+  for (const net::FlowHandle& h : before) EXPECT_FALSE(net.flow_active(h));
+
+  int done = 0;
+  const net::FlowHandle second =
+      net.reattach_on_complete(before[2].id, [&done](net::FlowId) { ++done; });
+  EXPECT_EQ(second.id, before[2].id);
+  EXPECT_TRUE(net.flow_active(second));
+  EXPECT_EQ(net.flow_stats(second).bytes_total, 5000u);
+
+  const auto refused = [&net](net::FlowId id) {
+    try {
+      net.reattach_on_complete(id, [](net::FlowId) {});
+      return std::string("accepted");
+    } catch (const SnapshotError& e) {
+      return std::string(e.what());
+    }
+  };
+  // Cancelled before the save, saved without a callback, already claimed.
+  for (const net::FlowId id : {before[0].id, silent.id, before[2].id}) {
+    const std::string what = refused(id);
+    EXPECT_NE(what.find("flow " + std::to_string(id)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("not awaiting"), std::string::npos) << what;
+  }
+  EXPECT_EQ(net.flows_awaiting_callback(), 1u);
+  const net::FlowHandle first =
+      net.reattach_on_complete(before[1].id, [&done](net::FlowId) { ++done; });
+  EXPECT_TRUE(net.cancel_flow(first));
+  sim.run();
+  EXPECT_EQ(done, 1);
+  EXPECT_EQ(net.active_flow_count(), 0u);
+}
 
 TEST(SnapshotNetTest, MidFlowRoundTripPreservesCompletionTimes) {
   auto build = [](sim::Simulator& sim) {
@@ -405,7 +501,7 @@ TEST(SnapshotNetTest, MidFlowRoundTripPreservesCompletionTimes) {
   net::Network::FlowSpec spec2 = spec;
   spec2.bytes = 4000;
   spec2.on_complete = [&](net::FlowId id) { done_a.push_back({id, sim_a.now()}); };
-  const net::FlowId f2 = net_a->start_flow(spec2);
+  const net::FlowId f2 = net_a->start_flow(spec2).id;
   sim_a.run();
 
   // Interrupted copy: same history up to 5s, then checkpointed.
@@ -423,7 +519,7 @@ TEST(SnapshotNetTest, MidFlowRoundTripPreservesCompletionTimes) {
   spec2_b.on_complete = [&](net::FlowId id) {
     done_b_unused.push_back({id, sim_b.now()});
   };
-  const net::FlowId b1 = net_b->start_flow(spec_b);
+  const net::FlowId b1 = net_b->start_flow(spec_b).id;
   sim_b.run_until(3 * kSec);
   net_b->start_flow(spec2_b);
   sim_b.run_until(5 * kSec);
@@ -486,7 +582,7 @@ TEST(SnapshotNetTest, ChurnedPoolRoundTripAfterSlotReuse) {
         spec.on_complete = [&sim, done](net::FlowId id) {
           done->push_back({id, sim.now()});
         };
-        started.push_back(net.start_flow(spec));
+        started.push_back(net.start_flow(spec).id);
       }
       sim.run();
     }
@@ -499,7 +595,7 @@ TEST(SnapshotNetTest, ChurnedPoolRoundTripAfterSlotReuse) {
       spec.on_complete = [&sim, done](net::FlowId id) {
         done->push_back({id, sim.now()});
       };
-      started.push_back(net.start_flow(spec));
+      started.push_back(net.start_flow(spec).id);
     }
     return started;
   };
@@ -574,6 +670,7 @@ TEST(SnapshotNetTest, RestoreReproducesFastPathDecisions) {
     sim::Simulator sim;
     net::Network net{sim};
     std::vector<std::pair<net::FlowId, SimTime>> done;
+    std::map<net::FlowId, net::FlowHandle> handles;  // started or reattached
     Side() {
       net.add_link("narrow", 400.0);  // saturates: forces full solves
       net.add_link("wide-a", 5e4);
@@ -592,12 +689,15 @@ TEST(SnapshotNetTest, RestoreReproducesFastPathDecisions) {
         rng.bernoulli(0.05) ? net::kUnlimitedRate : rng.uniform(10.0, 300.0);
     if (action < 0.5 || views.empty()) {
       const Bytes size = 1000 + rng.uniform_index(100000);
-      s.net.start_flow(
+      const net::FlowHandle h = s.net.start_flow(
           {links[rng.uniform_index(links.size())], size, cap, s.record()});
+      s.handles[h.id] = h;
     } else if (action < 0.65) {
-      s.net.cancel_flow(views[rng.uniform_index(views.size())].id);
+      s.net.cancel_flow(
+          s.handles.at(views[rng.uniform_index(views.size())].id));
     } else if (action < 0.85) {
-      s.net.set_flow_cap(views[rng.uniform_index(views.size())].id, cap);
+      s.net.set_flow_cap(
+          s.handles.at(views[rng.uniform_index(views.size())].id), cap);
     } else {
       s.sim.run_until(s.sim.now() + from_seconds(rng.uniform(0.5, 20.0)));
     }
@@ -624,7 +724,9 @@ TEST(SnapshotNetTest, RestoreReproducesFastPathDecisions) {
   b.net.load(r);
   r.end_section();
   for (const net::Network::FlowView& v : a.net.flow_views()) {
-    if (v.has_callback) b.net.reattach_on_complete(v.id, b.record());
+    if (v.has_callback) {
+      b.handles[v.id] = b.net.reattach_on_complete(v.id, b.record());
+    }
   }
   ASSERT_EQ(b.net.flows_awaiting_callback(), 0u);
   const std::size_t done_before = a.done.size();

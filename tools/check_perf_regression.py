@@ -56,6 +56,11 @@ often moves it. A missing count or divisor is a hard failure. "solver_runs"
 and "solver_iterations" pin the flow solver's work the same way: the full
 solves a week runs and their water-filling steps, so a change that keeps
 every outcome but re-solves more often, or solves differently, fails.
+The wakes of download tasks by source class ("ticks_server",
+"ticks_swarm_seedless", "ticks_swarm_seeded"), the swarms' rng draws
+("swarm_draws") and the flow plane's fast-path rate updates
+("fast_path_updates") are pinned alike; PINNED_COUNTS lists every such
+field.
 
 Usage:
   tools/check_perf_regression.py --baseline bench/baselines/perf_smoke.json \
@@ -65,6 +70,19 @@ Usage:
 import argparse
 import json
 import sys
+
+# Exact per-divisor work counts a family may pin: pure functions of divisor
+# and seed, so a measured run must match each one verbatim.
+PINNED_COUNTS = (
+    "events",
+    "solver_runs",
+    "solver_iterations",
+    "ticks_server",
+    "ticks_swarm_seedless",
+    "ticks_swarm_seeded",
+    "swarm_draws",
+    "fast_path_updates",
+)
 
 
 def load_families(baseline):
@@ -80,9 +98,7 @@ def load_families(baseline):
             "exact_wall_seconds": baseline["exact_wall_seconds"],
             "rss_ceiling_bytes": baseline.get("rss_ceiling_bytes", {}),
             "fingerprints": baseline.get("fingerprints", {}),
-            "events": baseline.get("events", {}),
-            "solver_runs": baseline.get("solver_runs", {}),
-            "solver_iterations": baseline.get("solver_iterations", {}),
+            **{field: baseline.get(field, {}) for field in PINNED_COUNTS},
             "values": {},
             "require": {},
         }
@@ -92,9 +108,7 @@ def load_families(baseline):
             "exact_wall_seconds": spec.get("exact_wall_seconds", {}),
             "rss_ceiling_bytes": spec.get("rss_ceiling_bytes", {}),
             "fingerprints": spec.get("fingerprints", {}),
-            "events": spec.get("events", {}),
-            "solver_runs": spec.get("solver_runs", {}),
-            "solver_iterations": spec.get("solver_iterations", {}),
+            **{field: spec.get(field, {}) for field in PINNED_COUNTS},
             "values": spec.get("values", {}),
             "require": spec.get("require", {}),
         }
@@ -243,11 +257,9 @@ def main() -> int:
         {str(k): str(v) for k, v in spec["fingerprints"].items()},
         lambda v: isinstance(v, str))
     ev_checked, ev_failures, ev_missing = set(), [], []
-    for field, what in (("events", "events count"),
-                        ("solver_runs", "solver_runs count"),
-                        ("solver_iterations", "solver_iterations count")):
+    for field in PINNED_COUNTS:
         checked_f, failures_f, missing_f = check_pinned(
-            results, args.results, field, what,
+            results, args.results, field, f"{field} count",
             {str(k): int(v) for k, v in spec[field].items()},
             lambda v: isinstance(v, int) and not isinstance(v, bool))
         ev_checked |= {f"{field}@{key}" for key in checked_f}

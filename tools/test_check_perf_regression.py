@@ -4,9 +4,10 @@
 Exercises the gate's verdicts against synthetic JSON: clean pass,
 regression, a baseline divisor with no measured run (the silent-skip bug
 this guards against), an empty intersection, RSS ceilings, pinned
-fingerprints, event counts and solver counts, families and value
-windows. Also checks that the checked-in baselines pin a fingerprint, an
-event count and the solver counts for every perf_scale rung they time.
+fingerprints, event counts, solver counts and the other pinned work
+counts, families and value windows. Also checks that the checked-in
+baselines pin a fingerprint and every pinned work count for every
+perf_scale rung they time.
 
 Usage:
   python3 tools/test_check_perf_regression.py
@@ -18,6 +19,9 @@ import subprocess
 import sys
 import tempfile
 import unittest
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from check_perf_regression import PINNED_COUNTS  # noqa: E402
 
 GATE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     "check_perf_regression.py")
@@ -43,10 +47,11 @@ def baseline(divisors, max_ratio=2.0):
 
 
 def results(runs, bench=None, rss=None, fingerprints=None, events=None,
-            solver=None):
+            solver=None, counts=None):
     """rss, fingerprints and events map divisor -> peak_rss_bytes /
     fingerprint / events for the exact-mode runs; solver maps divisor ->
-    (solver_runs, solver_iterations)."""
+    (solver_runs, solver_iterations); counts maps divisor -> {field:
+    count} for further pinned work counts."""
     out = {"runs": []}
     for mode, d, w in runs:
         run = {"mode": mode, "divisor": d, "wall_seconds": w}
@@ -58,6 +63,8 @@ def results(runs, bench=None, rss=None, fingerprints=None, events=None,
             run["events"] = events[d]
         if solver is not None and mode == "exact" and d in solver:
             run["solver_runs"], run["solver_iterations"] = solver[d]
+        if counts is not None and mode == "exact" and d in counts:
+            run.update(counts[d])
         out["runs"].append(run)
     if bench is not None:
         out["bench"] = bench
@@ -279,6 +286,52 @@ class CheckPerfRegressionTest(unittest.TestCase):
         self.assertIn("no solver_runs count", proc.stderr)
         self.assertIn("no solver_iterations count", proc.stderr)
 
+    # --- pinned wakes, swarm draws and fast-path updates ---------------------
+
+    WORK_400 = {"ticks_server": 12, "ticks_swarm_seedless": 679,
+                "ticks_swarm_seeded": 4819, "swarm_draws": 29168,
+                "fast_path_updates": 24457}
+
+    def work_baseline(self):
+        b = baseline({"400": 10.0})
+        for field, count in self.WORK_400.items():
+            b[field] = {"400": count}
+        return b
+
+    def test_every_work_count_is_pinned(self):
+        self.assertTrue(set(self.WORK_400) <= set(PINNED_COUNTS))
+
+    def test_work_counts_match_passes(self):
+        proc = run_gate(self.work_baseline(),
+                        results([("exact", 400, 1.0)],
+                                counts={400: self.WORK_400}))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        for field, count in self.WORK_400.items():
+            self.assertIn(f"{field} {count} vs pinned {count} OK",
+                          proc.stdout)
+        self.assertIn("6 check(s) within", proc.stdout)
+
+    def test_each_work_count_change_fails_naming_field(self):
+        # One more wake, draw or fast-path update: the week's work moved.
+        for field in self.WORK_400:
+            moved = dict(self.WORK_400, **{field: self.WORK_400[field] + 1})
+            proc = run_gate(self.work_baseline(),
+                            results([("exact", 400, 1.0)],
+                                    counts={400: moved}))
+            self.assertEqual(proc.returncode, 1, field)
+            self.assertIn(f"{field}@400", proc.stderr)
+            for other in set(self.WORK_400) - {field}:
+                self.assertNotIn(f"{other}@400", proc.stderr)
+
+    def test_work_count_missing_fails(self):
+        partial = dict(self.WORK_400)
+        del partial["swarm_draws"]
+        proc = run_gate(self.work_baseline(),
+                        results([("exact", 400, 1.0)],
+                                counts={400: partial}))
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("no swarm_draws count", proc.stderr)
+
     def test_checked_in_baselines_pin_every_timed_rung(self):
         here = os.path.dirname(os.path.abspath(__file__))
         for name in ("perf_smoke.json", "perf_full.json"):
@@ -291,7 +344,7 @@ class CheckPerfRegressionTest(unittest.TestCase):
                 self.assertRegex(fp, r"^[0-9a-f]{16}$", f"{name} @ {key}")
             self.assertEqual(set(b["events"]),
                              set(b["exact_wall_seconds"]), name)
-            for field in ("events", "solver_runs", "solver_iterations"):
+            for field in PINNED_COUNTS:
                 self.assertEqual(set(b[field]),
                                  set(b["exact_wall_seconds"]),
                                  f"{name} {field}")
