@@ -118,9 +118,9 @@ std::uint64_t disabled_dispatch_allocations() {
 }
 
 // The flow plane's warm steady state must be allocation-free too
-// (DESIGN.md §16): flows live in a slab pool, link membership in pooled
-// intrusive adjacency nodes, flow-id lookup in a flat table, and each
-// link's cap order in vectors that keep their capacity — so a measured
+// (DESIGN.md §16): flows live in a slab pool, each flow is its own node in
+// its link's intrusive chain, a handle names its flow's slot, and each
+// link's cap order lives in vectors that keep their capacity — so a measured
 // churn pass (start, solve, complete, retire, slot reuse) over a warmed
 // network must perform ZERO heap allocations. The FlowSpecs for the
 // measured pass are pre-built outside the measured window: a completion
@@ -145,8 +145,8 @@ std::uint64_t flow_plane_steady_allocations() {
     }
     return specs;
   };
-  // Two waves per pass: wave 2 reuses the slots, adjacency nodes, and
-  // completion events wave 1 released, which is the recycling under test.
+  // Two waves per pass: wave 2 reuses the flow slots and completion events
+  // wave 1 released, which is the recycling under test.
   auto churn = [&](std::vector<net::Network::FlowSpec> specs) {
     const std::size_t half = specs.size() / 2;
     for (std::size_t i = 0; i < half; ++i) {

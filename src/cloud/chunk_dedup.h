@@ -56,8 +56,6 @@ class ChunkStore {
   AddResult add(const workload::FileInfo& file,
                 const std::vector<std::uint64_t>& signatures);
 
-  Bytes logical_bytes() const { return logical_; }
-  Bytes stored_bytes() const { return stored_; }
   std::size_t unique_chunks() const { return chunks_.size(); }
   // Space saved by chunk-level dedup beyond file-level dedup, as a
   // fraction of the logical bytes (the paper's "<1%").

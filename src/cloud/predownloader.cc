@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/observer.h"
 #include "snapshot/format.h"
-#include "workload/snapshot.h"
 
 namespace odr::cloud {
 namespace {
@@ -25,6 +25,7 @@ enum : std::uint16_t {
   kTagActiveCount = 20,
   kTagSlot = 21,
   kTagAttempt = 22,
+  kTagFile = 23,
   kTagQueueCount = 30,
   kTagRetryCount = 40,
   kTagRetryKey = 41,
@@ -51,23 +52,26 @@ core::RetryBudget::Config budget_config(const CloudConfig& config) {
 }  // namespace
 
 PreDownloaderPool::PreDownloaderPool(sim::Simulator& sim, net::Network& net,
+                                     const workload::Catalog& catalog,
                                      const CloudConfig& config,
                                      const proto::SourceParams& sources,
-                                     Rng& rng)
+                                     Rng& rng, DoneFn done)
     : sim_(sim),
       net_(net),
+      catalog_(catalog),
       config_(config),
       sources_(sources),
       rng_(rng.fork()),
+      done_(std::move(done)),
       retry_budget_(budget_config(config)) {}
 
-void PreDownloaderPool::submit(const workload::FileInfo& file, DoneFn done) {
-  Pending pending{file, std::move(done), 0};
+void PreDownloaderPool::submit(workload::FileIndex file) {
+  const Pending pending{file, 0};
   if (active_.size() >= config_.predownloader_count) {
-    queue_.push_back(std::move(pending));
+    queue_.push_back(pending);
     return;
   }
-  start_task(std::move(pending));
+  start_task(pending);
 }
 
 void PreDownloaderPool::start_task(Pending pending) {
@@ -75,21 +79,20 @@ void PreDownloaderPool::start_task(Pending pending) {
   ++started_;
   ODR_COUNT("cloud.vm.tasks.started");
 
-  auto source = proto::make_source(pending.file.protocol,
-                                   pending.file.expected_weekly_requests,
+  const workload::FileInfo& file = catalog_.file(pending.file);
+  auto source = proto::make_source(file.protocol, file.expected_weekly_requests,
                                    sources_, rng_);
   proto::DownloadTask::Config cfg;
   cfg.rate_ceiling = kPredownloaderRate * kTransportEfficiency;
   cfg.corruption_prob = corruption_prob_;
-  cfg.obs_file_index = pending.file.index;
+  cfg.obs_file_index = pending.file;
   auto task = std::make_unique<proto::DownloadTask>(
-      sim_, net_, std::move(source), pending.file.size, cfg,
+      sim_, net_, std::move(source), file.size, cfg,
       [this, slot](const proto::DownloadResult& result) {
         on_task_done(slot, result);
       });
   task->start(rng_);
-  active_.emplace(slot, Active{std::move(task), std::move(pending.file),
-                               std::move(pending.done), pending.attempt});
+  active_.emplace(slot, Active{std::move(task), pending.file, pending.attempt});
 }
 
 std::size_t PreDownloaderPool::inject_crashes(double prob, Rng& rng) {
@@ -123,21 +126,21 @@ std::size_t PreDownloaderPool::inject_crashes(double prob, Rng& rng) {
 
 void PreDownloaderPool::start_next_queued() {
   if (!queue_.empty() && active_.size() < config_.predownloader_count) {
-    Pending next = std::move(queue_.front());
+    const Pending next = queue_.front();
     queue_.pop_front();
-    start_task(std::move(next));
+    start_task(next);
   }
 }
 
 void PreDownloaderPool::resume_retry(std::uint64_t key) {
   auto it = retrying_.find(key);
   assert(it != retrying_.end());
-  Pending pending = std::move(it->second.pending);
+  const Pending pending = it->second.pending;
   retrying_.erase(it);
   if (active_.size() < config_.predownloader_count) {
-    start_task(std::move(pending));
+    start_task(pending);
   } else {
-    queue_.push_front(std::move(pending));
+    queue_.push_front(pending);
   }
 }
 
@@ -145,8 +148,7 @@ void PreDownloaderPool::on_task_done(std::uint64_t slot,
                                      const proto::DownloadResult& result) {
   auto it = active_.find(slot);
   assert(it != active_.end());
-  Pending pending{std::move(it->second.file), std::move(it->second.done),
-                  it->second.attempt + 1};
+  const Pending pending{it->second.file, it->second.attempt + 1};
   // We are inside the task's own callback: it dies when this returns.
   const std::unique_ptr<proto::DownloadTask> finished =
       std::move(it->second.task);
@@ -167,7 +169,7 @@ void PreDownloaderPool::on_task_done(std::uint64_t slot,
     if (retry_budget_.try_acquire_global(sim_.now())) {
       ++retries_;
       ODR_COUNT("cloud.vm.retries");
-      ODR_SPAN(note_file_retry(pending.file.index));
+      ODR_SPAN(note_file_retry(pending.file));
       const double factor = std::pow(
           kRetryBackoffFactor, static_cast<double>(pending.attempt - 1));
       const SimTime backoff = static_cast<SimTime>(
@@ -175,7 +177,7 @@ void PreDownloaderPool::on_task_done(std::uint64_t slot,
       const std::uint64_t key = next_retry_++;
       const sim::EventId event =
           sim_.schedule_after(backoff, [this, key] { resume_retry(key); }).id;
-      retrying_.emplace(key, Retry{std::move(pending), event});
+      retrying_.emplace(key, Retry{pending, event});
       start_next_queued();
       return;
     }
@@ -192,7 +194,7 @@ void PreDownloaderPool::on_task_done(std::uint64_t slot,
                static_cast<double>(pending.attempt));
   }
   start_next_queued();
-  if (pending.done) pending.done(result);
+  done_(pending.file, result);
 }
 
 std::vector<net::FlowId> PreDownloaderPool::active_flow_ids() const {
@@ -234,14 +236,14 @@ void PreDownloaderPool::save(snapshot::SnapshotWriter& w) const {
     const Active& a = active_.at(slot);
     w.u64(kTagSlot, slot);
     w.u32(kTagAttempt, a.attempt);
-    workload::save_file_info(w, a.file);
+    w.u32(kTagFile, a.file);
     a.task->save(w);
   }
 
   w.u64(kTagQueueCount, queue_.size());
   for (const Pending& p : queue_) {
     w.u32(kTagAttempt, p.attempt);
-    workload::save_file_info(w, p.file);
+    w.u32(kTagFile, p.file);
   }
 
   w.u64(kTagRetryCount, retrying_.size());
@@ -249,15 +251,27 @@ void PreDownloaderPool::save(snapshot::SnapshotWriter& w) const {
     w.u64(kTagRetryKey, key);
     w.u64(kTagRetryEvent, entry.event);
     w.u32(kTagAttempt, entry.pending.attempt);
-    workload::save_file_info(w, entry.pending.file);
+    w.u32(kTagFile, entry.pending.file);
   }
 
   w.u64(kTagBudgetDenied, retry_budget_denied_);
   retry_budget_.save(w);
 }
 
-void PreDownloaderPool::load(snapshot::SnapshotReader& r,
-                             const RebindFn& rebind) {
+workload::FileIndex PreDownloaderPool::load_file(snapshot::SnapshotReader& r,
+                                                const char* entry) const {
+  const workload::FileIndex file = r.u32(kTagFile);
+  if (file >= catalog_.size()) {
+    throw snapshot::SnapshotError(
+        std::string("vm: ") + entry + " pre-download names file " +
+            std::to_string(file) + " but the catalog has " +
+            std::to_string(catalog_.size()) + " files",
+        snapshot::SnapshotErrorKind::kCorrupt);
+  }
+  return file;
+}
+
+void PreDownloaderPool::load(snapshot::SnapshotReader& r) {
   load_rng(r, kTagRng, rng_);
   corruption_prob_ = r.f64(kTagCorruption);
   next_slot_ = r.u64(kTagNextSlot);
@@ -275,22 +289,20 @@ void PreDownloaderPool::load(snapshot::SnapshotReader& r,
   for (std::uint64_t i = 0; i < actives; ++i) {
     const std::uint64_t slot = r.u64(kTagSlot);
     const std::uint32_t attempt = r.u32(kTagAttempt);
-    workload::FileInfo file = workload::load_file_info(r);
+    const workload::FileIndex file = load_file(r, "active");
     auto task = proto::DownloadTask::restore(
         sim_, net_, r, sources_,
         [this, slot](const proto::DownloadResult& result) {
           on_task_done(slot, result);
         },
         rng_);
-    active_.emplace(slot,
-                    Active{std::move(task), file, rebind(file), attempt});
+    active_.emplace(slot, Active{std::move(task), file, attempt});
   }
 
   const std::uint64_t queued = r.u64(kTagQueueCount);
   for (std::uint64_t i = 0; i < queued; ++i) {
     const std::uint32_t attempt = r.u32(kTagAttempt);
-    workload::FileInfo file = workload::load_file_info(r);
-    queue_.push_back(Pending{file, rebind(file), attempt});
+    queue_.push_back(Pending{load_file(r, "queued"), attempt});
   }
 
   const std::uint64_t retry_count = r.u64(kTagRetryCount);
@@ -298,9 +310,9 @@ void PreDownloaderPool::load(snapshot::SnapshotReader& r,
     const std::uint64_t key = r.u64(kTagRetryKey);
     const sim::EventId event = r.u64(kTagRetryEvent);
     const std::uint32_t attempt = r.u32(kTagAttempt);
-    workload::FileInfo file = workload::load_file_info(r);
+    const workload::FileIndex file = load_file(r, "retrying");
     sim_.rearm(event, [this, key] { resume_retry(key); });
-    retrying_.emplace(key, Retry{Pending{file, rebind(file), attempt}, event});
+    retrying_.emplace(key, Retry{Pending{file, attempt}, event});
   }
 
   retry_budget_denied_ = r.u64(kTagBudgetDenied);

@@ -11,13 +11,17 @@
 // re-queued at the FRONT of the VM queue after an exponential backoff, so
 // it keeps its FIFO position relative to younger work, up to
 // CloudConfig::predownload_max_retries attempts. The same applies when the
-// task's own checksum-verify retries are exhausted. `done` fires exactly
-// once, on the terminal result. A finished task is moved out of the active
-// table in its own done callback and dies when that callback returns.
+// task's own checksum-verify retries are exhausted. The owner's one done
+// callback fires exactly once per submitted file, on the terminal result. A
+// finished task is moved out of the active table in its own done callback
+// and dies when that callback returns.
 //
-// Deferred work (retry backoffs) is keyed state rather than captured
-// closures, so the pool can checkpoint and restore itself mid-flight; see
-// save()/load().
+// A pre-download is a catalog index and an attempt count: the pool reads
+// the file's size, protocol and expected popularity from the catalog when
+// a task starts. Deferred work (retry backoffs) is keyed state rather than
+// captured closures, and the done callback is set once at construction, so
+// the pool checkpoints by index and restores mid-flight with no rebind;
+// see save()/load().
 #pragma once
 
 #include <cstdint>
@@ -35,7 +39,7 @@
 #include "proto/source.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
-#include "workload/file.h"
+#include "workload/catalog.h"
 
 namespace odr::snapshot {
 class SnapshotWriter;
@@ -46,16 +50,18 @@ namespace odr::cloud {
 
 class PreDownloaderPool {
  public:
-  using DoneFn = std::function<void(const proto::DownloadResult&)>;
-  // Recreates the owner's done-callback for a task found in a checkpoint.
-  using RebindFn = std::function<DoneFn(const workload::FileInfo&)>;
+  // The owner's terminal-result callback, shared by every pre-download.
+  using DoneFn = std::function<void(workload::FileIndex,
+                                    const proto::DownloadResult&)>;
 
   PreDownloaderPool(sim::Simulator& sim, net::Network& net,
+                    const workload::Catalog& catalog,
                     const CloudConfig& config,
-                    const proto::SourceParams& sources, Rng& rng);
+                    const proto::SourceParams& sources, Rng& rng, DoneFn done);
 
-  // Starts (or queues) a pre-download of `file`; `done` fires exactly once.
-  void submit(const workload::FileInfo& file, DoneFn done);
+  // Starts (or queues) a pre-download of catalog file `file`; the done
+  // callback fires exactly once for it.
+  void submit(workload::FileIndex file);
 
   // --- fault-layer hooks ----------------------------------------------------
 
@@ -71,7 +77,6 @@ class PreDownloaderPool {
 
   std::size_t active() const { return active_.size(); }
   std::size_t queued() const { return queue_.size(); }
-  std::size_t retrying() const { return retrying_.size(); }
   std::uint64_t started_count() const { return started_; }
   std::uint64_t crash_count() const { return crashes_; }
   std::uint64_t retry_count() const { return retries_; }
@@ -94,16 +99,15 @@ class PreDownloaderPool {
   // --- snapshot support -----------------------------------------------------
   //
   // save() serializes the rng, counters, every queued/retrying request and
-  // every active DownloadTask mid-flight. load() rebuilds them on a freshly
-  // constructed pool; `rebind` recreates the owner-side done callbacks
-  // (closures cannot be checkpointed).
+  // every active DownloadTask mid-flight, each naming its file by catalog
+  // index. load() rebuilds them on a freshly constructed pool over the same
+  // catalog and refuses (SnapshotError, kCorrupt) an index past its end.
   void save(snapshot::SnapshotWriter& w) const;
-  void load(snapshot::SnapshotReader& r, const RebindFn& rebind);
+  void load(snapshot::SnapshotReader& r);
 
  private:
   struct Pending {
-    workload::FileInfo file;
-    DoneFn done;
+    workload::FileIndex file = 0;
     std::uint32_t attempt = 0;  // completed attempts so far
   };
   struct Retry {
@@ -115,17 +119,21 @@ class PreDownloaderPool {
   void on_task_done(std::uint64_t slot, const proto::DownloadResult& result);
   void start_next_queued();
   void resume_retry(std::uint64_t key);
+  // Reads a saved file index, refusing one past the catalog's end.
+  workload::FileIndex load_file(snapshot::SnapshotReader& r,
+                                const char* entry) const;
 
   sim::Simulator& sim_;
   net::Network& net_;
+  const workload::Catalog& catalog_;
   CloudConfig config_;
   proto::SourceParams sources_;
   Rng rng_;
+  DoneFn done_;
 
   struct Active {
     std::unique_ptr<proto::DownloadTask> task;
-    workload::FileInfo file;
-    DoneFn done;
+    workload::FileIndex file = 0;
     std::uint32_t attempt = 0;
   };
   std::unordered_map<std::uint64_t, Active> active_;

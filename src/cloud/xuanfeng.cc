@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "obs/observer.h"
@@ -15,13 +16,15 @@ namespace {
 // The versions of the cloud's five checkpoint sections. Rng, caches,
 // uploads and tasks are at v1, where they started with the world's meta
 // v2. The vm section, which holds every pre-download task and its source,
-// is at v4: a server source stores only its fatal-break time, and a swarm
-// its stationary means and the time of its pending change (a v3 task's
-// wake was a plain 5-minute sample; v2 also carried a server's break clock
-// and flags and a swarm's popularity and scale; v1 an external-seed count
-// per swarm).
+// is at v5: each active, queued and retrying entry names its file by one
+// catalog index, checked against the catalog on load (v4 wrote a whole
+// file record per entry); a server source stores only its fatal-break
+// time, and a swarm its stationary means and the time of its pending
+// change (a v3 task's wake was a plain 5-minute sample; v2 also carried a
+// server's break clock and flags and a swarm's popularity and scale; v1 an
+// external-seed count per swarm).
 inline constexpr std::uint32_t kSectionVersion = 1;
-inline constexpr std::uint32_t kVmSectionVersion = 4;
+inline constexpr std::uint32_t kVmSectionVersion = 5;
 
 // Range of the residual-dynamics slowdown factor (CloudConfig::dynamics_prob
 // picks which fetches it hits).
@@ -46,6 +49,18 @@ enum : std::uint16_t {
   kTagPlanLink = 54,
   kTagPlanOversubscribed = 55,
 };
+
+// Refuses a restored file index past the catalog's end: `field` names it.
+void check_file(workload::FileIndex file, const workload::Catalog& catalog,
+                const char* field) {
+  if (file >= catalog.size()) {
+    throw snapshot::SnapshotError(
+        std::string("cloud: ") + field + " " + std::to_string(file) +
+            " is past the catalog's " + std::to_string(catalog.size()) +
+            " files",
+        snapshot::SnapshotErrorKind::kCorrupt);
+  }
+}
 
 void save_plan(snapshot::SnapshotWriter& w, const FetchPlan& p) {
   w.b(kTagPlanAdmitted, p.admitted);
@@ -81,7 +96,11 @@ XuanfengCloud::XuanfengCloud(sim::Simulator& sim, net::Network& net,
       content_db_(catalog.size()),
       storage_(catalog, config.storage_capacity),
       uploads_(net, config, rng_),
-      predownloaders_(sim, net, config, sources, rng_) {}
+      predownloaders_(sim, net, catalog, config, sources, rng_,
+                      [this](workload::FileIndex file,
+                             const proto::DownloadResult& result) {
+                        on_predownload_done(file, result);
+                      }) {}
 
 void XuanfengCloud::warm_cache(const workload::FileInfo& file) {
   storage_.insert(file.index);
@@ -113,13 +132,6 @@ workload::TaskOutcome XuanfengCloud::make_outcome(
   return outcome;
 }
 
-PreDownloaderPool::DoneFn XuanfengCloud::predownload_callback(
-    workload::FileIndex file) {
-  return [this, file](const proto::DownloadResult& result) {
-    on_predownload_done(file, result);
-  };
-}
-
 void XuanfengCloud::submit(const workload::WorkloadRecord& request,
                            const workload::User& user, OutcomeFn on_done) {
   content_db_.record_request(request.file, sim_.now());
@@ -138,7 +150,6 @@ void XuanfengCloud::submit_clone(const workload::WorkloadRecord& request,
 void XuanfengCloud::submit_impl(const workload::WorkloadRecord& request,
                                 const workload::User& user,
                                 OutcomeFn on_done) {
-  const workload::FileInfo& file = catalog_.file(request.file);
   ODR_COUNT("cloud.tasks.submitted");
   ODR_SPAN(on_submit(request.task_id, sim_.now(), obs::SpanOrigin::kCloud));
   ODR_SPAN(on_stage(request.task_id, obs::Stage::kCacheLookup, sim_.now(),
@@ -152,18 +163,19 @@ void XuanfengCloud::submit_impl(const workload::WorkloadRecord& request,
     return;
   }
 
-  Waiter w;
-  w.request = request;
-  w.isp = user.isp;
-  w.access_bandwidth = user.access_bandwidth;
-  w.on_done = std::move(on_done);
+  await_predownload(Waiter{.request = request,
+                           .isp = user.isp,
+                           .access_bandwidth = user.access_bandwidth,
+                           .on_done = std::move(on_done)});
+}
+
+void XuanfengCloud::await_predownload(Waiter w) {
+  const workload::FileIndex file = w.request.file;
   w.enqueued_at = sim_.now();
-
-  auto [it, first] = inflight_.try_emplace(request.file);
+  auto [it, first] = inflight_.try_emplace(file);
   it->second.push_back(std::move(w));
-  if (!first) return;  // an identical file is already being pre-downloaded
-
-  predownloaders_.submit(file, predownload_callback(request.file));
+  // An identical file already being pre-downloaded serves this waiter too.
+  if (first) predownloaders_.submit(file);
 }
 
 Bytes XuanfengCloud::cancel_task(workload::TaskId id) {
@@ -217,7 +229,6 @@ Bytes XuanfengCloud::cancel_task(workload::TaskId id) {
 void XuanfengCloud::predownload_only(const workload::WorkloadRecord& request,
                                      PreDownloadFn on_done) {
   content_db_.record_request(request.file, sim_.now());
-  const workload::FileInfo& file = catalog_.file(request.file);
   ODR_SPAN(on_submit(request.task_id, sim_.now(), obs::SpanOrigin::kCloud));
   ODR_SPAN(on_stage(request.task_id, obs::Stage::kCacheLookup, sim_.now(),
                     sim_.now()));
@@ -228,16 +239,7 @@ void XuanfengCloud::predownload_only(const workload::WorkloadRecord& request,
     return;
   }
 
-  Waiter w;
-  w.request = request;
-  w.pre_only = std::move(on_done);
-  w.enqueued_at = sim_.now();
-
-  auto [it, first] = inflight_.try_emplace(request.file);
-  it->second.push_back(std::move(w));
-  if (!first) return;
-
-  predownloaders_.submit(file, predownload_callback(request.file));
+  await_predownload(Waiter{.request = request, .pre_only = std::move(on_done)});
 }
 
 void XuanfengCloud::fetch_only(const workload::WorkloadRecord& request,
@@ -446,9 +448,7 @@ void XuanfengCloud::load(snapshot::SnapshotReader& r, OutcomeFn sink) {
   r.end_section();
 
   r.require_section(section_id(Subsystem::kVm), kVmSectionVersion);
-  predownloaders_.load(r, [this](const workload::FileInfo& file) {
-    return predownload_callback(file.index);
-  });
+  predownloaders_.load(r);
   r.end_section();
 
   r.require_section(section_id(Subsystem::kTasks), kSectionVersion);
@@ -456,12 +456,20 @@ void XuanfengCloud::load(snapshot::SnapshotReader& r, OutcomeFn sink) {
   const std::uint64_t files = r.u64(kTagInflightCount);
   for (std::uint64_t i = 0; i < files; ++i) {
     const workload::FileIndex file = r.u32(kTagInflightFile);
+    check_file(file, catalog_, "in-flight file");
     std::vector<Waiter>& waiters = inflight_[file];
     const std::uint64_t count = r.u64(kTagWaiterCount);
     waiters.reserve(count);
     for (std::uint64_t j = 0; j < count; ++j) {
       Waiter waiter;
       waiter.request = workload::load_workload_record(r);
+      if (waiter.request.file != file) {
+        throw snapshot::SnapshotError(
+            "cloud: waiter request.file " +
+                std::to_string(waiter.request.file) +
+                " differs from its in-flight file " + std::to_string(file),
+            snapshot::SnapshotErrorKind::kCorrupt);
+      }
       waiter.isp = static_cast<net::Isp>(r.u8(kTagWaiterIsp));
       waiter.access_bandwidth = r.f64(kTagWaiterBandwidth);
       waiter.enqueued_at = r.i64(kTagWaiterEnqueuedAt);
@@ -476,6 +484,7 @@ void XuanfengCloud::load(snapshot::SnapshotReader& r, OutcomeFn sink) {
     const net::FlowId flow = r.u64(kTagFetchFlow);
     ActiveFetch fetch;
     fetch.outcome = workload::load_task_outcome(r);
+    check_file(fetch.outcome.file, catalog_, "active fetch outcome file");
     fetch.plan = load_plan(r);
     fetch.overhead = r.f64(kTagFetchOverhead);
     fetch.on_done = sink;

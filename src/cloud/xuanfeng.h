@@ -118,10 +118,15 @@ class XuanfengCloud {
   // + storage pool), uploads (upload clusters), vm (the VM pool with every
   // mid-flight DownloadTask) and tasks (the waiter queues and the active
   // user fetches). load() reads them back on a freshly constructed cloud;
-  // every restored callback is rebound to `sink` (per-task closures cannot
-  // be checkpointed — the driving harness owns one uniform outcome sink
-  // instead). predownload_only waiters hold caller closures with no
-  // rebindable identity; save() refuses (SnapshotError) if any are pending.
+  // every restored outcome callback is rebound to `sink` (per-task closures
+  // cannot be checkpointed — the driving harness owns one uniform outcome
+  // sink instead). The VM pool reports to this cloud through the one
+  // callback it was built with, so it needs no rebind; its entries, the
+  // in-flight files, the waiters and the active fetches all name their
+  // file by catalog index, and load() refuses (SnapshotError, kCorrupt) an
+  // index past the catalog's end or a waiter filed under another file.
+  // predownload_only waiters hold caller closures with no rebindable
+  // identity; save() refuses (SnapshotError) if any are pending.
   void save(snapshot::SnapshotWriter& w) const;
   void load(snapshot::SnapshotReader& r, OutcomeFn sink);
 
@@ -138,8 +143,8 @@ class XuanfengCloud {
     workload::WorkloadRecord request;
     net::Isp isp = net::Isp::kTelecom;
     Rate access_bandwidth = 0.0;
-    OutcomeFn on_done;
-    PreDownloadFn pre_only;  // set for predownload_only waiters
+    OutcomeFn on_done = nullptr;
+    PreDownloadFn pre_only = nullptr;  // set for predownload_only waiters
     SimTime enqueued_at = 0;
   };
   // A user fetch in flight: everything the completion handler needs to
@@ -154,6 +159,9 @@ class XuanfengCloud {
 
   void submit_impl(const workload::WorkloadRecord& request,
                    const workload::User& user, OutcomeFn on_done);
+  // The miss path: attaches `w` to its file's in-flight pre-download,
+  // starting one in the VM pool for the file's first waiter.
+  void await_predownload(Waiter w);
   void on_predownload_done(workload::FileIndex file,
                            const proto::DownloadResult& result);
   void begin_fetch(const workload::WorkloadRecord& request, net::Isp isp,
@@ -166,7 +174,6 @@ class XuanfengCloud {
   workload::TaskOutcome make_outcome(
       const workload::WorkloadRecord& request,
       const workload::PreDownloadRecord& pre) const;
-  PreDownloaderPool::DoneFn predownload_callback(workload::FileIndex file);
 
   sim::Simulator& sim_;
   net::Network& net_;

@@ -38,7 +38,6 @@ class BbaController {
   // The bitrate to request given the current buffer level (seconds).
   Rate select(double buffer_sec) const;
 
-  std::size_t ladder_size() const { return params_.ladder.size(); }
   const BbaParams& params() const { return params_; }
 
  private:

@@ -75,11 +75,6 @@ enum : std::uint16_t {
 };
 }  // namespace
 
-NodeId Network::add_node(std::string name, Isp isp) {
-  nodes_.push_back(NodeState{std::move(name), isp});
-  return static_cast<NodeId>(nodes_.size() - 1);
-}
-
 LinkId Network::add_link(std::string name, Rate capacity) {
   assert(capacity >= 0.0);
   LinkState& link = links_.emplace_back();
@@ -107,10 +102,10 @@ Rate Network::link_capacity(LinkId link) const {
 Rate Network::link_utilization(LinkId link) const {
   assert(link < links_.size());
   Rate total = 0.0;
-  // Adjacency chains are ordered by ascending flow id, which fixes this
+  // Link chains are ordered by ascending flow id, which fixes this
   // summation order.
-  for (std::uint32_t a = links_[link].head; a != kNoAdj; a = adj_[a].next) {
-    total += flows_[adj_[a].flow_slot].rate;
+  for (std::uint32_t s = links_[link].head; s != kNoSlot; s = flows_[s].next) {
+    total += flows_[s].rate;
   }
   return total;
 }
@@ -118,16 +113,6 @@ Rate Network::link_utilization(LinkId link) const {
 std::size_t Network::link_flow_count(LinkId link) const {
   assert(link < links_.size());
   return links_[link].flow_count;
-}
-
-Isp Network::node_isp(NodeId node) const {
-  assert(node < nodes_.size());
-  return nodes_[node].isp;
-}
-
-const std::string& Network::node_name(NodeId node) const {
-  assert(node < nodes_.size());
-  return nodes_[node].name;
 }
 
 const std::string& Network::link_name(LinkId link) const {
@@ -146,22 +131,18 @@ void Network::release_slot(std::uint32_t slot) {
 void Network::attach_to_link(std::uint32_t slot, FlowState& f) {
   if (f.link == kNoLink) return;
   assert(f.link < links_.size());
-  const std::uint32_t a = adj_.acquire();
   LinkState& link = links_[f.link];
-  AdjNode& node = adj_[a];
-  node.flow_slot = slot;
-  node.prev = link.tail;
-  node.next = kNoAdj;
+  f.prev = link.tail;
+  f.next = kNoSlot;
   // New ids are monotone and flows never re-attach, so appending at the
   // tail keeps the chain ascending by flow id.
-  if (link.tail != kNoAdj) {
-    adj_[link.tail].next = a;
+  if (link.tail != kNoSlot) {
+    flows_[link.tail].next = slot;
   } else {
-    link.head = a;
+    link.head = slot;
   }
-  link.tail = a;
+  link.tail = slot;
   ++link.flow_count;
-  f.adj = a;
   if (f.rate_cap > kMinRate) {
     // Departed flows' entries are dropped once the list holds twice the
     // link's flows, so each drop is paid for by the attaches and detaches
@@ -175,24 +156,15 @@ void Network::attach_to_link(std::uint32_t slot, FlowState& f) {
 }
 
 void Network::detach_from_link(std::uint32_t slot, FlowState& f) {
-  (void)slot;
   if (f.link == kNoLink) return;
   LinkState& link = links_[f.link];
-  const AdjNode node = adj_[f.adj];
-  assert(node.flow_slot == slot);
-  if (node.prev != kNoAdj) {
-    adj_[node.prev].next = node.next;
-  } else {
-    link.head = node.next;
-  }
-  if (node.next != kNoAdj) {
-    adj_[node.next].prev = node.prev;
-  } else {
-    link.tail = node.prev;
-  }
+  assert((f.prev == kNoSlot ? link.head : flows_[f.prev].next) == slot);
+  (void)slot;
+  (f.prev == kNoSlot ? link.head : flows_[f.prev].next) = f.next;
+  (f.next == kNoSlot ? link.tail : flows_[f.next].prev) = f.prev;
   --link.flow_count;
-  adj_.release(f.adj);
-  f.adj = kNoAdj;
+  f.prev = kNoSlot;
+  f.next = kNoSlot;
 }
 
 FlowHandle Network::start_flow(FlowSpec spec) {
@@ -353,10 +325,9 @@ void Network::refresh_cap_order(LinkState& link) {
   std::vector<CapEntry>& pending = link.cap_pending;
   if (link.order_stale) {
     order.clear();
-    for (std::uint32_t a = link.head; a != kNoAdj; a = adj_[a].next) {
-      const std::uint32_t slot = adj_[a].flow_slot;
-      const FlowState& f = flows_[slot];
-      if (f.rate_cap > kMinRate) order.push_back({f.rate_cap, f.id, slot});
+    for (std::uint32_t s = link.head; s != kNoSlot; s = flows_[s].next) {
+      const FlowState& f = flows_[s];
+      if (f.rate_cap > kMinRate) order.push_back({f.rate_cap, f.id, s});
     }
     std::sort(order.begin(), order.end(), by_cap);
     pending.clear();
@@ -385,16 +356,15 @@ void Network::refresh_cap_order(LinkState& link) {
 
 void Network::solve_link(LinkId l) {
   LinkState& link = links_[l];
-  if (link.head == kNoAdj) return;  // no flow to solve
+  if (link.head == kNoSlot) return;  // no flow to solve
   // Sets every flow on the link to rate_of(flow) in chain (id) order, which
   // fixes the completion-event order, and recounts the link's load.
   const auto set_rates = [&](auto rate_of) {
     const bool track = tracked(link.bound);
     std::int64_t load = 0;
-    for (std::uint32_t a = link.head; a != kNoAdj; a = adj_[a].next) {
-      const std::uint32_t slot = adj_[a].flow_slot;
-      set_rate(slot, rate_of(flows_[slot]));
-      if (track) load += rate_quanta(flows_[slot].rate);
+    for (std::uint32_t s = link.head; s != kNoSlot; s = flows_[s].next) {
+      set_rate(s, rate_of(flows_[s]));
+      if (track) load += rate_quanta(flows_[s].rate);
     }
     link.load = load;
   };
@@ -539,8 +509,8 @@ void Network::load(snapshot::SnapshotReader& r) {
   }
   for (LinkState& l : links_) {
     l.capacity = r.f64(kTagLinkCapacity);
-    l.head = kNoAdj;
-    l.tail = kNoAdj;
+    l.head = kNoSlot;
+    l.tail = kNoSlot;
     l.flow_count = 0;
     l.load = 0;
     l.bound = load_bound(l.capacity);
@@ -552,14 +522,13 @@ void Network::load(snapshot::SnapshotReader& r) {
   next_flow_id_ = r.u64(kTagNextFlowId);
 
   flows_.clear();
-  adj_.clear();
   live_flows_ = 0;
   awaiting_callback_.clear();
   const std::uint64_t flow_count = r.u64(kTagFlowCount);
   for (std::uint64_t i = 0; i < flow_count; ++i) {
     const FlowId id = r.u64(kTagFlowId);
     // Flows were saved in ascending id order and the pool is empty, so
-    // slots come out sequential and adjacency chains (appended by
+    // slots come out sequential and link chains (appended by
     // attach_to_link below) reproduce the original ascending-by-id order
     // exactly.
     const std::uint32_t slot = flows_.acquire();

@@ -12,7 +12,7 @@
 // bottleneck: a fetch crosses its ISP's upload cluster, and the cross-ISP
 // barrier is a rate cap, not a link. P2P swarm downloads cross none. So
 // two flows share a rate only when they share their one link, and a
-// link's adjacency chain is the whole of what any update can move.
+// link's flow chain is the whole of what any update can move.
 //
 // Two update paths keep the allocation exact (see DESIGN.md §11):
 //   * Fast path (kMaxMinFair only). Each link keeps its load — the sum of
@@ -26,7 +26,7 @@
 //     would return. Pathless flows always take it.
 //   * Full solve. Everything else — infinite caps, a saturated link, link
 //     capacity changes, and every kEqualSplit update — re-solves the
-//     flow's link with one scan of its adjacency chain. The scan freezes
+//     flow's link with one scan of its flow chain. The scan freezes
 //     caps in (cap, id) order while they fit under the fair share, gives
 //     every other unthrottled flow the final level, and sets the rates in
 //     chain (id) order. Each link keeps its flows' caps in (cap, id) order
@@ -49,10 +49,11 @@
 // Hot-path layout (see DESIGN.md §11 and §16): flows live in a
 // util::SlabPool indexed by dense 32-bit slots, and a FlowHandle names its
 // flow's slot, so no flow call performs a hash lookup; link membership is an
-// intrusive doubly-linked adjacency list of pooled nodes (append keeps
-// ascending flow id, detach is O(1)), so completion-heavy steady state
-// never scans a cluster link's whole membership, and no update allocates
-// once the pools and cap orders have grown.
+// intrusive doubly-linked chain threaded through the flows' own slots
+// (a flow crosses at most one link, so it is its own chain node; append
+// keeps ascending flow id, detach is O(1)), so completion-heavy steady
+// state never scans a cluster link's whole membership, and no update
+// allocates once the slab and cap orders have grown.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +76,6 @@ class SnapshotReader;
 
 namespace odr::net {
 
-using NodeId = std::uint32_t;
 using LinkId = std::uint32_t;
 using FlowId = std::uint64_t;
 inline constexpr FlowId kInvalidFlow = 0;
@@ -122,7 +122,6 @@ class Network {
 
   // --- topology -----------------------------------------------------------
 
-  NodeId add_node(std::string name, Isp isp = Isp::kOther);
   LinkId add_link(std::string name, Rate capacity);
 
   void set_link_capacity(LinkId link, Rate capacity);
@@ -131,8 +130,6 @@ class Network {
   Rate link_utilization(LinkId link) const;
   std::size_t link_flow_count(LinkId link) const;
 
-  Isp node_isp(NodeId node) const;
-  const std::string& node_name(NodeId node) const;
   const std::string& link_name(LinkId link) const;
 
   // --- flows --------------------------------------------------------------
@@ -209,25 +206,12 @@ class Network {
   std::size_t pending_completion_count() const;
   std::size_t link_count() const { return links_.size(); }
 
-  // Pool high-water marks (RSS accounting and the pool property tests).
+  // Slab high-water mark (RSS accounting and the pool property tests).
   std::size_t flow_slab_capacity() const { return flows_.capacity(); }
-  std::size_t adjacency_pool_capacity() const { return adj_.capacity(); }
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-  static constexpr std::uint32_t kNoAdj = 0xffffffffu;
   static constexpr LinkId kNoLink = 0xffffffffu;  // a pathless flow
-
-  // One hop of the link→flow adjacency: flow `flow_slot` crosses the
-  // owning link. Nodes are pooled (util::SlabPool) and chained per link in
-  // insertion order; flow ids are monotone, so the chain is always ordered
-  // by ascending flow id, which fixes the floating-point summation order
-  // everywhere a link's flows are folded.
-  struct AdjNode {
-    std::uint32_t flow_slot = kNoSlot;
-    std::uint32_t prev = kNoAdj;
-    std::uint32_t next = kNoAdj;
-  };
 
   // One entry of a link's kept cap order (see file header): flow `id`,
   // held in slab slot `slot`, with cap `cap`. Dead once the slot no longer
@@ -241,9 +225,12 @@ class Network {
   struct LinkState {
     std::string name;
     Rate capacity;
-    // Intrusive adjacency list endpoints (SlabPool<AdjNode> slots).
-    std::uint32_t head = kNoAdj;
-    std::uint32_t tail = kNoAdj;
+    // Ends of the link's flow chain (flow slots). Flows are chained in
+    // attach order; flow ids are monotone, so the chain is always ordered
+    // by ascending flow id, which fixes the floating-point summation order
+    // everywhere a link's flows are folded.
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
     std::uint32_t flow_count = 0;
     // Set when a flow on this link was re-capped: the next scan rebuilds
     // cap_order from the chain.
@@ -261,11 +248,6 @@ class Network {
     std::int64_t bound = 0;
   };
 
-  struct NodeState {
-    std::string name;
-    Isp isp;
-  };
-
   struct FlowState {
     Bytes bytes_total = 0;
     double bytes_done = 0.0;  // progress anchor: bytes at last_settled
@@ -279,11 +261,16 @@ class Network {
     SimTime started_at = 0;
     SimTime last_settled = 0;  // anchor time: the last change of `rate`
     FlowCallback on_complete;
-    sim::EventHandle completion_event;
     FlowId id = kInvalidFlow;  // owning id; kInvalidFlow when the slot is free
+    // May overlap: `link` then sits in the handle's tail padding, which
+    // keeps a flow at 128 B with its chain links.
+    [[no_unique_address]] sim::EventHandle completion_event;
     LinkId link = kNoLink;
-    std::uint32_t adj = kNoAdj;  // the flow's node in `link`'s chain
+    // Neighbours in `link`'s chain (flow slots; kNoSlot at either end).
+    std::uint32_t prev = kNoSlot;
+    std::uint32_t next = kNoSlot;
   };
+  static_assert(sizeof(FlowState) <= 128);
 
   void release_slot(std::uint32_t slot);
   void attach_to_link(std::uint32_t slot, FlowState& f);
@@ -329,12 +316,10 @@ class Network {
   void add_load(LinkId l, Rate rate, std::int64_t sign);
 
   sim::Simulator& sim_;
-  std::vector<NodeState> nodes_;
   std::vector<LinkState> links_;
 
   // Flow storage: a slab pool; each slot records its flow's id.
   util::SlabPool<FlowState> flows_;
-  util::SlabPool<AdjNode> adj_;
   std::size_t live_flows_ = 0;
 
   std::vector<CapEntry> cap_merge_;  // merge target, swapped into a link

@@ -59,7 +59,6 @@ class Registry {
   const Histogram* find_histogram(std::string_view name) const;
 
   std::size_t counter_count() const { return counters_.size(); }
-  std::size_t gauge_count() const { return gauges_.size(); }
   std::size_t histogram_count() const { return histograms_.size(); }
 
   // Folds another registry into this one: counters add, histograms add

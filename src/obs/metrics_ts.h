@@ -119,7 +119,6 @@ class MetricsTimeSeries {
   // Implies begin_run().
   void begin_serve(SimTime window, SimTime p99_target);
 
-  SimTime window_size() const { return window_size_; }
   SimTime p99_target() const { return p99_target_; }
 
   // --- event feeds (monotone in sim time, any interleaving) --------------

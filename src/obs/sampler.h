@@ -45,7 +45,6 @@ class GaugeSampler {
   // per period bin.
   void on_time(SimTime now);
 
-  std::size_t probe_count() const { return probes_.size(); }
   std::uint64_t samples_taken() const { return samples_; }
   SimTime period() const { return period_; }
 

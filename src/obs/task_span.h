@@ -170,10 +170,6 @@ class TaskJournal {
 
   // --- introspection -----------------------------------------------------
   std::size_t open_spans() const { return open_index_.size(); }
-  // Pool high-water mark: open-span slots ever in use at once (slab
-  // capacity; the steady-state allocation gate in bench/obs_overhead
-  // checks this plateaus instead of growing with task count).
-  std::size_t open_span_capacity() const { return open_pool_.capacity(); }
   std::uint64_t finished() const { return finished_; }
   std::uint64_t kept_dropped() const { return kept_dropped_; }
   // All retained spans (reservoir + always-keep sets), deduplicated,

@@ -62,7 +62,6 @@ class TimeSeries {
   void add_at(SimTime t, double amount);
 
   std::size_t bins() const { return totals_.size(); }
-  SimTime bin_start(std::size_t i) const { return start_ + static_cast<SimTime>(i) * width_; }
   double bin_total(std::size_t i) const { return totals_[i]; }
   // Average rate over the bin, in bytes/sec.
   Rate bin_rate(std::size_t i) const;

@@ -2,8 +2,8 @@
 // address-independent slot ids.
 //
 // The steady-state populations of a full-scale replay — live network
-// flows, link→flow adjacency nodes, open task spans — churn millions of
-// times per week but plateau at a bounded high-water mark. Allocating
+// flows, open task spans — churn millions of times per week but plateau
+// at a bounded high-water mark. Allocating
 // each object with `new` (or a node-based container) puts an allocator
 // round-trip and a cache-hostile address on the hottest paths; DESIGN.md
 // §16 moves these populations into slab pools instead.

@@ -100,11 +100,6 @@ std::vector<EmpiricalCdf::Point> EmpiricalCdf::curve(std::size_t points) const {
   return out;
 }
 
-const std::vector<double>& EmpiricalCdf::sorted_values() const {
-  ensure_sorted();
-  return values_;
-}
-
 double mean_relative_error(const std::vector<double>& measured,
                            const std::vector<double>& model) {
   const std::size_t n = std::min(measured.size(), model.size());

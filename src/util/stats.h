@@ -54,8 +54,6 @@ class EmpiricalCdf {
   };
   std::vector<Point> curve(std::size_t points = 50) const;
 
-  const std::vector<double>& sorted_values() const;
-
  private:
   void ensure_sorted() const;
 

@@ -6,16 +6,6 @@ namespace {
 // Tag blocks per record type; records may be nested inside arbitrary
 // sections, so tags only need to be stable, not globally unique.
 enum : std::uint16_t {
-  // FileInfo
-  kTagFileIndex = 100,
-  kTagFileContentId = 101,
-  kTagFileType = 102,
-  kTagFileSize = 103,
-  kTagFileProtocol = 104,
-  kTagFileRank = 105,
-  kTagFileWeekly = 106,
-  kTagFileBornBefore = 107,
-  kTagFileSourceLink = 108,
   // WorkloadRecord
   kTagWrTask = 140,
   kTagWrUser = 141,
@@ -50,32 +40,6 @@ enum : std::uint16_t {
 };
 
 }  // namespace
-
-void save_file_info(snapshot::SnapshotWriter& w, const FileInfo& f) {
-  w.u32(kTagFileIndex, f.index);
-  w.bytes(kTagFileContentId, f.content_id.bytes.data(), f.content_id.bytes.size());
-  w.u8(kTagFileType, static_cast<std::uint8_t>(f.type));
-  w.u64(kTagFileSize, f.size);
-  w.u8(kTagFileProtocol, static_cast<std::uint8_t>(f.protocol));
-  w.u32(kTagFileRank, f.rank);
-  w.f64(kTagFileWeekly, f.expected_weekly_requests);
-  w.b(kTagFileBornBefore, f.born_before_trace);
-  w.str(kTagFileSourceLink, f.source_link);
-}
-
-FileInfo load_file_info(snapshot::SnapshotReader& r) {
-  FileInfo f;
-  f.index = r.u32(kTagFileIndex);
-  r.bytes(kTagFileContentId, f.content_id.bytes.data(), f.content_id.bytes.size());
-  f.type = static_cast<FileType>(r.u8(kTagFileType));
-  f.size = r.u64(kTagFileSize);
-  f.protocol = static_cast<proto::Protocol>(r.u8(kTagFileProtocol));
-  f.rank = r.u32(kTagFileRank);
-  f.expected_weekly_requests = r.f64(kTagFileWeekly);
-  f.born_before_trace = r.b(kTagFileBornBefore);
-  f.source_link = r.str(kTagFileSourceLink);
-  return f;
-}
 
 void save_workload_record(snapshot::SnapshotWriter& w,
                           const WorkloadRecord& rec) {

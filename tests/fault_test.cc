@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -54,6 +55,36 @@ workload::FileInfo make_file(const std::string& name, Bytes size,
   f.expected_weekly_requests = weekly_popularity;
   return f;
 }
+
+// A catalog of `files`, each indexed by its position.
+workload::Catalog catalog_of(std::vector<workload::FileInfo> files) {
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    files[i].index = static_cast<workload::FileIndex>(i);
+  }
+  return workload::Catalog(std::move(files));
+}
+
+// A pool's one owner callback: every terminal result in report order, by
+// file index, with the simulator's pending-event count at the report.
+struct PoolReports {
+  struct Report {
+    workload::FileIndex file;
+    proto::DownloadResult result;
+    std::size_t pending_events;
+  };
+  cloud::PreDownloaderPool::DoneFn owner(const sim::Simulator& sim) {
+    return [this, &sim](workload::FileIndex file,
+                        const proto::DownloadResult& result) {
+      reports.push_back({file, result, sim.pending_count()});
+    };
+  }
+  std::vector<workload::FileIndex> files() const {
+    std::vector<workload::FileIndex> out;
+    for (const Report& r : reports) out.push_back(r.file);
+    return out;
+  }
+  std::vector<Report> reports;
+};
 
 // ---------------------------------------------------------------------------
 // CircuitBreaker: the three-state machine under simulated time.
@@ -346,10 +377,13 @@ TEST_F(TaskFaultTest, CleanTransferNeedsNoChecksumRetry) {
 
 class PoolFaultTest : public ::testing::Test {
  protected:
-  std::unique_ptr<cloud::PreDownloaderPool> make_pool(std::size_t vms) {
+  // A pool of `vms` VMs over a catalog of `files` (file i at index i).
+  std::unique_ptr<cloud::PreDownloaderPool> make_pool(
+      std::size_t vms, std::vector<workload::FileInfo> files) {
     cc.predownloader_count = vms;
-    return std::make_unique<cloud::PreDownloaderPool>(sim, net, cc, sources,
-                                                      rng);
+    catalog.emplace(catalog_of(std::move(files)));
+    return std::make_unique<cloud::PreDownloaderPool>(
+        sim, net, *catalog, cc, sources, rng, reported.owner(sim));
   }
 
   sim::Simulator sim;
@@ -359,111 +393,88 @@ class PoolFaultTest : public ::testing::Test {
   cloud::CloudConfig cc;
   // 1000 B/s deterministic HTTP origins: a 600 KB file takes exactly 600 s.
   proto::SourceParams sources = deterministic_server_sources(1000.0);
+  std::optional<workload::Catalog> catalog;
+  PoolReports reported;
 };
 
 TEST_F(PoolFaultTest, CrashedTaskRetriesAfterExponentialBackoff) {
-  auto pool = make_pool(1);
-  int calls = 0;
-  std::optional<proto::DownloadResult> result;
-  pool->submit(make_file("a", 600000, proto::Protocol::kHttp),
-               [&](const proto::DownloadResult& r) {
-                 ++calls;
-                 result = r;
-               });
+  auto pool = make_pool(1, {make_file("a", 600000, proto::Protocol::kHttp)});
+  pool->submit(0);
   sim.run_until(2 * kMinute);
   EXPECT_EQ(pool->inject_crashes(1.0, crash_rng), 1u);
   EXPECT_EQ(pool->crash_count(), 1u);
-  EXPECT_EQ(calls, 0);  // retried, not reported
+  EXPECT_TRUE(reported.reports.empty());  // retried, not reported
   sim.run();
-  ASSERT_EQ(calls, 1);
-  EXPECT_TRUE(result->success);
+  ASSERT_EQ(reported.files(), std::vector<workload::FileIndex>{0});
+  const proto::DownloadResult& result = reported.reports[0].result;
+  EXPECT_TRUE(result.success);
   EXPECT_EQ(pool->retry_count(), 1u);
   EXPECT_EQ(pool->retries_exhausted(), 0u);
   // First backoff is kRetryBackoffBase (1 min): crash at 120 s, restart
   // at 180 s, 600 s of transfer.
-  EXPECT_EQ(result->started_at, 180 * kSec);
-  EXPECT_EQ(result->finished_at, 780 * kSec);
+  EXPECT_EQ(result.started_at, 180 * kSec);
+  EXPECT_EQ(result.finished_at, 780 * kSec);
 }
 
 TEST_F(PoolFaultTest, TaskDiesInItsDoneCallback) {
   // A finished task is destroyed when its done callback returns, so the
   // last callback leaves nothing queued: no deferred delete, no tick.
-  auto pool = make_pool(1);
-  int calls = 0;
-  std::size_t pending_in_last_callback = ~std::size_t{0};
-  for (const char* name : {"a", "b"}) {
-    pool->submit(make_file(name, 60000, proto::Protocol::kHttp),
-                 [&](const proto::DownloadResult& r) {
-                   EXPECT_TRUE(r.success);
-                   if (++calls == 2) {
-                     pending_in_last_callback = sim.pending_count();
-                   }
-                 });
-  }
+  auto pool = make_pool(1, {make_file("a", 60000, proto::Protocol::kHttp),
+                            make_file("b", 60000, proto::Protocol::kHttp)});
+  pool->submit(0);
+  pool->submit(1);
   sim.run();
-  ASSERT_EQ(calls, 2);
-  EXPECT_EQ(pending_in_last_callback, 0u);
+  ASSERT_EQ(reported.files(), (std::vector<workload::FileIndex>{0, 1}));
+  for (const PoolReports::Report& r : reported.reports) {
+    EXPECT_TRUE(r.result.success);
+  }
+  EXPECT_EQ(reported.reports[1].pending_events, 0u);
   EXPECT_EQ(pool->active(), 0u);
   EXPECT_EQ(pool->pending_event_count(), 0u);
 }
 
 TEST_F(PoolFaultTest, CrashedTaskRequeuesAtFrontOfFifo) {
-  auto pool = make_pool(1);
-  std::vector<std::string> order;
-  auto submit = [&](const std::string& name) {
-    pool->submit(make_file(name, 600000, proto::Protocol::kHttp),
-                 [&order, name](const proto::DownloadResult&) {
-                   order.push_back(name);
-                 });
-  };
-  submit("a");  // active
-  submit("b");  // queued
-  submit("c");  // queued behind b
+  auto pool = make_pool(1, {make_file("a", 600000, proto::Protocol::kHttp),
+                            make_file("b", 600000, proto::Protocol::kHttp),
+                            make_file("c", 600000, proto::Protocol::kHttp)});
+  pool->submit(0);  // a: active
+  pool->submit(1);  // b: queued
+  pool->submit(2);  // c: queued behind b
   sim.run_until(2 * kMinute);
   EXPECT_EQ(pool->inject_crashes(1.0, crash_rng), 1u);  // kills a
   sim.run();
   // a's backoff expires while b holds the only VM, so a re-enters the
   // queue at the FRONT: it finishes before c despite the crash.
-  EXPECT_EQ(order, (std::vector<std::string>{"b", "a", "c"}));
+  EXPECT_EQ(reported.files(), (std::vector<workload::FileIndex>{1, 0, 2}));
 }
 
 TEST_F(PoolFaultTest, RetryBudgetExhaustionReportsCrash) {
   cc.predownload_max_retries = 0;
-  auto pool = make_pool(1);
-  int calls = 0;
-  std::optional<proto::DownloadResult> result;
-  pool->submit(make_file("a", 600000, proto::Protocol::kHttp),
-               [&](const proto::DownloadResult& r) {
-                 ++calls;
-                 result = r;
-               });
+  auto pool = make_pool(1, {make_file("a", 600000, proto::Protocol::kHttp)});
+  pool->submit(0);
   sim.run_until(2 * kMinute);
   pool->inject_crashes(1.0, crash_rng);
   sim.run();
-  ASSERT_EQ(calls, 1);
-  EXPECT_FALSE(result->success);
-  EXPECT_EQ(result->cause, proto::FailureCause::kCrash);
+  ASSERT_EQ(reported.files(), std::vector<workload::FileIndex>{0});
+  const proto::DownloadResult& result = reported.reports[0].result;
+  EXPECT_FALSE(result.success);
+  EXPECT_EQ(result.cause, proto::FailureCause::kCrash);
   EXPECT_EQ(pool->retry_count(), 0u);
   EXPECT_EQ(pool->retries_exhausted(), 1u);
 }
 
 TEST_F(PoolFaultTest, PersistentCorruptionExhaustsPoolRetries) {
-  auto pool = make_pool(1);
+  auto pool = make_pool(1, {make_file("a", 60000, proto::Protocol::kHttp)});
   pool->set_corruption_prob(1.0);
-  int calls = 0;
-  std::optional<proto::DownloadResult> result;
-  pool->submit(make_file("a", 60000, proto::Protocol::kHttp),
-               [&](const proto::DownloadResult& r) {
-                 ++calls;
-                 result = r;
-               });
+  pool->submit(0);
   sim.run();
-  ASSERT_EQ(calls, 1);
-  EXPECT_FALSE(result->success);
-  EXPECT_EQ(result->cause, proto::FailureCause::kChecksumMismatch);
+  ASSERT_EQ(reported.files(), std::vector<workload::FileIndex>{0});
+  const proto::DownloadResult& result = reported.reports[0].result;
+  EXPECT_FALSE(result.success);
+  EXPECT_EQ(result.cause, proto::FailureCause::kChecksumMismatch);
   // Each attempt burns its own checksum retries, then the pool retries the
   // whole attempt up to predownload_max_retries times.
-  EXPECT_EQ(result->checksum_retries, 2u);
+  EXPECT_EQ(result.checksum_retries, 2u);
   EXPECT_EQ(pool->retry_count(), 3u);
   EXPECT_EQ(pool->retries_exhausted(), 1u);
 }
@@ -776,7 +787,11 @@ TEST_F(InjectorTest, StorageNodeLossEvictsColdestEntries) {
 
 TEST_F(InjectorTest, ChecksumCorruptionWindowSetsAndClearsProbability) {
   proto::SourceParams sources = deterministic_server_sources(1000.0);
-  cloud::PreDownloaderPool pool(sim, net, cc, sources, rng);
+  const workload::Catalog catalog =
+      catalog_of({make_file("a", 60000, proto::Protocol::kHttp)});
+  PoolReports reported;
+  cloud::PreDownloaderPool pool(sim, net, catalog, cc, sources, rng,
+                                reported.owner(sim));
 
   fault::FaultInjector injector(sim, injector_rng);
   injector.attach_predownloaders(&pool);
@@ -803,16 +818,16 @@ TEST_F(InjectorTest, VmCrashWindowCrashesActiveTasksUntilItEnds) {
   // each task through every retry and into kCrash.
   proto::SourceParams sources = deterministic_server_sources(10.0);
   cc.predownloader_count = 8;
-  cloud::PreDownloaderPool pool(sim, net, cc, sources, rng);
-  int crash_results = 0, calls = 0;
+  std::vector<workload::FileInfo> files;
   for (int i = 0; i < 4; ++i) {
-    pool.submit(make_file("v" + std::to_string(i), 1000000,
-                          proto::Protocol::kHttp),
-                [&](const proto::DownloadResult& r) {
-                  ++calls;
-                  if (r.cause == proto::FailureCause::kCrash) ++crash_results;
-                });
+    files.push_back(
+        make_file("v" + std::to_string(i), 1000000, proto::Protocol::kHttp));
   }
+  const workload::Catalog catalog = catalog_of(std::move(files));
+  PoolReports reported;
+  cloud::PreDownloaderPool pool(sim, net, catalog, cc, sources, rng,
+                                reported.owner(sim));
+  for (workload::FileIndex f = 0; f < 4; ++f) pool.submit(f);
 
   fault::FaultInjector injector(sim, injector_rng);
   injector.attach_predownloaders(&pool);
@@ -826,8 +841,12 @@ TEST_F(InjectorTest, VmCrashWindowCrashesActiveTasksUntilItEnds) {
 
   // Ticks at 15/20/25/30 min kill all four tasks four times each: three
   // pool retries, then the budget is exhausted.
-  EXPECT_EQ(calls, 4);
-  EXPECT_EQ(crash_results, 4);
+  std::vector<workload::FileIndex> reported_files = reported.files();
+  std::sort(reported_files.begin(), reported_files.end());
+  EXPECT_EQ(reported_files, (std::vector<workload::FileIndex>{0, 1, 2, 3}));
+  for (const PoolReports::Report& r : reported.reports) {
+    EXPECT_EQ(r.result.cause, proto::FailureCause::kCrash) << r.file;
+  }
   EXPECT_EQ(pool.crash_count(), 16u);
   EXPECT_EQ(pool.retry_count(), 12u);
   EXPECT_EQ(pool.retries_exhausted(), 4u);

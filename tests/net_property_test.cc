@@ -130,13 +130,13 @@ TEST_P(NetworkFuzzTest, InvariantsUnderRandomOperations) {
 INSTANTIATE_TEST_SUITE_P(Seeds, NetworkFuzzTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
 
-// The incremental solver (link->flow adjacency, per-link loads and kept cap
+// The incremental solver (link flow chains, per-link loads and kept cap
 // orders) must compute the same allocation as a from-scratch solve of the
 // same topology. After every mutation step we rebuild the current live set
 // in a FRESH network (whose first solve is necessarily from scratch) and
 // compare every flow's rate bitwise: a link's scan result depends only on
 // its capacity and its flows' caps. This pins the incremental bookkeeping —
-// stale adjacency, a stale cap order or a wrong link load all surface as a
+// a stale chain, a stale cap order or a wrong link load all surface as a
 // rate mismatch.
 class IncrementalSolverTest : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -5,13 +5,16 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/metrics.h"
 #include "analysis/replay.h"
+#include "cloud/predownloader.h"
 #include "cloud/storage_pool.h"
+#include "cloud/xuanfeng.h"
 #include "core/budget.h"
 #include "fault/fault_plan.h"
 #include "net/network.h"
@@ -27,6 +30,7 @@
 #include "util/md5.h"
 #include "util/rng.h"
 #include "workload/catalog.h"
+#include "workload/snapshot.h"
 
 namespace odr {
 namespace {
@@ -975,6 +979,127 @@ TEST(SnapshotRetryBudgetTest, SaveLoadSaveIsByteIdentical) {
   EXPECT_EQ(w2.take(), buf);
 }
 
+// --- VM pool ---------------------------------------------------------------
+
+// A one-VM pool over `catalog` with deterministic 1000 B/s HTTP origins; its
+// owner records each terminal result by file index.
+struct PoolRig {
+  static cloud::CloudConfig config() {
+    cloud::CloudConfig c;
+    c.predownloader_count = 1;
+    return c;
+  }
+  static proto::SourceParams sources() {
+    proto::SourceParams p;
+    p.server.rate_median = 1000.0;
+    p.server.rate_sigma = 0.0;
+    p.server.connection_break_prob = 0.0;
+    return p;
+  }
+
+  explicit PoolRig(const workload::Catalog& catalog)
+      : pool(sim, net, catalog, config(), sources(), rng,
+             [this](workload::FileIndex file,
+                    const proto::DownloadResult& result) {
+               results.emplace_back(file, result);
+             }) {}
+
+  std::string save() const {
+    SnapshotWriter w;
+    w.begin_section(1, 1);
+    sim.save(w);
+    net.save(w);
+    pool.save(w);
+    w.end_section();
+    return w.take();
+  }
+  void load(std::string bytes) {
+    SnapshotReader r(std::move(bytes));
+    r.require_section(1, 1);
+    sim.load(r);
+    net.load(r);
+    pool.load(r);
+    r.end_section();
+  }
+
+  sim::Simulator sim;
+  net::Network net{sim};
+  Rng rng{3};
+  std::vector<std::pair<workload::FileIndex, proto::DownloadResult>> results;
+  cloud::PreDownloaderPool pool;
+};
+
+// `n` HTTP files; file i is (i + 1) * 100 kB.
+workload::Catalog http_catalog(std::size_t n) {
+  std::vector<Bytes> sizes;
+  for (std::size_t i = 0; i < n; ++i) sizes.push_back((i + 1) * 100000);
+  std::vector<workload::FileInfo> files = sized_catalog(sizes).files();
+  for (workload::FileInfo& f : files) f.protocol = proto::Protocol::kHttp;
+  return workload::Catalog(std::move(files));
+}
+
+// The pool names each pre-download by catalog index. A checkpoint taken
+// while file 15 of 20 is active, queued or retrying restores over the same
+// catalog: it saves back to the same bytes and finishes every file as the
+// uninterrupted pool does, at the sizes the catalog gives. Over a 10-file
+// catalog it is refused, naming the entry and the index.
+TEST(SnapshotPoolTest, EntriesNameTheirFileByIndexCheckedOnLoad) {
+  const workload::Catalog catalog = http_catalog(20);
+  const workload::Catalog small = http_catalog(10);
+  struct Case {
+    const char* kind;
+    std::vector<workload::FileIndex> submits;
+    bool crash;
+  };
+  const std::vector<Case> cases = {
+      {"active", {15}, false},
+      {"queued", {3, 15}, false},
+      {"retrying", {15}, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.kind);
+    PoolRig original(catalog);
+    for (const workload::FileIndex f : c.submits) original.pool.submit(f);
+    original.sim.run_until(100 * kSec);
+    if (c.crash) {
+      Rng crash_rng(9);
+      ASSERT_EQ(original.pool.inject_crashes(1.0, crash_rng), 1u);
+      ASSERT_EQ(original.pool.active(), 0u);
+      ASSERT_EQ(original.pool.pending_event_count(), 1u);  // the backoff
+    }
+    const std::string ckpt = original.save();
+
+    PoolRig too_small(small);
+    try {
+      too_small.load(ckpt);
+      ADD_FAILURE() << "a pool naming file 15 loaded over 10 files";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), snapshot::SnapshotErrorKind::kCorrupt);
+      const std::string what(e.what());
+      EXPECT_NE(what.find(std::string(c.kind) + " pre-download names file 15"),
+                std::string::npos)
+          << what;
+    }
+
+    PoolRig restored(catalog);
+    restored.load(ckpt);
+    EXPECT_EQ(restored.sim.unclaimed_rearm_count(), 0u);
+    EXPECT_EQ(restored.net.flows_awaiting_callback(), 0u);
+    EXPECT_EQ(restored.save(), ckpt);
+    original.sim.run();
+    restored.sim.run();
+    ASSERT_EQ(restored.results.size(), c.submits.size());
+    ASSERT_EQ(original.results.size(), c.submits.size());
+    for (std::size_t i = 0; i < c.submits.size(); ++i) {
+      const auto& [file, result] = restored.results[i];
+      EXPECT_EQ(file, original.results[i].first);
+      EXPECT_TRUE(result.success);
+      EXPECT_EQ(result.bytes_downloaded, catalog.file(file).size);
+      EXPECT_EQ(result.finished_at, original.results[i].second.finished_at);
+    }
+  }
+}
+
 // --- whole world -----------------------------------------------------------
 
 class WorldTest : public ::testing::Test {
@@ -1252,17 +1377,18 @@ std::size_t section_frame(const std::string& buf, std::uint32_t id) {
 
 TEST_F(WorldTest, VmSectionVersionOneIsRefused) {
   // A v1 vm section serialized an external-seed count per swarm, a v2 one
-  // a server source's break clock and flags, and in a v3 one a seeded
-  // task's wake was a plain 5-minute sample with no pending change; this
-  // build refuses all three with the section-version diagnostic.
+  // a server source's break clock and flags, in a v3 one a seeded task's
+  // wake was a plain 5-minute sample with no pending change, and a v4 one
+  // wrote a whole file record per entry; this build refuses all four with
+  // the section-version diagnostic.
   const auto cfg = small_config(5);
   snapshot::CloudWorld world(cfg, options());
   world.run(500);
   const std::string current = world.save_to_buffer();
   const std::size_t vm =
       section_frame(current, snapshot::section_id(snapshot::Subsystem::kVm));
-  ASSERT_EQ(current[vm + 4], 4);  // the vm section's version, little-endian
-  for (const char version : {1, 2, 3}) {
+  ASSERT_EQ(current[vm + 4], 5);  // the vm section's version, little-endian
+  for (const char version : {1, 2, 3, 4}) {
     std::string old = current;
     old[vm + 4] = version;
     try {
@@ -1300,28 +1426,24 @@ TEST_F(WorldTest, WorldSectionVersionOneIsRefused) {
   }
 }
 
-// `ckpt` with its last frame's payload replaced by `payload`, the frame's
+// `ckpt` with section `id`'s payload replaced by `payload`, the frame's
 // length and CRC patched to match, so only a cross-check can reject it.
-std::string with_last_payload(const std::string& ckpt,
-                              const std::string& payload) {
-  std::size_t frame = 8;
-  std::size_t last = frame;
-  while (frame + 20 <= ckpt.size()) {
-    last = frame;
-    std::uint64_t len = 0;
-    for (int i = 7; i >= 0; --i) {
-      len = (len << 8) | static_cast<unsigned char>(ckpt[frame + 8 + i]);
-    }
-    frame += 20 + len;
+std::string with_section_payload(const std::string& ckpt, std::uint32_t id,
+                                 const std::string& payload) {
+  const std::size_t at = section_frame(ckpt, id);
+  std::uint64_t old_len = 0;
+  for (int i = 7; i >= 0; --i) {
+    old_len = (old_len << 8) | static_cast<unsigned char>(ckpt[at + 8 + i]);
   }
-  std::string out = ckpt.substr(0, last + 20) + payload;
+  std::string out =
+      ckpt.substr(0, at + 20) + payload + ckpt.substr(at + 20 + old_len);
   const std::uint64_t len = payload.size();
   const std::uint32_t crc = crc32c(payload);
   for (int i = 0; i < 8; ++i) {
-    out[last + 8 + i] = static_cast<char>(len >> (8 * i));
+    out[at + 8 + i] = static_cast<char>(len >> (8 * i));
   }
   for (int i = 0; i < 4; ++i) {
-    out[last + 16 + i] = static_cast<char>(crc >> (8 * i));
+    out[at + 16 + i] = static_cast<char>(crc >> (8 * i));
   }
   return out;
 }
@@ -1335,7 +1457,7 @@ TEST_F(WorldTest, LogThatDisagreesWithTheWorldSectionIsRefused) {
   // The log is the last frame: an id outside the subsystem sections.
   const std::size_t log = section_frame(ckpt, 2);
   const std::string records = ckpt.substr(log + 20);
-  ASSERT_EQ(with_last_payload(ckpt, records), ckpt);
+  ASSERT_EQ(with_section_payload(ckpt, 2, records), ckpt);
 
   // One record edited: the first record's task id (after its u16 tag).
   std::string edited = records;
@@ -1344,7 +1466,7 @@ TEST_F(WorldTest, LogThatDisagreesWithTheWorldSectionIsRefused) {
   for (const std::string& payload : {edited, records + records}) {
     try {
       snapshot::CloudWorld restored(cfg, options(),
-                                    with_last_payload(ckpt, payload));
+                                    with_section_payload(ckpt, 2, payload));
       ADD_FAILURE() << "a log that disagrees with the world section restored";
     } catch (const SnapshotError& e) {
       EXPECT_EQ(static_cast<int>(e.kind()),
@@ -1354,6 +1476,101 @@ TEST_F(WorldTest, LogThatDisagreesWithTheWorldSectionIsRefused) {
       EXPECT_NE(what.find("outcome log (section 0x00000002)"),
                 std::string::npos)
           << what;
+    }
+  }
+}
+
+// The tasks section names files by catalog index. load() refuses an
+// in-flight file past the catalog, a waiter filed under another file and an
+// active fetch whose outcome names a file past the catalog, each with the
+// field named. The section is written field by field, as
+// XuanfengCloud::save lays it out, into a real cloud checkpoint.
+TEST(SnapshotCloudTest, LoadRefusesTaskFilesTheCatalogLacks) {
+  const workload::Catalog catalog = sized_catalog({1000, 2000, 3000, 4000});
+  const proto::SourceParams sources;
+  const cloud::CloudConfig config;
+  struct Waiter {
+    workload::FileIndex file;
+  };
+  struct Section {
+    std::vector<std::pair<workload::FileIndex, std::vector<Waiter>>> inflight;
+    std::vector<workload::FileIndex> fetches;  // each fetch's outcome file
+  };
+  const auto tasks_payload = [](const Section& t) {
+    SnapshotWriter w;
+    w.begin_section(1, 1);
+    w.u64(10, t.inflight.size());
+    for (const auto& [file, waiters] : t.inflight) {
+      w.u32(11, file);
+      w.u64(12, waiters.size());
+      for (const Waiter& waiter : waiters) {
+        workload::WorkloadRecord rec;
+        rec.task_id = 7;
+        rec.file = waiter.file;
+        workload::save_workload_record(w, rec);
+        w.u8(14, static_cast<std::uint8_t>(net::Isp::kTelecom));
+        w.f64(15, 1000.0);
+        w.i64(13, 0);
+      }
+    }
+    w.u64(20, t.fetches.size());
+    for (const workload::FileIndex file : t.fetches) {
+      w.u64(21, 1);
+      workload::TaskOutcome outcome;
+      outcome.task_id = 8;
+      outcome.file = file;
+      workload::save_task_outcome(w, outcome);
+      w.b(50, true);
+      w.u8(51, static_cast<std::uint8_t>(net::Isp::kTelecom));
+      w.b(52, true);
+      w.f64(53, 1000.0);
+      w.u32(54, 0);
+      w.b(55, false);
+      w.f64(23, 1.08);
+    }
+    w.end_section();
+    return w.take().substr(8 + 20);  // past the file and frame headers
+  };
+
+  sim::Simulator sim;
+  net::Network net(sim);
+  Rng rng(5);
+  const cloud::XuanfengCloud source(sim, net, catalog, sources, config, rng);
+  SnapshotWriter w;
+  source.save(w);
+  const std::string ckpt = w.take();
+  const std::uint32_t tasks = snapshot::section_id(snapshot::Subsystem::kTasks);
+  const auto load = [&](const Section& t) {
+    sim::Simulator sim2;
+    net::Network net2(sim2);
+    Rng rng2(5);
+    cloud::XuanfengCloud cloud(sim2, net2, catalog, sources, config, rng2);
+    SnapshotReader r(with_section_payload(ckpt, tasks, tasks_payload(t)));
+    cloud.load(r, nullptr);
+    return cloud.inflight_predownload_count();
+  };
+
+  // The well-formed baseline loads.
+  EXPECT_EQ(load({{{1, {{1}, {1}}}}, {}}), 1u);
+
+  struct Case {
+    Section section;
+    std::string why;
+  };
+  const std::vector<Case> cases = {
+      {{{{4, {}}}, {}}, "in-flight file 4 is past the catalog's 4 files"},
+      {{{{1, {{1}, {2}}}}, {}},
+       "waiter request.file 2 differs from its in-flight file 1"},
+      {{{}, {4}}, "active fetch outcome file 4 is past the catalog's 4 files"},
+  };
+  for (const Case& c : cases) {
+    try {
+      load(c.section);
+      ADD_FAILURE() << "loaded a tasks section with " << c.why;
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), snapshot::SnapshotErrorKind::kCorrupt);
+      EXPECT_NE(std::string(e.what()).find(c.why), std::string::npos)
+          << e.what();
     }
   }
 }

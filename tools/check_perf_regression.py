@@ -56,11 +56,12 @@ often moves it. A missing count or divisor is a hard failure. "solver_runs"
 and "solver_iterations" pin the flow solver's work the same way: the full
 solves a week runs and their water-filling steps, so a change that keeps
 every outcome but re-solves more often, or solves differently, fails.
-The wakes of download tasks by source class ("ticks_server",
-"ticks_swarm_seedless", "ticks_swarm_seeded"), the swarms' rng draws
-("swarm_draws") and the flow plane's fast-path rate updates
-("fast_path_updates") are pinned alike; PINNED_COUNTS lists every such
-field.
+The flow completions a solve kept or rescheduled ("completions_kept",
+"completions_rescheduled"), the wakes of download tasks by source class
+("ticks_server", "ticks_swarm_seedless", "ticks_swarm_seeded"), the
+swarms' rng draws ("swarm_draws") and the flow plane's fast-path rate
+updates ("fast_path_updates") are pinned alike; PINNED_COUNTS lists every
+such field.
 
 Usage:
   tools/check_perf_regression.py --baseline bench/baselines/perf_smoke.json \
@@ -77,6 +78,8 @@ PINNED_COUNTS = (
     "events",
     "solver_runs",
     "solver_iterations",
+    "completions_kept",
+    "completions_rescheduled",
     "ticks_server",
     "ticks_swarm_seedless",
     "ticks_swarm_seeded",

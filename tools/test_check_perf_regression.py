@@ -5,7 +5,7 @@ Exercises the gate's verdicts against synthetic JSON: clean pass,
 regression, a baseline divisor with no measured run (the silent-skip bug
 this guards against), an empty intersection, RSS ceilings, pinned
 fingerprints, event counts, solver counts and the other pinned work
-counts, families and value windows. Also checks that the checked-in
+counts (completions kept and rescheduled among them), families and value windows. Also checks that the checked-in
 baselines pin a fingerprint and every pinned work count for every
 perf_scale rung they time.
 
@@ -286,9 +286,10 @@ class CheckPerfRegressionTest(unittest.TestCase):
         self.assertIn("no solver_runs count", proc.stderr)
         self.assertIn("no solver_iterations count", proc.stderr)
 
-    # --- pinned wakes, swarm draws and fast-path updates ---------------------
+    # --- pinned completions, wakes, swarm draws and fast-path updates -------
 
-    WORK_400 = {"ticks_server": 12, "ticks_swarm_seedless": 679,
+    WORK_400 = {"completions_kept": 25150, "completions_rescheduled": 4749,
+                "ticks_server": 12, "ticks_swarm_seedless": 679,
                 "ticks_swarm_seeded": 4819, "swarm_draws": 29168,
                 "fast_path_updates": 24457}
 
@@ -309,10 +310,11 @@ class CheckPerfRegressionTest(unittest.TestCase):
         for field, count in self.WORK_400.items():
             self.assertIn(f"{field} {count} vs pinned {count} OK",
                           proc.stdout)
-        self.assertIn("6 check(s) within", proc.stdout)
+        self.assertIn("8 check(s) within", proc.stdout)
 
     def test_each_work_count_change_fails_naming_field(self):
-        # One more wake, draw or fast-path update: the week's work moved.
+        # One more kept or rescheduled completion, wake, draw or fast-path
+        # update: the week's work moved.
         for field in self.WORK_400:
             moved = dict(self.WORK_400, **{field: self.WORK_400[field] + 1})
             proc = run_gate(self.work_baseline(),
@@ -324,13 +326,15 @@ class CheckPerfRegressionTest(unittest.TestCase):
                 self.assertNotIn(f"{other}@400", proc.stderr)
 
     def test_work_count_missing_fails(self):
-        partial = dict(self.WORK_400)
-        del partial["swarm_draws"]
-        proc = run_gate(self.work_baseline(),
-                        results([("exact", 400, 1.0)],
-                                counts={400: partial}))
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("no swarm_draws count", proc.stderr)
+        for field in ("swarm_draws", "completions_kept",
+                      "completions_rescheduled"):
+            partial = dict(self.WORK_400)
+            del partial[field]
+            proc = run_gate(self.work_baseline(),
+                            results([("exact", 400, 1.0)],
+                                    counts={400: partial}))
+            self.assertEqual(proc.returncode, 1, field)
+            self.assertIn(f"no {field} count", proc.stderr)
 
     def test_checked_in_baselines_pin_every_timed_rung(self):
         here = os.path.dirname(os.path.abspath(__file__))
