@@ -22,6 +22,7 @@
 #include "analysis/report.h"
 #include "core/strategy.h"
 #include "fault/fault_plan.h"
+#include "net/isp.h"
 #include "obs/observer.h"
 #include "proto/protocol.h"
 #include "run/parallel_runner.h"

@@ -11,7 +11,7 @@
 // on per-subsystem lanes. `--trace-sample N` keeps 1-in-N flow events.
 // `--spans-out` writes the sampled per-task lifecycle spans (failed and
 // slowest tasks always kept) as odr.spans.v1 JSON. `--hashes-out` turns on
-// in-run state hashing and writes the odr.hashes.v3 journal — feed it to
+// in-run state hashing and writes the odr.hashes.v4 journal — feed it to
 // tools/odr_bisect to triage a determinism failure (`--hash-every N` sets
 // the event-count cadence). `--calibration-report`
 // streams every finished span through the calibration monitor, prints the
@@ -43,10 +43,11 @@ int main(int argc, char** argv) {
   args.flag("trace-sample", "1", "trace 1-in-N net/proto flow events");
   args.flag("spans-out", "", "write sampled task spans (odr.spans.v1) here");
   args.flag("hashes-out", "",
-            "write in-run state hashes (odr.hashes.v3) here for odr_bisect");
+            "write in-run state hashes (odr.hashes.v4) here for odr_bisect");
   args.flag("hash-every", "4000",
             "state-hash cadence in executed events (with --hashes-out); a "
-            "hash serializes live state, not the outcome history");
+            "hash serializes live state, not the outcome history or the "
+            "cache window");
   args.flag("calibration-report", "false",
             "print the calibration PASS/DRIFT table; exit 2 on gated drift");
   if (!args.parse(argc, argv)) return 1;

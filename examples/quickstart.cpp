@@ -9,6 +9,7 @@
 #include "cloud/xuanfeng.h"
 #include "core/executor.h"
 #include "core/strategy.h"
+#include "net/isp.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "util/rng.h"

@@ -11,6 +11,7 @@
 #include "analysis/obs_wiring.h"
 #include "ap/ap_models.h"
 #include "fault/injector.h"
+#include "net/isp.h"
 #include "net/network.h"
 #include "obs/observer.h"
 #include "sim/simulator.h"

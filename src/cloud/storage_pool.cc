@@ -6,10 +6,13 @@
 
 #include "obs/observer.h"
 #include "snapshot/format.h"
+#include "util/digest.h"
 
 namespace odr::cloud {
 namespace {
 
+// The caches section holds tags 1-6 and 10; the cache window section
+// holds the entry count again and the entries (tags 6-9).
 enum : std::uint16_t {
   kTagHits = 1,
   kTagMisses = 2,
@@ -20,9 +23,14 @@ enum : std::uint16_t {
   kTagEntryKey = 7,
   kTagEntryFile = 8,
   kTagEntrySize = 9,
+  kTagOpsDigest = 10,
 };
 
 constexpr workload::FileIndex kNone = workload::kInvalidFile;
+
+// The two operations the digest tells apart, above a file index.
+constexpr std::uint64_t kOpLinkFront = std::uint64_t{1} << 32;
+constexpr std::uint64_t kOpUnlink = std::uint64_t{2} << 32;
 
 }  // namespace
 
@@ -38,6 +46,7 @@ void StoragePool::link_front(workload::FileIndex file) {
   head_ = file;
   used_ += size_of(file);
   ++count_;
+  ops_digest_ = digest_step(ops_digest_, kOpLinkFront | file);
 }
 
 void StoragePool::unlink(workload::FileIndex file) {
@@ -47,6 +56,7 @@ void StoragePool::unlink(workload::FileIndex file) {
   n = Node{};
   used_ -= size_of(file);
   --count_;
+  ops_digest_ = digest_step(ops_digest_, kOpUnlink | file);
 }
 
 void StoragePool::pop_back() {
@@ -104,12 +114,7 @@ void StoragePool::save(snapshot::SnapshotWriter& w) const {
   w.u64(kTagEvictions, evictions_);
   w.u64(kTagCapacity, capacity_);
   w.u64(kTagEntryCount, count_);
-  for (workload::FileIndex f = head_; f != kNone; f = nodes_[f].next) {
-    const Md5Digest& key = catalog_.file(f).content_id;
-    w.bytes(kTagEntryKey, key.bytes.data(), key.bytes.size());
-    w.u32(kTagEntryFile, f);
-    w.u64(kTagEntrySize, size_of(f));
-  }
+  w.u64(kTagOpsDigest, ops_digest_);
 }
 
 void StoragePool::load(snapshot::SnapshotReader& r) {
@@ -119,40 +124,58 @@ void StoragePool::load(snapshot::SnapshotReader& r) {
   evictions_ = r.u64(kTagEvictions);
   const std::uint64_t capacity = r.u64(kTagCapacity);
   if (capacity != capacity_) {
-    throw snapshot::SnapshotError(
-        "storage pool: capacity mismatch between checkpoint and config");
+    r.fail("storage pool: capacity mismatch between checkpoint and config");
   }
+  saved_count_ = r.u64(kTagEntryCount);
+  ops_digest_ = r.u64(kTagOpsDigest);
   std::fill(nodes_.begin(), nodes_.end(), Node{});
   head_ = tail_ = kNone;
   used_ = 0;
   count_ = 0;
+}
+
+void StoragePool::save_entries(snapshot::SnapshotWriter& w) const {
+  w.u64(kTagEntryCount, count_);
+  for (workload::FileIndex f = head_; f != kNone; f = nodes_[f].next) {
+    const Md5Digest& key = catalog_.file(f).content_id;
+    w.bytes(kTagEntryKey, key.bytes.data(), key.bytes.size());
+    w.u32(kTagEntryFile, f);
+    w.u64(kTagEntrySize, size_of(f));
+  }
+}
+
+void StoragePool::load_entries(snapshot::SnapshotReader& r) {
   const std::uint64_t count = r.u64(kTagEntryCount);
+  if (count != saved_count_) {
+    r.fail("storage pool: " + std::to_string(count) +
+           " entries follow, but the caches section records " +
+           std::to_string(saved_count_));
+  }
   for (std::uint64_t i = 0; i < count; ++i) {
     Md5Digest key;
     r.bytes(kTagEntryKey, key.bytes.data(), key.bytes.size());
     const workload::FileIndex file = r.u32(kTagEntryFile);
     const Bytes size = r.u64(kTagEntrySize);
     const auto corrupt = [&](const std::string& why) {
-      return snapshot::SnapshotError("storage pool: entry " +
-                                     std::to_string(i) + " " + why);
+      r.fail("storage pool: entry " + std::to_string(i) + " " + why);
     };
     if (file >= nodes_.size()) {
-      throw corrupt("names file " + std::to_string(file) + " of " +
-                    std::to_string(nodes_.size()));
+      corrupt("names file " + std::to_string(file) + " of " +
+              std::to_string(nodes_.size()));
     }
     if (nodes_[file].cached) {
-      throw corrupt("lists file " + std::to_string(file) + " twice");
+      corrupt("lists file " + std::to_string(file) + " twice");
     }
     if (key != catalog_.file(file).content_id) {
-      throw corrupt("has an MD5 that differs from file " +
-                    std::to_string(file) + "'s");
+      corrupt("has an MD5 that differs from file " + std::to_string(file) +
+              "'s");
     }
     if (size != size_of(file)) {
-      throw corrupt("has a size that differs from file " +
-                    std::to_string(file) + "'s");
+      corrupt("has a size that differs from file " + std::to_string(file) +
+              "'s");
     }
     if (size > capacity_ - used_) {
-      throw corrupt("takes the pool above its capacity");
+      corrupt("takes the pool above its capacity");
     }
     // Entries arrive MRU->LRU: each one becomes the new tail.
     Node& n = nodes_[file];

@@ -14,6 +14,12 @@
 // head_ is the most- and tail_ the least-recently-used cached file, and a
 // file's size comes from the catalog. MD5 stays the file's identity in
 // checkpoints, which load checks against the catalog.
+//
+// Every change to the list is a link_front or an unlink, and the pool
+// folds each into a running digest of its operation stream
+// (util/digest.h). The state hash reads that digest instead of the
+// entries: hashing the entries, in recency or in file-index order, costs
+// O(entries) per hash, the digest nothing.
 #pragma once
 
 #include <cstdint>
@@ -62,13 +68,20 @@ class StoragePool {
   std::size_t file_count() const { return count_; }
   std::uint64_t evictions() const { return evictions_; }
 
-  // Snapshot support: serializes counters plus every cached file's MD5,
-  // index and size in MRU->LRU order, so restore reproduces the exact
-  // recency list (and therefore identical future evictions). Load rejects
-  // a file outside the catalog, a file listed twice, an MD5 or size that
-  // differs from the catalog's, and a total above the capacity.
+  // Snapshot support, in two parts. save/load write the counters, the
+  // entry count and the operation digest: the checkpoint's hashed `caches`
+  // section. save_entries/load_entries write every cached file's MD5,
+  // index and size in MRU->LRU order, for the checkpoint's trailing
+  // cache-window section, so restore reproduces the exact recency list
+  // (and therefore identical future evictions). load_entries must follow
+  // load (until then the pool is empty); it refuses (kCorrupt, naming the
+  // section) an entry count other than the one load read, a file outside
+  // the catalog, a file listed twice, an MD5 or size that differs from the
+  // catalog's, and a total above the capacity.
   void save(snapshot::SnapshotWriter& w) const;
   void load(snapshot::SnapshotReader& r);
+  void save_entries(snapshot::SnapshotWriter& w) const;
+  void load_entries(snapshot::SnapshotReader& r);
 
  private:
   struct Node {
@@ -96,6 +109,10 @@ class StoragePool {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t fault_evictions_ = 0;
+  // Digest of every link_front and unlink, in order.
+  std::uint64_t ops_digest_ = 0;
+  // The entry count load read, which load_entries must find.
+  std::uint64_t saved_count_ = 0;
 };
 
 }  // namespace odr::cloud

@@ -6,6 +6,7 @@
 #include <limits>
 #include <string>
 
+#include "net/isp.h"
 #include "obs/observer.h"
 #include "snapshot/format.h"
 

@@ -28,6 +28,7 @@
 #include <cstdint>
 
 #include "cloud/config.h"
+#include "net/isp.h"
 #include "net/network.h"
 #include "util/rng.h"
 #include "workload/file.h"

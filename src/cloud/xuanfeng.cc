@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "net/isp.h"
 #include "obs/observer.h"
 #include "snapshot/format.h"
 #include "workload/snapshot.h"
@@ -13,9 +15,12 @@
 namespace odr::cloud {
 namespace {
 
-// The versions of the cloud's five checkpoint sections. Rng, caches,
-// uploads and tasks are at v1, where they started with the world's meta
-// v2. The vm section, which holds every pre-download task and its source,
+// The versions of the cloud's five checkpoint sections. Rng, uploads and
+// tasks are at v1, where they started with the world's meta v2. The caches
+// section is at v2: the content DB's and the storage pool's counters and
+// digests, their records and entries now in the world's trailing cache
+// window section (v1 held those, so every hash re-serialized them). The vm
+// section, which holds every pre-download task and its source,
 // is at v5: each active, queued and retrying entry names its file by one
 // catalog index, checked against the catalog on load (v4 wrote a whole
 // file record per entry); a server source stores only its fatal-break
@@ -24,6 +29,7 @@ namespace {
 // server's break clock and flags and a swarm's popularity and scale; v1 an
 // external-seed count per swarm).
 inline constexpr std::uint32_t kSectionVersion = 1;
+inline constexpr std::uint32_t kCachesSectionVersion = 2;
 inline constexpr std::uint32_t kVmSectionVersion = 5;
 
 // Range of the residual-dynamics slowdown factor (CloudConfig::dynamics_prob
@@ -82,6 +88,17 @@ FetchPlan load_plan(snapshot::SnapshotReader& r) {
   return p;
 }
 
+// Refuses a request whose file is past the catalog's end, before the
+// content DB or the pool indexes by it.
+void check_request(const workload::WorkloadRecord& request,
+                   const workload::Catalog& catalog) {
+  if (request.file >= catalog.size()) {
+    throw std::out_of_range("cloud: request for file " +
+                            std::to_string(request.file) + " of a " +
+                            std::to_string(catalog.size()) + "-file catalog");
+  }
+}
+
 }  // namespace
 
 XuanfengCloud::XuanfengCloud(sim::Simulator& sim, net::Network& net,
@@ -134,6 +151,7 @@ workload::TaskOutcome XuanfengCloud::make_outcome(
 
 void XuanfengCloud::submit(const workload::WorkloadRecord& request,
                            const workload::User& user, OutcomeFn on_done) {
+  check_request(request, catalog_);
   content_db_.record_request(request.file, sim_.now());
   submit_impl(request, user, std::move(on_done));
 }
@@ -143,6 +161,7 @@ void XuanfengCloud::submit_clone(const workload::WorkloadRecord& request,
                                  OutcomeFn on_done) {
   // No record_request: the hedge pair's primary leg already counted this
   // request, and popularity statistics must see each user request once.
+  check_request(request, catalog_);
   ODR_COUNT("cloud.tasks.clones");
   submit_impl(request, user, std::move(on_done));
 }
@@ -228,6 +247,7 @@ Bytes XuanfengCloud::cancel_task(workload::TaskId id) {
 
 void XuanfengCloud::predownload_only(const workload::WorkloadRecord& request,
                                      PreDownloadFn on_done) {
+  check_request(request, catalog_);
   content_db_.record_request(request.file, sim_.now());
   ODR_SPAN(on_submit(request.task_id, sim_.now(), obs::SpanOrigin::kCloud));
   ODR_SPAN(on_stage(request.task_id, obs::Stage::kCacheLookup, sim_.now(),
@@ -380,7 +400,7 @@ void XuanfengCloud::save(snapshot::SnapshotWriter& w) const {
   save_rng(w, kTagRng, rng_);
   w.end_section();
 
-  w.begin_section(section_id(Subsystem::kCaches), kSectionVersion);
+  w.begin_section(section_id(Subsystem::kCaches), kCachesSectionVersion);
   content_db_.save(w);
   storage_.save(w);
   w.end_section();
@@ -438,7 +458,7 @@ void XuanfengCloud::load(snapshot::SnapshotReader& r, OutcomeFn sink) {
   load_rng(r, kTagRng, rng_);
   r.end_section();
 
-  r.require_section(section_id(Subsystem::kCaches), kSectionVersion);
+  r.require_section(section_id(Subsystem::kCaches), kCachesSectionVersion);
   content_db_.load(r);
   storage_.load(r);
   r.end_section();

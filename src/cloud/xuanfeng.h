@@ -26,6 +26,7 @@
 #include "cloud/predownloader.h"
 #include "cloud/storage_pool.h"
 #include "cloud/upload_scheduler.h"
+#include "net/isp.h"
 #include "net/network.h"
 #include "proto/source.h"
 #include "sim/simulator.h"
@@ -55,7 +56,9 @@ class XuanfengCloud {
 
   // Submits an offline-downloading task. `user` provides ground-truth
   // access bandwidth and ISP; `on_done` fires once, when the task reaches
-  // a terminal state (fetched, rejected, or pre-download failed).
+  // a terminal state (fetched, rejected, or pre-download failed). Like
+  // submit_clone and predownload_only, it throws std::out_of_range before
+  // touching any state when request.file is past the catalog's end.
   void submit(const workload::WorkloadRecord& request,
               const workload::User& user, OutcomeFn on_done);
 
@@ -114,8 +117,10 @@ class XuanfengCloud {
   // --- snapshot support -----------------------------------------------------
   //
   // save() writes the cloud's full mutable state as five checkpoint
-  // sections, one per snapshot::Subsystem it owns: rng, caches (content db
-  // + storage pool), uploads (upload clusters), vm (the VM pool with every
+  // sections, one per snapshot::Subsystem it owns: rng, caches (the
+  // content db's and storage pool's counters and digests; the world
+  // writes their records after every subsystem section, in its cache
+  // window section), uploads (upload clusters), vm (the VM pool with every
   // mid-flight DownloadTask) and tasks (the waiter queues and the active
   // user fetches). load() reads them back on a freshly constructed cloud;
   // every restored outcome callback is rebound to `sink` (per-task closures

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "net/isp.h"
+
 namespace odr::core {
 
 MultiCloudSelector::MultiCloudSelector(

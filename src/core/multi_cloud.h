@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "cloud/xuanfeng.h"
+#include "net/isp.h"
 
 namespace odr::core {
 

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "net/isp.h"
+
 namespace odr::core {
 namespace {
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <string>
 
+#include "net/isp.h"
 #include "obs/observer.h"
 #include "snapshot/format.h"
 

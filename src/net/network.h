@@ -64,7 +64,6 @@
 #include <string>
 #include <vector>
 
-#include "net/isp.h"
 #include "sim/simulator.h"
 #include "util/pool.h"
 #include "util/units.h"

@@ -6,7 +6,7 @@
 namespace odr::obs {
 namespace {
 
-constexpr const char* kFormat = "odr.hashes.v3";
+constexpr const char* kFormat = "odr.hashes.v4";
 
 std::string hex64(std::uint64_t v) {
   char buf[24];

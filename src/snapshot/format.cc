@@ -120,7 +120,7 @@ std::string SnapshotWriter::take() {
 
 // ---------------------------------------------------------------- reader --
 
-SnapshotReader::SnapshotReader(std::string data) : data_(std::move(data)) {
+SnapshotReader::SnapshotReader(std::string_view data) : data_(data) {
   if (data_.size() < 8) fail("snapshot too short for header");
   const std::uint32_t magic = raw_u32(0);
   if (magic != kMagic) {
@@ -306,7 +306,7 @@ std::string SnapshotReader::str(std::uint16_t tag) {
   const std::uint64_t len = raw_u64(pos_);
   pos_ += 8;
   need(len, "string bytes", tag);
-  std::string s = data_.substr(pos_, len);
+  std::string s(data_.substr(pos_, len));
   pos_ += len;
   return s;
 }

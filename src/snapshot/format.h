@@ -16,12 +16,16 @@
 //
 // A world checkpoint (snapshot::CloudWorld) is the meta section, one
 // section per Subsystem, in the file order events, flows, rng, caches,
-// uploads, vm, tasks, fault, world, and then the trailing outcome log. The
-// CRC32C of a subsystem's payload is also its state-hash sub-hash
-// (state_hash.h). The log is not a Subsystem and is never hashed: the
-// world section carries the outcome count and the log's running CRC32C in
-// its place, so a hash covers live state, and the log's payload CRC must
-// equal that running CRC for a checkpoint to restore.
+// uploads, vm, tasks, fault, world, and then the trailing outcome log and
+// cache window. The CRC32C of a subsystem's payload is also its state-hash
+// sub-hash (state_hash.h). The two trailing sections are not Subsystems
+// and are never hashed. The world section carries the outcome count and
+// the log's running CRC32C in the log's place, and the log's payload CRC
+// must equal that running CRC for a checkpoint to restore. The caches
+// section carries the content DB's appended and expired counts and chain
+// digests and the storage pool's entry count and operation digest in the
+// cache window's place, and the window's records and entries must agree
+// with them. So a hash costs live state and what changed, not history.
 //
 // All integers are serialized little-endian byte-by-byte, so snapshots are
 // portable across hosts. Doubles are serialized as their raw IEEE-754 bit
@@ -206,8 +210,11 @@ class SnapshotWriter {
 
 class SnapshotReader {
  public:
-  // Takes ownership of the buffer; validates magic and format version.
-  explicit SnapshotReader(std::string data);
+  // Reads `data` in place, which must outlive the reader; validates magic
+  // and format version. A temporary string would dangle, so that overload
+  // is deleted: keep the buffer in a named variable.
+  explicit SnapshotReader(std::string_view data);
+  explicit SnapshotReader(std::string&& data) = delete;
 
   // Reads the next section header, verifies the id and the payload CRC,
   // and returns the stored section version.
@@ -237,15 +244,18 @@ class SnapshotReader {
   // True once every section has been consumed.
   bool at_end() const { return pos_ == data_.size() && !in_section_; }
 
+  // Throws a SnapshotError (kCorrupt) whose message and fields name the
+  // open section and the offset reached: for a loader's own cross-checks.
+  [[noreturn]] void fail(const std::string& msg, std::uint16_t tag = 0) const;
+
  private:
   std::uint16_t raw_u16();
   std::uint32_t raw_u32(std::size_t at) const;
   std::uint64_t raw_u64(std::size_t at) const;
   void need(std::size_t n, const char* what, std::uint16_t tag = 0);
   void check_tag(std::uint16_t expected);
-  [[noreturn]] void fail(const std::string& msg, std::uint16_t tag = 0) const;
 
-  std::string data_;
+  std::string_view data_;
   std::size_t pos_ = 0;      // next unread byte (absolute)
   bool in_section_ = false;
   std::uint32_t cur_id_ = 0;

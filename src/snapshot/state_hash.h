@@ -4,10 +4,14 @@
 // boundary. The world's nine Subsystem sections are serialized once,
 // exactly as a checkpoint writes them (format.h), and a subsystem's
 // sub-hash is its section's payload CRC. The checkpoint's meta section and
-// trailing outcome log are not serialized: the world section stands for
-// the log with the outcome count and the log's running CRC32C, so a hash
-// costs live state, not history (the snapshot.hash.bytes counter reports
-// what each hash serialized). Two runs of the same config are
+// trailing outcome log and cache window are not serialized: the world
+// section stands for the log with the outcome count and the log's running
+// CRC32C, and the caches section for the window with the content DB's and
+// the storage pool's counts and running digests, so a hash costs live
+// state, not history (the snapshot.hash.bytes counter reports what each
+// hash serialized). Those running digests digest history: the caches
+// sub-hash splits at the first event whose request or pool operation
+// differs, and never re-converges. Two runs of the same config are
 // bit-identical iff every StateHash matches at every cadence point — and
 // when they stop matching, the sub-hash vector names the subsystem whose
 // state broke first, which is the single most useful fact when triaging a
@@ -16,7 +20,8 @@
 //
 // Because the sub-hashes are the checkpoint's own section CRCs, the hash
 // covers exactly what a checkpoint writes, by construction: the log
-// through its running CRC, which a restore checks the log against. Taking
+// through its running CRC and the cache window through the caches
+// section's counts and digests, which a restore checks them against. Taking
 // a hash changes no observable behavior: the run's event stream, rng
 // draws, and final fingerprints are byte-identical with hashing on or off
 // (asserted by determinism_test).

@@ -20,9 +20,11 @@ namespace odr::snapshot {
 namespace {
 
 // The meta section opens a world checkpoint; one section per Subsystem
-// follows (format.h), then the outcome log, which is not a Subsystem.
+// follows (format.h), then the outcome log and the cache window, which are
+// not Subsystems.
 inline constexpr std::uint32_t kSectionMeta = 1;
 inline constexpr std::uint32_t kSectionLog = 2;
+inline constexpr std::uint32_t kSectionCacheWindow = 3;
 // v2: one section per subsystem follows, each its own sub-hash (v1 held a
 // composite cloud-state section, then the fault and world sections).
 inline constexpr std::uint32_t kMetaVersion = 2;
@@ -32,6 +34,9 @@ inline constexpr std::uint32_t kFaultVersion = 1;
 // so every hash re-serialized the whole outcome history.
 inline constexpr std::uint32_t kWorldVersion = 2;
 inline constexpr std::uint32_t kLogVersion = 1;
+// The content DB's window records, then the storage pool's entries MRU
+// first; the caches section (v2) holds their counts and digests.
+inline constexpr std::uint32_t kCacheWindowVersion = 1;
 
 enum : std::uint16_t {
   kTagFingerprint = 1,
@@ -446,6 +451,10 @@ std::string CloudWorld::save_to_buffer() const {
     workload::save_task_outcome(w, o);
   }
   w.end_section();
+  w.begin_section(kSectionCacheWindow, kCacheWindowVersion);
+  cloud_->content_db().save_window(w);
+  cloud_->storage().save_entries(w);
+  w.end_section();
   last_save_bytes_ = w.size();
   return w.take();
 }
@@ -574,6 +583,13 @@ void CloudWorld::load_from(const std::string& buffer) {
   }
   log_crc_ = outcome_crc;
   logged_ = outcomes_.size();
+
+  // The caches section restored the counts and digests; the records and
+  // entries are checked against them.
+  r.require_section(kSectionCacheWindow, kCacheWindowVersion);
+  cloud_->content_db().load_window(r);
+  cloud_->storage().load_entries(r);
+  r.end_section();
 
   if (!r.at_end()) {
     throw SnapshotError("world: trailing data after the final section");

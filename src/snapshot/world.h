@@ -104,7 +104,8 @@ class CloudWorld {
   analysis::CloudReplayResult finalize() &&;
 
   // Serializes the full mutable world state: the meta section, one
-  // section per snapshot::Subsystem (format.h), then the outcome log. A
+  // section per snapshot::Subsystem (format.h), then the outcome log and
+  // the cache window (the content DB's records, the pool's entries). A
   // checkpoint never perturbs the run it observes. It extends the running
   // log CRC, which is cached state, so neither it nor hash_now() may run
   // concurrently with another call on the same world.

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "net/isp.h"
 #include "util/csv.h"
 #include "workload/catalog.h"
 

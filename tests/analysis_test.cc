@@ -10,6 +10,7 @@
 #include "analysis/metrics.h"
 #include "analysis/replay.h"
 #include "analysis/report.h"
+#include "net/isp.h"
 #include "snapshot/world.h"
 #include "util/rng.h"
 

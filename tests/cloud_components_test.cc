@@ -11,6 +11,7 @@
 #include "cloud/content_db.h"
 #include "cloud/storage_pool.h"
 #include "cloud/upload_scheduler.h"
+#include "net/isp.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "sized_catalog.h"
@@ -117,18 +118,27 @@ TEST(ContentDbTest, RandomStreamMatchesBruteForceCount) {
   }
 }
 
+// A content DB as a world checkpoints it: the counts and digests
+// (section 1, as in the caches section), then the window's records
+// (section 2, as in the cache window section).
 std::string save_db(const ContentDb& db) {
   snapshot::SnapshotWriter w;
   w.begin_section(1, 1);
   db.save(w);
   w.end_section();
+  w.begin_section(2, 1);
+  db.save_window(w);
+  w.end_section();
   return w.take();
 }
 
-void load_db(ContentDb& db, std::string bytes) {
-  snapshot::SnapshotReader r(std::move(bytes));
+void load_db(ContentDb& db, const std::string& bytes) {
+  snapshot::SnapshotReader r(bytes);
   r.require_section(1, 1);
   db.load(r);
+  r.end_section();
+  r.require_section(2, 1);
+  db.load_window(r);
   r.end_section();
 }
 

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
+#include "net/isp.h"
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "snapshot/format.h"
 
 namespace odr::cloud {
 namespace {
@@ -209,6 +214,64 @@ TEST_F(XuanfengTest, ContentDbSeesEverySubmission) {
   cloud->submit(request_for(3, user, 1), user, nullptr);
   cloud->submit(request_for(3, user, 2), user, nullptr);
   EXPECT_DOUBLE_EQ(cloud->content_db().weekly_popularity(3, sim.now()), 2.0);
+}
+
+// The content DB's and the pool's checkpoint bytes, counters and digests
+// included: any change to either shows.
+std::string cache_state(const XuanfengCloud& cloud) {
+  snapshot::SnapshotWriter w;
+  w.begin_section(1, 1);
+  cloud.content_db().save(w);
+  cloud.content_db().save_window(w);
+  cloud.storage().save(w);
+  cloud.storage().save_entries(w);
+  w.end_section();
+  return w.take();
+}
+
+// `submit` throws std::out_of_range naming a file past the catalog's end
+// and the catalog's size, and leaves the content DB, the pool and the
+// event queue as they were.
+void expect_refused_past_catalog(const XuanfengCloud& cloud,
+                                 const sim::Simulator& sim,
+                                 const std::function<void()>& submit) {
+  const std::string before = cache_state(cloud);
+  const std::size_t pending = sim.pending_count();
+  try {
+    submit();
+    ADD_FAILURE() << "a request for a file past the catalog was taken";
+  } catch (const std::out_of_range& e) {
+    const std::string what(e.what());
+    EXPECT_NE(what.find("file 200 of a 200-file catalog"), std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(cache_state(cloud), before);
+  EXPECT_EQ(sim.pending_count(), pending);
+}
+
+TEST_F(XuanfengTest, SubmitRefusesAFilePastTheCatalog) {
+  ASSERT_EQ(catalog->size(), 200u);
+  const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(400));
+  cloud->submit(request_for(3, user, 1), user, nullptr);
+  expect_refused_past_catalog(*cloud, sim, [&] {
+    cloud->submit(request_for(200, user, 2), user, nullptr);
+  });
+}
+
+TEST_F(XuanfengTest, SubmitCloneRefusesAFilePastTheCatalog) {
+  const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(400));
+  cloud->submit(request_for(3, user, 1), user, nullptr);
+  expect_refused_past_catalog(*cloud, sim, [&] {
+    cloud->submit_clone(request_for(200, user, 2), user, nullptr);
+  });
+}
+
+TEST_F(XuanfengTest, PredownloadOnlyRefusesAFilePastTheCatalog) {
+  const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(400));
+  cloud->submit(request_for(3, user, 1), user, nullptr);
+  expect_refused_past_catalog(*cloud, sim, [&] {
+    cloud->predownload_only(request_for(200, user, 2), nullptr);
+  });
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "core/decision.h"
 #include "core/strategy.h"
+#include "net/isp.h"
 
 namespace odr::core {
 namespace {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/strategy.h"
+#include "net/isp.h"
 
 namespace odr::core {
 namespace {

@@ -8,6 +8,7 @@
 #include "core/budget.h"
 #include "core/circuit_breaker.h"
 #include "core/hedge.h"
+#include "net/isp.h"
 
 namespace odr::core {
 namespace {

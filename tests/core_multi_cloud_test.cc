@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/isp.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 

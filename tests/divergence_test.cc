@@ -1,4 +1,4 @@
-// Divergence triage: in-run state hashes, the odr.hashes.v3 journal, and
+// Divergence triage: in-run state hashes, the odr.hashes.v4 journal, and
 // the first-divergence bisector (src/snapshot/state_hash.h, bisect.h,
 // src/obs/hash_journal.h; see DESIGN.md §12).
 //
@@ -149,14 +149,17 @@ TEST(StateHashTest, SubHashesAreTheCheckpointSectionCrcs) {
       Subsystem::kCaches, Subsystem::kUploads, Subsystem::kVm,
       Subsystem::kTasks,  Subsystem::kFault,   Subsystem::kWorld};
   std::uint64_t world_len = 0;
+  std::uint64_t caches_len = 0;
   for (const std::uint64_t chunk : {0, 1, 300, 1500, 100000000}) {
     w.run(chunk);
     const auto frames = section_frames(w.save_to_buffer());
     const snapshot::StateHash h = w.hash_now();
-    // The meta section, one section per subsystem, then the outcome log.
-    ASSERT_EQ(frames.size(), 2 + snapshot::kSubsystemCount);
+    // The meta section, one section per subsystem, then the outcome log and
+    // the cache window.
+    ASSERT_EQ(frames.size(), 3 + snapshot::kSubsystemCount);
     EXPECT_EQ(frames.front().id, 1u);
-    EXPECT_EQ(frames.back().id, 2u);
+    EXPECT_EQ(frames[frames.size() - 2].id, 2u);
+    EXPECT_EQ(frames.back().id, 3u);
     for (std::size_t i = 0; i < file_order.size(); ++i) {
       const Subsystem s = file_order[i];
       EXPECT_EQ(frames[i + 1].id, snapshot::section_id(s));
@@ -165,11 +168,16 @@ TEST(StateHashTest, SubHashesAreTheCheckpointSectionCrcs) {
           << w.sim().executed_count() << " events";
     }
     // The hashed world section holds the outcome count and the log's
-    // running CRC, not the records: it is as long at the week's last hash
-    // as at its first.
+    // running CRC, not the records, and the caches section the cache
+    // window's counts and digests, not its records: each is as long at
+    // the week's last hash as at its first.
     const Frame& world = frames[file_order.size()];
     if (world_len == 0) world_len = world.len;
     EXPECT_EQ(world.len, world_len);
+    const Frame& caches = frames[4];
+    ASSERT_EQ(caches.id, snapshot::section_id(Subsystem::kCaches));
+    if (caches_len == 0) caches_len = caches.len;
+    EXPECT_EQ(caches.len, caches_len);
   }
   EXPECT_FALSE(w.sim().has_pending());
   EXPECT_GT(w.outcomes().size(), 0u);
@@ -177,8 +185,10 @@ TEST(StateHashTest, SubHashesAreTheCheckpointSectionCrcs) {
 
 TEST(StateHashTest, HashedBytesFollowLiveState) {
   // snapshot.hash.bytes counts the bytes each hash serializes. The outcome
-  // records are not among them, so the week's last hash is within 1.5x of
-  // its first although the outcome log grows from nothing to every task.
+  // records and the cache window are not among them, so the week's last
+  // hash is within 1.5x of its first although the outcome log grows from
+  // nothing to every task, and the caches section is the same size at
+  // every hash although the content DB's window fills and drains.
   obs::ObsConfig ocfg;
   ocfg.tracing = false;
   obs::ScopedObserver scoped(ocfg);
@@ -187,12 +197,24 @@ TEST(StateHashTest, HashedBytesFollowLiveState) {
         scoped->metrics().find_counter("snapshot.hash.bytes");
     return c != nullptr ? c->value() : 0;
   };
+  const std::uint32_t caches =
+      snapshot::section_id(snapshot::Subsystem::kCaches);
+  auto caches_len = [caches](const snapshot::CloudWorld& w) {
+    for (const Frame& f : section_frames(w.save_to_buffer())) {
+      if (f.id == caches) return f.len;
+    }
+    ADD_FAILURE() << "no caches section";
+    return std::uint64_t{0};
+  };
   snapshot::CloudWorld w(config_at(), world_options());
+  const std::uint64_t first_caches_len = caches_len(w);
   std::vector<std::uint64_t> sizes;
   while (w.run(250) == 250) {
     const std::uint64_t before = hashed_bytes();
     (void)w.hash_now();
     sizes.push_back(hashed_bytes() - before);
+    ASSERT_EQ(caches_len(w), first_caches_len)
+        << "after " << w.sim().executed_count() << " events";
   }
   ASSERT_GT(sizes.size(), 4u);
   EXPECT_GT(sizes.front(), 0u);
@@ -200,7 +222,36 @@ TEST(StateHashTest, HashedBytesFollowLiveState) {
   EXPECT_GT(w.outcomes().size(), 0u);
 }
 
-// --- odr.hashes.v3 journal ------------------------------------------------
+TEST(StateHashTest, RestoredWorldHashesLikeTheUninterruptedOne) {
+  // The caches sub-hash digests the content DB's and the pool's history;
+  // a checkpoint carries those digests, so a world restored mid-week
+  // hashes as the uninterrupted one does at every later cadence point.
+  constexpr std::uint64_t kCadence = 250;
+  snapshot::CloudWorld whole(config_at(), world_options(kCadence));
+  whole.run();
+  snapshot::CloudWorld first_part(config_at(), world_options());
+  first_part.run(1100);
+  const std::string ckpt = first_part.save_to_buffer();
+  snapshot::CloudWorld resumed(config_at(), world_options(kCadence), ckpt);
+  resumed.run();
+
+  std::vector<snapshot::StateHash> later;
+  for (const snapshot::StateHash& h : whole.hashes()) {
+    if (h.executed > 1100) later.push_back(h);
+  }
+  ASSERT_GT(later.size(), 4u);
+  ASSERT_EQ(resumed.hashes().size(), later.size());
+  const auto caches = static_cast<std::size_t>(snapshot::Subsystem::kCaches);
+  for (std::size_t i = 0; i < later.size(); ++i) {
+    const snapshot::StateHash& h = resumed.hashes()[i];
+    EXPECT_EQ(h.executed, later[i].executed);
+    EXPECT_EQ(h.sub[caches], later[i].sub[caches])
+        << "caches after " << h.executed << " events";
+    EXPECT_TRUE(h == later[i]) << "after " << h.executed << " events";
+  }
+}
+
+// --- odr.hashes.v4 journal ------------------------------------------------
 
 obs::HashJournal sample_journal() {
   snapshot::CloudWorld w(config_at(), world_options(500));
@@ -273,9 +324,19 @@ TEST(HashJournalTest, ParserRefusesV2Journals) {
       "unsupported format \"odr.hashes.v2\"");
 }
 
+TEST(HashJournalTest, ParserRefusesV3Journals) {
+  // A v3 caches sub-hash covered the content DB's window and the pool's
+  // entries; v4's covers their counts and running digests, so the values
+  // never agree.
+  expect_parse_error(
+      "{\"format\":\"odr.hashes.v3\",\"cadence_events\":500,"
+      "\"seed\":20151028}\n",
+      "unsupported format \"odr.hashes.v3\"");
+}
+
 TEST(HashJournalTest, ParserRefusesCadenceZero) {
   expect_parse_error(
-      "{\"format\":\"odr.hashes.v3\",\"cadence_events\":0,"
+      "{\"format\":\"odr.hashes.v4\",\"cadence_events\":0,"
       "\"seed\":20151028}\n",
       "cadence_events must be at least 1");
 }

@@ -21,6 +21,7 @@
 #include "core/circuit_breaker.h"
 #include "core/executor.h"
 #include "fault/fault_plan.h"
+#include "net/isp.h"
 #include "net/network.h"
 #include "proto/download.h"
 #include "proto/source.h"

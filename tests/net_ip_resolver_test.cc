@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/isp.h"
 #include "workload/user_model.h"
 
 namespace odr::net {

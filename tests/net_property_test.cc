@@ -713,7 +713,9 @@ TEST(SingleLinkScanTest, RestoreWhileSaturatedMatchesUninterruptedRun) {
   interrupted.net.save(w);
   w.end_section();
   Side resumed;
-  snapshot::SnapshotReader r(w.take());
+  const std::string saved = w.take();
+
+  snapshot::SnapshotReader r(saved);
   r.require_section(1, 1);
   resumed.sim.load(r);
   resumed.net.load(r);

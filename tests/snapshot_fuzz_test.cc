@@ -163,7 +163,7 @@ std::string budget_section_buffer() {
 }
 
 void load_budget_section(std::string bytes, core::RetryBudget& budget) {
-  snapshot::SnapshotReader r(std::move(bytes));
+  snapshot::SnapshotReader r(bytes);
   r.require_section(kBudgetSection, 1);
   budget.load(r);
   r.end_section();

@@ -17,6 +17,7 @@
 #include "cloud/xuanfeng.h"
 #include "core/budget.h"
 #include "fault/fault_plan.h"
+#include "net/isp.h"
 #include "net/network.h"
 #include "obs/observer.h"
 #include "proto/download.h"
@@ -55,7 +56,9 @@ TEST(SnapshotFormatTest, RoundTripsEveryFieldType) {
   w.bytes(8, blob, sizeof(blob));
   w.end_section();
 
-  SnapshotReader r(w.take());
+  const std::string saved = w.take();
+
+  SnapshotReader r(saved);
   EXPECT_EQ(r.enter_section(42), 3u);
   EXPECT_EQ(r.u8(1), 0xAB);
   EXPECT_EQ(r.u32(2), 0xDEADBEEFu);
@@ -80,7 +83,7 @@ TEST(SnapshotFormatTest, CrcCorruptionFailsLoudly) {
   std::string buf = w.take();
   // Flip one payload byte near the end of the buffer.
   buf[buf.size() - 5] = static_cast<char>(buf[buf.size() - 5] ^ 0x40);
-  SnapshotReader r(std::move(buf));
+  SnapshotReader r(buf);
   EXPECT_THROW(r.enter_section(1), SnapshotError);
 }
 
@@ -89,7 +92,9 @@ TEST(SnapshotFormatTest, VersionBumpIsRejected) {
   w.begin_section(7, 2);
   w.u64(1, 99);
   w.end_section();
-  SnapshotReader r(w.take());
+  const std::string saved = w.take();
+
+  SnapshotReader r(saved);
   EXPECT_THROW(r.require_section(7, 1), SnapshotError);
 }
 
@@ -98,7 +103,9 @@ TEST(SnapshotFormatTest, WrongTagIsRejected) {
   w.begin_section(7, 1);
   w.u64(1, 99);
   w.end_section();
-  SnapshotReader r(w.take());
+  const std::string saved = w.take();
+
+  SnapshotReader r(saved);
   r.require_section(7, 1);
   EXPECT_THROW(r.u64(2), SnapshotError);
 }
@@ -109,14 +116,17 @@ TEST(SnapshotFormatTest, TrailingPayloadIsRejected) {
   w.u64(1, 99);
   w.u64(2, 100);
   w.end_section();
-  SnapshotReader r(w.take());
+  const std::string saved = w.take();
+
+  SnapshotReader r(saved);
   r.require_section(7, 1);
   EXPECT_EQ(r.u64(1), 99u);
   EXPECT_THROW(r.end_section(), SnapshotError);  // tag 2 never consumed
 }
 
 TEST(SnapshotFormatTest, BadMagicIsRejected) {
-  EXPECT_THROW(SnapshotReader r("not a snapshot at all"), SnapshotError);
+  EXPECT_THROW(SnapshotReader r(std::string_view("not a snapshot at all")),
+               SnapshotError);
 }
 
 // --- rng -------------------------------------------------------------------
@@ -134,7 +144,9 @@ TEST(SnapshotRngTest, RoundTripReproducesDrawSequence) {
   w.end_section();
 
   Rng restored_a(1), restored_b(2);
-  SnapshotReader r(w.take());
+  const std::string saved = w.take();
+
+  SnapshotReader r(saved);
   r.require_section(1, 1);
   load_rng(r, 10, restored_a);
   load_rng(r, 20, restored_b);
@@ -305,7 +317,9 @@ TEST(SnapshotSimTest, RearmRestoresExactEventOrder) {
   w.end_section();
 
   sim::Simulator b;
-  SnapshotReader r(w.take());
+  const std::string saved = w.take();
+
+  SnapshotReader r(saved);
   r.require_section(1, 1);
   b.load(r);
   r.end_section();
@@ -375,7 +389,9 @@ TEST(SnapshotSimTest, RearmRestoresExactEventOrder) {
   EXPECT_EQ(lazy, upfront);
 
   sim::Simulator m;
-  SnapshotReader lr(lw.take());
+  const std::string lw_saved = lw.take();
+
+  SnapshotReader lr(lw_saved);
   lr.require_section(1, 1);
   m.load(lr);
   lr.end_section();
@@ -401,7 +417,9 @@ TEST(SnapshotSimTest, HandlesDoNotSurviveLoad) {
   w.begin_section(1, 1);
   sim.save(w);
   w.end_section();
-  SnapshotReader r(w.take());
+  const std::string saved = w.take();
+
+  SnapshotReader r(saved);
   r.require_section(1, 1);
   sim.load(r);
   r.end_section();
@@ -442,7 +460,9 @@ TEST(SnapshotNetTest, ReattachReturnsTheHandleAndRefusesOtherIds) {
   sim.save(w);
   net.save(w);
   w.end_section();
-  SnapshotReader r(w.take());
+  const std::string saved = w.take();
+
+  SnapshotReader r(saved);
   r.require_section(1, 1);
   sim.load(r);
   net.load(r);
@@ -536,7 +556,9 @@ TEST(SnapshotNetTest, MidFlowRoundTripPreservesCompletionTimes) {
 
   sim::Simulator sim_c;
   auto net_c = build(sim_c);
-  SnapshotReader r(w.take());
+  const std::string saved = w.take();
+
+  SnapshotReader r(saved);
   r.require_section(1, 1);
   sim_c.load(r);
   net_c->load(r);
@@ -629,7 +651,9 @@ TEST(SnapshotNetTest, ChurnedPoolRoundTripAfterSlotReuse) {
 
   sim::Simulator sim_c;
   auto net_c = build(sim_c);
-  SnapshotReader r(w.take());
+  const std::string saved = w.take();
+
+  SnapshotReader r(saved);
   r.require_section(1, 1);
   sim_c.load(r);
   net_c->load(r);
@@ -722,7 +746,9 @@ TEST(SnapshotNetTest, RestoreReproducesFastPathDecisions) {
   w.end_section();
 
   Side b;
-  SnapshotReader r(w.take());
+  const std::string saved = w.take();
+
+  SnapshotReader r(saved);
   r.require_section(1, 1);
   b.sim.load(r);
   b.net.load(r);
@@ -805,7 +831,7 @@ TEST(SnapshotNetTest, LoadRefusesAFlowCrossingTwoLinks) {
     auto net = std::make_unique<net::Network>(sim);
     net->add_link("trunk", 500.0);
     net->add_link("leg", 200.0);
-    SnapshotReader r(std::move(bytes));
+    SnapshotReader r(bytes);
     r.require_section(1, 1);
     net->load(r);
     r.end_section();
@@ -831,18 +857,27 @@ TEST(SnapshotNetTest, LoadRefusesAFlowCrossingTwoLinks) {
 
 // --- storage pool ----------------------------------------------------------
 
+// A pool as a world checkpoints it: the counters and operation digest
+// (section 1, as in the caches section), then the entries (section 2, as in
+// the cache window section).
 std::string save_pool(const cloud::StoragePool& pool) {
   SnapshotWriter w;
   w.begin_section(1, 1);
   pool.save(w);
   w.end_section();
+  w.begin_section(2, 1);
+  pool.save_entries(w);
+  w.end_section();
   return w.take();
 }
 
-void load_pool(cloud::StoragePool& pool, std::string bytes) {
-  SnapshotReader r(std::move(bytes));
+void load_pool(cloud::StoragePool& pool, const std::string& bytes) {
+  SnapshotReader r(bytes);
   r.require_section(1, 1);
   pool.load(r);
+  r.end_section();
+  r.require_section(2, 1);
+  pool.load_entries(r);
   r.end_section();
 }
 
@@ -887,6 +922,10 @@ std::string raw_pool_section(std::uint64_t capacity,
   for (std::uint16_t tag = 1; tag <= 4; ++tag) w.u64(tag, 0);  // counters
   w.u64(5, capacity);
   w.u64(6, entries.size());
+  w.u64(10, 0);  // operation digest
+  w.end_section();
+  w.begin_section(2, 1);
+  w.u64(6, entries.size());
   for (const RawEntry& e : entries) {
     const Md5Digest key = Md5::of(e.md5_of);
     w.bytes(7, key.bytes.data(), key.bytes.size());
@@ -929,8 +968,9 @@ TEST(SnapshotStoragePoolTest, LoadRejectsEntriesTheCatalogContradicts) {
 }
 
 TEST(SnapshotStoragePoolTest, SectionBytesArePinned) {
-  // Checkpoint format stability: MD5, file index and size per entry,
-  // MRU->LRU, after a fixed sequence of operations.
+  // Checkpoint format stability: the counters, entry count and operation
+  // digest, then MD5, file index and size per entry, MRU->LRU, after a
+  // fixed sequence of operations. The digest pins util/digest.h's mix.
   const workload::Catalog catalog = sized_catalog({1000, 2000, 500});
   cloud::StoragePool pool(catalog, 3000);
   pool.insert(0);
@@ -941,7 +981,7 @@ TEST(SnapshotStoragePoolTest, SectionBytesArePinned) {
   pool.insert(1);             // evicts 0
   pool.evict_fraction(0.5);   // node loss takes 2
   pool.insert(2);             // MRU->LRU: 2, 1
-  EXPECT_EQ(crc32c(save_pool(pool)), 0x6F42606Eu);
+  EXPECT_EQ(crc32c(save_pool(pool)), 0xDFEB48FFu);
 }
 
 // --- retry budget ----------------------------------------------------------
@@ -1014,7 +1054,7 @@ struct PoolRig {
     return w.take();
   }
   void load(std::string bytes) {
-    SnapshotReader r(std::move(bytes));
+    SnapshotReader r(bytes);
     r.require_section(1, 1);
     sim.load(r);
     net.load(r);
@@ -1355,21 +1395,23 @@ TEST_F(WorldTest, MetaVersionOneCheckpointIsRefused) {
   }
 }
 
+// The little-endian integer of `bytes` bytes at `at`.
+std::uint64_t le(const std::string& buf, std::size_t at, int bytes = 8) {
+  std::uint64_t v = 0;
+  for (int i = bytes - 1; i >= 0; --i) {
+    v = (v << 8) | static_cast<unsigned char>(buf[at + i]);
+  }
+  return v;
+}
+
 // Offset of section `id`'s frame in a checkpoint buffer: past the 8-byte
 // file header, each frame is id u32, version u32, payload length u64 and
 // CRC u32, then the payload (all little-endian).
 std::size_t section_frame(const std::string& buf, std::uint32_t id) {
-  auto le = [&buf](std::size_t at, int bytes) {
-    std::uint64_t v = 0;
-    for (int i = bytes - 1; i >= 0; --i) {
-      v = (v << 8) | static_cast<unsigned char>(buf[at + i]);
-    }
-    return v;
-  };
   std::size_t pos = 8;
   while (pos + 20 <= buf.size()) {
-    if (le(pos, 4) == id) return pos;
-    pos += 20 + le(pos + 8, 8);
+    if (le(buf, pos, 4) == id) return pos;
+    pos += 20 + le(buf, pos + 8);
   }
   ADD_FAILURE() << "no section " << id;
   return 0;
@@ -1426,15 +1468,18 @@ TEST_F(WorldTest, WorldSectionVersionOneIsRefused) {
   }
 }
 
+// Section `id`'s payload in `ckpt`.
+std::string section_payload(const std::string& ckpt, std::uint32_t id) {
+  const std::size_t at = section_frame(ckpt, id);
+  return ckpt.substr(at + 20, le(ckpt, at + 8));
+}
+
 // `ckpt` with section `id`'s payload replaced by `payload`, the frame's
 // length and CRC patched to match, so only a cross-check can reject it.
 std::string with_section_payload(const std::string& ckpt, std::uint32_t id,
                                  const std::string& payload) {
   const std::size_t at = section_frame(ckpt, id);
-  std::uint64_t old_len = 0;
-  for (int i = 7; i >= 0; --i) {
-    old_len = (old_len << 8) | static_cast<unsigned char>(ckpt[at + 8 + i]);
-  }
+  const std::uint64_t old_len = le(ckpt, at + 8);
   std::string out =
       ckpt.substr(0, at + 20) + payload + ckpt.substr(at + 20 + old_len);
   const std::uint64_t len = payload.size();
@@ -1454,9 +1499,8 @@ TEST_F(WorldTest, LogThatDisagreesWithTheWorldSectionIsRefused) {
   world.run(4000);
   ASSERT_GT(world.outcomes().size(), 1u);
   const std::string ckpt = world.save_to_buffer();
-  // The log is the last frame: an id outside the subsystem sections.
-  const std::size_t log = section_frame(ckpt, 2);
-  const std::string records = ckpt.substr(log + 20);
+  // The log trails the subsystem sections, under an id outside them.
+  const std::string records = section_payload(ckpt, 2);
   ASSERT_EQ(with_section_payload(ckpt, 2, records), ckpt);
 
   // One record edited: the first record's task id (after its u16 tag).
@@ -1476,6 +1520,91 @@ TEST_F(WorldTest, LogThatDisagreesWithTheWorldSectionIsRefused) {
       EXPECT_NE(what.find("outcome log (section 0x00000002)"),
                 std::string::npos)
           << what;
+    }
+  }
+}
+
+TEST_F(WorldTest, CachesSectionVersionOneIsRefused) {
+  // A v1 caches section held the content DB's whole window and the pool's
+  // entries; v2 holds their counts and digests, and the records trail in
+  // the cache window section.
+  const auto cfg = small_config(5);
+  snapshot::CloudWorld world(cfg, options());
+  world.run(500);
+  std::string old = world.save_to_buffer();
+  const std::size_t at =
+      section_frame(old, snapshot::section_id(snapshot::Subsystem::kCaches));
+  ASSERT_EQ(old[at + 4], 2);  // the caches section's version, little-endian
+  old[at + 4] = 1;
+  try {
+    snapshot::CloudWorld restored(cfg, options(), old);
+    FAIL() << "a caches v1 section restored";
+  } catch (const SnapshotError& e) {
+    const std::string what(e.what());
+    EXPECT_NE(what.find("version mismatch: checkpoint has v1"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST_F(WorldTest, CacheWindowThatDisagreesWithTheCachesSectionIsRefused) {
+  const auto cfg = small_config(5);
+  snapshot::CloudWorld world(cfg, options());
+  world.run(4000);
+  const std::string ckpt = world.save_to_buffer();
+  // The cache window (section 3) is the content DB's record count, its
+  // records (u32 file, i64 time: 16 bytes with their tags), then the
+  // pool's entry count and entries (MD5 bytes, u32 file, u64 size: 42).
+  constexpr std::uint32_t kWindow = 3;
+  const std::string window = section_payload(ckpt, kWindow);
+  ASSERT_EQ(with_section_payload(ckpt, kWindow, window), ckpt);
+  const std::uint64_t records = le(window, 2);
+  const std::size_t pool_at = 10 + 16 * records;
+  const std::uint64_t entries = le(window, pool_at + 2);
+  ASSERT_GT(records, 1u);
+  ASSERT_GT(entries, 1u);
+  ASSERT_EQ(window.size(), pool_at + 10 + 42 * entries);
+  const auto with_u64 = [](std::string bytes, std::size_t at,
+                           std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes[at + i] = static_cast<char>(v >> (8 * i));
+    return bytes;
+  };
+
+  struct Case {
+    std::string payload;
+    std::string why;
+  };
+  // The first record a microsecond earlier: still time-ordered, but the
+  // chain from the front digest no longer ends at the back digest.
+  const std::uint64_t first_time = le(window, 10 + 8);
+  // The last record dropped, and the count with it.
+  std::string short_window = window;
+  short_window.erase(pool_at - 16, 16);
+  short_window = with_u64(short_window, 2, records - 1);
+  // The pool's last entry dropped, and its count with it.
+  std::string short_pool = window.substr(0, window.size() - 42);
+  short_pool = with_u64(short_pool, pool_at + 2, entries - 1);
+  const std::vector<Case> cases = {
+      {with_u64(window, 10 + 8, first_time - 1),
+       "do not chain from the front digest to the back digest"},
+      {short_window, "the window holds " + std::to_string(records - 1) +
+                         " requests, but"},
+      {short_pool, std::to_string(entries - 1) +
+                       " entries follow, but the caches section records " +
+                       std::to_string(entries)},
+  };
+  for (const Case& c : cases) {
+    try {
+      snapshot::CloudWorld restored(
+          cfg, options(), with_section_payload(ckpt, kWindow, c.payload));
+      ADD_FAILURE() << "restored a cache window that " << c.why;
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(static_cast<int>(e.kind()),
+                static_cast<int>(snapshot::SnapshotErrorKind::kCorrupt));
+      EXPECT_EQ(e.section(), kWindow);
+      const std::string what(e.what());
+      EXPECT_NE(what.find(c.why), std::string::npos) << what;
+      EXPECT_NE(what.find("section 0x00000003"), std::string::npos) << what;
     }
   }
 }
@@ -1545,7 +1674,9 @@ TEST(SnapshotCloudTest, LoadRefusesTaskFilesTheCatalogLacks) {
     net::Network net2(sim2);
     Rng rng2(5);
     cloud::XuanfengCloud cloud(sim2, net2, catalog, sources, config, rng2);
-    SnapshotReader r(with_section_payload(ckpt, tasks, tasks_payload(t)));
+    const std::string edited =
+        with_section_payload(ckpt, tasks, tasks_payload(t));
+    SnapshotReader r(edited);
     cloud.load(r, nullptr);
     return cloud.inflight_predownload_count();
   };

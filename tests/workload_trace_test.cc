@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "net/isp.h"
 #include "util/rng.h"
 #include "workload/catalog.h"
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "net/isp.h"
 #include "util/csv.h"
 #include "util/stats.h"
 #include "workload/catalog.h"

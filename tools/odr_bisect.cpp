@@ -8,7 +8,7 @@
 //       to the exact first divergent event;
 //
 //   config vs journal   odr_bisect --divisor 400 --journal-b run.hashes
-//       same, but side B's timeline comes from a recorded odr.hashes.v3
+//       same, but side B's timeline comes from a recorded odr.hashes.v4
 //       journal (write one with `cloud_week --hashes-out`); side B is
 //       replayed from its config (--seed-b, which must be the journal's
 //       seed) for the event-level phase;
@@ -43,10 +43,10 @@ int main(int argc, char** argv) {
   args.flag("seed-a", "20151028", "seed for side A");
   args.flag("seed-b", "20151028", "seed for side B");
   args.flag("journal-a", "",
-            "recorded odr.hashes.v3 journal for side A (v1 and v2 are "
+            "recorded odr.hashes.v4 journal for side A (v1 to v3 are "
             "refused)");
   args.flag("journal-b", "",
-            "recorded odr.hashes.v3 journal for side B (v1 and v2 are "
+            "recorded odr.hashes.v4 journal for side B (v1 to v3 are "
             "refused)");
   args.flag("burn-a", "0",
             "inject one extra rng draw into side A after N events (0 = off)");
