@@ -2,7 +2,8 @@
 //
 // These measure the building blocks whose throughput bounds experiment
 // wall-time: the event queue, the max-min fair solver, MD5 hashing, the
-// popularity profile and catalog sampler, and the swarm advance.
+// popularity profile, catalog build and sampler, request generation, and
+// the swarm advance.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -16,8 +17,11 @@
 #include "util/md5.h"
 #include "proto/swarm.h"
 #include "util/rng.h"
+#include "analysis/replay.h"
 #include "workload/catalog.h"
 #include "workload/popularity.h"
+#include "workload/request_gen.h"
+#include "workload/user_model.h"
 
 namespace {
 
@@ -261,6 +265,41 @@ void BM_PopularityProfileBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PopularityProfileBuild)->Arg(5635)->Arg(563517);
+
+// The whole catalog build of range(0) files (divisor 100 and divisor 1):
+// popularity profile, per-file draws, MD5 content ids and links.
+void BM_CatalogBuild(benchmark::State& state) {
+  const double divisor =
+      static_cast<double>(odr::analysis::kMeasuredFiles) /
+      static_cast<double>(state.range(0));
+  const odr::analysis::ExperimentConfig config =
+      odr::analysis::make_scaled_config(divisor, 20151028);
+  for (auto _ : state) {
+    odr::Rng rng(config.seed);
+    const odr::workload::Catalog catalog(config.catalog, rng);
+    benchmark::DoNotOptimize(catalog.files().data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CatalogBuild)->Arg(5635)->Arg(563517)->Unit(benchmark::kMillisecond);
+
+// RequestGenerator::generate for range(0) requests (divisor 100 and divisor
+// 1), arrival sort included; the catalog and users are built once.
+void BM_RequestGenerate(benchmark::State& state) {
+  const double divisor = 4084417.0 / static_cast<double>(state.range(0));
+  const odr::analysis::ExperimentConfig config =
+      odr::analysis::make_scaled_config(divisor, 20151028);
+  odr::Rng build_rng(config.seed);
+  const odr::workload::Catalog catalog(config.catalog, build_rng);
+  const odr::workload::UserPopulation users(config.users, build_rng);
+  const odr::workload::RequestGenerator generator(config.requests);
+  for (auto _ : state) {
+    odr::Rng rng = build_rng;
+    benchmark::DoNotOptimize(generator.generate(catalog, users, rng).data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RequestGenerate)->Arg(40844)->Arg(4084417)->Unit(benchmark::kMillisecond);
 
 // One 5-minute swarm advance at weekly popularity range(0): the cost is
 // O(1) in the swarm's population (~0.33·pop^1.1 seeds, 0.22·pop leechers).

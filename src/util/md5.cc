@@ -19,14 +19,31 @@ constexpr std::array<std::uint32_t, 64> kK = {
     0xffeff47d, 0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
     0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391};
 
-constexpr std::array<std::uint32_t, 64> kShift = {
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-    5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
-
-std::uint32_t rotl32(std::uint32_t x, std::uint32_t c) {
+constexpr std::uint32_t rotl32(std::uint32_t x, int c) {
   return (x << c) | (x >> (32 - c));
+}
+
+// The four rounds' auxiliary functions (RFC 1321 §3.4).
+constexpr std::uint32_t F(std::uint32_t x, std::uint32_t y, std::uint32_t z) {
+  return (x & y) | (~x & z);
+}
+constexpr std::uint32_t G(std::uint32_t x, std::uint32_t y, std::uint32_t z) {
+  return (x & z) | (y & ~z);
+}
+constexpr std::uint32_t H(std::uint32_t x, std::uint32_t y, std::uint32_t z) {
+  return x ^ y ^ z;
+}
+constexpr std::uint32_t I(std::uint32_t x, std::uint32_t y, std::uint32_t z) {
+  return y ^ (x | ~z);
+}
+
+using Aux = std::uint32_t (*)(std::uint32_t, std::uint32_t, std::uint32_t);
+
+// One step: a = b + ((a + aux(b, c, d) + word + k) <<< s).
+template <Aux aux>
+inline void step(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+                 std::uint32_t d, std::uint32_t word, std::uint32_t k, int s) {
+  a = b + rotl32(a + aux(b, c, d) + word + k, s);
 }
 
 }  // namespace
@@ -98,27 +115,75 @@ void Md5::process_block(const std::uint8_t* block) {
            (static_cast<std::uint32_t>(block[4 * i + 3]) << 24);
   }
   std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    std::uint32_t f, g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
-    f = f + a + kK[i] + m[g];
-    a = d;
-    d = c;
-    c = b;
-    b = b + rotl32(f, kShift[i]);
-  }
+  // The four 16-step rounds, unrolled: each step rotates the roles of a, b,
+  // c and d, and round r reads the words in its own fixed order.
+  step<F>(a, b, c, d, m[0], kK[0], 7);
+  step<F>(d, a, b, c, m[1], kK[1], 12);
+  step<F>(c, d, a, b, m[2], kK[2], 17);
+  step<F>(b, c, d, a, m[3], kK[3], 22);
+  step<F>(a, b, c, d, m[4], kK[4], 7);
+  step<F>(d, a, b, c, m[5], kK[5], 12);
+  step<F>(c, d, a, b, m[6], kK[6], 17);
+  step<F>(b, c, d, a, m[7], kK[7], 22);
+  step<F>(a, b, c, d, m[8], kK[8], 7);
+  step<F>(d, a, b, c, m[9], kK[9], 12);
+  step<F>(c, d, a, b, m[10], kK[10], 17);
+  step<F>(b, c, d, a, m[11], kK[11], 22);
+  step<F>(a, b, c, d, m[12], kK[12], 7);
+  step<F>(d, a, b, c, m[13], kK[13], 12);
+  step<F>(c, d, a, b, m[14], kK[14], 17);
+  step<F>(b, c, d, a, m[15], kK[15], 22);
+
+  step<G>(a, b, c, d, m[1], kK[16], 5);
+  step<G>(d, a, b, c, m[6], kK[17], 9);
+  step<G>(c, d, a, b, m[11], kK[18], 14);
+  step<G>(b, c, d, a, m[0], kK[19], 20);
+  step<G>(a, b, c, d, m[5], kK[20], 5);
+  step<G>(d, a, b, c, m[10], kK[21], 9);
+  step<G>(c, d, a, b, m[15], kK[22], 14);
+  step<G>(b, c, d, a, m[4], kK[23], 20);
+  step<G>(a, b, c, d, m[9], kK[24], 5);
+  step<G>(d, a, b, c, m[14], kK[25], 9);
+  step<G>(c, d, a, b, m[3], kK[26], 14);
+  step<G>(b, c, d, a, m[8], kK[27], 20);
+  step<G>(a, b, c, d, m[13], kK[28], 5);
+  step<G>(d, a, b, c, m[2], kK[29], 9);
+  step<G>(c, d, a, b, m[7], kK[30], 14);
+  step<G>(b, c, d, a, m[12], kK[31], 20);
+
+  step<H>(a, b, c, d, m[5], kK[32], 4);
+  step<H>(d, a, b, c, m[8], kK[33], 11);
+  step<H>(c, d, a, b, m[11], kK[34], 16);
+  step<H>(b, c, d, a, m[14], kK[35], 23);
+  step<H>(a, b, c, d, m[1], kK[36], 4);
+  step<H>(d, a, b, c, m[4], kK[37], 11);
+  step<H>(c, d, a, b, m[7], kK[38], 16);
+  step<H>(b, c, d, a, m[10], kK[39], 23);
+  step<H>(a, b, c, d, m[13], kK[40], 4);
+  step<H>(d, a, b, c, m[0], kK[41], 11);
+  step<H>(c, d, a, b, m[3], kK[42], 16);
+  step<H>(b, c, d, a, m[6], kK[43], 23);
+  step<H>(a, b, c, d, m[9], kK[44], 4);
+  step<H>(d, a, b, c, m[12], kK[45], 11);
+  step<H>(c, d, a, b, m[15], kK[46], 16);
+  step<H>(b, c, d, a, m[2], kK[47], 23);
+
+  step<I>(a, b, c, d, m[0], kK[48], 6);
+  step<I>(d, a, b, c, m[7], kK[49], 10);
+  step<I>(c, d, a, b, m[14], kK[50], 15);
+  step<I>(b, c, d, a, m[5], kK[51], 21);
+  step<I>(a, b, c, d, m[12], kK[52], 6);
+  step<I>(d, a, b, c, m[3], kK[53], 10);
+  step<I>(c, d, a, b, m[10], kK[54], 15);
+  step<I>(b, c, d, a, m[1], kK[55], 21);
+  step<I>(a, b, c, d, m[8], kK[56], 6);
+  step<I>(d, a, b, c, m[15], kK[57], 10);
+  step<I>(c, d, a, b, m[6], kK[58], 15);
+  step<I>(b, c, d, a, m[13], kK[59], 21);
+  step<I>(a, b, c, d, m[4], kK[60], 6);
+  step<I>(d, a, b, c, m[11], kK[61], 10);
+  step<I>(c, d, a, b, m[2], kK[62], 15);
+  step<I>(b, c, d, a, m[9], kK[63], 21);
   state_[0] += a;
   state_[1] += b;
   state_[2] += c;
@@ -131,14 +196,17 @@ Md5Digest Md5::of(std::string_view data) {
   return md5.finish();
 }
 
-std::string Md5Digest::hex() const {
+void Md5Digest::write_hex(char* out) const {
   static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(32);
-  for (std::uint8_t b : bytes) {
-    out.push_back(kHex[b >> 4]);
-    out.push_back(kHex[b & 0xf]);
+  for (const std::uint8_t b : bytes) {
+    *out++ = kHex[b >> 4];
+    *out++ = kHex[b & 0xf];
   }
+}
+
+std::string Md5Digest::hex() const {
+  std::string out(kHexChars, '\0');
+  write_hex(out.data());
   return out;
 }
 

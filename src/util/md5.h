@@ -21,8 +21,12 @@ struct Md5Digest {
 
   auto operator<=>(const Md5Digest&) const = default;
 
-  // Lowercase hex, 32 chars.
+  static constexpr std::size_t kHexChars = 32;
+
+  // Lowercase hex, kHexChars chars.
   std::string hex() const;
+  // The same chars written to out[0, kHexChars), without a terminator.
+  void write_hex(char* out) const;
 
   // First 8 bytes as a u64; convenient hash-map key.
   std::uint64_t prefix64() const;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <string>
+#include <string_view>
+
+#include "util/fixed_chars.h"
 
 namespace odr::workload {
 
@@ -45,31 +47,36 @@ Catalog::Catalog(const CatalogParams& params, Rng& rng) : params_(params) {
 
     f.size = size_model.sample(f.type, rng);
     // Content IDs are MD5 of (synthetic) content, as in Xuanfeng's dedup.
-    f.content_id = Md5::of("odr-file-content/" + std::to_string(r) + "/" +
-                           std::to_string(rng.next_u64()));
+    util::FixedChars<64> content;
+    content.text("odr-file-content/").number(r).text("/").number(
+        rng.next_u64());
+    f.content_id = Md5::of(content.view());
     // Real links per protocol family, parseable by odr::parse_download_link
     // (the format ODR's front page accepts, §6.1).
-    const std::string hex = f.content_id.hex();
+    char hex_chars[Md5Digest::kHexChars];
+    f.content_id.write_hex(hex_chars);
+    const std::string_view hex(hex_chars, sizeof hex_chars);
+    util::FixedChars<160> link;
     switch (f.protocol) {
       case proto::Protocol::kBitTorrent:
         // btih is 40 hex chars; extend the MD5 deterministically.
-        f.source_link = "magnet:?xt=urn:btih:" + hex + hex.substr(0, 8) +
-                        "&dn=file-" + std::to_string(r) +
-                        "&xl=" + std::to_string(f.size);
+        link.text("magnet:?xt=urn:btih:").text(hex).text(hex.substr(0, 8))
+            .text("&dn=file-").number(r).text("&xl=").number(f.size);
         break;
       case proto::Protocol::kEmule:
-        f.source_link = "ed2k://|file|file-" + std::to_string(r) + "|" +
-                        std::to_string(f.size) + "|" + hex + "|/";
+        link.text("ed2k://|file|file-").number(r).text("|").number(f.size)
+            .text("|").text(hex).text("|/");
         break;
       case proto::Protocol::kHttp:
-        f.source_link = "http://origin-" + std::to_string(r % 97) +
-                        ".example.cn/files/" + hex;
+        link.text("http://origin-").number(r % 97)
+            .text(".example.cn/files/").text(hex);
         break;
       case proto::Protocol::kFtp:
-        f.source_link = "ftp://mirror-" + std::to_string(r % 31) +
-                        ".example.cn/pub/" + hex;
+        link.text("ftp://mirror-").number(r % 31).text(".example.cn/pub/")
+            .text(hex);
         break;
     }
+    f.source_link = link.view();
     files_.push_back(std::move(f));
   }
   build_request_table();

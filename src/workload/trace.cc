@@ -1,12 +1,14 @@
 #include "workload/trace.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "net/isp.h"
 #include "util/csv.h"
@@ -139,16 +141,68 @@ void store_at(std::vector<T>& table, std::size_t id, T entry) {
   table[id] = std::move(entry);
 }
 
+bool arrives_before(const WorkloadRecord& a, const WorkloadRecord& b) {
+  if (a.request_time != b.request_time) return a.request_time < b.request_time;
+  return a.task_id < b.task_id;
+}
+
+// request_time as an unsigned key in the same order: the sign bit flipped.
+std::uint64_t time_key(const WorkloadRecord& r) {
+  return static_cast<std::uint64_t>(r.request_time) ^ (std::uint64_t{1} << 63);
+}
+
+std::uint64_t task_key(const WorkloadRecord& r) { return r.task_id; }
+
+// One stable counting pass of `from` into `to` per byte of key(record),
+// least significant first, skipping a byte every record shares. Returns
+// whether the records ended in `to` (an odd number of passes).
+template <std::uint64_t (*key)(const WorkloadRecord&)>
+bool radix_passes(WorkloadRecord*& from, WorkloadRecord*& to, std::size_t n) {
+  // The bits in which some key differs from the first.
+  const std::uint64_t first = key(from[0]);
+  std::uint64_t varying = 0;
+  for (std::size_t i = 0; i < n; ++i) varying |= key(from[i]) ^ first;
+  int digits[8];
+  int passes = 0;
+  for (int shift = 0; shift < 64; shift += 8) {
+    if ((varying >> shift) & 0xff) digits[passes++] = shift;
+  }
+
+  std::array<std::array<std::size_t, 256>, 8> offsets{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t k = key(from[i]);
+    for (int p = 0; p < passes; ++p) ++offsets[p][(k >> digits[p]) & 0xff];
+  }
+  for (int p = 0; p < passes; ++p) {
+    std::size_t sum = 0;
+    for (std::size_t& c : offsets[p]) sum += std::exchange(c, sum);
+    for (std::size_t i = 0; i < n; ++i) {
+      to[offsets[p][(key(from[i]) >> digits[p]) & 0xff]++] = from[i];
+    }
+    std::swap(from, to);
+  }
+  return passes % 2 == 1;
+}
+
 }  // namespace
 
 void sort_by_arrival(std::vector<WorkloadRecord>& records) {
-  std::sort(records.begin(), records.end(),
-            [](const WorkloadRecord& a, const WorkloadRecord& b) {
-              if (a.request_time != b.request_time) {
-                return a.request_time < b.request_time;
-              }
-              return a.task_id < b.task_id;
-            });
+  if (std::is_sorted(records.begin(), records.end(), arrives_before)) return;
+  // A stable LSD radix sort: by task id, then by time. Records already in
+  // task-id order (a generated week's are) need only the time passes.
+  std::vector<WorkloadRecord> scratch(records.size());
+  WorkloadRecord* from = records.data();
+  WorkloadRecord* to = scratch.data();
+  const bool by_task = !std::is_sorted(
+      records.begin(), records.end(),
+      [](const WorkloadRecord& a, const WorkloadRecord& b) {
+        return a.task_id < b.task_id;
+      });
+  bool in_scratch = by_task && radix_passes<task_key>(from, to, records.size());
+  in_scratch ^= radix_passes<time_key>(from, to, records.size());
+  // Copied back rather than swapped: left in the scratch block, a week's
+  // records moved perfbench odr_week's peak RSS from 22.2 to 24.7 MiB.
+  if (in_scratch) std::copy(scratch.begin(), scratch.end(), records.begin());
 }
 
 std::vector<double> week_request_counts(

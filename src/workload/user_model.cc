@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "util/fixed_chars.h"
+
 namespace odr::workload {
 namespace {
 
@@ -12,8 +14,10 @@ std::string synth_ip(net::Isp isp, UserId id, Rng& rng) {
   // derived from the user id so records join consistently.
   const int first = 36 + static_cast<int>(isp) * 20;
   const std::uint64_t h = id * 2654435761u + rng.next_u64() % 251;
-  return std::to_string(first) + "." + std::to_string((h >> 16) & 0xff) + "." +
-         std::to_string((h >> 8) & 0xff) + "." + std::to_string(h & 0xff);
+  util::FixedChars<15> quad;  // "255.255.255.255"
+  quad.number(first).text(".").number((h >> 16) & 0xff).text(".")
+      .number((h >> 8) & 0xff).text(".").number(h & 0xff);
+  return std::string(quad.view());  // within the small-string buffer
 }
 
 }  // namespace

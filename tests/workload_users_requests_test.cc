@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -216,6 +218,63 @@ TEST_F(RequestGeneratorTest, LoadGrowsTowardDaySeven) {
   }
   // Day 7 carries the weekly peak (Fig 11's capacity excess).
   EXPECT_GT(per_day[6], per_day[0]);
+}
+
+// RequestGenerator refuses parameters outside the ranges its intensity
+// bounds and arrival sort assume, naming the field.
+void expect_refused(const RequestGenParams& p, const std::string& field) {
+  try {
+    const RequestGenerator generator(p);
+    ADD_FAILURE() << field << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(RequestGenParamsTest, RefusesAmplitudeOutsideUnitInterval) {
+  for (const double a : {-0.01, 1.01, std::nan("")}) {
+    RequestGenParams p;
+    p.diurnal_amplitude = a;
+    expect_refused(p, "diurnal_amplitude");
+  }
+}
+
+TEST(RequestGenParamsTest, RefusesNegativeOrInfiniteDailyGrowth) {
+  for (const double g : {-0.01, std::numeric_limits<double>::infinity(),
+                         std::nan("")}) {
+    RequestGenParams p;
+    p.daily_growth = g;
+    expect_refused(p, "daily_growth");
+  }
+}
+
+TEST(RequestGenParamsTest, RefusesNonPositiveDuration) {
+  for (const SimTime d : {SimTime{0}, SimTime{-1}}) {
+    RequestGenParams p;
+    p.duration = d;
+    expect_refused(p, "duration");
+  }
+}
+
+TEST(RequestGenParamsTest, RefusesPeakHourOutsideTheDay) {
+  for (const double h : {-0.5, 24.0, std::nan("")}) {
+    RequestGenParams p;
+    p.peak_hour = h;
+    expect_refused(p, "peak_hour");
+  }
+}
+
+TEST(RequestGenParamsTest, AcceptsTheRangesEdges) {
+  RequestGenParams p;
+  p.diurnal_amplitude = 1.0;
+  p.daily_growth = 0.0;
+  p.duration = 1;
+  p.peak_hour = 0.0;
+  EXPECT_NO_THROW(RequestGenerator{p});
+  p.diurnal_amplitude = 0.0;
+  p.peak_hour = std::nextafter(24.0, 0.0);
+  EXPECT_NO_THROW(RequestGenerator{p});
 }
 
 }  // namespace
