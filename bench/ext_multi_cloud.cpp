@@ -42,7 +42,13 @@ RunResult run_case(double divisor, std::uint64_t seed, bool multi) {
   workload::RequestGenerator generator(cfg.requests);
   const auto requests = generator.generate(catalog, users, rng);
 
-  // Three differently-shaped clouds.
+  RunResult result;
+  result.outcomes.reserve(requests.size());
+  const auto keep = [&result](const workload::TaskOutcome& o) {
+    result.outcomes.push_back(o);
+  };
+
+  // Three differently-shaped clouds, all reporting into `result`.
   std::vector<std::unique_ptr<cloud::XuanfengCloud>> clouds;
   auto add_cloud = [&](double capacity_scale, double storage_scale) {
     cloud::CloudConfig cc = cfg.cloud;
@@ -50,7 +56,7 @@ RunResult run_case(double divisor, std::uint64_t seed, bool multi) {
     cc.storage_capacity = static_cast<Bytes>(
         static_cast<double>(cc.storage_capacity) * storage_scale);
     clouds.push_back(std::make_unique<cloud::XuanfengCloud>(
-        sim, net, catalog, cfg.sources, cc, rng));
+        sim, net, catalog, cfg.sources, cc, rng, keep));
   };
   add_cloud(1.0, 1.0);   // Xuanfeng
   add_cloud(1.5, 1.0);   // Xunlei: paid, more uplink
@@ -65,10 +71,9 @@ RunResult run_case(double divisor, std::uint64_t seed, bool multi) {
         const auto& f = catalog.file(idx);
         if (!f.born_before_trace) continue;
         if (clouds[i]->storage().contains(idx)) continue;
-        const double p_fail =
-            0.90 * std::exp(-f.expected_weekly_requests / 1.6) + 0.02;
-        if (warm.bernoulli(1.0 - std::min(0.95, p_fail))) {
-          clouds[i]->warm_cache(f);
+        if (warm.bernoulli(analysis::warm_success_probability(
+                f.expected_weekly_requests))) {
+          clouds[i]->warm_cache(idx);
         }
       }
     }
@@ -77,8 +82,6 @@ RunResult run_case(double divisor, std::uint64_t seed, bool multi) {
   core::MultiCloudSelector selector(
       {clouds[0].get(), clouds[1].get(), clouds[2].get()});
 
-  RunResult result;
-  result.outcomes.reserve(requests.size());
   std::uint64_t union_hits = 0;
   for (const auto& request : requests) {
     sim.schedule_at(request.request_time, [&, request] {
@@ -89,10 +92,9 @@ RunResult run_case(double divisor, std::uint64_t seed, bool multi) {
         target = choice.cloud;
       }
       if (selector.cached_anywhere(request.file)) ++union_hits;
-      clouds[target]->submit(request, users.user(request.user_id),
-                             [&result](const workload::TaskOutcome& o) {
-                               result.outcomes.push_back(o);
-                             });
+      // The receiving cloud's content database counts the request.
+      clouds[target]->content_db().record_request(request.file, sim.now());
+      clouds[target]->submit(request, users.user(request.user_id));
     });
   }
   sim.run();

@@ -23,12 +23,13 @@ int main() {
   cp.total_weekly_requests = 21750;
   workload::Catalog catalog(cp, rng);
 
+  // The demo only asks ODR for decisions: no task runs, so no sink.
   cloud::XuanfengCloud cloud(sim, net, catalog, proto::SourceParams{},
-                             cloud::CloudConfig{}, rng);
+                             cloud::CloudConfig{}, rng, nullptr);
   // Warm the cloud: cache the head of the catalog and give the content DB
   // a week of history.
   for (const auto& f : catalog.files()) {
-    if (f.rank <= 600 && f.born_before_trace) cloud.warm_cache(f);
+    if (f.rank <= 600 && f.born_before_trace) cloud.warm_cache(f.index);
   }
   {
     Rng warm(7);

@@ -4,6 +4,7 @@
 // ODR redirector where one request should go, executes the decision, and
 // prints what happened at each stage. Start here to see the public API.
 #include <cstdio>
+#include <optional>
 
 #include "ap/smart_ap.h"
 #include "cloud/xuanfeng.h"
@@ -43,9 +44,14 @@ int main() {
   cloud::CloudConfig cloud_config;
   cloud_config.total_upload_capacity = gbps_to_rate(0.15);
   proto::SourceParams sources;
-  cloud::XuanfengCloud cloud(sim, net, catalog, sources, cloud_config, rng);
+  // The cloud reports every outcome to the executor built in step 5.
+  std::optional<core::Executor> executor;
+  cloud::XuanfengCloud cloud(sim, net, catalog, sources, cloud_config, rng,
+                             [&executor](const workload::TaskOutcome& o) {
+                               executor->on_cloud_outcome(o);
+                             });
   for (const auto& f : catalog.files()) {
-    if (f.born_before_trace && f.rank % 3 != 0) cloud.warm_cache(f);
+    if (f.born_before_trace && f.rank % 3 != 0) cloud.warm_cache(f.index);
   }
 
   ap::SmartApConfig ap_config;  // defaults to Newifi + USB flash + NTFS
@@ -71,10 +77,10 @@ int main() {
               rate_to_kbps(user.access_bandwidth));
 
   // 5. Ask ODR where this request should be served, then execute.
-  core::Executor executor(sim, net, catalog, cloud, sources,
-                          core::RedirectorParams{}, rng);
-  const core::DecisionInput input = executor.make_input(request, user, &ap);
-  const core::Decision decision = executor.redirector().decide(input);
+  executor.emplace(sim, net, catalog, cloud, sources, core::RedirectorParams{},
+                   rng);
+  const core::DecisionInput input = executor->make_input(request, user, &ap);
+  const core::Decision decision = executor->redirector().decide(input);
 
   std::printf("ODR input: weekly popularity %.0f, cached=%s\n",
               input.weekly_popularity, input.cached_in_cloud ? "yes" : "no");
@@ -82,15 +88,15 @@ int main() {
               std::string(core::route_name(decision.route)).c_str(),
               decision.rationale.c_str());
 
-  executor.execute(decision, request, user, &ap,
-                   [&](const core::ExecOutcome& outcome) {
-                     std::printf(
-                         "Outcome: %s; e2e %.1f min; fetch %.0f KBps%s\n",
-                         outcome.success ? "success" : "FAILED",
-                         to_minutes(outcome.ready_time - outcome.request_time),
-                         rate_to_kbps(outcome.fetch_rate),
-                         outcome.impeded ? " (impeded)" : "");
-                   });
+  executor->execute(decision, request, user, &ap,
+                    [&](const core::ExecOutcome& outcome) {
+                      std::printf(
+                          "Outcome: %s; e2e %.1f min; fetch %.0f KBps%s\n",
+                          outcome.success ? "success" : "FAILED",
+                          to_minutes(outcome.ready_time - outcome.request_time),
+                          rate_to_kbps(outcome.fetch_rate),
+                          outcome.impeded ? " (impeded)" : "");
+                    });
   sim.run();
   return 0;
 }

@@ -17,15 +17,12 @@
 #include "sim/simulator.h"
 
 namespace odr::analysis {
-namespace {
-
-// Rough per-attempt pre-download success probability by popularity, used
-// only to warm the storage pool (the measurement week itself uses the real
-// source models). Shape: unpopular files often failed in past weeks too.
 double warm_success_probability(double weekly_popularity) {
   const double fail = 0.90 * std::exp(-weekly_popularity / 1.6) + 0.02;
   return 1.0 - std::min(0.95, fail);
 }
+
+namespace {
 
 // The three testbed APs, each on its own 20 Mbps ADSL line, in their
 // shipping storage configuration (§5.1).
@@ -80,7 +77,7 @@ void warm_cloud(cloud::XuanfengCloud& cloud, const workload::Catalog& catalog,
       }
       if (success[idx] < 0.0) continue;  // did not exist yet
       if (cloud.storage().contains(idx)) continue;
-      if (warm_rng.bernoulli(success[idx])) cloud.warm_cache(catalog.file(idx));
+      if (warm_rng.bernoulli(success[idx])) cloud.warm_cache(idx);
     }
   }
 }
@@ -215,7 +212,10 @@ StrategyWorld::StrategyWorld(const StrategyReplayConfig& config,
                             .generate(catalog_, users_, rng_)
                       : std::vector<workload::WorkloadRecord>{}),
       cloud_(sim_, net_, catalog_, config.experiment.sources,
-             config.experiment.cloud, rng_) {
+             config.experiment.cloud, rng_,
+             [this](const workload::TaskOutcome& outcome) {
+               executor_->on_cloud_outcome(outcome);
+             }) {
   Rng warm_rng = rng_.fork();
   warm_cloud(cloud_, catalog_, config_.experiment.requests.num_requests,
              config_.experiment.warmup_weeks, warm_rng);

@@ -110,6 +110,11 @@ struct CloudReplayResult {
   std::shared_ptr<workload::Catalog> catalog;
 };
 
+// Rough per-attempt pre-download success probability by popularity, used
+// only to warm a storage pool (the measurement week itself uses the real
+// source models). Shape: unpopular files often failed in past weeks too.
+double warm_success_probability(double weekly_popularity);
+
 // Warms the storage pool AND the content database with `weeks` weeks of
 // request history preceding the measurement week, drawing from `warm_rng`.
 // The last warm week's requests are recorded with (ascending) timestamps in

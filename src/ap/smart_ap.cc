@@ -36,7 +36,10 @@ std::uint64_t SmartAp::predownload(const workload::FileInfo& file,
   ODR_COUNT("ap.predownloads.submitted");
   Running r;
   r.done = std::move(done);
-  r.file = file;
+  r.file = file.index;
+  r.protocol = file.protocol;
+  r.size = file.size;
+  r.expected_weekly_requests = file.expected_weekly_requests;
   r.rate_restriction = rate_restriction;
   r.original_start = sim_.now();
   if (rebooting_) {
@@ -72,7 +75,7 @@ Bytes SmartAp::cancel(std::uint64_t id) {
   result.cause = proto::FailureCause::kAborted;
   result.started_at = run.original_start;
   result.finished_at = sim_.now();
-  result.file_size = run.file.size;
+  result.file_size = run.size;
   result.bytes_downloaded = run.preserved_bytes;
   result.traffic_bytes = run.prior_traffic;
   result.average_rate =
@@ -83,17 +86,16 @@ Bytes SmartAp::cancel(std::uint64_t id) {
 
 void SmartAp::start_task(std::uint64_t id, Running r) {
   const Bytes remaining =
-      r.file.size > r.preserved_bytes ? r.file.size - r.preserved_bytes : 1;
+      r.size > r.preserved_bytes ? r.size - r.preserved_bytes : 1;
 
-  auto source = proto::make_source(r.file.protocol,
-                                   r.file.expected_weekly_requests, sources_,
-                                   rng_);
+  auto source = proto::make_source(r.protocol, r.expected_weekly_requests,
+                                   sources_, rng_);
   proto::DownloadTask::Config cfg;
   // The line (restricted to the replayed user's bandwidth) and Bottleneck
   // 4, the storage write ceiling.
   cfg.rate_ceiling = std::min({kLineRate * kTransportEfficiency,
                                r.rate_restriction, io_.max_write_rate});
-  cfg.obs_file_index = r.file.index;
+  cfg.obs_file_index = r.file;
 
   r.task = std::make_unique<proto::DownloadTask>(
       sim_, net_, std::move(source), remaining, cfg,
@@ -132,9 +134,9 @@ void SmartAp::crash() {
     sim_.cancel(r.bug_event);
     r.bug_event = {};
     const Bytes attempt_bytes = r.task->bytes_done();
-    if (proto::is_p2p(r.file.protocol)) {
-      r.preserved_bytes = std::min<Bytes>(
-          r.file.size, r.preserved_bytes + attempt_bytes);
+    if (proto::is_p2p(r.protocol)) {
+      r.preserved_bytes =
+          std::min<Bytes>(r.size, r.preserved_bytes + attempt_bytes);
     } else {
       r.preserved_bytes = 0;
     }
@@ -144,7 +146,7 @@ void SmartAp::crash() {
                      r.task->source().traffic_factor()));
     r.task.reset();  // silent teardown: no callback, flow cancelled
     // The post-reboot restart is one more attempt from the span's view.
-    ODR_SPAN(note_file_retry(r.file.index));
+    ODR_SPAN(note_file_retry(r.file));
     if (++r.crash_resumes > kMaxCrashResumes) doomed.push_back(id);
   }
   // Deterministic failure-callback order regardless of hash-map layout.
@@ -159,7 +161,7 @@ void SmartAp::crash() {
     result.cause = proto::FailureCause::kCrash;
     result.started_at = r.original_start;
     result.finished_at = sim_.now();
-    result.file_size = r.file.size;
+    result.file_size = r.size;
     result.bytes_downloaded = r.preserved_bytes;
     result.traffic_bytes = r.prior_traffic;
     result.average_rate =
@@ -200,10 +202,10 @@ void SmartAp::on_done(std::uint64_t id, const proto::DownloadResult& result) {
   // Stitch crash-interrupted attempts into one user-visible result.
   proto::DownloadResult patched = result;
   patched.started_at = r.original_start;
-  patched.file_size = r.file.size;
-  patched.bytes_downloaded = std::min<Bytes>(
-      r.file.size, r.preserved_bytes + result.bytes_downloaded);
-  if (patched.success) patched.bytes_downloaded = r.file.size;
+  patched.file_size = r.size;
+  patched.bytes_downloaded =
+      std::min<Bytes>(r.size, r.preserved_bytes + result.bytes_downloaded);
+  if (patched.success) patched.bytes_downloaded = r.size;
   patched.traffic_bytes = result.traffic_bytes + r.prior_traffic;
   const SimTime elapsed = patched.duration();
   patched.average_rate =

@@ -99,8 +99,11 @@ class SmartAp {
     std::unique_ptr<proto::DownloadTask> task;
     DoneFn done;
     sim::EventHandle bug_event;
-    // Crash-recovery bookkeeping.
-    workload::FileInfo file;
+    // The four file fields the task reads, and crash-recovery bookkeeping.
+    workload::FileIndex file = workload::kInvalidFile;
+    proto::Protocol protocol = proto::Protocol::kBitTorrent;
+    Bytes size = 0;
+    double expected_weekly_requests = 0.0;
     Rate rate_restriction = net::kUnlimitedRate;
     SimTime original_start = 0;
     Bytes preserved_bytes = 0;  // verified on disk before the last crash

@@ -1,6 +1,7 @@
 #include "cloud/content_db.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "snapshot/format.h"
@@ -20,6 +21,15 @@ enum : std::uint16_t {
   kTagBackDigest = 7,
 };
 
+// Refuses a file past the `files` the database counts.
+void check_file(workload::FileIndex file, std::size_t files) {
+  if (file >= files) {
+    throw std::out_of_range("content db: file " + std::to_string(file) +
+                            " of a " + std::to_string(files) +
+                            "-file catalog");
+  }
+}
+
 }  // namespace
 
 void ContentDb::expire(SimTime now) const {
@@ -33,6 +43,7 @@ void ContentDb::expire(SimTime now) const {
 }
 
 void ContentDb::record_request(workload::FileIndex file, SimTime now) {
+  check_file(file, count_.size());
   expire(now);
   log_.push_back({now, file});
   ++count_[file];
@@ -42,6 +53,7 @@ void ContentDb::record_request(workload::FileIndex file, SimTime now) {
 
 double ContentDb::weekly_popularity(workload::FileIndex file,
                                     SimTime now) const {
+  check_file(file, count_.size());
   expire(now);
   return static_cast<double>(count_[file]);
 }

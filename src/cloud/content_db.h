@@ -46,7 +46,9 @@ class ContentDb {
   // Counts requests for file indices 0..files-1.
   explicit ContentDb(std::size_t files) : count_(files, 0) {}
 
-  // Records one request for `file` at time `now`.
+  // Records one request for `file` at time `now`. Like weekly_popularity,
+  // it throws std::out_of_range, naming the file and the table's size,
+  // before touching any state when `file` is past the table's end.
   void record_request(workload::FileIndex file, SimTime now);
 
   // Requests for `file` in the trailing week ending at `now`.

@@ -99,17 +99,31 @@ void check_request(const workload::WorkloadRecord& request,
   }
 }
 
+// The report of a predownload_only request: its ids and `pre`. It queries
+// no popularity, so reporting it expires no content-DB record.
+workload::TaskOutcome pre_only_outcome(const workload::WorkloadRecord& request,
+                                       const workload::PreDownloadRecord& pre) {
+  workload::TaskOutcome outcome;
+  outcome.task_id = request.task_id;
+  outcome.user_id = request.user_id;
+  outcome.file = request.file;
+  outcome.pre = pre;
+  return outcome;
+}
+
 }  // namespace
 
 XuanfengCloud::XuanfengCloud(sim::Simulator& sim, net::Network& net,
                              const workload::Catalog& catalog,
                              const proto::SourceParams& sources,
-                             const CloudConfig& config, Rng& rng)
+                             const CloudConfig& config, Rng& rng,
+                             OutcomeFn sink)
     : sim_(sim),
       net_(net),
       catalog_(catalog),
       config_(config),
       rng_(rng.fork()),
+      sink_(std::move(sink)),
       content_db_(catalog.size()),
       storage_(catalog, config.storage_capacity),
       uploads_(net, config, rng_),
@@ -119,8 +133,8 @@ XuanfengCloud::XuanfengCloud(sim::Simulator& sim, net::Network& net,
                         on_predownload_done(file, result);
                       }) {}
 
-void XuanfengCloud::warm_cache(const workload::FileInfo& file) {
-  storage_.insert(file.index);
+void XuanfengCloud::warm_cache(workload::FileIndex file) {
+  storage_.insert(file);
 }
 
 workload::PreDownloadRecord XuanfengCloud::make_cache_hit_record(
@@ -138,11 +152,7 @@ workload::PreDownloadRecord XuanfengCloud::make_cache_hit_record(
 workload::TaskOutcome XuanfengCloud::make_outcome(
     const workload::WorkloadRecord& request,
     const workload::PreDownloadRecord& pre) const {
-  workload::TaskOutcome outcome;
-  outcome.task_id = request.task_id;
-  outcome.user_id = request.user_id;
-  outcome.file = request.file;
-  outcome.pre = pre;
+  workload::TaskOutcome outcome = pre_only_outcome(request, pre);
   outcome.weekly_popularity =
       content_db_.weekly_popularity(request.file, sim_.now());
   outcome.popularity = workload::classify_popularity(outcome.weekly_popularity);
@@ -150,25 +160,8 @@ workload::TaskOutcome XuanfengCloud::make_outcome(
 }
 
 void XuanfengCloud::submit(const workload::WorkloadRecord& request,
-                           const workload::User& user, OutcomeFn on_done) {
+                           const workload::User& user) {
   check_request(request, catalog_);
-  content_db_.record_request(request.file, sim_.now());
-  submit_impl(request, user, std::move(on_done));
-}
-
-void XuanfengCloud::submit_clone(const workload::WorkloadRecord& request,
-                                 const workload::User& user,
-                                 OutcomeFn on_done) {
-  // No record_request: the hedge pair's primary leg already counted this
-  // request, and popularity statistics must see each user request once.
-  check_request(request, catalog_);
-  ODR_COUNT("cloud.tasks.clones");
-  submit_impl(request, user, std::move(on_done));
-}
-
-void XuanfengCloud::submit_impl(const workload::WorkloadRecord& request,
-                                const workload::User& user,
-                                OutcomeFn on_done) {
   ODR_COUNT("cloud.tasks.submitted");
   ODR_SPAN(on_submit(request.task_id, sim_.now(), obs::SpanOrigin::kCloud));
   ODR_SPAN(on_stage(request.task_id, obs::Stage::kCacheLookup, sim_.now(),
@@ -178,14 +171,13 @@ void XuanfengCloud::submit_impl(const workload::WorkloadRecord& request,
     ODR_COUNT("cloud.tasks.cache_hits");
     ODR_SPAN(on_cache_hit(request.task_id));
     begin_fetch(request, user.isp, user.access_bandwidth,
-                make_cache_hit_record(request), std::move(on_done));
+                make_cache_hit_record(request));
     return;
   }
 
   await_predownload(Waiter{.request = request,
                            .isp = user.isp,
-                           .access_bandwidth = user.access_bandwidth,
-                           .on_done = std::move(on_done)});
+                           .access_bandwidth = user.access_bandwidth});
 }
 
 void XuanfengCloud::await_predownload(Waiter w) {
@@ -214,7 +206,7 @@ Bytes XuanfengCloud::cancel_task(workload::TaskId id) {
     outcome.fetch.acquired_bytes = stats.bytes_done;
     outcome.fetched = false;
     outcome.aborted = true;
-    if (fetch.on_done) fetch.on_done(outcome);
+    report(outcome);
     return stats.bytes_done;
   }
   // Waiter stage: detach this task from the shared pre-download. The
@@ -233,41 +225,38 @@ Bytes XuanfengCloud::cancel_task(workload::TaskId id) {
       pre.success = false;
       pre.failure_cause = proto::FailureCause::kAborted;
       if (w.pre_only) {
-        w.pre_only(pre);
+        report(pre_only_outcome(w.request, pre));
         return 0;
       }
       workload::TaskOutcome outcome = make_outcome(w.request, pre);
       outcome.aborted = true;
-      if (w.on_done) w.on_done(outcome);
+      report(outcome);
       return 0;
     }
   }
   return 0;  // already terminal (or never here): cancel is a no-op
 }
 
-void XuanfengCloud::predownload_only(const workload::WorkloadRecord& request,
-                                     PreDownloadFn on_done) {
+void XuanfengCloud::predownload_only(const workload::WorkloadRecord& request) {
   check_request(request, catalog_);
-  content_db_.record_request(request.file, sim_.now());
   ODR_SPAN(on_submit(request.task_id, sim_.now(), obs::SpanOrigin::kCloud));
   ODR_SPAN(on_stage(request.task_id, obs::Stage::kCacheLookup, sim_.now(),
                     sim_.now()));
 
   if (storage_.lookup(request.file)) {
     ODR_SPAN(on_cache_hit(request.task_id));
-    if (on_done) on_done(make_cache_hit_record(request));
+    report(pre_only_outcome(request, make_cache_hit_record(request)));
     return;
   }
 
-  await_predownload(Waiter{.request = request, .pre_only = std::move(on_done)});
+  await_predownload(Waiter{.request = request, .pre_only = true});
 }
 
 void XuanfengCloud::fetch_only(const workload::WorkloadRecord& request,
                                const workload::User& user,
-                               workload::PreDownloadRecord pre,
-                               OutcomeFn on_done) {
-  begin_fetch(request, user.isp, user.access_bandwidth, std::move(pre),
-              std::move(on_done));
+                               workload::PreDownloadRecord pre) {
+  check_request(request, catalog_);
+  begin_fetch(request, user.isp, user.access_bandwidth, std::move(pre));
 }
 
 void XuanfengCloud::on_predownload_done(workload::FileIndex file,
@@ -313,22 +302,20 @@ void XuanfengCloud::on_predownload_done(workload::FileIndex file,
     pre.failure_cause = result.cause;
 
     if (w.pre_only) {
-      w.pre_only(pre);
+      report(pre_only_outcome(w.request, pre));
       continue;
     }
     if (!result.success) {
-      if (w.on_done) w.on_done(make_outcome(w.request, pre));
+      report(make_outcome(w.request, pre));
       continue;
     }
-    begin_fetch(w.request, w.isp, w.access_bandwidth, pre,
-                std::move(w.on_done));
+    begin_fetch(w.request, w.isp, w.access_bandwidth, pre);
   }
 }
 
 void XuanfengCloud::begin_fetch(const workload::WorkloadRecord& request,
                                 net::Isp isp, Rate access_bandwidth,
-                                workload::PreDownloadRecord pre,
-                                OutcomeFn on_done) {
+                                workload::PreDownloadRecord pre) {
   // Desired rate: the user's true access bandwidth, occasionally degraded
   // by residual network dynamics (the §4.2 "unknown" bucket).
   Rate desired = std::min(access_bandwidth, kMaxFetchRate);
@@ -344,7 +331,7 @@ void XuanfengCloud::begin_fetch(const workload::WorkloadRecord& request,
     // Rejected: the fetch never starts (observed speed 0, §4.2).
     outcome.fetch.finish_time = sim_.now();
     outcome.fetch.rejected = true;
-    if (on_done) on_done(outcome);
+    report(outcome);
     return;
   }
   outcome.privileged_path = plan.privileged;
@@ -357,8 +344,8 @@ void XuanfengCloud::begin_fetch(const workload::WorkloadRecord& request,
   spec.rate_cap = plan.rate;
   spec.on_complete = [this](net::FlowId id) { on_fetch_complete(id); };
   const net::FlowHandle flow = net_.start_flow(std::move(spec));
-  fetches_.emplace(flow.id, ActiveFetch{flow, std::move(outcome), plan,
-                                        overhead, std::move(on_done)});
+  fetches_.emplace(flow.id,
+                   ActiveFetch{flow, std::move(outcome), plan, overhead});
 }
 
 void XuanfengCloud::on_fetch_complete(net::FlowId id) {
@@ -382,7 +369,7 @@ void XuanfengCloud::on_fetch_complete(net::FlowId id) {
       size, outcome.fetch.finish_time - outcome.fetch.start_time);
   outcome.fetch.peak_rate = fetch.plan.rate;
   outcome.fetched = true;
-  if (fetch.on_done) fetch.on_done(outcome);
+  report(outcome);
 }
 
 std::vector<net::FlowId> XuanfengCloud::fetch_flow_ids() const {
@@ -426,8 +413,8 @@ void XuanfengCloud::save(snapshot::SnapshotWriter& w) const {
     for (const Waiter& waiter : waiters) {
       if (waiter.pre_only) {
         throw snapshot::SnapshotError(
-            "cloud: predownload_only waiter pending — its caller closure "
-            "cannot be checkpointed",
+            "cloud: predownload_only waiter pending — the tasks section "
+            "has no field for one",
             snapshot::SnapshotErrorKind::kUsage);
       }
       workload::save_workload_record(w, waiter.request);
@@ -451,7 +438,7 @@ void XuanfengCloud::save(snapshot::SnapshotWriter& w) const {
 
 void XuanfengCloud::debug_burn_rng_draw() { (void)rng_.next_u64(); }
 
-void XuanfengCloud::load(snapshot::SnapshotReader& r, OutcomeFn sink) {
+void XuanfengCloud::load(snapshot::SnapshotReader& r) {
   using snapshot::Subsystem;
   using snapshot::section_id;
   r.require_section(section_id(Subsystem::kRng), kSectionVersion);
@@ -493,7 +480,6 @@ void XuanfengCloud::load(snapshot::SnapshotReader& r, OutcomeFn sink) {
       waiter.isp = static_cast<net::Isp>(r.u8(kTagWaiterIsp));
       waiter.access_bandwidth = r.f64(kTagWaiterBandwidth);
       waiter.enqueued_at = r.i64(kTagWaiterEnqueuedAt);
-      waiter.on_done = sink;
       waiters.push_back(std::move(waiter));
     }
   }
@@ -507,7 +493,6 @@ void XuanfengCloud::load(snapshot::SnapshotReader& r, OutcomeFn sink) {
     check_file(fetch.outcome.file, catalog_, "active fetch outcome file");
     fetch.plan = load_plan(r);
     fetch.overhead = r.f64(kTagFetchOverhead);
-    fetch.on_done = sink;
     fetch.flow = net_.reattach_on_complete(
         flow, [this](net::FlowId id) { on_fetch_complete(id); });
     fetches_.emplace(flow, std::move(fetch));

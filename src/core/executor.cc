@@ -117,6 +117,7 @@ void Executor::execute(const Decision& decision,
                        const workload::WorkloadRecord& request,
                        const workload::User& user, odr::ap::SmartAp* ap,
                        DoneFn done) {
+  cloud_.content_db().record_request(request.file, sim_.now());
   Route route = decision.route;
   bool rerouted = false;
   if (cloud_breaker_ != nullptr && uses_cloud(route) &&
@@ -181,25 +182,7 @@ void Executor::execute(const Decision& decision,
     }
   }
 
-  switch (route) {
-    case Route::kCloud:
-      run_cloud(request, user, std::move(done));
-      return;
-    case Route::kUserDevice:
-      run_user_device(request, user, std::move(done));
-      return;
-    case Route::kSmartAp:
-      assert(ap != nullptr);
-      run_smart_ap(request, user, ap, std::move(done));
-      return;
-    case Route::kCloudThenSmartAp:
-      assert(ap != nullptr);
-      run_cloud_then_ap(request, user, ap, std::move(done));
-      return;
-    case Route::kCloudPreDownloadFirst:
-      run_predownload_first(request, user, ap, std::move(done));
-      return;
-  }
+  launch(route, request, user, ap, std::move(done));
 }
 
 ExecOutcome Executor::from_cloud_outcome(
@@ -247,29 +230,51 @@ ExecOutcome Executor::from_cloud_outcome(
   return e;
 }
 
-void Executor::run_cloud(const workload::WorkloadRecord& request,
-                         const workload::User& user, DoneFn done,
-                         bool record) {
-  auto cb = [this, request, done = std::move(done)](
-                const workload::TaskOutcome& outcome) {
-    if (done) done(from_cloud_outcome(outcome, request));
+void Executor::on_cloud_outcome(const workload::TaskOutcome& outcome) {
+  auto leg = cloud_legs_.extract(outcome.task_id);
+  assert(!leg.empty());
+  leg.mapped()(outcome);
+}
+
+void Executor::await_cloud(workload::TaskId id, CloudFn then) {
+  [[maybe_unused]] const bool fresh =
+      cloud_legs_.try_emplace(id, std::move(then)).second;
+  assert(fresh);
+}
+
+Executor::CloudFn Executor::fetch_leg(const workload::WorkloadRecord& request,
+                                      odr::ap::SmartAp* stage_ap,
+                                      DoneFn done) {
+  return [this, request, stage_ap, done = std::move(done)](
+             const workload::TaskOutcome& outcome) {
+    ExecOutcome e = from_cloud_outcome(outcome, request);
+    if (stage_ap != nullptr) {
+      e.route = Route::kCloudThenSmartAp;
+      if (e.success) {
+        // The slow cloud->AP hop happens in background; the user streams
+        // from the AP, so the task is not impeded even when that hop is
+        // below playback rate (this is the Bottleneck-1 remedy).
+        e.impeded = false;
+        finalize_lan_stage(std::move(e), stage_ap, done);
+        return;
+      }
+    }
+    if (done) done(e);
   };
-  if (record) {
-    cloud_.submit(request, user, std::move(cb));
-  } else {
-    cloud_.submit_clone(request, user, std::move(cb));
-  }
+}
+
+void Executor::run_cloud(const workload::WorkloadRecord& request,
+                         const workload::User& user, odr::ap::SmartAp* stage_ap,
+                         DoneFn done) {
+  await_cloud(request.task_id, fetch_leg(request, stage_ap, std::move(done)));
+  cloud_.submit(request, user);
 }
 
 std::uint64_t Executor::run_user_device(const workload::WorkloadRecord& request,
                                         const workload::User& /*user*/,
-                                        DoneFn done, bool record) {
-  // ODR sits in front of the content database, so requests it redirects
-  // away from the cloud still update the popularity statistics. (The user
-  // is not consulted: §6.2 testbed downloads run behind the testbed line.)
-  // Hedged secondary clones skip the recording: the primary leg already
-  // counted this request.
-  if (record) cloud_.content_db().record_request(request.file, sim_.now());
+                                        DoneFn done) {
+  // The user is not consulted: §6.2 testbed downloads run behind the
+  // testbed line.
   const workload::FileInfo& file = catalog_.file(request.file);
   auto source = proto::make_source(file.protocol,
                                    file.expected_weekly_requests, sources_,
@@ -346,9 +351,7 @@ void Executor::finalize_lan_stage(ExecOutcome outcome, odr::ap::SmartAp* ap,
 
 std::uint64_t Executor::run_smart_ap(const workload::WorkloadRecord& request,
                                      const workload::User& /*user*/,
-                                     odr::ap::SmartAp* ap, DoneFn done,
-                                     bool record) {
-  if (record) cloud_.content_db().record_request(request.file, sim_.now());
+                                     odr::ap::SmartAp* ap, DoneFn done) {
   const workload::FileInfo& file = catalog_.file(request.file);
   return ap->predownload(
       file, net::kUnlimitedRate,  // testbed: the AP's own line is the cap
@@ -381,37 +384,15 @@ std::uint64_t Executor::run_smart_ap(const workload::WorkloadRecord& request,
       });
 }
 
-void Executor::run_cloud_then_ap(const workload::WorkloadRecord& request,
-                                 const workload::User& user,
-                                 odr::ap::SmartAp* ap, DoneFn done) {
-  // The AP (on the household line) fetches from the cloud in background;
-  // the user then pulls from the AP over the LAN. Cloud-side mechanics are
-  // identical to a normal fetch by this household.
-  cloud_.submit(
-      request, user,
-      [this, request, ap, done = std::move(done)](
-          const workload::TaskOutcome& outcome) {
-        ExecOutcome e = from_cloud_outcome(outcome, request);
-        e.route = Route::kCloudThenSmartAp;
-        if (!e.success) {
-          if (done) done(e);
-          return;
-        }
-        // The slow cloud->AP hop happens in background; the user streams
-        // from the AP, so the task is not impeded even when that hop is
-        // below playback rate (this is the Bottleneck-1 remedy).
-        e.impeded = false;
-        finalize_lan_stage(std::move(e), ap, done);
-      });
-}
-
 void Executor::run_predownload_first(const workload::WorkloadRecord& request,
                                      const workload::User& user,
                                      odr::ap::SmartAp* ap, DoneFn done) {
-  cloud_.predownload_only(
-      request,
+  // The pre-download leg reports only the request's ids and its record.
+  await_cloud(
+      request.task_id,
       [this, request, user, ap, done = std::move(done)](
-          const workload::PreDownloadRecord& pre) {
+          const workload::TaskOutcome& pre_outcome) {
+        const workload::PreDownloadRecord& pre = pre_outcome.pre;
         if (!pre.success) {
           ExecOutcome e;
           e.task_id = request.task_id;
@@ -432,20 +413,11 @@ void Executor::run_predownload_first(const workload::WorkloadRecord& request,
         in.cached_in_cloud = true;
         const bool bottleneck1 =
             redirector_.cloud_path_bottleneck(in) && ap != nullptr;
-        cloud_.fetch_only(
-            request, user, pre,
-            [this, request, ap, bottleneck1, done = std::move(done)](
-                const workload::TaskOutcome& outcome) {
-              ExecOutcome e = from_cloud_outcome(outcome, request);
-              e.route = bottleneck1 ? Route::kCloudThenSmartAp : Route::kCloud;
-              if (e.success && bottleneck1) {
-                e.impeded = false;
-                finalize_lan_stage(std::move(e), ap, done);
-                return;
-              }
-              if (done) done(e);
-            });
+        await_cloud(request.task_id,
+                    fetch_leg(request, bottleneck1 ? ap : nullptr, done));
+        cloud_.fetch_only(request, user, pre);
       });
+  cloud_.predownload_only(request);
 }
 
 Route Executor::hedge_secondary_for(Route primary, const odr::ap::SmartAp* ap) {
@@ -459,41 +431,37 @@ Route Executor::hedge_secondary_for(Route primary, const odr::ap::SmartAp* ap) {
   return ap != nullptr ? Route::kSmartAp : Route::kCloud;
 }
 
-std::function<Bytes()> Executor::launch_clone(
-    Route route, const workload::WorkloadRecord& request,
-    const workload::User& user, odr::ap::SmartAp* ap, DoneFn done,
-    bool record) {
+std::function<Bytes()> Executor::launch(Route route,
+                                        const workload::WorkloadRecord& request,
+                                        const workload::User& user,
+                                        odr::ap::SmartAp* ap, DoneFn done) {
   switch (route) {
-    case Route::kCloud:
-      run_cloud(request, user, std::move(done), record);
-      return [this, id = request.task_id] { return cloud_.cancel_task(id); };
     case Route::kUserDevice: {
-      const std::uint64_t id =
-          run_user_device(request, user, std::move(done), record);
+      const std::uint64_t id = run_user_device(request, user, std::move(done));
       return [this, id] { return cancel_direct(id); };
     }
     case Route::kSmartAp: {
       assert(ap != nullptr);
-      const std::uint64_t id =
-          run_smart_ap(request, user, ap, std::move(done), record);
+      const std::uint64_t id = run_smart_ap(request, user, ap, std::move(done));
       return [ap, id] { return ap->cancel(id); };
     }
-    // Compound cloud routes only ever run as the PRIMARY leg (the
-    // secondary is always one of the three plain backends above), so the
-    // clone-dedup `record` flag never applies here. They stay cancellable
-    // while the cloud leg runs; once the LAN hop begins the thunk finds
-    // nothing in flight and a natural completion is counted as wasted
-    // work by the race instead.
+    case Route::kCloud:
+      run_cloud(request, user, nullptr, std::move(done));
+      break;
     case Route::kCloudThenSmartAp:
-      assert(ap != nullptr && record);
-      run_cloud_then_ap(request, user, ap, std::move(done));
-      return [this, id = request.task_id] { return cloud_.cancel_task(id); };
+      // The AP (on the household line) fetches from the cloud in
+      // background; the user then pulls from the AP over the LAN.
+      assert(ap != nullptr);
+      run_cloud(request, user, ap, std::move(done));
+      break;
     case Route::kCloudPreDownloadFirst:
-      assert(record);
       run_predownload_first(request, user, ap, std::move(done));
-      return [this, id = request.task_id] { return cloud_.cancel_task(id); };
+      break;
   }
-  return {};
+  // A cloud route stays cancellable while its cloud leg runs; once a LAN
+  // hop begins the thunk finds nothing in flight and a natural completion
+  // is counted as wasted work by the race instead.
+  return [this, id = request.task_id] { return cloud_.cancel_task(id); };
 }
 
 namespace {
@@ -606,12 +574,14 @@ void Executor::run_hedged(Route primary, Route secondary, bool rerouted,
     }
   };
 
-  race->cancel_primary = launch_clone(
-      primary, request, user, ap,
-      [handle](const ExecOutcome& o) { handle(true, o); }, /*record=*/true);
-  race->cancel_secondary = launch_clone(
-      secondary, request, user, ap,
-      [handle](const ExecOutcome& o) { handle(false, o); }, /*record=*/false);
+  race->cancel_primary =
+      launch(primary, request, user, ap,
+             [handle](const ExecOutcome& o) { handle(true, o); });
+  // The secondary is one of the three plain backends, never the primary's.
+  if (secondary == Route::kCloud) ODR_COUNT("cloud.tasks.clones");
+  race->cancel_secondary =
+      launch(secondary, request, user, ap,
+             [handle](const ExecOutcome& o) { handle(false, o); });
 }
 
 }  // namespace odr::core

@@ -5,6 +5,11 @@
 // DownloadTasks), producing one ExecOutcome per task with everything the
 // §6.2 evaluation measures: end-to-end delay, user-perceived fetch rate,
 // impeded/rejected flags, and the cloud-uplink bytes the task cost.
+//
+// ODR sits in front of the content database (§6.1): execute() records each
+// request there once, whatever route or hedge serves it. The cloud's one
+// sink is on_cloud_outcome(), which finds each cloud leg's continuation in
+// a table keyed by task id.
 #pragma once
 
 #include <functional>
@@ -83,7 +88,9 @@ class Executor {
                            const workload::User& user,
                            const odr::ap::SmartAp* ap) const;
 
-  // Executes `decision`; `ap` may be null unless the route needs one.
+  // Records the request in the content database, then executes `decision`;
+  // `ap` may be null unless the route needs one. A file past the catalog
+  // throws std::out_of_range before any state is touched.
   void execute(const Decision& decision,
                const workload::WorkloadRecord& request,
                const workload::User& user, odr::ap::SmartAp* ap, DoneFn done);
@@ -112,19 +119,30 @@ class Executor {
   // The disjoint backend a hedged clone of `primary` runs on.
   static Route hedge_secondary_for(Route primary, const odr::ap::SmartAp* ap);
 
+  // The sink of the executor's cloud: hands `outcome` to the continuation
+  // of its task's cloud leg, taking that entry out of the table first.
+  void on_cloud_outcome(const workload::TaskOutcome& outcome);
+
  private:
+  using CloudFn = cloud::XuanfengCloud::OutcomeFn;
+
+  // Files `then` as the continuation of task `id`'s cloud leg, before the
+  // cloud call that may report synchronously. A task has one cloud leg at
+  // a time: a hedge's secondary never shares the primary's substrate.
+  void await_cloud(workload::TaskId id, CloudFn then);
+
+  // The continuation of a cloud fetch: the ExecOutcome, staged through
+  // `stage_ap` over the LAN when one is given (kCloudThenSmartAp).
+  CloudFn fetch_leg(const workload::WorkloadRecord& request,
+                    odr::ap::SmartAp* stage_ap, DoneFn done);
   void run_cloud(const workload::WorkloadRecord& request,
-                 const workload::User& user, DoneFn done,
-                 bool record = true);
+                 const workload::User& user, odr::ap::SmartAp* stage_ap,
+                 DoneFn done);
   std::uint64_t run_user_device(const workload::WorkloadRecord& request,
-                                const workload::User& user, DoneFn done,
-                                bool record = true);
+                                const workload::User& user, DoneFn done);
   std::uint64_t run_smart_ap(const workload::WorkloadRecord& request,
                              const workload::User& user, odr::ap::SmartAp* ap,
-                             DoneFn done, bool record = true);
-  void run_cloud_then_ap(const workload::WorkloadRecord& request,
-                         const workload::User& user, odr::ap::SmartAp* ap,
-                         DoneFn done);
+                             DoneFn done);
   void run_predownload_first(const workload::WorkloadRecord& request,
                              const workload::User& user, odr::ap::SmartAp* ap,
                              DoneFn done);
@@ -135,13 +153,12 @@ class Executor {
                   const workload::WorkloadRecord& request,
                   const workload::User& user, odr::ap::SmartAp* ap,
                   DoneFn done);
-  // Launches one clone of a hedged pair on `route`; returns the cancel
-  // thunk for that clone (a no-op returning 0 once the clone finished).
-  std::function<Bytes()> launch_clone(Route route,
-                                      const workload::WorkloadRecord& request,
-                                      const workload::User& user,
-                                      odr::ap::SmartAp* ap, DoneFn done,
-                                      bool record);
+  // Runs the task on `route`; returns its cancel thunk (a no-op returning
+  // 0 once the task finished), which a hedged race keeps for its loser.
+  std::function<Bytes()> launch(Route route,
+                                const workload::WorkloadRecord& request,
+                                const workload::User& user,
+                                odr::ap::SmartAp* ap, DoneFn done);
   // Aborts an in-flight direct download; returns the bytes it had moved.
   Bytes cancel_direct(std::uint64_t id);
 
@@ -165,6 +182,8 @@ class Executor {
   std::unordered_map<std::uint64_t,
                      std::unique_ptr<proto::DownloadTask>> direct_tasks_;
   std::uint64_t next_direct_ = 1;
+  // The continuation of each task's cloud leg, by task id.
+  std::unordered_map<workload::TaskId, CloudFn> cloud_legs_;
 
   CircuitBreaker* cloud_breaker_ = nullptr;
   CircuitBreaker* ap_breaker_ = nullptr;

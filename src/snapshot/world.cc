@@ -156,7 +156,11 @@ void CloudWorld::build(bool warm) {
 }
 
 void CloudWorld::start_cloud(Rng& rng, std::size_t warm_requests) {
-  cloud_.emplace(sim_, net_, *catalog_, config_.sources, config_.cloud, rng);
+  cloud_.emplace(sim_, net_, *catalog_, config_.sources, config_.cloud, rng,
+                 [this](const workload::TaskOutcome& outcome) {
+                   analysis::finish_cloud_task_span(outcome);
+                   outcomes_.push_back(outcome);
+                 });
   // Warm the pool and content DB with the preceding weeks' history. The
   // fork happens even when the warm-up is skipped, so the main stream's
   // later draws do not depend on it.
@@ -207,13 +211,6 @@ void CloudWorld::arm_checkpoint_tick() {
   }
 }
 
-cloud::XuanfengCloud::OutcomeFn CloudWorld::outcome_sink() {
-  return [this](const workload::TaskOutcome& outcome) {
-    analysis::finish_cloud_task_span(outcome);
-    outcomes_.push_back(outcome);
-  };
-}
-
 void CloudWorld::on_arrival() {
   const workload::WorkloadRecord& request = requests_[next_arrival_++];
   if (next_arrival_ < requests_.size()) {
@@ -221,7 +218,9 @@ void CloudWorld::on_arrival() {
                            requests_[next_arrival_].request_time,
                            [this] { on_arrival(); });
   }
-  cloud_->submit(request, users_->user(request.user_id), outcome_sink());
+  // The world receives each user request, so it records it (§6.1).
+  cloud_->content_db().record_request(request.file, sim_.now());
+  cloud_->submit(request, users_->user(request.user_id));
 }
 
 std::uint64_t CloudWorld::run(std::uint64_t max_events) {
@@ -531,7 +530,7 @@ void CloudWorld::load_from(const std::string& buffer) {
   net_.load(r);
   r.end_section();
 
-  cloud_->load(r, outcome_sink());
+  cloud_->load(r);
 
   r.require_section(section_id(Subsystem::kFault), kFaultVersion);
   const bool has_injector = r.b(kTagHasInjector);

@@ -152,7 +152,9 @@ class CloudWorld {
   // warm-up (`warm` false), whose pool and content-DB state load replaces.
   void build(bool warm);
   // The build steps both workload sources share, in rng draw order: the
-  // cloud and its warm-up over `warm_requests` weekly requests (0 skips
+  // cloud, whose one sink finishes each task's span and logs its outcome
+  // (a restore builds it the same way, so load rebinds nothing), and its
+  // warm-up over `warm_requests` weekly requests (0 skips
   // it; the warm-up's rng is forked either way), then (once requests_ is
   // final) the fault injector, the arrivals and the observability wiring.
   // schedule_week returns the last arrival time.
@@ -171,7 +173,6 @@ class CloudWorld {
   // recorded since the last call.
   std::uint32_t log_crc() const;
   void load_from(const std::string& buffer);
-  cloud::XuanfengCloud::OutcomeFn outcome_sink();
   std::uint64_t config_fingerprint() const;
 
   analysis::ExperimentConfig config_;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,6 +142,34 @@ void load_db(ContentDb& db, const std::string& bytes) {
   r.require_section(2, 1);
   db.load_window(r);
   r.end_section();
+}
+
+// A file past the table throws std::out_of_range naming the file and the
+// table's size, before expiry: at 9 days the day-0 record would expire.
+void expect_refused_past_table(ContentDb& db,
+                               const std::function<void()>& call) {
+  const std::string before = save_db(db);
+  try {
+    call();
+    ADD_FAILURE() << "a file past the table was taken";
+  } catch (const std::out_of_range& e) {
+    const std::string what(e.what());
+    EXPECT_NE(what.find("file 3 of a 3-file catalog"), std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(save_db(db), before);
+}
+
+TEST(ContentDbTest, RecordRequestRefusesAFilePastTheTable) {
+  ContentDb db(3);
+  db.record_request(2, 0);
+  expect_refused_past_table(db, [&] { db.record_request(3, 9 * kDay); });
+}
+
+TEST(ContentDbTest, WeeklyPopularityRefusesAFilePastTheTable) {
+  ContentDb db(3);
+  db.record_request(2, 0);
+  expect_refused_past_table(db, [&] { db.weekly_popularity(3, 9 * kDay); });
 }
 
 TEST(ContentDbTest, SaveLoadMidStreamContinuesIdentically) {

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "core/budget.h"
 #include "core/circuit_breaker.h"
 #include "core/hedge.h"
 #include "net/isp.h"
+#include "snapshot/format.h"
 
 namespace odr::core {
 namespace {
@@ -23,8 +26,7 @@ class ExecutorTest : public ::testing::Test {
 
     cloud_config.total_upload_capacity = mbps_to_rate(100.0);
     cloud_config.dynamics_prob = 0.0;
-    cloud = std::make_unique<cloud::XuanfengCloud>(sim, net, *catalog, sources,
-                                                   cloud_config, rng);
+    cloud = make_cloud(sources);
 
     ap_config.hardware = odr::ap::kMiWiFi;
     ap_config.device = odr::ap::DeviceType::kSataHdd;
@@ -34,6 +36,16 @@ class ExecutorTest : public ::testing::Test {
 
     executor = std::make_unique<Executor>(sim, net, *catalog, *cloud, sources,
                                           RedirectorParams{}, rng);
+  }
+
+  // A cloud over `source_params` that reports to the fixture's executor.
+  std::unique_ptr<cloud::XuanfengCloud> make_cloud(
+      const proto::SourceParams& source_params) {
+    return std::make_unique<cloud::XuanfengCloud>(
+        sim, net, *catalog, source_params, cloud_config, rng,
+        [this](const workload::TaskOutcome& o) {
+          executor->on_cloud_outcome(o);
+        });
   }
 
   workload::WorkloadRecord request_for(workload::FileIndex file,
@@ -69,10 +81,19 @@ class ExecutorTest : public ::testing::Test {
     starved = sources;
     starved.swarm.base_seed_mean = 0.0;
     starved.swarm.seeds_per_popularity = 0.0;
-    cloud = std::make_unique<cloud::XuanfengCloud>(sim, net, *catalog, starved,
-                                                   cloud_config, rng);
+    cloud = make_cloud(starved);
     ap = std::make_unique<odr::ap::SmartAp>(sim, net, ap_config, starved, rng);
     executor = std::make_unique<Executor>(sim, net, *catalog, *cloud, starved,
+                                          RedirectorParams{}, rng);
+  }
+
+  // Rebuilds the cloud and executor over upload clusters far below the
+  // admission floor: every fetch is rejected the moment it is planned.
+  void rebuild_starved_uploads() {
+    cloud_config.total_upload_capacity = kbps_to_rate(40.0);
+    cloud_config.admission_floor = kbps_to_rate(125.0);
+    cloud = make_cloud(sources);
+    executor = std::make_unique<Executor>(sim, net, *catalog, *cloud, sources,
                                           RedirectorParams{}, rng);
   }
 
@@ -107,7 +128,7 @@ class ExecutorTest : public ::testing::Test {
 };
 
 TEST_F(ExecutorTest, CloudRouteProducesFullOutcome) {
-  cloud->warm_cache(catalog->file(0));
+  cloud->warm_cache(0);
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(500));
   std::optional<ExecOutcome> outcome;
   executor->execute(route(Route::kCloud), request_for(0, user), user, nullptr,
@@ -123,7 +144,7 @@ TEST_F(ExecutorTest, CloudRouteProducesFullOutcome) {
 }
 
 TEST_F(ExecutorTest, CloudRouteSlowUserIsImpeded) {
-  cloud->warm_cache(catalog->file(1));
+  cloud->warm_cache(1);
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(60));
   std::optional<ExecOutcome> outcome;
   executor->execute(route(Route::kCloud), request_for(1, user), user, nullptr,
@@ -179,7 +200,7 @@ TEST_F(ExecutorTest, SmartApRouteEndsWithLanFetch) {
 }
 
 TEST_F(ExecutorTest, CloudThenApShieldsSlowUserFromImpediment) {
-  cloud->warm_cache(catalog->file(2));
+  cloud->warm_cache(2);
   const workload::User user = make_user(net::Isp::kOther, kbps_to_rate(400));
   std::optional<ExecOutcome> outcome;
   executor->execute(route(Route::kCloudThenSmartAp), request_for(2, user),
@@ -223,8 +244,7 @@ TEST_F(ExecutorTest, PreDownloadFailurePropagates) {
   proto::SourceParams starved = sources;
   starved.swarm.base_seed_mean = 0.0;
   starved.swarm.seeds_per_popularity = 0.0;
-  cloud = std::make_unique<cloud::XuanfengCloud>(sim, net, *catalog, starved,
-                                                 cloud_config, rng);
+  cloud = make_cloud(starved);
   executor = std::make_unique<Executor>(sim, net, *catalog, *cloud, starved,
                                         RedirectorParams{}, rng);
   workload::FileIndex p2p_file = 0;
@@ -246,7 +266,7 @@ TEST_F(ExecutorTest, PreDownloadFailurePropagates) {
 }
 
 TEST_F(ExecutorTest, MakeInputReflectsWorldState) {
-  cloud->warm_cache(catalog->file(5));
+  cloud->warm_cache(5);
   cloud->content_db().record_request(5, sim.now());
   cloud->content_db().record_request(5, sim.now());
   const workload::User user = make_user(net::Isp::kCernet, kbps_to_rate(300));
@@ -274,7 +294,7 @@ TEST_F(ExecutorTest, HedgedPrimaryWinCancelsLoserAndRecordsOnce) {
   rebuild_starved();
   HedgeCoordinator& h = enable_hedging();
   const workload::FileIndex file = first_p2p_file();
-  cloud->warm_cache(catalog->file(file));  // primary: fast cache hit
+  cloud->warm_cache(file);  // primary: fast cache hit
   const workload::User user =
       make_user(net::Isp::kUnicom, kbps_to_rate(20000));
   std::optional<ExecOutcome> outcome;
@@ -303,7 +323,7 @@ TEST_F(ExecutorTest, HedgedSecondaryWinReportsSecondaryRoute) {
   rebuild_starved();
   HedgeCoordinator& h = enable_hedging();
   const workload::FileIndex file = first_p2p_file();
-  cloud->warm_cache(catalog->file(file));  // secondary: fast cache hit
+  cloud->warm_cache(file);  // secondary: fast cache hit
   const workload::User user =
       make_user(net::Isp::kUnicom, kbps_to_rate(20000));
   std::optional<ExecOutcome> outcome;
@@ -352,7 +372,7 @@ TEST_F(ExecutorTest, HedgedBudgetExhaustedDegradesToPlainPath) {
   bcfg.global_refill_per_hour = 0.0;
   RetryBudget budget(bcfg);
   h.set_budget(&budget);
-  cloud->warm_cache(catalog->file(0));
+  cloud->warm_cache(0);
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(500));
   std::optional<ExecOutcome> outcome;
   executor->execute(hedged(Route::kCloud), request_for(0, user), user,
@@ -388,7 +408,7 @@ TEST_F(ExecutorTest, HalfOpenLoserCancelReleasesProbe) {
   sim.run();
 
   const workload::FileIndex file = first_p2p_file();
-  cloud->warm_cache(catalog->file(file));
+  cloud->warm_cache(file);
   const workload::User user =
       make_user(net::Isp::kUnicom, kbps_to_rate(20000));
   std::optional<ExecOutcome> outcome;
@@ -405,6 +425,126 @@ TEST_F(ExecutorTest, HalfOpenLoserCancelReleasesProbe) {
   EXPECT_EQ(ap_bk.probes_inflight(), 0u);
   EXPECT_EQ(ap_bk.times_opened(), 1u);  // the cancel did not re-trip it
   EXPECT_TRUE(ap_bk.allow());           // and the probe slot is free again
+}
+
+// --- the content DB and the cloud's table of legs ----------------------------
+
+// A request past the catalog is refused before the content DB counts it or
+// a direct download starts.
+TEST_F(ExecutorTest, UserDeviceRouteRefusesAFilePastTheCatalog) {
+  ASSERT_EQ(catalog->size(), 300u);
+  const workload::User user = make_user(net::Isp::kTelecom, kbps_to_rate(800));
+  cloud->content_db().record_request(4, sim.now());
+  const auto db_state = [&] {
+    snapshot::SnapshotWriter w;
+    w.begin_section(1, 1);
+    cloud->content_db().save(w);
+    cloud->content_db().save_window(w);
+    w.end_section();
+    return w.take();
+  };
+  const std::string before = db_state();
+  bool called = false;
+  try {
+    executor->execute(route(Route::kUserDevice), request_for(300, user), user,
+                      nullptr, [&](const ExecOutcome&) { called = true; });
+    ADD_FAILURE() << "a request for a file past the catalog was taken";
+  } catch (const std::out_of_range& e) {
+    const std::string what(e.what());
+    EXPECT_NE(what.find("file 300 of a 300-file catalog"), std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(db_state(), before);
+  EXPECT_EQ(sim.pending_count(), 0u);
+  EXPECT_FALSE(called);
+}
+
+// A cache hit on a cluster that cannot admit the fetch reports inside
+// submit(): the leg's continuation is filed before the call.
+TEST_F(ExecutorTest, RejectionInsideSubmitReachesDone) {
+  rebuild_starved_uploads();
+  cloud->warm_cache(0);
+  const workload::User user = make_user(net::Isp::kUnicom, mbps_to_rate(10));
+  std::optional<ExecOutcome> outcome;
+  executor->execute(route(Route::kCloud), request_for(0, user), user, nullptr,
+                    [&](const ExecOutcome& o) { outcome = o; });
+  ASSERT_TRUE(outcome.has_value());  // before the simulation runs at all
+  EXPECT_FALSE(outcome->success);
+  EXPECT_TRUE(outcome->rejected);
+  EXPECT_EQ(outcome->cause, proto::FailureCause::kRejected);
+  EXPECT_EQ(outcome->route, Route::kCloud);
+  EXPECT_DOUBLE_EQ(cloud->content_db().weekly_popularity(0, sim.now()), 1.0);
+}
+
+// The pre-download-first route: the cache hit reports inside
+// predownload_only(), and its continuation's fetch is rejected inside
+// fetch_only().
+TEST_F(ExecutorTest, RejectionInsideFetchOnlyReachesDone) {
+  rebuild_starved_uploads();
+  cloud->warm_cache(0);
+  const workload::User user = make_user(net::Isp::kUnicom, mbps_to_rate(10));
+  std::optional<ExecOutcome> outcome;
+  executor->execute(route(Route::kCloudPreDownloadFirst), request_for(0, user),
+                    user, nullptr, [&](const ExecOutcome& o) { outcome = o; });
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->success);
+  EXPECT_TRUE(outcome->rejected);
+  EXPECT_EQ(outcome->cause, proto::FailureCause::kRejected);
+  EXPECT_EQ(outcome->route, Route::kCloud);
+  EXPECT_EQ(outcome->pre_delay, 0);
+  EXPECT_EQ(cloud->uploads().rejected_count(), 1u);
+}
+
+// The AP primary wins while the cloud clone waits on a pre-download that
+// starved swarms stall: the clone's waiter is cancelled, the shared
+// pre-download keeps running, and the request counts once.
+TEST_F(ExecutorTest, HedgedCloudCloneCancelledWhileWaiting) {
+  starved = sources;
+  starved.swarm.base_seed_mean = 0.0;
+  starved.swarm.seeds_per_popularity = 0.0;
+  cloud = make_cloud(starved);  // the AP keeps the healthy swarms
+  executor = std::make_unique<Executor>(sim, net, *catalog, *cloud, sources,
+                                        RedirectorParams{}, rng);
+  HedgeCoordinator& h = enable_hedging();
+  const workload::FileIndex file = first_p2p_file();
+  const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(500));
+  std::optional<ExecOutcome> outcome;
+  executor->execute(hedged(Route::kSmartAp), request_for(file, user), user,
+                    ap.get(), [&](const ExecOutcome& o) { outcome = o; });
+  sim.run_until(30 * kMinute);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_TRUE(outcome->success);
+  EXPECT_EQ(outcome->route, Route::kSmartAp);
+  EXPECT_FALSE(outcome->hedge_secondary_won);
+  EXPECT_EQ(h.cancelled_clones(), 1u);
+  EXPECT_EQ(h.wasted_bytes(), 0u);  // a waiter had moved nothing
+  EXPECT_EQ(cloud->inflight_predownload_count(), 1u);
+  sim.run();
+  EXPECT_EQ(cloud->inflight_predownload_count(), 0u);
+  EXPECT_DOUBLE_EQ(cloud->content_db().weekly_popularity(file, sim.now()),
+                   1.0);
+}
+
+// The AP primary wins while the cloud clone streams the cached file to a
+// slow user: the clone's fetch is cancelled and its bytes count as waste.
+TEST_F(ExecutorTest, HedgedCloudCloneCancelledWhileFetching) {
+  HedgeCoordinator& h = enable_hedging();
+  const workload::FileIndex file = first_p2p_file();
+  cloud->warm_cache(file);
+  const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(20));
+  std::optional<ExecOutcome> outcome;
+  executor->execute(hedged(Route::kSmartAp), request_for(file, user), user,
+                    ap.get(), [&](const ExecOutcome& o) { outcome = o; });
+  ASSERT_EQ(cloud->active_fetch_count(), 1u);
+  sim.run();
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_TRUE(outcome->success);
+  EXPECT_EQ(outcome->route, Route::kSmartAp);
+  EXPECT_FALSE(outcome->hedge_secondary_won);
+  EXPECT_EQ(h.cancelled_clones(), 1u);
+  EXPECT_GT(h.wasted_bytes(), 0u);
+  EXPECT_EQ(cloud->active_fetch_count(), 0u);
+  EXPECT_EQ(cloud->uploads().admitted_count(), 1u);
 }
 
 }  // namespace

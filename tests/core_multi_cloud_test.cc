@@ -20,7 +20,7 @@ class MultiCloudTest : public ::testing::Test {
       cloud::CloudConfig cc;
       cc.total_upload_capacity = kbps_to_rate(1000.0 * (i + 1));
       clouds.push_back(std::make_unique<cloud::XuanfengCloud>(
-          sim, net, *catalog, proto::SourceParams{}, cc, rng));
+          sim, net, *catalog, proto::SourceParams{}, cc, rng, nullptr));
     }
     selector = std::make_unique<MultiCloudSelector>(
         std::vector<cloud::XuanfengCloud*>{clouds[0].get(), clouds[1].get(),
@@ -37,7 +37,7 @@ class MultiCloudTest : public ::testing::Test {
 
 TEST_F(MultiCloudTest, PrefersCloudWithCachedCopy) {
   const auto& file = catalog->file(0);
-  clouds[0]->warm_cache(file);  // only the smallest cloud has it
+  clouds[0]->warm_cache(file.index);  // only the smallest cloud has it
   const auto choice = selector->choose(file.index, net::Isp::kUnicom);
   EXPECT_EQ(choice.cloud, 0u);
   EXPECT_TRUE(choice.cached);
@@ -45,8 +45,8 @@ TEST_F(MultiCloudTest, PrefersCloudWithCachedCopy) {
 
 TEST_F(MultiCloudTest, AmongCachedPicksMostHeadroom) {
   const auto& file = catalog->file(1);
-  clouds[0]->warm_cache(file);
-  clouds[2]->warm_cache(file);  // bigger uplink
+  clouds[0]->warm_cache(file.index);
+  clouds[2]->warm_cache(file.index);  // bigger uplink
   const auto choice = selector->choose(file.index, net::Isp::kTelecom);
   EXPECT_EQ(choice.cloud, 2u);
   EXPECT_TRUE(choice.cached);
@@ -81,7 +81,7 @@ TEST_F(MultiCloudTest, OutOfIspUsersUseBestClusterHeadroom) {
 TEST_F(MultiCloudTest, CachedAnywhereIsTheUnion) {
   const auto& a = catalog->file(5);
   const auto& b = catalog->file(6);
-  clouds[1]->warm_cache(a);
+  clouds[1]->warm_cache(a.index);
   EXPECT_TRUE(selector->cached_anywhere(a.index));
   EXPECT_FALSE(selector->cached_anywhere(b.index));
 }

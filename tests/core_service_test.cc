@@ -19,7 +19,8 @@ class ServiceTest : public ::testing::Test {
     cp.total_weekly_requests = 2900;
     catalog = std::make_unique<workload::Catalog>(cp, rng);
     cloud = std::make_unique<cloud::XuanfengCloud>(
-        sim, net, *catalog, proto::SourceParams{}, cloud::CloudConfig{}, rng);
+        sim, net, *catalog, proto::SourceParams{}, cloud::CloudConfig{}, rng,
+        nullptr);
     service = std::make_unique<OdrService>(redirector, *cloud, *catalog,
                                            net::IpResolver::china_2015());
   }
@@ -145,7 +146,7 @@ TEST_F(ServiceTest, StaleCookieFallsBackToExplicitFields) {
 }
 
 TEST_F(ServiceTest, IspResolutionFeedsBottleneck1) {
-  cloud->warm_cache(file(0));
+  cloud->warm_cache(file(0).index);
   ServiceRequest r = base_request(file(0).source_link);
   r.client_ip = "8.8.8.8";  // outside the four major ISPs
   const auto resp = service->handle(r, 0);
@@ -157,7 +158,7 @@ TEST_F(ServiceTest, IspResolutionFeedsBottleneck1) {
 }
 
 TEST_F(ServiceTest, JsonRenderingIsWellFormedish) {
-  cloud->warm_cache(file(0));
+  cloud->warm_cache(file(0).index);
   const auto resp = service->handle(base_request(file(0).source_link), 0);
   const std::string json = resp.to_json();
   EXPECT_EQ(json.front(), '{');

@@ -892,8 +892,11 @@ class ExecutorBreakerTest : public ::testing::Test {
 
     cloud_config.total_upload_capacity = mbps_to_rate(100.0);
     cloud_config.dynamics_prob = 0.0;
-    cloud = std::make_unique<cloud::XuanfengCloud>(sim, net, *catalog, sources,
-                                                   cloud_config, rng);
+    cloud = std::make_unique<cloud::XuanfengCloud>(
+        sim, net, *catalog, sources, cloud_config, rng,
+        [this](const workload::TaskOutcome& o) {
+          executor->on_cloud_outcome(o);
+        });
 
     ap::SmartApConfig ap_config;
     ap_config.bug_failure_prob = 0.0;
@@ -975,7 +978,7 @@ TEST_F(ExecutorBreakerTest, OpenCloudBreakerWithoutApFallsToUserDevice) {
 
 TEST_F(ExecutorBreakerTest, OpenApBreakerReroutesToCloud) {
   ap_breaker->record_failure();
-  cloud->warm_cache(catalog->file(0));
+  cloud->warm_cache(0);
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(500));
   std::optional<core::ExecOutcome> outcome;
   executor->execute(route(core::Route::kSmartAp), request_for(0, user), user,
@@ -988,7 +991,7 @@ TEST_F(ExecutorBreakerTest, OpenApBreakerReroutesToCloud) {
 }
 
 TEST_F(ExecutorBreakerTest, ClosedBreakersLeaveRoutingUntouched) {
-  cloud->warm_cache(catalog->file(0));
+  cloud->warm_cache(0);
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(500));
   std::optional<core::ExecOutcome> outcome;
   executor->execute(route(core::Route::kCloud), request_for(0, user), user,

@@ -1664,7 +1664,8 @@ TEST(SnapshotCloudTest, LoadRefusesTaskFilesTheCatalogLacks) {
   sim::Simulator sim;
   net::Network net(sim);
   Rng rng(5);
-  const cloud::XuanfengCloud source(sim, net, catalog, sources, config, rng);
+  const cloud::XuanfengCloud source(sim, net, catalog, sources, config, rng,
+                                    nullptr);
   SnapshotWriter w;
   source.save(w);
   const std::string ckpt = w.take();
@@ -1673,11 +1674,12 @@ TEST(SnapshotCloudTest, LoadRefusesTaskFilesTheCatalogLacks) {
     sim::Simulator sim2;
     net::Network net2(sim2);
     Rng rng2(5);
-    cloud::XuanfengCloud cloud(sim2, net2, catalog, sources, config, rng2);
+    cloud::XuanfengCloud cloud(sim2, net2, catalog, sources, config, rng2,
+                               nullptr);
     const std::string edited =
         with_section_payload(ckpt, tasks, tasks_payload(t));
     SnapshotReader r(edited);
-    cloud.load(r, nullptr);
+    cloud.load(r);
     return cloud.inflight_predownload_count();
   };
 
