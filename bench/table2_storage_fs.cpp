@@ -4,8 +4,12 @@
 // Methodology follows §5.2: the top-10 popular requests of the sampled
 // workload are replayed with NO restriction on pre-downloading speed, so
 // the line (20 Mbps = 2.5 MBps) or the storage path is the bottleneck.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <map>
 #include <optional>
+#include <stdexcept>
 
 #include "analysis/report.h"
 #include "ap/smart_ap.h"
@@ -43,25 +47,30 @@ CellResult run_cell(ap::DeviceType device, ap::Filesystem fs,
   cfg.bug_failure_prob = 0.0;
   // MiWiFi's internal disk / HiWiFi's SD slot are modeled on the same AP
   // chassis here; Table 2 isolates the storage path, which is what varies.
-  ap::SmartAp test_ap(sim, net, cfg, sources, rng);
+  // Each request's peak rate, by request id; an AP reports each once.
+  std::map<std::uint64_t, Rate> peaks;
+  ap::SmartAp test_ap(sim, net, cfg, sources, rng,
+                      [&peaks](std::uint64_t id,
+                               const proto::DownloadResult& r) {
+                        if (!peaks.emplace(id, r.peak_rate).second) {
+                          throw std::logic_error("an AP request reported twice");
+                        }
+                      });
 
   // Top-10 popular requests, unrestricted rate (§5.2). The top files of
   // the FULL 4M-request workload see thousands of requests per week; their
   // swarms are saturated with seeds, so the line or the storage path is
   // the only possible bottleneck.
-  double peak = 0.0;
-  int done = 0;
   for (int i = 0; i < 10; ++i) {
     workload::FileInfo file = catalog.file(static_cast<workload::FileIndex>(i));
     file.expected_weekly_requests = 20000.0 - 1200.0 * i;  // full-scale head
     file.protocol = proto::Protocol::kBitTorrent;
-    test_ap.predownload(file, net::kUnlimitedRate,
-                        [&](const proto::DownloadResult& r) {
-                          peak = std::max(peak, r.peak_rate);
-                          ++done;
-                        });
+    test_ap.predownload(static_cast<std::uint64_t>(i), file,
+                        net::kUnlimitedRate);
   }
   sim.run();
+  double peak = 0.0;
+  for (const auto& [id, rate] : peaks) peak = std::max(peak, rate);
   cell.max_speed_mbps = peak / 1e6;
   cell.iowait = test_ap.iowait_at(peak);
   return cell;

@@ -44,7 +44,8 @@ int main() {
   cloud::CloudConfig cloud_config;
   cloud_config.total_upload_capacity = gbps_to_rate(0.15);
   proto::SourceParams sources;
-  // The cloud reports every outcome to the executor built in step 5.
+  // The cloud and the AP report every outcome to the executor built in
+  // step 5.
   std::optional<core::Executor> executor;
   cloud::XuanfengCloud cloud(sim, net, catalog, sources, cloud_config, rng,
                              [&executor](const workload::TaskOutcome& o) {
@@ -55,7 +56,10 @@ int main() {
   }
 
   ap::SmartApConfig ap_config;  // defaults to Newifi + USB flash + NTFS
-  ap::SmartAp ap(sim, net, ap_config, sources, rng);
+  ap::SmartAp ap(sim, net, ap_config, sources, rng,
+                 [&executor](std::uint64_t id, const proto::DownloadResult& r) {
+                   executor->on_ap_outcome(id, r);
+                 });
 
   // 4. One request: generate a tiny trace and take its first record.
   workload::RequestGenParams gen_params;
@@ -78,7 +82,14 @@ int main() {
 
   // 5. Ask ODR where this request should be served, then execute.
   executor.emplace(sim, net, catalog, cloud, sources, core::RedirectorParams{},
-                   rng);
+                   rng, [](const core::ExecOutcome& outcome) {
+                     std::printf(
+                         "Outcome: %s; e2e %.1f min; fetch %.0f KBps%s\n",
+                         outcome.success ? "success" : "FAILED",
+                         to_minutes(outcome.ready_time - outcome.request_time),
+                         rate_to_kbps(outcome.fetch_rate),
+                         outcome.impeded ? " (impeded)" : "");
+                   });
   const core::DecisionInput input = executor->make_input(request, user, &ap);
   const core::Decision decision = executor->redirector().decide(input);
 
@@ -86,17 +97,9 @@ int main() {
               input.weekly_popularity, input.cached_in_cloud ? "yes" : "no");
   std::printf("ODR decision: %s (%s)\n",
               std::string(core::route_name(decision.route)).c_str(),
-              decision.rationale.c_str());
+              std::string(decision.rationale).c_str());
 
-  executor->execute(decision, request, user, &ap,
-                    [&](const core::ExecOutcome& outcome) {
-                      std::printf(
-                          "Outcome: %s; e2e %.1f min; fetch %.0f KBps%s\n",
-                          outcome.success ? "success" : "FAILED",
-                          to_minutes(outcome.ready_time - outcome.request_time),
-                          rate_to_kbps(outcome.fetch_rate),
-                          outcome.impeded ? " (impeded)" : "");
-                    });
+  executor->execute(decision, request, user, &ap);
   sim.run();
   return 0;
 }

@@ -25,10 +25,10 @@ double warm_success_probability(double weekly_popularity) {
 namespace {
 
 // The three testbed APs, each on its own 20 Mbps ADSL line, in their
-// shipping storage configuration (§5.1).
+// shipping storage configuration (§5.1), all reporting to `done`.
 std::vector<std::unique_ptr<odr::ap::SmartAp>> make_testbed_aps(
     sim::Simulator& sim, net::Network& net, const proto::SourceParams& sources,
-    Rng& rng) {
+    Rng& rng, const odr::ap::SmartAp::DoneFn& done) {
   std::vector<std::unique_ptr<odr::ap::SmartAp>> aps;
   for (const auto& hw :
        {odr::ap::kHiWiFi, odr::ap::kMiWiFi, odr::ap::kNewifi}) {
@@ -37,7 +37,7 @@ std::vector<std::unique_ptr<odr::ap::SmartAp>> make_testbed_aps(
     c.device = hw.default_device;
     c.filesystem = hw.default_filesystem;
     aps.push_back(
-        std::make_unique<odr::ap::SmartAp>(sim, net, c, sources, rng));
+        std::make_unique<odr::ap::SmartAp>(sim, net, c, sources, rng, done));
   }
   return aps;
 }
@@ -124,72 +124,67 @@ ApReplayResult run_ap_replay(const ApReplayConfig& config) {
   rng.shuffle(sampled);
   if (sampled.size() > config.sample_size) sampled.resize(config.sample_size);
 
-  const std::vector<std::unique_ptr<odr::ap::SmartAp>> aps = make_testbed_aps(
-      sim, net, config.experiment.sources, rng);
-
   ApReplayResult result;
   result.tasks.reserve(sampled.size());
 
   // Sequential replay per AP: request i+1 starts when request i completes
-  // or fails (§5.1). The sample is split across the three APs.
-  struct Runner {
-    std::vector<workload::WorkloadRecord> queue;
-    std::size_t next = 0;
-  };
-  std::vector<Runner> runners(aps.size());
-  for (std::size_t i = 0; i < sampled.size(); ++i) {
-    runners[i % aps.size()].queue.push_back(sampled[i]);
-  }
-
-  // Self-referential chaining: each completion schedules the next request.
-  std::function<void(std::size_t)> start_next = [&](std::size_t ap_idx) {
-    Runner& runner = runners[ap_idx];
-    if (runner.next >= runner.queue.size()) return;
-    const workload::WorkloadRecord request = runner.queue[runner.next++];
-    const workload::FileInfo& file = catalog.file(request.file);
+  // or fails (§5.1). Sampled request i runs on AP i % 3, under id i, so
+  // AP k walks k, k + 3, k + 6, ...
+  std::vector<std::unique_ptr<odr::ap::SmartAp>> aps;
+  std::vector<std::size_t> next;
+  const auto start_next = [&](std::size_t ap_idx) {
+    const std::size_t i = next[ap_idx];
+    if (i >= sampled.size()) return;
+    next[ap_idx] += aps.size();
+    const workload::WorkloadRecord& request = sampled[i];
     const Rate restriction = config.unrestricted_rate
                                  ? net::kUnlimitedRate
                                  : users.user(request.user_id).access_bandwidth;
     ODR_SPAN(on_submit(request.task_id, sim.now(), obs::SpanOrigin::kAp));
-    aps[ap_idx]->predownload(
-        file, restriction,
-        [&, ap_idx, request, file](const proto::DownloadResult& r) {
-          ODR_SPAN(on_stage(request.task_id, obs::Stage::kApFetch,
-                            r.started_at, r.finished_at));
-          obs::SpanTerminal term;
-          term.outcome = r.success ? obs::SpanOutcome::kSuccess
-                                   : obs::SpanOutcome::kFailed;
-          term.cause = proto::failure_cause_name(r.cause);
-          term.popularity = workload::popularity_class_name(
-              workload::classify_popularity(file.expected_weekly_requests));
-          term.pre_success = r.success;
-          term.fetch_kbps = rate_to_kbps(r.average_rate);
-          ODR_SPAN(on_finish(request.task_id, sim.now(), term));
-          ApTaskResult task;
-          task.request = request;
-          task.result = r;
-          task.ap_name = aps[ap_idx]->config().hardware.name;
-          task.weekly_popularity = file.expected_weekly_requests;
-          result.tasks.push_back(std::move(task));
-          if (!r.success) {
-            ++result.failures;
-            switch (r.cause) {
-              case proto::FailureCause::kInsufficientSeeds:
-                ++result.insufficient_seed_failures;
-                break;
-              case proto::FailureCause::kPoorHttpConnection:
-                ++result.http_failures;
-                break;
-              case proto::FailureCause::kSystemBug:
-                ++result.bug_failures;
-                break;
-              default:
-                break;
-            }
-          }
-          start_next(ap_idx);
-        });
+    aps[ap_idx]->predownload(i, catalog.file(request.file), restriction);
   };
+  const auto on_done = [&](std::uint64_t i, const proto::DownloadResult& r) {
+    const workload::WorkloadRecord& request = sampled[i];
+    const workload::FileInfo& file = catalog.file(request.file);
+    const std::size_t ap_idx = i % aps.size();
+    ODR_SPAN(on_stage(request.task_id, obs::Stage::kApFetch, r.started_at,
+                      r.finished_at));
+    obs::SpanTerminal term;
+    term.outcome =
+        r.success ? obs::SpanOutcome::kSuccess : obs::SpanOutcome::kFailed;
+    term.cause = proto::failure_cause_name(r.cause);
+    term.popularity = workload::popularity_class_name(
+        workload::classify_popularity(file.expected_weekly_requests));
+    term.pre_success = r.success;
+    term.fetch_kbps = rate_to_kbps(r.average_rate);
+    ODR_SPAN(on_finish(request.task_id, sim.now(), term));
+    ApTaskResult task;
+    task.request = request;
+    task.result = r;
+    task.ap_name = aps[ap_idx]->config().hardware.name;
+    task.weekly_popularity = file.expected_weekly_requests;
+    result.tasks.push_back(std::move(task));
+    if (!r.success) {
+      ++result.failures;
+      switch (r.cause) {
+        case proto::FailureCause::kInsufficientSeeds:
+          ++result.insufficient_seed_failures;
+          break;
+        case proto::FailureCause::kPoorHttpConnection:
+          ++result.http_failures;
+          break;
+        case proto::FailureCause::kSystemBug:
+          ++result.bug_failures;
+          break;
+        default:
+          break;
+      }
+    }
+    start_next(ap_idx);
+  };
+  aps = make_testbed_aps(sim, net, config.experiment.sources, rng, on_done);
+  for (std::size_t k = 0; k < aps.size(); ++k) next.push_back(k);
+
   // Wire before the chain starts: start_next opens the first spans
   // immediately (not via a scheduled event), and wiring resets the journal.
   // Sequential chaining means the finish time is workload-dependent; give
@@ -202,7 +197,7 @@ ApReplayResult run_ap_replay(const ApReplayConfig& config) {
 }
 
 StrategyWorld::StrategyWorld(const StrategyReplayConfig& config,
-                             bool draw_week)
+                             bool draw_week, core::Executor::DoneFn done)
     : config_(config),
       net_(sim_),
       rng_(config.experiment.seed),
@@ -221,9 +216,13 @@ StrategyWorld::StrategyWorld(const StrategyReplayConfig& config,
              config_.experiment.warmup_weeks, warm_rng);
   // Per-household smart APs would be one object per user; the testbed uses
   // the three models round-robin, which preserves the hardware mix.
-  aps_ = make_testbed_aps(sim_, net_, config_.experiment.sources, rng_);
+  aps_ = make_testbed_aps(
+      sim_, net_, config_.experiment.sources, rng_,
+      [this](std::uint64_t id, const proto::DownloadResult& result) {
+        executor_->on_ap_outcome(id, result);
+      });
   executor_.emplace(sim_, net_, catalog_, cloud_, config_.experiment.sources,
-                    config_.redirector, rng_);
+                    config_.redirector, rng_, std::move(done));
   if (config_.use_circuit_breakers) {
     cloud_breaker_.emplace(sim_, core::CircuitBreaker::Config{});
     ap_breaker_.emplace(sim_, core::CircuitBreaker::Config{});
@@ -258,8 +257,7 @@ void StrategyWorld::start(SimTime horizon) {
 }
 
 void StrategyWorld::dispatch(const workload::WorkloadRecord& request,
-                             std::uint64_t ap_slot,
-                             core::Executor::DoneFn done) {
+                             std::uint64_t ap_slot) {
   ++dispatched_;
   odr::ap::SmartAp* ap = aps_[ap_slot % aps_.size()].get();
   const workload::User& user = users_.user(request.user_id);
@@ -274,7 +272,7 @@ void StrategyWorld::dispatch(const workload::WorkloadRecord& request,
                                   StrategyReplayConfig::premises_line_rate);
     if (ap->storage_write_ceiling() < inbound) ++ap_throttled_;
   }
-  executor_->execute(decision, request, user, ap, std::move(done));
+  executor_->execute(decision, request, user, ap);
 }
 
 void StrategyWorld::harvest(StrategyReplayResult& result) const {
@@ -304,13 +302,15 @@ void StrategyWorld::harvest(StrategyReplayResult& result) const {
 }
 
 StrategyReplayResult run_strategy_replay(const StrategyReplayConfig& config) {
-  StrategyWorld world(config, /*draw_week=*/true);
+  StrategyReplayResult result;
+  StrategyWorld world(config, /*draw_week=*/true,
+                      [&result](const core::ExecOutcome& outcome) {
+                        result.outcomes.push_back(outcome);
+                      });
   const std::vector<workload::WorkloadRecord>& requests = world.week();
   sim::Simulator& sim = world.sim();
 
   world.start((requests.empty() ? 0 : requests.back().request_time) + kDay);
-
-  StrategyReplayResult result;
   result.outcomes.reserve(requests.size());
 
   // The §4 world's arrival scheme: request i arrives as reserved event
@@ -324,10 +324,7 @@ StrategyReplayResult run_strategy_replay(const StrategyReplayConfig& config) {
   };
   arrive = [&](std::size_t i) {
     queue(i + 1);
-    world.dispatch(requests[i], i,
-                   [&result](const core::ExecOutcome& outcome) {
-                     result.outcomes.push_back(outcome);
-                   });
+    world.dispatch(requests[i], i);
   };
   queue(0);
 

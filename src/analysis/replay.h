@@ -193,7 +193,8 @@ struct StrategyReplayResult {
 // premises_line_rate), the warmed cloud, the three testbed APs (every user
 // owns one; the hardware models go round-robin), the executor with its
 // redirector, and the optional breakers. start() arms fault injection and
-// hedging.
+// hedging. The cloud and the APs report to the executor, and the executor
+// reports every dispatched arrival's outcome once, to the world's sink.
 //
 // RNG order contract (the determinism goldens pin it): the catalog draws
 // first, then the users; then the week's trace, only when `draw_week`;
@@ -204,7 +205,8 @@ struct StrategyReplayResult {
 // arrives.
 class StrategyWorld {
  public:
-  StrategyWorld(const StrategyReplayConfig& config, bool draw_week);
+  StrategyWorld(const StrategyReplayConfig& config, bool draw_week,
+                core::Executor::DoneFn done);
 
   StrategyWorld(const StrategyWorld&) = delete;
   StrategyWorld& operator=(const StrategyWorld&) = delete;
@@ -224,8 +226,8 @@ class StrategyWorld {
 
   // Routes one arrival: the AP in slot `ap_slot % 3`, the strategy's
   // decision, Bottleneck-4 throttle accounting, then execution.
-  void dispatch(const workload::WorkloadRecord& request, std::uint64_t ap_slot,
-                core::Executor::DoneFn done);
+  void dispatch(const workload::WorkloadRecord& request,
+                std::uint64_t ap_slot);
 
   // Fills everything but the outcomes: config echoes, cache, breaker,
   // fault, hedge and budget counters, and the throttled fraction of the

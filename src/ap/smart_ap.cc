@@ -10,13 +10,14 @@
 namespace odr::ap {
 
 SmartAp::SmartAp(sim::Simulator& sim, net::Network& net, SmartApConfig config,
-                 const proto::SourceParams& sources, Rng& rng)
+                 const proto::SourceParams& sources, Rng& rng, DoneFn done)
     : sim_(sim),
       net_(net),
       config_(std::move(config)),
       sources_(sources),
       rng_(rng.fork()),
-      io_(io_profile(config_.device, config_.filesystem)) {
+      io_(io_profile(config_.device, config_.filesystem)),
+      done_(std::move(done)) {
   assert(combination_supported(config_.device, config_.filesystem));
 }
 
@@ -30,12 +31,11 @@ SimTime SmartAp::lan_fetch_duration(Bytes bytes, Rng& rng) const {
   return from_seconds(static_cast<double>(bytes) / lan);
 }
 
-std::uint64_t SmartAp::predownload(const workload::FileInfo& file,
-                                   Rate rate_restriction, DoneFn done) {
-  const std::uint64_t id = next_id_++;
+void SmartAp::predownload(std::uint64_t id, const workload::FileInfo& file,
+                          Rate rate_restriction) {
+  assert(!tasks_.contains(id));
   ODR_COUNT("ap.predownloads.submitted");
   Running r;
-  r.done = std::move(done);
   r.file = file.index;
   r.protocol = file.protocol;
   r.size = file.size;
@@ -46,10 +46,9 @@ std::uint64_t SmartAp::predownload(const workload::FileInfo& file,
     // The router is down; the request is queued on-disk and started when
     // the reboot completes (the reboot event walks task-less entries).
     tasks_.emplace(id, std::move(r));
-    return id;
+    return;
   }
   start_task(id, std::move(r));
-  return id;
 }
 
 Bytes SmartAp::cancel(std::uint64_t id) {
@@ -66,13 +65,19 @@ Bytes SmartAp::cancel(std::uint64_t id) {
     r.task->abort();
     return moved;
   }
-  // Queued behind a reboot (no live task): synthesize the aborted result
-  // with the same crash-stitched fields on_done would have patched in.
-  Running run = std::move(it->second);
+  // Queued behind a reboot (no live task): report the aborted result with
+  // the same crash-stitched fields on_done would have patched in.
+  const Running run = std::move(it->second);
   tasks_.erase(it);
+  report_unstarted(id, run, proto::FailureCause::kAborted);
+  return run.preserved_bytes;
+}
+
+void SmartAp::report_unstarted(std::uint64_t id, const Running& run,
+                               proto::FailureCause cause) {
   proto::DownloadResult result;
   result.success = false;
-  result.cause = proto::FailureCause::kAborted;
+  result.cause = cause;
   result.started_at = run.original_start;
   result.finished_at = sim_.now();
   result.file_size = run.size;
@@ -80,8 +85,7 @@ Bytes SmartAp::cancel(std::uint64_t id) {
   result.traffic_bytes = run.prior_traffic;
   result.average_rate =
       average_rate(run.preserved_bytes, sim_.now() - run.original_start);
-  if (run.done) run.done(result);
-  return run.preserved_bytes;
+  if (done_) done_(id, result);
 }
 
 void SmartAp::start_task(std::uint64_t id, Running r) {
@@ -154,19 +158,9 @@ void SmartAp::crash() {
 
   for (std::uint64_t id : doomed) {
     auto it = tasks_.find(id);
-    Running r = std::move(it->second);
+    const Running r = std::move(it->second);
     tasks_.erase(it);
-    proto::DownloadResult result;
-    result.success = false;
-    result.cause = proto::FailureCause::kCrash;
-    result.started_at = r.original_start;
-    result.finished_at = sim_.now();
-    result.file_size = r.size;
-    result.bytes_downloaded = r.preserved_bytes;
-    result.traffic_bytes = r.prior_traffic;
-    result.average_rate =
-        average_rate(r.preserved_bytes, sim_.now() - r.original_start);
-    if (r.done) r.done(result);
+    report_unstarted(id, r, proto::FailureCause::kCrash);
   }
 
   sim_.schedule_after(kRebootDelay, [this] { finish_reboot(); });
@@ -212,7 +206,7 @@ void SmartAp::on_done(std::uint64_t id, const proto::DownloadResult& result) {
       patched.success ? average_rate(patched.file_size, elapsed)
                       : average_rate(patched.bytes_downloaded, elapsed);
 
-  if (r.done) r.done(patched);
+  if (done_) done_(id, patched);
 }
 
 }  // namespace odr::ap

@@ -21,9 +21,11 @@
 // restart from zero. A task survives at most kMaxCrashResumes crashes
 // before it is reported failed with FailureCause::kCrash.
 //
-// A finished task is moved out of the task table in its own done callback
-// and dies when that callback returns. The §5 AP replays run a whole week
-// in one process and never checkpoint an AP.
+// The AP answers one owner: it is built with one sink, and every
+// pre-download reports its result there once, under the id its caller gave
+// predownload(). A finished task is moved out of the task table in its own
+// engine callback and dies when that callback returns. The §5 AP replays
+// run a whole week in one process and never checkpoint an AP.
 #pragma once
 
 #include <cstdint>
@@ -57,23 +59,26 @@ class SmartAp {
   // Crashes a single task may survive.
   static constexpr std::uint32_t kMaxCrashResumes = 5;
 
-  using DoneFn = std::function<void(const proto::DownloadResult&)>;
+  // The sink: a pre-download's id and its crash-stitched result.
+  using DoneFn =
+      std::function<void(std::uint64_t id, const proto::DownloadResult&)>;
 
+  // `done` hears every pre-download once; an empty one discards them.
   SmartAp(sim::Simulator& sim, net::Network& net, SmartApConfig config,
-          const proto::SourceParams& sources, Rng& rng);
+          const proto::SourceParams& sources, Rng& rng, DoneFn done);
 
-  // Starts a pre-download of `file`, additionally throttled to
+  // Starts pre-download `id` of `file`, additionally throttled to
   // `rate_restriction` (the replayed user's recorded access bandwidth;
-  // pass net::kUnlimitedRate for an unrestricted run as in Table 2).
-  // Returns the task id, usable with cancel().
-  std::uint64_t predownload(const workload::FileInfo& file,
-                            Rate rate_restriction, DoneFn done);
+  // pass net::kUnlimitedRate for an unrestricted run as in Table 2). The
+  // id is the caller's and must not be in flight here already.
+  void predownload(std::uint64_t id, const workload::FileInfo& file,
+                   Rate rate_restriction);
 
   // Component-scoped cancel fast path (hedged loser-cancel): aborts the
   // pre-download `id` whether it is running or queued behind a reboot.
-  // `done` fires synchronously with FailureCause::kAborted. Returns the
-  // bytes the task had already pulled (wasted work); 0 when the id is not
-  // in flight (already finished: no-op).
+  // The sink hears it synchronously with FailureCause::kAborted. Returns
+  // the bytes the task had already pulled (wasted work); 0 when the id is
+  // not in flight (already finished: no-op).
   Bytes cancel(std::uint64_t id);
 
   // Fault-layer hook: the router dies now and reboots after kRebootDelay,
@@ -97,7 +102,6 @@ class SmartAp {
  private:
   struct Running {
     std::unique_ptr<proto::DownloadTask> task;
-    DoneFn done;
     sim::EventHandle bug_event;
     // The four file fields the task reads, and crash-recovery bookkeeping.
     workload::FileIndex file = workload::kInvalidFile;
@@ -113,6 +117,10 @@ class SmartAp {
 
   void start_task(std::uint64_t id, Running r);
   void on_done(std::uint64_t id, const proto::DownloadResult& result);
+  // Reports `run`'s end before it ran again: a crash-doomed or cancelled
+  // queued task, failed with `cause` now.
+  void report_unstarted(std::uint64_t id, const Running& run,
+                        proto::FailureCause cause);
   void finish_reboot();
 
   sim::Simulator& sim_;
@@ -121,9 +129,9 @@ class SmartAp {
   proto::SourceParams sources_;
   Rng rng_;
   IoProfile io_;
+  DoneFn done_;
 
   std::unordered_map<std::uint64_t, Running> tasks_;
-  std::uint64_t next_id_ = 1;
   bool rebooting_ = false;
   std::uint64_t crashes_ = 0;
   std::uint64_t resumes_ = 0;

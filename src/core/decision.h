@@ -15,7 +15,7 @@
 #pragma once
 
 #include <optional>
-#include <string>
+#include <string_view>
 
 #include "ap/storage_device.h"
 #include "net/isp.h"
@@ -75,7 +75,8 @@ struct Decision {
   // may ignore the request when no disjoint backend or budget is
   // available.
   bool hedge = false;
-  std::string rationale;
+  // Why, in words: always a static literal.
+  std::string_view rationale;
 };
 
 struct RedirectorParams {

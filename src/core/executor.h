@@ -7,15 +7,24 @@
 // impeded/rejected flags, and the cloud-uplink bytes the task cost.
 //
 // ODR sits in front of the content database (§6.1): execute() records each
-// request there once, whatever route or hedge serves it. The cloud's one
-// sink is on_cloud_outcome(), which finds each cloud leg's continuation in
-// a table keyed by task id.
+// request there once, whatever route or hedge serves it.
+//
+// The executor answers one owner: it is built with one sink, which hears
+// every task once. Each task in flight is one record in a table keyed by
+// task id, filed before the first substrate call (any of which may report
+// synchronously). The substrates report by task id too: the cloud to
+// on_cloud_outcome(), the smart APs to on_ap_outcome(), and the direct
+// downloads the executor owns through their engine callbacks. A task never
+// has two legs on one substrate (a hedged clone runs on a disjoint one), so
+// the id and the reporting substrate name the leg. Every leg ends in one
+// finish path: it feeds the breaker, settles the hedged race, closes the
+// task span and calls the sink, in that order.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "ap/smart_ap.h"
 #include "cloud/xuanfeng.h"
@@ -70,10 +79,11 @@ class Executor {
 
   using DoneFn = std::function<void(const ExecOutcome&)>;
 
+  // `done` hears every executed task once; an empty one discards them.
   Executor(sim::Simulator& sim, net::Network& net,
            const workload::Catalog& catalog, cloud::XuanfengCloud& cloud,
            const proto::SourceParams& sources, RedirectorParams redirector,
-           Rng& rng);
+           Rng& rng, DoneFn done);
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
@@ -89,11 +99,12 @@ class Executor {
                            const odr::ap::SmartAp* ap) const;
 
   // Records the request in the content database, then executes `decision`;
-  // `ap` may be null unless the route needs one. A file past the catalog
-  // throws std::out_of_range before any state is touched.
+  // `ap` may be null unless the route needs one. `user` and `ap` must
+  // outlive the task, and its id must not be in flight. A file past the
+  // catalog throws std::out_of_range before any state is touched.
   void execute(const Decision& decision,
                const workload::WorkloadRecord& request,
-               const workload::User& user, odr::ap::SmartAp* ap, DoneFn done);
+               const workload::User& user, odr::ap::SmartAp* ap);
 
   // Opt-in fault tolerance: when set, an open breaker reroutes requests
   // away from the unhealthy substrate (cloud <-> AP, falling back to the
@@ -119,56 +130,60 @@ class Executor {
   // The disjoint backend a hedged clone of `primary` runs on.
   static Route hedge_secondary_for(Route primary, const odr::ap::SmartAp* ap);
 
-  // The sink of the executor's cloud: hands `outcome` to the continuation
-  // of its task's cloud leg, taking that entry out of the table first.
+  // The sink of the executor's cloud: the cloud leg of task
+  // `outcome.task_id` reported.
   void on_cloud_outcome(const workload::TaskOutcome& outcome);
+  // The sink of every smart AP the executor routes to: the AP leg of task
+  // `id` reported.
+  void on_ap_outcome(std::uint64_t id, const proto::DownloadResult& result);
 
  private:
-  using CloudFn = cloud::XuanfengCloud::OutcomeFn;
+  // One task in flight, from execute() until its last leg reports.
+  struct Task {
+    workload::WorkloadRecord request;
+    const workload::User* user = nullptr;
+    odr::ap::SmartAp* ap = nullptr;
+    Route route = Route::kCloud;  // the primary route, after any reroute
+    // What the cloud leg serves, when the task has one: kCloud (a plain
+    // fetch), kCloudThenSmartAp (a fetch staged through `ap`) or
+    // kCloudPreDownloadFirst (a pre-download, then a fresh decision).
+    Route cloud_leg = Route::kCloud;
+    bool rerouted = false;  // a circuit breaker overrode the decision
+    // The hedged race: a clone on `secondary` races the primary.
+    bool hedged = false;
+    bool settled = false;
+    std::uint8_t clones_done = 0;
+    Route secondary = Route::kCloud;
+    SimTime launched_at = 0;
+    std::optional<ExecOutcome> primary_failure;
+    // The user-device leg, owned here until its callback returns.
+    std::unique_ptr<proto::DownloadTask> direct;
+  };
+  using TaskTable = std::unordered_map<workload::TaskId, Task>;
 
-  // Files `then` as the continuation of task `id`'s cloud leg, before the
-  // cloud call that may report synchronously. A task has one cloud leg at
-  // a time: a hedge's secondary never shares the primary's substrate.
-  void await_cloud(workload::TaskId id, CloudFn then);
+  // Starts `request`'s leg on `route`; its record `task` is filed.
+  void launch(Route route, const workload::WorkloadRecord& request,
+              const workload::User& user, Task& task);
+  void start_direct(const workload::WorkloadRecord& request, Task& task);
+  void on_direct_done(workload::TaskId id,
+                      const proto::DownloadResult& result);
+  // The zero-delay loser-cancel of a settled race: aborts task `id`'s leg
+  // on `loser` if it is still in flight.
+  void cancel_clone(workload::TaskId id, Route loser);
 
-  // The continuation of a cloud fetch: the ExecOutcome, staged through
-  // `stage_ap` over the LAN when one is given (kCloudThenSmartAp).
-  CloudFn fetch_leg(const workload::WorkloadRecord& request,
-                    odr::ap::SmartAp* stage_ap, DoneFn done);
-  void run_cloud(const workload::WorkloadRecord& request,
-                 const workload::User& user, odr::ap::SmartAp* stage_ap,
-                 DoneFn done);
-  std::uint64_t run_user_device(const workload::WorkloadRecord& request,
-                                const workload::User& user, DoneFn done);
-  std::uint64_t run_smart_ap(const workload::WorkloadRecord& request,
-                             const workload::User& user, odr::ap::SmartAp* ap,
-                             DoneFn done);
-  void run_predownload_first(const workload::WorkloadRecord& request,
-                             const workload::User& user, odr::ap::SmartAp* ap,
-                             DoneFn done);
-
-  // Hedged race: launches primary + secondary clones, settles on the first
-  // success, cancels the loser via the substrate cancel fast paths.
-  void run_hedged(Route primary, Route secondary, bool rerouted,
-                  const workload::WorkloadRecord& request,
-                  const workload::User& user, odr::ap::SmartAp* ap,
-                  DoneFn done);
-  // Runs the task on `route`; returns its cancel thunk (a no-op returning
-  // 0 once the task finished), which a hedged race keeps for its loser.
-  std::function<Bytes()> launch(Route route,
-                                const workload::WorkloadRecord& request,
-                                const workload::User& user,
-                                odr::ap::SmartAp* ap, DoneFn done);
-  // Aborts an in-flight direct download; returns the bytes it had moved.
-  Bytes cancel_direct(std::uint64_t id);
-
+  // Fields every route fills alike; `route` is the leg's route.
+  ExecOutcome outcome_for(const workload::WorkloadRecord& request,
+                          Route route) const;
   ExecOutcome from_cloud_outcome(const workload::TaskOutcome& outcome,
                                  const workload::WorkloadRecord& request) const;
-  void finalize_lan_stage(ExecOutcome outcome, odr::ap::SmartAp* ap,
-                          DoneFn done);
+  // The last hop: the user pulls the file from `ap` over the LAN.
+  void add_lan_stage(ExecOutcome& outcome, odr::ap::SmartAp* ap);
+  // The breaker of the substrate `route` runs on (null when it has none).
+  CircuitBreaker* breaker_for(Route route) const;
   // Feeds the outcome to the breaker of the substrate that served it.
   void record_breaker_outcome(const ExecOutcome& outcome);
-  DoneFn wrap_with_breakers(DoneFn done, bool rerouted);
+  // The end of a leg; `primary` says which clone of a hedged race it is.
+  void finish(TaskTable::iterator it, ExecOutcome outcome, bool primary);
 
   sim::Simulator& sim_;
   net::Network& net_;
@@ -177,13 +192,9 @@ class Executor {
   proto::SourceParams sources_;
   Redirector redirector_;
   Rng rng_;
+  DoneFn done_;
 
-  // Direct user-device downloads owned here until completion.
-  std::unordered_map<std::uint64_t,
-                     std::unique_ptr<proto::DownloadTask>> direct_tasks_;
-  std::uint64_t next_direct_ = 1;
-  // The continuation of each task's cloud leg, by task id.
-  std::unordered_map<workload::TaskId, CloudFn> cloud_legs_;
+  TaskTable tasks_;
 
   CircuitBreaker* cloud_breaker_ = nullptr;
   CircuitBreaker* ap_breaker_ = nullptr;

@@ -3,9 +3,10 @@
 // Under the HedgedFetch strategy the executor launches the same task on
 // two disjoint backends (cloud + smart AP, falling back to the user's own
 // device) and cancels the loser as soon as one clone completes
-// successfully. The executor's per-race state (clones done, settled, the
-// launch time, the cancel closures) lives with the race itself; this
-// object owns what outlives a race:
+// successfully. The executor's per-race state (the launch time, clones
+// done, settled, the primary's stashed failure) lives in the task's record
+// in its task table, and it cancels a loser through the loser's route;
+// this object owns what outlives a race:
 //   - the budget gate: every extra clone charges the shared RetryBudget
 //     (the same bucket pre-downloader retries draw from), and a denied
 //     charge degrades the request to the plain single-path policy;

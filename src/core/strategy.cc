@@ -30,7 +30,6 @@ Decision decide_with(Strategy strategy, const Redirector& redirector,
       // disjoint backend (budget and breakers permitting).
       Decision d = redirector.decide(input);
       d.hedge = true;
-      d.rationale = "hedged: " + d.rationale;
       return d;
     }
     case Strategy::kAms: {

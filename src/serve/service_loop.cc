@@ -33,7 +33,8 @@ void finish_refused_span(std::uint64_t task_id, SimTime t,
 
 ServiceLoop::ServiceLoop(const ServeConfig& config)
     : config_(config),
-      world_(config_.world, /*draw_week=*/false),
+      world_(config_.world, /*draw_week=*/false,
+             [this](const core::ExecOutcome& o) { on_complete(o); }),
       // The generator owns its own forked stream, so the arrival sequence
       // is independent of how many draws the engine makes serving each
       // task — backpressure changes what the engine does, never what
@@ -126,36 +127,36 @@ void ServiceLoop::dispatch(Queued task) {
   // pipeline, is where the latency went.
   ODR_SPAN(on_stage(record.task_id, obs::Stage::kAdmission, arrival,
                     world_.sim().now()));
-  world_.dispatch(
-      record, dispatched_++,
-      [this, arrival](const core::ExecOutcome& o) {
-        --inflight_;
-        const SimTime now = world_.sim().now();
-        const SimTime latency = now - arrival;
-        ++result_.completed;
-        if (o.success) {
-          ++result_.succeeded;
-        } else {
-          ++result_.failed;
-          if (o.rejected) ++result_.rejected;
-          if (o.cause == proto::FailureCause::kNone ||
-              o.cause == proto::FailureCause::kAborted) {
-            ++result_.unclassified_failures;
-          }
-        }
-        slo_.on_complete(latency, o.success, now);
-        ODR_METRICS_TS(
-            on_complete(now, latency, o.success, queue_.size(), inflight_));
-        mix(o.task_id);
-        mix(0x100u + static_cast<std::uint64_t>(o.success));
-        mix(static_cast<std::uint64_t>(o.cause));
-        mix(static_cast<std::uint64_t>(o.route));
-        mix(static_cast<std::uint64_t>(o.rejected));
-        mix(static_cast<std::uint64_t>(latency));
-        ODR_COUNT("serve.completed");
-        ODR_GAUGE("serve.inflight", inflight_);
-        pump();
-      });
+  world_.dispatch(record, dispatched_++);
+}
+
+void ServiceLoop::on_complete(const core::ExecOutcome& o) {
+  --inflight_;
+  const SimTime now = world_.sim().now();
+  const SimTime latency = now - o.request_time;
+  ++result_.completed;
+  if (o.success) {
+    ++result_.succeeded;
+  } else {
+    ++result_.failed;
+    if (o.rejected) ++result_.rejected;
+    if (o.cause == proto::FailureCause::kNone ||
+        o.cause == proto::FailureCause::kAborted) {
+      ++result_.unclassified_failures;
+    }
+  }
+  slo_.on_complete(latency, o.success, now);
+  ODR_METRICS_TS(
+      on_complete(now, latency, o.success, queue_.size(), inflight_));
+  mix(o.task_id);
+  mix(0x100u + static_cast<std::uint64_t>(o.success));
+  mix(static_cast<std::uint64_t>(o.cause));
+  mix(static_cast<std::uint64_t>(o.route));
+  mix(static_cast<std::uint64_t>(o.rejected));
+  mix(static_cast<std::uint64_t>(latency));
+  ODR_COUNT("serve.completed");
+  ODR_GAUGE("serve.inflight", inflight_);
+  pump();
 }
 
 ServeResult ServiceLoop::run() {

@@ -113,6 +113,9 @@ class ServiceLoop {
   void schedule_next_arrival();
   void pump();  // fill free dispatch slots from the queue
   void dispatch(Queued task);
+  // The world's sink: one admitted task finished; its latency runs from
+  // its arrival (the outcome's request time).
+  void on_complete(const core::ExecOutcome& o);
   void mix(std::uint64_t v) {
     fingerprint_ ^= v;
     fingerprint_ *= 1099511628211ull;

@@ -2,6 +2,10 @@
 // pre-download engine.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <memory>
 #include <optional>
 #include <ostream>
 
@@ -125,24 +129,53 @@ class SmartApTest : public ::testing::Test {
     return f;
   }
 
+  // An AP that files each result by id; a second report for one id fails
+  // the test.
+  std::unique_ptr<SmartAp> make_ap(const SmartApConfig& cfg) {
+    return std::make_unique<SmartAp>(
+        sim, net, cfg, sources, rng,
+        [this](std::uint64_t id, const proto::DownloadResult& r) {
+          EXPECT_TRUE(results.emplace(id, r).second)
+              << "pre-download " << id << " reported twice";
+          if (on_result) on_result(r);
+        });
+  }
+
+  std::optional<proto::DownloadResult> result_of(std::uint64_t id) const {
+    const auto it = results.find(id);
+    if (it == results.end()) return std::nullopt;
+    return it->second;
+  }
+
   sim::Simulator sim;
   net::Network net;
   Rng rng;
   proto::SourceParams sources;
+  std::map<std::uint64_t, proto::DownloadResult> results;
+  // Runs inside the sink, after the result is filed.
+  std::function<void(const proto::DownloadResult&)> on_result;
 };
+
+SmartApConfig sata_ext4(double bug_failure_prob = 0.0) {
+  SmartApConfig cfg;
+  cfg.hardware = kMiWiFi;
+  cfg.device = DeviceType::kSataHdd;
+  cfg.filesystem = Filesystem::kExt4;
+  cfg.bug_failure_prob = bug_failure_prob;
+  return cfg;
+}
 
 TEST_F(SmartApTest, NtfsFlashThrottlesFastLine) {
   // Bottleneck 4: Newifi's shipping config (USB flash + NTFS) caps the
   // pre-download at 0.93 MBps even on a 20 Mbps line with a hot swarm.
   SmartApConfig cfg;  // Newifi defaults
   cfg.bug_failure_prob = 0.0;
-  SmartAp ap(sim, net, cfg, sources, rng);
-  EXPECT_NEAR(ap.storage_write_ceiling(), 0.93e6, 0.02e6);
+  const std::unique_ptr<SmartAp> ap = make_ap(cfg);
+  EXPECT_NEAR(ap->storage_write_ceiling(), 0.93e6, 0.02e6);
 
-  std::optional<proto::DownloadResult> result;
-  ap.predownload(hot_file(558 * kMB), net::kUnlimitedRate,
-                 [&](const proto::DownloadResult& r) { result = r; });
+  ap->predownload(1, hot_file(558 * kMB), net::kUnlimitedRate);
   sim.run();
+  const std::optional<proto::DownloadResult> result = result_of(1);
   ASSERT_TRUE(result.has_value());
   ASSERT_TRUE(result->success);
   // 558 MB at <= 0.93 MBps takes at least 600 s.
@@ -151,89 +184,63 @@ TEST_F(SmartApTest, NtfsFlashThrottlesFastLine) {
 }
 
 TEST_F(SmartApTest, Ext4DiskDoesNotThrottle) {
-  SmartApConfig cfg;
-  cfg.hardware = kMiWiFi;
-  cfg.device = DeviceType::kSataHdd;
-  cfg.filesystem = Filesystem::kExt4;
-  cfg.bug_failure_prob = 0.0;
-  SmartAp ap(sim, net, cfg, sources, rng);
-
-  std::optional<proto::DownloadResult> result;
-  ap.predownload(hot_file(150 * kMB), net::kUnlimitedRate,
-                 [&](const proto::DownloadResult& r) { result = r; });
+  const std::unique_ptr<SmartAp> ap = make_ap(sata_ext4());
+  ap->predownload(1, hot_file(150 * kMB), net::kUnlimitedRate);
   sim.run();
+  const std::optional<proto::DownloadResult> result = result_of(1);
   ASSERT_TRUE(result.has_value());
   ASSERT_TRUE(result->success);
   // Limited by the source/line, not storage: peak can reach past 1 MBps.
-  EXPECT_GT(ap.storage_write_ceiling(), mbps_to_rate(20.0));
+  EXPECT_GT(ap->storage_write_ceiling(), mbps_to_rate(20.0));
 }
 
 TEST_F(SmartApTest, ReplayRestrictionCapsRate) {
-  SmartApConfig cfg;
-  cfg.hardware = kMiWiFi;
-  cfg.device = DeviceType::kSataHdd;
-  cfg.filesystem = Filesystem::kExt4;
-  cfg.bug_failure_prob = 0.0;
-  SmartAp ap(sim, net, cfg, sources, rng);
-  std::optional<proto::DownloadResult> result;
+  const std::unique_ptr<SmartAp> ap = make_ap(sata_ext4());
   // §5.1: replay throttled to the recorded user access bandwidth.
-  ap.predownload(hot_file(60 * kMB), kbps_to_rate(100.0),
-                 [&](const proto::DownloadResult& r) { result = r; });
+  ap->predownload(1, hot_file(60 * kMB), kbps_to_rate(100.0));
   sim.run();
+  const std::optional<proto::DownloadResult> result = result_of(1);
   ASSERT_TRUE(result.has_value());
   EXPECT_LE(result->peak_rate, kbps_to_rate(100.0) + 1.0);
   EXPECT_GE(result->duration(), 600 * kSec);  // 60 MB at <= 100 KBps
 }
 
 TEST_F(SmartApTest, TaskDiesInItsDoneCallback) {
-  // The AP destroys a finished task when its done callback returns, so
-  // the callback sees nothing left queued: no deferred delete, no tick.
-  SmartApConfig cfg;
-  cfg.hardware = kMiWiFi;
-  cfg.device = DeviceType::kSataHdd;
-  cfg.filesystem = Filesystem::kExt4;
-  cfg.bug_failure_prob = 0.0;
-  SmartAp ap(sim, net, cfg, sources, rng);
-  std::optional<proto::DownloadResult> result;
+  // The AP destroys a finished task when its engine callback returns, so
+  // the sink sees nothing left queued: no deferred delete, no tick.
+  const std::unique_ptr<SmartAp> ap = make_ap(sata_ext4());
   std::size_t pending_in_callback = ~std::size_t{0};
-  ap.predownload(hot_file(10 * kMB), net::kUnlimitedRate,
-                 [&](const proto::DownloadResult& r) {
-                   result = r;
-                   pending_in_callback = sim.pending_count();
-                 });
+  on_result = [&](const proto::DownloadResult&) {
+    pending_in_callback = sim.pending_count();
+  };
+  ap->predownload(1, hot_file(10 * kMB), net::kUnlimitedRate);
   sim.run();
+  const std::optional<proto::DownloadResult> result = result_of(1);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->success);
   EXPECT_EQ(pending_in_callback, 0u);
-  EXPECT_EQ(ap.active(), 0u);
+  EXPECT_EQ(ap->active(), 0u);
 }
 
 TEST_F(SmartApTest, BugInjectionFailsWithSystemBugCause) {
-  SmartApConfig cfg;
-  cfg.hardware = kMiWiFi;
-  cfg.device = DeviceType::kSataHdd;
-  cfg.filesystem = Filesystem::kExt4;
-  cfg.bug_failure_prob = 1.0;  // every task crashes
-  SmartAp ap(sim, net, cfg, sources, rng);
-  int bugs = 0, total = 0;
-  for (int i = 0; i < 10; ++i) {
-    ap.predownload(hot_file(4 * kGB), kbps_to_rate(200.0),
-                   [&](const proto::DownloadResult& r) {
-                     ++total;
-                     if (r.cause == proto::FailureCause::kSystemBug) ++bugs;
-                   });
+  const std::unique_ptr<SmartAp> ap =
+      make_ap(sata_ext4(/*bug_failure_prob=*/1.0));  // every task crashes
+  for (std::uint64_t id = 0; id < 10; ++id) {
+    ap->predownload(id, hot_file(4 * kGB), kbps_to_rate(200.0));
   }
   sim.run();
   // 4 GB at 200 KBps takes ~5.8 h; the crash (1-90 min) always wins.
-  EXPECT_EQ(total, 10);
-  EXPECT_EQ(bugs, 10);
+  ASSERT_EQ(results.size(), 10u);
+  for (const auto& [id, r] : results) {
+    EXPECT_EQ(r.cause, proto::FailureCause::kSystemBug) << "pre-download "
+                                                        << id;
+  }
 }
 
 TEST_F(SmartApTest, LanFetchIs8To12MBps) {
-  SmartApConfig cfg;
-  SmartAp ap(sim, net, cfg, sources, rng);
+  const std::unique_ptr<SmartAp> ap = make_ap(SmartApConfig{});
   for (int i = 0; i < 100; ++i) {
-    const SimTime d = ap.lan_fetch_duration(120 * kMB, rng);
+    const SimTime d = ap->lan_fetch_duration(120 * kMB, rng);
     const double rate = 120e6 / to_seconds(d);
     EXPECT_GE(rate, 7.9e6);
     EXPECT_LE(rate, 12.1e6);
@@ -241,21 +248,14 @@ TEST_F(SmartApTest, LanFetchIs8To12MBps) {
 }
 
 TEST_F(SmartApTest, ConcurrentPreDownloadsSupported) {
-  SmartApConfig cfg;
-  cfg.hardware = kMiWiFi;
-  cfg.device = DeviceType::kSataHdd;
-  cfg.filesystem = Filesystem::kExt4;
-  cfg.bug_failure_prob = 0.0;
-  SmartAp ap(sim, net, cfg, sources, rng);
-  int done = 0;
-  for (int i = 0; i < 5; ++i) {
-    ap.predownload(hot_file(50 * kMB), kbps_to_rate(300.0),
-                   [&](const proto::DownloadResult&) { ++done; });
+  const std::unique_ptr<SmartAp> ap = make_ap(sata_ext4());
+  for (std::uint64_t id = 0; id < 5; ++id) {
+    ap->predownload(id, hot_file(50 * kMB), kbps_to_rate(300.0));
   }
-  EXPECT_EQ(ap.active(), 5u);
+  EXPECT_EQ(ap->active(), 5u);
   sim.run();
-  EXPECT_EQ(done, 5);
-  EXPECT_EQ(ap.active(), 0u);
+  EXPECT_EQ(results.size(), 5u);
+  EXPECT_EQ(ap->active(), 0u);
 }
 
 }  // namespace

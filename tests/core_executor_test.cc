@@ -3,13 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "analysis/replay.h"
 #include "core/budget.h"
 #include "core/circuit_breaker.h"
 #include "core/hedge.h"
+#include "fault/fault_plan.h"
 #include "net/isp.h"
 #include "snapshot/format.h"
 
@@ -32,10 +37,8 @@ class ExecutorTest : public ::testing::Test {
     ap_config.device = odr::ap::DeviceType::kSataHdd;
     ap_config.filesystem = odr::ap::Filesystem::kExt4;
     ap_config.bug_failure_prob = 0.0;
-    ap = std::make_unique<odr::ap::SmartAp>(sim, net, ap_config, sources, rng);
-
-    executor = std::make_unique<Executor>(sim, net, *catalog, *cloud, sources,
-                                          RedirectorParams{}, rng);
+    ap = make_ap(sources);
+    executor = make_executor(sources);
   }
 
   // A cloud over `source_params` that reports to the fixture's executor.
@@ -46,6 +49,36 @@ class ExecutorTest : public ::testing::Test {
         [this](const workload::TaskOutcome& o) {
           executor->on_cloud_outcome(o);
         });
+  }
+
+  // An AP over `source_params` that reports to the fixture's executor.
+  std::unique_ptr<odr::ap::SmartAp> make_ap(
+      const proto::SourceParams& source_params) {
+    return std::make_unique<odr::ap::SmartAp>(
+        sim, net, ap_config, source_params, rng,
+        [this](std::uint64_t id, const proto::DownloadResult& r) {
+          executor->on_ap_outcome(id, r);
+        });
+  }
+
+  // An executor over the fixture's cloud that files each outcome by task
+  // id; a second report for one id fails the test.
+  std::unique_ptr<Executor> make_executor(
+      const proto::SourceParams& source_params) {
+    return std::make_unique<Executor>(
+        sim, net, *catalog, *cloud, source_params, RedirectorParams{}, rng,
+        [this](const ExecOutcome& o) {
+          EXPECT_TRUE(outcomes.emplace(o.task_id, o).second)
+              << "task " << o.task_id << " reported twice";
+          if (on_outcome) on_outcome(o);
+        });
+  }
+
+  // The outcome of the last request made, if it has reported.
+  std::optional<ExecOutcome> last_outcome() const {
+    const auto it = outcomes.find(next_task_);
+    if (it == outcomes.end()) return std::nullopt;
+    return it->second;
   }
 
   workload::WorkloadRecord request_for(workload::FileIndex file,
@@ -82,9 +115,8 @@ class ExecutorTest : public ::testing::Test {
     starved.swarm.base_seed_mean = 0.0;
     starved.swarm.seeds_per_popularity = 0.0;
     cloud = make_cloud(starved);
-    ap = std::make_unique<odr::ap::SmartAp>(sim, net, ap_config, starved, rng);
-    executor = std::make_unique<Executor>(sim, net, *catalog, *cloud, starved,
-                                          RedirectorParams{}, rng);
+    ap = make_ap(starved);
+    executor = make_executor(starved);
   }
 
   // Rebuilds the cloud and executor over upload clusters far below the
@@ -93,8 +125,7 @@ class ExecutorTest : public ::testing::Test {
     cloud_config.total_upload_capacity = kbps_to_rate(40.0);
     cloud_config.admission_floor = kbps_to_rate(125.0);
     cloud = make_cloud(sources);
-    executor = std::make_unique<Executor>(sim, net, *catalog, *cloud, sources,
-                                          RedirectorParams{}, rng);
+    executor = make_executor(sources);
   }
 
   HedgeCoordinator& enable_hedging() {
@@ -124,16 +155,18 @@ class ExecutorTest : public ::testing::Test {
   std::unique_ptr<odr::ap::SmartAp> ap;
   std::unique_ptr<Executor> executor;
   std::unique_ptr<HedgeCoordinator> hedges;
+  std::map<workload::TaskId, ExecOutcome> outcomes;
+  // Runs inside the sink, after the outcome is filed.
+  std::function<void(const ExecOutcome&)> on_outcome;
   workload::TaskId next_task_ = 0;
 };
 
 TEST_F(ExecutorTest, CloudRouteProducesFullOutcome) {
   cloud->warm_cache(0);
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(500));
-  std::optional<ExecOutcome> outcome;
-  executor->execute(route(Route::kCloud), request_for(0, user), user, nullptr,
-                    [&](const ExecOutcome& o) { outcome = o; });
+  executor->execute(route(Route::kCloud), request_for(0, user), user, nullptr);
   sim.run();
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(outcome->success);
   EXPECT_EQ(outcome->route, Route::kCloud);
@@ -146,10 +179,9 @@ TEST_F(ExecutorTest, CloudRouteProducesFullOutcome) {
 TEST_F(ExecutorTest, CloudRouteSlowUserIsImpeded) {
   cloud->warm_cache(1);
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(60));
-  std::optional<ExecOutcome> outcome;
-  executor->execute(route(Route::kCloud), request_for(1, user), user, nullptr,
-                    [&](const ExecOutcome& o) { outcome = o; });
+  executor->execute(route(Route::kCloud), request_for(1, user), user, nullptr);
   sim.run();
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(outcome->success);
   EXPECT_TRUE(outcome->impeded);  // below the 125 KBps playback line
@@ -157,10 +189,10 @@ TEST_F(ExecutorTest, CloudRouteSlowUserIsImpeded) {
 
 TEST_F(ExecutorTest, UserDeviceRouteDownloadsDirectly) {
   const workload::User user = make_user(net::Isp::kTelecom, kbps_to_rate(800));
-  std::optional<ExecOutcome> outcome;
   executor->execute(route(Route::kUserDevice), request_for(0, user), user,
-                    nullptr, [&](const ExecOutcome& o) { outcome = o; });
+                    nullptr);
   sim.run();
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(outcome->route, Route::kUserDevice);
   EXPECT_TRUE(outcome->success);  // rank-0 file: hot swarm
@@ -173,14 +205,14 @@ TEST_F(ExecutorTest, DirectTaskDiesInItsDoneCallback) {
   // The executor destroys a finished direct download when its callback
   // returns; no deferred delete is left queued behind the outcome.
   const workload::User user = make_user(net::Isp::kTelecom, kbps_to_rate(800));
-  std::optional<ExecOutcome> outcome;
   std::size_t pending_in_callback = ~std::size_t{0};
+  on_outcome = [&](const ExecOutcome&) {
+    pending_in_callback = sim.pending_count();
+  };
   executor->execute(route(Route::kUserDevice), request_for(0, user), user,
-                    nullptr, [&](const ExecOutcome& o) {
-                      outcome = o;
-                      pending_in_callback = sim.pending_count();
-                    });
+                    nullptr);
   sim.run();
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(outcome->success);
   EXPECT_EQ(pending_in_callback, 0u);
@@ -188,10 +220,10 @@ TEST_F(ExecutorTest, DirectTaskDiesInItsDoneCallback) {
 
 TEST_F(ExecutorTest, SmartApRouteEndsWithLanFetch) {
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(600));
-  std::optional<ExecOutcome> outcome;
   executor->execute(route(Route::kSmartAp), request_for(0, user), user,
-                    ap.get(), [&](const ExecOutcome& o) { outcome = o; });
+                    ap.get());
   sim.run();
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(outcome->success);
   EXPECT_FALSE(outcome->impeded);  // LAN streaming is never impeded
@@ -202,10 +234,10 @@ TEST_F(ExecutorTest, SmartApRouteEndsWithLanFetch) {
 TEST_F(ExecutorTest, CloudThenApShieldsSlowUserFromImpediment) {
   cloud->warm_cache(2);
   const workload::User user = make_user(net::Isp::kOther, kbps_to_rate(400));
-  std::optional<ExecOutcome> outcome;
   executor->execute(route(Route::kCloudThenSmartAp), request_for(2, user),
-                    user, ap.get(), [&](const ExecOutcome& o) { outcome = o; });
+                    user, ap.get());
   sim.run();
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(outcome->success);
   // The cloud->AP hop crossed the ISP barrier (slow), but the user is
@@ -216,10 +248,10 @@ TEST_F(ExecutorTest, CloudThenApShieldsSlowUserFromImpediment) {
 
 TEST_F(ExecutorTest, PreDownloadFirstReDecidesAfterCaching) {
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(500));
-  std::optional<ExecOutcome> outcome;
   executor->execute(route(Route::kCloudPreDownloadFirst), request_for(0, user),
-                    user, ap.get(), [&](const ExecOutcome& o) { outcome = o; });
+                    user, ap.get());
   sim.run();
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(outcome->success);
   // Healthy path: after pre-download it re-decides to a plain cloud fetch.
@@ -230,10 +262,10 @@ TEST_F(ExecutorTest, PreDownloadFirstReDecidesAfterCaching) {
 
 TEST_F(ExecutorTest, PreDownloadFirstWithSlowUserStagesViaAp) {
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(60));
-  std::optional<ExecOutcome> outcome;
   executor->execute(route(Route::kCloudPreDownloadFirst), request_for(0, user),
-                    user, ap.get(), [&](const ExecOutcome& o) { outcome = o; });
+                    user, ap.get());
   sim.run();
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(outcome->success);
   EXPECT_EQ(outcome->route, Route::kCloudThenSmartAp);
@@ -245,8 +277,7 @@ TEST_F(ExecutorTest, PreDownloadFailurePropagates) {
   starved.swarm.base_seed_mean = 0.0;
   starved.swarm.seeds_per_popularity = 0.0;
   cloud = make_cloud(starved);
-  executor = std::make_unique<Executor>(sim, net, *catalog, *cloud, starved,
-                                        RedirectorParams{}, rng);
+  executor = make_executor(starved);
   workload::FileIndex p2p_file = 0;
   for (std::size_t i = 0; i < catalog->size(); ++i) {
     if (proto::is_p2p(catalog->file(i).protocol)) {
@@ -255,11 +286,10 @@ TEST_F(ExecutorTest, PreDownloadFailurePropagates) {
     }
   }
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(500));
-  std::optional<ExecOutcome> outcome;
   executor->execute(route(Route::kCloudPreDownloadFirst),
-                    request_for(p2p_file, user), user, ap.get(),
-                    [&](const ExecOutcome& o) { outcome = o; });
+                    request_for(p2p_file, user), user, ap.get());
   sim.run();
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_FALSE(outcome->success);
   EXPECT_EQ(outcome->cause, proto::FailureCause::kInsufficientSeeds);
@@ -297,10 +327,10 @@ TEST_F(ExecutorTest, HedgedPrimaryWinCancelsLoserAndRecordsOnce) {
   cloud->warm_cache(file);  // primary: fast cache hit
   const workload::User user =
       make_user(net::Isp::kUnicom, kbps_to_rate(20000));
-  std::optional<ExecOutcome> outcome;
   executor->execute(hedged(Route::kCloud), request_for(file, user), user,
-                    ap.get(), [&](const ExecOutcome& o) { outcome = o; });
+                    ap.get());
   sim.run();
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(outcome->success);
   EXPECT_EQ(outcome->route, Route::kCloud);
@@ -326,11 +356,11 @@ TEST_F(ExecutorTest, HedgedSecondaryWinReportsSecondaryRoute) {
   cloud->warm_cache(file);  // secondary: fast cache hit
   const workload::User user =
       make_user(net::Isp::kUnicom, kbps_to_rate(20000));
-  std::optional<ExecOutcome> outcome;
   // Primary AP fetch stagnates on the starved swarm; the cloud clone wins.
   executor->execute(hedged(Route::kSmartAp), request_for(file, user), user,
-                    ap.get(), [&](const ExecOutcome& o) { outcome = o; });
+                    ap.get());
   sim.run();
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(outcome->success);
   EXPECT_EQ(outcome->route, Route::kCloud);
@@ -348,10 +378,10 @@ TEST_F(ExecutorTest, HedgedBothFailedReportsPrimaryFailure) {
   HedgeCoordinator& h = enable_hedging();
   const workload::FileIndex file = first_p2p_file();  // not cached: both stall
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(500));
-  std::optional<ExecOutcome> outcome;
   executor->execute(hedged(Route::kCloud), request_for(file, user), user,
-                    ap.get(), [&](const ExecOutcome& o) { outcome = o; });
+                    ap.get());
   sim.run();
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_FALSE(outcome->success);
   EXPECT_TRUE(outcome->hedged);
@@ -374,10 +404,10 @@ TEST_F(ExecutorTest, HedgedBudgetExhaustedDegradesToPlainPath) {
   h.set_budget(&budget);
   cloud->warm_cache(0);
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(500));
-  std::optional<ExecOutcome> outcome;
   executor->execute(hedged(Route::kCloud), request_for(0, user), user,
-                    ap.get(), [&](const ExecOutcome& o) { outcome = o; });
+                    ap.get());
   sim.run();
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   // Graceful degradation: the request still succeeds, single-path.
   EXPECT_TRUE(outcome->success);
@@ -411,13 +441,13 @@ TEST_F(ExecutorTest, HalfOpenLoserCancelReleasesProbe) {
   cloud->warm_cache(file);
   const workload::User user =
       make_user(net::Isp::kUnicom, kbps_to_rate(20000));
-  std::optional<ExecOutcome> outcome;
   executor->execute(hedged(Route::kCloud), request_for(file, user), user,
-                    ap.get(), [&](const ExecOutcome& o) { outcome = o; });
+                    ap.get());
   // The AP clone is in flight holding the single probe slot.
   EXPECT_EQ(ap_bk.state(), CircuitBreaker::State::kHalfOpen);
   EXPECT_EQ(ap_bk.probes_inflight(), 1u);
   sim.run();
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(outcome->success);
   EXPECT_EQ(h.cancelled_clones(), 1u);
@@ -427,7 +457,43 @@ TEST_F(ExecutorTest, HalfOpenLoserCancelReleasesProbe) {
   EXPECT_TRUE(ap_bk.allow());           // and the probe slot is free again
 }
 
-// --- the content DB and the cloud's table of legs ----------------------------
+// A reroute means a breaker refused the request, and the hedge's secondary
+// is then the substrate that refused: it refuses again at the same
+// instant, so the request runs single-path on its rerouted route, having
+// been charged the one clone token that is asked for before the breaker.
+TEST_F(ExecutorTest, HedgedRequestReroutedByOpenBreakerDegrades) {
+  HedgeCoordinator& h = enable_hedging();
+  RetryBudget::Config bcfg;
+  bcfg.enabled = true;
+  RetryBudget budget(bcfg);
+  h.set_budget(&budget);
+  CircuitBreaker::Config breaker_config;
+  breaker_config.failure_threshold = 1;
+  breaker_config.open_duration = kWeek;
+  CircuitBreaker cloud_bk(sim, breaker_config);
+  CircuitBreaker ap_bk(sim, breaker_config);
+  executor->set_substrate_breakers(&cloud_bk, &ap_bk);
+  cloud_bk.record_failure();
+  ASSERT_EQ(cloud_bk.state(), CircuitBreaker::State::kOpen);
+
+  const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(600));
+  executor->execute(hedged(Route::kCloud), request_for(0, user), user,
+                    ap.get());
+  sim.run();
+  const std::optional<ExecOutcome> outcome = last_outcome();
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_TRUE(outcome->success);
+  EXPECT_EQ(outcome->route, Route::kSmartAp);
+  EXPECT_TRUE(outcome->rerouted);
+  EXPECT_FALSE(outcome->hedged);
+  EXPECT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(h.pairs_launched(), 0u);
+  EXPECT_EQ(budget.granted(), 1u);
+  EXPECT_EQ(executor->reroutes(), 1u);
+  EXPECT_EQ(cloud->inflight_predownload_count(), 0u);  // no cloud clone
+}
+
+// --- the content DB and the task table ---------------------------------------
 
 // A request past the catalog is refused before the content DB counts it or
 // a direct download starts.
@@ -444,10 +510,9 @@ TEST_F(ExecutorTest, UserDeviceRouteRefusesAFilePastTheCatalog) {
     return w.take();
   };
   const std::string before = db_state();
-  bool called = false;
   try {
     executor->execute(route(Route::kUserDevice), request_for(300, user), user,
-                      nullptr, [&](const ExecOutcome&) { called = true; });
+                      nullptr);
     ADD_FAILURE() << "a request for a file past the catalog was taken";
   } catch (const std::out_of_range& e) {
     const std::string what(e.what());
@@ -456,18 +521,17 @@ TEST_F(ExecutorTest, UserDeviceRouteRefusesAFilePastTheCatalog) {
   }
   EXPECT_EQ(db_state(), before);
   EXPECT_EQ(sim.pending_count(), 0u);
-  EXPECT_FALSE(called);
+  EXPECT_TRUE(outcomes.empty());
 }
 
 // A cache hit on a cluster that cannot admit the fetch reports inside
-// submit(): the leg's continuation is filed before the call.
+// submit(): the task's record is filed before the call.
 TEST_F(ExecutorTest, RejectionInsideSubmitReachesDone) {
   rebuild_starved_uploads();
   cloud->warm_cache(0);
   const workload::User user = make_user(net::Isp::kUnicom, mbps_to_rate(10));
-  std::optional<ExecOutcome> outcome;
-  executor->execute(route(Route::kCloud), request_for(0, user), user, nullptr,
-                    [&](const ExecOutcome& o) { outcome = o; });
+  executor->execute(route(Route::kCloud), request_for(0, user), user, nullptr);
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());  // before the simulation runs at all
   EXPECT_FALSE(outcome->success);
   EXPECT_TRUE(outcome->rejected);
@@ -477,15 +541,15 @@ TEST_F(ExecutorTest, RejectionInsideSubmitReachesDone) {
 }
 
 // The pre-download-first route: the cache hit reports inside
-// predownload_only(), and its continuation's fetch is rejected inside
+// predownload_only(), and the fetch that follows is rejected inside
 // fetch_only().
 TEST_F(ExecutorTest, RejectionInsideFetchOnlyReachesDone) {
   rebuild_starved_uploads();
   cloud->warm_cache(0);
   const workload::User user = make_user(net::Isp::kUnicom, mbps_to_rate(10));
-  std::optional<ExecOutcome> outcome;
   executor->execute(route(Route::kCloudPreDownloadFirst), request_for(0, user),
-                    user, nullptr, [&](const ExecOutcome& o) { outcome = o; });
+                    user, nullptr);
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_FALSE(outcome->success);
   EXPECT_TRUE(outcome->rejected);
@@ -503,15 +567,14 @@ TEST_F(ExecutorTest, HedgedCloudCloneCancelledWhileWaiting) {
   starved.swarm.base_seed_mean = 0.0;
   starved.swarm.seeds_per_popularity = 0.0;
   cloud = make_cloud(starved);  // the AP keeps the healthy swarms
-  executor = std::make_unique<Executor>(sim, net, *catalog, *cloud, sources,
-                                        RedirectorParams{}, rng);
+  executor = make_executor(sources);
   HedgeCoordinator& h = enable_hedging();
   const workload::FileIndex file = first_p2p_file();
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(500));
-  std::optional<ExecOutcome> outcome;
   executor->execute(hedged(Route::kSmartAp), request_for(file, user), user,
-                    ap.get(), [&](const ExecOutcome& o) { outcome = o; });
+                    ap.get());
   sim.run_until(30 * kMinute);
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(outcome->success);
   EXPECT_EQ(outcome->route, Route::kSmartAp);
@@ -532,11 +595,11 @@ TEST_F(ExecutorTest, HedgedCloudCloneCancelledWhileFetching) {
   const workload::FileIndex file = first_p2p_file();
   cloud->warm_cache(file);
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(20));
-  std::optional<ExecOutcome> outcome;
   executor->execute(hedged(Route::kSmartAp), request_for(file, user), user,
-                    ap.get(), [&](const ExecOutcome& o) { outcome = o; });
+                    ap.get());
   ASSERT_EQ(cloud->active_fetch_count(), 1u);
   sim.run();
+  const std::optional<ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(outcome->success);
   EXPECT_EQ(outcome->route, Route::kSmartAp);
@@ -545,6 +608,38 @@ TEST_F(ExecutorTest, HedgedCloudCloneCancelledWhileFetching) {
   EXPECT_GT(h.wasted_bytes(), 0u);
   EXPECT_EQ(cloud->active_fetch_count(), 0u);
   EXPECT_EQ(cloud->uploads().admitted_count(), 1u);
+}
+
+// A hedged week under the severe fault plan, with breakers and the shared
+// retry budget: every arrival races two clones, most losers are cancelled,
+// faults fail clones on both sides, and still every request is reported
+// exactly once.
+TEST(ExecutorWeekTest, HedgedSevereWeekReportsEveryRequestOnce) {
+  analysis::StrategyReplayConfig config;
+  config.experiment = analysis::make_scaled_config(4000.0, 20151028);
+  config.experiment.fault_plan = fault::make_chaos_plan(3);
+  config.experiment.cloud.degraded_admission = true;
+  config.experiment.cloud.retry_budget_enabled = true;
+  config.strategy = Strategy::kHedged;
+  config.use_circuit_breakers = true;
+  const analysis::StrategyReplayResult result =
+      analysis::run_strategy_replay(config);
+  EXPECT_GT(result.hedge_pairs, 0u);
+  EXPECT_GT(result.hedge_cancelled_clones, 0u);
+  EXPECT_GT(result.faults_fired, 0u);
+
+  // The week's task ids are 1..N; each must be reported once.
+  const std::size_t n = config.experiment.requests.num_requests;
+  ASSERT_EQ(result.outcomes.size(), n);
+  std::vector<int> reports(n + 1, 0);
+  for (const ExecOutcome& o : result.outcomes) {
+    ASSERT_GE(o.task_id, 1u);
+    ASSERT_LE(o.task_id, n);
+    ++reports[o.task_id];
+  }
+  for (std::size_t id = 1; id <= n; ++id) {
+    EXPECT_EQ(reports[id], 1) << "task " << id;
+  }
 }
 
 }  // namespace

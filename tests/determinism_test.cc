@@ -45,6 +45,26 @@ constexpr std::uint64_t kHedgedWeekFingerprint = 0xdc92b16d9cda250full;
 // the queue/dispatch interleaving, AND the engine's outcome stream.
 // Re-record from bench/serve_load's "flash" fingerprint field.
 constexpr std::uint64_t kServeFlashFingerprint = 0x2fa7ae0e48b15b62ull;
+// The plain §6 strategy weeks, one per strategy, hashed with
+// exec_outcome_fingerprint: they pin every executor route (cloud fetch,
+// cloud-then-AP staging, pre-download-first re-decision, AP and direct
+// downloads) and the LAN-stage draws. Recorded before the executor's
+// per-task closures were folded into one task table, which had to
+// reproduce them exactly.
+constexpr std::uint64_t kOdrWeekFingerprint = 0x76971b9bd6754bf1ull;
+constexpr std::uint64_t kCloudOnlyWeekFingerprint = 0xd8e30511384b98e4ull;
+constexpr std::uint64_t kApOnlyWeekFingerprint = 0xb65fefe5fbcd277full;
+constexpr std::uint64_t kAlwaysHybridWeekFingerprint = 0x563354678efe3164ull;
+constexpr std::uint64_t kAmsWeekFingerprint = 0x1ca2b19d0567ec5bull;
+// The ODR week under the severe chaos plan with circuit breakers: pins
+// every breaker verdict the outcomes feed (the cloud breaker opens once;
+// at this scale no arrival lands while it is open, so nothing reroutes).
+constexpr std::uint64_t kOdrSevereBreakersFingerprint = 0xe7b0251fe1cbf14eull;
+constexpr std::uint64_t kOdrSevereBreakersReroutes = 0;
+constexpr std::uint64_t kOdrSevereCloudBreakerOpenings = 1;
+// The §5 AP replay's task results, hashed in completion order by
+// ap_replay_fingerprint below.
+constexpr std::uint64_t kApReplayFingerprint = 0xa6efa9241165b543ull;
 
 analysis::ExperimentConfig chaos_config(int plan_level) {
   analysis::ExperimentConfig config =
@@ -183,6 +203,74 @@ TEST(DeterminismTest, HedgedWeekMatchesGoldenFingerprint) {
   EXPECT_GT(result.hedge_pairs, 0u);
   EXPECT_EQ(analysis::exec_outcome_fingerprint(result.outcomes),
             kHedgedWeekFingerprint);
+}
+
+analysis::StrategyReplayConfig strategy_config(core::Strategy strategy) {
+  analysis::StrategyReplayConfig config;
+  config.experiment = analysis::make_scaled_config(kDivisor, kSeed);
+  config.strategy = strategy;
+  return config;
+}
+
+TEST(DeterminismTest, StrategyWeeksMatchGoldenFingerprints) {
+  const struct {
+    core::Strategy strategy;
+    std::uint64_t golden;
+  } weeks[] = {
+      {core::Strategy::kOdr, kOdrWeekFingerprint},
+      {core::Strategy::kCloudOnly, kCloudOnlyWeekFingerprint},
+      {core::Strategy::kApOnly, kApOnlyWeekFingerprint},
+      {core::Strategy::kAlwaysHybrid, kAlwaysHybridWeekFingerprint},
+      {core::Strategy::kAms, kAmsWeekFingerprint},
+  };
+  for (const auto& week : weeks) {
+    const auto result = analysis::run_strategy_replay(
+        strategy_config(week.strategy));
+    EXPECT_FALSE(result.outcomes.empty());
+    EXPECT_EQ(analysis::exec_outcome_fingerprint(result.outcomes),
+              week.golden)
+        << core::strategy_name(week.strategy);
+  }
+}
+
+TEST(DeterminismTest, OdrSevereWeekWithBreakersMatchesGoldenFingerprint) {
+  analysis::StrategyReplayConfig config = strategy_config(core::Strategy::kOdr);
+  config.experiment.fault_plan = fault::make_chaos_plan(3);
+  config.use_circuit_breakers = true;
+  const auto result = analysis::run_strategy_replay(config);
+  EXPECT_EQ(analysis::exec_outcome_fingerprint(result.outcomes),
+            kOdrSevereBreakersFingerprint);
+  EXPECT_EQ(result.reroutes, kOdrSevereBreakersReroutes);
+  EXPECT_EQ(result.cloud_breaker_openings, kOdrSevereCloudBreakerOpenings);
+}
+
+// FNV-1a over each AP task's identity, AP and download result, in the
+// order the replay recorded them.
+std::uint64_t ap_replay_fingerprint(const analysis::ApReplayResult& result) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (const analysis::ApTaskResult& t : result.tasks) {
+    mix(t.request.task_id);
+    for (const char c : t.ap_name) mix(static_cast<unsigned char>(c));
+    mix(static_cast<std::uint64_t>(t.result.success));
+    mix(static_cast<std::uint64_t>(t.result.cause));
+    mix(static_cast<std::uint64_t>(t.result.started_at));
+    mix(static_cast<std::uint64_t>(t.result.finished_at));
+    mix(t.result.bytes_downloaded);
+    mix(t.result.traffic_bytes);
+  }
+  return h;
+}
+
+TEST(DeterminismTest, ApReplayMatchesGoldenFingerprint) {
+  analysis::ApReplayConfig config;
+  config.experiment = analysis::make_scaled_config(kDivisor, kSeed);
+  const auto result = analysis::run_ap_replay(config);
+  EXPECT_FALSE(result.tasks.empty());
+  EXPECT_EQ(ap_replay_fingerprint(result), kApReplayFingerprint);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -500,29 +501,34 @@ class ApCrashTest : public ::testing::Test {
     sources.swarm.seedbox_rate_hi = 1e9;
   }
 
-  ap::SmartAp make_ap() { return ap::SmartAp(sim, net, config, sources, rng); }
+  // An AP that files each result by id; a second report for one id fails
+  // the test.
+  ap::SmartAp make_ap() {
+    return ap::SmartAp(
+        sim, net, config, sources, rng,
+        [this](std::uint64_t id, const proto::DownloadResult& r) {
+          EXPECT_TRUE(results.emplace(id, r).second)
+              << "pre-download " << id << " reported twice";
+          ++calls;
+          result = r;
+        });
+  }
 
   sim::Simulator sim;
   net::Network net{sim};
   Rng rng{7};
   ap::SmartApConfig config;
   proto::SourceParams sources;
+  std::map<std::uint64_t, proto::DownloadResult> results;
   int calls = 0;
-  std::optional<proto::DownloadResult> result;
-
-  ap::SmartAp::DoneFn capture() {
-    return [this](const proto::DownloadResult& r) {
-      ++calls;
-      result = r;
-    };
-  }
+  std::optional<proto::DownloadResult> result;  // the latest report
 };
 
 TEST_F(ApCrashTest, HttpTaskRestartsFromZeroAfterCrash) {
   ap::SmartAp ap = make_ap();
   // 600 KB at 1000 B/s = 600 s; crash at 290 s loses all partial bytes.
-  ap.predownload(make_file("h", 600000, proto::Protocol::kHttp),
-                 net::kUnlimitedRate, capture());
+  ap.predownload(1, make_file("h", 600000, proto::Protocol::kHttp),
+                 net::kUnlimitedRate);
   sim.run_until(290 * kSec);
   ap.crash();
   EXPECT_TRUE(ap.rebooting());
@@ -543,8 +549,8 @@ TEST_F(ApCrashTest, HttpTaskRestartsFromZeroAfterCrash) {
 TEST_F(ApCrashTest, P2pTaskKeepsPersistedPiecesAcrossCrash) {
   ap::SmartAp ap = make_ap();
   // Restriction caps the seedbox swarm at exactly 1000 B/s.
-  ap.predownload(make_file("p", 600000, proto::Protocol::kBitTorrent, 100.0),
-                 1000.0, capture());
+  ap.predownload(
+      1, make_file("p", 600000, proto::Protocol::kBitTorrent, 100.0), 1000.0);
   sim.run_until(290 * kSec);
   ap.crash();
   sim.run();
@@ -558,8 +564,8 @@ TEST_F(ApCrashTest, P2pTaskKeepsPersistedPiecesAcrossCrash) {
 
 TEST_F(ApCrashTest, CrashBudgetExhaustionFailsWithCrashCause) {
   ap::SmartAp ap = make_ap();
-  ap.predownload(make_file("p", 600000, proto::Protocol::kBitTorrent, 100.0),
-                 1000.0, capture());
+  ap.predownload(
+      1, make_file("p", 600000, proto::Protocol::kBitTorrent, 100.0), 1000.0);
   // Crash once a minute: the first crash lands after 60 s of transfer,
   // each later one 15 s after the 45 s reboot. The task survives
   // kMaxCrashResumes (5) of them.
@@ -589,8 +595,8 @@ TEST_F(ApCrashTest, RequestDuringRebootIsQueuedUntilRecovery) {
   ap.crash();  // router down with nothing running
   sim.run_until(20 * kSec);
   ASSERT_TRUE(ap.rebooting());
-  ap.predownload(make_file("q", 60000, proto::Protocol::kHttp),
-                 net::kUnlimitedRate, capture());
+  ap.predownload(1, make_file("q", 60000, proto::Protocol::kHttp),
+                 net::kUnlimitedRate);
   EXPECT_EQ(calls, 0);
   sim.run();
   ASSERT_EQ(calls, 1);
@@ -859,7 +865,7 @@ TEST_F(InjectorTest, ApCrashWindowRebootsTheRouterRepeatedly) {
   ap::SmartApConfig ap_config;
   ap_config.bug_failure_prob = 0.0;
   proto::SourceParams sources = deterministic_server_sources(1000.0);
-  ap::SmartAp ap(sim, net, ap_config, sources, rng);
+  ap::SmartAp ap(sim, net, ap_config, sources, rng, nullptr);
 
   fault::FaultInjector injector(sim, injector_rng);
   injector.attach_ap(&ap);
@@ -900,10 +906,20 @@ class ExecutorBreakerTest : public ::testing::Test {
 
     ap::SmartApConfig ap_config;
     ap_config.bug_failure_prob = 0.0;
-    ap = std::make_unique<ap::SmartAp>(sim, net, ap_config, sources, rng);
+    ap = std::make_unique<ap::SmartAp>(
+        sim, net, ap_config, sources, rng,
+        [this](std::uint64_t id, const proto::DownloadResult& r) {
+          executor->on_ap_outcome(id, r);
+        });
 
+    // Files each outcome by task id; a second report for one id fails the
+    // test.
     executor = std::make_unique<core::Executor>(
-        sim, net, *catalog, *cloud, sources, core::RedirectorParams{}, rng);
+        sim, net, *catalog, *cloud, sources, core::RedirectorParams{}, rng,
+        [this](const core::ExecOutcome& o) {
+          EXPECT_TRUE(outcomes.emplace(o.task_id, o).second)
+              << "task " << o.task_id << " reported twice";
+        });
 
     // threshold 1 + a long cool-off: one recorded failure pins the breaker
     // open for the whole test.
@@ -935,6 +951,13 @@ class ExecutorBreakerTest : public ::testing::Test {
     return d;
   }
 
+  // The outcome of the last request made, if it has reported.
+  std::optional<core::ExecOutcome> last_outcome() const {
+    const auto it = outcomes.find(next_task_);
+    if (it == outcomes.end()) return std::nullopt;
+    return it->second;
+  }
+
   sim::Simulator sim;
   net::Network net;
   Rng rng;
@@ -947,6 +970,7 @@ class ExecutorBreakerTest : public ::testing::Test {
   std::unique_ptr<core::Executor> executor;
   std::unique_ptr<core::CircuitBreaker> cloud_breaker;
   std::unique_ptr<core::CircuitBreaker> ap_breaker;
+  std::map<workload::TaskId, core::ExecOutcome> outcomes;
   workload::TaskId next_task_ = 0;
 };
 
@@ -954,10 +978,10 @@ TEST_F(ExecutorBreakerTest, OpenCloudBreakerReroutesToSmartAp) {
   cloud_breaker->record_failure();
   ASSERT_EQ(cloud_breaker->state(), core::CircuitBreaker::State::kOpen);
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(600));
-  std::optional<core::ExecOutcome> outcome;
   executor->execute(route(core::Route::kCloud), request_for(0, user), user,
-                    ap.get(), [&](const core::ExecOutcome& o) { outcome = o; });
+                    ap.get());
   sim.run();
+  const std::optional<core::ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(outcome->route, core::Route::kSmartAp);
   EXPECT_TRUE(outcome->rerouted);
@@ -967,10 +991,10 @@ TEST_F(ExecutorBreakerTest, OpenCloudBreakerReroutesToSmartAp) {
 TEST_F(ExecutorBreakerTest, OpenCloudBreakerWithoutApFallsToUserDevice) {
   cloud_breaker->record_failure();
   const workload::User user = make_user(net::Isp::kTelecom, kbps_to_rate(800));
-  std::optional<core::ExecOutcome> outcome;
   executor->execute(route(core::Route::kCloud), request_for(0, user), user,
-                    nullptr, [&](const core::ExecOutcome& o) { outcome = o; });
+                    nullptr);
   sim.run();
+  const std::optional<core::ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(outcome->route, core::Route::kUserDevice);
   EXPECT_TRUE(outcome->rerouted);
@@ -980,10 +1004,10 @@ TEST_F(ExecutorBreakerTest, OpenApBreakerReroutesToCloud) {
   ap_breaker->record_failure();
   cloud->warm_cache(0);
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(500));
-  std::optional<core::ExecOutcome> outcome;
   executor->execute(route(core::Route::kSmartAp), request_for(0, user), user,
-                    ap.get(), [&](const core::ExecOutcome& o) { outcome = o; });
+                    ap.get());
   sim.run();
+  const std::optional<core::ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(outcome->route, core::Route::kCloud);
   EXPECT_TRUE(outcome->rerouted);
@@ -993,10 +1017,10 @@ TEST_F(ExecutorBreakerTest, OpenApBreakerReroutesToCloud) {
 TEST_F(ExecutorBreakerTest, ClosedBreakersLeaveRoutingUntouched) {
   cloud->warm_cache(0);
   const workload::User user = make_user(net::Isp::kUnicom, kbps_to_rate(500));
-  std::optional<core::ExecOutcome> outcome;
   executor->execute(route(core::Route::kCloud), request_for(0, user), user,
-                    ap.get(), [&](const core::ExecOutcome& o) { outcome = o; });
+                    ap.get());
   sim.run();
+  const std::optional<core::ExecOutcome> outcome = last_outcome();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(outcome->route, core::Route::kCloud);
   EXPECT_FALSE(outcome->rerouted);
